@@ -10,7 +10,9 @@ The invariants replication leans on, stated as properties:
 3. the read router only ever lands a request on the primary or a member
    of the key's valid replica set, and marks reroutes with ``replica_of``;
 4. rebalance sweeps (promote/demote/migrate) never change primary
-   ownership or lose data — coverage is preserved under any heat history.
+   ownership or lose data — coverage is preserved under any heat history;
+5. with hot-key replication AND the chain on, any interleaving of ops,
+   sweeps, crash/recover and resizes reads back a plain numpy accumulation.
 """
 
 import numpy as np
@@ -218,3 +220,60 @@ def test_rebalance_history_preserves_coverage(n_servers, replication_factor,
                 matrix_id, primary_index, epoch)
     # ...and no data was lost or duplicated through any migrate/demote.
     assert np.allclose(client.pull_row(m, 0), expected)
+
+
+# -- 5: both replication policies on, arbitrary interleavings ------------------
+
+
+@given(data=st.data())
+@settings(max_examples=15, deadline=None)
+def test_hot_key_plus_chain_interleavings_match_numpy(data):
+    dim = 24
+    cluster = Cluster(ClusterConfig(
+        n_executors=2, n_servers=3, seed=42, replication="topk",
+        hot_key_fraction=0.34, replication_factor=2, chain_replicas=1,
+    ))
+    master = PSMaster(cluster)
+    client = PSClient(cluster, master, cluster.executors[0])
+    m = master.create_matrix(dim)
+    expected = np.zeros(dim)
+    steps = data.draw(st.lists(
+        st.tuples(
+            st.sampled_from(["push", "push-sparse", "pull", "rebalance",
+                             "crash", "resize"]),
+            st.integers(min_value=0, max_value=dim - 1),
+            st.integers(min_value=1, max_value=8),
+        ),
+        min_size=1, max_size=14,
+    ))
+    for op, start, width in steps:
+        stop = min(dim, start + width)
+        if op == "push":
+            client.push_add(m, 0, np.ones(dim))
+            expected += 1.0
+        elif op == "push-sparse":
+            client.push_add(m, 0, np.full(stop - start, 2.0),
+                            indices=list(range(start, stop)))
+            expected[start:stop] += 2.0
+        elif op == "pull":
+            assert np.array_equal(client.pull_range(m, 0, start, stop),
+                                  expected[start:stop])
+        elif op == "rebalance":
+            master.replication.rebalance()
+        elif op == "crash":
+            # One crash at a time: the chain (M = 1) promotes losslessly.
+            index = start % master.n_servers
+            master.servers[index].crash()
+            master.recover(index)
+        else:
+            master.resize_servers(2 + width % 4)
+    assert np.array_equal(client.pull_row(m, 0), expected)
+    # Every surviving copy at its primary's epoch mirrors the primary.
+    for holder in master.servers:
+        for (matrix_id, primary_index), entry in holder.replica_store.items():
+            primary = master.server(primary_index)
+            if entry.install_epoch == primary.epoch:
+                rows = primary.matrix_rows(matrix_id)
+                assert all(np.array_equal(rows[row].values,
+                                          entry.rows[row].values)
+                           for row in rows)

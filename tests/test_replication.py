@@ -432,3 +432,124 @@ def test_chain_report_renders_map_and_promotions():
     # Off mode renders the placeholder and nothing else.
     off_cluster, _m, _c = _rig(replication="off")
     assert "off" in chain_table(off_cluster)
+
+
+# -- coexistence: hot-key replication AND the chain on one cluster -------------
+# (no other tier-1 test turns both on; these pin the contract — hot-key
+# first, one copy of each mutation per shared holder, neither policy evicts
+# an entry the other wants, the chain re-streams where hot-key demotes)
+
+
+def _both_rig():
+    """3 servers, both policies on; after the sweep key (m, 0) has hot
+    holders {1, 2} and chain holder {1} — server 1 is shared."""
+    cluster, master, client = _rig(chain_replicas=1)
+    m = _heat_and_promote(master, client)
+    assert master.replication.replica_set(m, 0) == [1, 2]
+    assert sorted(cluster.chain.links[(m, 0)]) == [1]
+    return cluster, master, client, m
+
+
+def _assert_copies_match_primaries(master):
+    """Every replica-store entry at its primary's epoch equals the
+    primary's rows (what the perf ledger's ``verify_copies`` checks)."""
+    checked = 0
+    for holder in master.servers:
+        for (matrix_id, primary_index), entry in holder.replica_store.items():
+            primary = master.server(primary_index)
+            if entry.install_epoch != primary.epoch:
+                continue
+            rows = primary.matrix_rows(matrix_id)
+            assert set(rows) == set(entry.rows)
+            for row, shard in rows.items():
+                assert np.array_equal(shard.values, entry.rows[row].values)
+            checked += 1
+    return checked
+
+
+def test_shared_holder_gets_one_copy_of_each_mutation():
+    cluster, master, client, m = _both_rig()
+    counters = cluster.metrics.counters
+    before = {name: counters.get(name, 0) for name in (
+        "replica-fanouts", "chain-fanouts", "replica-fanout-fenced",
+        "replica-fanout-skipped")}
+    pushes_before = cluster.metrics.logical_messages_by_tag.get(
+        "replica-push:req", 0)
+    client.push_add(m, 0, np.ones(30))
+    # Hot-key: key (m, 0) -> holders 1 and 2.  Chain: (m, 1) -> 2 and
+    # (m, 2) -> 0; its (m, 0) -> 1 copy is already covered by hot-key.
+    assert counters["replica-fanouts"] == before["replica-fanouts"] + 2
+    assert counters["chain-fanouts"] == before["chain-fanouts"] + 2
+    assert cluster.metrics.logical_messages_by_tag["replica-push:req"] \
+        == pushes_before + 4
+    # A second copy to the shared holder would have been counter-skipped.
+    assert counters.get("replica-fanout-fenced", 0) \
+        == before["replica-fanout-fenced"]
+    assert counters.get("replica-fanout-skipped", 0) \
+        == before["replica-fanout-skipped"]
+    assert np.array_equal(master.server(1).replica_read(m, 0, 0),
+                          np.arange(10.0) + 1.0)
+    assert _assert_copies_match_primaries(master) == 4
+
+
+def test_hot_demotion_keeps_the_chain_copy_on_a_shared_holder():
+    cluster, master, client, m = _both_rig()
+    # Cool (m, 0) off: shard (m, 1) dominates the next delta window.
+    for _ in range(8):
+        client.pull_range(m, 0, 10, 20)
+    master.replication.rebalance()
+    assert (m, 0) not in master.replication.replicas
+    epoch = master.server(0).epoch
+    # Holder 2 was hot-only and dropped its copy; holder 1 is still the
+    # chain successor, so the shared entry stays installed and current.
+    assert not master.server(2).has_replica(m, 0)
+    assert master.server(1).has_replica(m, 0, epoch)
+    assert cluster.chain.key_lag(m, 0) == 0
+    client.push_add(m, 0, np.ones(10), indices=list(range(10)))
+    assert cluster.chain.key_lag(m, 0) == 0
+    assert np.array_equal(master.server(1).replica_read(m, 0, 0),
+                          np.arange(10.0) + 1.0)
+
+
+def test_chain_teardown_keeps_the_hot_replica_on_a_shared_holder():
+    cluster, master, client, m = _both_rig()
+    cluster.chain.on_topology_resized()
+    assert not cluster.chain.links
+    # The hot-key manager still claims the shared entry on server 1.
+    assert master.replication.replica_set(m, 0) == [1, 2]
+    assert np.array_equal(master.server(1).replica_read(m, 0, 0),
+                          np.arange(10.0))
+    # Server 0 held only chain copies (of key (m, 2)): physically gone.
+    assert not master.server(0).has_replica(m, 2)
+
+
+def _scale_kernel(arrays, factor=2.0):
+    for values in arrays:
+        values *= factor
+
+
+def test_copies_track_primaries_through_a_mixed_mutation_stream():
+    cluster, master, client, m = _both_rig()
+    other = master.create_matrix(30)
+    table = master.create_table(6)
+    client.push_add(m, 0, np.ones(30))
+    client.push_add(m, 0, np.full(4, 0.5), indices=[1, 2, 11, 25])
+    client.push_range(m, 0, 5, 15, np.arange(10.0), mode="add")
+    client.fill_row(other, 0, 3.0)
+    # (m, 0) is hot-replicated, (other, 0) is not: the hot-key policy
+    # demotes on the operand mismatch while the chain fans out as usual.
+    client.execute(_scale_kernel, [(m, 0), (other, 0)],
+                   wait_response=False)
+    assert cluster.metrics.counters["replica-kernel-demotions"] == 1
+    assert (m, 0) not in master.replication.replicas
+    created = client.pull_or_create(table, [0, 1, 2, 3])
+    client.push_block_add(table, [0, 3], np.ones((2, 6)))
+    assert _assert_copies_match_primaries(master) >= 6
+    expected = np.arange(30.0) + 1.0
+    expected[[1, 2, 11, 25]] += 0.5
+    expected[5:15] += np.arange(10.0)
+    assert np.array_equal(client.pull_row(m, 0), expected * 2.0)
+    assert np.array_equal(client.pull_row(other, 0), np.full(30, 6.0))
+    after = client.pull_or_create(table, [0, 1, 2, 3])
+    assert np.array_equal(after[[1, 2]], created[[1, 2]])
+    assert np.array_equal(after[[0, 3]], created[[0, 3]] + 1.0)
