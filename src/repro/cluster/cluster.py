@@ -85,18 +85,22 @@ class Cluster:
         #: ``hook(node_id, new_clock)``.  Worker-side parameter caches
         #: register here to run their version-vector renewal RPC.
         self.clock_advance_hooks = []
-        #: The hot-key replication manager, installed by the PS master when
-        #: ``config.replication`` is on; ``None`` keeps every transport and
-        #: server path bit-identical to a pre-replication build.
+        # Optional subsystems are plain attributes of the cluster, every
+        # one assigned in this constructor (``tracer`` above,
+        # ``consistency`` and ``timeseries`` below) and ``None`` when off,
+        # so which optional machinery is live reads off one place.  A
+        # ``None`` slot keeps every path bit-identical to a build without
+        # that subsystem.
+        #: Hot-key replication policy (``config.replication != "off"``),
+        #: wire-codec cost model (``config.wire_codec != "off"``) and
+        #: chain replication policy (``config.chain_replicas > 0``); the
+        #: PS master installs all three.
         self.replication = None
-        #: The wire-codec cost model, installed by the PS master when
-        #: ``config.wire_codec`` is on; ``None`` keeps every wire formula
-        #: bit-identical to a pre-codec build.
         self.costmodel = None
-        #: The chain replicator, installed by the PS master when
-        #: ``config.chain_replicas`` > 0; ``None`` keeps every transport
-        #: and server path bit-identical to a pre-chain build.
         self.chain = None
+        #: The serving tier's SLO tracker, installed by
+        #: :func:`repro.serving.scenario.run_serving`.
+        self.slo = None
         # Imported lazily: the repro.ps package init pulls in modules that
         # import this module back (e.g. ps.master needs DRIVER), so a
         # top-level import would run against a partially-initialized

@@ -271,10 +271,7 @@ class ClusterConfig:
     - ``"topk"``: at every rebalance sweep, the hottest
       ``hot_key_fraction`` of (matrix, server) shard keys — ranked by the
       same unified heat metric the hot-shard telemetry reports — are
-      replicated;
-    - ``"threshold"``: a shard key is replicated while its per-sweep heat
-      delta exceeds ``1 / hot_key_fraction`` times its matrix's mean delta
-      (an online threshold rather than a fixed count).
+      replicated.
 
     ``replication_factor`` is the number of replicas per hot key (0 means
     "all other servers"); ``rebalance_interval`` is the virtual-seconds
@@ -297,8 +294,6 @@ class ClusterConfig:
     - a codec name (``"fp16"``, ``"int8"``, ``"topk"``, ``"delta"``)
       forces that codec wherever its loss class is sound and identity
       elsewhere — the ablation knob.
-
-    ``codec_topk_ratio`` is the kept fraction for top-k sparsification.
 
     ``chain_replicas`` enables ElasticDL-style chained shard replication
     for zero-downtime recovery (``repro.ps.replication.ChainReplicator``):
@@ -324,7 +319,6 @@ class ClusterConfig:
     rebalance_interval: float = 0.0
     timeseries_window: float = 0.0
     wire_codec: str = "off"
-    codec_topk_ratio: float = 0.1
     chain_replicas: int = 0
     elasticity: ElasticitySpec = field(default_factory=ElasticitySpec)
     seed: int = 0
@@ -345,9 +339,9 @@ class ClusterConfig:
             raise ConfigError(
                 "staleness must be >= 0, got %r" % (self.staleness,)
             )
-        if self.replication not in ("off", "topk", "threshold"):
+        if self.replication not in ("off", "topk"):
             raise ConfigError(
-                "replication must be 'off', 'topk' or 'threshold', got %r"
+                "replication must be 'off' or 'topk', got %r"
                 % (self.replication,)
             )
         if not 0.0 < self.hot_key_fraction <= 1.0:
@@ -375,11 +369,6 @@ class ClusterConfig:
             raise ConfigError(
                 "wire_codec must be 'off', 'auto', 'fp16', 'int8', 'topk' "
                 "or 'delta', got %r" % (self.wire_codec,)
-            )
-        if not 0.0 < self.codec_topk_ratio <= 1.0:
-            raise ConfigError(
-                "codec_topk_ratio must be in (0, 1], got %r"
-                % (self.codec_topk_ratio,)
             )
         if self.chain_replicas < 0:
             raise ConfigError(

@@ -12,8 +12,8 @@ def make_context(n_executors=20, n_servers=20, seed=0, task_failure_prob=0.0,
                  coalesce_requests=True, consistency="bsp", staleness=0,
                  replication="off", hot_key_fraction=0.1,
                  replication_factor=0, rebalance_interval=0.0,
-                 timeseries_window=0.0, wire_codec="off",
-                 codec_topk_ratio=0.1, chain_replicas=0, elasticity=None):
+                 timeseries_window=0.0, wire_codec="off", chain_replicas=0,
+                 elasticity=None):
     """A fresh PS2 context on a fresh simulated cluster.
 
     ``failures`` takes a full :class:`repro.config.FailureConfig` (crash
@@ -50,9 +50,9 @@ def make_context(n_executors=20, n_servers=20, seed=0, task_failure_prob=0.0,
     sampler with windows of that many virtual seconds (0 disables it; the
     sampler is passive either way).
 
-    ``wire_codec`` / ``codec_topk_ratio`` configure the wire-codec cost
-    model for the compression-ablation experiments; the default ``"off"``
-    constructs no cost model at all (bit-identical to a pre-codec run).
+    ``wire_codec`` configures the wire-codec cost model for the
+    compression-ablation experiments; the default ``"off"`` constructs no
+    cost model at all (bit-identical to a pre-codec run).
 
     ``chain_replicas`` configures chained shard replication (M successor
     replicas per primary, promoted on crash) for the fault-tolerance
@@ -87,7 +87,6 @@ def make_context(n_executors=20, n_servers=20, seed=0, task_failure_prob=0.0,
         rebalance_interval=rebalance_interval,
         timeseries_window=timeseries_window,
         wire_codec=wire_codec,
-        codec_topk_ratio=codec_topk_ratio,
         chain_replicas=chain_replicas,
         elasticity=elasticity,
     )

@@ -214,7 +214,7 @@ def replication_table(cluster):
     reads rerouted to replicas, mutations fanned out, fan-outs fenced or
     skipped by the version machinery, promotions/demotions per sweep.
     """
-    manager = getattr(cluster, "replication", None)
+    manager = cluster.replication
     if manager is None:
         return "(replication off)"
     metrics = cluster.metrics
@@ -274,7 +274,7 @@ def chain_table(cluster):
     promotions and checkpoint fallbacks — followed by one row per
     promotion event.
     """
-    chain = getattr(cluster, "chain", None)
+    chain = cluster.chain
     if chain is None:
         return "(chain replication off)"
     metrics = cluster.metrics
@@ -342,7 +342,7 @@ def serving_table(cluster):
     ``get_or_create``, resizes performed, shard slices migrated and the
     wire bytes the migrations cost.
     """
-    tracker = getattr(cluster, "slo", None)
+    tracker = cluster.slo
     if tracker is None:
         return "(serving tier inactive)"
     metrics = cluster.metrics
@@ -440,7 +440,7 @@ def critical_path_table(tracer):
 
 def render_report(cluster, title="observability report"):
     """The full text report for one cluster."""
-    tracer = getattr(cluster, "tracer", None)
+    tracer = cluster.tracer
     sections = [
         "== %s ==" % title,
         "virtual makespan: %s s" % _seconds(cluster.elapsed()),
@@ -466,13 +466,13 @@ def render_report(cluster, title="observability report"):
         "-- chain replication --",
         chain_table(cluster),
     ]
-    if getattr(cluster, "slo", None) is not None:
+    if cluster.slo is not None:
         sections += [
             "",
             "-- serving tier --",
             serving_table(cluster),
         ]
-    sampler = getattr(cluster, "timeseries", None)
+    sampler = cluster.timeseries
     if sampler is not None:
         sampler.finalize()
         sections += [
@@ -480,7 +480,7 @@ def render_report(cluster, title="observability report"):
             "-- time series (%.6f s windows) --" % sampler.window,
             timeseries_table(sampler),
         ]
-    if tracer is not None and tracer.enabled:
+    if tracer.enabled:
         by_cat = {}
         for span in tracer.spans:
             by_cat[span.cat] = by_cat.get(span.cat, 0) + 1

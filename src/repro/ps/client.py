@@ -67,8 +67,8 @@ class PSClient:
         # authoritative server state).  Under BSP ``cache_bound()`` is
         # ``None`` and the client takes the exact pre-cache code paths.
         self.cache = None
-        model = getattr(cluster, "consistency", None)
-        if model is not None and model.cache_bound() is not None:
+        model = cluster.consistency
+        if model.cache_bound() is not None:
             from repro.cluster.cluster import DRIVER
 
             if node_id != DRIVER:
@@ -152,8 +152,8 @@ class PSClient:
         the shared layout, across clients), so it is only safe when no one
         mutates requests between sends.  Pushes swap same-length value
         views into pooled requests, which keeps every memoized wire-size
-        formula input unchanged.  The replication manager retargets reads
-        in place (``route_read``), but the transport undoes any leftover
+        formula input unchanged.  The replication routers retarget reads
+        in place, but :func:`repro.ps.replication.route` undoes any leftover
         retarget before re-offering a request, so pooling stays on under
         replication — the pool is merely *invalidated* (cleared) whenever
         the topology or the replica set changes, keyed on
@@ -161,10 +161,10 @@ class PSClient:
         codec state to pushes (encoded payloads, re-priced sizes), which
         pooled reuse would corrupt, so codecs disable the pool.
         """
-        if getattr(self.cluster, "costmodel", None) is not None:
+        if self.cluster.costmodel is not None:
             return None
         plans = layout.op_plans
-        manager = getattr(self.cluster, "replication", None)
+        manager = self.cluster.replication
         if manager is not None:
             epoch = (self.master.topology_epoch, manager.plan_epoch)
             if plans.get("_epoch") != epoch:
@@ -191,7 +191,7 @@ class PSClient:
         bound); identity rates otherwise — bit-identical to the
         pre-costmodel formulas when the knob is off.
         """
-        costmodel = getattr(self.cluster, "costmodel", None)
+        costmodel = self.cluster.costmodel
         if costmodel is None:
             return messages.dense_pull_response_bytes(n_values)
         return costmodel.priced_pull_response_bytes(self.node_id, n_values)

@@ -160,8 +160,8 @@ class ASPModel(_ClockedModel):
 
 def make_consistency(config):
     """The model selected by ``config.consistency`` / ``config.staleness``."""
-    name = getattr(config, "consistency", "bsp")
-    staleness = int(getattr(config, "staleness", 0))
+    name = config.consistency
+    staleness = int(config.staleness)
     if name == "bsp":
         return BSPModel()
     if name == "ssp":

@@ -46,6 +46,9 @@ FP16_RATIO = 1.0
 INT8_RATIO = 4.0
 TOPK_RATIO = 8.0
 
+#: Fraction of coordinates a top-k sparsified push ships.
+TOPK_KEPT_FRACTION = 0.1
+
 #: A sender whose NIC horizon runs more than this many latencies ahead
 #: of its clock is backlogged; the model escalates one tier.
 BACKLOG_LATENCIES = 50.0
@@ -72,13 +75,13 @@ class CostModel:
     anywhere) and identity elsewhere.
     """
 
-    def __init__(self, cluster, config=None):
-        config = config if config is not None else cluster.config
+    def __init__(self, cluster):
+        config = cluster.config
         self.cluster = cluster
-        self.mode = getattr(config, "wire_codec", "auto")
-        ratio = getattr(config, "codec_topk_ratio", 0.1)
+        self.mode = config.wire_codec
         self.codecs = {
-            name: make_codec(name, topk_ratio=ratio) for name in CODEC_NAMES
+            name: make_codec(name, topk_ratio=TOPK_KEPT_FRACTION)
+            for name in CODEC_NAMES
         }
         # The effective path bandwidth is the slower of the NIC and the
         # fabric; the latency floor keeps the ratio finite.

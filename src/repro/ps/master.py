@@ -28,7 +28,9 @@ from repro.cluster.cluster import DRIVER
 from repro.common.errors import MatrixNotFoundError, PSError
 from repro.common.rng import generator
 from repro.common.sizeof import FLOAT_BYTES, INDEX_BYTES
+from repro.ps import replication
 from repro.ps.checkpoint import CheckpointManager
+from repro.ps.costmodel import CostModel
 from repro.ps.messages import REQUEST_HEADER_BYTES
 from repro.ps.partitioner import ColumnLayout, RowLayout
 from repro.ps.server import PSServer, RowShard
@@ -93,34 +95,28 @@ class PSMaster:
         self.checkpoint_sweep_times = []
         if self._next_sweep is not None:
             cluster.stage_end_hooks.append(self.maybe_checkpoint)
-        #: The hot-key replication manager — ``None`` with the knob off, so
-        #: every transport/server fast path stays bit-identical to a
-        #: pre-replication build (the golden-run guarantee).
+        # The optional subsystems below fill the slots ``Cluster.__init__``
+        # declares (``None`` = off).  With a knob off nothing is
+        # constructed, so every transport/server fast path and wire
+        # formula stays bit-identical to a build without the subsystem
+        # (the golden-run guarantee).
+        config = cluster.config
+        #: The hot-key replication policy (``replication != "off"``).
         self.replication = None
-        if getattr(cluster.config, "replication", "off") != "off":
-            from repro.ps.replication import HotKeyManager
-
-            self.replication = HotKeyManager(cluster, self)
-            cluster.replication = self.replication
+        if config.replication != "off":
+            self.replication = cluster.replication = \
+                replication.HotKeyManager(cluster, self)
             cluster.stage_end_hooks.append(self._rebalance_at_stage_end)
-        #: The wire-codec cost model — ``None`` with the knob off, so every
-        #: wire-size formula stays bit-identical to a pre-codec build.
+        #: The wire-codec cost model (``wire_codec != "off"``).
         self.costmodel = None
-        if getattr(cluster.config, "wire_codec", "off") != "off":
-            from repro.ps.costmodel import CostModel
-
-            self.costmodel = CostModel(cluster, cluster.config)
-            cluster.costmodel = self.costmodel
-        #: The chain replicator — ``None`` with ``chain_replicas == 0``, so
-        #: every transport/server fast path stays bit-identical to a
-        #: pre-chain build and checkpoint restore stays the only recovery
-        #: path (the golden-run guarantee).
+        if config.wire_codec != "off":
+            self.costmodel = cluster.costmodel = CostModel(cluster)
+        #: The chain replication policy (``chain_replicas > 0``); without
+        #: it checkpoint restore is the only recovery path.
         self.chain = None
-        if int(getattr(cluster.config, "chain_replicas", 0)) > 0:
-            from repro.ps.replication import ChainReplicator
-
-            self.chain = ChainReplicator(cluster, self)
-            cluster.chain = self.chain
+        if config.chain_replicas > 0:
+            self.chain = cluster.chain = \
+                replication.ChainReplicator(cluster, self)
 
     @property
     def n_servers(self):
@@ -236,10 +232,7 @@ class PSMaster:
         self._matrices.pop(matrix_id, None)
         for server in self.servers:
             server.drop_matrix(matrix_id)
-        if self.replication is not None:
-            self.replication.on_matrix_freed(matrix_id)
-        if self.chain is not None:
-            self.chain.on_matrix_freed(matrix_id)
+        replication.on_matrix_freed(self.cluster, matrix_id)
 
     def info(self, matrix_id):
         try:
@@ -406,17 +399,7 @@ class PSMaster:
             DRIVER, server.node_id, REQUEST_HEADER_BYTES, tag="ps-recover"
         )
         self.cluster.metrics.increment("server-recoveries")
-        if self.chain is not None:
-            # Re-establish the chains at the new epoch: successors of this
-            # primary get fresh full copies (their old ones fenced out any
-            # fan-out during the crash window), and copies it hosted for
-            # other primaries died with its state.
-            self.chain.on_server_recovered(server_index)
-        if self.replication is not None:
-            # Refresh the replica topology at the new epoch: replicas OF
-            # this server's shards are stale (the primary may have rolled
-            # back), and replicas it HOSTED died with its state.
-            self.replication.on_server_recovered(server_index)
+        replication.on_server_recovered(self.cluster, server_index)
         tracer = self.cluster.tracer
         if tracer.enabled:
             tracer.record(
@@ -473,20 +456,17 @@ class PSMaster:
                 server = PSServer(self.cluster, node_id, len(self.servers))
                 server.revive()
                 self.servers.append(server)
-            self._migrate(new_count)
         else:
             self._drain_departing(new_count, old_count)
-            self._migrate(new_count)
-            # Replicas were installed against the pre-resize topology and
-            # may live on (or point at) departing indices: demote them all
-            # while every server object is still addressable.
-            if self.replication is not None:
-                self.replication.on_topology_resized()
-            for _ in range(old_count - new_count):
-                self.servers.pop()
-                self.cluster.remove_server_node()
-        if new_count > old_count and self.replication is not None:
+        self._migrate(new_count)
+        # Hot replicas were installed against the pre-resize topology and
+        # may live on (or point at) departing indices: demote them all
+        # while every server object is still addressable.
+        if self.replication is not None:
             self.replication.on_topology_resized()
+        for _ in range(old_count - new_count):
+            self.servers.pop()
+            self.cluster.remove_server_node()
         self._after_resize(old_count, new_count)
 
     def _drain_departing(self, new_count, old_count):

@@ -1,64 +1,69 @@
-"""Hot-key replication: classify, replicate, route, fan out, rebalance.
+"""Shard replication: one mechanism, two placement policies.
 
-Skewed workloads (power-law features in LR, degree-skewed graphs, word
-counts in LDA) hammer one server even under PS2's column partitioning —
-the non-uniform-access problem NuPS (Renz-Wieland et al.) attacks with
-*selective* replication of the hot keys.  This module closes the loop
-between PR 1's hot-shard telemetry and the routing/consistency machinery:
+**The mechanism** (:class:`Replicator`) is written once.  A *copy* of a
+(matrix, primary) shard key is the primary's rows for that matrix,
+installed in another server's ``replica_store`` together with the
+primary's per-row mutation counters and its recovery epoch (the PR-4
+fencing token).  The mechanism owns
 
-- **Classification** consumes :meth:`MetricsRegistry.shard_heat` — the
-  same unified counter the report's hot-shard table ranks by, so policy
-  and telemetry cannot drift.  Each rebalance sweep classifies on the
-  heat *delta* since the previous sweep (a shard that was hot an hour of
-  virtual time ago but cooled off gets de-replicated).  Two modes:
-  ``topk`` replicates the hottest ``hot_key_fraction`` of shard keys;
-  ``threshold`` replicates keys whose delta exceeds ``1 /
-  hot_key_fraction`` times their matrix's mean delta.
+- the holder map ``{(matrix_id, primary_index): {holder_index:
+  install_epoch}}`` and its validity filter — an entry is usable only
+  while its install epoch equals the primary's *current* epoch, so a
+  copy that predates a recovery (the primary may have rolled back) is
+  fenced out of routing and fan-out until it is re-installed;
+- the install/refresh stream onto a holder, which forgets the link when
+  either end turns out to be down;
+- the holder drop — a header-sized control message, with the physical
+  ``replica_store`` entry evicted only when no policy still wants it;
+- the write fan-out: after the transport applied a mutation to its
+  primary, one :class:`~repro.ps.messages.ReplicatedPushRequest` per
+  valid holder carries the primary's epoch and post-apply row counters.
+  Holders apply fenced (epoch mismatch: the primary recovered, the stale
+  fan-out must not resurrect lost state) and idempotently (counters
+  already caught up by a re-install: skip).  A kernel mutates all its
+  operands at once, so it fans out all-or-nothing.
 
-- **Replication** copies a hot (matrix, primary) shard key's rows to
-  ``replication_factor`` other servers (0 means all of them), charging
-  the migration bytes to the NIC model under the ``replica-migrate`` tag.
-  Each installed replica records the primary's recovery epoch — the
-  PR-4 fencing token — and the primary's per-row mutation counters.
+**The policies** decide only what differs:
 
-- **Routing** (:meth:`HotKeyManager.route_read`) reroutes pull/aggregate
-  requests to the *nearest-by-queue* holder (primary or valid replica,
-  earliest NIC-timeline horizon).  The request keeps attributing its
-  heat to the primary shard key via ``replica_of``, so rerouting can
-  never drain the very signal that created the replica.
+====================  ==============================  ==========================
+decision              :class:`HotKeyManager`          :class:`ChainReplicator`
+====================  ==============================  ==========================
+purpose               read scaling (NuPS)             durability (ElasticDL)
+placement             hottest ``hot_key_fraction``    every key, on the next
+                      of keys by heat *delta* per     ``chain_replicas`` live
+                      sweep, coldest servers first    ring successors
+read routing          nearest holder by NIC horizon   stand-in while the
+                                                      primary is down
+direct write /        demote the key                  re-stream the key
+kernel-operand
+mismatch
+stream pricing        ``replica-migrate`` formula     ``ChainSyncRequest``
+                                                      through the cost model
+extras                rebalance sweep                 promotion merge, per-row
+                                                      incremental sync
+====================  ==============================  ==========================
 
-- **Write fan-out**: after the transport applies a mutation to the
-  primary, the manager emits one typed
-  :class:`~repro.ps.messages.ReplicatedPushRequest` per replica carrying
-  the primary's epoch and post-apply row counters.  Replicas apply
-  idempotently (counters already caught up — e.g. by a crash-triggered
-  re-install — skip the apply) and fenced (an epoch mismatch means the
-  primary recovered and may have rolled back; the stale fan-out must not
-  resurrect lost state).
+**The coexistence contract** — how the two behave on one cluster — lives
+in the module-level functions at the bottom (:func:`route`,
+:func:`fan_out`, :func:`on_direct_write`, ...), which are the only entry
+points the transport, the servers and the master call: hot-key first;
+the chain only routes a read still on its primary; a server that is both
+hot replica and chain successor gets one copy of each mutation; neither
+policy evicts an entry the other wants; the chain re-streams where
+hot-key demotes.
 
-- **Rebalance** runs on virtual time through the same hook machinery as
-  the checkpoint sweep: at every stage end when ``rebalance_interval``
-  is 0, else whenever the interval has elapsed (also polled after every
-  client PS op, so pure-PS workloads sweep too).
-
-With ``ClusterConfig.replication == "off"`` no manager is constructed
-and every transport/server path is bit-identical to a pre-replication
-build — the golden-run guarantee the test matrix locks down.
-
-This module also hosts :class:`ChainReplicator` — ElasticDL-style chained
-replication for *durability* rather than read scaling: every primary's
-full store is mirrored on its next ``chain_replicas`` ring successors,
-kept in lockstep by the same epoch/counter-fenced fan-out machinery, and
-promoted (max-version merge) into the replacement on a crash so recovery
-never pauses for a checkpoint restore unless every holder died.
+With ``replication == "off"`` and ``chain_replicas == 0`` neither policy
+is constructed (``cluster.replication`` / ``cluster.chain`` stay
+``None``) and every transport/server path is bit-identical to a
+pre-replication build — the golden-run guarantee.
 """
 
 from __future__ import annotations
 
+from repro.cluster.cluster import DRIVER
 from repro.common.errors import MatrixNotFoundError, ServerDownError
 from repro.common.sizeof import FLOAT_BYTES, INDEX_BYTES
 from repro.ps import messages
-from repro.ps.server import RowShard
 
 #: Request types a replica may serve (reads — never mutations).
 READ_TYPES = (messages.PullRowRequest, messages.PullRangeRequest,
@@ -69,33 +74,254 @@ READ_TYPES = (messages.PullRowRequest, messages.PullRangeRequest,
 #: copy already holds the row — creation stays the primary's job).
 CHAIN_READ_TYPES = READ_TYPES + (messages.PullOrCreateRequest,)
 
-#: Mutation types whose effect must fan out to replicas.
+#: Mutation types whose effect must fan out to the copies.
 MUTATION_TYPES = (messages.PushRequest, messages.PushRangeRequest,
                   messages.FillRequest, messages.KernelRequest)
 
 
-class HotKeyManager:
-    """Coordinator-resident hot-key replication policy and metadata.
+class Replicator:
+    """The replication mechanism shared by both policies.
 
-    ``replicas`` is the authoritative replica map:
-    ``{(matrix_id, primary_index): {replica_index: install_epoch}}``.
-    An entry is *valid* — usable for routing and fan-out — only while its
-    install epoch equals the primary's current recovery epoch; recovery
-    refreshes the map (see :meth:`on_server_recovered`), so a stale entry
-    only exists transiently between a crash and its recovery, and both
-    the read router and the server-side apply fence it out.
+    ``holders`` is the authoritative map ``{(matrix_id, primary_index):
+    {holder_index: install_epoch}}``.  An entry is *valid* — usable for
+    routing and fan-out — only while its install epoch equals the
+    primary's current recovery epoch; recovery refreshes the map, so a
+    stale entry only exists transiently between a crash and its
+    recovery, and both the read routers and the server-side apply fence
+    it out.  Subclasses name their stream and control tags and price
+    their state stream (:meth:`_stream_bytes`).
     """
+
+    stream_tag = control_tag = None
 
     def __init__(self, cluster, master):
         self.cluster = cluster
         self.master = master
+        self.holders = {}
+
+    # -- the holder map -----------------------------------------------------
+
+    def claims(self, matrix_id, primary_index, holder_index):
+        """Whether this policy tracks a copy of the key on *holder*.
+
+        Both policies share the servers' ``replica_store`` slot for a
+        key, so neither may physically evict an entry the other claims.
+        """
+        key = (matrix_id, int(primary_index))
+        return int(holder_index) in self.holders.get(key, ())
+
+    def _valid_targets(self, key, primary):
+        """Sorted holders whose link is at the primary's current epoch."""
+        targets = self.holders.get(key)
+        if not targets:
+            return []
+        return sorted(holder_index for holder_index, epoch in targets.items()
+                      if epoch == primary.epoch)
+
+    def _live_copies(self, key, epoch):
+        """``(holder, entry)`` for every copy of *key* that can serve
+        now: linked at *epoch*, holder up, entry installed at that same
+        epoch.  In holder-index order."""
+        for holder_index, installed in sorted(self.holders.get(key, {}).items()):
+            if installed != epoch:
+                continue
+            holder = self.master.server(holder_index)
+            entry = holder.replica_store.get(key)
+            if holder.alive and entry is not None \
+                    and entry.install_epoch == epoch:
+                yield holder, entry
+
+    def _forget(self, key, holder_index):
+        """Drop one link from the map; returns whether it existed."""
+        targets = self.holders.get(key)
+        if targets is None or holder_index not in targets:
+            return False
+        del targets[holder_index]
+        if not targets:
+            del self.holders[key]
+        return True
+
+    # -- install / drop -----------------------------------------------------
+
+    def _stream_bytes(self, key, holder_index, epoch, rows, versions):
+        """Wire bytes of one full-key state stream (policy pricing)."""
+        raise NotImplementedError
+
+    def _install(self, key, holder_index):
+        """Stream a full copy of *key* onto one holder (install or
+        refresh), charging the policy's stream bytes; forgets the link
+        and returns ``False`` when either end is down."""
+        matrix_id, primary_index = key
+        primary = self.master.server(primary_index)
+        target = self.master.server(holder_index)
+        try:
+            rows = primary.matrix_rows(matrix_id)
+            versions = {
+                row_key: counter
+                for row_key, counter in primary.versions.items()
+                if row_key[0] == matrix_id
+            }
+            self.cluster.network.transfer(
+                primary.node_id, target.node_id,
+                self._stream_bytes(key, holder_index, primary.epoch, rows,
+                                   versions),
+                tag=self.stream_tag,
+            )
+            target.install_replica(
+                matrix_id, primary_index, rows, versions, primary.epoch
+            )
+        except (MatrixNotFoundError, ServerDownError):
+            self._forget(key, holder_index)
+            return False
+        self.holders.setdefault(key, {})[holder_index] = primary.epoch
+        return True
+
+    def _reinstall_hosted(self, server_index):
+        """Re-install, from their live primaries, the copies a recovered
+        server held for *other* primaries (the crash wiped its replica
+        store); returns how many succeeded."""
+        hosted = sorted(
+            key for key, targets in self.holders.items()
+            if key[1] != server_index and server_index in targets
+        )
+        return sum(self._install(key, server_index) for key in hosted)
+
+    def _drop(self, key, holder_index):
+        """Forget one link and tell the holder (a header-sized control
+        message); the physical entry goes only when no policy still
+        claims it — durability outranks a read-scaling demotion and
+        vice versa."""
+        if not self._forget(key, holder_index) \
+                or not 0 <= holder_index < self.master.n_servers:
+            return
+        holder = self.master.server(holder_index)
+        if not holder.alive:
+            return
+        if not any(policy.claims(*key, holder_index)
+                   for policy in policies(self.cluster)):
+            holder.drop_replica(*key)
+        self.cluster.network.transfer(
+            DRIVER, holder.node_id, messages.REQUEST_HEADER_BYTES,
+            tag=self.control_tag,
+        )
+
+    def on_matrix_freed(self, matrix_id):
+        """Forget the links of a freed matrix (the servers already purged
+        their stores and replica entries in ``drop_matrix``)."""
+        for key in [k for k in self.holders if k[0] == matrix_id]:
+            del self.holders[key]
+
+    # -- write fan-out ------------------------------------------------------
+
+    def _fan_out(self, requests, counter, on_kernel_mismatch, covered=None):
+        """Copies of every mutation in *requests*, post-apply.
+
+        Called (through the policies' ``fan_out_messages``) after the
+        originals were transmitted and served, so the primaries' per-row
+        counters already reflect the mutations — each fan-out message
+        snapshots those counters plus the primary's epoch as its
+        idempotence/fencing token.  Assumes one client op never sends two
+        mutations for the same (matrix, row, server), which holds for
+        every client op by construction (one message per (row, shard)).
+        *covered* is a set of ``(holder_index, id(original))`` pairs
+        another policy already fanned out to; *counter* is bumped by the
+        number of messages built.
+        """
+        if not self.holders:
+            return []
+        extras = []
+        for request in requests:
+            if not isinstance(request, MUTATION_TYPES):
+                continue
+            primary = self.master.servers[request.server_index]
+            if isinstance(request, messages.KernelRequest):
+                valid = self._kernel_targets(request, primary,
+                                             on_kernel_mismatch)
+                rows = request.operands
+            else:
+                valid = self._valid_targets(
+                    (request.matrix_id, request.server_index), primary)
+                rows = ((request.matrix_id, request.row),)
+            if not valid:
+                continue
+            versions = {
+                (m, int(row)): primary.versions.get((m, int(row)), 0)
+                for m, row in rows
+            }
+            out = [
+                messages.ReplicatedPushRequest(
+                    holder_index, request, request.server_index,
+                    primary.epoch, versions,
+                )
+                for holder_index in valid
+                if covered is None or (holder_index, id(request)) not in covered
+            ]
+            self.cluster.metrics.increment(counter, len(out))
+            extras.extend(out)
+        return extras
+
+    def _kernel_targets(self, request, primary, on_mismatch):
+        """Kernel fan-out is all-or-nothing across the operand matrices.
+
+        A kernel mutates every operand in one shot, so a holder can only
+        apply it if it holds copies of *all* operand matrices for this
+        primary at the current epoch.  When the tracked operand keys do
+        not share one identical valid holder set, the policy reacts
+        (``on_mismatch(keys, tracked)``) instead of letting copies
+        silently diverge, and nothing fans out.
+        """
+        keys = sorted({(m, request.server_index) for m, _row in request.operands})
+        tracked = [key for key in keys if self.holders.get(key)]
+        if not tracked:
+            return []
+        sets = [self._valid_targets(key, primary) for key in tracked]
+        common = sets[0]
+        if len(tracked) != len(keys) or not common \
+                or any(s != common for s in sets):
+            on_mismatch(keys, tracked)
+            return []
+        return common
+
+
+# -- policy: hot-key replication (read scaling) -------------------------------
+
+
+class HotKeyManager(Replicator):
+    """Coordinator-resident hot-key replication policy (NuPS-style).
+
+    Skewed workloads hammer one server even under column partitioning;
+    this policy replicates the *hot* shard keys and spreads their reads.
+
+    - **Classification** consumes :meth:`MetricsRegistry.shard_heat` —
+      the same unified counter the report's hot-shard table ranks by, so
+      policy and telemetry cannot drift — on the heat *delta* since the
+      previous sweep (a key that cooled off gets de-replicated).
+    - **Placement** copies a hot key onto ``replication_factor`` other
+      servers (0 means all of them), coldest first.
+    - **Routing** sends a read to the nearest-by-queue holder; the
+      request keeps attributing its heat to the primary key via
+      ``replica_of``, so rerouting never drains the signal that created
+      the replica.
+    - **Rebalance** runs on virtual time through the same hooks as the
+      checkpoint sweep: at every stage end when ``rebalance_interval``
+      is 0, else whenever the interval has elapsed (also polled after
+      every client PS op, so pure-PS workloads sweep too).
+
+    ``replicas`` is the mechanism's holder map under its public name.
+    """
+
+    stream_tag = "replica-migrate"
+    control_tag = "replica-control"
+
+    def __init__(self, cluster, master):
+        super().__init__(cluster, master)
         config = cluster.config
         self.mode = config.replication
         self.hot_key_fraction = float(config.hot_key_fraction)
         self.replication_factor = int(config.replication_factor)
         self.rebalance_interval = float(config.rebalance_interval)
         self._next_sweep = self.rebalance_interval
-        self.replicas = {}
+        self.replicas = self.holders
         #: Heat totals as of the last sweep; sweeps classify on the delta.
         self._last_heat = {}
         #: Virtual times at which rebalance sweeps ran (telemetry).
@@ -114,33 +340,13 @@ class HotKeyManager:
         and the report): entries at the primary's current epoch whose
         holder is up and still has the copy installed."""
         key = (matrix_id, int(primary_index))
-        targets = self.replicas.get(key)
-        if not targets:
-            return []
-        primary = self.master.server(primary_index)
-        return sorted(
-            replica_index
-            for replica_index, epoch in targets.items()
-            if epoch == primary.epoch
-            and self.master.server(replica_index).alive
-            and self.master.server(replica_index).has_replica(
-                matrix_id, primary_index, epoch
-            )
-        )
+        epoch = self.master.server(primary_index).epoch
+        return [holder.server_index
+                for holder, _entry in self._live_copies(key, epoch)]
 
     def replicated_keys(self):
         """Sorted shard keys currently carrying at least one replica."""
-        return sorted(self.replicas)
-
-    def claims(self, matrix_id, primary_index, holder_index):
-        """Whether this manager tracks a replica of the key on *holder*.
-
-        The coexistence contract with :class:`ChainReplicator`: both
-        managers share the servers' ``replica_store`` slot for a key, so
-        neither may physically evict an entry the other still claims.
-        """
-        key = (matrix_id, int(primary_index))
-        return int(holder_index) in self.replicas.get(key, {})
+        return sorted(self.holders)
 
     def replica_bytes(self):
         """Total bytes of replica state across live servers."""
@@ -185,20 +391,13 @@ class HotKeyManager:
         if not isinstance(request, READ_TYPES) or request.replica_of is not None:
             return request
         primary_index = request.server_index
-        targets = self.replicas.get((request.matrix_id, primary_index))
-        if not targets:
+        key = (request.matrix_id, primary_index)
+        if key not in self.holders:
             return request
         primary = self.master.server(primary_index)
         best = (self._queue_load(primary), primary_index)
-        for replica_index in sorted(targets):
-            if targets[replica_index] != primary.epoch:
-                continue
-            server = self.master.server(replica_index)
-            if not server.alive or not server.has_replica(
-                request.matrix_id, primary_index, primary.epoch
-            ):
-                continue
-            candidate = (self._queue_load(server), replica_index)
+        for holder, _entry in self._live_copies(key, primary.epoch):
+            candidate = (self._queue_load(holder), holder.server_index)
             if candidate < best:
                 best = candidate
         if best[1] != primary_index:
@@ -210,94 +409,18 @@ class HotKeyManager:
     # -- write fan-out ------------------------------------------------------
 
     def fan_out_messages(self, requests):
-        """Replica copies of every mutation in *requests*, post-apply.
+        """Hot-replica copies of the mutations in *requests*; a kernel
+        whose operand keys disagree demotes them (see
+        :meth:`Replicator._fan_out`)."""
+        return self._fan_out(requests, "replica-fanouts",
+                             self._demote_operands)
 
-        Called by the transport after the originals were transmitted and
-        served, so the primaries' per-row counters already reflect the
-        mutations — each fan-out message snapshots those counters plus
-        the primary's epoch as its idempotence/fencing token.  Assumes
-        one client op never sends two mutations for the same
-        (matrix, row, server), which holds for every client op by
-        construction (one message per (row, shard)).
-        """
-        if not self.replicas:
-            return []
-        extras = []
-        for request in requests:
-            if isinstance(request, messages.KernelRequest):
-                extras.extend(self._fan_out_kernel(request))
-            elif isinstance(request, (messages.PushRequest,
-                                      messages.PushRangeRequest,
-                                      messages.FillRequest)):
-                extras.extend(self._fan_out_mutation(request))
-        return extras
-
-    def _valid_targets(self, key, primary):
-        targets = self.replicas.get(key)
-        if not targets:
-            return []
-        return sorted(
-            replica_index
-            for replica_index, epoch in targets.items()
-            if epoch == primary.epoch
+    def _demote_operands(self, keys, replicated):
+        for key in replicated:
+            self._demote(key)
+        self.cluster.metrics.increment(
+            "replica-kernel-demotions", len(replicated)
         )
-
-    def _fan_out_mutation(self, request):
-        key = (request.matrix_id, request.server_index)
-        primary = self.master.server(request.server_index)
-        valid = self._valid_targets(key, primary)
-        if not valid:
-            return []
-        row_key = (request.matrix_id, int(request.row))
-        versions = {row_key: primary.versions.get(row_key, 0)}
-        out = [
-            messages.ReplicatedPushRequest(
-                replica_index, request, request.server_index, primary.epoch,
-                versions,
-            )
-            for replica_index in valid
-        ]
-        self.cluster.metrics.increment("replica-fanouts", len(out))
-        return out
-
-    def _fan_out_kernel(self, request):
-        """Kernel fan-out: all-or-nothing across the operand matrices.
-
-        A kernel mutates every operand in one shot, so a replica can only
-        apply it if it holds copies of *all* operand matrices for this
-        primary at the current epoch.  When the replicated operand keys
-        do not share one identical valid replica set, the keys are
-        demoted rather than allowed to silently diverge.
-        """
-        primary_index = request.server_index
-        primary = self.master.server(primary_index)
-        keys = sorted({(m, primary_index) for m, _row in request.operands})
-        replicated = [key for key in keys if self.replicas.get(key)]
-        if not replicated:
-            return []
-        sets = [frozenset(self._valid_targets(key, primary))
-                for key in replicated]
-        common = sets[0]
-        if len(replicated) != len(keys) or not common \
-                or any(s != common for s in sets):
-            for key in replicated:
-                self._demote(key)
-            self.cluster.metrics.increment(
-                "replica-kernel-demotions", len(replicated)
-            )
-            return []
-        versions = {
-            (m, int(row)): primary.versions.get((m, int(row)), 0)
-            for m, row in request.operands
-        }
-        out = [
-            messages.ReplicatedPushRequest(
-                replica_index, request, primary_index, primary.epoch, versions
-            )
-            for replica_index in sorted(common)
-        ]
-        self.cluster.metrics.increment("replica-fanouts", len(out))
-        return out
 
     # -- rebalance sweep ----------------------------------------------------
 
@@ -335,7 +458,7 @@ class HotKeyManager:
         self._last_heat = dict(heat)
         if self.master.n_servers >= 2:
             hot = self._classify(delta)
-            costmodel = getattr(self.cluster, "costmodel", None)
+            costmodel = self.cluster.costmodel
             if costmodel is not None:
                 # The unified cost model gates *new* promotions: when
                 # codecs already shrink a key's read traffic, replication
@@ -344,10 +467,10 @@ class HotKeyManager:
                 # demote sweep's job, not the gate's).
                 hot = {
                     key for key in hot
-                    if key in self.replicas or costmodel.replication_worthwhile(
+                    if key in self.holders or costmodel.replication_worthwhile(
                         key, delta.get(key, 0.0), self.master)
                 }
-            for key in sorted(k for k in self.replicas if k not in hot):
+            for key in sorted(k for k in self.holders if k not in hot):
                 self._demote(key)
             for key in sorted(hot):
                 self._promote(key)
@@ -366,25 +489,12 @@ class HotKeyManager:
         return True
 
     def _classify(self, delta):
-        """The hot shard keys under the configured mode."""
+        """The hot shard keys: the top ``hot_key_fraction`` by delta."""
         if not delta:
             return set()
-        if self.mode == "topk":
-            k = max(1, int(round(self.hot_key_fraction * len(delta))))
-            ranked = sorted(delta, key=lambda key: (-delta[key], key))
-            return set(ranked[:k])
-        # threshold: hot while the key's delta exceeds 1/fraction times
-        # its matrix's mean delta this window.
-        by_matrix = {}
-        for (matrix_id, _server), gained in delta.items():
-            by_matrix.setdefault(matrix_id, []).append(gained)
-        hot = set()
-        for key, gained in delta.items():
-            gains = by_matrix[key[0]]
-            mean = sum(gains) / len(gains)
-            if gained > mean / self.hot_key_fraction:
-                hot.add(key)
-        return hot
+        k = max(1, int(round(self.hot_key_fraction * len(delta))))
+        ranked = sorted(delta, key=lambda key: (-delta[key], key))
+        return set(ranked[:k])
 
     def _target_count(self):
         limit = self.master.n_servers - 1
@@ -395,18 +505,15 @@ class HotKeyManager:
     def _promote(self, key):
         """Ensure *key* has its full valid replica set, installing on the
         coldest (fewest wire bytes) servers first."""
-        matrix_id, primary_index = key
+        primary_index = key[1]
         primary = self.master.server(primary_index)
         if not primary.alive:
             return
-        kept = set()
-        for replica_index, epoch in sorted(self.replicas.get(key, {}).items()):
-            server = self.master.server(replica_index)
-            if (epoch == primary.epoch and server.alive
-                    and server.has_replica(matrix_id, primary_index, epoch)):
-                kept.add(replica_index)
-            else:
-                self.replicas.get(key, {}).pop(replica_index, None)
+        kept = {holder.server_index
+                for holder, _entry in self._live_copies(key, primary.epoch)}
+        for holder_index in sorted(self.holders.get(key, ())):
+            if holder_index not in kept:
+                self._forget(key, holder_index)
         needed = self._target_count() - len(kept)
         if needed <= 0:
             return
@@ -427,59 +534,21 @@ class HotKeyManager:
         if promoted:
             metrics.increment("replica-promotions", promoted)
 
-    def _install(self, key, replica_index):
-        """Copy the key's rows onto one server, charging migration bytes."""
-        matrix_id, primary_index = key
-        primary = self.master.server(primary_index)
-        target = self.master.server(replica_index)
-        try:
-            rows = primary.matrix_rows(matrix_id)
-            versions = {
-                row_key: counter
-                for row_key, counter in primary.versions.items()
-                if row_key[0] == matrix_id
-            }
-            nbytes = (
-                messages.REQUEST_HEADER_BYTES
-                + sum(shard.values.nbytes for shard in rows.values())
-                + len(rows) * 2 * INDEX_BYTES
-                + len(versions) * INDEX_BYTES
-            )
-            self.cluster.network.transfer(
-                primary.node_id, target.node_id, nbytes, tag="replica-migrate"
-            )
-            target.install_replica(
-                matrix_id, primary_index, rows, versions, primary.epoch
-            )
-        except (MatrixNotFoundError, ServerDownError):
-            return False
-        self.replicas.setdefault(key, {})[replica_index] = primary.epoch
-        return True
+    def _stream_bytes(self, key, holder_index, epoch, rows, versions):
+        return (
+            messages.REQUEST_HEADER_BYTES
+            + sum(shard.values.nbytes for shard in rows.values())
+            + len(rows) * 2 * INDEX_BYTES
+            + len(versions) * INDEX_BYTES
+        )
 
     def _demote(self, key):
-        """Drop every replica of *key* (a header-sized control message per
-        holder) and forget the map entry."""
-        matrix_id, primary_index = key
-        targets = self.replicas.pop(key, {})
+        """Drop every replica of *key* and forget the map entry."""
+        targets = sorted(self.holders.get(key, ()))
         if not targets:
             return
-        from repro.cluster.cluster import DRIVER
-
-        chain = getattr(self.cluster, "chain", None)
-        for replica_index in sorted(targets):
-            server = self.master.server(replica_index)
-            if server.alive:
-                # The physical entry stays if the chain replicator still
-                # claims it as a successor copy (durability outranks the
-                # read-scaling demotion) — only the hot-key bookkeeping
-                # and the control message go out.
-                if chain is None or not chain.claims(
-                        matrix_id, primary_index, replica_index):
-                    server.drop_replica(matrix_id, primary_index)
-                self.cluster.network.transfer(
-                    DRIVER, server.node_id, messages.REQUEST_HEADER_BYTES,
-                    tag="replica-control",
-                )
+        for holder_index in targets:
+            self._drop(key, holder_index)
         self.cluster.metrics.increment("replica-demotions")
 
     # -- lifecycle hooks ----------------------------------------------------
@@ -491,28 +560,14 @@ class HotKeyManager:
         every replica re-installed at the new epoch (the old copies are
         fenced — the primary may have rolled back to a checkpoint); keys
         the recovered server *hosted* replicas for are re-installed onto
-        it from their live primaries (the crash wiped its replica store).
+        it from their live primaries.
         """
         server_index = int(server_index)
         reinstalled = 0
-        for key in sorted(k for k in self.replicas if k[1] == server_index):
-            for replica_index in sorted(self.replicas[key]):
-                if self._install(key, replica_index):
-                    reinstalled += 1
-                else:
-                    self.replicas[key].pop(replica_index, None)
-            if not self.replicas[key]:
-                del self.replicas[key]
-        for key in sorted(
-            k for k in self.replicas
-            if k[1] != server_index and server_index in self.replicas[k]
-        ):
-            if self._install(key, server_index):
-                reinstalled += 1
-            else:
-                self.replicas[key].pop(server_index, None)
-                if not self.replicas[key]:
-                    del self.replicas[key]
+        for key in sorted(k for k in self.holders if k[1] == server_index):
+            for holder_index in sorted(self.holders[key]):
+                reinstalled += self._install(key, holder_index)
+        reinstalled += self._reinstall_hosted(server_index)
         if reinstalled:
             self.cluster.metrics.increment("replica-reinstalls", reinstalled)
         self.plan_epoch += 1
@@ -528,16 +583,10 @@ class HotKeyManager:
         Called by the master *before* departing servers leave the
         addressable set, so every holder can still be reached.
         """
-        for key in sorted(self.replicas):
+        for key in sorted(self.holders):
             self._demote(key)
         self._last_heat = {}
         self.plan_epoch += 1
-
-    def on_matrix_freed(self, matrix_id):
-        """Forget replica metadata for a freed matrix (the servers already
-        purged their stores in ``drop_matrix``)."""
-        for key in sorted(k for k in self.replicas if k[0] == matrix_id):
-            del self.replicas[key]
 
     def on_direct_write(self, matrix_id, server_index):
         """Demote a key mutated outside the dispatch/fan-out path.
@@ -548,13 +597,13 @@ class HotKeyManager:
         at the next sweep if it stays hot).
         """
         key = (matrix_id, int(server_index))
-        if key in self.replicas:
+        if key in self.holders:
             self._demote(key)
             self.plan_epoch += 1
             self.cluster.metrics.increment("replica-direct-write-demotions")
 
 
-# -- chained replication (durability) ---------------------------------------
+# -- policy: chained replication (durability) ---------------------------------
 
 
 def chain_successors(primary_index, ring_size, m, alive):
@@ -609,38 +658,33 @@ def merge_chain_copies(copies):
     return rows_out, counters_out, origin
 
 
-class ChainReplicator:
-    """Coordinator-resident chained shard replication for durability.
+class ChainReplicator(Replicator):
+    """Coordinator-resident chained shard replication (ElasticDL-style).
 
     Every primary's full per-matrix store is mirrored on its next
-    ``chain_replicas`` live ring successors (:func:`chain_successors`);
-    ``links`` is the authoritative chain map
-    ``{(matrix_id, primary_index): {successor_index: install_epoch}}``.
-    Copies live in the same epoch/counter-fenced ``replica_store`` slots
-    the hot-key manager uses, and stay current because the transport fans
-    *every* applied mutation out as the same fenced, idempotent
-    :class:`~repro.ps.messages.ReplicatedPushRequest` — a stale fan-out
-    from before a promotion carries the dead process's epoch and is
-    rejected by the apply fence.
-
+    ``chain_replicas`` live ring successors (:func:`chain_successors`).
     Unlike hot-key replicas, chain copies are not a load-balancing
     optimization: they serve reads only while their primary is down
     (:meth:`route_read` — zero-downtime reads with no retry storm) and
     exist to be promoted into the replacement on a crash
     (:meth:`promote_into` — per-row max-version merge across the
-    surviving valid holders).  Coexistence contract with
-    :class:`HotKeyManager` when both are configured: either manager's
-    install refreshes the shared copy, neither physically drops an entry
-    the other still claims (``claims`` both ways), and duplicate write
-    fan-outs to a shared holder are deduplicated by the transport.
+    surviving valid holders), so recovery never pauses for a checkpoint
+    restore unless every holder died.  Chain copies are never demoted:
+    where the hot-key policy drops a diverging key, this one re-streams.
+
+    ``links`` is the mechanism's holder map under its public name.
     """
 
+    stream_tag = "chain-sync"
+    control_tag = "chain-control"
+
     def __init__(self, cluster, master):
-        self.cluster = cluster
-        self.master = master
+        super().__init__(cluster, master)
         self.m = int(cluster.config.chain_replicas)
-        #: ``{(matrix_id, primary_index): {successor_index: install_epoch}}``
-        self.links = {}
+        self.links = self.holders
+        #: Primaries the read router found dead and stood in for: their
+        #: recovery is deferred to the next mutation that hits them.
+        self.deferred = set()
         #: Promotion events ``(time, primary_index, sources, matrix_ids)``
         #: for the report.
         self.promotions = []
@@ -654,27 +698,13 @@ class ChainReplicator:
         return chain_successors(int(primary_index), self.master.n_servers,
                                 self.m, alive)
 
-    def claims(self, matrix_id, primary_index, holder_index):
-        """Whether the chain tracks a copy of the key on *holder* (the
-        hot-key manager must not physically evict such an entry)."""
-        key = (matrix_id, int(primary_index))
-        return int(holder_index) in self.links.get(key, {})
-
     def key_lag(self, matrix_id, primary_index):
         """Worst per-row counter lag of any valid successor copy behind
         its primary (0 means every chain copy is fully caught up)."""
         primary = self.master.server(primary_index)
-        targets = self.links.get((matrix_id, int(primary_index)), {})
+        key = (matrix_id, int(primary_index))
         lag = 0
-        for succ in sorted(targets):
-            if targets[succ] != primary.epoch:
-                continue
-            holder = self.master.server(succ)
-            if not holder.alive:
-                continue
-            entry = holder.replica_store.get((matrix_id, int(primary_index)))
-            if entry is None or entry.install_epoch != primary.epoch:
-                continue
+        for _holder, entry in self._live_copies(key, primary.epoch):
             for row_key, counter in primary.versions.items():
                 if row_key[0] == matrix_id:
                     lag = max(lag, counter - entry.versions.get(row_key, 0))
@@ -685,71 +715,17 @@ class ChainReplicator:
     def _priced_value_bytes(self, n_values):
         """Wire bytes for *n_values* floats in one chain state stream,
         compressed by the cost model's read regime when one is active."""
-        costmodel = getattr(self.cluster, "costmodel", None)
+        costmodel = self.cluster.costmodel
         if costmodel is not None:
             return costmodel.priced_chain_value_bytes(n_values)
         return int(n_values) * FLOAT_BYTES
 
-    def _install(self, key, succ_index):
-        """Stream a full copy of the key onto one successor, charging
-        honest chain-sync wire bytes; drops the link on failure."""
-        matrix_id, primary_index = key
-        primary = self.master.server(primary_index)
-        target = self.master.server(succ_index)
-        try:
-            rows = primary.matrix_rows(matrix_id)
-            versions = {
-                row_key: counter
-                for row_key, counter in primary.versions.items()
-                if row_key[0] == matrix_id
-            }
-            n_values = sum(len(shard) for shard in rows.values())
-            message = messages.ChainSyncRequest(
-                succ_index, matrix_id, primary_index, primary.epoch,
-                len(rows), self._priced_value_bytes(n_values), len(versions),
-            )
-            self.cluster.network.transfer(
-                primary.node_id, target.node_id, message.wire_bytes(),
-                tag="chain-sync",
-            )
-            target.install_replica(
-                matrix_id, primary_index, rows, versions, primary.epoch
-            )
-        except (MatrixNotFoundError, ServerDownError):
-            targets = self.links.get(key)
-            if targets is not None:
-                targets.pop(succ_index, None)
-                if not targets:
-                    del self.links[key]
-            return False
-        self.links.setdefault(key, {})[succ_index] = primary.epoch
-        return True
-
-    def _drop_holder(self, key, holder_index):
-        """Forget one link and physically drop the copy unless the
-        hot-key manager still claims the shared entry."""
-        matrix_id, primary_index = key
-        targets = self.links.get(key)
-        if targets is None or holder_index not in targets:
-            return
-        del targets[holder_index]
-        if not targets:
-            del self.links[key]
-        if not 0 <= holder_index < self.master.n_servers:
-            return
-        holder = self.master.server(holder_index)
-        if not holder.alive:
-            return
-        from repro.cluster.cluster import DRIVER
-
-        manager = getattr(self.cluster, "replication", None)
-        if manager is None or not manager.claims(
-                matrix_id, primary_index, holder_index):
-            holder.drop_replica(matrix_id, primary_index)
-        self.cluster.network.transfer(
-            DRIVER, holder.node_id, messages.REQUEST_HEADER_BYTES,
-            tag="chain-control",
-        )
+    def _stream_bytes(self, key, holder_index, epoch, rows, versions):
+        n_values = sum(len(shard) for shard in rows.values())
+        return messages.ChainSyncRequest(
+            holder_index, key[0], key[1], epoch, len(rows),
+            self._priced_value_bytes(n_values), len(versions),
+        ).wire_bytes()
 
     def sync_key(self, matrix_id, primary_index):
         """(Re)stream one (matrix, primary) key along its current chain.
@@ -764,12 +740,9 @@ class ChainReplicator:
             return 0
         successors = self.successors(primary_index)
         for holder_index in sorted(
-                s for s in self.links.get(key, {}) if s not in successors):
-            self._drop_holder(key, holder_index)
-        installed = 0
-        for succ in successors:
-            if self._install(key, succ):
-                installed += 1
+                s for s in self.holders.get(key, {}) if s not in successors):
+            self._drop(key, holder_index)
+        installed = sum(self._install(key, succ) for succ in successors)
         if installed:
             self.cluster.metrics.increment("chain-syncs", installed)
         return installed
@@ -785,100 +758,27 @@ class ChainReplicator:
                 self.sync_key(matrix_id, server_index)
                 synced.append(matrix_id)
         live = set(self.master.matrix_ids())
-        for key in sorted(k for k in self.links if k[1] == server_index):
+        for key in sorted(k for k in self.holders if k[1] == server_index):
             if key[0] not in live or not primary._store.get(key[0]):
-                for holder in sorted(self.links[key]):
-                    self._drop_holder(key, holder)
+                for holder in sorted(self.holders[key]):
+                    self._drop(key, holder)
         return synced
 
     # -- write fan-out ------------------------------------------------------
 
     def fan_out_messages(self, requests, covered=None):
-        """Chain copies of every mutation in *requests*, post-apply.
+        """Chain copies of the mutations in *requests*, skipping the
+        ``(holder, original)`` pairs in *covered*; a kernel whose operand
+        keys disagree re-streams them (see :meth:`Replicator._fan_out`)."""
+        return self._fan_out(requests, "chain-fanouts",
+                             self._resync_operands, covered)
 
-        Same contract as :meth:`HotKeyManager.fan_out_messages` — called
-        by the transport after the originals were served, snapshotting
-        the primaries' post-apply counters and epoch as the
-        idempotence/fencing token.  *covered* is the set of
-        ``(holder_index, id(original))`` pairs the hot-key manager
-        already fanned out to; a holder serving as both hot replica and
-        chain successor gets exactly one copy (and the apply is
-        idempotent regardless).
-        """
-        if not self.links:
-            return []
-        extras = []
-        for request in requests:
-            if isinstance(request, messages.KernelRequest):
-                extras.extend(self._fan_out_kernel(request, covered))
-            elif isinstance(request, (messages.PushRequest,
-                                      messages.PushRangeRequest,
-                                      messages.FillRequest)):
-                extras.extend(self._fan_out_mutation(request, covered))
-        return extras
-
-    def _valid_targets(self, key, primary):
-        targets = self.links.get(key)
-        if not targets:
-            return []
-        return sorted(succ for succ, epoch in targets.items()
-                      if epoch == primary.epoch)
-
-    def _fan_out_mutation(self, request, covered):
-        key = (request.matrix_id, request.server_index)
-        primary = self.master.server(request.server_index)
-        valid = self._valid_targets(key, primary)
-        if not valid:
-            return []
-        row_key = (request.matrix_id, int(request.row))
-        versions = {row_key: primary.versions.get(row_key, 0)}
-        out = [
-            messages.ReplicatedPushRequest(
-                succ, request, request.server_index, primary.epoch, versions,
-            )
-            for succ in valid
-            if covered is None or (succ, id(request)) not in covered
-        ]
-        self.cluster.metrics.increment("chain-fanouts", len(out))
-        return out
-
-    def _fan_out_kernel(self, request, covered):
-        """Kernel fan-out: all-or-nothing across the operand matrices.
-
-        Chain copies must never be demoted (they are the durability
-        story), so when the operand keys' valid successor sets disagree —
-        e.g. one matrix's install failed, or a mid-recovery epoch skew —
-        the keys are re-streamed wholesale instead: the primary already
-        applied the kernel, so a full sync carries its effect.
-        """
-        primary_index = request.server_index
-        primary = self.master.server(primary_index)
-        keys = sorted({(m, primary_index) for m, _row in request.operands})
-        tracked = [key for key in keys if self.links.get(key)]
-        if not tracked:
-            return []
-        sets = [frozenset(self._valid_targets(key, primary))
-                for key in tracked]
-        common = sets[0]
-        if len(tracked) != len(keys) or not common \
-                or any(s != common for s in sets):
-            for key in keys:
-                self.sync_key(*key)
-            self.cluster.metrics.increment("chain-kernel-resyncs", len(keys))
-            return []
-        versions = {
-            (m, int(row)): primary.versions.get((m, int(row)), 0)
-            for m, row in request.operands
-        }
-        out = [
-            messages.ReplicatedPushRequest(
-                succ, request, primary_index, primary.epoch, versions
-            )
-            for succ in sorted(common)
-            if covered is None or (succ, id(request)) not in covered
-        ]
-        self.cluster.metrics.increment("chain-fanouts", len(out))
-        return out
+    def _resync_operands(self, keys, _tracked):
+        # The primary already applied the kernel, so a full sync of every
+        # operand key (tracked or not) carries its effect.
+        for key in keys:
+            self.sync_key(*key)
+        self.cluster.metrics.increment("chain-kernel-resyncs", len(keys))
 
     # -- read routing (dead primary only) -----------------------------------
 
@@ -894,35 +794,28 @@ class ChainReplicator:
         primary may create rows.  Healthy primaries are never bypassed,
         so steady-state routing is untouched.
         """
-        if not self.links or request.replica_of is not None \
+        if not self.holders or request.replica_of is not None \
                 or not isinstance(request, CHAIN_READ_TYPES):
             return request
         primary_index = request.server_index
         key = (request.matrix_id, primary_index)
-        targets = self.links.get(key)
-        if not targets:
+        if key not in self.holders:
             return request
         primary = self.master.server(primary_index)
         if primary.is_alive():
             return request
         ring = max(1, self.master.n_servers)
-        for succ in sorted(targets,
-                           key=lambda s: (s - primary_index) % ring):
-            if targets[succ] != primary.epoch:
-                continue
-            holder = self.master.server(succ)
-            if not holder.alive:
-                continue
-            entry = holder.replica_store.get(key)
-            if entry is None or entry.install_epoch != primary.epoch:
-                continue
-            row = getattr(request, "row", None)
-            if row is not None and int(row) not in entry.rows:
-                continue
-            request.server_index = succ
-            request.replica_of = primary_index
-            self.cluster.metrics.increment("chain-reads")
-            break
+        copies = sorted(
+            self._live_copies(key, primary.epoch),
+            key=lambda copy: (copy[0].server_index - primary_index) % ring,
+        )
+        for holder, entry in copies:
+            if request.row in entry.rows:
+                request.server_index = holder.server_index
+                request.replica_of = primary_index
+                self.deferred.add(primary_index)
+                self.cluster.metrics.increment("chain-reads")
+                break
         return request
 
     # -- promotion ----------------------------------------------------------
@@ -944,13 +837,15 @@ class ChainReplicator:
         promoted = {}
         sources = set()
         network = self.cluster.network
-        for key in sorted(k for k in self.links if k[1] == server_index):
+        for key in sorted(k for k in self.holders if k[1] == server_index):
             matrix_id = key[0]
             copies = {}
-            for succ in sorted(self.links[key]):
-                if self.links[key][succ] != failed_epoch:
+            for succ in sorted(self.holders[key]):
+                if self.holders[key][succ] != failed_epoch:
                     continue
                 holder = self.master.server(succ)
+                # is_alive(), not the flag: a holder whose scheduled crash
+                # is due must not contribute state it is about to lose.
                 if not holder.is_alive():
                     continue
                 entry = holder.replica_store.get(key)
@@ -981,16 +876,13 @@ class ChainReplicator:
                                  message.response_bytes(),
                                  tag="chain-promote")
                 sources.add(holder_index)
-            store_rows = {}
-            for row in sorted(rows):
-                shard = rows[row]
-                store_rows[row] = RowShard(shard.start, shard.stop,
-                                           shard.values.copy())
-            replacement._store[matrix_id] = store_rows
+            replacement._store[matrix_id] = {
+                row: rows[row].copy() for row in sorted(rows)
+            }
             for row in sorted(counters):
                 if counters[row]:
                     replacement.versions[(matrix_id, row)] = counters[row]
-            promoted[matrix_id] = len(store_rows)
+            promoted[matrix_id] = len(rows)
             self.cluster.metrics.increment("chain-promoted-keys")
         if promoted:
             self.cluster.metrics.increment("chain-promotions")
@@ -1008,12 +900,6 @@ class ChainReplicator:
             if self.master.server(server_index)._store.get(matrix_id):
                 self.sync_key(matrix_id, server_index)
 
-    def on_matrix_freed(self, matrix_id):
-        """Forget chain metadata for a freed matrix (the servers already
-        purged their stores and replica entries in ``drop_matrix``)."""
-        for key in sorted(k for k in self.links if k[0] == matrix_id):
-            del self.links[key]
-
     def on_row_created(self, matrix_id, row, server_index):
         """Stream one freshly created lazy row to the chain successors.
 
@@ -1027,9 +913,9 @@ class ChainReplicator:
         successors = self.successors(server_index)
         if not successors:
             return
-        targets = self.links.get(key)
-        if targets is None or sorted(targets) != successors or any(
-                targets[s] != primary.epoch for s in targets):
+        copies = list(self._live_copies(key, primary.epoch))
+        if [holder.server_index for holder, _entry in copies] != successors \
+                or len(copies) != len(self.holders[key]):
             self.sync_key(matrix_id, server_index)
             return
         row = int(row)
@@ -1039,30 +925,18 @@ class ChainReplicator:
             return
         row_key = (matrix_id, row)
         counter = primary.versions.get(row_key, 0)
-        value_bytes = self._priced_value_bytes(len(shard))
-        synced = 0
-        for succ in successors:
-            holder = self.master.server(succ)
-            entry = holder.replica_store.get(key)
-            if not holder.alive or entry is None \
-                    or entry.install_epoch != primary.epoch:
-                self.sync_key(matrix_id, server_index)
-                return
-            message = messages.ChainSyncRequest(
-                succ, matrix_id, server_index, primary.epoch, 1, value_bytes,
-                1,
-            )
+        nbytes = messages.ChainSyncRequest(
+            successors[0], matrix_id, server_index, primary.epoch, 1,
+            self._priced_value_bytes(len(shard)), 1,
+        ).wire_bytes()
+        for holder, entry in copies:
             self.cluster.network.transfer(
-                primary.node_id, holder.node_id, message.wire_bytes(),
-                tag="chain-sync",
+                primary.node_id, holder.node_id, nbytes, tag="chain-sync",
             )
-            entry.rows[row] = RowShard(shard.start, shard.stop,
-                                       shard.values.copy())
+            entry.rows[row] = shard.copy()
             if counter:
                 entry.versions[row_key] = counter
-            synced += 1
-        if synced:
-            self.cluster.metrics.increment("chain-row-syncs", synced)
+        self.cluster.metrics.increment("chain-row-syncs", len(copies))
 
     def on_direct_write(self, matrix_id, server_index):
         """Re-stream a key mutated outside the dispatch/fan-out path.
@@ -1072,8 +946,7 @@ class ChainReplicator:
         writes (realignment, recovery tooling): the key is re-streamed
         wholesale so the successors converge on the new state.
         """
-        key = (matrix_id, int(server_index))
-        if key in self.links:
+        if (matrix_id, int(server_index)) in self.holders:
             self.sync_key(matrix_id, server_index)
             self.cluster.metrics.increment("chain-direct-write-resyncs")
 
@@ -1085,16 +958,11 @@ class ChainReplicator:
         not an epoch re-stamp, because a copy that fenced out fan-outs
         during the crash window lags the promoted state.  Keys the
         recovered server serves as successor for are re-installed onto
-        it from their live primaries (the crash wiped its replica
-        store).
+        it from their live primaries.
         """
-        server_index = int(server_index)
+        self.deferred.discard(int(server_index))
         self.resync_primary(server_index)
-        for key in sorted(
-            k for k in self.links
-            if k[1] != server_index and server_index in self.links[k]
-        ):
-            self._install(key, server_index)
+        self._reinstall_hosted(int(server_index))
 
     def on_topology_resized(self):
         """Tear every chain down ahead of an elastic resize.
@@ -1104,14 +972,109 @@ class ChainReplicator:
         addressable) and the link map cleared; a crash during the
         migration itself therefore falls back to checkpoint restore, and
         :meth:`reform` rebuilds the chains from the post-migration
-        stores.
+        stores.  Primaries whose recovery the read router deferred are
+        promoted first — once the copies are gone the migration's own
+        recovery could only re-initialize their shards.
         """
-        for key in sorted(self.links):
-            for holder in sorted(self.links[key]):
-                self._drop_holder(key, holder)
+        for server_index in sorted(self.deferred):
+            self.master.recover(server_index)
+        for key in sorted(self.holders):
+            for holder in sorted(self.holders[key]):
+                self._drop(key, holder)
 
     def reform(self):
         """Form chains over the current topology and stores."""
         for server_index in range(self.master.n_servers):
             self.resync_primary(server_index)
         self.cluster.metrics.increment("chain-reforms")
+
+
+# -- the coexistence contract -------------------------------------------------
+# The only replication entry points the transport, servers and master call.
+# Where the two policies' hooks run in a fixed order, that order is part of
+# the virtual-time result (it orders the induced NIC bookings): routing and
+# fan-out and direct writes go hot-key first, recovery goes chain first.
+
+
+def policies(cluster):
+    """The live policies of *cluster*, hot-key first."""
+    return [policy for policy in (cluster.replication, cluster.chain)
+            if policy is not None]
+
+
+def replicated(cluster):
+    """Whether any replication policy is live (fast paths that assume a
+    request is served exactly where it was addressed must stand down)."""
+    return cluster.replication is not None or cluster.chain is not None
+
+
+def route(cluster, requests):
+    """Offer every read in *requests* to the routers, in place.
+
+    A request retargeted by an earlier send (pooled request lists are
+    reused) is first restored to its primary, so it routes exactly like
+    a freshly built one.  The hot-key router goes first; the chain only
+    sees a read still on its primary — a request already rerouted to a
+    live hot replica needs no stand-in.
+    """
+    manager = cluster.replication
+    chain = cluster.chain
+    for request in requests:
+        if request.replica_of is not None:
+            request.server_index = request.replica_of
+            request.replica_of = None
+        if manager is not None:
+            manager.route_read(request)
+        if chain is not None and request.replica_of is None:
+            chain.route_read(request)
+
+
+def fan_out(cluster, requests):
+    """Fan-out messages for the mutations in *requests*, post-apply.
+
+    Hot-key copies are built first; the chain then skips the ``(holder,
+    original)`` pairs already covered, so a server holding a key both as
+    hot replica and chain successor gets exactly one copy (and the apply
+    is idempotent regardless).
+    """
+    manager = cluster.replication
+    chain = cluster.chain
+    extras = [] if manager is None else manager.fan_out_messages(requests)
+    if chain is not None:
+        covered = {(message.server_index, id(message.inner))
+                   for message in extras}
+        extras.extend(chain.fan_out_messages(requests, covered))
+    return extras
+
+
+def on_direct_write(cluster, matrix_id, server_index):
+    """A shard was mutated outside the dispatch/fan-out path: hot-key
+    demotes the key, the chain re-streams it."""
+    for policy in policies(cluster):
+        policy.on_direct_write(matrix_id, server_index)
+
+
+def on_row_created(cluster, matrix_id, row, server_index):
+    """A lazy row materialized server-side.  A hot replica of the key
+    (installed before the row existed) would silently miss it, so the key
+    is demoted like any direct write; the chain grows with the table and
+    streams the new row, so a crash right after creation still promotes
+    a bit-identical vector."""
+    if cluster.replication is not None:
+        cluster.replication.on_direct_write(matrix_id, server_index)
+    if cluster.chain is not None:
+        cluster.chain.on_row_created(matrix_id, row, server_index)
+
+
+def on_matrix_freed(cluster, matrix_id):
+    for policy in policies(cluster):
+        policy.on_matrix_freed(matrix_id)
+
+
+def on_server_recovered(cluster, server_index):
+    """Refresh both topologies at a replacement's fresh epoch: copies OF
+    its shards are stale (chain copies fenced out fan-outs during the
+    crash window; the primary may have rolled back under hot replicas)
+    and copies it HOSTED died with its state.  Chain first."""
+    for policy in reversed(policies(cluster)):
+        policy.on_server_recovered(server_index)

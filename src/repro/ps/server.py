@@ -20,7 +20,7 @@ import numpy as np
 from repro.cluster.resource import TimelineResource
 from repro.common.errors import MatrixNotFoundError, PSError, ServerDownError
 from repro.common.rng import generator
-from repro.ps import messages
+from repro.ps import messages, replication
 
 #: Flops charged per element for simple elementwise mutations.
 ELEMENTWISE_FLOPS = 2.0
@@ -70,10 +70,7 @@ def _copy_rows(rows):
                 row: RowShard(start, stop, block[i])
                 for i, (row, _shard) in enumerate(items)
             }
-    return {
-        row: RowShard(shard.start, shard.stop, shard.values.copy())
-        for row, shard in rows.items()
-    }
+    return {row: shard.copy() for row, shard in rows.items()}
 
 
 class RowShard:
@@ -92,6 +89,10 @@ class RowShard:
 
     def __len__(self):
         return self.stop - self.start
+
+    def copy(self):
+        """An independent shard over a copy of the values."""
+        return RowShard(self.start, self.stop, self.values.copy())
 
 
 class ReplicaEntry:
@@ -162,24 +163,18 @@ class PSServer:
     # -- version vectors ----------------------------------------------------
 
     def _notify_direct_write(self, matrix_id):
-        """Demote replicas of a shard mutated OUTSIDE the dispatch path.
+        """Tell the replication policies about a shard mutated OUTSIDE the
+        dispatch path.
 
         Realignment and recovery tooling write through the public storage
-        primitives directly, bypassing the transport's replica fan-out; a
-        replica of the touched shard would silently diverge, so the
-        replication manager de-replicates the key instead.  A no-op at any
-        dispatch depth > 0 (the fan-out covers those) and whenever no
-        manager is configured.
+        primitives directly, bypassing the transport's replica fan-out;
+        copies of the touched shard would silently diverge, so hot-key
+        replicas are demoted and chain copies re-streamed.  A no-op at
+        any dispatch depth > 0 (the fan-out covers those).
         """
         if self._dispatch_depth == 0:
-            manager = getattr(self.cluster, "replication", None)
-            if manager is not None:
-                manager.on_direct_write(matrix_id, self.server_index)
-            # Chain copies follow direct writes instead of demoting —
-            # they are the durability story, not an optimization.
-            chain = getattr(self.cluster, "chain", None)
-            if chain is not None:
-                chain.on_direct_write(matrix_id, self.server_index)
+            replication.on_direct_write(self.cluster, matrix_id,
+                                        self.server_index)
 
     def _bump_version(self, matrix_id, row):
         key = (matrix_id, int(row))
@@ -352,18 +347,8 @@ class PSServer:
                 ELEMENTWISE_FLOPS * max(1, request.n_values), "ps-create"
             )
             self.cluster.metrics.increment("lazy-creates")
-            # A replica of this shard key (installed before the row
-            # existed) would silently miss the new row; de-replicate via
-            # the direct-write hook rather than letting it diverge.
-            manager = getattr(self.cluster, "replication", None)
-            if manager is not None:
-                manager.on_direct_write(matrix_id, self.server_index)
-            # The chain, by contrast, grows with the table: stream the
-            # new row to the successors so a crash right after creation
-            # still promotes a bit-identical vector.
-            chain = getattr(self.cluster, "chain", None)
-            if chain is not None:
-                chain.on_row_created(matrix_id, row, self.server_index)
+            replication.on_row_created(self.cluster, matrix_id, row,
+                                       self.server_index)
         values = self.read(matrix_id, row)
         return values, created
 
@@ -435,9 +420,8 @@ class PSServer:
         cluster = self.cluster
         if not self.alive or cluster.tracer.enabled \
                 or cluster.failures.has_pending_server_failures() \
-                or getattr(cluster, "replication", None) is not None \
-                or getattr(cluster, "chain", None) is not None \
-                or getattr(cluster, "costmodel", None) is not None:
+                or replication.replicated(cluster) \
+                or cluster.costmodel is not None:
             return None
         first = subs[0]
         kind = type(first)

@@ -35,7 +35,7 @@ from __future__ import annotations
 
 from repro.common.errors import MatrixNotFoundError, NetworkPartitionedError, \
     PSError, ServerDownError
-from repro.ps import messages
+from repro.ps import messages, replication
 from repro.ps.retry import RetryPolicy
 from repro.ps.server import serve_fast_fanout
 
@@ -68,9 +68,7 @@ class Transport:
         self.retry_policy = retry_policy or RetryPolicy.from_config(
             cluster.config.failures
         )
-        self.coalesce = bool(
-            getattr(cluster.config, "coalesce_requests", True)
-        )
+        self.coalesce = bool(cluster.config.coalesce_requests)
         self._routing = {}
         # A live resize replaces every layout object wholesale; routing
         # cached before the migration would hand out stale shard ranges.
@@ -142,66 +140,58 @@ class Transport:
         ``response_arrival`` is ``None`` for fire-and-forget messages; the
         caller decides when to block on arrivals.
         """
-        costmodel = getattr(self.cluster, "costmodel", None)
-        if costmodel is not None:
-            costmodel.prepare(request, self.node_id)
-        self._route(request)
+        requests = (request,)
+        replicated = self._prepare(requests)
         self._charge_rpc(1)
         result = self._transmit(request)
-        self._send_fanout(self._fan_out([request]))
+        if replicated:
+            self._send_fanout(requests)
         return result
+
+    def _prepare(self, requests):
+        """Codec selection, then replica routing, for one send.
+
+        Codec selection runs first so decisions key on the primary
+        ``server_index`` and the sender's NIC backlog.  Each read is then
+        offered to the replication routers, which may retarget it in
+        place at a replica (responses stay positional, so callers are
+        oblivious).  Returns whether any replication policy is live.
+        """
+        cluster = self.cluster
+        if cluster.costmodel is not None:
+            for request in requests:
+                cluster.costmodel.prepare(request, self.node_id)
+        if not replication.replicated(cluster):
+            return False
+        replication.route(cluster, requests)
+        return True
 
     def send_all(self, requests, pooled=False):
         """Ship a message list; returns ``(values, arrivals)`` aligned.
 
-        With a replication manager configured, each read is first offered
-        to :meth:`~repro.ps.replication.HotKeyManager.route_read`, which
-        may retarget it at the nearest-by-queue replica (responses stay
-        positional, so callers are oblivious).  Messages are then grouped
-        by destination server (first-appearance order).  With coalescing
-        on, each group of two or more becomes one
-        :class:`~repro.ps.messages.BatchRequest` envelope — one header and
-        one NIC booking per server; singleton groups always go standalone,
-        so ops that already issue one message per server are byte-for-byte
-        unaffected by the knob.  Client-side RPC CPU is charged once per
-        outgoing transfer, before anything touches the wire.  After every
-        original was transmitted (mutations applied to their primaries),
-        replica fan-out messages are built from the post-apply version
-        counters and shipped the same way.
+        After :meth:`_prepare`, messages are grouped by destination server
+        (first-appearance order).  With coalescing on, each group of two
+        or more becomes one :class:`~repro.ps.messages.BatchRequest`
+        envelope — one header and one NIC booking per server; singleton
+        groups always go standalone, so ops that already issue one message
+        per server are byte-for-byte unaffected by the knob.  Client-side
+        RPC CPU is charged once per outgoing transfer, before anything
+        touches the wire.  After every original was transmitted (mutations
+        applied to their primaries), replica fan-out messages are built
+        from the post-apply version counters and shipped the same way.
 
         ``pooled=True`` marks *requests* as a client plan-pool list whose
         composition never changes between calls: the grouping (and any
         batch envelopes) is then memoized master-wide keyed on the list's
-        identity, skipping the group/coalesce rebuild on every op.  With a
-        replication manager the memo is bypassed — ``route_read`` may
-        retarget ``server_index`` in place, invalidating any cached
-        grouping — but the requests themselves may still come from the
-        client plan pool: any retarget left over from a previous call is
-        undone below before re-offering, so a pooled read routes exactly
-        like a freshly built one.
+        identity, skipping the group/coalesce rebuild on every op.  Under
+        replication the memo is bypassed — routing may retarget
+        ``server_index`` in place, invalidating any cached grouping — but
+        the requests themselves may still come from the client plan pool.
         """
-        costmodel = getattr(self.cluster, "costmodel", None)
-        if costmodel is not None:
-            # Codec selection runs before routing so decisions key on the
-            # primary server_index and the sender's NIC backlog.
-            for request in requests:
-                costmodel.prepare(request, self.node_id)
-        manager = getattr(self.cluster, "replication", None)
-        chain = getattr(self.cluster, "chain", None)
+        replicated = self._prepare(requests)
         outgoing = None
         bulk_cache = None
-        if manager is not None or chain is not None:
-            for request in requests:
-                if request.replica_of is not None:
-                    # A pooled request retargeted on an earlier call:
-                    # restore the primary before routing afresh.
-                    request.server_index = request.replica_of
-                    request.replica_of = None
-                if manager is not None:
-                    manager.route_read(request)
-                if chain is not None and request.replica_of is None:
-                    chain.route_read(request)
-        elif pooled:
+        if pooled and not replicated:
             plans = self.master.fanout_group_plans
             key = (id(requests), self.coalesce)
             entry = plans.get(key)
@@ -222,8 +212,7 @@ class Transport:
                 else:
                     for p in positions:
                         outgoing.append((requests[p], [p]))
-            if pooled and manager is None and chain is None:
-                plans = self.master.fanout_group_plans
+            if pooled and not replicated:
                 if len(plans) >= 64:
                     plans.clear()
                 # The third slot caches the bulk path's phase-1 product
@@ -250,57 +239,18 @@ class Transport:
                 else:
                     values[positions[0]] = value
                     arrivals[positions[0]] = arrival
-        self._send_fanout(self._fan_out(requests))
+        if replicated:
+            self._send_fanout(requests)
         return values, arrivals
 
-    # -- replication hooks -------------------------------------------------
+    def _send_fanout(self, requests):
+        """Ship the replica fan-out of the mutations in *requests*.
 
-    def _route(self, request):
-        """Offer one read to the replica routers (hot-key, then chain).
-
-        The chain router only retargets reads whose primary is down, and
-        only when the hot-key router left the request on its primary —
-        a request already rerouted to a live hot replica needs no
-        stand-in.
+        All fire-and-forget; grouped and coalesced per destination like
+        :meth:`send_all`, but never re-offered to routing or fan-out —
+        induced traffic does not recurse.
         """
-        manager = getattr(self.cluster, "replication", None)
-        chain = getattr(self.cluster, "chain", None)
-        if manager is None and chain is None:
-            return request
-        if request.replica_of is not None:
-            request.server_index = request.replica_of
-            request.replica_of = None
-        if manager is not None:
-            manager.route_read(request)
-        if chain is not None and request.replica_of is None:
-            chain.route_read(request)
-        return request
-
-    def _fan_out(self, requests):
-        """Replica fan-out messages for the mutations in *requests*.
-
-        Hot-key fan-outs are built first; the chain replicator then skips
-        ``(holder, original)`` pairs already covered, so a server holding
-        a key both as hot replica and chain successor gets one copy.
-        """
-        manager = getattr(self.cluster, "replication", None)
-        chain = getattr(self.cluster, "chain", None)
-        extras = [] if manager is None else manager.fan_out_messages(requests)
-        if chain is not None:
-            covered = {
-                (message.server_index, id(message.inner))
-                for message in extras
-            }
-            extras = extras + chain.fan_out_messages(requests, covered)
-        return extras
-
-    def _send_fanout(self, extras):
-        """Ship replica fan-out messages (all fire-and-forget).
-
-        Grouped and coalesced per destination like :meth:`send_all`, but
-        never re-offered to routing or fan-out — induced traffic does not
-        recurse.
-        """
+        extras = replication.fan_out(self.cluster, requests)
         if not extras:
             return
         groups = {}
@@ -325,10 +275,11 @@ class Transport:
         only when nothing can interleave with the phase-reordered bookings:
         no span tracing (spans must nest per message), no partition windows
         or pending server crashes (retries re-send individual messages), no
-        replication manager (replica reads/fan-out have their own dispatch
-        semantics), and no cold routing entry (a mid-loop routing RPC books
-        the client NIC between message sends).  Every condition is a cheap
-        flag check; chaos and traced runs simply keep the per-message path.
+        replication policy (replica reads, dead-primary stand-ins and write
+        fan-out need per-message dispatch), and no cold routing entry (a
+        mid-loop routing RPC books the client NIC between message sends).
+        Every condition is a cheap flag check; chaos and traced runs simply
+        keep the per-message path.
         """
         cluster = self.cluster
         if cluster.tracer.enabled:
@@ -336,16 +287,12 @@ class Transport:
         failures = cluster.failures
         if failures.has_partitions() or failures.has_pending_server_failures():
             return False
-        if getattr(cluster, "replication", None) is not None:
-            return False
-        # The chain replicator fans every mutation out and may retarget
-        # reads of a dead primary; both need per-message dispatch.
-        if getattr(cluster, "chain", None) is not None:
+        if replication.replicated(cluster):
             return False
         # The bulk path reads the _wb/_rb memo slots directly; a cost model
         # may attach codecs that re-price messages, so it keeps the
         # per-message path.
-        if getattr(cluster, "costmodel", None) is not None:
+        if cluster.costmodel is not None:
             return False
         routing = self._routing
         server = self.master.server
@@ -363,14 +310,18 @@ class Transport:
     def _batch_shard_entries(self, message):
         """Shard-telemetry entries for one batch envelope.
 
-        Mirrors the batch arm of :meth:`_record_shard_access` but returns
-        ``(matrix_id, heat_server, n_values, nbytes)`` entries for
-        :meth:`~repro.cluster.metrics.MetricsRegistry.record_shard_access_many`
-        instead of recording — the bulk path folds them into its per-fan-out
-        entry list (and its pooled plan).  Per-key accumulation is
-        order-insensitive for these integer-valued quantities, so the fold
-        is bit-identical to recording the batch inline.
+        One ``(matrix_id, heat_server, n_values, nbytes)`` entry per
+        distinct shard key the batch touches, in first-appearance order.
+        :meth:`_record_shard_access` records them one by one; the bulk
+        path folds them into its per-fan-out entry list (and its pooled
+        plan) for
+        :meth:`~repro.cluster.metrics.MetricsRegistry.record_shard_access_many`.
+        Per-key accumulation is order-insensitive for these integer-valued
+        quantities, so the fold is bit-identical to recording inline.
         """
+        # The common batch touches one (matrix, shard) key — a block op
+        # fanned over rows of one matrix — so accumulate scalars and only
+        # fall back to a dict for genuinely mixed batches.
         first_key = None
         n_values = 0
         nbytes = 0.0
@@ -553,41 +504,10 @@ class Transport:
         """
         metrics = self.cluster.metrics
         if isinstance(message, messages.BatchRequest):
-            # The common batch touches one (matrix, shard) key — a block op
-            # fanned over rows of one matrix — so accumulate scalars and
-            # only fall back to a dict for genuinely mixed batches.
-            first_key = None
-            n_values = 0
-            nbytes = 0.0
-            by_shard = None
-            for request in message.requests:
-                if request.matrix_id is None:
-                    continue
-                heat_server = (request.replica_of
-                               if request.replica_of is not None
-                               else request.server_index)
-                key = (request.matrix_id, heat_server)
-                sub_bytes = (request.wire_bytes()
-                             + (request.response_bytes() or 0))
-                if by_shard is None:
-                    if first_key is None or key == first_key:
-                        first_key = key
-                        n_values += request.n_values
-                        nbytes += sub_bytes
-                        continue
-                    by_shard = {first_key: (n_values, nbytes)}
-                prev_values, prev_bytes = by_shard.get(key, (0, 0.0))
-                by_shard[key] = (prev_values + request.n_values,
-                                 prev_bytes + sub_bytes)
-            if by_shard is not None:
-                for (matrix_id, heat_server), (n_values, nbytes) in \
-                        by_shard.items():
-                    metrics.record_shard_access(
-                        matrix_id, heat_server, n_values, nbytes=nbytes
-                    )
-            elif first_key is not None:
+            for matrix_id, heat_server, n_values, nbytes in \
+                    self._batch_shard_entries(message):
                 metrics.record_shard_access(
-                    first_key[0], first_key[1], n_values, nbytes=nbytes
+                    matrix_id, heat_server, n_values, nbytes=nbytes
                 )
         elif message.matrix_id is not None:
             heat_server = (message.replica_of

@@ -444,6 +444,27 @@ def test_resize_demotes_all_replicas_first():
         assert np.allclose(client.pull_row(m, 0), np.arange(30.0))
 
 
+def test_resize_promotes_an_undetected_dead_primary_before_teardown():
+    """Chain read fail-over keeps a crashed primary undetected until a
+    mutation hits it.  A resize in that window must promote it from its
+    chain *before* tearing the chains down — the mid-sweep recovery
+    would otherwise find no copy and re-initialize the shard."""
+    ctx = _ctx(n_servers=3, chain_replicas=1)
+    m = ctx.master.create_matrix(30)
+    client = _client(ctx)
+    client.push_assign(m, 0, np.arange(30.0))
+    ctx.master.servers[0].crash()
+    assert np.array_equal(client.pull_row(m, 0), np.arange(30.0))
+    counters = ctx.metrics.counters
+    assert counters["chain-reads"] == 1
+    assert "server-recoveries" not in counters  # still undetected
+    ctx.master.resize_servers(4)
+    assert np.array_equal(client.pull_row(m, 0), np.arange(30.0))
+    assert counters["chain-promotions"] == 1
+    assert counters.get("chain-fallbacks", 0) == 0
+    assert counters.get("recovery-reinit-shards", 0) == 0
+
+
 def test_lazy_create_dereplicates_via_direct_write():
     """A server-side lazy creation is a write the replicas never saw:
     the create path must demote the affected matrix's replicas rather

@@ -63,19 +63,6 @@ def test_classify_topk_ranks_by_heat_with_key_tiebreak():
     assert manager._classify({}) == set()
 
 
-def test_classify_threshold_compares_against_matrix_mean():
-    _cluster, master, _client = _rig(replication="threshold",
-                                     hot_key_fraction=0.5)
-    manager = master.replication
-    delta = {
-        # matrix 1: mean 4.0, threshold 8.0 -> only the 10.0 shard is hot.
-        (1, 0): 10.0, (1, 1): 1.0, (1, 2): 1.0,
-        # matrix 2: uniform -> nothing exceeds 2x its own mean.
-        (2, 0): 3.0, (2, 1): 3.0, (2, 2): 3.0,
-    }
-    assert manager._classify(delta) == {(1, 0)}
-
-
 def test_hot_shard_table_ranks_by_the_classifier_metric():
     """Regression (telemetry/policy unification): when byte volume and
     request counts disagree, BOTH the report's hot-shard table and the
@@ -490,6 +477,27 @@ def test_shared_holder_gets_one_copy_of_each_mutation():
     assert np.array_equal(master.server(1).replica_read(m, 0, 0),
                           np.arange(10.0) + 1.0)
     assert _assert_copies_match_primaries(master) == 4
+
+
+def test_single_message_send_routes_and_fans_out_like_send_all():
+    cluster, master, client, m = _both_rig()
+    counters = cluster.metrics.counters
+    hot_before = counters["replica-fanouts"]
+    chain_before = counters["chain-fanouts"]
+    push = messages.PushRequest(0, m, 0, np.ones(10),
+                                indices=list(range(10)), mode="add")
+    client.transport.send(push)
+    # Same contract as send_all: hot copies to 1 and 2, the chain's copy
+    # to the shared holder 1 already covered.
+    assert counters["replica-fanouts"] == hot_before + 2
+    assert counters["chain-fanouts"] == chain_before
+    assert _assert_copies_match_primaries(master) == 4
+    # A read of the dead primary is retargeted by the same routing call.
+    master.servers[0].crash()
+    read = messages.PullRangeRequest(0, m, 0, 0, 10)
+    values, _arrival = client.transport.send(read)
+    assert read.replica_of == 0 and read.server_index in (1, 2)
+    assert np.array_equal(values, np.arange(10.0) + 1.0)
 
 
 def test_hot_demotion_keeps_the_chain_copy_on_a_shared_holder():
