@@ -1,0 +1,256 @@
+"""The two transmit schedules are one system: bulk == per-message, bit for bit.
+
+``Transport.send_all`` ships a fan-out either message by message
+(``_transmit``: request, service, response, next message) or in three
+phases (``_transmit_bulk``: every request, every service through
+``serve_fast_fanout``, every response).  Which one runs is decided by
+``_bulk_ok`` from what the cluster has switched on, never by the caller —
+so the two must be indistinguishable from outside.
+
+Two rigs are built from one seed, identical except that one carries an
+armed, never-fired server crash (``server_failure_times=((0, 1e9),)``,
+the same lever the perf ledger's ``storm-allon`` uses): a pending crash
+trips ``_bulk_ok`` and forces the per-message schedule.  The same stream
+of client ops must then leave the same returned values, metrics, clocks,
+server CPU timelines, version vectors and NIC busy totals on both.
+"""
+
+import numpy as np
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from repro.cluster.cluster import Cluster
+from repro.config import ClusterConfig, FailureConfig
+from repro.ps import messages, transport
+from repro.ps.client import PSClient
+from repro.ps.master import PSMaster
+from repro.ps.partitioner import RowLayout
+
+DIM = 30
+N_ROWS = 4
+N_CLIENTS = 3
+
+
+class _Rig:
+    """One small cluster with a column-layout and a row-layout matrix."""
+
+    def __init__(self, armed):
+        failures = FailureConfig(
+            server_failure_times=((0, 1e9),) if armed else ()
+        )
+        self.cluster = Cluster(ClusterConfig(
+            n_executors=N_CLIENTS, n_servers=3, seed=11, failures=failures,
+        ))
+        self.master = PSMaster(self.cluster)
+        self.clients = [
+            PSClient(self.cluster, self.master, node_id)
+            for node_id in self.cluster.executors
+        ]
+        self.matrices = (
+            self.master.create_matrix(DIM, n_rows=N_ROWS),
+            self.master.create_matrix(DIM, n_rows=N_ROWS,
+                                      layout=RowLayout(DIM, 3)),
+        )
+        #: Index arrays reused *by identity* across ops: the client's
+        #: pooled sparse plans (and the transport's cached groupings)
+        #: key on the array object.
+        self.shared = (
+            np.array([1, 4, 9, 12, 17, 22, 29], dtype=np.int64),
+            np.array([28, 3, 15, 0, 11], dtype=np.int64),
+        )
+
+    def indices(self, spec):
+        """``None`` (dense), a shared array's slot, or a private list."""
+        if spec is None:
+            return None
+        if isinstance(spec, int):
+            return self.shared[spec]
+        return np.array(spec, dtype=np.int64)
+
+    def state(self):
+        cluster = self.cluster
+        network = cluster.network
+        servers = self.master.servers
+        return {
+            "metrics": cluster.metrics.snapshot(),
+            "clocks": {node_id: cluster.clock.now(node_id)
+                       for node_id in cluster.clock.nodes()},
+            "cpu": [(list(server.cpu._starts), list(server.cpu._ends))
+                    for server in servers],
+            "versions": [dict(server.versions) for server in servers],
+            "nic": {node_id: network.nic_utilization(node_id)
+                    for node_id in cluster.clock.nodes()},
+        }
+
+
+def _values(seed, *shape):
+    return np.random.default_rng(seed).normal(size=shape)
+
+
+def _halve(arrays):
+    arrays[0] *= 0.5
+
+
+def _sum(arrays):
+    return float(arrays[0].sum())
+
+
+def _apply(rig, op):
+    """Run one op of the stream on *rig*; returns what the caller saw."""
+    kind, client_slot, args = op[0], op[1], op[2:]
+    client = rig.clients[client_slot]
+    if kind == "push":
+        which, row, mode, spec, seed = args
+        indices = rig.indices(spec)
+        n = DIM if indices is None else len(indices)
+        push = client.push_add if mode == "add" else client.push_assign
+        return push(rig.matrices[which], row, _values(seed, n), indices)
+    if kind == "pull":
+        which, row, spec = args
+        return client.pull_row(rig.matrices[which], row, rig.indices(spec))
+    if kind == "pull_block":
+        which, rows, spec = args
+        return client.pull_block(rig.matrices[which], rows,
+                                 rig.indices(spec))
+    if kind == "push_block":
+        which, rows, spec, seed = args
+        indices = rig.indices(spec)
+        n = DIM if indices is None else len(indices)
+        return client.push_block_add(rig.matrices[which], rows,
+                                     _values(seed, len(rows), n), indices)
+    if kind == "range":
+        which, row, lo, width, seed = args
+        hi = min(DIM, lo + width)
+        client.push_range(rig.matrices[which], row, lo, hi,
+                          _values(seed, hi - lo), mode="add")
+        return client.pull_range(rig.matrices[which], row, lo, hi)
+    if kind == "aggregate":
+        which, row, agg = args
+        return client.aggregate_row(rig.matrices[which], row, agg)
+    if kind == "execute":
+        row, mutate = args
+        operands = [(rig.matrices[0], row)]
+        if mutate:
+            return client.execute(_halve, operands, wait_response=False)
+        return client.execute(_sum, operands)
+    assert kind == "mixed"
+    # A hand-built heterogeneous send: every server gets one envelope of
+    # pull + push + aggregate + fill + pull, so inline-servable and
+    # dispatch-only sub-requests chain on one CPU in both orders.
+    row, seed = args
+    matrix = rig.matrices[0]
+    values = _values(seed, DIM)
+    requests = []
+    for server, start, stop in rig.master.layout(matrix).shards_for_row(row):
+        other = (row + 1) % N_ROWS
+        requests += [
+            messages.PullRowRequest(server, matrix, row, stop - start),
+            messages.PushRequest(server, matrix, row, values[start:stop],
+                                 mode="add"),
+            messages.AggregateRequest(server, matrix, row, "sum",
+                                      n_values=stop - start),
+            messages.FillRequest(server, matrix, other, 0.25,
+                                 n_values=stop - start),
+            messages.PullRowRequest(server, matrix, other, stop - start),
+        ]
+    return client.transport.send_all(requests)
+
+
+def _same(left, right):
+    """Bit-identity over nested lists/tuples of arrays and scalars."""
+    if isinstance(left, np.ndarray) or isinstance(right, np.ndarray):
+        return (isinstance(left, np.ndarray) and isinstance(right, np.ndarray)
+                and left.dtype == right.dtype
+                and np.array_equal(left, right))
+    if isinstance(left, (list, tuple)):
+        return (type(left) is type(right) and len(left) == len(right)
+                and all(_same(a, b) for a, b in zip(left, right)))
+    return left == right
+
+
+def _run_both(stream):
+    bulk, per_message = _Rig(armed=False), _Rig(armed=True)
+    for op in stream:
+        assert _same(_apply(bulk, op), _apply(per_message, op)), op
+    left, right = bulk.state(), per_message.state()
+    for section in left:
+        assert left[section] == right[section], section
+    return bulk, per_message
+
+
+# -- the op stream ------------------------------------------------------------
+
+_clients = st.integers(0, N_CLIENTS - 1)
+_matrices = st.integers(0, 1)
+_rows = st.integers(0, N_ROWS - 1)
+_row_sets = st.lists(_rows, min_size=2, max_size=N_ROWS, unique=True)
+_seeds = st.integers(0, 2 ** 16)
+_indices = st.one_of(
+    st.none(),
+    st.integers(0, 1),
+    st.lists(st.integers(0, DIM - 1), min_size=1, max_size=12, unique=True),
+)
+_ops = st.one_of(
+    st.tuples(st.just("push"), _clients, _matrices, _rows,
+              st.sampled_from(["add", "assign"]), _indices, _seeds),
+    st.tuples(st.just("pull"), _clients, _matrices, _rows, _indices),
+    st.tuples(st.just("pull_block"), _clients, _matrices, _row_sets,
+              _indices),
+    st.tuples(st.just("push_block"), _clients, _matrices, _row_sets,
+              _indices, _seeds),
+    st.tuples(st.just("range"), _clients, _matrices, _rows,
+              st.integers(0, DIM - 1), st.integers(1, DIM), _seeds),
+    st.tuples(st.just("aggregate"), _clients, _matrices, _rows,
+              st.sampled_from(["sum", "nnz", "max"])),
+    st.tuples(st.just("execute"), _clients, _rows, st.booleans()),
+    st.tuples(st.just("mixed"), _clients, _rows, _seeds),
+)
+
+#: Every op kind, on a warm routing cache, repeated so pooled plans hit.
+_FIXED_STREAM = [
+    ("pull", 0, 0, 0, None),
+    ("pull", 0, 1, 0, None),
+    ("push", 0, 0, 1, "add", None, 1),
+    ("push", 0, 0, 1, "assign", 0, 2),
+    ("push", 0, 1, 2, "add", [5, 2, 21], 3),
+    ("pull", 0, 0, 1, 0),
+    ("pull", 0, 1, 2, [7, 8, 25]),
+    ("pull_block", 0, 0, [0, 1, 3], None),
+    ("pull_block", 0, 0, [2, 1], 1),
+    ("pull_block", 0, 1, [0, 1, 2, 3], None),
+    ("pull_block", 0, 1, [3, 0], [4, 19]),
+    ("push_block", 0, 0, [0, 1, 3], None, 4),
+    ("push_block", 0, 0, [2, 1], 1, 5),
+    ("push_block", 0, 1, [0, 1, 2, 3], None, 6),
+    ("push_block", 0, 1, [3, 0], [4, 19], 7),
+    ("range", 0, 0, 2, 5, 20, 8),
+    ("aggregate", 0, 0, 1, "sum"),
+    ("aggregate", 0, 1, 3, "max"),
+    ("execute", 0, 1, False),
+    ("execute", 0, 2, True),
+    ("mixed", 0, 1, 9),
+] * 2
+
+
+def test_a_fixed_stream_of_every_op_kind_matches_and_takes_both_schedules(
+        monkeypatch):
+    served = []
+    lane = transport.serve_fast_fanout
+
+    def counting(cluster, fan_servers, fan_messages, fan_arrivals):
+        served.append(cluster)
+        return lane(cluster, fan_servers, fan_messages, fan_arrivals)
+
+    monkeypatch.setattr(transport, "serve_fast_fanout", counting)
+    bulk, per_message = _run_both(_FIXED_STREAM)
+    # The comparison is only worth something if the rigs really differ in
+    # schedule: the bare one goes through the lane, the armed one never.
+    assert sum(cluster is bulk.cluster for cluster in served) \
+        >= len(_FIXED_STREAM) // 2
+    assert not any(cluster is per_message.cluster for cluster in served)
+
+
+@given(stream=st.lists(_ops, min_size=1, max_size=24))
+@settings(max_examples=40, deadline=None)
+def test_any_op_stream_is_bit_identical_on_both_schedules(stream):
+    _run_both(stream)
