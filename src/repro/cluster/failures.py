@@ -137,11 +137,3 @@ class FailureInjector:
             and window["start"] <= at_time < window["stop"]
             for window in self._partitions
         )
-
-    def partition_windows_for(self, node_id):
-        """The ``(start, stop)`` windows scheduled for *node_id*."""
-        return [
-            (window["start"], window["stop"])
-            for window in self._partitions
-            if window["node"] == node_id
-        ]

@@ -76,101 +76,60 @@ class MetricsRegistry:
         self.messages_by_tag[tag] += 1
         self.logical_messages_by_tag[tag] += messages
 
-    def record_transfer_many(self, items):
-        """Bulk :meth:`record_transfer`: *items* of (src, dst, nbytes, tag,
-        messages).
+    def _record_transfer_star(self, spokes, hubs, hub, items):
+        """Bulk-record transfers that share one endpoint: *items* of
+        (spoke node, nbytes, tag, messages) all to or from *hub*.
 
-        Counter sums are order-insensitive, so one bulk call on the fan-out
-        fast path leaves every total bit-identical to per-message recording.
+        *spokes* / *hubs* are the per-node byte ledgers of the two ends
+        (``bytes_received`` / ``bytes_sent`` for a fan-out, swapped for a
+        gather).  Wire byte counts are integer-valued floats (well below
+        2**53), so scalar accumulation followed by one ``+=`` per
+        aggregate is exact — bit-identical to per-message
+        :meth:`record_transfer` — while doing one dict update per item
+        instead of five.  Per-tag sums are flushed per run of equal tags
+        (fan-outs are usually single-tag).
         """
-        bytes_sent = self.bytes_sent
-        bytes_received = self.bytes_received
         bytes_by_tag = self.bytes_by_tag
         messages_by_tag = self.messages_by_tag
         logical = self.logical_messages_by_tag
-        for src, dst, nbytes, tag, messages in items:
-            bytes_sent[src] += nbytes
-            bytes_received[dst] += nbytes
-            bytes_by_tag[tag] += nbytes
-            messages_by_tag[tag] += 1
-            logical[tag] += messages
+        total = 0.0
+        tag0 = None
+        tag_sum = 0.0
+        tag_msgs = 0
+        tag_logical = 0
+        for spoke, nbytes, tag, messages in items:
+            spokes[spoke] += nbytes
+            total += nbytes
+            if tag is tag0 or tag == tag0:
+                tag_sum += nbytes
+                tag_msgs += 1
+                tag_logical += messages
+            else:
+                if tag_msgs:
+                    bytes_by_tag[tag0] += tag_sum
+                    messages_by_tag[tag0] += tag_msgs
+                    logical[tag0] += tag_logical
+                tag0 = tag
+                tag_sum = nbytes
+                tag_msgs = 1
+                tag_logical = messages
+        if tag_msgs:
+            bytes_by_tag[tag0] += tag_sum
+            messages_by_tag[tag0] += tag_msgs
+            logical[tag0] += tag_logical
+        hubs[hub] += total
 
     def record_transfer_fanout(self, src, items):
         """Bulk-record a one-source fan-out: *items* of (dst, nbytes, tag,
-        messages), all sharing *src*.
-
-        Wire byte counts are integer-valued floats (well below 2**53), so
-        scalar accumulation followed by one ``+=`` per aggregate is exact —
-        bit-identical to per-message :meth:`record_transfer` — while doing
-        one dict update per item instead of five.  Per-tag sums are flushed
-        per run of equal tags (fan-outs are usually single-tag).
-        """
-        bytes_received = self.bytes_received
-        bytes_by_tag = self.bytes_by_tag
-        messages_by_tag = self.messages_by_tag
-        logical = self.logical_messages_by_tag
-        total = 0.0
-        tag0 = None
-        tag_sum = 0.0
-        tag_msgs = 0
-        tag_logical = 0
-        for dst, nbytes, tag, messages in items:
-            bytes_received[dst] += nbytes
-            total += nbytes
-            if tag is tag0 or tag == tag0:
-                tag_sum += nbytes
-                tag_msgs += 1
-                tag_logical += messages
-            else:
-                if tag_msgs:
-                    bytes_by_tag[tag0] += tag_sum
-                    messages_by_tag[tag0] += tag_msgs
-                    logical[tag0] += tag_logical
-                tag0 = tag
-                tag_sum = nbytes
-                tag_msgs = 1
-                tag_logical = messages
-        if tag_msgs:
-            bytes_by_tag[tag0] += tag_sum
-            messages_by_tag[tag0] += tag_msgs
-            logical[tag0] += tag_logical
-        self.bytes_sent[src] += total
+        messages), all sharing *src*."""
+        self._record_transfer_star(self.bytes_received, self.bytes_sent,
+                                   src, items)
 
     def record_transfer_gather(self, dst, items):
         """Bulk-record a one-sink gather: *items* of (src, nbytes, tag,
-        messages), all sharing *dst*.  Mirror of
-        :meth:`record_transfer_fanout`.
-        """
-        bytes_sent = self.bytes_sent
-        bytes_by_tag = self.bytes_by_tag
-        messages_by_tag = self.messages_by_tag
-        logical = self.logical_messages_by_tag
-        total = 0.0
-        tag0 = None
-        tag_sum = 0.0
-        tag_msgs = 0
-        tag_logical = 0
-        for src, nbytes, tag, messages in items:
-            bytes_sent[src] += nbytes
-            total += nbytes
-            if tag is tag0 or tag == tag0:
-                tag_sum += nbytes
-                tag_msgs += 1
-                tag_logical += messages
-            else:
-                if tag_msgs:
-                    bytes_by_tag[tag0] += tag_sum
-                    messages_by_tag[tag0] += tag_msgs
-                    logical[tag0] += tag_logical
-                tag0 = tag
-                tag_sum = nbytes
-                tag_msgs = 1
-                tag_logical = messages
-        if tag_msgs:
-            bytes_by_tag[tag0] += tag_sum
-            messages_by_tag[tag0] += tag_msgs
-            logical[tag0] += tag_logical
-        self.bytes_received[dst] += total
+        messages), all sharing *dst*."""
+        self._record_transfer_star(self.bytes_sent, self.bytes_received,
+                                   dst, items)
 
     def record_compute(self, node_id, seconds, tag="compute"):
         """Account *seconds* of virtual compute on *node_id*."""
@@ -200,33 +159,6 @@ class MetricsRegistry:
         if nbytes:
             self.shard_bytes[key] += float(nbytes)
 
-    def record_service_chain(self, node_id, tag, seconds_list):
-        """Bulk-record a chain of same-tag service slots on one server.
-
-        Equivalent to ``record_compute`` + ``record_request`` + ``observe``
-        once per entry, in order — the accumulation sequence per counter is
-        unchanged, so every total (including float sums) is bit-identical
-        to per-slot recording.  One call replaces 3N on the fused-batch
-        path.
-        """
-        n = len(seconds_list)
-        compute_total = self.compute_seconds[node_id]
-        for seconds in seconds_list:
-            compute_total += seconds
-        self.compute_seconds[node_id] = compute_total
-        self.compute_counts[tag] += n
-        self.requests_by_server[node_id] += n
-        self.requests_by_server_tag[(node_id, tag)] += n
-        observe_tag = "srv:" + tag
-        hist = self.latency.get(observe_tag)
-        if hist is None:
-            hist = self.latency[observe_tag] = StreamingHistogram()
-        hist.record_many(seconds_list)
-        if self.window_sink is not None:
-            sink_observe = self.window_sink.observe
-            for seconds in seconds_list:
-                sink_observe(observe_tag, seconds)
-
     def record_service_bulk(self, tag, node_ids, seconds_list):
         """Bulk-record same-tag singleton services across many servers.
 
@@ -234,9 +166,9 @@ class MetricsRegistry:
         seconds on ``node_ids[i]``.  Every per-key accumulation (float
         compute totals, request counts, the shared per-tag histogram)
         happens in entry order, so the result is bit-identical to
-        :meth:`record_service_chain` with a one-element chain per entry —
-        the transport's fan-out serve loop batches a whole fan-out into
-        one call.
+        ``record_compute`` + ``record_request`` + ``observe("srv:" +
+        tag)`` once per entry — the fan-out serve loop batches each run
+        of same-tag services into one call.
         """
         compute_seconds = self.compute_seconds
         requests_by_server = self.requests_by_server

@@ -200,26 +200,6 @@ class TimelineResource:
             append(reserve(earliest, duration))
         return starts_out
 
-    def reserve_chain(self, earliest, durations):
-        """Book *durations* back-to-back: each starts at the previous end.
-
-        Equivalent to ``t = earliest; for d in durations: t = reserve(t, d)
-        + d`` — the server CPU's service chain for a coalesced batch —
-        returning the list of booked starts.  Kept as a loop over the same
-        probe/insert primitives so a chain that straddles existing bookings
-        splits across gaps exactly as sequential :meth:`reserve` would.
-        """
-        starts_out = []
-        append = starts_out.append
-        reserve = self.reserve
-        at = earliest
-        for duration in durations:
-            start = reserve(at, duration)
-            append(start)
-            if duration > 0:
-                at = start + duration
-        return starts_out
-
     def _insert(self, index, start, end):
         """Insert ``[start, end)`` at *index*, merging with its neighbors.
 

@@ -35,15 +35,6 @@ class SparseRow:
         """Dot product against a full dense weight vector."""
         return float(np.dot(dense[self.indices], self.values))
 
-    def dot_local(self, weights, position):
-        """Dot product against a compact weight slice.
-
-        ``weights`` holds values for this row's indices at offsets
-        ``position[i] .. position[i] + nnz``; used when a task pulled only
-        the union of its batch's indices.
-        """
-        return float(np.dot(weights[position : position + self.nnz], self.values))
-
     def to_dense(self, dim):
         """Expand into a dense vector of dimension *dim*."""
         dense = np.zeros(dim)

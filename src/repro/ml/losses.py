@@ -10,8 +10,6 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.linalg.sparse import batch_index_union
-
 
 def sigmoid(x):
     """Numerically stable logistic function."""
@@ -93,8 +91,3 @@ def hinge_grad_batch(rows, union_indices, union_weights):
 def grad_flops(rows):
     """Compute-cost estimate of a batch gradient (charged to executors)."""
     return 6.0 * sum(row.nnz for row in rows)
-
-
-def batch_union(rows):
-    """Re-export of :func:`batch_index_union` for trainer convenience."""
-    return batch_index_union(rows)

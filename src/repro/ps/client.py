@@ -160,6 +160,10 @@ class PSClient:
         ``(topology_epoch, plan_epoch)``.  A cost model attaches per-send
         codec state to pushes (encoded payloads, re-priced sizes), which
         pooled reuse would corrupt, so codecs disable the pool.
+
+        Callers pass ``send_all(pooled=True)`` only for a request list
+        that came *out of* the pool (a hit): a list that was just built
+        has no earlier send whose grouping the transport could reuse.
         """
         if self.cluster.costmodel is not None:
             return None
@@ -296,7 +300,7 @@ class PSClient:
                 else:
                     shards, requests = plan
                 values, arrivals = self.transport.send_all(
-                    requests, pooled=plans is not None
+                    requests, pooled=plan is not None
                 )
                 result = np.empty(layout.dim)
                 for (server_index, start, stop), block in zip(shards, values):
@@ -328,7 +332,7 @@ class PSClient:
             else:
                 _snapshot, order, requests = plan
             values, arrivals = self.transport.send_all(
-                requests, pooled=plans is not None
+                requests, pooled=plan is not None
             )
             values_by_index = np.empty(indices.size)
             cursor = 0
@@ -432,7 +436,7 @@ class PSClient:
                     shards, requests = plan
                     for request, (_srv, start, stop) in zip(requests, shards):
                         request.values = values[start:stop]
-                self.transport.send_all(requests, pooled=plans is not None)
+                self.transport.send_all(requests, pooled=plan is not None)
                 return
 
             indices = np.asarray(indices, dtype=np.int64)
@@ -471,7 +475,7 @@ class PSClient:
                 if len(plans) >= _PLAN_POOL_CAP:
                     plans.clear()
                 plans[key] = (indices.copy(), order, requests, sizes)
-            self.transport.send_all(requests, pooled=plans is not None)
+            self.transport.send_all(requests)
 
     def push_add(self, matrix_id, row, values, indices=None):
         """Accumulate a (dense or sparse) delta into a model row."""
@@ -622,7 +626,7 @@ class PSClient:
                 else:
                     placements, requests = plan
                 values, arrivals = self.transport.send_all(
-                    requests, pooled=plans is not None
+                    requests, pooled=plan is not None
                 )
                 block = np.empty((len(rows), layout.dim))
                 for (row_pos, start, stop), row_values in zip(placements,
@@ -732,7 +736,8 @@ class PSClient:
                         for request, (row_pos, start, stop) \
                                 in zip(requests, placements):
                             request.values = block[row_pos, start:stop]
-                    self.transport.send_all(requests, pooled=True)
+                    self.transport.send_all(requests,
+                                            pooled=plan is not None)
                     return
                 requests = [
                     messages.PushRequest(

@@ -94,6 +94,28 @@ class RowShard:
         """An independent shard over a copy of the values."""
         return RowShard(self.start, self.stop, self.values.copy())
 
+    def write(self, values, global_indices, mode):
+        """Accumulate (``"add"``) or overwrite (``"assign"``) *values* into
+        the whole shard or selected global columns.
+
+        Returns the number of elements touched — what every caller prices
+        the mutation by.  Primary handlers and replica applies share this
+        one definition (as reads share :meth:`PSServer._read`); only
+        :func:`serve_fast_fanout` inlines its own.
+        """
+        if global_indices is None:
+            if mode == "add":
+                self.values += values
+            else:
+                self.values[:] = values
+            return self.values.size
+        local = self.local(global_indices)
+        if mode == "add":
+            np.add.at(self.values, local, values)
+        else:
+            self.values[local] = values
+        return len(values)
+
 
 class ReplicaEntry:
     """This server's copy of another server's shards of one matrix.
@@ -390,145 +412,20 @@ class PSServer:
         return tokens
 
     def _serve_batch(self, request):
-        subs = request.requests
-        if len(subs) > 1:
-            fused = self._serve_batch_fused(subs)
-            if fused is not None:
-                return fused
-        return [self.dispatch(sub) for sub in subs]
+        return [self.dispatch(sub) for sub in request.requests]
 
-    # -- fused batch serving (the vectorized fast path) ----------------------
+    def dispatch_sub(self, request):
+        """Serve one sub-request of an envelope the transport flattened.
 
-    def _serve_batch_fused(self, subs):
-        """Serve a homogeneous batch without per-sub dispatch rounds.
-
-        A coalesced block op arrives as one envelope of N same-type
-        sub-requests; dispatching them one by one costs N handler rounds, N
-        CPU reservations and 3N metric calls.  The fused path validates
-        every shard up front (so a missing shard falls back and fails at
-        exactly the sub the per-sub path would), applies the row ops in one
-        loop with shared index arrays converted to local offsets once per
-        ``(array, shard-start)``, books the CPU through one
-        ``reserve_chain``, and records metrics through one bulk call — all
-        bit-identical to per-sub dispatch.  Returns ``None`` to fall back
-        whenever any per-sub observable could differ: span tracing (spans
-        nest per sub), pending scheduled crashes (a crash may fire
-        mid-batch), a replication manager (replica reads/demotions), a
-        chain replicator (write fan-out and dead-primary reads), a dead
-        server, or a mixed batch.
+        One dispatch level down — where :meth:`_serve_batch` serves it on
+        the per-message schedule — so a request without a trace context
+        of its own inherits the enclosing one instead of dropping it.
         """
-        cluster = self.cluster
-        if not self.alive or cluster.tracer.enabled \
-                or cluster.failures.has_pending_server_failures() \
-                or replication.replicated(cluster) \
-                or cluster.costmodel is not None:
-            return None
-        first = subs[0]
-        kind = type(first)
-        if kind is messages.PullRowRequest:
-            for sub in subs:
-                if type(sub) is not kind or sub.replica_of is not None \
-                        or sub.codec is not None:
-                    return None
-            return self._fused_pull_rows(subs)
-        if kind is messages.PushRequest:
-            mode = first.mode
-            for sub in subs:
-                if type(sub) is not kind or sub.mode != mode \
-                        or sub.replica_of is not None \
-                        or sub.codec is not None:
-                    return None
-            return self._fused_pushes(subs, mode)
-        return None
-
-    def _fused_shards(self, subs):
-        """Resolve every sub-request's shard, or ``None`` to fall back.
-
-        Validation happens before any mutation: a batch with a missing
-        shard must take the per-sub path so earlier subs apply exactly once
-        before the error surfaces, matching per-sub dispatch state.
-        """
-        store = self._store
-        shards = []
-        for sub in subs:
-            rows = store.get(sub.matrix_id)
-            shard = None if rows is None else rows.get(sub.row)
-            if shard is None:
-                return None
-            shards.append(shard)
-        return shards
-
-    def _fused_pull_rows(self, subs):
-        shards = self._fused_shards(subs)
-        if shards is None:
-            return None
-        results = []
-        flops = []
-        for sub, shard in zip(subs, shards):
-            indices = sub.indices
-            if indices is None:
-                values = shard.values.copy()
-            else:
-                values = shard.values[
-                    self._local_offsets(indices, shard.start)
-                ]
-            results.append(values)
-            flops.append(max(1.0, values.size))
-        self._service_chain(flops, "ps-read")
-        return results
-
-    def _fused_pushes(self, subs, mode):
-        shards = self._fused_shards(subs)
-        if shards is None:
-            return None
-        add = mode == "add"
-        versions = self.versions
-        flops = []
-        for sub, shard in zip(subs, shards):
-            indices = sub.indices
-            if indices is None:
-                if add:
-                    shard.values += sub.values
-                else:
-                    shard.values[:] = sub.values
-                n = shard.values.size
-            else:
-                local = self._local_offsets(indices, shard.start)
-                if add:
-                    np.add.at(shard.values, local, sub.values)
-                else:
-                    shard.values[local] = sub.values
-                n = len(sub.values)
-            version_key = (sub.matrix_id, sub.row)
-            versions[version_key] = versions.get(version_key, 0) + 1
-            flops.append(ELEMENTWISE_FLOPS * max(1, n) if add else max(1, n))
-        # _notify_direct_write is a no-op here by construction: the fused
-        # path only runs inside an envelope dispatch (depth > 0) and never
-        # with a replication manager configured.
-        self._service_chain(flops, "ps-add" if add else "ps-assign")
-        return [None] * len(subs)
-
-    def _service_chain(self, flops_list, tag):
-        """Bulk twin of :meth:`_service`: chain N same-tag service slots.
-
-        Same anchoring (the request's arrival, each slot no earlier than
-        the previous completion), same per-slot seconds, same counter and
-        histogram updates in the same order — one ``reserve_chain`` and one
-        bulk metrics call instead of N of each.  Callers ensure tracing is
-        off (the per-slot path records a span per reservation).
-        """
-        arrival = self._arrival
-        if arrival is None:
-            arrival = self.cluster.clock.now(self.node_id)
-        compute_seconds = self.cluster.node(self.node_id).compute_seconds
-        seconds = [compute_seconds(flops) for flops in flops_list]
-        starts = self.cpu.reserve_chain(arrival, seconds)
-        completion = starts[-1] + seconds[-1]
-        self.last_completion = completion
-        self._arrival = completion
-        self.cluster.metrics.record_service_chain(self.node_id, tag, seconds)
-        self.cluster.clock.set_at_least(self.node_id, completion)
-        return completion
+        self._dispatch_depth += 1
+        try:
+            return self.dispatch(request)
+        finally:
+            self._dispatch_depth -= 1
 
     def _serve_replicated_push(self, request):
         """Apply a fanned-out mutation to this server's replica copies.
@@ -720,13 +617,8 @@ class PSServer:
 
     def replica_read(self, matrix_id, primary_index, row, global_indices=None):
         """Serve a read from a replica copy (same pricing as :meth:`read`)."""
-        shard = self._replica_shard(matrix_id, primary_index, row)
-        if global_indices is None:
-            values = shard.values.copy()
-        else:
-            values = shard.values[shard.local(global_indices)]
-        self._service(max(1.0, values.size), "ps-read")
-        return values
+        return self._read(self._replica_shard(matrix_id, primary_index, row),
+                          global_indices)
 
     def replica_aggregate(self, matrix_id, primary_index, row, kind):
         """A shard aggregate served from a replica copy."""
@@ -737,32 +629,14 @@ class PSServer:
 
     def _replica_apply(self, inner, entries):
         """Apply one fanned-out mutation against replica shard arrays."""
-        if isinstance(inner, messages.PushRequest):
+        if isinstance(inner, (messages.PushRequest,
+                              messages.PushRangeRequest)):
             shard = entries[inner.matrix_id].rows[inner.row]
-            if inner.indices is None:
-                if inner.mode == "add":
-                    shard.values += inner.values
-                else:
-                    shard.values[:] = inner.values
-                n = shard.values.size
-            else:
-                local = shard.local(inner.indices)
-                if inner.mode == "add":
-                    np.add.at(shard.values, local, inner.values)
-                else:
-                    shard.values[local] = inner.values
-                n = len(inner.values)
+            indices = (inner.indices if isinstance(inner, messages.PushRequest)
+                       else inner.span())
+            n = shard.write(inner.values, indices, inner.mode)
+            # Both modes at the add rate: the replica path's own price.
             self._service(ELEMENTWISE_FLOPS * max(1, n), "ps-replica")
-        elif isinstance(inner, messages.PushRangeRequest):
-            shard = entries[inner.matrix_id].rows[inner.row]
-            local = shard.local(inner.span())
-            if inner.mode == "add":
-                np.add.at(shard.values, local, inner.values)
-            else:
-                shard.values[local] = inner.values
-            self._service(
-                ELEMENTWISE_FLOPS * max(1, len(inner.values)), "ps-replica"
-            )
         elif isinstance(inner, messages.FillRequest):
             shard = entries[inner.matrix_id].rows[inner.row]
             shard.values.fill(inner.value)
@@ -791,9 +665,9 @@ class PSServer:
 
     # -- row access (pull/push side) ---------------------------------------
 
-    def read(self, matrix_id, row, global_indices=None):
-        """Return a copy of the shard (or of selected global indices)."""
-        shard = self.shard(matrix_id, row)
+    def _read(self, shard, global_indices):
+        """Copy a primary or replica *shard* (or selected global columns
+        of it) and charge the read."""
         if global_indices is None:
             values = shard.values.copy()
         else:
@@ -801,28 +675,20 @@ class PSServer:
         self._service(max(1.0, values.size), "ps-read")
         return values
 
+    def read(self, matrix_id, row, global_indices=None):
+        """Return a copy of the shard (or of selected global indices)."""
+        return self._read(self.shard(matrix_id, row), global_indices)
+
     def add(self, matrix_id, row, values, global_indices=None):
         """Accumulate *values* into the shard (the PS ``add``/push-add)."""
-        shard = self.shard(matrix_id, row)
-        if global_indices is None:
-            shard.values += values
-            n = shard.values.size
-        else:
-            np.add.at(shard.values, shard.local(global_indices), values)
-            n = len(values)
+        n = self.shard(matrix_id, row).write(values, global_indices, "add")
         self._bump_version(matrix_id, row)
         self._notify_direct_write(matrix_id)
         self._service(ELEMENTWISE_FLOPS * max(1, n), "ps-add")
 
     def assign(self, matrix_id, row, values, global_indices=None):
         """Overwrite the shard (or selected indices) with *values*."""
-        shard = self.shard(matrix_id, row)
-        if global_indices is None:
-            shard.values[:] = values
-            n = shard.values.size
-        else:
-            shard.values[shard.local(global_indices)] = values
-            n = len(values)
+        n = self.shard(matrix_id, row).write(values, global_indices, "assign")
         self._bump_version(matrix_id, row)
         self._notify_direct_write(matrix_id)
         self._service(max(1, n), "ps-assign")
@@ -912,20 +778,33 @@ def serve_fast_fanout(cluster, fan_servers, fan_messages, fan_arrivals):
     """Serve a whole fan-out of requests — phase 2 of the bulk transmit.
 
     The three parallel sequences give the serving ``PSServer``, the
-    message, and the request arrival time per outgoing wire message,
-    pre-validated by the transport's bulk gates
-    (every server alive, tracing off, no pending scheduled crashes, no
-    replication manager).  Singleton pull/push messages whose shard is
-    present are served inline — the same numpy mutation, version bump,
-    single CPU reservation (via :meth:`TimelineResource.reserve`), metric
-    updates and clock advance as ``begin()`` + ``dispatch()``, minus ~10
-    Python frames per message.  Anything else (batch envelopes, replica
-    reads, missing shards) falls back to the full dispatch in place, with
-    pending bulk metrics flushed first so every per-key accumulation —
-    float compute totals, histogram sums — happens in exactly the
-    per-message order.  Returns ``(values, completions)`` aligned with
-    the inputs; results and all virtual times are bit-identical to the
-    per-message loop this replaces.
+    request, and its arrival time per *unit*: a stand-alone wire message,
+    or one sub-request of a batch envelope.  Envelopes exist on the wire,
+    not here — the transport flattens them, and a unit whose arrival is
+    ``None`` *chains*: it belongs to the same envelope (hence the same
+    server) as the unit before it and starts at that unit's completion
+    instead of at a NIC arrival, the booking ``_serve_batch`` gets from
+    :meth:`PSServer._service` anchoring on ``_arrival``.
+
+    Every unit is served by one rule.  A pull-row / push whose shard is
+    present and that is not a replica read is served inline — the same
+    numpy access, version bump, single CPU reservation, metric updates
+    and clock advance as ``begin()`` + ``dispatch()``, minus ~10 Python
+    frames.  Anything else (other message types, replica reads, missing
+    shards) goes through the full dispatch in place, with the pending
+    metric run flushed first so every per-key accumulation — float
+    compute totals, histogram sums — happens in exactly the per-message
+    order.  The transport's bulk gates hold throughout: every server
+    alive, tracing off, no pending scheduled crash, no replication
+    policy, no cost model.
+
+    Returns ``(values, completions)`` aligned with the inputs; results
+    and all virtual times are bit-identical to the per-message schedule.
+    A unit whose dispatch raises a retryable error yields the error as its
+    value and ``None`` as its completion, and so does every later unit
+    chained to it (the envelope stopped there, earlier units applied
+    exactly once, as per-sub dispatch leaves it); the transport hands that
+    wire message to the retry policy.
     """
     metrics = cluster.metrics
     clock_times = cluster.clock._times
@@ -938,8 +817,17 @@ def serve_fast_fanout(cluster, fan_servers, fan_messages, fan_arrivals):
     run_nodes = []
     run_secs = []
     record_bulk = metrics.record_service_bulk
+    failed = None
     for server, message, arrival in zip(fan_servers, fan_messages,
                                         fan_arrivals):
+        if arrival is None:
+            if failed is not None:
+                values_out.append(failed)
+                completions.append(None)
+                continue
+            arrival = server._arrival
+        else:
+            failed = None
         kind = type(message)
         shard = None
         if (kind is PullRow or kind is Push) and message.replica_of is None:
@@ -953,9 +841,20 @@ def serve_fast_fanout(cluster, fan_servers, fan_messages, fan_arrivals):
                 record_bulk(run_tag, run_nodes, run_secs)
                 run_nodes = []
                 run_secs = []
+            # A unit that is chained, or that the next unit chains to, is
+            # an envelope's sub-request.
+            position = len(values_out)
+            serve = (server.dispatch_sub
+                     if None in fan_arrivals[position:position + 2]
+                     else server.dispatch)
             server.begin(arrival)
-            values_out.append(server.dispatch(message))
-            completions.append(server.last_completion)
+            try:
+                values_out.append(serve(message))
+                completions.append(server.last_completion)
+            except (ServerDownError, MatrixNotFoundError) as error:
+                failed = error
+                values_out.append(error)
+                completions.append(None)
             continue
         indices = message.indices
         if kind is PullRow:

@@ -33,6 +33,8 @@ A/B measurements of the header-amortization win.
 
 from __future__ import annotations
 
+from itertools import repeat
+
 from repro.common.errors import MatrixNotFoundError, NetworkPartitionedError, \
     PSError, ServerDownError
 from repro.ps import messages, replication
@@ -140,13 +142,8 @@ class Transport:
         ``response_arrival`` is ``None`` for fire-and-forget messages; the
         caller decides when to block on arrivals.
         """
-        requests = (request,)
-        replicated = self._prepare(requests)
-        self._charge_rpc(1)
-        result = self._transmit(request)
-        if replicated:
-            self._send_fanout(requests)
-        return result
+        values, arrivals = self.send_all((request,))
+        return values[0], arrivals[0]
 
     def _prepare(self, requests):
         """Codec selection, then replica routing, for one send.
@@ -166,79 +163,92 @@ class Transport:
         replication.route(cluster, requests)
         return True
 
+    def _coalesce(self, requests):
+        """Group *requests* by destination server into wire messages.
+
+        Returns one ``(message, positions)`` entry per outgoing wire
+        message, servers in first-appearance order, ``positions`` indexing
+        into *requests*.  With coalescing on, each group of two or more
+        becomes one :class:`~repro.ps.messages.BatchRequest` envelope —
+        one header and one NIC booking per server; singleton groups always
+        go stand-alone, so ops that already issue one message per server
+        are byte-for-byte unaffected by the knob.
+        """
+        groups = {}
+        for position, request in enumerate(requests):
+            groups.setdefault(request.server_index, []).append(position)
+        outgoing = []
+        for positions in groups.values():
+            if self.coalesce and len(positions) > 1:
+                batch = messages.BatchRequest([requests[p] for p in positions])
+                outgoing.append((batch, positions))
+            else:
+                for p in positions:
+                    outgoing.append((requests[p], [p]))
+        return outgoing
+
     def send_all(self, requests, pooled=False):
         """Ship a message list; returns ``(values, arrivals)`` aligned.
 
-        After :meth:`_prepare`, messages are grouped by destination server
-        (first-appearance order).  With coalescing on, each group of two
-        or more becomes one :class:`~repro.ps.messages.BatchRequest`
-        envelope — one header and one NIC booking per server; singleton
-        groups always go standalone, so ops that already issue one message
-        per server are byte-for-byte unaffected by the knob.  Client-side
-        RPC CPU is charged once per outgoing transfer, before anything
-        touches the wire.  After every original was transmitted (mutations
-        applied to their primaries), replica fan-out messages are built
-        from the post-apply version counters and shipped the same way.
+        After :meth:`_prepare`, messages are grouped per destination
+        server (:meth:`_coalesce`).  Client-side RPC CPU is charged once
+        per outgoing transfer, before anything touches the wire.  The
+        fan-out then runs on one of two schedules — phased
+        (:meth:`_transmit_bulk`) when :meth:`_bulk_ok` allows, message by
+        message (:meth:`_transmit`) otherwise — with identical results.
+        After every original was transmitted (mutations applied to their
+        primaries), replica fan-out messages are built from the post-apply
+        version counters and shipped the same way.
 
-        ``pooled=True`` marks *requests* as a client plan-pool list whose
-        composition never changes between calls: the grouping (and any
-        batch envelopes) is then memoized master-wide keyed on the list's
-        identity, skipping the group/coalesce rebuild on every op.  Under
-        replication the memo is bypassed — routing may retarget
-        ``server_index`` in place, invalidating any cached grouping — but
-        the requests themselves may still come from the client plan pool.
+        ``pooled=True`` marks *requests* as a list that came out of the
+        client's plan pool — the same objects, in the same order, as an
+        earlier send: the grouping (and any batch envelopes) is then
+        memoized master-wide keyed on the list's identity, skipping the
+        group/coalesce rebuild on every later op.  Under replication the
+        memo is bypassed — routing may retarget ``server_index`` in place,
+        invalidating any cached grouping — but the requests themselves may
+        still come from the client plan pool.
         """
         replicated = self._prepare(requests)
-        outgoing = None
-        bulk_cache = None
-        if pooled and not replicated:
+        outgoing = bulk_cache = None
+        memoize = pooled and not replicated
+        if memoize:
             plans = self.master.fanout_group_plans
             key = (id(requests), self.coalesce)
             entry = plans.get(key)
             if entry is not None and entry[0] is requests:
-                outgoing = entry[1]
-                bulk_cache = entry[2]
+                _requests, outgoing, bulk_cache = entry
         if outgoing is None:
-            groups = {}
-            for position, request in enumerate(requests):
-                groups.setdefault(request.server_index, []).append(position)
-            outgoing = []
-            for server_index, positions in groups.items():
-                if self.coalesce and len(positions) > 1:
-                    batch = messages.BatchRequest(
-                        [requests[p] for p in positions]
-                    )
-                    outgoing.append((batch, positions))
-                else:
-                    for p in positions:
-                        outgoing.append((requests[p], [p]))
-            if pooled and not replicated:
+            outgoing = self._coalesce(requests)
+            if memoize:
                 if len(plans) >= 64:
                     plans.clear()
-                # The third slot caches the bulk path's phase-1 product
-                # (see _transmit_bulk); one mutable cell per plan.
+                # The third slot caches the bulk schedule's phase-1
+                # product (see _transmit_bulk); one mutable cell per plan.
                 bulk_cache = [None]
-                plans[(id(requests), self.coalesce)] = (
-                    requests, outgoing, bulk_cache
-                )
+                plans[key] = (requests, outgoing, bulk_cache)
         self._charge_rpc(len(outgoing))
         values = [None] * len(requests)
         arrivals = [None] * len(requests)
-        if len(outgoing) > 1 and self._bulk_ok(outgoing):
-            self._transmit_bulk(outgoing, values, arrivals, bulk_cache)
+        # What still has to go message by message, each entry paired with
+        # the retryable error a bulk attempt of it already met (``None``:
+        # not attempted yet).
+        if outgoing and self._bulk_ok(outgoing):
+            pending = self._transmit_bulk(outgoing, values, arrivals,
+                                          bulk_cache)
         else:
-            for message, positions in outgoing:
-                value, arrival = self._transmit(message)
-                if isinstance(message, messages.BatchRequest):
-                    metrics = self.cluster.metrics
-                    metrics.increment("coalesced-batches")
-                    metrics.increment("coalesced-requests", len(positions))
-                    for p, sub_value in zip(positions, value):
-                        values[p] = sub_value
-                        arrivals[p] = arrival
-                else:
-                    values[positions[0]] = value
-                    arrivals[positions[0]] = arrival
+            pending = zip(outgoing, repeat(None))
+        metrics = self.cluster.metrics
+        for (message, positions), error in pending:
+            value, arrival = self._transmit(message, error)
+            if type(message) is messages.BatchRequest:
+                metrics.increment("coalesced-batches")
+                metrics.increment("coalesced-requests", len(positions))
+            else:
+                value = (value,)
+            for p, sub_value in zip(positions, value):
+                values[p] = sub_value
+                arrivals[p] = arrival
         if replicated:
             self._send_fanout(requests)
         return values, arrivals
@@ -253,25 +263,17 @@ class Transport:
         extras = replication.fan_out(self.cluster, requests)
         if not extras:
             return
-        groups = {}
-        for message in extras:
-            groups.setdefault(message.server_index, []).append(message)
-        outgoing = []
-        for server_index, group in groups.items():
-            if self.coalesce and len(group) > 1:
-                outgoing.append(messages.BatchRequest(group))
-            else:
-                outgoing.extend(group)
+        outgoing = self._coalesce(extras)
         self._charge_rpc(len(outgoing))
-        for message in outgoing:
+        for message, _positions in outgoing:
             self._transmit(message)
 
-    # -- the bulk fast path --------------------------------------------------
+    # -- the two schedules ---------------------------------------------------
 
     def _bulk_ok(self, outgoing):
-        """Whether this fan-out may take the bulk transmit path.
+        """Whether this fan-out may take the phased (bulk) schedule.
 
-        The bulk path is bit-identical to per-message :meth:`_transmit`
+        The bulk schedule is bit-identical to per-message :meth:`_transmit`
         only when nothing can interleave with the phase-reordered bookings:
         no span tracing (spans must nest per message), no partition windows
         or pending server crashes (retries re-send individual messages), no
@@ -279,7 +281,7 @@ class Transport:
         fan-out need per-message dispatch), and no cold routing entry (a
         mid-loop routing RPC books the client NIC between message sends).
         Every condition is a cheap flag check; chaos and traced runs simply
-        keep the per-message path.
+        keep the per-message schedule.
         """
         cluster = self.cluster
         if cluster.tracer.enabled:
@@ -289,9 +291,9 @@ class Transport:
             return False
         if replication.replicated(cluster):
             return False
-        # The bulk path reads the _wb/_rb memo slots directly; a cost model
-        # may attach codecs that re-price messages, so it keeps the
-        # per-message path.
+        # The bulk schedule prices a message once per cached plan; a cost
+        # model may attach codecs that re-price messages per send, so it
+        # keeps the per-message schedule.
         if cluster.costmodel is not None:
             return False
         routing = self._routing
@@ -307,172 +309,192 @@ class Transport:
                 return False
         return True
 
-    def _batch_shard_entries(self, message):
-        """Shard-telemetry entries for one batch envelope.
+    def _price(self, wire_messages):
+        """Wire sizes and shard-heat entries for a run of wire messages —
+        what either schedule needs to know before anything is booked.
 
-        One ``(matrix_id, heat_server, n_values, nbytes)`` entry per
-        distinct shard key the batch touches, in first-appearance order.
-        :meth:`_record_shard_access` records them one by one; the bulk
-        path folds them into its per-fan-out entry list (and its pooled
-        plan) for
-        :meth:`~repro.cluster.metrics.MetricsRegistry.record_shard_access_many`.
-        Per-key accumulation is order-insensitive for these integer-valued
-        quantities, so the fold is bit-identical to recording inline.
+        Returns ``(request_sizes, response_sizes, shard_entries)``, the
+        sizes aligned with *wire_messages*.  A shard entry is
+        ``(matrix_id, heat_server, n_values, nbytes)``: one access per
+        wire message and distinct shard key it touches, in
+        first-appearance order, with the summed value count — matching the
+        fat block request an envelope replaces.  Byte volume (request +
+        response) comes from the requests' own wire formulas; an envelope
+        attributes each sub-request its *standalone-equivalent* bytes, so
+        per-shard volume stays comparable across the coalescing knob.  A
+        replica-routed read (``replica_of`` set) is charged to the
+        *primary* shard key: rerouting must never drain the heat signal
+        that justified the replica.  Control messages (``matrix_id``
+        ``None``) touch no shard.  Per-key accumulation is
+        order-insensitive for these integer-valued quantities, so feeding
+        a whole fan-out's entries to one ``record_shard_access_many`` is
+        bit-identical to recording message by message.
         """
-        # The common batch touches one (matrix, shard) key — a block op
-        # fanned over rows of one matrix — so accumulate scalars and only
-        # fall back to a dict for genuinely mixed batches.
-        first_key = None
-        n_values = 0
-        nbytes = 0.0
-        by_shard = None
-        for request in message.requests:
-            if request.matrix_id is None:
-                continue
-            heat_server = (request.replica_of
-                           if request.replica_of is not None
-                           else request.server_index)
-            key = (request.matrix_id, heat_server)
-            sub_bytes = (request.wire_bytes()
-                         + (request.response_bytes() or 0))
-            if by_shard is None:
-                if first_key is None or key == first_key:
-                    first_key = key
-                    n_values += request.n_values
-                    nbytes += sub_bytes
-                    continue
-                by_shard = {first_key: (n_values, nbytes)}
-            prev_values, prev_bytes = by_shard.get(key, (0, 0.0))
-            by_shard[key] = (prev_values + request.n_values,
-                             prev_bytes + sub_bytes)
-        if by_shard is not None:
-            return [
-                (matrix_id, heat_server, n_values, nbytes)
-                for (matrix_id, heat_server), (n_values, nbytes)
-                in by_shard.items()
-            ]
-        if first_key is not None:
-            return [(first_key[0], first_key[1], n_values, nbytes)]
-        return []
+        request_sizes = []
+        response_sizes = []
+        shard_entries = []
+        for message in wire_messages:
+            request_bytes = message.wire_bytes()
+            response_bytes = message.response_bytes()
+            request_sizes.append(request_bytes)
+            response_sizes.append(response_bytes)
+            if type(message) is messages.BatchRequest:
+                by_shard = {}
+                for request in message.requests:
+                    if request.matrix_id is None:
+                        continue
+                    key = (request.matrix_id,
+                           request.server_index if request.replica_of is None
+                           else request.replica_of)
+                    n_values, nbytes = by_shard.get(key, (0, 0.0))
+                    by_shard[key] = (
+                        n_values + request.n_values,
+                        nbytes + request.wire_bytes()
+                        + (request.response_bytes() or 0),
+                    )
+                for key, (n_values, nbytes) in by_shard.items():
+                    shard_entries.append((key[0], key[1], n_values, nbytes))
+            elif message.matrix_id is not None:
+                shard_entries.append((
+                    message.matrix_id,
+                    message.server_index if message.replica_of is None
+                    else message.replica_of,
+                    message.n_values, request_bytes + (response_bytes or 0),
+                ))
+        return request_sizes, response_sizes, shard_entries
+
+    def _bulk_plan(self, outgoing, epoch):
+        """Phase 1's reusable product for one fan-out (see
+        :meth:`_transmit_bulk`): everything that depends only on the
+        message list and the server topology.
+
+        Also flattens the fan-out into the *units* phase 2 serves — one
+        per stand-alone message, one per sub-request of an envelope, so
+        ``unit_positions`` (where each unit's value goes) is the wire
+        messages' position lists end to end and ``lasts[i]`` the index of
+        wire message *i*'s last unit.  Without an envelope units and
+        messages coincide and the per-message lists are aliased.
+        """
+        master_servers = self.master.servers
+        msgs = [message for message, _positions in outgoing]
+        request_sizes, response_sizes, shard_entries = self._price(msgs)
+        servers = []
+        fan_items = []
+        responses = []
+        unit_positions = []
+        lasts = []
+        last = -1
+        for (message, positions), request_bytes, response_bytes \
+                in zip(outgoing, request_sizes, response_sizes):
+            server = master_servers[message.server_index]
+            servers.append(server)
+            tag_req, tag_resp = _tag_pair(message.tag)
+            count = len(positions)
+            fan_items.append((server.node_id, request_bytes, tag_req, count))
+            responses.append(
+                None if response_bytes is None
+                else (server.node_id, response_bytes, tag_resp, count)
+            )
+            unit_positions += positions
+            last += count
+            lasts.append(last)
+        if len(unit_positions) == len(msgs):
+            return (epoch, fan_items, shard_entries, responses, lasts,
+                    unit_positions, servers, msgs)
+        unit_servers = []
+        unit_msgs = []
+        for message, server in zip(msgs, servers):
+            if type(message) is messages.BatchRequest:
+                unit_msgs += message.requests
+                unit_servers += [server] * len(message.requests)
+            else:
+                unit_msgs.append(message)
+                unit_servers.append(server)
+        return (epoch, fan_items, shard_entries, responses, lasts,
+                unit_positions, unit_servers, unit_msgs)
 
     def _transmit_bulk(self, outgoing, values, arrivals, bulk_cache=None):
         """Transmit a whole fan-out in three phases instead of N round trips.
 
         Phase 1 books every request transfer through one
         :meth:`~repro.cluster.network.NetworkModel.transfer_many` call,
-        phase 2 runs every server dispatch (capturing each server's
-        completion immediately, as the per-message path would see it), and
-        phase 3 books every response through one ``transfer_gather``.  The
+        phase 2 serves every unit through
+        :func:`~repro.ps.server.serve_fast_fanout` (capturing each
+        completion immediately, as the per-message schedule would see it),
+        and phase 3 books every response through one ``transfer_gather``,
+        each envelope's departing at its *last* unit's completion.  The
         per-direction NIC timelines are disjoint across phases and
         order-insensitive within them, so virtual times, bytes and counters
-        are bit-identical to the interleaved per-message path — only the
-        Python call count drops.  Callers must have checked
+        are bit-identical to the interleaved per-message schedule — only
+        the Python call count drops.  Callers must have checked
         :meth:`_bulk_ok`.
 
         *bulk_cache*, when given, is the one-element cache cell of a pooled
-        send plan (see :meth:`send_all`): the entire phase-1 product —
-        resolved servers, wire sizes, NIC fan-out items, shard-telemetry
-        entries — depends only on the (pooled, composition-stable) message
-        list and the server topology, so it is computed once and replayed,
-        guarded by :attr:`~repro.ps.master.PSMaster.topology_epoch` (a
-        failover swaps server objects and must force a rebuild).
+        send plan (see :meth:`send_all`): the entire phase-1 product
+        (:meth:`_bulk_plan`) depends only on the (pooled,
+        composition-stable) message list and the server topology, so it is
+        computed once and replayed, guarded by
+        :attr:`~repro.ps.master.PSMaster.topology_epoch` (a failover swaps
+        server objects and must force a rebuild).
+
+        Returns the wire messages phase 2 could not serve — ``((message,
+        positions), error)`` per message whose service met a retryable
+        error — for the caller to re-send under the retry policy; the rest
+        of the fan-out has completed normally.
         """
         cluster = self.cluster
         network = cluster.network
         metrics = cluster.metrics
         node_id = self.node_id
-        BatchRequest = messages.BatchRequest
         epoch = self.master.topology_epoch
 
-        plan = None
-        if bulk_cache is not None:
-            plan = bulk_cache[0]
-            if plan is not None and plan[0] != epoch:
-                plan = None
-        if plan is not None:
-            (_, servers, response_sizes, fan_items, shard_entries, msgs,
-             counts, resp_tags) = plan
-        else:
-            master_servers = self.master.servers
-            tag_pair = _tag_pair
-            servers = []
-            response_sizes = []
-            fan_items = []
-            shard_entries = []
-            msgs = []
-            counts = []
-            resp_tags = []
-            servers_append = servers.append
-            for message, _positions in outgoing:
-                # Size memos read at the call site: wire formulas run once
-                # per pooled message, later sends pay one slot load.
-                request_bytes = message._wb
-                if not request_bytes:
-                    request_bytes = message.wire_bytes()
-                    message._wb = request_bytes
-                response_bytes = message._rb
-                if response_bytes == 0:
-                    response_bytes = message.response_bytes()
-                    message._rb = response_bytes
-                if type(message) is BatchRequest:
-                    shard_entries.extend(self._batch_shard_entries(message))
-                    count = len(message.requests)
-                else:
-                    count = 1
-                    if message.matrix_id is not None:
-                        heat_server = (message.replica_of
-                                       if message.replica_of is not None
-                                       else message.server_index)
-                        shard_entries.append((
-                            message.matrix_id, heat_server, message.n_values,
-                            request_bytes + (response_bytes or 0),
-                        ))
-                server = master_servers[message.server_index]
-                servers_append(server)
-                response_sizes.append(response_bytes)
-                tag_req, tag_resp = tag_pair(message.tag)
-                fan_items.append(
-                    (server.node_id, request_bytes, tag_req, count)
-                )
-                msgs.append(message)
-                counts.append(count)
-                resp_tags.append(tag_resp)
+        plan = None if bulk_cache is None else bulk_cache[0]
+        if plan is None or plan[0] != epoch:
+            plan = self._bulk_plan(outgoing, epoch)
             if bulk_cache is not None:
-                bulk_cache[0] = (
-                    epoch, servers, response_sizes, fan_items, shard_entries,
-                    msgs, counts, resp_tags,
-                )
+                bulk_cache[0] = plan
+        (_, fan_items, shard_entries, responses, lasts, unit_positions,
+         unit_servers, unit_msgs) = plan
         if shard_entries:
             metrics.record_shard_access_many(shard_entries)
-        request_arrivals = network.transfer_many(node_id, fan_items)
+        unit_arrivals = network.transfer_many(node_id, fan_items)
+        if len(unit_msgs) > len(fan_items):
+            # Only an envelope's first unit arrives off the NIC; the rest
+            # chain on their predecessor's completion.
+            head = 0
+            chained = [None] * len(unit_msgs)
+            for arrival, last in zip(unit_arrivals, lasts):
+                chained[head] = arrival
+                head = last + 1
+            unit_arrivals = chained
 
-        entry_values, completions = serve_fast_fanout(
-            cluster, servers, msgs, request_arrivals
+        unit_values, completions = serve_fast_fanout(
+            cluster, unit_servers, unit_msgs, unit_arrivals
         )
+        for position, value in zip(unit_positions, unit_values):
+            values[position] = value
 
+        failed = []
         response_items = []
         response_slots = []
-        for i, (message, positions) in enumerate(outgoing):
-            value = entry_values[i]
-            if type(message) is BatchRequest:
+        for entry, last, response in zip(outgoing, lasts, responses):
+            completion = completions[last]
+            if completion is None:
+                failed.append((entry, unit_values[last]))
+                continue
+            message, positions = entry
+            if type(message) is messages.BatchRequest:
                 metrics.increment("coalesced-batches")
                 metrics.increment("coalesced-requests", len(positions))
-                for p, sub_value in zip(positions, value):
-                    values[p] = sub_value
-            else:
-                values[positions[0]] = value
-            response_bytes = response_sizes[i]
-            if response_bytes is not None:
-                response_items.append(
-                    (servers[i].node_id, response_bytes, resp_tags[i],
-                     counts[i], completions[i])
-                )
+            if response is not None:
+                response_items.append(response + (completion,))
                 response_slots.append(positions)
         if response_items:
             recv_times = network.transfer_gather(node_id, response_items)
             for positions, response_arrival in zip(response_slots, recv_times):
                 for p in positions:
                     arrivals[p] = response_arrival
+        return failed
 
     # -- plumbing ----------------------------------------------------------
 
@@ -481,45 +503,6 @@ class Transport:
         if n_transfers:
             self.cluster.charge_seconds(
                 self.node_id, RPC_CPU_SECONDS * n_transfers, tag="rpc-cpu"
-            )
-
-    def _record_shard_access(self, message, wire_bytes=None,
-                             response_bytes=None):
-        """Feed the hot-shard telemetry: one access per wire message.
-
-        A batch records one access per distinct matrix it touches, with the
-        summed value count — matching the pre-coalescing fat block request
-        it replaces.  Byte volume (request + response) is attributed from
-        the message's own wire formulas; a batch attributes each
-        sub-request its *standalone-equivalent* bytes, so per-shard volume
-        stays comparable across the coalescing knob.  A replica-routed
-        read (``replica_of`` set) is charged to the *primary* shard key:
-        rerouting must never drain the heat signal that justified the
-        replica.
-
-        ``wire_bytes`` / ``response_bytes`` let :meth:`_transmit` share the
-        sizes it already computed for a *standalone* message (for batches
-        the standalone-equivalent sub sizes differ from the envelope's, so
-        the hints are ignored).
-        """
-        metrics = self.cluster.metrics
-        if isinstance(message, messages.BatchRequest):
-            for matrix_id, heat_server, n_values, nbytes in \
-                    self._batch_shard_entries(message):
-                metrics.record_shard_access(
-                    matrix_id, heat_server, n_values, nbytes=nbytes
-                )
-        elif message.matrix_id is not None:
-            heat_server = (message.replica_of
-                           if message.replica_of is not None
-                           else message.server_index)
-            if wire_bytes is None:
-                wire_bytes = message.wire_bytes()
-            if response_bytes is None:
-                response_bytes = message.response_bytes()
-            metrics.record_shard_access(
-                message.matrix_id, heat_server, message.n_values,
-                nbytes=wire_bytes + (response_bytes or 0),
             )
 
     def _handle_failure(self, exc, server_index, matrix_id, attempt):
@@ -559,7 +542,7 @@ class Transport:
         if matrix_id is not None:
             self.invalidate(matrix_id)
 
-    def _transmit(self, message):
+    def _transmit(self, message, error=None):
         """One message on the wire, retried as a whole until served.
 
         Each attempt re-resolves the serving server through the master (a
@@ -570,13 +553,20 @@ class Transport:
         including halfway through a batch — retries the *entire message*
         under the policy, re-sending its bytes through the network model.
 
+        *error* is the retryable failure a bulk attempt of this message
+        already met (:meth:`_transmit_bulk` recorded its shard heat and
+        spent its first attempt): the loop then starts at that failure's
+        repair instead of at a first send.
+
         Returns ``(value, response_arrival)``; the arrival is ``None`` for
         fire-and-forget messages.
         """
         network = self.cluster.network
-        request_bytes = message.wire_bytes()
-        response_bytes = message.response_bytes()
-        self._record_shard_access(message, request_bytes, response_bytes)
+        (request_bytes,), (response_bytes,), shard_entries = self._price(
+            (message,)
+        )
+        if error is None:
+            self.cluster.metrics.record_shard_access_many(shard_entries)
         tracer = self.cluster.tracer
         trace_parent = None
         if tracer.enabled:
@@ -600,32 +590,36 @@ class Transport:
                 message.trace_ctx = (span.trace_id, span.span_id)
         attempt = 0
         while True:
-            if message.matrix_id is not None:
-                # Re-resolve routing (pays the routing RPC again after an
-                # invalidation) before the attempt touches the wire.
-                self.layout(message.matrix_id)
-            server = self.master.server(message.server_index)
-            try:
-                arrival = network.transfer(
-                    self.node_id, server.node_id, request_bytes,
-                    tag=message.tag + ":req", deliver=False,
-                    messages=message.message_count(),
-                    trace_parent=trace_parent,
-                )
-                server.begin(arrival)
-                value = server.dispatch(message)
-                break
-            except RETRYABLE_ERRORS as exc:
-                attempt += 1
-                if attempt > self.retry_policy.max_retries:
-                    self.cluster.metrics.increment("op-retries-exhausted")
-                    raise PSError(
-                        "server %s kept failing after %d attempts: %r"
-                        % (server.node_id, attempt, exc)
-                    ) from exc
-                self._handle_failure(
-                    exc, message.server_index, message.matrix_id, attempt
-                )
+            if error is None:
+                if message.matrix_id is not None:
+                    # Re-resolve routing (pays the routing RPC again after
+                    # an invalidation) before the attempt touches the wire.
+                    self.layout(message.matrix_id)
+                server = self.master.server(message.server_index)
+                try:
+                    arrival = network.transfer(
+                        self.node_id, server.node_id, request_bytes,
+                        tag=message.tag + ":req", deliver=False,
+                        messages=message.message_count(),
+                        trace_parent=trace_parent,
+                    )
+                    server.begin(arrival)
+                    value = server.dispatch(message)
+                    break
+                except RETRYABLE_ERRORS as exc:
+                    error = exc
+            attempt += 1
+            if attempt > self.retry_policy.max_retries:
+                self.cluster.metrics.increment("op-retries-exhausted")
+                raise PSError(
+                    "server %s kept failing after %d attempts: %r"
+                    % (self.master.server(message.server_index).node_id,
+                       attempt, error)
+                ) from error
+            self._handle_failure(
+                error, message.server_index, message.matrix_id, attempt
+            )
+            error = None
         if response_bytes is None:
             return value, None
         response_arrival = network.transfer(

@@ -295,11 +295,3 @@ class CachedRDD(RDD):
     def unpersist(self):
         """Drop the cached partitions; the lineage recomputes on next use."""
         self._storage.clear()
-
-    def is_cached(self, partition_id):
-        return partition_id in self._storage
-
-
-def estimate_result_bytes(result):
-    """Wire size of a task result shipped back to the driver."""
-    return sizeof(result)

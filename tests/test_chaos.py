@@ -147,6 +147,74 @@ def test_coalesced_batch_retry_reresolves_and_resends_envelope(cluster):
     assert metrics.counters["coalesced-requests"] == 12
 
 
+def _drifted_shard_run(op, traced):
+    """A live server whose shard set drifted, hit by one client op.
+
+    Untraced, the op's fan-out takes the bulk schedule (routing is warm,
+    every server alive — ``_bulk_ok`` checks liveness, not shard
+    presence); traced, the per-message one.  Returns what the caller saw,
+    the final state and the cluster's counters.
+    """
+    cluster = Cluster(ClusterConfig(n_executors=4, n_servers=3, seed=42))
+    if traced:
+        cluster.tracer.enable()
+    master = PSMaster(cluster)
+    client = PSClient(cluster, master, cluster.executors[0])
+    m = master.create_matrix(30, n_rows=2)
+    for row in range(2):
+        client.push_add(m, row, np.arange(30.0) + row)
+    if op == "push_block_add":
+        # Row 1 only: sub-request 0 of server-1's envelope still applies
+        # before sub-request 1 finds its shard missing.
+        del master.server(1)._store[m][1]
+        got = client.push_block_add(m, [0, 1], np.ones((2, 30)))
+    else:
+        master.server(1).drop_matrix(m)
+        if op == "pull_row":
+            got = client.pull_row(m, 0)
+        else:
+            got = client.pull_block(m, [0, 1])
+    final = client.pull_block(m, [0, 1])
+    return got, final, cluster.metrics.counters
+
+
+@pytest.mark.parametrize("op", ["pull_row", "pull_block", "push_block_add"])
+def test_drifted_shard_in_a_bulk_fanout_reaches_the_retry_policy(op):
+    """Regression: a retryable error met while serving a bulk fan-out used
+    to escape the client (``MatrixNotFoundError``) — the bulk schedule had
+    no retry loop — while the traced, per-message run of the same script
+    repaired and returned.  Turning tracing on must not change the
+    outcome: the failed wire message (a whole envelope) goes to the retry
+    policy, the rest of the fan-out completes normally."""
+    got, final, counters = _drifted_shard_run(op, traced=False)
+    traced_got, traced_final, traced_counters = _drifted_shard_run(
+        op, traced=True
+    )
+    if got is None:
+        assert traced_got is None
+    else:
+        assert np.array_equal(got, traced_got)
+    assert np.array_equal(final, traced_final)
+    for name in ("op-retries", "routing-invalidations", "server-repairs",
+                 "coalesced-batches", "coalesced-requests"):
+        assert counters[name] == traced_counters[name], name
+    assert counters["op-retries"] == 1
+    assert counters["routing-invalidations"] == 1
+    assert counters["op-retries-exhausted"] == 0
+    # Server 1 owns columns 10..19.  Its dropped shards come back at the
+    # zero init; the shards the other servers hold were never disturbed.
+    expected = np.stack([np.arange(30.0), np.arange(30.0) + 1.0])
+    if op == "push_block_add":
+        expected += 1.0
+        # The envelope was retried whole, as the per-message schedule
+        # retries it: sub-request 0 applied twice, the repaired row once.
+        expected[0, 10:20] += 1.0
+        expected[1, 10:20] = 1.0
+    else:
+        expected[:, 10:20] = 0.0
+    assert np.array_equal(final, expected)
+
+
 def test_backoff_is_charged_to_virtual_clock(cluster):
     master = PSMaster(cluster)
     client = PSClient(cluster, master, cluster.executors[0])

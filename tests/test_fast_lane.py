@@ -188,7 +188,7 @@ _seeds = st.integers(0, 2 ** 16)
 _indices = st.one_of(
     st.none(),
     st.integers(0, 1),
-    st.lists(st.integers(0, DIM - 1), min_size=1, max_size=12, unique=True),
+    st.lists(st.integers(0, DIM - 1), max_size=12, unique=True),
 )
 _ops = st.one_of(
     st.tuples(st.just("push"), _clients, _matrices, _rows,
@@ -215,6 +215,7 @@ _FIXED_STREAM = [
     ("push", 0, 1, 2, "add", [5, 2, 21], 3),
     ("pull", 0, 0, 1, 0),
     ("pull", 0, 1, 2, [7, 8, 25]),
+    ("pull", 0, 0, 3, []),
     ("pull_block", 0, 0, [0, 1, 3], None),
     ("pull_block", 0, 0, [2, 1], 1),
     ("pull_block", 0, 1, [0, 1, 2, 3], None),

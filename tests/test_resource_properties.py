@@ -138,21 +138,3 @@ def test_reserve_many_interleaves_with_reserve():
     bulk_starts += bulk.reserve_many(second[1:])
     assert bulk_starts == seq_starts
     assert _snapshot(bulk) == _snapshot(sequential)
-
-
-def test_reserve_chain_packs_back_to_back():
-    r = TimelineResource()
-    starts = r.reserve_chain(0.0, [1.0, 0.5, 0.25])
-    assert starts == [0.0, 1.0, 1.5]
-    assert len(r) == 1
-    assert r.horizon() == 1.75
-
-
-def test_reserve_chain_straddles_existing_booking():
-    r = TimelineResource()
-    r.reserve(1.0, 1.0)
-    # First link fits the front gap; the second collides with [1, 2) and
-    # queues behind it — exactly as sequential reserve would.
-    starts = r.reserve_chain(0.0, [1.0, 1.0])
-    assert starts == [0.0, 2.0]
-    assert r.horizon() == 3.0
