@@ -13,6 +13,13 @@ the same lever the perf ledger's ``storm-allon`` uses): a pending crash
 trips ``_bulk_ok`` and forces the per-message schedule.  The same stream
 of client ops must then leave the same returned values, metrics, clocks,
 server CPU timelines, version vectors and NIC busy totals on both.
+
+The client's fan-out plan pool is held to the same standard: it reuses
+request objects (and what the transport derived from them) across ops and
+clients, so a rig whose ``PSClient._plan_pool`` returns ``None`` — every
+op builds its messages from scratch — must be indistinguishable from the
+pooled one, under BSP and under SSP (where the worker caches' miss path
+pulls through the pool too).
 """
 
 import numpy as np
@@ -34,18 +41,22 @@ N_CLIENTS = 3
 class _Rig:
     """One small cluster with a column-layout and a row-layout matrix."""
 
-    def __init__(self, armed):
+    def __init__(self, armed=False, pooled=True, consistency="bsp"):
         failures = FailureConfig(
             server_failure_times=((0, 1e9),) if armed else ()
         )
         self.cluster = Cluster(ClusterConfig(
             n_executors=N_CLIENTS, n_servers=3, seed=11, failures=failures,
+            consistency=consistency, staleness=1,
         ))
         self.master = PSMaster(self.cluster)
         self.clients = [
             PSClient(self.cluster, self.master, node_id)
             for node_id in self.cluster.executors
         ]
+        if not pooled:
+            for client in self.clients:
+                client._plan_pool = lambda layout: None
         self.matrices = (
             self.master.create_matrix(DIM, n_rows=N_ROWS),
             self.master.create_matrix(DIM, n_rows=N_ROWS,
@@ -66,6 +77,10 @@ class _Rig:
         if isinstance(spec, int):
             return self.shared[spec]
         return np.array(spec, dtype=np.int64)
+
+    def pooled_plans(self):
+        return sum(len(self.master.layout(matrix).op_plans)
+                   for matrix in self.matrices)
 
     def state(self):
         cluster = self.cluster
@@ -133,6 +148,17 @@ def _apply(rig, op):
         if mutate:
             return client.execute(_halve, operands, wait_response=False)
         return client.execute(_sum, operands)
+    if kind == "tick":
+        # A logical-clock tick: a no-op under BSP; under SSP it renews the
+        # worker's cache and, one tick later, ages its rows out — so the
+        # stream keeps taking the miss path (a full dense pull).
+        return rig.cluster.consistency.advance(rig.cluster, client.node_id)
+    if kind == "mutate":
+        # In-place edit of a shared index array: same object, same size,
+        # new contents — a pooled sparse plan keyed on it must notice.
+        slot, shift = args
+        rig.shared[slot][:] = (rig.shared[slot] + shift) % DIM
+        return None
     assert kind == "mixed"
     # A hand-built heterogeneous send: every server gets one envelope of
     # pull + push + aggregate + fill + pull, so inline-servable and
@@ -168,14 +194,33 @@ def _same(left, right):
     return left == right
 
 
-def _run_both(stream):
-    bulk, per_message = _Rig(armed=False), _Rig(armed=True)
+def _run_same(stream, reference, *others):
+    """Run *stream* on every rig; all must end up where *reference* does."""
     for op in stream:
-        assert _same(_apply(bulk, op), _apply(per_message, op)), op
-    left, right = bulk.state(), per_message.state()
-    for section in left:
-        assert left[section] == right[section], section
-    return bulk, per_message
+        expected = _apply(reference, op)
+        for rig in others:
+            assert _same(expected, _apply(rig, op)), op
+    left = reference.state()
+    for rig in others:
+        right = rig.state()
+        for section in left:
+            assert left[section] == right[section], section
+
+
+def _run_both(stream):
+    """Bulk schedule == per-message schedule == bulk without a plan pool."""
+    bulk, per_message, unpooled = \
+        _Rig(), _Rig(armed=True), _Rig(pooled=False)
+    _run_same(stream, bulk, per_message, unpooled)
+    return bulk, per_message, unpooled
+
+
+def _run_ssp(stream):
+    """Worker caches on: pooled == unpooled (misses pull through the pool)."""
+    pooled, unpooled = \
+        _Rig(consistency="ssp"), _Rig(consistency="ssp", pooled=False)
+    _run_same(stream, pooled, unpooled)
+    return pooled, unpooled
 
 
 # -- the op stream ------------------------------------------------------------
@@ -204,6 +249,9 @@ _ops = st.one_of(
               st.sampled_from(["sum", "nnz", "max"])),
     st.tuples(st.just("execute"), _clients, _rows, st.booleans()),
     st.tuples(st.just("mixed"), _clients, _rows, _seeds),
+    st.tuples(st.just("tick"), _clients),
+    st.tuples(st.just("mutate"), _clients, st.integers(0, 1),
+              st.integers(1, DIM - 1)),
 )
 
 #: Every op kind, on a warm routing cache, repeated so pooled plans hit.
@@ -230,6 +278,20 @@ _FIXED_STREAM = [
     ("execute", 0, 1, False),
     ("execute", 0, 2, True),
     ("mixed", 0, 1, 9),
+    ("tick", 0),
+] * 2 + [
+    # The shared arrays change under the plans keyed on them, then every
+    # sparse kind runs again (twice: a rebuild, then a hit on the rebuild).
+    ("mutate", 0, 0, 3),
+    ("mutate", 0, 1, 7),
+] + [
+    ("push", 0, 0, 1, "assign", 0, 10),
+    ("pull", 0, 0, 1, 0),
+    ("pull", 0, 1, 2, 1),
+    ("push", 0, 1, 2, "add", 1, 11),
+    ("pull_block", 0, 0, [2, 1], 1),
+    ("push_block", 0, 0, [2, 1], 1, 12),
+    ("tick", 0),
 ] * 2
 
 
@@ -243,15 +305,33 @@ def test_a_fixed_stream_of_every_op_kind_matches_and_takes_both_schedules(
         return lane(cluster, fan_servers, fan_messages, fan_arrivals)
 
     monkeypatch.setattr(transport, "serve_fast_fanout", counting)
-    bulk, per_message = _run_both(_FIXED_STREAM)
+    bulk, per_message, unpooled = _run_both(_FIXED_STREAM)
     # The comparison is only worth something if the rigs really differ in
     # schedule: the bare one goes through the lane, the armed one never.
     assert sum(cluster is bulk.cluster for cluster in served) \
         >= len(_FIXED_STREAM) // 2
     assert not any(cluster is per_message.cluster for cluster in served)
+    # ... and in pooling: one rig reuses plans, the other holds none.
+    assert bulk.pooled_plans() and not unpooled.pooled_plans()
+
+
+def test_the_fixed_stream_matches_with_and_without_the_pool_under_ssp():
+    pooled, unpooled = _run_ssp(_FIXED_STREAM)
+    assert pooled.pooled_plans() and not unpooled.pooled_plans()
+    # Worker caches really were in play, on both sides of the bound.
+    assert pooled.clients[0].cache is not None
+    assert pooled.cluster.metrics.cache_hits
+    assert pooled.cluster.metrics.cache_misses
 
 
 @given(stream=st.lists(_ops, min_size=1, max_size=24))
 @settings(max_examples=40, deadline=None)
 def test_any_op_stream_is_bit_identical_on_both_schedules(stream):
     _run_both(stream)
+
+
+@given(stream=st.lists(_ops, min_size=1, max_size=24))
+@settings(max_examples=25, deadline=None)
+def test_any_op_stream_is_bit_identical_with_and_without_the_pool_under_ssp(
+        stream):
+    _run_ssp(stream)
