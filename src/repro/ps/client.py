@@ -38,18 +38,39 @@ message, not a free replay.
 from __future__ import annotations
 
 from contextlib import contextmanager
+from operator import itemgetter
 
 import numpy as np
 
 from repro.common.errors import PSError
 from repro.ps import messages
 from repro.ps.cache import WorkerCache
-from repro.ps.partitioner import ColumnLayout, RowLayout
-from repro.ps.transport import Transport
+from repro.ps.partitioner import RowLayout
+from repro.ps.transport import FanoutPlan, Transport
 
 #: Entry cap for a layout's pooled fan-out plans (cleared when exceeded;
 #: id-keyed sparse plans from list inputs would otherwise accumulate).
 _PLAN_POOL_CAP = 64
+
+#: The placement: first field of every :meth:`PSClient._shards` /
+#: :meth:`PSClient._block_shards` entry.  Mapped over the shard list so a
+#: plan's ``placements`` column costs no per-shard bytecode — builds run
+#: on every op wherever the pool is off or never hits.
+_PLACEMENT = itemgetter(0)
+
+
+def _checked(values, shape):
+    """A write op's *values* as a float array of exactly *shape*.
+
+    Every write knows the shape it expects; a mismatch is refused here,
+    before any message exists — a push that reached some servers and then
+    failed on another's broadcast would leave the row half-applied.
+    """
+    values = np.asarray(values, dtype=float)
+    if values.shape != shape:
+        raise PSError("cannot push values of shape %r where the op "
+                      "expects %r" % (values.shape, shape))
+    return values
 
 
 class PSClient:
@@ -160,10 +181,6 @@ class PSClient:
         ``(topology_epoch, plan_epoch)``.  A cost model attaches per-send
         codec state to pushes (encoded payloads, re-priced sizes), which
         pooled reuse would corrupt, so codecs disable the pool.
-
-        Callers pass ``send_all(pooled=True)`` only for a request list
-        that came *out of* the pool (a hit): a list that was just built
-        has no earlier send whose grouping the transport could reuse.
         """
         if self.cluster.costmodel is not None:
             return None
@@ -176,13 +193,116 @@ class PSClient:
                 plans["_epoch"] = epoch
         return plans
 
-    def _split_for_row(self, layout, row, indices):
-        """Map global *indices* to owning servers under *layout*."""
-        if isinstance(layout, ColumnLayout):
-            return layout.split_indices(indices)
+    def _plan(self, layout, key, build, indices=None):
+        """The :class:`FanoutPlan` for one op; returns ``(plan, pooled)``.
+
+        *build* makes the plan from scratch.  With a *key* and an eligible
+        pool (:meth:`_plan_pool`) the pool is consulted first and a fresh
+        build is stored, so the next op under that key reuses the request
+        objects and everything the transport derived from them.  A sparse
+        plan is keyed on ``id(indices)`` — cheap, but an id says nothing
+        about contents (arrays are mutated in place, ids are recycled) —
+        so it carries a snapshot of *indices* that every hit re-verifies.
+        ``pooled`` tells a write op that the plan's requests still hold an
+        earlier op's values.
+        """
+        plans = None if key is None else self._plan_pool(layout)
+        if plans is None:
+            return build(), False
+        plan = plans.get(key)
+        if plan is not None and (
+                indices is None or np.array_equal(plan.snapshot, indices)):
+            return plan, True
+        plan = build()
+        if indices is not None:
+            plan.snapshot = indices.copy()
+        if len(plans) >= _PLAN_POOL_CAP:
+            # Start over — and re-stamp: an unstamped pool under
+            # replication reads as stale, so the next op would clear it
+            # again and drop the plan stored below.
+            plans.clear()
+            self._plan_pool(layout)
+        plans[key] = plan
+        return plan, False
+
+    def _read(self, layout, key, build, shape, indices=None):
+        """Send a read op's plan; assemble the replies into one array."""
+        plan, _pooled = self._plan(layout, key, build, indices)
+        values, arrivals = self.transport.send_all(plan.requests, plan=plan)
+        result = np.empty(shape)
+        for placement, block in zip(plan.placements, values):
+            result[placement] = block
+        self._await(arrivals)
+        return result
+
+    def _write(self, layout, key, build, values, indices=None):
+        """Send a (fire-and-forget) write op's plan carrying *values*.
+
+        *build* constructs its requests around this call's values; a plan
+        out of the pool gets them swapped in — same placements, so same
+        lengths, so every memoized wire size stays valid.
+        """
+        plan, pooled = self._plan(layout, key, build, indices)
+        if pooled:
+            for request, placement in zip(plan.requests, plan.placements):
+                request.values = values[placement]
+        self.transport.send_all(plan.requests, plan=plan)
+
+    def _shards(self, layout, row, indices):
+        """Where one row op's values live, per owning server in wire order.
+
+        Returns ``(placement, server_index, group, n_values)`` entries.
+        Dense (*indices* ``None``): one per shard of *row*, ``placement``
+        its column slice, ``group`` ``None``.  Sparse: ``group`` is the
+        server's share of the indices (ascending — the list that ships)
+        and ``placement`` the positions those indices hold in the caller's
+        array, so values travel sorted and land in input order.
+        """
+        if indices is None:
+            return [
+                (slice(start, stop), server_index, None, stop - start)
+                for server_index, start, stop in layout.shards_for_row(row)
+            ]
+        order = np.argsort(indices, kind="stable")
         if isinstance(layout, RowLayout):
-            return layout.split_indices_for_row(row, indices)
-        raise PSError("unsupported layout %r" % (layout,))
+            by_server = layout.split_indices_for_row(row, indices[order])
+        else:
+            by_server = layout.split_indices(indices[order])
+        shards = []
+        cursor = 0
+        for server_index, group in by_server.items():
+            span = order[cursor : cursor + group.size]
+            cursor += group.size
+            shards.append((span, server_index, group, group.size))
+        return shards
+
+    def _block_shards(self, layout, rows, indices):
+        """Where each (row, shard) message of a block op goes, in wire order.
+
+        Returns ``(placement, server_index, row, group, n_values)`` entries
+        with ``placement = (row_pos, columns)`` into the op's 2-D block.
+        Column layouts shard every row alike: :meth:`_shards` of one row,
+        repeated per row under each server (the same ``group`` array object
+        for every row, so a coalesced batch encodes it once).  Under a
+        :class:`RowLayout` each row lives whole on ``row % n_servers``, so
+        messages are routed per row, grouped by *owning* server — never by
+        ``rows[0]``'s owner.
+        """
+        if isinstance(layout, RowLayout):
+            width = layout.dim if indices is None else indices.size
+            owners = sorted((int(row) % layout.n_servers, row_pos)
+                            for row_pos, row in enumerate(rows))
+            return [
+                ((row_pos, slice(None)), server_index, rows[row_pos],
+                 indices, width)
+                for server_index, row_pos in owners
+            ]
+        return [
+            ((row_pos, columns), server_index, row, group, n_values)
+            for columns, server_index, group, n_values
+            in self._shards(layout, rows[0], indices)
+            for row_pos, row in enumerate(rows)
+        ]
 
     # -- row access: pull ----------------------------------------------------
 
@@ -208,6 +328,25 @@ class PSClient:
             for _server, start, stop in layout.shards_for_row(row)
         )
 
+    def _pull(self, matrix_id, row, layout, indices=None):
+        """Fan one row pull out: the whole row, or *indices* of it."""
+        if indices is None:
+            key, size = ("pull-dense", matrix_id, row), layout.dim
+        else:
+            key = ("pull-sparse", matrix_id, row, indices.size, id(indices))
+            size = indices.size
+
+        def build():
+            shards = self._shards(layout, row, indices)
+            return FanoutPlan(
+                [messages.PullRowRequest(server_index, matrix_id, row,
+                                         n_values, indices=group)
+                 for _placement, server_index, group, n_values in shards],
+                list(map(_PLACEMENT, shards)),
+            )
+
+        return self._read(layout, key, build, size, indices)
+
     def _cache_full_row(self, matrix_id, row, layout):
         """Miss path: pull the whole row dense, cache it, return it.
 
@@ -216,24 +355,14 @@ class PSClient:
         the next ``bound`` clocks of zero-traffic hits.
         """
         self.cluster.metrics.record_cache_miss(self.node_id)
-        shards = layout.shards_for_row(row)
-        requests = [
-            messages.PullRowRequest(server_index, matrix_id, row,
-                                    stop - start)
-            for server_index, start, stop in shards
-        ]
-        values, arrivals = self.transport.send_all(requests)
-        result = np.empty(layout.dim)
-        for (server_index, start, stop), block in zip(shards, values):
-            result[start:stop] = block
-        self._await(arrivals)
+        result = self._pull(matrix_id, row, layout)
         # The per-server version tokens ride the pull responses (header
         # slack — bookkeeping only, no extra bytes or clock movement).
         tokens = {
             server_index: self.master.server(server_index).version_token(
                 matrix_id, row
             )
-            for server_index, _start, _stop in shards
+            for server_index, _start, _stop in layout.shards_for_row(row)
         }
         self.cache.store(matrix_id, row, result, tokens)
         return result
@@ -277,71 +406,13 @@ class PSClient:
         bound are served from the executor-local copy at zero network cost;
         misses promote to a full-row pull that refills the cache.
         """
-        if self.cache is not None:
-            with self._op("pull", matrix_id):
-                return self._pull_row_cached(matrix_id, row, indices)
         with self._op("pull", matrix_id):
-            layout = self._layout(matrix_id)
-            plans = self._plan_pool(layout)
-            if indices is None:
-                plan = None
-                if plans is not None:
-                    key = ("pull-dense", matrix_id, row)
-                    plan = plans.get(key)
-                if plan is None:
-                    shards = layout.shards_for_row(row)
-                    requests = [
-                        messages.PullRowRequest(server_index, matrix_id, row,
-                                                stop - start)
-                        for server_index, start, stop in shards
-                    ]
-                    if plans is not None:
-                        plans[key] = (shards, requests)
-                else:
-                    shards, requests = plan
-                values, arrivals = self.transport.send_all(
-                    requests, pooled=plan is not None
-                )
-                result = np.empty(layout.dim)
-                for (server_index, start, stop), block in zip(shards, values):
-                    result[start:stop] = block
-                self._await(arrivals)
-                return result
-
-            indices = np.asarray(indices, dtype=np.int64)
-            plan = None
-            if plans is not None:
-                key = ("pull-sparse", matrix_id, row, indices.size,
-                       id(indices))
-                plan = plans.get(key)
-                if plan is not None and not np.array_equal(plan[0], indices):
-                    plan = None
-            if plan is None:
-                order = np.argsort(indices, kind="stable")
-                sorted_indices = indices[order]
-                by_server = self._split_for_row(layout, row, sorted_indices)
-                requests = [
-                    messages.PullRowRequest(server_index, matrix_id, row,
-                                            group.size, indices=group)
-                    for server_index, group in by_server.items()
-                ]
-                if plans is not None:
-                    if len(plans) >= _PLAN_POOL_CAP:
-                        plans.clear()
-                    plans[key] = (indices.copy(), order, requests)
-            else:
-                _snapshot, order, requests = plan
-            values, arrivals = self.transport.send_all(
-                requests, pooled=plan is not None
-            )
-            values_by_index = np.empty(indices.size)
-            cursor = 0
-            for request, block in zip(requests, values):
-                span = order[cursor : cursor + request.n_values]
-                values_by_index[span] = block
-                cursor += request.n_values
-            self._await(arrivals)
-            return values_by_index
+            if self.cache is not None:
+                return self._pull_row_cached(matrix_id, row, indices)
+            if indices is not None:
+                indices = np.asarray(indices, dtype=np.int64)
+            return self._pull(matrix_id, row, self._layout(matrix_id),
+                              indices)
 
     # -- lazy tables: get_or_create pulls --------------------------------------
 
@@ -405,77 +476,30 @@ class PSClient:
     def _push(self, matrix_id, row, values, indices, mode):
         with self._op("push", matrix_id):
             layout = self._layout(matrix_id)
-            values = np.asarray(values, dtype=float)
+            if indices is None:
+                values = _checked(values, (layout.dim,))
+                key = ("push-dense", matrix_id, row, mode)
+            else:
+                indices = np.asarray(indices, dtype=np.int64)
+                values = _checked(values, (indices.size,))
+                key = ("push-sparse", matrix_id, row, indices.size,
+                       id(indices), mode)
             if self.cache is not None:
                 # Write-through: the worker's own updates stay visible in
                 # its cached copy (read-your-writes within the bound).
                 self.cache.apply_push(matrix_id, row, values, indices, mode)
-            plans = self._plan_pool(layout)
-            if indices is None:
-                if values.size != layout.dim:
-                    raise PSError(
-                        "dense push of %d values into dim-%d matrix"
-                        % (values.size, layout.dim)
-                    )
-                plan = None
-                if plans is not None:
-                    key = ("push-dense", matrix_id, row, mode)
-                    plan = plans.get(key)
-                if plan is None:
-                    shards = layout.shards_for_row(row)
-                    requests = [
-                        messages.PushRequest(server_index, matrix_id, row,
-                                             values[start:stop], mode=mode)
-                        for server_index, start, stop in shards
-                    ]
-                    if plans is not None:
-                        plans[key] = (shards, requests)
-                else:
-                    # Pooled requests: swap in this call's value views (same
-                    # slice lengths, so the memoized wire sizes stay valid).
-                    shards, requests = plan
-                    for request, (_srv, start, stop) in zip(requests, shards):
-                        request.values = values[start:stop]
-                self.transport.send_all(requests, pooled=plan is not None)
-                return
 
-            indices = np.asarray(indices, dtype=np.int64)
-            plan = None
-            if plans is not None:
-                key = ("push-sparse", matrix_id, row, indices.size,
-                       id(indices), mode)
-                plan = plans.get(key)
-                if plan is not None and not np.array_equal(plan[0], indices):
-                    plan = None
-            if plan is not None:
-                _snapshot, order, requests, sizes = plan
-                sorted_values = values[order]
-                cursor = 0
-                for request, size in zip(requests, sizes):
-                    request.values = sorted_values[cursor : cursor + size]
-                    cursor += size
-                self.transport.send_all(requests, pooled=True)
-                return
-            order = np.argsort(indices, kind="stable")
-            sorted_indices = indices[order]
-            sorted_values = values[order]
-            by_server = self._split_for_row(layout, row, sorted_indices)
-            requests = []
-            sizes = []
-            cursor = 0
-            for server_index, group in by_server.items():
-                block = sorted_values[cursor : cursor + group.size]
-                cursor += group.size
-                sizes.append(group.size)
-                requests.append(
-                    messages.PushRequest(server_index, matrix_id, row, block,
-                                         indices=group, mode=mode)
+            def build():
+                shards = self._shards(layout, row, indices)
+                return FanoutPlan(
+                    [messages.PushRequest(server_index, matrix_id, row,
+                                          values[placement], indices=group,
+                                          mode=mode)
+                     for placement, server_index, group, _n in shards],
+                    list(map(_PLACEMENT, shards)),
                 )
-            if plans is not None:
-                if len(plans) >= _PLAN_POOL_CAP:
-                    plans.clear()
-                plans[key] = (indices.copy(), order, requests, sizes)
-            self.transport.send_all(requests)
+
+            self._write(layout, key, build, values, indices)
 
     def push_add(self, matrix_id, row, values, indices=None):
         """Accumulate a (dense or sparse) delta into a model row."""
@@ -504,6 +528,7 @@ class PSClient:
         two integers, not per-index keys.  Used by pull/push-only baselines
         whose workers each update a slice of the model.
         """
+        start, stop = int(start), int(stop)
         with self._op("pull-range", matrix_id):
             layout = self._layout(matrix_id)
             if self.cache is not None:
@@ -516,33 +541,34 @@ class PSClient:
                     self.cluster.metrics.record_cache_hit(
                         self.node_id,
                         messages.dense_pull_request_bytes()
-                        + self._priced_response_bytes(int(stop) - int(start)),
+                        + self._priced_response_bytes(stop - start),
                     )
-                    return entry.values[int(start):int(stop)].copy()
+                    return entry.values[start:stop].copy()
                 full = self._cache_full_row(matrix_id, row, layout)
-                return full[int(start):int(stop)].copy()
-            overlaps = self._range_shards(layout, row, int(start), int(stop))
-            requests = [
-                messages.PullRangeRequest(server_index, matrix_id, row,
-                                          lo, hi)
-                for server_index, lo, hi in overlaps
-            ]
-            values, arrivals = self.transport.send_all(requests)
-            result = np.empty(int(stop) - int(start))
-            for (server_index, lo, hi), block in zip(overlaps, values):
-                result[lo - start : hi - start] = block
-            self._await(arrivals)
-            return result
+                return full[start:stop].copy()
+
+            def build():
+                overlaps = self._range_shards(layout, row, start, stop)
+                return FanoutPlan(
+                    [messages.PullRangeRequest(server_index, matrix_id, row,
+                                               lo, hi)
+                     for server_index, lo, hi in overlaps],
+                    [slice(lo - start, hi - start)
+                     for _server, lo, hi in overlaps],
+                )
+
+            return self._read(layout, None, build, stop - start)
 
     def push_range(self, matrix_id, row, start, stop, values, mode="assign"):
         """Write the contiguous slice ``[start, stop)`` (dense-priced)."""
+        start, stop = int(start), int(stop)
         with self._op("push-range", matrix_id):
             layout = self._layout(matrix_id)
-            values = np.asarray(values, dtype=float)
+            values = _checked(values, (stop - start,))
             if self.cache is not None:
                 self.cache.apply_push(
                     matrix_id, row, values,
-                    np.arange(int(start), int(stop), dtype=np.int64), mode,
+                    np.arange(start, stop, dtype=np.int64), mode,
                 )
             requests = [
                 messages.PushRangeRequest(
@@ -550,41 +576,22 @@ class PSClient:
                     values[lo - start : hi - start], mode=mode,
                 )
                 for server_index, lo, hi
-                in self._range_shards(layout, row, int(start), int(stop))
+                in self._range_shards(layout, row, start, stop)
             ]
             self.transport.send_all(requests)
 
     # -- block access (multi-row, shared indices) ------------------------------
 
-    def _rows_by_server(self, layout, rows):
-        """Group row positions by owning server under a :class:`RowLayout`.
-
-        Returns ``{server_index: [row_position, ...]}`` in ascending server
-        order.  Only meaningful for row layouts, where each row lives whole
-        on one server — a block op must route *per row*, never by
-        ``rows[0]``'s owner.
-        """
-        by_server = {}
-        for row_pos, row in enumerate(rows):
-            server_index = int(row) % layout.n_servers
-            by_server.setdefault(server_index, []).append(row_pos)
-        return dict(sorted(by_server.items()))
-
     def pull_block(self, matrix_id, rows, indices=None, value_bytes=None):
         """Pull the same columns of several rows in one round trip per server.
 
         Used by LDA to fetch the word-topic block for a worker's local
-        vocabulary: one message per (row, shard) is built, and the
-        transport coalesces each server's messages into one batch envelope
-        whose shared column-index list is shipped once.  ``value_bytes``
-        overrides the per-value wire size (PS2's LDA ships counts as 32-bit
-        integers — the "message compression" of Section 6.3.3); it defaults
-        to 8 (raw float64).
-
-        Under a :class:`RowLayout` each row lives whole on server
-        ``row % n_servers``, so the block is routed per row (requests
-        grouped by the *owning* server) instead of assuming every row
-        shares ``rows[0]``'s shards.
+        vocabulary: one message per (row, shard) is built
+        (:meth:`_block_shards`), and the transport coalesces each server's
+        messages into one batch envelope whose shared column-index list is
+        shipped once.  ``value_bytes`` overrides the per-value wire size
+        (PS2's LDA ships counts as 32-bit integers — the "message
+        compression" of Section 6.3.3); it defaults to 8 (raw float64).
 
         Returns a ``len(rows) x len(indices)`` array aligned with the input
         index order (or ``len(rows) x dim`` for a dense pull).
@@ -594,96 +601,30 @@ class PSClient:
             rows = list(rows)
             if value_bytes is None:
                 value_bytes = messages.FLOAT_BYTES
-            if isinstance(layout, RowLayout):
-                return self._pull_block_row_layout(
-                    matrix_id, layout, rows, indices, value_bytes
-                )
-            if not isinstance(layout, ColumnLayout):
-                raise PSError("unsupported layout %r" % (layout,))
+            key = None
+            if indices is not None:
+                indices = np.asarray(indices, dtype=np.int64)
+            elif not isinstance(layout, RowLayout):
+                key = ("pull-block-dense", matrix_id, tuple(rows),
+                       value_bytes)
+            shape = (len(rows), layout.dim if indices is None
+                     else indices.size)
+            if not rows:
+                return np.empty(shape)
 
-            if indices is None:
-                plans = self._plan_pool(layout)
-                plan = None
-                if plans is not None:
-                    key = ("pull-block-dense", matrix_id, tuple(rows),
-                           value_bytes)
-                    plan = plans.get(key)
-                if plan is None:
-                    requests = []
-                    placements = []
-                    for server_index, start, stop \
-                            in layout.shards_for_row(rows[0]):
-                        for row_pos, row in enumerate(rows):
-                            requests.append(messages.PullRowRequest(
-                                server_index, matrix_id, row, stop - start,
-                                value_bytes=value_bytes, tag="pull-block",
-                            ))
-                            placements.append((row_pos, start, stop))
-                    if plans is not None:
-                        if len(plans) >= _PLAN_POOL_CAP:
-                            plans.clear()
-                        plans[key] = (placements, requests)
-                else:
-                    placements, requests = plan
-                values, arrivals = self.transport.send_all(
-                    requests, pooled=plan is not None
-                )
-                block = np.empty((len(rows), layout.dim))
-                for (row_pos, start, stop), row_values in zip(placements,
-                                                              values):
-                    block[row_pos, start:stop] = row_values
-                self._await(arrivals)
-                return block
-
-            indices = np.asarray(indices, dtype=np.int64)
-            order = np.argsort(indices, kind="stable")
-            sorted_indices = indices[order]
-            by_server = self._split_for_row(layout, rows[0], sorted_indices)
-            requests = []
-            placements = []
-            cursor = 0
-            for server_index, group in by_server.items():
-                span = order[cursor : cursor + group.size]
-                cursor += group.size
-                for row_pos in range(len(rows)):
-                    # The same index array object is shared by every row's
-                    # message, so a coalesced batch encodes it once.
-                    requests.append(messages.PullRowRequest(
-                        server_index, matrix_id, rows[row_pos], group.size,
+            def build():
+                shards = self._block_shards(layout, rows, indices)
+                return FanoutPlan(
+                    [messages.PullRowRequest(
+                        server_index, matrix_id, row, n_values,
                         indices=group, value_bytes=value_bytes,
-                        tag="pull-block",
-                    ))
-                    placements.append((row_pos, span))
-            values, arrivals = self.transport.send_all(requests)
-            block = np.empty((len(rows), indices.size))
-            for (row_pos, span), row_values in zip(placements, values):
-                block[row_pos, span] = row_values
-            self._await(arrivals)
-            return block
+                        tag="pull-block")
+                     for _placement, server_index, row, group, n_values
+                     in shards],
+                    list(map(_PLACEMENT, shards)),
+                )
 
-    def _pull_block_row_layout(self, matrix_id, layout, rows, indices,
-                               value_bytes):
-        """Row-layout block pull: messages grouped by *owning* server."""
-        width = layout.dim if indices is None else len(indices)
-        if indices is not None:
-            indices = np.asarray(indices, dtype=np.int64)
-        by_server = self._rows_by_server(layout, rows)
-        requests = []
-        placements = []
-        for server_index, row_positions in by_server.items():
-            for row_pos in row_positions:
-                requests.append(messages.PullRowRequest(
-                    server_index, matrix_id, rows[row_pos], width,
-                    indices=indices, value_bytes=value_bytes,
-                    tag="pull-block",
-                ))
-                placements.append(row_pos)
-        values, arrivals = self.transport.send_all(requests)
-        block = np.empty((len(rows), width))
-        for row_pos, row_values in zip(placements, values):
-            block[row_pos, :] = row_values
-        self._await(arrivals)
-        return block
+            return self._read(layout, key, build, shape)
 
     def push_block_add(self, matrix_id, rows, block, indices=None,
                        value_bytes=None):
@@ -696,95 +637,31 @@ class PSClient:
         with self._op("push-block", matrix_id):
             layout = self._layout(matrix_id)
             rows = list(rows)
-            block = np.asarray(block, dtype=float)
+            if not rows:
+                return
             if value_bytes is None:
                 value_bytes = messages.FLOAT_BYTES
-            if isinstance(layout, RowLayout):
-                self._push_block_row_layout(
-                    matrix_id, layout, rows, block, indices, value_bytes
-                )
-                return
-            if not isinstance(layout, ColumnLayout):
-                raise PSError("unsupported layout %r" % (layout,))
+            key = None
+            if indices is not None:
+                indices = np.asarray(indices, dtype=np.int64)
+            elif not isinstance(layout, RowLayout):
+                key = ("push-block-dense", matrix_id, tuple(rows),
+                       value_bytes)
+            block = _checked(block, (len(rows), layout.dim if indices is None
+                                     else indices.size))
 
-            if indices is None:
-                plans = self._plan_pool(layout)
-                plan = None
-                if plans is not None and block.shape == (len(rows),
-                                                         layout.dim):
-                    key = ("push-block-dense", matrix_id, tuple(rows),
-                           value_bytes)
-                    plan = plans.get(key)
-                    if plan is None:
-                        shards = layout.shards_for_row(rows[0])
-                        requests = []
-                        placements = []
-                        for server_index, start, stop in shards:
-                            for row_pos, row in enumerate(rows):
-                                requests.append(messages.PushRequest(
-                                    server_index, matrix_id, row,
-                                    block[row_pos, start:stop], mode="add",
-                                    value_bytes=value_bytes,
-                                    tag="push-block",
-                                ))
-                                placements.append((row_pos, start, stop))
-                        if len(plans) >= _PLAN_POOL_CAP:
-                            plans.clear()
-                        plans[key] = (placements, requests)
-                    else:
-                        placements, requests = plan
-                        for request, (row_pos, start, stop) \
-                                in zip(requests, placements):
-                            request.values = block[row_pos, start:stop]
-                    self.transport.send_all(requests,
-                                            pooled=plan is not None)
-                    return
-                requests = [
-                    messages.PushRequest(
-                        server_index, matrix_id, row,
-                        block[row_pos, start:stop], mode="add",
-                        value_bytes=value_bytes, tag="push-block",
-                    )
-                    for server_index, start, stop
-                    in layout.shards_for_row(rows[0])
-                    for row_pos, row in enumerate(rows)
-                ]
-                self.transport.send_all(requests)
-                return
-
-            indices = np.asarray(indices, dtype=np.int64)
-            order = np.argsort(indices, kind="stable")
-            sorted_indices = indices[order]
-            by_server = self._split_for_row(layout, rows[0], sorted_indices)
-            requests = []
-            cursor = 0
-            for server_index, group in by_server.items():
-                span = order[cursor : cursor + group.size]
-                cursor += group.size
-                for row_pos, row in enumerate(rows):
-                    requests.append(messages.PushRequest(
-                        server_index, matrix_id, row, block[row_pos, span],
+            def build():
+                shards = self._block_shards(layout, rows, indices)
+                return FanoutPlan(
+                    [messages.PushRequest(
+                        server_index, matrix_id, row, block[placement],
                         indices=group, mode="add", value_bytes=value_bytes,
-                        tag="push-block",
-                    ))
-            self.transport.send_all(requests)
+                        tag="push-block")
+                     for placement, server_index, row, group, _n in shards],
+                    list(map(_PLACEMENT, shards)),
+                )
 
-    def _push_block_row_layout(self, matrix_id, layout, rows, block, indices,
-                               value_bytes):
-        """Row-layout block push: messages grouped by *owning* server."""
-        if indices is not None:
-            indices = np.asarray(indices, dtype=np.int64)
-        by_server = self._rows_by_server(layout, rows)
-        requests = [
-            messages.PushRequest(
-                server_index, matrix_id, rows[row_pos], block[row_pos],
-                indices=indices, mode="add", value_bytes=value_bytes,
-                tag="push-block",
-            )
-            for server_index, row_positions in by_server.items()
-            for row_pos in row_positions
-        ]
-        self.transport.send_all(requests)
+            self._write(layout, key, build, block)
 
     # -- aggregates and server-side execution --------------------------------
 

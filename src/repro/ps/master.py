@@ -77,10 +77,6 @@ class PSMaster:
         ]
         self.checkpoints = CheckpointManager(cluster)
         self._matrices = {}
-        #: Memoized send_all groupings for client plan-pool request lists,
-        #: keyed by ``(id(list), coalesce)`` with the list ref pinned so
-        #: the id stays valid (see Transport.send_all).
-        self.fanout_group_plans = {}
         #: Bumped whenever a server process is replaced (failover): any
         #: pooled artifact that resolved server objects must rebuild.
         self.topology_epoch = 0
@@ -429,10 +425,11 @@ class PSMaster:
         servers — only after every shard they own has migrated off, so
         indices stay dense and routing stays a pure function of the
         layout.  Either way :meth:`_migrate` re-partitions every matrix
-        under a same-shape layout at the new server count, then
-        :meth:`_after_resize` invalidates everything derived from the old
-        shard map (routing caches, pooled plans, worker caches, stale
-        checkpoints, the hot-shard heat ledger).
+        under a new same-shape layout object at the new server count (the
+        old layout's pooled fan-out plans go with it), then
+        :meth:`_after_resize` invalidates everything else derived from the
+        old shard map (routing caches, worker caches, stale checkpoints,
+        the hot-shard heat ledger).
         """
         new_count = int(new_count)
         old_count = self.n_servers
@@ -612,7 +609,6 @@ class PSMaster:
     def _after_resize(self, old_count, new_count):
         """Invalidate every artifact derived from the old shard map."""
         self.topology_epoch += 1
-        self.fanout_group_plans.clear()
         if self.costmodel is not None:
             self.costmodel.on_topology_resized()
         if self.chain is not None:

@@ -518,8 +518,8 @@ class ReplicatedPushRequest(Request):
     that was applied to the primary and re-targets it at a replica holder.
     The envelope carries the fencing token that merges replication with
     the PR-4 version machinery: the primary's ``epoch`` at fan-out time
-    plus the primary's post-apply per-row mutation ``versions`` (aligned
-    with :meth:`version_keys`).  A replica applies the inner mutation only
+    plus the primary's post-apply per-row mutation ``versions``.  A
+    replica applies the inner mutation only
     when its install epoch matches and its row counters are behind the
     recorded versions — so a redelivery after a crash-triggered re-install
     (which already copied the mutated primary state) is skipped instead of
@@ -547,10 +547,6 @@ class ReplicatedPushRequest(Request):
         #: ``{(matrix_id, row): counter}`` — the primary's post-apply
         #: mutation counters for every row the inner message touches.
         self.versions = dict(versions)
-
-    def version_keys(self):
-        """The ``(matrix_id, row)`` keys the inner mutation touches."""
-        return list(self.versions)
 
     def payload_bytes(self):
         # Primary index + epoch + one version token per touched row, then

@@ -60,6 +60,32 @@ def _tag_pair(tag):
     return pair
 
 
+class FanoutPlan:
+    """One client op's fan-out, as a value.
+
+    The client fills ``requests`` (one typed message per destination),
+    ``placements`` (per request, the numpy index expression — a slice, an
+    index array, or a ``(row_pos, slice | array)`` pair — locating that
+    request's values in the op's array) and, for a sparse plan,
+    ``snapshot`` (the index contents it re-verifies before reuse).  The
+    transport keeps on the same object what it derives from that exact
+    request list: ``outgoing`` (the :meth:`Transport._coalesce` grouping)
+    and ``bulk`` (the :meth:`Transport._bulk_plan` phase-1 product, stamped
+    with the ``topology_epoch`` it resolved server objects under).  A plan
+    that is kept and sent again therefore skips both rebuilds; one that is
+    dropped takes its derived state with it.
+    """
+
+    __slots__ = ("requests", "placements", "snapshot", "outgoing", "bulk")
+
+    def __init__(self, requests, placements, snapshot=None):
+        self.requests = requests
+        self.placements = placements
+        self.snapshot = snapshot
+        self.outgoing = None
+        self.bulk = None
+
+
 class Transport:
     """One node's typed-message channel to the parameter servers."""
 
@@ -187,7 +213,7 @@ class Transport:
                     outgoing.append((requests[p], [p]))
         return outgoing
 
-    def send_all(self, requests, pooled=False):
+    def send_all(self, requests, plan=None):
         """Ship a message list; returns ``(values, arrivals)`` aligned.
 
         After :meth:`_prepare`, messages are grouped per destination
@@ -200,33 +226,22 @@ class Transport:
         primaries), replica fan-out messages are built from the post-apply
         version counters and shipped the same way.
 
-        ``pooled=True`` marks *requests* as a list that came out of the
-        client's plan pool — the same objects, in the same order, as an
-        earlier send: the grouping (and any batch envelopes) is then
-        memoized master-wide keyed on the list's identity, skipping the
-        group/coalesce rebuild on every later op.  Under replication the
-        memo is bypassed — routing may retarget ``server_index`` in place,
-        invalidating any cached grouping — but the requests themselves may
-        still come from the client plan pool.
+        *plan* is the :class:`FanoutPlan` whose ``requests`` these are:
+        the grouping (and any batch envelopes) is kept on it, so a plan
+        that is sent again skips the group/coalesce rebuild, and the bulk
+        schedule keeps its phase-1 product there too.  Under replication
+        the plan is ignored — routing may retarget ``server_index`` in
+        place, invalidating any kept grouping — but the requests
+        themselves may still come from the client's plan pool.
         """
         replicated = self._prepare(requests)
-        outgoing = bulk_cache = None
-        memoize = pooled and not replicated
-        if memoize:
-            plans = self.master.fanout_group_plans
-            key = (id(requests), self.coalesce)
-            entry = plans.get(key)
-            if entry is not None and entry[0] is requests:
-                _requests, outgoing, bulk_cache = entry
+        if replicated:
+            plan = None
+        outgoing = None if plan is None else plan.outgoing
         if outgoing is None:
             outgoing = self._coalesce(requests)
-            if memoize:
-                if len(plans) >= 64:
-                    plans.clear()
-                # The third slot caches the bulk schedule's phase-1
-                # product (see _transmit_bulk); one mutable cell per plan.
-                bulk_cache = [None]
-                plans[key] = (requests, outgoing, bulk_cache)
+            if plan is not None:
+                plan.outgoing = outgoing
         self._charge_rpc(len(outgoing))
         values = [None] * len(requests)
         arrivals = [None] * len(requests)
@@ -234,8 +249,7 @@ class Transport:
         # the retryable error a bulk attempt of it already met (``None``:
         # not attempted yet).
         if outgoing and self._bulk_ok(outgoing):
-            pending = self._transmit_bulk(outgoing, values, arrivals,
-                                          bulk_cache)
+            pending = self._transmit_bulk(outgoing, values, arrivals, plan)
         else:
             pending = zip(outgoing, repeat(None))
         metrics = self.cluster.metrics
@@ -413,7 +427,7 @@ class Transport:
         return (epoch, fan_items, shard_entries, responses, lasts,
                 unit_positions, unit_servers, unit_msgs)
 
-    def _transmit_bulk(self, outgoing, values, arrivals, bulk_cache=None):
+    def _transmit_bulk(self, outgoing, values, arrivals, plan=None):
         """Transmit a whole fan-out in three phases instead of N round trips.
 
         Phase 1 books every request transfer through one
@@ -429,11 +443,11 @@ class Transport:
         the Python call count drops.  Callers must have checked
         :meth:`_bulk_ok`.
 
-        *bulk_cache*, when given, is the one-element cache cell of a pooled
-        send plan (see :meth:`send_all`): the entire phase-1 product
-        (:meth:`_bulk_plan`) depends only on the (pooled,
-        composition-stable) message list and the server topology, so it is
-        computed once and replayed, guarded by
+        *plan*, when given, is the :class:`FanoutPlan` *outgoing* belongs
+        to (see :meth:`send_all`): the entire phase-1 product
+        (:meth:`_bulk_plan`) depends only on the message list and the
+        server topology, so it is computed once, kept on the plan and
+        replayed, guarded by
         :attr:`~repro.ps.master.PSMaster.topology_epoch` (a failover swaps
         server objects and must force a rebuild).
 
@@ -448,13 +462,13 @@ class Transport:
         node_id = self.node_id
         epoch = self.master.topology_epoch
 
-        plan = None if bulk_cache is None else bulk_cache[0]
-        if plan is None or plan[0] != epoch:
-            plan = self._bulk_plan(outgoing, epoch)
-            if bulk_cache is not None:
-                bulk_cache[0] = plan
+        bulk = None if plan is None else plan.bulk
+        if bulk is None or bulk[0] != epoch:
+            bulk = self._bulk_plan(outgoing, epoch)
+            if plan is not None:
+                plan.bulk = bulk
         (_, fan_items, shard_entries, responses, lasts, unit_positions,
-         unit_servers, unit_msgs) = plan
+         unit_servers, unit_msgs) = bulk
         if shard_entries:
             metrics.record_shard_access_many(shard_entries)
         unit_arrivals = network.transfer_many(node_id, fan_items)

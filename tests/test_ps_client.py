@@ -3,10 +3,13 @@
 import numpy as np
 import pytest
 
+from repro.cluster.cluster import Cluster
 from repro.common.errors import PSError
-from repro.ps.client import PSClient
+from repro.config import ClusterConfig
+from repro.ps.client import _PLAN_POOL_CAP, PSClient
 from repro.ps.master import PSMaster
 from repro.ps.partitioner import RowLayout
+from repro.ps.transport import FanoutPlan, Transport
 
 
 @pytest.fixture
@@ -198,3 +201,201 @@ def test_sparse_cheaper_than_dense_pull(setup):
     client.pull_row(m, 0, indices=np.array([0]))
     sparse_bytes = cluster.metrics.bytes_for_tag("pull:resp") - before
     assert sparse_bytes < dense_bytes
+
+
+# -- the write-shape contract: a malformed push never reaches the wire ------
+
+
+@pytest.fixture
+def wide(cluster):
+    """A 2 x 30 column-layout matrix and a 2 x 30 row-layout one, warm."""
+    master = PSMaster(cluster)
+    client = PSClient(cluster, master, cluster.executors[0])
+    column = master.create_matrix(30, n_rows=2)
+    by_row = master.create_matrix(30, n_rows=2, layout=RowLayout(30, 3))
+    for m in (column, by_row):
+        client.push_block_add(m, [0, 1], np.arange(60.0).reshape(2, 30))
+    return cluster, master, client, {"column": column, "row": by_row}
+
+
+_MALFORMED = {
+    "sparse push, surplus values": lambda c, m: c.push_add(
+        m, 0, np.ones(5), indices=[1, 2, 3]),
+    "sparse push, missing values": lambda c, m: c.push_add(
+        m, 0, np.ones(2), indices=[1, 2, 3]),
+    "sparse assign, 2-D values": lambda c, m: c.push_assign(
+        m, 0, np.ones((3, 1)), indices=[1, 2, 3]),
+    "dense push, short": lambda c, m: c.push_add(m, 0, np.ones(29)),
+    "dense block, narrow": lambda c, m: c.push_block_add(
+        m, [0, 1], np.ones((2, 29))),
+    "dense block, wide": lambda c, m: c.push_block_add(
+        m, [0, 1], np.ones((2, 31))),
+    "dense block, missing row": lambda c, m: c.push_block_add(
+        m, [0, 1], np.ones((1, 30))),
+    "sparse block, wide": lambda c, m: c.push_block_add(
+        m, [0, 1], np.ones((2, 4)), indices=[1, 2, 3]),
+    "range push, short": lambda c, m: c.push_range(
+        m, 0, 5, 10, np.ones(3)),
+    "range push, long": lambda c, m: c.push_range(
+        m, 0, 5, 10, np.ones(6), mode="add"),
+}
+
+
+@pytest.mark.parametrize("layout", ["column", "row"])
+@pytest.mark.parametrize("case", sorted(_MALFORMED))
+def test_malformed_push_is_rejected_before_anything_is_sent(wide, case,
+                                                            layout):
+    cluster, master, client, matrices = wide
+    m = matrices[layout]
+    before = client.pull_block(m, [0, 1])
+    versions = [dict(server.versions) for server in master.servers]
+    sent = cluster.metrics.total_messages()
+    with pytest.raises(PSError, match="shape"):
+        _MALFORMED[case](client, m)
+    assert cluster.metrics.total_messages() == sent
+    assert [dict(server.versions) for server in master.servers] == versions
+    assert np.array_equal(client.pull_block(m, [0, 1]), before)
+
+
+@pytest.mark.parametrize("layout", ["column", "row"])
+def test_block_ops_over_no_rows_are_empty_not_errors(wide, layout):
+    cluster, _master, client, matrices = wide
+    m = matrices[layout]
+    sent = cluster.metrics.total_messages()
+    assert client.pull_block(m, []).shape == (0, 30)
+    assert client.pull_block(m, [], indices=[4, 2]).shape == (0, 2)
+    client.push_block_add(m, [], np.empty((0, 30)))
+    client.push_block_add(m, [], np.empty((0, 2)), indices=[4, 2])
+    assert cluster.metrics.total_messages() == sent
+
+
+# -- the plan protocol: one FanoutPlan per op, pooled on the layout ----------
+
+
+def _count_coalesce(monkeypatch):
+    calls = []
+    coalesce = Transport._coalesce
+
+    def counting(self, requests):
+        calls.append(requests)
+        return coalesce(self, requests)
+
+    monkeypatch.setattr(Transport, "_coalesce", counting)
+    return calls
+
+
+def test_pool_hit_reuses_the_plan_and_what_the_transport_derived(
+        setup, monkeypatch):
+    cluster, master, client, m = setup
+    other = PSClient(cluster, master, cluster.executors[1])
+    pool = master.layout(m).op_plans
+    idx = np.array([13, 2, 7])
+    ops = {
+        ("pull-dense", m, 0): lambda c, v: c.pull_row(m, 0),
+        ("pull-sparse", m, 0, 3, id(idx)): lambda c, v: c.pull_row(m, 0, idx),
+        ("push-dense", m, 0, "add"):
+            lambda c, v: c.push_add(m, 0, np.full(20, v)),
+        ("push-sparse", m, 0, 3, id(idx), "add"):
+            lambda c, v: c.push_add(m, 0, np.full(3, v), idx),
+        ("pull-block-dense", m, (0, 2), 8):
+            lambda c, v: c.pull_block(m, [0, 2]),
+        ("push-block-dense", m, (0, 2), 8):
+            lambda c, v: c.push_block_add(m, [0, 2], np.full((2, 20), v)),
+    }
+    calls = _count_coalesce(monkeypatch)
+    for key, op in ops.items():
+        op(client, 1.0)
+        plan = pool[key]
+        assert isinstance(plan, FanoutPlan)
+        outgoing, bulk = plan.outgoing, plan.bulk
+        assert outgoing is not None and bulk is not None
+        del calls[:]
+        op(other, 10.0)  # the pool lives on the layout: any client's op hits
+        assert pool[key] is plan
+        assert plan.outgoing is outgoing and plan.bulk is bulk
+        assert not calls
+    # A pooled push carries the values of the op that sent it.
+    assert client.pull_row(m, 0)[13] == 3 * 1.0 + 3 * 10.0
+
+
+def test_sparse_plan_is_rebuilt_when_its_snapshot_no_longer_matches(setup):
+    _cluster, master, client, m = setup
+    client.push_assign(m, 0, np.arange(20.0))
+    pool = master.layout(m).op_plans
+    idx = np.array([13, 2, 7])
+    key = ("pull-sparse", m, 0, 3, id(idx))
+    assert np.array_equal(client.pull_row(m, 0, idx), [13, 2, 7])
+    plan = pool[key]
+    # Mutated in place: same object, same size, same key.
+    idx[:] = [4, 19, 0]
+    assert np.array_equal(client.pull_row(m, 0, idx), [4, 19, 0])
+    assert pool[key] is not plan
+    assert np.array_equal(pool[key].snapshot, [4, 19, 0])
+    # A recycled id: another array's plan sits under this array's key.
+    twin = np.array([1, 2, 3])
+    stale = pool[key]
+    pool[("pull-sparse", m, 0, 3, id(twin))] = stale
+    assert np.array_equal(client.pull_row(m, 0, twin), [1, 2, 3])
+    assert pool[("pull-sparse", m, 0, 3, id(twin))] is not stale
+
+
+def test_cap_clear_keeps_the_replication_epoch_stamp():
+    cluster = Cluster(ClusterConfig(n_executors=4, n_servers=3, seed=42,
+                                    replication="topk"))
+    master = PSMaster(cluster)
+    client = PSClient(cluster, master, cluster.executors[0])
+    m = master.create_matrix(20, n_rows=3)
+    client.pull_row(m, 0)
+    pool = master.layout(m).op_plans
+    stamp = pool["_epoch"]
+    for filler in range(_PLAN_POOL_CAP - len(pool)):
+        pool[("filler", filler)] = None
+    idx = np.array([13, 2, 7])
+    key = ("pull-sparse", m, 0, 3, id(idx))
+    client.pull_row(m, 0, idx)  # over the cap: the pool starts over
+    assert set(pool) == {"_epoch", key}
+    assert pool["_epoch"] == stamp
+    plan = pool[key]
+    client.pull_row(m, 0, idx)  # ... and the op just stored is a hit
+    assert pool[key] is plan
+
+
+def _bulk_servers(plan):
+    """The server objects a plan's phase-1 product resolved."""
+    return plan.bulk[6]
+
+
+def test_no_plan_outlives_the_servers_it_resolved(setup):
+    _cluster, master, client, m = setup
+    client.push_assign(m, 0, np.arange(20.0))
+    master.checkpoint_all()
+    key = ("pull-dense", m, 0)
+    client.pull_row(m, 0)
+    client.pull_row(m, 0)
+    plan = master.layout(m).op_plans[key]
+    assert all(server is master.servers[server.server_index]
+               for server in _bulk_servers(plan))
+
+    # Crash + recover swaps a server object: the same plan is reused, its
+    # phase-1 product rebuilt against the post-recovery processes.
+    old = master.servers[1]
+    old.crash()
+    master.recover(1)
+    assert master.servers[1] is not old
+    assert np.allclose(client.pull_row(m, 0), np.arange(20.0))
+    assert master.layout(m).op_plans[key] is plan
+    assert plan.bulk[0] == master.topology_epoch
+    assert old not in _bulk_servers(plan)
+    assert all(server is master.servers[server.server_index]
+               for server in _bulk_servers(plan))
+
+    # A resize replaces the layout object: the old pool is unreachable.
+    old_layout = master.layout(m)
+    master.resize_servers(2)
+    assert master.layout(m) is not old_layout
+    assert not master.layout(m).op_plans
+    assert np.allclose(client.pull_row(m, 0), np.arange(20.0))
+    fresh = master.layout(m).op_plans[key]
+    assert fresh is not plan and len(fresh.requests) == 2
+    assert all(server is master.servers[server.server_index]
+               for server in _bulk_servers(fresh))
