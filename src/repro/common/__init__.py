@@ -22,10 +22,7 @@ from repro.common.sizeof import (
     FLOAT_BYTES,
     INDEX_BYTES,
     MESSAGE_OVERHEAD_BYTES,
-    dense_row_bytes,
-    message_bytes,
     sizeof,
-    sparse_row_bytes,
 )
 
 __all__ = [
@@ -49,8 +46,5 @@ __all__ = [
     "FLOAT_BYTES",
     "INDEX_BYTES",
     "MESSAGE_OVERHEAD_BYTES",
-    "dense_row_bytes",
-    "message_bytes",
     "sizeof",
-    "sparse_row_bytes",
 ]

@@ -44,18 +44,3 @@ def sizeof(payload):
     if isinstance(payload, (list, tuple, set, frozenset)):
         return sum(sizeof(item) for item in payload)
     return 256
-
-
-def dense_row_bytes(length):
-    """Wire size of a dense float64 row of *length* elements."""
-    return int(length) * FLOAT_BYTES
-
-
-def sparse_row_bytes(nnz):
-    """Wire size of a sparse row: index/value pairs for *nnz* entries."""
-    return int(nnz) * (INDEX_BYTES + FLOAT_BYTES)
-
-
-def message_bytes(payload):
-    """Total message size: payload plus the fixed envelope."""
-    return sizeof(payload) + MESSAGE_OVERHEAD_BYTES

@@ -20,7 +20,7 @@ from repro.core.dcv import DCV
 from repro.core.pool import DCVPool
 from repro.ps.client import PSClient
 from repro.ps.master import PSMaster
-from repro.ps.messages import scalar_op_request_bytes
+from repro.ps.messages import KernelRequest
 from repro.ps.partitioner import ColumnLayout
 from repro.sparklite.context import SparkContext
 
@@ -98,10 +98,13 @@ class PS2Context:
         network = self.cluster.network
         master = self.master
         for s_srv, s_start, s_stop in src.layout.shards_for_row(src.row):
+            # The per-shard control message is a one-operand server-side
+            # op descriptor, so it is priced as that message.
             network.transfer(
                 self.coordinator,
                 master.server(s_srv).node_id,
-                scalar_op_request_bytes(),
+                KernelRequest(s_srv, None, [(src.matrix_id, src.row)])
+                .wire_bytes(),
                 tag="realign:ctrl",
             )
             for d_srv, d_start, d_stop in dst.layout.shards_for_row(dst.row):

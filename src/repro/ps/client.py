@@ -286,10 +286,16 @@ class PSClient:
         for every row, so a coalesced batch encodes it once).  Under a
         :class:`RowLayout` each row lives whole on ``row % n_servers``, so
         messages are routed per row, grouped by *owning* server — never by
-        ``rows[0]``'s owner.
+        ``rows[0]``'s owner — and share one private copy of *indices*:
+        a message never aliases the caller's array (an in-place edit
+        between ops must not reach messages or the servers' per-array
+        memos), and one object for every row keeps envelope dedup.
         """
         if isinstance(layout, RowLayout):
-            width = layout.dim if indices is None else indices.size
+            width = layout.dim
+            if indices is not None:
+                indices = indices.copy()
+                width = indices.size
             owners = sorted((int(row) % layout.n_servers, row_pos)
                             for row_pos, row in enumerate(rows))
             return [
@@ -306,27 +312,20 @@ class PSClient:
 
     # -- row access: pull ----------------------------------------------------
 
-    def _priced_response_bytes(self, n_values):
-        """Response bytes a dense pull of *n_values* would put on the wire.
+    def _saved_pull_bytes(self, n_values, indices=None):
+        """Wire bytes (request + response) of the one-message pull a cache
+        hit made unnecessary, as the hypothetical message prices itself.
 
-        Priced through the active cost model when one is configured
-        (satellite telemetry honesty: a cache hit saves the bytes the
-        codec regime *would* have shipped, not the identity-rate upper
-        bound); identity rates otherwise — bit-identical to the
-        pre-costmodel formulas when the knob is off.
+        Under a cost model the response is the one its current regime
+        *would* have shipped (telemetry honesty: a hit saves the
+        compressed bytes, not the identity-rate upper bound).
         """
+        pull = messages.PullRowRequest(0, None, 0, n_values, indices=indices)
         costmodel = self.cluster.costmodel
         if costmodel is None:
-            return messages.dense_pull_response_bytes(n_values)
-        return costmodel.priced_pull_response_bytes(self.node_id, n_values)
-
-    def _dense_pull_wire_bytes(self, layout, row):
-        """Wire cost (request + response) of a full dense pull of *row*."""
-        return sum(
-            messages.dense_pull_request_bytes()
-            + self._priced_response_bytes(stop - start)
-            for _server, start, stop in layout.shards_for_row(row)
-        )
+            return pull.wire_bytes() + pull.response_bytes()
+        return pull.wire_bytes() + costmodel.priced_pull_response_bytes(
+            self.node_id, n_values)
 
     def _pull(self, matrix_id, row, layout, indices=None):
         """Fan one row pull out: the whole row, or *indices* of it."""
@@ -380,12 +379,13 @@ class PSClient:
                 float(self.cache.clock() - entry.pull_clock),
             )
             if indices is None:
-                saved = self._dense_pull_wire_bytes(layout, row)
+                saved = sum(
+                    self._saved_pull_bytes(stop - start)
+                    for _server, start, stop in layout.shards_for_row(row))
                 result = entry.values.copy()
             else:
                 idx = np.asarray(indices, dtype=np.int64)
-                saved = (messages.sparse_pull_request_bytes(idx.size)
-                         + self._priced_response_bytes(idx.size))
+                saved = self._saved_pull_bytes(idx.size, idx)
                 result = entry.values[idx]
             metrics.record_cache_hit(self.node_id, saved)
             return result
@@ -539,10 +539,7 @@ class PSClient:
                         float(self.cache.clock() - entry.pull_clock),
                     )
                     self.cluster.metrics.record_cache_hit(
-                        self.node_id,
-                        messages.dense_pull_request_bytes()
-                        + self._priced_response_bytes(stop - start),
-                    )
+                        self.node_id, self._saved_pull_bytes(stop - start))
                     return entry.values[start:stop].copy()
                 full = self._cache_full_row(matrix_id, row, layout)
                 return full[start:stop].copy()
@@ -582,16 +579,17 @@ class PSClient:
 
     # -- block access (multi-row, shared indices) ------------------------------
 
-    def pull_block(self, matrix_id, rows, indices=None, value_bytes=None):
+    def pull_block(self, matrix_id, rows, indices=None,
+                   value_bytes=messages.FLOAT_BYTES):
         """Pull the same columns of several rows in one round trip per server.
 
         Used by LDA to fetch the word-topic block for a worker's local
         vocabulary: one message per (row, shard) is built
         (:meth:`_block_shards`), and the transport coalesces each server's
         messages into one batch envelope whose shared column-index list is
-        shipped once.  ``value_bytes`` overrides the per-value wire size
-        (PS2's LDA ships counts as 32-bit integers — the "message
-        compression" of Section 6.3.3); it defaults to 8 (raw float64).
+        shipped once.  ``value_bytes`` overrides the per-value wire size,
+        raw float64 by default (PS2's LDA ships counts as 32-bit integers —
+        the "message compression" of Section 6.3.3).
 
         Returns a ``len(rows) x len(indices)`` array aligned with the input
         index order (or ``len(rows) x dim`` for a dense pull).
@@ -599,8 +597,6 @@ class PSClient:
         with self._op("pull-block", matrix_id):
             layout = self._layout(matrix_id)
             rows = list(rows)
-            if value_bytes is None:
-                value_bytes = messages.FLOAT_BYTES
             key = None
             if indices is not None:
                 indices = np.asarray(indices, dtype=np.int64)
@@ -627,7 +623,7 @@ class PSClient:
             return self._read(layout, key, build, shape)
 
     def push_block_add(self, matrix_id, rows, block, indices=None,
-                       value_bytes=None):
+                       value_bytes=messages.FLOAT_BYTES):
         """Accumulate a multi-row delta block (fire-and-forget, like push).
 
         Routes like :meth:`pull_block`: shard fan-out for column layouts,
@@ -639,8 +635,6 @@ class PSClient:
             rows = list(rows)
             if not rows:
                 return
-            if value_bytes is None:
-                value_bytes = messages.FLOAT_BYTES
             key = None
             if indices is not None:
                 indices = np.asarray(indices, dtype=np.int64)

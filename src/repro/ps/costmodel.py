@@ -35,9 +35,10 @@ from __future__ import annotations
 
 import numpy as np
 
+from repro.common.errors import MatrixNotFoundError
 from repro.common.sizeof import FLOAT_BYTES
 from repro.ps.codecs import CODEC_NAMES, make_codec
-from repro.ps.messages import PullRangeRequest, PullRowRequest, PushRequest
+from repro.ps.messages import PullRowRequest
 
 #: Size-regime thresholds, in units of the bandwidth-delay ratio
 #: ``r = serialization_time / latency``.  Below ``FP16_RATIO`` a message
@@ -97,38 +98,24 @@ class CostModel:
     def prepare(self, request, node_id):
         """Attach a codec to *request* if its regime warrants one.
 
-        Called by the transport before routing.  Only float64 value
-        payloads are eligible: pushes get their values encoded here
-        (the client is the encoder), pulls get a response codec tag the
-        server honors at serve time.  Ineligible messages (control
-        traffic, aggregates, batches — whose sub-requests were prepared
-        individually) pass through untouched.
+        Called by the transport before routing.  The message kind says
+        which side a codec bites (``codec_side``) and only float64 value
+        payloads are eligible: a request-side kind gets its values encoded
+        here (the client is the encoder), a response-side kind a codec
+        the server honors at serve time.  Kinds with no codec side
+        (control traffic, aggregates, batches — whose sub-requests were
+        prepared individually) pass through untouched.
         """
-        kind = type(request)
-        if kind is PushRequest:
-            if request.value_bytes != FLOAT_BYTES \
-                    or request.encoded is not None:
-                return
-            self._attach_push(
-                request, self._choose_push(request, node_id), node_id)
-        elif kind is PullRowRequest:
-            if request.value_bytes != FLOAT_BYTES \
-                    or request.codec is not None:
-                return
+        side = request.codec_side
+        if side is None or request.value_bytes != FLOAT_BYTES:
+            return
+        if side == "request":
+            if request.encoded is None:
+                self._attach_push(
+                    request, self._choose_push(request, node_id), node_id)
+        elif request.codec is None:
             self._attach_pull(
-                request,
-                self._choose_pull(request, node_id, request.n_values),
-                request.n_values,
-            )
-        elif kind is PullRangeRequest:
-            if request.codec is not None:
-                return
-            n_values = request.stop - request.start
-            self._attach_pull(
-                request,
-                self._choose_pull(request, node_id, n_values),
-                n_values,
-            )
+                request, self._choose_pull(node_id, request.n_values))
 
     def _choose_push(self, request, node_id):
         """The codec for one push, or ``None`` for identity."""
@@ -157,13 +144,15 @@ class CostModel:
             return self.codecs["fp16"]
         return None
 
-    def _choose_pull(self, request, node_id, n_values):
+    def _choose_pull(self, node_id, n_values):
         """The response codec for one pull, or ``None`` for identity.
 
         Responses must be priced from the request alone, so only
         fixed-rate stateless quantizers are eligible — never top-k or
         delta (their sizes depend on stream state the client doesn't
-        have at pricing time).
+        have at pricing time).  ``node_id=None`` asks for the regime of
+        the payload size alone, with no sender whose backlog could
+        escalate it (bulk state reads: replication and chain streams).
         """
         if self.mode in ("fp16", "int8"):
             return self.codecs[self.mode]
@@ -192,7 +181,8 @@ class CostModel:
             tier = 1
         else:
             tier = 0
-        if tier and tier < 3 and self._backlogged(node_id):
+        if tier and tier < 3 and node_id is not None \
+                and self._backlogged(node_id):
             tier += 1
         return tier
 
@@ -221,15 +211,13 @@ class CostModel:
 
         Used to price cache-hit ``bytes_saved`` telemetry honestly: a hit
         avoids the response the model *would have compressed*, not the
-        identity-rate upper bound.  Pricing only — no decision is
-        recorded and no codec state advances.
+        identity-rate upper bound.  Pricing only — a hypothetical pull is
+        asked its reply size; no decision is recorded and no codec state
+        advances.
         """
-        from repro.ps.messages import RESPONSE_HEADER_BYTES
-
-        codec = self._choose_pull(None, node_id, n_values)
-        if codec is None:
-            return RESPONSE_HEADER_BYTES + n_values * FLOAT_BYTES
-        return RESPONSE_HEADER_BYTES + codec.encoded_bytes(n_values)
+        pull = PullRowRequest(0, None, 0, n_values)
+        pull.attach_codec(self._choose_pull(node_id, n_values))
+        return pull.response_bytes()
 
     def _refresh_hot_shards(self):
         """Recompute the hot-shard set from the unified heat counters."""
@@ -259,19 +247,16 @@ class CostModel:
                    request.server_index)
         encoded = codec.encode(
             np.asarray(request.values, dtype=float), key=key)
-        request.codec = codec
-        request.encoded = encoded
-        request._enc_nbytes = encoded.nbytes
-        request._wb = 0  # invalidate the memoized wire size
+        request.attach_codec(codec, encoded)
         self._record(request.tag, codec.name,
                      n_values * FLOAT_BYTES - encoded.nbytes)
 
-    def _attach_pull(self, request, codec, n_values):
+    def _attach_pull(self, request, codec):
         if codec is None:
             self._record(request.tag, "identity", 0.0)
             return
-        request.codec = codec
-        request._rb = 0  # invalidate the memoized response size
+        request.attach_codec(codec)
+        n_values = request.n_values
         self._record(request.tag, codec.name,
                      n_values * FLOAT_BYTES - codec.encoded_bytes(n_values))
 
@@ -300,8 +285,8 @@ class CostModel:
         matrix_id, server_index = key
         try:
             info = master.info(matrix_id)
-        except Exception:
-            return True
+        except MatrixNotFoundError:
+            return True  # freed since its heat was recorded: nothing to price
         width = 0
         for shard_server, start, stop in info.layout.shards_for_row(0):
             if shard_server == server_index:
@@ -328,20 +313,16 @@ class CostModel:
         n_values = int(n_values)
         if n_values <= 0:
             return 0
-        raw = n_values * FLOAT_BYTES
-        return int(round(raw / self._read_compression_factor(n_values)))
+        return self._read_bytes(n_values)
+
+    def _read_bytes(self, n_values):
+        """Value bytes a bulk read of *n_values* floats ships at: the pull
+        regime of that size with no sender backlog, at its codec's rate."""
+        codec = self._choose_pull(None, n_values)
+        if codec is None:
+            return n_values * FLOAT_BYTES
+        return codec.encoded_bytes(n_values)
 
     def _read_compression_factor(self, n_values):
         """The factor reads of an ``n_values``-wide shard shrink by."""
-        if self.mode == "fp16":
-            return 4.0
-        if self.mode == "int8":
-            return (n_values * FLOAT_BYTES) / float(n_values + FLOAT_BYTES)
-        if self.mode in ("topk", "delta"):
-            return 1.0  # stateful codecs never encode responses
-        r = (n_values * FLOAT_BYTES / self.bandwidth) / self.latency
-        if r >= INT8_RATIO:
-            return (n_values * FLOAT_BYTES) / float(n_values + FLOAT_BYTES)
-        if r >= FP16_RATIO:
-            return 4.0
-        return 1.0
+        return n_values * FLOAT_BYTES / self._read_bytes(n_values)

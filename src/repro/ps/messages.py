@@ -1,12 +1,13 @@
-"""Typed PS protocol messages and their wire-size accounting.
+"""Typed PS protocol messages: every wire fact, stated once.
 
 The simulator does not serialize real bytes; it charges the sizes a compact
 binary protocol (PS2 uses Netty + Protobuf) would put on the wire.  Every
 client-to-server interaction is a first-class :class:`Request` value: the
 client builds messages, the transport ships them (and re-ships them on
-retry), and the server dispatches them through its handler table.  Keeping
-both the message *types* and their byte formulas in one module makes the
-communication model auditable.
+retry), and the server dispatches them through its handler table.  What a
+message kind *is* — who may serve it, what it carries, where a codec bites
+— is declared on its class below and nowhere else; every other module
+reads these declarations.
 
 Wire model
 ----------
@@ -16,8 +17,8 @@ A standalone request costs::
     REQUEST_HEADER_BYTES + shared_payload + private_payload
 
 where the shared payload is a component several sibling requests can encode
-once when batched (e.g. the column-index list of a block pull) and the
-private payload is per-request data (values, range descriptors).
+once when batched (the column-index list of a block op) and the private
+payload is per-request data (values, range descriptors).
 
 A :class:`BatchRequest` envelope — the per-server coalescing lever — costs::
 
@@ -31,6 +32,59 @@ shared index lists — exactly the header amortization the paper's fat-request
 design exploits.  Responses are positional (aligned with the request order
 inside the envelope), so a batched response pays one response header plus
 the concatenated value payloads.
+
+Message kinds
+-------------
+
+``I`` = :data:`INDEX_BYTES`, ``F`` = :data:`FLOAT_BYTES`, ``n`` =
+``n_values``, ``vb`` = the message's ``value_bytes`` (``F`` unless a block
+op ships narrower values), ``idx`` = ``len(indices)``.  *Role* is what the
+replication layer may do with the kind; *shared* the envelope-shareable
+payload; *reply* what rides back behind a :data:`RESPONSE_HEADER_BYTES`
+header (``-`` = fire-and-forget); *codec* the side a wire codec re-prices.
+
+==============  ============  ======  =================  =========  ========
+kind (``op``)   role          shared  private payload    reply      codec
+==============  ============  ======  =================  =========  ========
+pull-row        read          idx·I   -                  n·vb       response
+pull-or-create  standin-read  -       2I + F             I + n·F    -
+pull-range      read          -       2I                 n·F        response
+push            mutation      idx·I   values·vb          -          request
+push-range      mutation      -       2I + values·F      -          -
+aggregate       read          -       I                  F          -
+kernel          mutation      -       operands·I         scalars·F  -
+fill            mutation      -       F                  -          -
+clock-advance   control       -       I + keys·2I        keys·F     -
+replica-push    control       -       2I + versions·I    -          -
+                                      + inner's payloads
+batch           control       the envelope of the wire model above
+==============  ============  ======  =================  =========  ========
+
+(``pull-or-create`` carries row id, init code and scale, and its reply a
+created-marker word; a ``kernel`` replies only when ``wait_response``; an
+encoded ``push`` pays its encoded size instead of ``values·vb``, a coded
+pull reply ``codec.encoded_bytes(n)`` instead of ``n·vb``.)
+
+State streams
+-------------
+
+Three bulk shard-state transfers are priced here too; they never pass
+through a server's dispatch, so they are functions, not message kinds.
+``rows``/``versions`` count the row descriptors and mutation counters
+carried, ``values`` is the value payload in bytes.
+
+==================  ====================================================
+stream (tag)        bytes
+==================  ====================================================
+``replica-migrate`` request header + values + rows·2I + versions·I
+``chain-sync``      request header + 2I + rows·3I + values + versions·I
+``chain-promote``   request header + 2I out; response header + rows·3I
+                    + values + versions·I back
+==================  ====================================================
+
+The first and second still price the same state differently (row
+descriptors of 2 vs 3 words, no fencing words on a migrate); unifying them
+moves virtual numbers and is left to a design-change PR.
 """
 
 from __future__ import annotations
@@ -56,52 +110,64 @@ SUBREQUEST_HEADER_BYTES = 16
 ROUTING_ENTRY_BYTES = 16
 
 
-# -- scalar wire formulas (shared by the message classes below) --------------
-
-
-def dense_pull_request_bytes():
-    """Pull of a full row shard: just the header (range implied by routing)."""
-    return REQUEST_HEADER_BYTES
-
-
-def sparse_pull_request_bytes(n_indices):
-    """Pull of selected columns: header + one 64-bit key per column."""
-    return REQUEST_HEADER_BYTES + int(n_indices) * INDEX_BYTES
-
-
-def dense_pull_response_bytes(n_values):
-    """Response carrying a dense value block."""
-    return RESPONSE_HEADER_BYTES + int(n_values) * FLOAT_BYTES
-
-
-def sparse_pull_response_bytes(n_values):
-    """Response carrying values only (client re-associates with its keys)."""
-    return RESPONSE_HEADER_BYTES + int(n_values) * FLOAT_BYTES
-
-
-def dense_push_bytes(n_values):
-    """Push of a dense delta block."""
-    return REQUEST_HEADER_BYTES + int(n_values) * FLOAT_BYTES
-
-
-def sparse_push_bytes(n_indices):
-    """Push of a sparse delta: key + value per entry."""
-    return REQUEST_HEADER_BYTES + int(n_indices) * (INDEX_BYTES + FLOAT_BYTES)
-
-
-def scalar_op_request_bytes(n_operands=1):
-    """Server-side op descriptor: header + operand matrix/row references."""
-    return REQUEST_HEADER_BYTES + int(n_operands) * INDEX_BYTES
-
-
-def scalar_response_bytes(n_scalars=1):
-    """Response carrying aggregate scalars (dot partials, norms, gains)."""
-    return RESPONSE_HEADER_BYTES + int(n_scalars) * FLOAT_BYTES
+#: Message roles — what the replication layer may do with a kind: serve it
+#: from any valid copy of the shard; serve it from a chain copy, but only
+#: while the primary is down (creation stays the primary's job); fan its
+#: effect out to every copy; or nothing (control-plane and induced traffic
+#: is never rerouted and never fanned out).
+READ = "read"
+STANDIN_READ = "standin-read"
+MUTATION = "mutation"
+CONTROL = "control"
 
 
 def routing_response_bytes(n_servers):
-    """The master's routing-table reply: header + one entry per server."""
+    """The master's routing-table reply: header + one entry per server.
+
+    The routing RPC is the one exchange with no :class:`Request` class —
+    it goes to the coordinator, not to a server.
+    """
     return RESPONSE_HEADER_BYTES + ROUTING_ENTRY_BYTES * int(n_servers)
+
+
+# -- state streams -----------------------------------------------------------
+
+
+def replica_migrate_bytes(n_rows, value_bytes, n_versions):
+    """One hot-key replica install (tag ``replica-migrate``): the row
+    values plus a ``[start, stop)`` descriptor per row and one token per
+    carried mutation counter."""
+    return (REQUEST_HEADER_BYTES + int(value_bytes)
+            + int(n_rows) * 2 * INDEX_BYTES + int(n_versions) * INDEX_BYTES)
+
+
+def _chain_state_bytes(n_rows, n_values, n_versions, value_bytes):
+    """One chain state stream: per-row descriptors (row id + ``[start,
+    stop)``), the row values, and one token per carried counter.
+    *value_bytes* prices the *n_values* floats — ``None`` for the raw
+    payload, else the cost model's compressed size for them."""
+    if value_bytes is None:
+        value_bytes = int(n_values) * FLOAT_BYTES
+    return (int(n_rows) * 3 * INDEX_BYTES + int(value_bytes)
+            + int(n_versions) * INDEX_BYTES)
+
+
+def chain_sync_bytes(n_rows, n_values, n_versions, value_bytes=None):
+    """One chain install or refresh (tag ``chain-sync``), primary to
+    successor, fire-and-forget: primary index + fencing epoch, then the
+    state stream."""
+    return (REQUEST_HEADER_BYTES + 2 * INDEX_BYTES
+            + _chain_state_bytes(n_rows, n_values, n_versions, value_bytes))
+
+
+def chain_promote_bytes(n_rows, n_values, n_versions, value_bytes=None):
+    """One chain promotion round trip (tag ``chain-promote``) as
+    ``(request, response)``: the replacement names the failed primary and
+    the epoch whose copies it wants; the surviving successor streams the
+    state back, sized like a :func:`chain_sync_bytes` payload."""
+    return (REQUEST_HEADER_BYTES + 2 * INDEX_BYTES,
+            RESPONSE_HEADER_BYTES
+            + _chain_state_bytes(n_rows, n_values, n_versions, value_bytes))
 
 
 # -- typed requests -----------------------------------------------------------
@@ -116,8 +182,15 @@ class Request:
     server objects or closures, so the transport can re-resolve the serving
     server and re-send the *same message* on every retry attempt.
 
+    A kind states its wire facts as class attributes (the table in the
+    module docstring, one row per subclass) and this base derives every
+    size from them; a kind whose private payload or scalar reply depends
+    on instance data overrides :meth:`payload_bytes` /
+    :meth:`response_bytes` with the one formula.
+
     ``n_values`` is the number of parameter values the request touches
-    (hot-shard telemetry, not wire bytes).
+    (hot-shard telemetry; also the length of the value payload a pull
+    brings back).
 
     ``replica_of`` is ``None`` for a normal request; the replication
     manager sets it to the *primary* server index when it reroutes a read
@@ -135,16 +208,40 @@ class Request:
     implementation may read it.
 
     ``codec`` is the wire codec (:mod:`repro.ps.codecs`) the cost model
-    attached, or ``None`` for the identity wire format.  Unlike
-    ``trace_ctx`` it *is* a formula input: a push's payload is priced at
-    its encoded size and a pull's response at the codec's fixed rate.
-    ``None`` keeps every formula bit-identical to a codec-free build.
+    attached through :meth:`attach_codec`, or ``None`` for the identity
+    wire format.  Unlike ``trace_ctx`` it *is* a formula input: a push's
+    payload is priced at its encoded size and a pull's response at the
+    codec's fixed rate.  ``None`` keeps every formula bit-identical to a
+    codec-free build.
     """
 
     __slots__ = ("server_index", "matrix_id", "tag", "n_values", "replica_of",
                  "trace_ctx", "codec", "_wb", "_rb")
 
     op = "?"
+
+    #: Role: one of :data:`READ`, :data:`STANDIN_READ`, :data:`MUTATION`,
+    #: :data:`CONTROL`.
+    role = CONTROL
+
+    #: Codec side: ``None``, ``"request"`` (the value payload ships
+    #: encoded) or ``"response"`` (the reply is priced at the codec's rate).
+    codec_side = None
+
+    #: Layout.  ``indices`` is the envelope-shareable column-index list
+    #: (``None``: nothing to share).  Index arrays are immutable once a
+    #: message holds one and are never the caller's own array: sharing is
+    #: by object identity, servers memoize per array, and pooled plans
+    #: re-send their messages — the client copies before it builds.
+    indices = None
+    #: Private payload bytes that do not depend on instance data.
+    fixed_payload_bytes = 0
+    #: Bytes per value of the value payload, whichever way it travels.
+    value_bytes = FLOAT_BYTES
+    #: Whether ``n_values`` values ride the reply, and the fixed bytes
+    #: beside them.
+    returns_values = False
+    reply_fixed_bytes = 0
 
     def __init__(self, server_index, matrix_id, tag, n_values=0):
         self.server_index = int(server_index)
@@ -154,10 +251,11 @@ class Request:
         self.replica_of = None
         self.trace_ctx = None
         self.codec = None
-        # Wire-size memos (0 = not computed; real sizes are positive).
-        # Safe because every size input (n_values, payload lengths,
-        # value_bytes) is fixed at construction — pooled requests only
-        # swap same-length value views between sends.
+        # Wire-size memos (0 = not computed; real sizes are positive,
+        # ``None`` is a computed "no reply").  Safe because every size
+        # input (n_values, payload lengths, value_bytes) is fixed at
+        # construction — pooled requests only swap same-length value views
+        # between sends — and :meth:`attach_codec` resets them.
         self._wb = 0
         self._rb = 0
 
@@ -171,15 +269,19 @@ class Request:
         list).  Keys use object identity of the underlying array: the
         client passes the *same* index array to every row of a block op.
         """
-        return None
+        if self.indices is None:
+            return None
+        return ("idx", self.matrix_id, id(self.indices))
 
     def shared_payload_bytes(self):
         """Bytes of the shareable component (0 when there is none)."""
-        return 0
+        if self.indices is None:
+            return 0
+        return len(self.indices) * INDEX_BYTES
 
     def payload_bytes(self):
         """Private payload bytes beyond header and shared component."""
-        return 0
+        return self.fixed_payload_bytes
 
     def wire_bytes(self):
         """Total request bytes when sent standalone (memoized)."""
@@ -191,8 +293,23 @@ class Request:
         return wb
 
     def response_bytes(self):
-        """Reply size, or ``None`` for fire-and-forget requests."""
-        return None
+        """Reply size, or ``None`` for fire-and-forget requests (memoized)."""
+        rb = self._rb
+        if rb == 0:
+            rb = None
+            if self.returns_values:
+                rb = RESPONSE_HEADER_BYTES + self.reply_fixed_bytes + (
+                    self.n_values * self.value_bytes if self.codec is None
+                    else self.codec.encoded_bytes(self.n_values))
+            self._rb = rb
+        return rb
+
+    def attach_codec(self, codec):
+        """Take *codec* for the reply (``codec_side == "response"``): the
+        server quantizes at serve time and the reply is re-priced at the
+        codec's fixed rate."""
+        self.codec = codec
+        self._rb = 0
 
     def materialize(self):
         """Decode any encoded payload in place before the server applies.
@@ -226,6 +343,9 @@ class PullRowRequest(Request):
     __slots__ = ("row", "indices", "value_bytes")
 
     op = "pull-row"
+    role = READ
+    codec_side = "response"
+    returns_values = True
 
     def __init__(self, server_index, matrix_id, row, n_values, indices=None,
                  value_bytes=FLOAT_BYTES, tag="pull"):
@@ -233,27 +353,6 @@ class PullRowRequest(Request):
         self.row = int(row)
         self.indices = indices
         self.value_bytes = int(value_bytes)
-
-    def shared_key(self):
-        if self.indices is None:
-            return None
-        return ("idx", self.matrix_id, id(self.indices))
-
-    def shared_payload_bytes(self):
-        if self.indices is None:
-            return 0
-        return len(self.indices) * INDEX_BYTES
-
-    def response_bytes(self):
-        rb = self._rb
-        if not rb:
-            if self.codec is not None:
-                rb = (RESPONSE_HEADER_BYTES
-                      + self.codec.encoded_bytes(self.n_values))
-            else:
-                rb = RESPONSE_HEADER_BYTES + self.n_values * self.value_bytes
-            self._rb = rb
-        return rb
 
 
 class PullOrCreateRequest(Request):
@@ -280,6 +379,11 @@ class PullOrCreateRequest(Request):
     __slots__ = ("row", "init", "scale")
 
     op = "pull-or-create"
+    role = STANDIN_READ
+    #: Row id + init code word + the init scale.
+    fixed_payload_bytes = 2 * INDEX_BYTES + FLOAT_BYTES
+    returns_values = True
+    reply_fixed_bytes = INDEX_BYTES  # the created-marker word
 
     def __init__(self, server_index, matrix_id, row, n_values, init="random",
                  scale=0.01, tag="pull-create"):
@@ -287,18 +391,6 @@ class PullOrCreateRequest(Request):
         self.row = int(row)
         self.init = init
         self.scale = float(scale)
-
-    def payload_bytes(self):
-        # Row id + init code word + the init scale.
-        return 2 * INDEX_BYTES + FLOAT_BYTES
-
-    def response_bytes(self):
-        rb = self._rb
-        if not rb:
-            rb = (RESPONSE_HEADER_BYTES + INDEX_BYTES
-                  + self.n_values * FLOAT_BYTES)
-            self._rb = rb
-        return rb
 
 
 class PullRangeRequest(Request):
@@ -311,21 +403,16 @@ class PullRangeRequest(Request):
     __slots__ = ("row", "start", "stop")
 
     op = "pull-range"
+    role = READ
+    codec_side = "response"
+    fixed_payload_bytes = 2 * INDEX_BYTES  # start, stop
+    returns_values = True
 
     def __init__(self, server_index, matrix_id, row, start, stop, tag="pull"):
         super().__init__(server_index, matrix_id, tag, int(stop) - int(start))
         self.row = int(row)
         self.start = int(start)
         self.stop = int(stop)
-
-    def payload_bytes(self):
-        return 2 * INDEX_BYTES
-
-    def response_bytes(self):
-        if self.codec is not None:
-            return (RESPONSE_HEADER_BYTES
-                    + self.codec.encoded_bytes(self.stop - self.start))
-        return dense_pull_response_bytes(self.stop - self.start)
 
 
 class PushRequest(Request):
@@ -345,6 +432,8 @@ class PushRequest(Request):
                  "encoded", "_enc_nbytes")
 
     op = "push"
+    role = MUTATION
+    codec_side = "request"
 
     def __init__(self, server_index, matrix_id, row, values, indices=None,
                  mode="add", value_bytes=FLOAT_BYTES, tag="push"):
@@ -359,20 +448,19 @@ class PushRequest(Request):
         self.encoded = None
         self._enc_nbytes = 0
 
-    def shared_key(self):
-        if self.indices is None:
-            return None
-        return ("idx", self.matrix_id, id(self.indices))
-
-    def shared_payload_bytes(self):
-        if self.indices is None:
-            return 0
-        return len(self.indices) * INDEX_BYTES
-
     def payload_bytes(self):
         if self._enc_nbytes:
             return self._enc_nbytes
         return len(self.values) * self.value_bytes
+
+    def attach_codec(self, codec, encoded):
+        """Take *codec* for the value payload (``codec_side ==
+        "request"``): *encoded* is ``codec.encode(values)``, shipped in
+        place of the values and priced at its honest size."""
+        self.codec = codec
+        self.encoded = encoded
+        self._enc_nbytes = encoded.nbytes
+        self._wb = 0
 
     def materialize(self):
         encoded = self.encoded
@@ -387,6 +475,7 @@ class PushRangeRequest(Request):
     __slots__ = ("row", "start", "stop", "values", "mode")
 
     op = "push-range"
+    role = MUTATION
 
     def __init__(self, server_index, matrix_id, row, start, stop, values,
                  mode="assign", tag="push"):
@@ -413,6 +502,8 @@ class AggregateRequest(Request):
     __slots__ = ("row", "kind")
 
     op = "aggregate"
+    role = READ
+    fixed_payload_bytes = INDEX_BYTES  # the op descriptor's operand reference
 
     def __init__(self, server_index, matrix_id, row, kind, n_values=0,
                  tag="rowagg"):
@@ -420,11 +511,8 @@ class AggregateRequest(Request):
         self.row = int(row)
         self.kind = kind
 
-    def payload_bytes(self):
-        return INDEX_BYTES  # the op descriptor's single operand reference
-
     def response_bytes(self):
-        return scalar_response_bytes()
+        return RESPONSE_HEADER_BYTES + FLOAT_BYTES  # one partial scalar
 
 
 class KernelRequest(Request):
@@ -439,6 +527,7 @@ class KernelRequest(Request):
                  "wait_response")
 
     op = "kernel"
+    role = MUTATION
 
     def __init__(self, server_index, kernel, operands, args=None, flops=None,
                  n_response_scalars=1, wait_response=True, n_values=0,
@@ -457,7 +546,7 @@ class KernelRequest(Request):
     def response_bytes(self):
         if not self.wait_response:
             return None
-        return scalar_response_bytes(self.n_response_scalars)
+        return RESPONSE_HEADER_BYTES + self.n_response_scalars * FLOAT_BYTES
 
 
 class FillRequest(Request):
@@ -466,15 +555,14 @@ class FillRequest(Request):
     __slots__ = ("row", "value")
 
     op = "fill"
+    role = MUTATION
+    fixed_payload_bytes = FLOAT_BYTES  # the fill value itself
 
     def __init__(self, server_index, matrix_id, row, value, n_values=0,
                  tag="fill"):
         super().__init__(server_index, matrix_id, tag, n_values)
         self.row = int(row)
         self.value = float(value)
-
-    def payload_bytes(self):
-        return FLOAT_BYTES  # the fill value itself
 
 
 class ClockAdvanceRequest(Request):
@@ -514,7 +602,7 @@ class ClockAdvanceRequest(Request):
 class ReplicatedPushRequest(Request):
     """Fan a mutation out to one replica of a hot shard (fire-and-forget).
 
-    Wraps the *inner* mutation message (push / push-range / fill / kernel)
+    Wraps the *inner* message (any kind whose role is :data:`MUTATION`)
     that was applied to the primary and re-targets it at a replica holder.
     The envelope carries the fencing token that merges replication with
     the PR-4 version machinery: the primary's ``epoch`` at fan-out time
@@ -538,7 +626,7 @@ class ReplicatedPushRequest(Request):
 
     def __init__(self, server_index, inner, primary_index, epoch, versions,
                  tag="replica-push"):
-        if isinstance(inner, (BatchRequest, ReplicatedPushRequest)):
+        if inner.role != MUTATION:
             raise PSError("cannot fan out %r" % (type(inner).__name__,))
         super().__init__(server_index, None, tag, 0)
         self.inner = inner
@@ -557,83 +645,6 @@ class ReplicatedPushRequest(Request):
                 + self.inner.payload_bytes())
 
 
-def _chain_state_bytes(n_rows, value_bytes, n_versions):
-    """The wire size of one chain state stream: per-row descriptors
-    (row id + ``[start, stop)``), the row values, and one version token
-    per carried counter."""
-    return (int(n_rows) * 3 * INDEX_BYTES + int(value_bytes)
-            + int(n_versions) * INDEX_BYTES)
-
-
-class ChainSyncRequest(Request):
-    """Install (or refresh) one chain replica on a successor server.
-
-    The primary streams its full shard state for one matrix to a chain
-    successor (fire-and-forget): *n_rows* row descriptors, *value_bytes*
-    of row values — the raw float payload, or the cost model's compressed
-    size when a codec regime is active — and *n_versions* mutation
-    counters, fenced by the primary's recovery *epoch*.  ``matrix_id`` is
-    ``None`` on the base slot: chain sync is induced (not demand) traffic
-    and must never feed the hot-shard heat signal; the real matrix rides
-    in ``matrix`` for telemetry.
-    """
-
-    __slots__ = ("matrix", "primary_index", "epoch", "n_rows", "value_bytes",
-                 "n_versions")
-
-    op = "chain-sync"
-
-    def __init__(self, server_index, matrix, primary_index, epoch, n_rows,
-                 value_bytes, n_versions, tag="chain-sync"):
-        super().__init__(server_index, None, tag, 0)
-        self.matrix = matrix
-        self.primary_index = int(primary_index)
-        self.epoch = int(epoch)
-        self.n_rows = int(n_rows)
-        self.value_bytes = int(value_bytes)
-        self.n_versions = int(n_versions)
-
-    def payload_bytes(self):
-        # Primary index + epoch, then the state stream.
-        return 2 * INDEX_BYTES + _chain_state_bytes(
-            self.n_rows, self.value_bytes, self.n_versions
-        )
-
-
-class ChainPromoteRequest(Request):
-    """Pull a successor's chain copy into a replacement primary.
-
-    Sent by the replacement server (via the coordinator's recovery path)
-    to a surviving successor: the request names the failed primary and
-    the epoch whose copies are wanted — the response carries the state
-    stream back, sized like a :class:`ChainSyncRequest` payload.
-    """
-
-    __slots__ = ("matrix", "primary_index", "epoch", "n_rows", "value_bytes",
-                 "n_versions")
-
-    op = "chain-promote"
-
-    def __init__(self, server_index, matrix, primary_index, epoch, n_rows,
-                 value_bytes, n_versions, tag="chain-promote"):
-        super().__init__(server_index, None, tag, 0)
-        self.matrix = matrix
-        self.primary_index = int(primary_index)
-        self.epoch = int(epoch)
-        self.n_rows = int(n_rows)
-        self.value_bytes = int(value_bytes)
-        self.n_versions = int(n_versions)
-
-    def payload_bytes(self):
-        # The failed primary's index + the fenced epoch wanted.
-        return 2 * INDEX_BYTES
-
-    def response_bytes(self):
-        return RESPONSE_HEADER_BYTES + _chain_state_bytes(
-            self.n_rows, self.value_bytes, self.n_versions
-        )
-
-
 class BatchRequest(Request):
     """Envelope coalescing several requests to one server into one RPC.
 
@@ -645,7 +656,7 @@ class BatchRequest(Request):
     per-sub value payloads (sub-responses are positional).
     """
 
-    __slots__ = ("requests", "_wire_bytes", "_response_bytes")
+    __slots__ = ("requests",)
 
     op = "batch"
 
@@ -665,18 +676,16 @@ class BatchRequest(Request):
             first.server_index, first.matrix_id, first.tag,
             sum(request.n_values for request in requests),
         )
+        # Fixed at construction, like every other size input (codecs are
+        # attached to the sub-requests before the envelope is built), so
+        # both envelope sizes share the base's memo slots — the transport
+        # prices every message at least twice (shard telemetry + the
+        # transfer itself).
         self.requests = list(requests)
-        # The sub-request list is fixed at construction and no formula input
-        # can change afterwards (trace_ctx is stamped later but is never a
-        # formula input), so both envelope sizes are computed once and
-        # memoized — the transport prices every message at least twice
-        # (shard telemetry + the transfer itself).
-        self._wire_bytes = None
-        self._response_bytes = 0
 
     def wire_bytes(self):
-        total = self._wire_bytes
-        if total is None:
+        total = self._wb
+        if not total:
             total = REQUEST_HEADER_BYTES
             seen = set()
             for request in self.requests:
@@ -685,11 +694,11 @@ class BatchRequest(Request):
                 if key is not None and key not in seen:
                     seen.add(key)
                     total += request.shared_payload_bytes()
-            self._wire_bytes = total
+            self._wb = total
         return total
 
     def response_bytes(self):
-        cached = self._response_bytes
+        cached = self._rb
         if cached != 0:
             return cached
         payload = 0
@@ -700,7 +709,7 @@ class BatchRequest(Request):
                 any_response = True
                 payload += sub - RESPONSE_HEADER_BYTES
         total = RESPONSE_HEADER_BYTES + payload if any_response else None
-        self._response_bytes = total
+        self._rb = total
         return total
 
     def message_count(self):

@@ -37,7 +37,7 @@ read routing          nearest holder by NIC horizon   stand-in while the
 direct write /        demote the key                  re-stream the key
 kernel-operand
 mismatch
-stream pricing        ``replica-migrate`` formula     ``ChainSyncRequest``
+stream pricing        ``replica_migrate_bytes``       ``chain_sync_bytes``
                                                       through the cost model
 extras                rebalance sweep                 promotion merge, per-row
                                                       incremental sync
@@ -62,21 +62,7 @@ from __future__ import annotations
 
 from repro.cluster.cluster import DRIVER
 from repro.common.errors import MatrixNotFoundError, ServerDownError
-from repro.common.sizeof import FLOAT_BYTES, INDEX_BYTES
 from repro.ps import messages
-
-#: Request types a replica may serve (reads — never mutations).
-READ_TYPES = (messages.PullRowRequest, messages.PullRangeRequest,
-              messages.AggregateRequest)
-
-#: Request types a chain successor may stand in for while its primary is
-#: down: the hot-key read set plus lazy-table reads (served only when the
-#: copy already holds the row — creation stays the primary's job).
-CHAIN_READ_TYPES = READ_TYPES + (messages.PullOrCreateRequest,)
-
-#: Mutation types whose effect must fan out to the copies.
-MUTATION_TYPES = (messages.PushRequest, messages.PushRangeRequest,
-                  messages.FillRequest, messages.KernelRequest)
 
 
 class Replicator:
@@ -88,8 +74,10 @@ class Replicator:
     primary's current recovery epoch; recovery refreshes the map, so a
     stale entry only exists transiently between a crash and its
     recovery, and both the read routers and the server-side apply fence
-    it out.  Subclasses name their stream and control tags and price
-    their state stream (:meth:`_stream_bytes`).
+    it out.  Which messages a copy may serve and which fan out to it is
+    the message kind's ``role`` (:mod:`repro.ps.messages`).  Subclasses
+    name their stream and control tags and price their state stream
+    (:meth:`_stream_bytes`).
     """
 
     stream_tag = control_tag = None
@@ -143,7 +131,7 @@ class Replicator:
 
     # -- install / drop -----------------------------------------------------
 
-    def _stream_bytes(self, key, holder_index, epoch, rows, versions):
+    def _stream_bytes(self, rows, versions):
         """Wire bytes of one full-key state stream (policy pricing)."""
         raise NotImplementedError
 
@@ -163,9 +151,7 @@ class Replicator:
             }
             self.cluster.network.transfer(
                 primary.node_id, target.node_id,
-                self._stream_bytes(key, holder_index, primary.epoch, rows,
-                                   versions),
-                tag=self.stream_tag,
+                self._stream_bytes(rows, versions), tag=self.stream_tag,
             )
             target.install_replica(
                 matrix_id, primary_index, rows, versions, primary.epoch
@@ -231,7 +217,7 @@ class Replicator:
             return []
         extras = []
         for request in requests:
-            if not isinstance(request, MUTATION_TYPES):
+            if request.role != messages.MUTATION:
                 continue
             primary = self.master.servers[request.server_index]
             if isinstance(request, messages.KernelRequest):
@@ -388,7 +374,7 @@ class HotKeyManager(Replicator):
         telemetry keeps charging the access to the primary key.
         Mutations and control-plane messages pass through untouched.
         """
-        if not isinstance(request, READ_TYPES) or request.replica_of is not None:
+        if request.role != messages.READ or request.replica_of is not None:
             return request
         primary_index = request.server_index
         key = (request.matrix_id, primary_index)
@@ -534,13 +520,10 @@ class HotKeyManager(Replicator):
         if promoted:
             metrics.increment("replica-promotions", promoted)
 
-    def _stream_bytes(self, key, holder_index, epoch, rows, versions):
-        return (
-            messages.REQUEST_HEADER_BYTES
-            + sum(shard.values.nbytes for shard in rows.values())
-            + len(rows) * 2 * INDEX_BYTES
-            + len(versions) * INDEX_BYTES
-        )
+    def _stream_bytes(self, rows, versions):
+        return messages.replica_migrate_bytes(
+            len(rows), sum(shard.values.nbytes for shard in rows.values()),
+            len(versions))
 
     def _demote(self, key):
         """Drop every replica of *key* and forget the map entry."""
@@ -713,19 +696,19 @@ class ChainReplicator(Replicator):
     # -- install / teardown -------------------------------------------------
 
     def _priced_value_bytes(self, n_values):
-        """Wire bytes for *n_values* floats in one chain state stream,
-        compressed by the cost model's read regime when one is active."""
+        """The compressed size of *n_values* floats in one chain state
+        stream under the cost model's read regime — ``None`` (raw floats)
+        without a cost model."""
         costmodel = self.cluster.costmodel
         if costmodel is not None:
             return costmodel.priced_chain_value_bytes(n_values)
-        return int(n_values) * FLOAT_BYTES
+        return None
 
-    def _stream_bytes(self, key, holder_index, epoch, rows, versions):
+    def _stream_bytes(self, rows, versions):
         n_values = sum(len(shard) for shard in rows.values())
-        return messages.ChainSyncRequest(
-            holder_index, key[0], key[1], epoch, len(rows),
-            self._priced_value_bytes(n_values), len(versions),
-        ).wire_bytes()
+        return messages.chain_sync_bytes(
+            len(rows), n_values, len(versions),
+            self._priced_value_bytes(n_values))
 
     def sync_key(self, matrix_id, primary_index):
         """(Re)stream one (matrix, primary) key along its current chain.
@@ -795,7 +778,7 @@ class ChainReplicator(Replicator):
         so steady-state routing is untouched.
         """
         if not self.holders or request.replica_of is not None \
-                or not isinstance(request, CHAIN_READ_TYPES):
+                or request.role not in (messages.READ, messages.STANDIN_READ):
             return request
         primary_index = request.server_index
         key = (request.matrix_id, primary_index)
@@ -828,7 +811,7 @@ class ChainReplicator(Replicator):
         merged per-row (:func:`merge_chain_copies` — each row from the
         most-advanced holder) and the result installed into
         *replacement* with the winning counters, priced as one
-        :class:`~repro.ps.messages.ChainPromoteRequest` round trip per
+        :func:`~repro.ps.messages.chain_promote_bytes` round trip per
         contributing holder.  Returns ``{matrix_id: rows_promoted}``;
         keys with no surviving valid holder are left out and the caller
         falls back to checkpoint restore for them.
@@ -865,16 +848,13 @@ class ChainReplicator(Replicator):
                 holder = self.master.server(holder_index)
                 rows_here = contributed[holder_index]
                 n_values = sum(len(rows[row]) for row in rows_here)
-                message = messages.ChainPromoteRequest(
-                    holder_index, matrix_id, server_index, failed_epoch,
-                    len(rows_here), self._priced_value_bytes(n_values),
-                    len(rows_here),
-                )
+                request_bytes, response_bytes = messages.chain_promote_bytes(
+                    len(rows_here), n_values, len(rows_here),
+                    self._priced_value_bytes(n_values))
                 network.transfer(replacement.node_id, holder.node_id,
-                                 message.wire_bytes(), tag="chain-promote")
+                                 request_bytes, tag="chain-promote")
                 network.transfer(holder.node_id, replacement.node_id,
-                                 message.response_bytes(),
-                                 tag="chain-promote")
+                                 response_bytes, tag="chain-promote")
                 sources.add(holder_index)
             replacement._store[matrix_id] = {
                 row: rows[row].copy() for row in sorted(rows)
@@ -925,10 +905,8 @@ class ChainReplicator(Replicator):
             return
         row_key = (matrix_id, row)
         counter = primary.versions.get(row_key, 0)
-        nbytes = messages.ChainSyncRequest(
-            successors[0], matrix_id, server_index, primary.epoch, 1,
-            self._priced_value_bytes(len(shard)), 1,
-        ).wire_bytes()
+        nbytes = messages.chain_sync_bytes(
+            1, len(shard), 1, self._priced_value_bytes(len(shard)))
         for holder, entry in copies:
             self.cluster.network.transfer(
                 primary.node_id, holder.node_id, nbytes, tag="chain-sync",

@@ -305,9 +305,14 @@ class PSServer:
         self._local_cache[key] = (indices, local)
         return local
 
-    def _is_replica_read(self, request):
-        return (request.replica_of is not None
-                and request.replica_of != self.server_index)
+    def _read_shard(self, request):
+        """The shard a read is served from: this server's own, or — when
+        the replication routers retargeted the read here (``replica_of``
+        names the primary) — its copy of the primary's."""
+        primary = request.replica_of
+        if primary is None or primary == self.server_index:
+            return self.shard(request.matrix_id, request.row)
+        return self._replica_shard(request.matrix_id, primary, request.row)
 
     def _encode_response(self, request, values):
         """Apply the request's response codec (quantize-at-serve-time).
@@ -324,20 +329,12 @@ class PSServer:
         return codec.decode(codec.encode(values))
 
     def _serve_pull_row(self, request):
-        if self._is_replica_read(request):
-            values = self.replica_read(request.matrix_id, request.replica_of,
-                                       request.row, request.indices)
-        else:
-            values = self.read(request.matrix_id, request.row, request.indices)
+        values = self._read(self._read_shard(request), request.indices)
         return self._encode_response(request, values)
 
     def _serve_pull_range(self, request):
         span = np.arange(request.start, request.stop, dtype=np.int64)
-        if self._is_replica_read(request):
-            values = self.replica_read(request.matrix_id, request.replica_of,
-                                       request.row, span)
-        else:
-            values = self.read(request.matrix_id, request.row, span)
+        values = self._read(self._read_shard(request), span)
         return self._encode_response(request, values)
 
     def _serve_pull_or_create(self, request):
@@ -353,12 +350,11 @@ class PSServer:
         self._check_alive()
         matrix_id = request.matrix_id
         row = request.row
-        if self._is_replica_read(request):
+        if request.replica_of not in (None, self.server_index):
             # A chain successor standing in for a crashed primary: the
             # router only retargets when the copy already holds the row,
             # so this is a pure read — creation stays the primary's job.
-            values = self.replica_read(matrix_id, request.replica_of, row)
-            return values, False
+            return self.replica_read(matrix_id, request.replica_of, row), False
         created = not self.has_shard(matrix_id, row)
         if created:
             rng = generator(self.cluster.rng.seed,
@@ -374,34 +370,52 @@ class PSServer:
         values = self.read(matrix_id, row)
         return values, created
 
-    def _serve_push(self, request):
-        if request.mode == "add":
+    # A handler of a kind whose role is "mutation" also takes *entries* —
+    # ``{matrix_id: ReplicaEntry}`` — when :meth:`_serve_replicated_push`
+    # applies a fanned-out copy: the same message then writes this
+    # server's replica shards at the replica path's own price, with no
+    # version bump (the fan-out envelope carries the primary's counters).
+
+    def _serve_push(self, request, entries=None):
+        if entries is not None:
+            self._replica_write(request, request.indices, entries)
+        elif request.mode == "add":
             self.add(request.matrix_id, request.row, request.values,
                      request.indices)
         else:
             self.assign(request.matrix_id, request.row, request.values,
                         request.indices)
 
-    def _serve_push_range(self, request):
+    def _serve_push_range(self, request, entries=None):
         span = request.span()
-        if request.mode == "add":
+        if entries is not None:
+            self._replica_write(request, span, entries)
+        elif request.mode == "add":
             self.add(request.matrix_id, request.row, request.values, span)
         else:
             self.assign(request.matrix_id, request.row, request.values, span)
 
+    def _replica_write(self, request, columns, entries):
+        shard = entries[request.matrix_id].rows[request.row]
+        n = shard.write(request.values, columns, request.mode)
+        # Both modes at the add rate: the replica path's own price.
+        self._service(ELEMENTWISE_FLOPS * max(1, n), "ps-replica")
+
     def _serve_aggregate(self, request):
-        if self._is_replica_read(request):
-            return self.replica_aggregate(request.matrix_id,
-                                          request.replica_of, request.row,
-                                          request.kind)
-        return self.aggregate(request.matrix_id, request.row, request.kind)
+        return self._aggregate(self._read_shard(request), request.kind)
 
-    def _serve_kernel(self, request):
+    def _serve_kernel(self, request, entries=None):
         return self.execute_kernel(request.kernel, request.operands,
-                                   args=request.args, flops=request.flops)
+                                   args=request.args, flops=request.flops,
+                                   entries=entries)
 
-    def _serve_fill(self, request):
-        self.fill(request.matrix_id, request.row, request.value)
+    def _serve_fill(self, request, entries=None):
+        if entries is None:
+            self.fill(request.matrix_id, request.row, request.value)
+            return
+        shard = entries[request.matrix_id].rows[request.row]
+        shard.values.fill(request.value)
+        self._service(max(1, shard.values.size), "ps-replica")
 
     def _serve_clock_advance(self, request):
         self._check_alive()
@@ -452,7 +466,7 @@ class PSServer:
             metrics.increment("replica-fanout-skipped")
             self._service(1.0, "ps-replica")
             return None
-        self._replica_apply(request.inner, entries)
+        _HANDLERS[type(request.inner)](self, request.inner, entries)
         for (m, row), counter in request.versions.items():
             entries[m].versions[(m, row)] = counter
         return None
@@ -620,49 +634,6 @@ class PSServer:
         return self._read(self._replica_shard(matrix_id, primary_index, row),
                           global_indices)
 
-    def replica_aggregate(self, matrix_id, primary_index, row, kind):
-        """A shard aggregate served from a replica copy."""
-        shard = self._replica_shard(matrix_id, primary_index, row)
-        values = shard.values
-        self._service(ELEMENTWISE_FLOPS * max(1, values.size), "ps-agg")
-        return _aggregate_values(values, kind)
-
-    def _replica_apply(self, inner, entries):
-        """Apply one fanned-out mutation against replica shard arrays."""
-        if isinstance(inner, (messages.PushRequest,
-                              messages.PushRangeRequest)):
-            shard = entries[inner.matrix_id].rows[inner.row]
-            indices = (inner.indices if isinstance(inner, messages.PushRequest)
-                       else inner.span())
-            n = shard.write(inner.values, indices, inner.mode)
-            # Both modes at the add rate: the replica path's own price.
-            self._service(ELEMENTWISE_FLOPS * max(1, n), "ps-replica")
-        elif isinstance(inner, messages.FillRequest):
-            shard = entries[inner.matrix_id].rows[inner.row]
-            shard.values.fill(inner.value)
-            self._service(max(1, shard.values.size), "ps-replica")
-        elif isinstance(inner, messages.KernelRequest):
-            shards = [
-                entries[matrix_id].rows[int(row)]
-                for matrix_id, row in inner.operands
-            ]
-            arrays = [shard.values for shard in shards]
-            flops = inner.flops
-            if flops is None:
-                width = arrays[0].size if arrays else 0
-                flops = KERNEL_FLOPS_PER_ELEMENT * max(1, width) \
-                    * max(1, len(arrays))
-            self._service(flops, "ps-replica")
-            kwargs = dict(inner.args or {})
-            if getattr(inner.kernel, "_wants_range", False):
-                kwargs["start"] = shards[0].start
-                kwargs["stop"] = shards[0].stop
-            inner.kernel(arrays, **kwargs)
-        else:
-            raise PSError(
-                "cannot replica-apply %r" % (type(inner).__name__,)
-            )
-
     # -- row access (pull/push side) ---------------------------------------
 
     def _read(self, shard, global_indices):
@@ -703,42 +674,55 @@ class PSServer:
 
     # -- server-side aggregates --------------------------------------------
 
-    def aggregate(self, matrix_id, row, kind):
-        """Local partial of a row aggregate: sum / nnz / sumsq / max / min."""
-        shard = self.shard(matrix_id, row)
+    def _aggregate(self, shard, kind):
+        """Aggregate a primary or replica *shard* and charge the pass."""
         values = shard.values
         self._service(ELEMENTWISE_FLOPS * max(1, values.size), "ps-agg")
         return _aggregate_values(values, kind)
 
+    def aggregate(self, matrix_id, row, kind):
+        """Local partial of a row aggregate: sum / nnz / sumsq / max / min."""
+        return self._aggregate(self.shard(matrix_id, row), kind)
+
     # -- server-side kernels (the DCV column ops) ---------------------------
 
-    def execute_kernel(self, kernel, operands, args=None, flops=None):
+    def execute_kernel(self, kernel, operands, args=None, flops=None,
+                       entries=None):
         """Run *kernel* over co-located shard value arrays.
 
         ``operands`` is a list of ``(matrix_id, row)`` pairs; every shard
         must cover the same column range (guaranteed by DCV co-location).
         The kernel receives the list of 1-D arrays **by reference** — it may
         mutate them in place — plus ``args``, and returns a (small) partial
-        result that the caller ships back as scalars.
+        result that the caller ships back as scalars.  With *entries* (a
+        fanned-out copy, see :meth:`_serve_push`) the operands are this
+        server's replica shards of the same rows.
         """
-        shards = [self.shard(matrix_id, row) for matrix_id, row in operands]
-        ranges = {(shard.start, shard.stop) for shard in shards}
-        if len(ranges) > 1:
-            raise PSError(
-                "kernel operands are not aligned on server %s: %r"
-                % (self.node_id, sorted(ranges))
-            )
+        if entries is None:
+            shards = [self.shard(matrix_id, row)
+                      for matrix_id, row in operands]
+            ranges = {(shard.start, shard.stop) for shard in shards}
+            if len(ranges) > 1:
+                raise PSError(
+                    "kernel operands are not aligned on server %s: %r"
+                    % (self.node_id, sorted(ranges))
+                )
+            # Kernels receive operand arrays by reference and may mutate any
+            # of them, so conservatively bump every operand's version.
+            for matrix_id, row in operands:
+                self._bump_version(matrix_id, row)
+            for matrix_id in sorted({matrix_id for matrix_id, _row in operands}):
+                self._notify_direct_write(matrix_id)
+            tag = "ps-kernel"
+        else:
+            shards = [entries[matrix_id].rows[int(row)]
+                      for matrix_id, row in operands]
+            tag = "ps-replica"
         arrays = [shard.values for shard in shards]
-        # Kernels receive operand arrays by reference and may mutate any of
-        # them, so conservatively bump every operand's version.
-        for matrix_id, row in operands:
-            self._bump_version(matrix_id, row)
-        for matrix_id in sorted({matrix_id for matrix_id, _row in operands}):
-            self._notify_direct_write(matrix_id)
         if flops is None:
             width = arrays[0].size if arrays else 0
             flops = KERNEL_FLOPS_PER_ELEMENT * max(1, width) * max(1, len(arrays))
-        self._service(flops, "ps-kernel")
+        self._service(flops, tag)
         kwargs = dict(args or {})
         if getattr(kernel, "_wants_range", False):
             kwargs["start"] = shards[0].start

@@ -6,14 +6,7 @@ from hypothesis import strategies as st
 
 from repro.common import errors
 from repro.common.rng import RngRegistry, generator
-from repro.common.sizeof import (
-    FLOAT_BYTES,
-    MESSAGE_OVERHEAD_BYTES,
-    dense_row_bytes,
-    message_bytes,
-    sizeof,
-    sparse_row_bytes,
-)
+from repro.common.sizeof import FLOAT_BYTES, sizeof
 
 
 # -- sizeof ---------------------------------------------------------------------
@@ -50,12 +43,6 @@ def test_sizeof_unknown_conservative():
         pass
 
     assert sizeof(Thing()) == 256
-
-
-def test_row_bytes_helpers():
-    assert dense_row_bytes(10) == 80
-    assert sparse_row_bytes(10) == 160
-    assert message_bytes(np.zeros(1)) == 8 + MESSAGE_OVERHEAD_BYTES
 
 
 @given(st.lists(st.floats(allow_nan=False, allow_infinity=False), max_size=20))

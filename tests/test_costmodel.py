@@ -11,6 +11,7 @@ The acceptance contract for the self-tuning codec layer:
 """
 
 import numpy as np
+import pytest
 
 from repro.cluster.cluster import Cluster
 from repro.config import ClusterConfig, NetworkSpec, NodeSpec
@@ -250,6 +251,16 @@ def test_replication_gate_admits_unknown_matrices():
         ("no-such-matrix", 0), 1.0, master)
 
 
+def test_replication_gate_hides_no_failure_but_a_freed_matrix(monkeypatch):
+    cluster, master, _client = _rig("int8", n_servers=2)
+    m = master.create_matrix(20)
+    master.free_matrix(m)
+    assert cluster.costmodel.replication_worthwhile((m, 0), 1.0, master)
+    monkeypatch.setattr(master, "info", lambda matrix_id: 1 // 0)
+    with pytest.raises(ZeroDivisionError):
+        cluster.costmodel.replication_worthwhile((m, 0), 1.0, master)
+
+
 def test_rebalance_consults_the_gate():
     """With a cost model active, promote sweeps only replicate keys whose
     compressed heat beats migration — the unified decision point."""
@@ -304,8 +315,8 @@ def test_prepare_is_idempotent_per_message():
     costmodel = cluster.costmodel
     costmodel.prepare(request, client.node_id)
     encoded = request.encoded
-    nbytes = request._enc_nbytes
+    nbytes = request.payload_bytes()
     costmodel.prepare(request, client.node_id)
     assert request.encoded is encoded
-    assert request._enc_nbytes == nbytes
+    assert request.payload_bytes() == nbytes == encoded.nbytes
     assert cluster.metrics.codec_decisions[("push", "topk")] == 1

@@ -163,9 +163,9 @@ def test_pull_or_create_wire_accounting():
 
 
 def test_pull_or_create_is_never_replica_routed():
-    from repro.ps import replication
-    assert messages.PullOrCreateRequest not in replication.READ_TYPES
-    assert messages.PullOrCreateRequest not in replication.MUTATION_TYPES
+    # Stand-in only: neither a replica-servable read nor a mutation (the
+    # hot-key router takes READ, fan-out takes MUTATION, nothing else).
+    assert messages.PullOrCreateRequest.role == messages.STANDIN_READ
 
 
 # -- elastic resize: correctness ----------------------------------------------
@@ -419,8 +419,9 @@ def test_cache_savings_priced_through_cost_model():
 def test_priced_pull_response_matches_identity_when_codec_off():
     ctx = _ctx()
     client = _client(ctx)
-    assert client._priced_response_bytes(16) == \
-        messages.dense_pull_response_bytes(16)
+    # By hand: a dense pull of 16 values is a bare 48-byte request header
+    # out, a 32-byte response header + 16 8-byte values back.
+    assert client._saved_pull_bytes(16) == 48 + (32 + 16 * 8)
 
 
 # -- interaction with replication and the cost model --------------------------

@@ -192,6 +192,37 @@ def test_row_layout_routing(cluster):
     assert np.allclose(got, [9, 4])
 
 
+def test_row_layout_block_ops_never_alias_the_callers_index_array(cluster):
+    """An in-place edit of the caller's index array between two block ops
+    must reach neither the messages nor the servers' per-array offset
+    memo: the second op lands on the *new* columns."""
+    master = PSMaster(cluster)
+    client = PSClient(cluster, master, cluster.executors[0])
+    m = master.create_matrix(16, n_rows=4, layout=RowLayout(16, 3))
+    sent = []
+    send_all = client.transport.send_all
+
+    def recording(requests, plan=None):
+        sent.append(list(requests))
+        return send_all(requests, plan=plan)
+
+    client.transport.send_all = recording
+    idx = np.array([1, 4, 9], dtype=np.int64)
+    rows = [0, 3]  # both live on server 0: one envelope, one index list
+    client.pull_block(m, rows, idx)
+    idx[:] = [2, 5, 10]
+    client.push_block_add(m, rows, np.ones((2, 3)), idx)
+    expected = np.zeros((2, 16))
+    expected[:, [2, 5, 10]] = 1.0
+    assert np.array_equal(client.pull_block(m, rows), expected)
+    pull, push, _dense = sent
+    for requests, columns in ((pull, [1, 4, 9]), (push, [2, 5, 10])):
+        shared = {id(request.indices) for request in requests}
+        assert len(shared) == 1 and id(idx) not in shared
+        assert np.array_equal(requests[0].indices, columns)
+    assert pull[0].indices is not push[0].indices
+
+
 def test_sparse_cheaper_than_dense_pull(setup):
     cluster, _master, client, m = setup
     before = cluster.metrics.bytes_for_tag("pull:resp")

@@ -76,10 +76,9 @@ def test_sparse_pull_row_bytes_match_messages():
         _on_wire([r.wire_bytes() for r in req]), len(req), len(req))
     assert _tag(cluster, "pull:resp") == (
         _on_wire([r.response_bytes() for r in req]), len(req), len(req))
-    # Sanity: the formula module agrees with the message objects.
+    # Sanity, by hand: a 48-byte request header + one 8-byte key per column.
     for r in req:
-        assert r.wire_bytes() == messages.sparse_pull_request_bytes(
-            len(r.indices))
+        assert r.wire_bytes() == 48 + 8 * len(r.indices)
 
 
 def test_push_bytes_match_messages():
@@ -87,15 +86,16 @@ def test_push_bytes_match_messages():
     m = master.create_matrix(30)
     client.push_add(m, 0, np.ones(30))
     shards = master.layout(m).shards_for_row(0)
-    dense = _on_wire([messages.dense_push_bytes(stop - start)
+    # By hand: 48-byte header + 8 bytes per value ...
+    dense = _on_wire([48 + 8 * (stop - start)
                       for _s, start, stop in shards])
     assert _tag(cluster, "push:req") == (dense, len(shards), len(shards))
 
     idx = np.array([1, 8, 20])
     client.push_assign(m, 0, np.ones(3), indices=idx)
     groups = master.layout(m).split_indices(np.sort(idx))
-    sparse = _on_wire([messages.sparse_push_bytes(g.size)
-                       for g in groups.values()])
+    # ... and a sparse push adds an 8-byte key per entry.
+    sparse = _on_wire([48 + (8 + 8) * g.size for g in groups.values()])
     n = len(shards) + len(groups)
     assert _tag(cluster, "push:req") == (dense + sparse, n, n)
     # Pushes are fire-and-forget: no response traffic at all.
@@ -132,20 +132,18 @@ def test_aggregate_kernel_fill_bytes_match_messages():
 
     total = client.aggregate_row(m, 0, "sum")
     assert total == pytest.approx(np.arange(30.0).sum())
+    # By hand: 48-byte header + one 8-byte operand reference out, 32-byte
+    # response header + one 8-byte scalar back.
     assert _tag(cluster, "rowagg:req") == (
-        _on_wire([messages.scalar_op_request_bytes()] * n_shards),
-        n_shards, n_shards)
+        _on_wire([48 + 8] * n_shards), n_shards, n_shards)
     assert _tag(cluster, "rowagg:resp") == (
-        _on_wire([messages.scalar_response_bytes()] * n_shards),
-        n_shards, n_shards)
+        _on_wire([32 + 8] * n_shards), n_shards, n_shards)
 
     client.execute(lambda arrays: float(arrays[0].sum()), [(m, 0), (m, 0)])
     assert _tag(cluster, "kernel:req") == (
-        _on_wire([messages.scalar_op_request_bytes(2)] * n_shards),
-        n_shards, n_shards)
+        _on_wire([48 + 2 * 8] * n_shards), n_shards, n_shards)
     assert _tag(cluster, "kernel:resp") == (
-        _on_wire([messages.scalar_response_bytes()] * n_shards),
-        n_shards, n_shards)
+        _on_wire([32 + 8] * n_shards), n_shards, n_shards)
 
     client.fill_row(m, 0, 2.5)
     assert _tag(cluster, "fill:req") == (
@@ -295,6 +293,166 @@ def test_batch_request_envelope_math():
                                messages.PullRowRequest(1, "m", 0, 3)])
     with pytest.raises(PSError):
         messages.BatchRequest([batch])
+
+
+# -- the one table: every kind, every fact ------------------------------------
+# The independent statement of messages.py's declarations: every number below
+# was worked out by hand from the constants — request header 48, response
+# header 32, sub-request header 16, 8 bytes per index and per float — never
+# by calling a formula.  ``None`` is "fire-and-forget".
+
+_IDX = np.array([1, 2, 3, 4, 5])
+_PUSH = messages.PushRequest(0, "m", 0, np.ones(5), indices=_IDX)
+
+#: name -> (one message, role, codec side, its ``wire_bytes()``, its
+#: ``response_bytes()``, and the same two for an envelope of it plus one
+#: sibling — the same message again, so a shared index list dedups).
+_KINDS = {
+    "pull-row dense": (
+        messages.PullRowRequest(0, "m", 0, 10),
+        "read", "response", 48, 32 + 80, 48 + 2 * 16, 32 + 2 * 80),
+    "pull-row sparse": (
+        messages.PullRowRequest(0, "m", 0, 5, indices=_IDX),
+        "read", "response", 48 + 40, 32 + 40, 48 + 40 + 2 * 16, 32 + 2 * 40),
+    "pull-row 4-byte values": (
+        messages.PullRowRequest(0, "m", 0, 10, value_bytes=4),
+        "read", "response", 48, 32 + 40, 48 + 2 * 16, 32 + 2 * 40),
+    "pull-or-create": (
+        messages.PullOrCreateRequest(0, "m", 7, 10),
+        "standin-read", None, 48 + 24, 32 + 8 + 80,
+        48 + 2 * (16 + 24), 32 + 2 * (8 + 80)),
+    "pull-range": (
+        messages.PullRangeRequest(0, "m", 0, 5, 25),
+        "read", "response", 48 + 16, 32 + 160,
+        48 + 2 * (16 + 16), 32 + 2 * 160),
+    "push dense": (
+        messages.PushRequest(0, "m", 0, np.ones(10)),
+        "mutation", "request", 48 + 80, None, 48 + 2 * (16 + 80), None),
+    "push sparse": (
+        _PUSH, "mutation", "request", 48 + 40 + 40, None,
+        48 + 40 + 2 * (16 + 40), None),
+    "push 4-byte values": (
+        messages.PushRequest(0, "m", 0, np.ones(10), value_bytes=4),
+        "mutation", "request", 48 + 40, None, 48 + 2 * (16 + 40), None),
+    "push-range": (
+        messages.PushRangeRequest(0, "m", 0, 5, 25, np.ones(20)),
+        "mutation", None, 48 + 16 + 160, None, 48 + 2 * (16 + 176), None),
+    "aggregate": (
+        messages.AggregateRequest(0, "m", 0, "sum", n_values=10),
+        "read", None, 48 + 8, 32 + 8, 48 + 2 * (16 + 8), 32 + 2 * 8),
+    "kernel": (
+        messages.KernelRequest(0, None, [("m", 0), ("m", 1), ("m", 2)],
+                               n_response_scalars=2),
+        "mutation", None, 48 + 24, 32 + 16, 48 + 2 * (16 + 24), 32 + 2 * 16),
+    "kernel fire-and-forget": (
+        messages.KernelRequest(0, None, [("m", 0)], wait_response=False),
+        "mutation", None, 48 + 8, None, 48 + 2 * (16 + 8), None),
+    "fill": (
+        messages.FillRequest(0, "m", 0, 2.5, n_values=10),
+        "mutation", None, 48 + 8, None, 48 + 2 * (16 + 8), None),
+    "clock-advance": (
+        messages.ClockAdvanceRequest(0, [("m", 0), ("m", 1), ("m", 2)], 4),
+        "control", None, 48 + 8 + 3 * 16, 32 + 3 * 8,
+        48 + 2 * (16 + 8 + 48), 32 + 2 * 24),
+    "replica-push": (
+        # primary + epoch, one version token, then the inner sparse push's
+        # index list and values verbatim — nothing shared across holders.
+        messages.ReplicatedPushRequest(0, _PUSH, 1, 0, {("m", 0): 3}),
+        "control", None, 48 + 16 + 8 + 40 + 40, None,
+        48 + 2 * (16 + 104), None),
+    "batch": (
+        messages.BatchRequest([messages.PullRowRequest(0, "m", 0, 10),
+                               messages.PushRequest(0, "m", 0, np.ones(10))]),
+        "control", None, 48 + 16 + (16 + 80), 32 + 80, None, None),
+}
+
+
+def _all_kinds(base=messages.Request):
+    for kind in base.__subclasses__():
+        yield kind
+        yield from _all_kinds(kind)
+
+
+@pytest.mark.parametrize("name", sorted(_KINDS))
+def test_every_kind_states_its_wire_facts(name):
+    message, role, side, wire, response, pair_wire, pair_response = \
+        _KINDS[name]
+    assert (message.role, message.codec_side) == (role, side)
+    assert message.wire_bytes() == wire
+    assert message.response_bytes() == response
+    if isinstance(message, messages.BatchRequest):
+        return  # batches do not nest
+    pair = messages.BatchRequest([message, message])
+    assert pair.wire_bytes() == pair_wire
+    assert pair.response_bytes() == pair_response
+    # Asked twice, a message answers the same (the memo holds).
+    assert (message.wire_bytes(), message.response_bytes()) == (wire, response)
+
+
+def test_the_table_is_total_and_roles_partition_the_kinds():
+    from repro.ps.server import _HANDLERS
+
+    kinds = set(_all_kinds())
+    # A kind added without its row here, or without a handler, fails.
+    assert {type(row[0]) for row in _KINDS.values()} == kinds
+    assert set(_HANDLERS) == kinds
+    by_role = {}
+    for kind in kinds:
+        assert kind.codec_side in (None, "request", "response")
+        by_role.setdefault(kind.role, set()).add(kind)
+    assert by_role == {
+        messages.READ: {messages.PullRowRequest, messages.PullRangeRequest,
+                        messages.AggregateRequest},
+        # Stand-in only: never replica-routed, and not a mutation.
+        messages.STANDIN_READ: {messages.PullOrCreateRequest},
+        messages.MUTATION: {messages.PushRequest, messages.PushRangeRequest,
+                            messages.FillRequest, messages.KernelRequest},
+        messages.CONTROL: {messages.ClockAdvanceRequest,
+                           messages.ReplicatedPushRequest,
+                           messages.BatchRequest},
+    }
+    # Exactly the mutations can be fanned out to a copy.
+    from repro.common.errors import PSError
+    for message, role, *_sizes in _KINDS.values():
+        if role == "mutation":
+            messages.ReplicatedPushRequest(1, message, 0, 0, {})
+        else:
+            with pytest.raises(PSError):
+                messages.ReplicatedPushRequest(1, message, 0, 0, {})
+
+
+def test_a_codec_reprices_exactly_its_side():
+    from repro.ps.codecs import make_codec
+
+    fp16 = make_codec("fp16")  # 2 bytes per value, stateless
+    pull = messages.PullRowRequest(0, "m", 0, 10)
+    assert (pull.wire_bytes(), pull.response_bytes()) == (48, 32 + 80)
+    pull.attach_codec(fp16)
+    assert (pull.wire_bytes(), pull.response_bytes()) == (48, 32 + 20)
+    ranged = messages.PullRangeRequest(0, "m", 0, 5, 25)
+    ranged.attach_codec(fp16)
+    assert ranged.response_bytes() == 32 + 40
+    push = messages.PushRequest(0, "m", 0, np.ones(10))
+    assert push.wire_bytes() == 48 + 80
+    push.attach_codec(fp16, fp16.encode(push.values))
+    assert (push.wire_bytes(), push.response_bytes()) == (48 + 20, None)
+    # The encoded size survives the server's decode-before-apply.
+    push.materialize()
+    assert push.encoded is None and push.wire_bytes() == 48 + 20
+    assert np.array_equal(push.values, np.ones(10))
+
+
+def test_the_three_state_streams_keep_their_prices():
+    # 2 rows / 20 floats (160 B) / 2 counters.  Migrate: header + values +
+    # 2 words per row + 1 per counter.
+    assert messages.replica_migrate_bytes(2, 160, 2) == 48 + 160 + 32 + 16
+    # Chain sync: header + primary + epoch, 3 words per row, values,
+    # 1 per counter; a cost model's compressed size replaces the raw one.
+    assert messages.chain_sync_bytes(2, 20, 2) == 48 + 16 + 48 + 160 + 16
+    assert messages.chain_sync_bytes(2, 20, 2, 40) == 48 + 16 + 48 + 40 + 16
+    # Chain promote: the ask, then the same state stream as the reply.
+    assert messages.chain_promote_bytes(2, 20, 2) == (
+        48 + 16, 32 + 48 + 160 + 16)
 
 
 def test_ops_flow_through_typed_messages(monkeypatch):

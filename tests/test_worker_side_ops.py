@@ -11,7 +11,6 @@ import pytest
 
 from repro.cluster.cluster import DRIVER
 from repro.common.sizeof import MESSAGE_OVERHEAD_BYTES
-from repro.ps import messages
 
 
 def test_worker_issued_dot_charges_executor(ps2):
@@ -97,10 +96,10 @@ def test_sparse_pull_bytes_match_formulas(ps2):
     req = ps2.metrics.bytes_for_tag("pull:req") - before_req
     resp = ps2.metrics.bytes_for_tag("pull:resp") - before_resp
     # All 100 contiguous indices land on a single server shard (dim/3=1000).
-    assert req == messages.sparse_pull_request_bytes(100) \
-        + MESSAGE_OVERHEAD_BYTES
-    assert resp == messages.sparse_pull_response_bytes(100) \
-        + MESSAGE_OVERHEAD_BYTES
+    # By hand: 48-byte request header + 100 8-byte keys out, 32-byte
+    # response header + 100 8-byte values back.
+    assert req == 48 + 100 * 8 + MESSAGE_OVERHEAD_BYTES
+    assert resp == 32 + 100 * 8 + MESSAGE_OVERHEAD_BYTES
 
 
 def test_dense_pull_bytes_match_formulas(ps2):
@@ -109,8 +108,7 @@ def test_dense_pull_bytes_match_formulas(ps2):
     a.pull()
     resp = ps2.metrics.bytes_for_tag("pull:resp") - before_resp
     expected = sum(
-        messages.dense_pull_response_bytes(stop - start)
-        + MESSAGE_OVERHEAD_BYTES
+        32 + (stop - start) * 8 + MESSAGE_OVERHEAD_BYTES
         for _s, start, stop in a.layout.shards_for_row(a.row)
     )
     assert resp == expected
@@ -121,7 +119,8 @@ def test_sparse_push_bytes_match_formulas(ps2):
     before = ps2.metrics.bytes_for_tag("push:req")
     a.add(np.ones(50), indices=np.arange(50))
     pushed = ps2.metrics.bytes_for_tag("push:req") - before
-    assert pushed == messages.sparse_push_bytes(50) + MESSAGE_OVERHEAD_BYTES
+    # 48-byte header + 50 (8-byte key, 8-byte value) entries.
+    assert pushed == 48 + 50 * (8 + 8) + MESSAGE_OVERHEAD_BYTES
 
 
 def test_kernel_request_bytes_scale_with_operands(ps2):
@@ -132,9 +131,8 @@ def test_kernel_request_bytes_scale_with_operands(ps2):
     a.zip(b, c).map_partitions(lambda arrays: None, wait=False)
     sent = ps2.metrics.bytes_for_tag("kernel:req") - before
     n_shards = len(a.layout.shards_for_row(a.row))
-    assert sent == n_shards * (
-        messages.scalar_op_request_bytes(3) + MESSAGE_OVERHEAD_BYTES
-    )
+    # 48-byte header + one 8-byte reference per operand.
+    assert sent == n_shards * (48 + 3 * 8 + MESSAGE_OVERHEAD_BYTES)
 
 
 def test_aggregate_ships_scalars_only(ps2):
@@ -143,6 +141,4 @@ def test_aggregate_ships_scalars_only(ps2):
     a.sum()
     shipped = ps2.metrics.bytes_for_tag("rowagg:resp") - before
     # Three servers, one scalar each — independent of the 100K dimension.
-    assert shipped == 3 * (
-        messages.scalar_response_bytes() + MESSAGE_OVERHEAD_BYTES
-    )
+    assert shipped == 3 * (32 + 8 + MESSAGE_OVERHEAD_BYTES)
