@@ -89,13 +89,27 @@ def adam_update_kernel(arrays, lr, beta1, beta2, eps, step):
     what the production system computes.
     """
     w, v, s, g = arrays
+    # One allocation for every intermediate (a shard is far past numpy's
+    # small-block cache, so each temporary was an mmap of its own).  The
+    # operations and their order are those of the plain expressions —
+    #   s = beta2*s + ((1-beta2)*g)*g;  v = beta1*v + (1-beta1)*g
+    #   w -= (lr * (v / (1-beta1^t))) / (sqrt(s / (1-beta2^t)) + eps)
+    # — so results are bit-identical to them (pinned in test_kernels).
+    num, den = np.empty((2, g.size))
     s *= beta2
-    s += (1.0 - beta2) * g * g
+    np.multiply(g, 1.0 - beta2, out=den)
+    den *= g
+    s += den
     v *= beta1
-    v += (1.0 - beta1) * g
-    s_hat = s / (1.0 - beta2**step)
-    v_hat = v / (1.0 - beta1**step)
-    w -= lr * v_hat / (np.sqrt(s_hat) + eps)
+    np.multiply(g, 1.0 - beta1, out=num)
+    v += num
+    np.divide(s, 1.0 - beta2**step, out=den)
+    np.sqrt(den, out=den)
+    den += eps
+    np.divide(v, 1.0 - beta1**step, out=num)
+    num *= lr
+    num /= den
+    w -= num
     return float(np.dot(g, g))
 
 
@@ -121,6 +135,46 @@ def rmsprop_update_kernel(arrays, lr, decay, eps):
     h += (1.0 - decay) * g * g
     w -= lr * g / (np.sqrt(h) + eps)
     return None
+
+
+def update_round_kernel(arrays, update, update_args, grad_scale=None,
+                        group=None):
+    """One training round in one request: scale, update, reset.
+
+    ``arrays`` is ordered as *update* (one of the ``*_update_kernel``s)
+    wants it, aggregated gradient **last**.  The gradient is first scaled
+    by ``grad_scale`` (the ``1 / batch_size`` of a mean; skipped when
+    ``None``), then ``update(arrays, **update_args)`` runs, then the
+    gradient is reset for the next iteration's pushes — the float
+    operations of ``scale_kernel``, *update* and a zero ``fill``, in that
+    order, so the values are bit-identical to the three separate requests.
+
+    With ``group``, ``arrays`` is several consecutive groups of that many
+    operands (FM's ``[w, gw, v0, gv0, ...]`` with ``group=2``) and the
+    round runs on each.  Returns *update*'s result for the last group.
+    """
+    result = None
+    group = group or len(arrays)
+    for lo in range(0, len(arrays), group):
+        operands = arrays[lo:lo + group]
+        gradient = operands[-1]
+        if grad_scale is not None:
+            gradient *= grad_scale
+        result = update(operands, **update_args)
+        gradient.fill(0.0)
+    return result
+
+
+def _update_round_work(n_operands, grad_scale=None, group=None, **_args):
+    n_groups = n_operands // (group or n_operands)
+    scaled = n_groups if grad_scale is not None else 0
+    return n_operands + scaled, n_groups
+
+
+#: Flop conservation: the round is charged as the requests it replaces —
+#: the update over every operand, plus per group a one-operand scale
+#: kernel (when scaling) and a row fill.  See ``PSServer.execute_kernel``.
+update_round_kernel._work = _update_round_work
 
 
 def with_range(kernel):

@@ -8,8 +8,9 @@ Tencent's user-profiling pipeline trains over 200M-feature instances
 
 is a showcase multi-vector model: the weight vector plus ``n_factors``
 latent-factor vectors, all ``derive``d from one pool so they are co-located,
-pulled **as a block** for each minibatch's index union and updated with
-server-side SGD kernels — DCV machinery end to end.
+pulled **as a block** for each minibatch's index union and updated by one
+server-side ``zip`` over every parameter and gradient row — DCV machinery
+end to end.
 """
 
 from __future__ import annotations
@@ -125,20 +126,22 @@ def train_fm(ctx, rows, dim, n_factors=8, learning_rate=0.05,
     Per iteration: workers block-pull ``w`` and all factor rows for their
     batch's index union, compute FM gradients locally, block-push them into
     the co-located gradient rows (deferred to the stage barrier), and the
-    coordinator applies ``n_factors + 1`` server-side SGD kernels — no
-    parameter ever round-trips for the update.
+    coordinator issues one ``zip`` over all ``2 * (n_factors + 1)`` rows
+    that averages, applies SGD to and resets every (parameter, gradient)
+    pair — no parameter ever round-trips for the update.
     """
     model = FMModel(ctx, dim, n_factors, init_scale=init_scale)
     data = ctx.parallelize(rows).cache()
     param_rows = model.parameter_rows()
     grad_rows = model.gradient_rows()
-    grad_dcvs = [model.weight_grad] + model.factor_grads
-    param_dcvs = [model.weight] + model.factors
+    # [w, gw, v0, gv0, ...]: the update round runs on each pair.  The
+    # gradient rows start zero (pool init) and every round leaves them so.
+    pairs = [dcv for pair in zip([model.weight] + model.factors,
+                                 [model.weight_grad] + model.factor_grads)
+             for dcv in pair]
 
     result = TrainResult(system=system, workload="fm-k%d" % n_factors)
     for iteration in range(n_iterations):
-        for grad in grad_dcvs:
-            grad.zero()
         batch = data.sample(batch_fraction, seed=seed * 10000 + iteration)
 
         def gradient_task(task_ctx, iterator):
@@ -171,13 +174,13 @@ def train_fm(ctx, rows, dim, n_factors=8, learning_rate=0.05,
         if total_count > 0:
             scale = 1.0 / total_count
             model.bias -= learning_rate * total_bias_grad * scale
-            for param, grad in zip(param_dcvs, grad_dcvs):
-                grad.scale(scale)
-                param.zip(grad).map_partitions(
-                    kernels.sgd_update_kernel,
-                    args={"lr": learning_rate},
-                    wait=False,
-                )
+            pairs[0].zip(*pairs[1:]).map_partitions(
+                kernels.update_round_kernel,
+                args={"update": kernels.sgd_update_kernel,
+                      "update_args": {"lr": learning_rate},
+                      "grad_scale": scale, "group": 2},
+                wait=False,
+            )
             result.record(ctx.elapsed(), total_loss / total_count)
         else:
             result.record(ctx.elapsed(), result.final_loss or 0.0)

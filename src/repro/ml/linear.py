@@ -8,8 +8,12 @@ One iteration:
 2. **gradient calculation** — local numpy math, charged to the executor;
 3. **gradient push** — a deferred ``DCV.add`` that commits with the task
    (exactly-once under retry), followed by the stage barrier;
-4. **model update** — a fused server-side optimizer kernel over the
-   co-located weight/aux/gradient DCVs (``zip``).
+4. **model update** — one coordinator round: a single server-side ``zip``
+   over the co-located weight/aux/gradient DCVs that turns the pushed sum
+   into the batch mean, applies the optimizer kernel and resets the
+   gradient for the next iteration (``optimizer.step(grad_scale)``).  Only
+   that one op descriptor per server crosses the wire; L-BFGS, multi-round
+   by nature, spends a round on each of the three.
 """
 
 from __future__ import annotations
@@ -58,7 +62,6 @@ def train_linear_ps2(ctx, rows, dim, loss="logistic", optimizer=None,
 
     result = TrainResult(system=system, workload="%s-%s" % (loss, optimizer.name))
     for iteration in range(n_iterations):
-        optimizer.zero_grad()
         batch = data.sample(batch_fraction, seed=seed * 10000 + iteration)
 
         def gradient_task(task_ctx, iterator):
@@ -85,8 +88,7 @@ def train_linear_ps2(ctx, rows, dim, loss="logistic", optimizer=None,
         total_loss = sum(s[0] for s in stats)
         total_count = sum(s[1] for s in stats)
         if total_count > 0:
-            gradient.scale(1.0 / total_count)
-            optimizer.step()
+            optimizer.step(grad_scale=1.0 / total_count)
             result.record(ctx.elapsed(), total_loss / total_count)
         else:
             result.record(ctx.elapsed(), result.final_loss or 0.0)

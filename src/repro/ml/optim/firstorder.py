@@ -12,7 +12,29 @@ from repro.core import kernels
 from repro.ml.optim.base import ServerSideOptimizer
 
 
-class SGD(ServerSideOptimizer):
+class FirstOrderOptimizer(ServerSideOptimizer):
+    """An optimizer whose update is one kernel over ``[w, *aux, g]``.
+
+    The whole round — gradient scale, update, gradient reset — is then one
+    ``zip`` (:func:`~repro.core.kernels.update_round_kernel`): a single
+    op descriptor per server instead of three coordinator fan-outs.
+    """
+
+    def _update(self):
+        """``(aux DCVs between weight and gradient, kernel, its args)``."""
+        raise NotImplementedError
+
+    def _round(self, grad_scale):
+        aux, kernel, args = self._update()
+        return self.weight.zip(*aux, self.gradient).map_partitions(
+            kernels.update_round_kernel,
+            args={"update": kernel, "update_args": args,
+                  "grad_scale": grad_scale},
+            wait=False,
+        )
+
+
+class SGD(FirstOrderOptimizer):
     """Plain stochastic gradient descent: ``w -= lr * g``."""
 
     name = "sgd"
@@ -20,14 +42,11 @@ class SGD(ServerSideOptimizer):
     def __init__(self, learning_rate=0.618):
         super().__init__(learning_rate)
 
-    def _apply(self):
-        return self.weight.zip(self.gradient).map_partitions(
-            kernels.sgd_update_kernel, args={"lr": self.learning_rate},
-            wait=False,
-        )
+    def _update(self):
+        return (), kernels.sgd_update_kernel, {"lr": self.learning_rate}
 
 
-class Adam(ServerSideOptimizer):
+class Adam(FirstOrderOptimizer):
     """Adam with bias correction (paper Section 3.1, Equation 1).
 
     Model state: weight ``w`` plus two co-located aux vectors — the squared-
@@ -51,22 +70,17 @@ class Adam(ServerSideOptimizer):
         self.square = self.weight.derive(name="%s.square" % self.weight.name)
         self.square.fill(0.0)
 
-    def _apply(self):
-        return self.weight.zip(self.velocity, self.square, self.gradient
-                               ).map_partitions(
-            kernels.adam_update_kernel,
-            args={
-                "lr": self.learning_rate,
-                "beta1": self.beta1,
-                "beta2": self.beta2,
-                "eps": self.eps,
-                "step": self._step,
-            },
-            wait=False,
-        )
+    def _update(self):
+        return (self.velocity, self.square), kernels.adam_update_kernel, {
+            "lr": self.learning_rate,
+            "beta1": self.beta1,
+            "beta2": self.beta2,
+            "eps": self.eps,
+            "step": self._step,
+        }
 
 
-class Adagrad(ServerSideOptimizer):
+class Adagrad(FirstOrderOptimizer):
     """Adagrad: per-coordinate rates from accumulated squared gradients."""
 
     name = "adagrad"
@@ -80,15 +94,12 @@ class Adagrad(ServerSideOptimizer):
         self.accumulator = self.weight.derive(name="%s.acc" % self.weight.name)
         self.accumulator.fill(0.0)
 
-    def _apply(self):
-        return self.weight.zip(self.accumulator, self.gradient).map_partitions(
-            kernels.adagrad_update_kernel,
-            args={"lr": self.learning_rate, "eps": self.eps},
-            wait=False,
-        )
+    def _update(self):
+        return (self.accumulator,), kernels.adagrad_update_kernel, {
+            "lr": self.learning_rate, "eps": self.eps}
 
 
-class RMSProp(ServerSideOptimizer):
+class RMSProp(FirstOrderOptimizer):
     """RMSProp: exponentially decayed squared-gradient normalization."""
 
     name = "rmsprop"
@@ -103,9 +114,6 @@ class RMSProp(ServerSideOptimizer):
         self.accumulator = self.weight.derive(name="%s.acc" % self.weight.name)
         self.accumulator.fill(0.0)
 
-    def _apply(self):
-        return self.weight.zip(self.accumulator, self.gradient).map_partitions(
-            kernels.rmsprop_update_kernel,
-            args={"lr": self.learning_rate, "decay": self.decay, "eps": self.eps},
-            wait=False,
-        )
+    def _update(self):
+        return (self.accumulator,), kernels.rmsprop_update_kernel, {
+            "lr": self.learning_rate, "decay": self.decay, "eps": self.eps}

@@ -52,6 +52,9 @@ from repro.ps.transport import FanoutPlan, Transport
 #: id-keyed sparse plans from list inputs would otherwise accumulate).
 _PLAN_POOL_CAP = 64
 
+#: Pool entry for a sparse key seen once: no plan is held for it yet.
+_SEEN_ONCE = object()
+
 #: The placement: first field of every :meth:`PSClient._shards` /
 #: :meth:`PSClient._block_shards` entry.  Mapped over the shard list so a
 #: plan's ``placements`` column costs no per-shard bytecode — builds run
@@ -202,27 +205,38 @@ class PSClient:
         objects and everything the transport derived from them.  A sparse
         plan is keyed on ``id(indices)`` — cheap, but an id says nothing
         about contents (arrays are mutated in place, ids are recycled) —
-        so it carries a snapshot of *indices* that every hit re-verifies.
+        so it carries a snapshot of *indices* that every hit re-verifies,
+        and it is pooled only from the second op under its key: training
+        builds a fresh index array per mini-batch, and holding a plan and
+        a copy for each would fill the pool with entries nothing reuses.
         ``pooled`` tells a write op that the plan's requests still hold an
         earlier op's values.
         """
         plans = None if key is None else self._plan_pool(layout)
         if plans is None:
             return build(), False
-        plan = plans.get(key)
-        if plan is not None and (
-                indices is None or np.array_equal(plan.snapshot, indices)):
-            return plan, True
+        entry = plans.get(key)
+        if entry is not None and entry is not _SEEN_ONCE and (
+                indices is None or np.array_equal(entry.snapshot, indices)):
+            return entry, True
         plan = build()
-        if indices is not None:
+        if indices is None:
+            entry = plan
+        elif entry is None:
+            # First sight of this array: most are a mini-batch's fresh
+            # index set and never come back, so remember only that it was
+            # here; the snapshot and the plan are kept from the second.
+            entry = _SEEN_ONCE
+        else:
             plan.snapshot = indices.copy()
+            entry = plan
         if len(plans) >= _PLAN_POOL_CAP:
             # Start over — and re-stamp: an unstamped pool under
             # replication reads as stale, so the next op would clear it
-            # again and drop the plan stored below.
+            # again and drop the entry stored below.
             plans.clear()
             self._plan_pool(layout)
-        plans[key] = plan
+        plans[key] = entry
         return plan, False
 
     def _read(self, layout, key, build, shape, indices=None):

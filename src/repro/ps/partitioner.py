@@ -16,6 +16,19 @@ import numpy as np
 
 from repro.common.errors import ConfigError
 
+#: Splits remembered per layout.  A training stage stores one split per
+#: task at its pull and asks for it again at the barrier, when the task's
+#: deferred push commits — so the memo must outlive a whole stage's pulls
+#: (20 tasks at paper-analogue scale) rather than a handful of ops.
+_SPLIT_CACHE_SIZE = 64
+
+
+def _remember_split(cache, key, entry):
+    """Store *entry*, dropping the oldest one (not all) when full."""
+    if len(cache) >= _SPLIT_CACHE_SIZE and key not in cache:
+        del cache[next(iter(cache))]
+    cache[key] = entry
+
 
 class ColumnLayout:
     """Contiguous range partitioning of ``[0, dim)`` over *n_servers*.
@@ -54,9 +67,10 @@ class ColumnLayout:
         self.bounds = np.minimum(bounds, self.dim)
         # Iterative workloads split the same sparse index set op after op
         # (and, with shared routing, client after client); the grouping
-        # work depends only on the index contents, so memoize a few recent
-        # results.  Entries hold a snapshot of the input, verified on every
-        # hit, so an in-place-mutated array can never serve stale groups.
+        # work depends only on the index contents, so memoize the recent
+        # results (see ``_remember_split``).  Entries hold a snapshot of the
+        # input, verified on every hit, so an in-place-mutated array can
+        # never serve stale groups.
         self._split_cache = {}
         # Per-(op, row, indices) fan-out plans pooled by the PS client —
         # the layout is the one object every client of a matrix shares.
@@ -126,9 +140,7 @@ class ColumnLayout:
         for position in np.unique(positions):
             server_index = self._server_at_position(int(position))
             result[server_index] = sorted_indices[positions == position]
-        if len(self._split_cache) >= 16:
-            self._split_cache.clear()
-        self._split_cache[key] = (indices.copy(), result)
+        _remember_split(self._split_cache, key, (indices.copy(), result))
         return result
 
     def same_layout(self, other):
@@ -197,9 +209,7 @@ class RowLayout:
         if entry is not None and np.array_equal(entry[0], indices):
             return entry[1]
         result = {server_index: np.sort(indices)}
-        if len(self._split_cache) >= 16:
-            self._split_cache.clear()
-        self._split_cache[key] = (indices.copy(), result)
+        _remember_split(self._split_cache, key, (indices.copy(), result))
         return result
 
     def same_layout(self, other):

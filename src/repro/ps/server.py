@@ -719,11 +719,18 @@ class PSServer:
                       for matrix_id, row in operands]
             tag = "ps-replica"
         arrays = [shard.values for shard in shards]
-        if flops is None:
-            width = arrays[0].size if arrays else 0
-            flops = KERNEL_FLOPS_PER_ELEMENT * max(1, width) * max(1, len(arrays))
-        self._service(flops, tag)
         kwargs = dict(args or {})
+        if flops is None:
+            width = max(1, arrays[0].size if arrays else 0)
+            passes, fills = max(1, len(arrays)), 0
+            work = getattr(kernel, "_work", None)
+            if work is not None:
+                # A kernel standing in for several requests says how many
+                # operand passes and row fills they came to, and is
+                # charged their sum (what :meth:`fill` charges per fill).
+                passes, fills = work(len(arrays), **kwargs)
+            flops = KERNEL_FLOPS_PER_ELEMENT * width * passes + width * fills
+        self._service(flops, tag)
         if getattr(kernel, "_wants_range", False):
             kwargs["start"] = shards[0].start
             kwargs["stop"] = shards[0].stop

@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.core import kernels
 
@@ -90,6 +92,98 @@ def test_adam_kernel_returns_grad_norm():
         lr=0.1, beta1=0.9, beta2=0.999, eps=1e-8, step=1,
     )
     assert out == pytest.approx(25.0)
+
+
+def _adam_as_plain_expressions(arrays, lr, beta1, beta2, eps, step):
+    """The kernel as it was written before it reused a scratch buffer —
+    one numpy temporary per sub-expression.  Kept as the bit-for-bit
+    reference for :func:`kernels.adam_update_kernel`."""
+    w, v, s, g = arrays
+    s *= beta2
+    s += (1.0 - beta2) * g * g
+    v *= beta1
+    v += (1.0 - beta1) * g
+    s_hat = s / (1.0 - beta2**step)
+    v_hat = v / (1.0 - beta1**step)
+    w -= lr * v_hat / (np.sqrt(s_hat) + eps)
+    return float(np.dot(g, g))
+
+
+@given(
+    size=st.integers(1, 300),
+    n_steps=st.integers(1, 6),
+    first_step=st.integers(1, 2000),
+    seed=st.integers(0, 2 ** 16),
+    # Table 4's values and the ranges around them a user would try.
+    lr=st.sampled_from([0.618, 0.1, 0.001, 1.0]),
+    beta1=st.sampled_from([0.9, 0.5, 0.0, 0.99]),
+    beta2=st.sampled_from([0.999, 0.9, 0.99]),
+    eps=st.sampled_from([1e-8, 1e-6, 0.0]),
+    grad_magnitude=st.sampled_from([1e-12, 1e-3, 1.0, 1e6]),
+)
+@settings(max_examples=80, deadline=None)
+def test_adam_kernel_is_bit_identical_to_the_plain_expressions(
+        size, n_steps, first_step, seed, lr, beta1, beta2, eps,
+        grad_magnitude):
+    rng = np.random.default_rng(seed)
+    got = [rng.standard_normal(size), np.zeros(size), np.zeros(size), None]
+    want = [array if array is None else array.copy() for array in got]
+    with np.errstate(all="ignore"):  # eps=0 on a zero column: nan == nan
+        for step in range(first_step, first_step + n_steps):
+            g = rng.standard_normal(size) * grad_magnitude
+            g[rng.random(size) < 0.3] = 0.0  # sparse gradients are the norm
+            got[3], want[3] = g.copy(), g.copy()
+            args = dict(lr=lr, beta1=beta1, beta2=beta2, eps=eps, step=step)
+            assert kernels.adam_update_kernel(got, **args) \
+                == _adam_as_plain_expressions(want, **args)
+            for ours, reference in zip(got, want):
+                assert ours.tobytes() == reference.tobytes()
+
+
+@pytest.mark.parametrize("grad_scale", [None, 0.25])
+def test_update_round_kernel_is_scale_then_update_then_reset(grad_scale):
+    rng = np.random.default_rng(4)
+    fused = [rng.standard_normal(9) for _ in range(4)]
+    fused[2] = np.abs(fused[2])
+    split = [array.copy() for array in fused]
+    args = dict(lr=0.618, beta1=0.9, beta2=0.999, eps=1e-8, step=2)
+
+    got = kernels.update_round_kernel(
+        fused, update=kernels.adam_update_kernel, update_args=args,
+        grad_scale=grad_scale)
+
+    if grad_scale is not None:
+        kernels.scale_kernel(split[3:], alpha=grad_scale)
+    want = kernels.adam_update_kernel(split, **args)
+    split[3].fill(0.0)
+    assert got == want
+    for ours, reference in zip(fused, split):
+        assert ours.tobytes() == reference.tobytes()
+
+
+def test_update_round_kernel_runs_on_each_group():
+    """FM's shape: ``[w, gw, v0, gv0]`` with ``group=2``."""
+    arrays = [np.ones(3), np.full(3, 4.0), np.zeros(3), np.full(3, -2.0)]
+    kernels.update_round_kernel(
+        arrays, update=kernels.sgd_update_kernel, update_args={"lr": 0.5},
+        grad_scale=0.5, group=2)
+    assert np.array_equal(arrays[0], np.full(3, 0.0))   # 1 - 0.5 * (4 * 0.5)
+    assert np.array_equal(arrays[2], np.full(3, 0.5))   # 0 - 0.5 * (-2 * 0.5)
+    assert not arrays[1].any() and not arrays[3].any()
+
+
+@pytest.mark.parametrize("n_operands,args,expected", [
+    # update over every operand + one scale pass + one fill ...
+    (4, {"grad_scale": 0.1}, (5, 1)),
+    # ... no scale pass when nothing is scaled ...
+    (4, {}, (4, 1)),
+    # ... and one scale pass and one fill per group.
+    (18, {"grad_scale": 0.1, "group": 2}, (27, 9)),
+])
+def test_update_round_kernel_declares_the_work_it_replaces(
+        n_operands, args, expected):
+    work = kernels.update_round_kernel._work
+    assert work(n_operands, update=None, update_args={}, **args) == expected
 
 
 def test_sgd_kernel():

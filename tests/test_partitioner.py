@@ -158,3 +158,44 @@ def test_property_split_indices_is_a_partition(dim, n_servers, data):
         int(i) for group in groups.values() for i in group
     )
     assert recovered == sorted(indices)
+
+
+def test_split_memo_outlives_a_stage_of_pulls_until_the_deferred_pushes(
+        monkeypatch):
+    """One training stage at the ledger's width: 20 tasks each pull their
+    own index set, and the matching pushes commit only at the barrier —
+    after all 20 pulls.  Every push must find its pull's split still
+    memoized (a 16-entry clear-all memo served none of them)."""
+    from repro.experiments import make_context
+
+    n_workers, dim = 20, 4000
+    ctx = make_context(n_executors=n_workers, n_servers=n_workers, seed=3)
+    weight = ctx.dense(dim, rows=2, name="w")
+    gradient = weight.derive(name="g")
+    rng = np.random.default_rng(3)
+    batches = [np.sort(rng.choice(dim, size=150, replace=False))
+               for _ in range(n_workers)]
+
+    splits = []
+    split_indices = ColumnLayout.split_indices
+
+    def recording(self, indices):
+        splits.append(split_indices(self, indices))
+        return splits[-1]
+
+    monkeypatch.setattr(ColumnLayout, "split_indices", recording)
+
+    def task(task_ctx, iterator):
+        (union,) = list(iterator)
+        pulled = weight.pull(indices=union, task_ctx=task_ctx)
+        gradient.add(pulled + 1.0, indices=union, task_ctx=task_ctx)
+        return [union.size]
+
+    ctx.parallelize(batches, n_partitions=n_workers) \
+        .map_partitions_with_context(task).collect()
+
+    assert len(splits) == 2 * n_workers
+    pulls, pushes = splits[:n_workers], splits[n_workers:]
+    # A hit hands back the memoized dict itself.
+    assert all(any(push is pull for pull in pulls) for push in pushes)
+    assert gradient.sum() == 150.0 * n_workers

@@ -6,7 +6,7 @@ import pytest
 from repro.cluster.cluster import Cluster
 from repro.common.errors import PSError
 from repro.config import ClusterConfig
-from repro.ps.client import _PLAN_POOL_CAP, PSClient
+from repro.ps.client import _PLAN_POOL_CAP, _SEEN_ONCE, PSClient
 from repro.ps.master import PSMaster
 from repro.ps.partitioner import RowLayout
 from repro.ps.transport import FanoutPlan, Transport
@@ -336,6 +336,10 @@ def test_pool_hit_reuses_the_plan_and_what_the_transport_derived(
     calls = _count_coalesce(monkeypatch)
     for key, op in ops.items():
         op(client, 1.0)
+        if "sparse" in key[0]:
+            # A sparse plan is pooled from the second op under its key.
+            assert pool[key] is _SEEN_ONCE
+            op(client, 1.0)
         plan = pool[key]
         assert isinstance(plan, FanoutPlan)
         outgoing, bulk = plan.outgoing, plan.bulk
@@ -346,7 +350,7 @@ def test_pool_hit_reuses_the_plan_and_what_the_transport_derived(
         assert plan.outgoing is outgoing and plan.bulk is bulk
         assert not calls
     # A pooled push carries the values of the op that sent it.
-    assert client.pull_row(m, 0)[13] == 3 * 1.0 + 3 * 10.0
+    assert client.pull_row(m, 0)[13] == 4 * 1.0 + 3 * 10.0
 
 
 def test_sparse_plan_is_rebuilt_when_its_snapshot_no_longer_matches(setup):
@@ -355,8 +359,10 @@ def test_sparse_plan_is_rebuilt_when_its_snapshot_no_longer_matches(setup):
     pool = master.layout(m).op_plans
     idx = np.array([13, 2, 7])
     key = ("pull-sparse", m, 0, 3, id(idx))
-    assert np.array_equal(client.pull_row(m, 0, idx), [13, 2, 7])
+    for _sight in range(2):
+        assert np.array_equal(client.pull_row(m, 0, idx), [13, 2, 7])
     plan = pool[key]
+    assert np.array_equal(plan.snapshot, [13, 2, 7])
     # Mutated in place: same object, same size, same key.
     idx[:] = [4, 19, 0]
     assert np.array_equal(client.pull_row(m, 0, idx), [4, 19, 0])
@@ -368,6 +374,19 @@ def test_sparse_plan_is_rebuilt_when_its_snapshot_no_longer_matches(setup):
     pool[("pull-sparse", m, 0, 3, id(twin))] = stale
     assert np.array_equal(client.pull_row(m, 0, twin), [1, 2, 3])
     assert pool[("pull-sparse", m, 0, 3, id(twin))] is not stale
+
+
+def test_fresh_index_arrays_leave_no_plan_and_no_copy_behind(setup):
+    """A training loop's pattern: every mini-batch brings a new index
+    array, used for one pull and one push and never again."""
+    _cluster, master, client, m = setup
+    pool = master.layout(m).op_plans
+    batches = [np.array([b, 19 - b, 10]) for b in range(8)]
+    for idx in batches:
+        assert np.array_equal(client.pull_row(m, 0, idx), np.zeros(3))
+        client.push_add(m, 0, np.zeros(3), idx)
+    assert len(pool) == 2 * len(batches)
+    assert all(entry is _SEEN_ONCE for entry in pool.values())
 
 
 def test_cap_clear_keeps_the_replication_epoch_stamp():
@@ -386,8 +405,11 @@ def test_cap_clear_keeps_the_replication_epoch_stamp():
     client.pull_row(m, 0, idx)  # over the cap: the pool starts over
     assert set(pool) == {"_epoch", key}
     assert pool["_epoch"] == stamp
-    plan = pool[key]
-    client.pull_row(m, 0, idx)  # ... and the op just stored is a hit
+    assert pool[key] is _SEEN_ONCE
+    client.pull_row(m, 0, idx)  # ... and what was just stored survives:
+    plan = pool[key]            # second sight, so the plan is pooled
+    assert isinstance(plan, FanoutPlan)
+    client.pull_row(m, 0, idx)
     assert pool[key] is plan
 
 
