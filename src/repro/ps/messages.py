@@ -600,24 +600,28 @@ class ClockAdvanceRequest(Request):
 
 
 class ReplicatedPushRequest(Request):
-    """Fan a mutation out to one replica of a hot shard (fire-and-forget).
+    """One copy of an applied mutation, forwarded by its primary to one
+    replica holder (hot-key or chain; fire-and-forget).
 
     Wraps the *inner* message (any kind whose role is :data:`MUTATION`)
-    that was applied to the primary and re-targets it at a replica holder.
-    The envelope carries the fencing token that merges replication with
-    the PR-4 version machinery: the primary's ``epoch`` at fan-out time
-    plus the primary's post-apply per-row mutation ``versions``.  A
-    replica applies the inner mutation only
-    when its install epoch matches and its row counters are behind the
-    recorded versions — so a redelivery after a crash-triggered re-install
-    (which already copied the mutated primary state) is skipped instead of
-    double-applied, and a fan-out raced by a primary recovery (whose
-    rollback also lost the mutation) is fenced instead of resurrected.
+    that the primary applied and re-targets it at a holder.  Only the
+    primary can build it: the envelope carries the fencing token that
+    merges replication with the version machinery — the primary's
+    ``epoch`` plus its post-apply per-row mutation ``versions`` — and
+    :func:`repro.ps.replication.forward` sends it from the primary's node
+    once the original completed there.  A holder applies the inner
+    mutation only when its install epoch matches and its row counters are
+    behind the recorded versions — so a redelivery after a
+    crash-triggered re-install (which already copied the mutated primary
+    state) is skipped instead of double-applied, and a copy raced by a
+    primary recovery (whose rollback also lost the mutation) is fenced
+    instead of resurrected.
 
-    ``matrix_id`` is ``None``: like clock-advance renewals, fan-out is
-    induced (not demand) traffic — the transport skips routing resolution
-    and hot-shard accounting for it, so replication can never feed its own
-    heat signal.
+    ``matrix_id`` is ``None``: like clock-advance renewals, a copy is
+    induced (not demand) traffic — it never enters routing resolution or
+    hot-shard accounting, so replication can never feed its own heat
+    signal.  ``trace_ctx`` is the original's: the copy's NIC and CPU
+    spans belong to the client op that caused the write.
     """
 
     __slots__ = ("inner", "primary_index", "epoch", "versions")
@@ -629,6 +633,7 @@ class ReplicatedPushRequest(Request):
         if inner.role != MUTATION:
             raise PSError("cannot fan out %r" % (type(inner).__name__,))
         super().__init__(server_index, None, tag, 0)
+        self.trace_ctx = inner.trace_ctx
         self.inner = inner
         self.primary_index = int(primary_index)
         self.epoch = int(epoch)

@@ -15,13 +15,19 @@ fencing token).  The mechanism owns
   either end turns out to be down;
 - the holder drop — a header-sized control message, with the physical
   ``replica_store`` entry evicted only when no policy still wants it;
-- the write fan-out: after the transport applied a mutation to its
+- the write forward: after the transport served a mutation on its
   primary, one :class:`~repro.ps.messages.ReplicatedPushRequest` per
-  valid holder carries the primary's epoch and post-apply row counters.
+  valid holder carries the primary's epoch and post-apply row counters,
+  and the *primary's* node sends them — one envelope per (primary,
+  holder) per client op, departing when the original completed, priced
+  like a response — so the writer pays for its originals only.
   Holders apply fenced (epoch mismatch: the primary recovered, the stale
-  fan-out must not resurrect lost state) and idempotently (counters
+  copy must not resurrect lost state) and idempotently (counters
   already caught up by a re-install: skip).  A kernel mutates all its
-  operands at once, so it fans out all-or-nothing.
+  operands at once, so it fans out all-or-nothing.  A copy that cannot
+  be delivered never charges a client: a down holder is recovered (its
+  re-install carries the write), a partitioned one is retried with the
+  penalty delaying the departure and, past the retry budget, forgotten.
 
 **The policies** decide only what differs:
 
@@ -45,7 +51,7 @@ extras                rebalance sweep                 promotion merge, per-row
 
 **The coexistence contract** — how the two behave on one cluster — lives
 in the module-level functions at the bottom (:func:`route`,
-:func:`fan_out`, :func:`on_direct_write`, ...), which are the only entry
+:func:`forward`, :func:`on_direct_write`, ...), which are the only entry
 points the transport, the servers and the master call: hot-key first;
 the chain only routes a read still on its primary; a server that is both
 hot replica and chain successor gets one copy of each mutation; neither
@@ -61,8 +67,10 @@ pre-replication build — the golden-run guarantee.
 from __future__ import annotations
 
 from repro.cluster.cluster import DRIVER
-from repro.common.errors import MatrixNotFoundError, ServerDownError
+from repro.common.errors import MatrixNotFoundError, NetworkPartitionedError, \
+    ServerDownError
 from repro.ps import messages
+from repro.ps.retry import RetryPolicy
 
 
 class Replicator:
@@ -202,10 +210,10 @@ class Replicator:
     def _fan_out(self, requests, counter, on_kernel_mismatch, covered=None):
         """Copies of every mutation in *requests*, post-apply.
 
-        Called (through the policies' ``fan_out_messages``) after the
-        originals were transmitted and served, so the primaries' per-row
-        counters already reflect the mutations — each fan-out message
-        snapshots those counters plus the primary's epoch as its
+        Called (through the policies' ``fan_out_messages``, by
+        :func:`forward`) after the originals were served, so the
+        primaries' per-row counters already reflect the mutations — each
+        copy snapshots those counters plus the primary's epoch as its
         idempotence/fencing token.  Assumes one client op never sends two
         mutations for the same (matrix, row, server), which holds for
         every client op by construction (one message per (row, shard)).
@@ -1007,26 +1015,109 @@ def route(cluster, requests):
             chain.route_read(request)
 
 
-def fan_out(cluster, requests):
-    """Fan-out messages for the mutations in *requests*, post-apply.
+def forward(cluster, requests, completions):
+    """Ship the copies of the mutations in *requests* from their primaries.
 
-    Hot-key copies are built first; the chain then skips the ``(holder,
-    original)`` pairs already covered, so a server holding a key both as
-    hot replica and chain successor gets exactly one copy (and the apply
-    is idempotent regardless).
+    Called by the transport once every original was served;
+    ``completions[i]`` is when the wire message carrying ``requests[i]``
+    completed on its primary.  Hot-key copies are built first; the chain
+    then skips the ``(holder, original)`` pairs already covered, so a
+    server holding a key both as hot replica and chain successor gets
+    exactly one copy (and the apply is idempotent regardless).
+
+    The copies for one (primary, holder) pair travel as one envelope
+    (stand-alone when ``coalesce_requests`` is off) that leaves the
+    *primary's* node when its last original completed there — when that
+    message's response departs — and is priced like a response: the two
+    NIC bookings only, no send CPU, nothing on the writer.  Each envelope
+    is then served on its holder.  A delivery that cannot happen never
+    reaches a client clock:
+
+    - a **down holder** is recovered through the master, which re-streams
+      its copies from the live primaries (already carrying this
+      mutation), so the envelope is not re-sent;
+    - a **partition** on either end at departure retries under the
+      cluster's :class:`~repro.ps.retry.RetryPolicy`, each penalty
+      delaying the departure; once the budget is spent the holder's links
+      for the envelope's keys are forgotten by every policy and its stale
+      entries evicted, so nothing routes to or promotes from them.
     """
     manager = cluster.replication
     chain = cluster.chain
-    extras = [] if manager is None else manager.fan_out_messages(requests)
+    copies = [] if manager is None else manager.fan_out_messages(requests)
     if chain is not None:
-        covered = {(message.server_index, id(message.inner))
-                   for message in extras}
-        extras.extend(chain.fan_out_messages(requests, covered))
-    return extras
+        covered = {(copy.server_index, id(copy.inner)) for copy in copies}
+        copies.extend(chain.fan_out_messages(requests, covered))
+    if not copies:
+        return
+    departs = {id(request): completion
+               for request, completion in zip(requests, completions)}
+    pairs = {}
+    for copy in copies:
+        pairs.setdefault((copy.primary_index, copy.server_index),
+                         []).append(copy)
+    master = (manager or chain).master
+    coalesce = cluster.config.coalesce_requests
+    for group in pairs.values():
+        if coalesce and len(group) > 1:
+            _deliver(cluster, master, messages.BatchRequest(group), group,
+                     departs)
+        else:
+            for copy in group:
+                _deliver(cluster, master, copy, (copy,), departs)
+
+
+def _deliver(cluster, master, envelope, copies, departs):
+    """One forward *envelope* (carrying *copies*) from its primary's node
+    to its holder, departing when the last original it copies completed
+    (``departs`` maps ``id(original)`` to that completion)."""
+    metrics = cluster.metrics
+    holder = master.server(envelope.server_index)
+    source = master.server(copies[0].primary_index).node_id
+    depart = max(departs[id(copy.inner)] for copy in copies)
+    ctx = copies[0].trace_ctx
+    attempt = 0
+    while True:
+        try:
+            arrival = cluster.network.transfer(
+                source, holder.node_id, envelope.wire_bytes(),
+                tag=envelope.tag + ":req", deliver=False, depart_at=depart,
+                messages=envelope.message_count(),
+                trace_parent=None if ctx is None else ctx[1],
+            )
+            break
+        except NetworkPartitionedError:
+            attempt += 1
+            policy = RetryPolicy.from_config(cluster.config.failures)
+            if attempt > policy.max_retries:
+                _abandon(cluster, holder, copies)
+                return
+            metrics.increment("replica-fanout-retries")
+            depart += policy.penalty_for(attempt)
+    holder.begin(arrival)
+    try:
+        holder.dispatch(envelope)
+    except ServerDownError:
+        metrics.increment("replica-fanout-recoveries")
+        master.recover(holder.server_index)
+
+
+def _abandon(cluster, holder, copies):
+    """A holder no forward could reach: its copies of the keys *copies*
+    touch are now stale, so every policy forgets the link and the entry
+    goes too (no message can reach the holder to drop it; nothing may
+    serve it or promote from it meanwhile)."""
+    keys = sorted({(matrix_id, copy.primary_index)
+                   for copy in copies for matrix_id, _row in copy.versions})
+    for key in keys:
+        for policy in policies(cluster):
+            policy._forget(key, holder.server_index)
+        holder.drop_replica(*key)
+    cluster.metrics.increment("replica-fanout-abandoned")
 
 
 def on_direct_write(cluster, matrix_id, server_index):
-    """A shard was mutated outside the dispatch/fan-out path: hot-key
+    """A shard was mutated outside the dispatch/forward path: hot-key
     demotes the key, the chain re-streams it."""
     for policy in policies(cluster):
         policy.on_direct_write(matrix_id, server_index)

@@ -25,6 +25,11 @@ from repro.ps import messages, replication
 #: Flops charged per element for simple elementwise mutations.
 ELEMENTWISE_FLOPS = 2.0
 
+#: Flops per element written, by push mode — one price wherever a push is
+#: applied (a primary, the fast lane, a replica copy): an accumulate reads
+#: and adds, an overwrite only stores.
+WRITE_FLOPS = {"add": ELEMENTWISE_FLOPS, "assign": 1.0}
+
 #: Flops charged per element per operand for zip kernels (default estimate).
 KERNEL_FLOPS_PER_ELEMENT = 3.0
 
@@ -164,7 +169,7 @@ class PSServer:
         self.replica_store = {}
         #: Nesting depth of :meth:`dispatch`.  Mutations that run at depth
         #: zero were invoked *directly* (realignment, recovery tooling) and
-        #: bypass the transport's replica fan-out, so they must demote any
+        #: bypass the replica forward, so they must demote any
         #: replicas of the touched shard instead of letting them diverge.
         self._dispatch_depth = 0
         #: The causal-tracing context of the request currently being
@@ -189,10 +194,10 @@ class PSServer:
         dispatch path.
 
         Realignment and recovery tooling write through the public storage
-        primitives directly, bypassing the transport's replica fan-out;
-        copies of the touched shard would silently diverge, so hot-key
-        replicas are demoted and chain copies re-streamed.  A no-op at
-        any dispatch depth > 0 (the fan-out covers those).
+        primitives directly, bypassing the replica forward; copies of
+        the touched shard would silently diverge, so hot-key replicas
+        are demoted and chain copies re-streamed.  A no-op at any
+        dispatch depth > 0 (the forward covers those).
         """
         if self._dispatch_depth == 0:
             replication.on_direct_write(self.cluster, matrix_id,
@@ -372,9 +377,9 @@ class PSServer:
 
     # A handler of a kind whose role is "mutation" also takes *entries* —
     # ``{matrix_id: ReplicaEntry}`` — when :meth:`_serve_replicated_push`
-    # applies a fanned-out copy: the same message then writes this
-    # server's replica shards at the replica path's own price, with no
-    # version bump (the fan-out envelope carries the primary's counters).
+    # applies a forwarded copy: the same message then writes this server's
+    # replica shards at the primary's price, booked as ``ps-replica``,
+    # with no version bump (the copy carries the primary's counters).
 
     def _serve_push(self, request, entries=None):
         if entries is not None:
@@ -398,8 +403,7 @@ class PSServer:
     def _replica_write(self, request, columns, entries):
         shard = entries[request.matrix_id].rows[request.row]
         n = shard.write(request.values, columns, request.mode)
-        # Both modes at the add rate: the replica path's own price.
-        self._service(ELEMENTWISE_FLOPS * max(1, n), "ps-replica")
+        self._service(WRITE_FLOPS[request.mode] * max(1, n), "ps-replica")
 
     def _serve_aggregate(self, request):
         return self._aggregate(self._read_shard(request), request.kind)
@@ -655,14 +659,14 @@ class PSServer:
         n = self.shard(matrix_id, row).write(values, global_indices, "add")
         self._bump_version(matrix_id, row)
         self._notify_direct_write(matrix_id)
-        self._service(ELEMENTWISE_FLOPS * max(1, n), "ps-add")
+        self._service(WRITE_FLOPS["add"] * max(1, n), "ps-add")
 
     def assign(self, matrix_id, row, values, global_indices=None):
         """Overwrite the shard (or selected indices) with *values*."""
         n = self.shard(matrix_id, row).write(values, global_indices, "assign")
         self._bump_version(matrix_id, row)
         self._notify_direct_write(matrix_id)
-        self._service(max(1, n), "ps-assign")
+        self._service(WRITE_FLOPS["assign"] * max(1, n), "ps-assign")
 
     def fill(self, matrix_id, row, value):
         """Set every element of the local shard to *value*."""
@@ -878,12 +882,8 @@ def serve_fast_fanout(cluster, fan_servers, fan_messages, fan_arrivals):
             version_key = (message.matrix_id, message.row)
             versions = server.versions
             versions[version_key] = versions.get(version_key, 0) + 1
-            if message.mode == "add":
-                flops = ELEMENTWISE_FLOPS * n
-                tag = "ps-add"
-            else:
-                flops = n
-                tag = "ps-assign"
+            flops = WRITE_FLOPS[message.mode] * n
+            tag = "ps-add" if message.mode == "add" else "ps-assign"
             value = None
         rate = server._node_flops
         if rate is None:

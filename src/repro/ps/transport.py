@@ -16,7 +16,10 @@ transport owns everything below that line:
   anywhere, so a retry can never replay work pinned to a pre-failure
   process;
 - **response accounting** — replies depart at the request's service
-  completion and are priced by the message's ``response_bytes()``;
+  completion and are priced by the message's ``response_bytes()``; under
+  replication that completion is also handed to
+  :func:`~repro.ps.replication.forward`, whose copies leave the primary,
+  not this node;
 - **the retry loop** — failed attempts charge the
   :class:`~repro.ps.retry.RetryPolicy` penalty to the client's virtual
   clock, repair/recover the server through the master, drop the cached
@@ -222,9 +225,11 @@ class Transport:
         fan-out then runs on one of two schedules — phased
         (:meth:`_transmit_bulk`) when :meth:`_bulk_ok` allows, message by
         message (:meth:`_transmit`) otherwise — with identical results.
-        After every original was transmitted (mutations applied to their
-        primaries), replica fan-out messages are built from the post-apply
-        version counters and shipped the same way.
+        Under replication (always the per-message schedule) each
+        original's completion on its primary is then handed to
+        :func:`~repro.ps.replication.forward`, which ships the replica
+        copies from the primaries' nodes — the writer pays for its
+        originals only.
 
         *plan* is the :class:`FanoutPlan` whose ``requests`` these are:
         the grouping (and any batch envelopes) is kept on it, so a plan
@@ -244,7 +249,8 @@ class Transport:
                 plan.outgoing = outgoing
         self._charge_rpc(len(outgoing))
         values = [None] * len(requests)
-        arrivals = [None] * len(requests)
+        arrivals = values[:]
+        completions = values[:]
         # What still has to go message by message, each entry paired with
         # the retryable error a bulk attempt of it already met (``None``:
         # not attempted yet).
@@ -254,7 +260,7 @@ class Transport:
             pending = zip(outgoing, repeat(None))
         metrics = self.cluster.metrics
         for (message, positions), error in pending:
-            value, arrival = self._transmit(message, error)
+            value, arrival, completion = self._transmit(message, error)
             if type(message) is messages.BatchRequest:
                 metrics.increment("coalesced-batches")
                 metrics.increment("coalesced-requests", len(positions))
@@ -263,24 +269,10 @@ class Transport:
             for p, sub_value in zip(positions, value):
                 values[p] = sub_value
                 arrivals[p] = arrival
+                completions[p] = completion
         if replicated:
-            self._send_fanout(requests)
+            replication.forward(self.cluster, requests, completions)
         return values, arrivals
-
-    def _send_fanout(self, requests):
-        """Ship the replica fan-out of the mutations in *requests*.
-
-        All fire-and-forget; grouped and coalesced per destination like
-        :meth:`send_all`, but never re-offered to routing or fan-out —
-        induced traffic does not recurse.
-        """
-        extras = replication.fan_out(self.cluster, requests)
-        if not extras:
-            return
-        outgoing = self._coalesce(extras)
-        self._charge_rpc(len(outgoing))
-        for message, _positions in outgoing:
-            self._transmit(message)
 
     # -- the two schedules ---------------------------------------------------
 
@@ -291,8 +283,9 @@ class Transport:
         only when nothing can interleave with the phase-reordered bookings:
         no span tracing (spans must nest per message), no partition windows
         or pending server crashes (retries re-send individual messages), no
-        replication policy (replica reads, dead-primary stand-ins and write
-        fan-out need per-message dispatch), and no cold routing entry (a
+        replication policy (replica reads and dead-primary stand-ins need
+        per-message dispatch, and forwarding needs each original's
+        completion), and no cold routing entry (a
         mid-loop routing RPC books the client NIC between message sends).
         Every condition is a cheap flag check; chaos and traced runs simply
         keep the per-message schedule.
@@ -572,8 +565,10 @@ class Transport:
         spent its first attempt): the loop then starts at that failure's
         repair instead of at a first send.
 
-        Returns ``(value, response_arrival)``; the arrival is ``None`` for
-        fire-and-forget messages.
+        Returns ``(value, response_arrival, completion)``: the arrival is
+        ``None`` for fire-and-forget messages; the completion is when the
+        serving server finished the message (where its response departs,
+        and its replica copies with it).
         """
         network = self.cluster.network
         (request_bytes,), (response_bytes,), shard_entries = self._price(
@@ -596,12 +591,17 @@ class Transport:
                         span.args.get("coalesced", 0)
                         + message.message_count()
                     )
-                # Stamp the causal context on the message: the server's CPU
-                # slot and both NIC bookings will parent to the client op
-                # that caused them.  wire_bytes() above was computed before
-                # the stamp and never reads it — tracing is byte-free.
+                # Stamp the causal context on the message (and on an
+                # envelope's sub-requests, whose replica copies carry it
+                # on): the server's CPU slot, both NIC bookings and any
+                # forwarded copy will parent to the client op that caused
+                # them.  wire_bytes() above was computed before the stamp
+                # and never reads it — tracing is byte-free.
                 trace_parent = span.span_id
                 message.trace_ctx = (span.trace_id, span.span_id)
+                if type(message) is messages.BatchRequest:
+                    for sub in message.requests:
+                        sub.trace_ctx = message.trace_ctx
         attempt = 0
         while True:
             if error is None:
@@ -634,13 +634,14 @@ class Transport:
                 error, message.server_index, message.matrix_id, attempt
             )
             error = None
+        completion = server.last_completion
         if response_bytes is None:
-            return value, None
+            return value, None, completion
         response_arrival = network.transfer(
             server.node_id, self.node_id, response_bytes,
             tag=message.tag + ":resp", deliver=False,
-            depart_at=server.last_completion,
+            depart_at=completion,
             messages=message.message_count(),
             trace_parent=trace_parent,
         )
-        return value, response_arrival
+        return value, response_arrival, completion

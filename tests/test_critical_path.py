@@ -200,6 +200,48 @@ def test_run_breakdown_covers_the_traced_makespan():
     assert result.fraction("other") < 0.01
 
 
+def test_forwarded_replica_copies_are_attributed_to_the_write():
+    """A write's replica copies leave its primary after the client op
+    returned, on nodes where no span is open: their two NIC spans and the
+    holder's apply slot must still parent to the write (via the
+    original's trace context), so the run walk attributes them to it
+    instead of taking a copy for a root of its own."""
+    import numpy as np
+
+    from repro.cluster.cluster import Cluster
+    from repro.config import ClusterConfig
+    from repro.ps.client import PSClient
+    from repro.ps.master import PSMaster
+
+    cluster = Cluster(ClusterConfig(n_executors=2, n_servers=3, seed=5,
+                                    chain_replicas=1))
+    master = PSMaster(cluster)
+    client = PSClient(cluster, master, cluster.executors[0])
+    m = master.create_matrix(30, n_rows=2)
+    tracer = cluster.tracer
+    tracer.enable()
+    # Both rows' columns live on server 0: one envelope of two
+    # sub-requests to the primary, one envelope of two copies to its
+    # chain successor.
+    client.push_block_add(m, [0, 1], np.ones((2, 4)), indices=[1, 3, 5, 7])
+    (write,) = tracer.spans_for(cat="op", op="push-block")
+    primary, holder = master.server(0).node_id, master.server(1).node_id
+    (send,) = tracer.spans_for(cat="nic-send", op="net:replica-push:req")
+    (recv,) = tracer.spans_for(cat="nic-recv", op="net:replica-push:req")
+    applies = tracer.spans_for(cat="cpu", op="ps-replica")
+    assert (send.node, recv.node) == (primary, holder)
+    assert len(applies) == 2 and {s.node for s in applies} == {holder}
+    for span in [send, recv] + applies:
+        assert span.parent_id == write.span_id
+        assert span.trace_id == write.trace_id
+        # The copy is off the writer's path: it ends after the op did.
+        assert span.end > write.end
+    result = cp.analyze(tracer)
+    assert result.terminal is write
+    assert _attributed(result) == pytest.approx(result.total, rel=1e-9)
+    assert result.categories["other"] == 0.0
+
+
 def test_ssp_gate_wait_becomes_a_traced_span():
     """A blocked SSP worker leaves a staleness-wait span covering exactly
     the gate interval, and the walk attributes it."""
