@@ -6,7 +6,8 @@ scheduler; server and executor crashes are scheduled at explicit virtual
 times; transient network partitions cover a node for a virtual-time window.
 Server crashes trigger checkpoint recovery in the PS substrate, executor
 crashes trigger partition redistribution in the scheduler, and partitioned
-transfers are retried under the PS client's retry policy.
+transfers are retried under the PS client's retry policy — in one retry
+order on either transmit schedule, which never asks what is scheduled.
 """
 
 from __future__ import annotations
@@ -28,9 +29,12 @@ class FailureInjector:
         self._rng = rng
         self.task_failure_prob = float(task_failure_prob)
         self.max_task_retries = int(max_task_retries)
-        self._server_failures = []
+        #: Pending server crashes and partition windows: a component that
+        #: checks them per item (the fan-out serve lane, the network model)
+        #: first hoists one truthiness test, free when nothing is scheduled.
+        self.server_failures = []
         self._executor_failures = []
-        self._partitions = []
+        self.partitions = []
         self.injected_task_failures = 0
         self.injected_executor_failures = 0
 
@@ -49,20 +53,20 @@ class FailureInjector:
 
     def schedule_server_failure(self, server_id, at_time):
         """Arrange for *server_id* to crash once its clock passes *at_time*."""
-        self._server_failures.append({"server": server_id, "time": float(at_time)})
+        self.server_failures.append({"server": server_id, "time": float(at_time)})
 
     def due_server_failures(self, server_id, now):
         """Pop and return the failures scheduled for *server_id* up to *now*."""
-        if not self._server_failures:
+        if not self.server_failures:
             return _NO_EVENTS
         due = [
             event
-            for event in self._server_failures
+            for event in self.server_failures
             if event["server"] == server_id and event["time"] <= now
         ]
         if due:
-            self._server_failures = [
-                event for event in self._server_failures if event not in due
+            self.server_failures = [
+                event for event in self.server_failures if event not in due
             ]
         return due
 
@@ -102,9 +106,9 @@ class FailureInjector:
         """Partition *node_id* away from the fabric during ``[start, stop)``.
 
         Transfers whose departure time falls inside the window and touch the
-        node raise :class:`~repro.common.errors.NetworkPartitionedError`;
-        callers with a retry policy back off (advancing their virtual clock)
-        and eventually outlast the window.
+        node raise :class:`~repro.common.errors.NetworkPartitionedError`
+        (a bulk fan-out reports it per item); callers with a retry policy
+        back off (advancing their virtual clock) and outlast the window.
         """
         start = float(start)
         stop = float(stop)
@@ -113,27 +117,12 @@ class FailureInjector:
                 "partition window must end after it starts, got [%r, %r)"
                 % (start, stop)
             )
-        self._partitions.append({"node": node_id, "start": start, "stop": stop})
-
-    def has_partitions(self):
-        """Whether any partition window is scheduled at all.
-
-        The network model's bulk fast path is only taken when this is
-        False, so the per-transfer window checks (three per message) cost
-        nothing in the overwhelmingly common partition-free run.
-        """
-        return bool(self._partitions)
-
-    def has_pending_server_failures(self):
-        """Whether any server crash is still scheduled (fast-path gate)."""
-        return bool(self._server_failures)
+        self.partitions.append({"node": node_id, "start": start, "stop": stop})
 
     def partition_active(self, node_id, at_time):
         """Whether *node_id* is inside a partition window at *at_time*."""
-        if not self._partitions:
-            return False
         return any(
             window["node"] == node_id
             and window["start"] <= at_time < window["stop"]
-            for window in self._partitions
+            for window in self.partitions
         )

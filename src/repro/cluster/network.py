@@ -120,7 +120,7 @@ class NetworkModel:
         sender_nic = self._nic_send[src]
         index, depart = sender_nic.probe(earliest, send_seconds)
         failures = self.failures
-        if failures is not None and failures.has_partitions():
+        if failures is not None and failures.partitions:
             if failures.partition_active(src, depart) \
                     or failures.partition_active(dst, depart):
                 self.metrics.increment("partition-drops")
@@ -162,16 +162,13 @@ class NetworkModel:
         the sender's NIC bookings go through one :meth:`TimelineResource
         .reserve_many` round instead of N reserve calls, receiver NICs are
         distinct timelines anyway, and the metrics land through one bulk
-        record.  Callers must keep to the per-message path when partition
-        windows are scheduled (drops raise per-message there) or when spans
-        must interleave with per-message service; this method asserts the
-        former.
+        record.  While partition windows are scheduled it *is* one
+        :meth:`transfer` per item (:meth:`_each`): a dropped item books
+        nothing and reports its error in place of its time.
         """
-        if self.failures is not None and self.failures.has_partitions():
-            raise AssertionError(
-                "transfer_many is partition-unaware; use transfer() while "
-                "partition windows are scheduled"
-            )
+        if self.failures is not None and self.failures.partitions:
+            return self._each([(src, dst, nbytes, tag, messages, depart_at)
+                               for dst, nbytes, tag, messages in items])
         earliest = self.clock.now(src) if depart_at is None else depart_at
         send_bw = self.bandwidth_of(src)
         totals = [float(nbytes) + MESSAGE_OVERHEAD_BYTES
@@ -214,16 +211,15 @@ class NetworkModel:
         depart_at)`` (the RPC-response shape: each response leaves its
         server when that request's service completes).  Booked
         ``deliver=False``; returns the ``recv_done`` times aligned with
-        *items*.  Same equivalence and partition caveats as
+        *items*.  Same equivalence and partition handling as
         :meth:`transfer_many`, mirrored: per-item sender NICs are distinct
         timelines, and the shared receiver NIC is booked through one
         ``reserve_many`` round.
         """
-        if self.failures is not None and self.failures.has_partitions():
-            raise AssertionError(
-                "transfer_gather is partition-unaware; use transfer() "
-                "while partition windows are scheduled"
-            )
+        if self.failures is not None and self.failures.partitions:
+            return self._each([(src, dst, nbytes, tag, messages, depart_at)
+                               for src, nbytes, tag, messages, depart_at
+                               in items])
         latency = self.latency
         nic_send = self._nic_send
         bandwidth = self._bandwidth
@@ -259,6 +255,20 @@ class NetworkModel:
                               recv_done, cat="nic-recv", src=src,
                               nbytes=total)
         self.metrics.record_transfer_gather(dst, metric_items)
+        return recv_times
+
+    def _each(self, items):
+        """Book ``(src, dst, nbytes, tag, messages, depart_at)`` items one
+        :meth:`transfer` each; a dropped item's ``NetworkPartitionedError``
+        stands in for its ``recv_done`` time."""
+        recv_times = []
+        for src, dst, nbytes, tag, messages, depart_at in items:
+            try:
+                recv_times.append(self.transfer(
+                    src, dst, nbytes, tag=tag, deliver=False,
+                    depart_at=depart_at, messages=messages))
+            except NetworkPartitionedError as error:
+                recv_times.append(error)
         return recv_times
 
     def reset(self):

@@ -244,14 +244,6 @@ class ClusterConfig:
     ``n_executors`` Spark executors (PS2 workers) plus ``n_servers``
     parameter servers plus one driver/coordinator node.
 
-    ``coalesce_requests`` (default on) makes the PS transport wrap all
-    sub-requests a client op sends to the same server into one
-    ``BatchRequest`` envelope — one request header and one NIC booking per
-    server instead of one per (row, shard) — the paper's fat-request header
-    amortization (Section 5.1).  Turn it off for A/B measurements of the
-    coalescing win; ops that already issue a single message per server are
-    unaffected by the knob.
-
     ``consistency`` selects the execution model (``repro.ps.consistency``):
 
     - ``"bsp"`` (default): Spark's stage barrier, exactly the paper's
@@ -310,7 +302,6 @@ class ClusterConfig:
     node: NodeSpec = field(default_factory=NodeSpec)
     network: NetworkSpec = field(default_factory=NetworkSpec)
     failures: FailureConfig = field(default_factory=FailureConfig)
-    coalesce_requests: bool = True
     consistency: str = "bsp"
     staleness: int = 0
     replication: str = "off"

@@ -9,7 +9,7 @@ from repro.core.context import PS2Context
 
 def make_context(n_executors=20, n_servers=20, seed=0, task_failure_prob=0.0,
                  strict_colocation=False, node_flops=None, failures=None,
-                 coalesce_requests=True, consistency="bsp", staleness=0,
+                 consistency="bsp", staleness=0,
                  replication="off", hot_key_fraction=0.1,
                  replication_factor=0, rebalance_interval=0.0,
                  timeseries_window=0.0, wire_codec="off", chain_replicas=0,
@@ -33,9 +33,6 @@ def make_context(n_executors=20, n_servers=20, seed=0, task_failure_prob=0.0,
     sweep) derate the CPUs to restore the paper's compute-to-overhead
     ratio.  Comparisons between systems are unaffected: all contenders run
     on identical hardware either way.
-
-    ``coalesce_requests`` exposes the PS transport's per-server batching
-    knob for A/B experiments on the header-amortization win.
 
     ``consistency`` / ``staleness`` select the execution model for the
     staleness-ablation experiments: ``"bsp"`` (default, the paper's
@@ -78,7 +75,6 @@ def make_context(n_executors=20, n_servers=20, seed=0, task_failure_prob=0.0,
         failures=failures
         if failures is not None
         else FailureConfig(task_failure_prob=task_failure_prob),
-        coalesce_requests=coalesce_requests,
         consistency=consistency,
         staleness=staleness,
         replication=replication,

@@ -17,8 +17,7 @@ time.  Mutation-only ops (push, axpy, fills, update kernels) are
 fire-and-forget: the client never blocks on them.
 
 Block ops and coalescing: a block pull/push decomposes into one message per
-(row, shard); with ``coalesce_requests`` on (the default), the transport
-wraps every same-server group in a single
+(row, shard); the transport wraps every same-server group in a single
 :class:`~repro.ps.messages.BatchRequest` envelope — one request header and
 one NIC booking per server, index lists shipped once — the paper's
 fat-request header amortization made explicit.

@@ -1025,11 +1025,11 @@ def forward(cluster, requests, completions):
     server holding a key both as hot replica and chain successor gets
     exactly one copy (and the apply is idempotent regardless).
 
-    The copies for one (primary, holder) pair travel as one envelope
-    (stand-alone when ``coalesce_requests`` is off) that leaves the
-    *primary's* node when its last original completed there — when that
-    message's response departs — and is priced like a response: the two
-    NIC bookings only, no send CPU, nothing on the writer.  Each envelope
+    The copies for one (primary, holder) pair travel as one envelope (a
+    lone copy stand-alone) that leaves the *primary's* node when its last
+    original completed there — when that message's response departs — and
+    is priced like a response: the two NIC bookings only, no send CPU,
+    nothing on the writer.  Each envelope
     is then served on its holder.  A delivery that cannot happen never
     reaches a client clock:
 
@@ -1057,14 +1057,10 @@ def forward(cluster, requests, completions):
         pairs.setdefault((copy.primary_index, copy.server_index),
                          []).append(copy)
     master = (manager or chain).master
-    coalesce = cluster.config.coalesce_requests
     for group in pairs.values():
-        if coalesce and len(group) > 1:
-            _deliver(cluster, master, messages.BatchRequest(group), group,
-                     departs)
-        else:
-            for copy in group:
-                _deliver(cluster, master, copy, (copy,), departs)
+        envelope = group[0] if len(group) == 1 \
+            else messages.BatchRequest(group)
+        _deliver(cluster, master, envelope, group, departs)
 
 
 def _deliver(cluster, master, envelope, copies, departs):

@@ -18,7 +18,8 @@ from __future__ import annotations
 import numpy as np
 
 from repro.cluster.resource import TimelineResource
-from repro.common.errors import MatrixNotFoundError, PSError, ServerDownError
+from repro.common.errors import MatrixNotFoundError, \
+    NetworkPartitionedError, PSError, ServerDownError
 from repro.common.rng import generator
 from repro.ps import messages, replication
 
@@ -783,29 +784,32 @@ def serve_fast_fanout(cluster, fan_servers, fan_messages, fan_arrivals):
 
     Every unit is served by one rule.  A pull-row / push whose shard is
     present and that is not a replica read is served inline — the same
-    numpy access, version bump, single CPU reservation, metric updates
-    and clock advance as ``begin()`` + ``dispatch()``, minus ~10 Python
-    frames.  Anything else (other message types, replica reads, missing
-    shards) goes through the full dispatch in place, with the pending
-    metric run flushed first so every per-key accumulation — float
-    compute totals, histogram sums — happens in exactly the per-message
-    order.  The transport's bulk gates hold throughout: every server
-    alive, tracing off, no pending scheduled crash, no replication
-    policy, no cost model.
+    due-crash check, numpy access, version bump, single CPU reservation,
+    metric updates and clock advance as ``begin()`` + ``dispatch()``,
+    minus ~10 Python frames.  Anything else (other message types, replica
+    reads, missing shards, a crashed server) goes through the full
+    dispatch in place, with the pending metric run flushed first so every
+    per-key accumulation — float compute totals, histogram sums — happens
+    in exactly the per-message order.  The transport's bulk gates hold
+    throughout: tracing off, no replication policy, no cost model.
 
     Returns ``(values, completions)`` aligned with the inputs; results
     and all virtual times are bit-identical to the per-message schedule.
-    A unit whose dispatch raises a retryable error yields the error as its
-    value and ``None`` as its completion, and so does every later unit
-    chained to it (the envelope stopped there, earlier units applied
-    exactly once, as per-sub dispatch leaves it); the transport hands that
-    wire message to the retry policy.
+    A unit whose arrival is a ``NetworkPartitionedError`` (its wire
+    message was dropped) or whose dispatch raises a retryable error yields
+    the error as its value and ``None`` as its completion, and so does
+    every later unit chained to it (the envelope stopped there, earlier
+    units applied exactly once, as per-sub dispatch leaves it); the
+    transport hands that wire message to the retry policy.
     """
     metrics = cluster.metrics
     clock_times = cluster.clock._times
     node = cluster.node
     PullRow = messages.PullRowRequest
     Push = messages.PushRequest
+    # Only a pending crash makes the lane ask each server whether it is due
+    # (a crashed server's empty store already sends its units to dispatch).
+    crashes = cluster.failures.server_failures
     values_out = []
     completions = []
     run_tag = None
@@ -816,16 +820,19 @@ def serve_fast_fanout(cluster, fan_servers, fan_messages, fan_arrivals):
     for server, message, arrival in zip(fan_servers, fan_messages,
                                         fan_arrivals):
         if arrival is None:
-            if failed is not None:
-                values_out.append(failed)
-                completions.append(None)
-                continue
             arrival = server._arrival
+        elif arrival.__class__ is NetworkPartitionedError:
+            failed = arrival
         else:
             failed = None
+        if failed is not None:
+            values_out.append(failed)
+            completions.append(None)
+            continue
         kind = type(message)
         shard = None
-        if (kind is PullRow or kind is Push) and message.replica_of is None:
+        if (kind is PullRow or kind is Push) and message.replica_of is None \
+                and (not crashes or server.is_alive()):
             rows = server._store.get(message.matrix_id)
             if rows is not None:
                 shard = rows.get(message.row)

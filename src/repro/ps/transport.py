@@ -20,24 +20,26 @@ transport owns everything below that line:
   replication that completion is also handed to
   :func:`~repro.ps.replication.forward`, whose copies leave the primary,
   not this node;
-- **the retry loop** — failed attempts charge the
-  :class:`~repro.ps.retry.RetryPolicy` penalty to the client's virtual
-  clock, repair/recover the server through the master, drop the cached
-  routing, and then **re-send the same message** through the network model.
+- **the retry loop** — one order on either schedule: every wire message of
+  a fan-out is tried once, then the failed ones (a lost response included:
+  delivery is at-least-once) charge the :class:`~repro.ps.retry.RetryPolicy`
+  penalty to the client's virtual clock, repair/recover the server through
+  the master, drop the cached routing, and **re-send the same message**, in
+  wire order.
 
 Per-server request coalescing (Section 5.1's fat requests): when one client
 op produces several messages for the same server — block pulls/pushes issue
 one message per (row, shard) — :meth:`Transport.send_all` wraps each
 server's group in a single :class:`~repro.ps.messages.BatchRequest`
 envelope: one request header, one NIC booking, shared index lists encoded
-once.  The ``coalesce_requests`` config knob (default on) disables this for
-A/B measurements of the header-amortization win.
+once.
 """
 
 from __future__ import annotations
 
 from itertools import repeat
 
+from repro.cluster.cluster import DRIVER
 from repro.common.errors import MatrixNotFoundError, NetworkPartitionedError, \
     PSError, ServerDownError
 from repro.ps import messages, replication
@@ -99,7 +101,6 @@ class Transport:
         self.retry_policy = retry_policy or RetryPolicy.from_config(
             cluster.config.failures
         )
-        self.coalesce = bool(cluster.config.coalesce_requests)
         self._routing = {}
         # A live resize replaces every layout object wholesale; routing
         # cached before the migration would hand out stale shard ranges.
@@ -115,40 +116,49 @@ class Transport:
         parameters."  The first touch of each matrix costs one RPC to the
         coordinator; afterwards the transport routes from its cache — until
         :meth:`invalidate` drops the entry (server recovery), at which
-        point the next touch pays the routing RPC again.
+        point the next touch pays the routing RPC again.  A partition that
+        drops the routing RPC fails the attempt like any other
+        (:meth:`_handle_failure`).
         """
         layout = self._routing.get(matrix_id)
         if layout is None:
             layout = self.master.layout(matrix_id)
-            from repro.cluster.cluster import DRIVER
-
-            if self.node_id != DRIVER:
-                clock = self.cluster.clock
-                network = self.cluster.network
-                fetch_start = clock.now(self.node_id)
-                arrival = network.transfer(
-                    self.node_id, DRIVER, messages.REQUEST_HEADER_BYTES,
-                    tag="routing:req", deliver=False,
-                )
-                # The master answers from its metadata cache; the response
-                # departs when THIS request was served, not when the
-                # driver's (unrelated) clock says.
-                response = network.transfer(
-                    DRIVER, self.node_id,
-                    messages.routing_response_bytes(layout.n_servers),
-                    tag="routing:resp", deliver=False,
-                    depart_at=arrival + RPC_CPU_SECONDS,
-                )
-                clock.set_at_least(self.node_id, response)
-                self.cluster.metrics.observe(
-                    "routing", clock.now(self.node_id) - fetch_start
-                )
-                tracer = self.cluster.tracer
-                if tracer.enabled:
-                    tracer.record(self.node_id, "routing", fetch_start,
-                                  response, cat="op", matrix_id=matrix_id)
+            attempt = 0
+            while self.node_id != DRIVER:
+                try:
+                    self._fetch_routing(matrix_id, layout.n_servers)
+                    break
+                except NetworkPartitionedError as error:
+                    attempt += 1
+                    self._handle_failure(error, attempt)
             self._routing[matrix_id] = layout
         return layout
+
+    def _fetch_routing(self, matrix_id, n_servers):
+        """One routing RPC to the coordinator; blocks this node on it."""
+        clock = self.cluster.clock
+        network = self.cluster.network
+        fetch_start = clock.now(self.node_id)
+        arrival = network.transfer(
+            self.node_id, DRIVER, messages.REQUEST_HEADER_BYTES,
+            tag="routing:req", deliver=False,
+        )
+        # The master answers from its metadata cache; the response departs
+        # when THIS request was served, not when the driver's (unrelated)
+        # clock says.
+        response = network.transfer(
+            DRIVER, self.node_id, messages.routing_response_bytes(n_servers),
+            tag="routing:resp", deliver=False,
+            depart_at=arrival + RPC_CPU_SECONDS,
+        )
+        clock.set_at_least(self.node_id, response)
+        self.cluster.metrics.observe(
+            "routing", clock.now(self.node_id) - fetch_start
+        )
+        tracer = self.cluster.tracer
+        if tracer.enabled:
+            tracer.record(self.node_id, "routing", fetch_start, response,
+                          cat="op", matrix_id=matrix_id)
 
     def invalidate(self, matrix_id=None):
         """Drop cached routing for *matrix_id* (or for every matrix).
@@ -195,25 +205,22 @@ class Transport:
     def _coalesce(self, requests):
         """Group *requests* by destination server into wire messages.
 
-        Returns one ``(message, positions)`` entry per outgoing wire
-        message, servers in first-appearance order, ``positions`` indexing
-        into *requests*.  With coalescing on, each group of two or more
+        Returns one ``(message, positions)`` entry per server, servers in
+        first-appearance order (so also in order of ``positions[0]``),
+        ``positions`` indexing into *requests*.  A group of two or more
         becomes one :class:`~repro.ps.messages.BatchRequest` envelope —
-        one header and one NIC booking per server; singleton groups always
-        go stand-alone, so ops that already issue one message per server
-        are byte-for-byte unaffected by the knob.
+        one header and one NIC booking per server; a singleton goes
+        stand-alone, so ops that already issue one message per server
+        never pay an envelope.
         """
         groups = {}
         for position, request in enumerate(requests):
             groups.setdefault(request.server_index, []).append(position)
         outgoing = []
         for positions in groups.values():
-            if self.coalesce and len(positions) > 1:
-                batch = messages.BatchRequest([requests[p] for p in positions])
-                outgoing.append((batch, positions))
-            else:
-                for p in positions:
-                    outgoing.append((requests[p], [p]))
+            message = requests[positions[0]] if len(positions) == 1 \
+                else messages.BatchRequest([requests[p] for p in positions])
+            outgoing.append((message, positions))
         return outgoing
 
     def send_all(self, requests, plan=None):
@@ -222,9 +229,12 @@ class Transport:
         After :meth:`_prepare`, messages are grouped per destination
         server (:meth:`_coalesce`).  Client-side RPC CPU is charged once
         per outgoing transfer, before anything touches the wire.  The
-        fan-out then runs on one of two schedules — phased
+        first attempts then run on one of two schedules — phased
         (:meth:`_transmit_bulk`) when :meth:`_bulk_ok` allows, message by
-        message (:meth:`_transmit`) otherwise — with identical results.
+        message (:meth:`_transmit`) otherwise — and either way every wire
+        message is tried once before the ones that failed are retried, in
+        wire order, through :meth:`_transmit`'s loop.  One retry order
+        makes the schedules' results identical, failures included.
         Under replication (always the per-message schedule) each
         original's completion on its primary is then handed to
         :func:`~repro.ps.replication.forward`, which ships the replica
@@ -248,23 +258,31 @@ class Transport:
             if plan is not None:
                 plan.outgoing = outgoing
         self._charge_rpc(len(outgoing))
+        batches = [positions for message, positions in outgoing
+                   if type(message) is messages.BatchRequest]
+        if batches:
+            metrics = self.cluster.metrics
+            metrics.increment("coalesced-batches", len(batches))
+            metrics.increment("coalesced-requests", sum(map(len, batches)))
         values = [None] * len(requests)
         arrivals = values[:]
         completions = values[:]
         # What still has to go message by message, each entry paired with
-        # the retryable error a bulk attempt of it already met (``None``:
-        # not attempted yet).
+        # the retryable error its first attempt met (``None``: not
+        # attempted yet).
         if outgoing and self._bulk_ok(outgoing):
-            pending = self._transmit_bulk(outgoing, values, arrivals, plan)
+            work = self._transmit_bulk(outgoing, values, arrivals, plan)
         else:
-            pending = zip(outgoing, repeat(None))
-        metrics = self.cluster.metrics
-        for (message, positions), error in pending:
-            value, arrival, completion = self._transmit(message, error)
-            if type(message) is messages.BatchRequest:
-                metrics.increment("coalesced-batches")
-                metrics.increment("coalesced-requests", len(positions))
-            else:
+            work = list(zip(outgoing, repeat(None)))
+        for (message, positions), error in work:
+            try:
+                value, arrival, completion = self._transmit(message, error)
+            except RETRYABLE_ERRORS as exc:
+                # A failed first attempt rejoins the end of the work list,
+                # so it is retried after every first attempt went out.
+                work.append(((message, positions), exc))
+                continue
+            if type(message) is not messages.BatchRequest:
                 value = (value,)
             for p, sub_value in zip(positions, value):
                 values[p] = sub_value
@@ -281,38 +299,24 @@ class Transport:
 
         The bulk schedule is bit-identical to per-message :meth:`_transmit`
         only when nothing can interleave with the phase-reordered bookings:
-        no span tracing (spans must nest per message), no partition windows
-        or pending server crashes (retries re-send individual messages), no
-        replication policy (replica reads and dead-primary stand-ins need
-        per-message dispatch, and forwarding needs each original's
-        completion), and no cold routing entry (a
+        no span tracing (spans must nest per message), no replication
+        policy (replica reads and dead-primary stand-ins need per-message
+        dispatch, and forwarding needs each original's completion), no
+        cost model (the bulk schedule prices a message once per cached
+        plan, codecs re-price it per send), and no cold routing entry (a
         mid-loop routing RPC books the client NIC between message sends).
-        Every condition is a cheap flag check; chaos and traced runs simply
-        keep the per-message schedule.
+        Failures are not a condition: a dead server, a due crash or a
+        partition drop fails its wire message on either schedule, and both
+        retry it after the whole fan-out.
         """
         cluster = self.cluster
-        if cluster.tracer.enabled:
-            return False
-        failures = cluster.failures
-        if failures.has_partitions() or failures.has_pending_server_failures():
-            return False
-        if replication.replicated(cluster):
-            return False
-        # The bulk schedule prices a message once per cached plan; a cost
-        # model may attach codecs that re-price messages per send, so it
-        # keeps the per-message schedule.
-        if cluster.costmodel is not None:
+        if cluster.tracer.enabled or cluster.costmodel is not None \
+                or replication.replicated(cluster):
             return False
         routing = self._routing
-        server = self.master.server
         for message, _positions in outgoing:
             if message.matrix_id is not None \
                     and message.matrix_id not in routing:
-                return False
-            # A directly-crashed server (chaos tooling calls ``crash()``
-            # without a schedule) must fail per message so the retry loop
-            # can recover it.
-            if not server(message.server_index).alive:
                 return False
         return True
 
@@ -434,7 +438,10 @@ class Transport:
         order-insensitive within them, so virtual times, bytes and counters
         are bit-identical to the interleaved per-message schedule — only
         the Python call count drops.  Callers must have checked
-        :meth:`_bulk_ok`.
+        :meth:`_bulk_ok`.  A wire message fails in the phase that meets
+        its failure: a dropped request is never served, a down server or
+        missing shard stops its envelope, a dropped response comes after
+        service.
 
         *plan*, when given, is the :class:`FanoutPlan` *outgoing* belongs
         to (see :meth:`send_all`): the entire phase-1 product
@@ -444,10 +451,10 @@ class Transport:
         :attr:`~repro.ps.master.PSMaster.topology_epoch` (a failover swaps
         server objects and must force a rebuild).
 
-        Returns the wire messages phase 2 could not serve — ``((message,
-        positions), error)`` per message whose service met a retryable
-        error — for the caller to re-send under the retry policy; the rest
-        of the fan-out has completed normally.
+        Returns the wire messages that failed — ``((message, positions),
+        error)`` per message, in wire order — for the caller to re-send
+        under the retry policy; the rest of the fan-out has completed
+        normally.
         """
         cluster = self.cluster
         network = cluster.network
@@ -483,24 +490,26 @@ class Transport:
 
         failed = []
         response_items = []
-        response_slots = []
+        response_entries = []
         for entry, last, response in zip(outgoing, lasts, responses):
             completion = completions[last]
             if completion is None:
                 failed.append((entry, unit_values[last]))
-                continue
-            message, positions = entry
-            if type(message) is messages.BatchRequest:
-                metrics.increment("coalesced-batches")
-                metrics.increment("coalesced-requests", len(positions))
-            if response is not None:
+            elif response is not None:
                 response_items.append(response + (completion,))
-                response_slots.append(positions)
+                response_entries.append(entry)
         if response_items:
             recv_times = network.transfer_gather(node_id, response_items)
-            for positions, response_arrival in zip(response_slots, recv_times):
-                for p in positions:
-                    arrivals[p] = response_arrival
+            for entry, response_arrival in zip(response_entries, recv_times):
+                if response_arrival.__class__ is NetworkPartitionedError:
+                    failed.append((entry, response_arrival))
+                else:
+                    for p in entry[1]:
+                        arrivals[p] = response_arrival
+        if failed:
+            # Lost responses were listed after phase 2's failures; retries
+            # go in wire order, which ``_coalesce`` made first-position order.
+            failed.sort(key=lambda item: item[0][1][0])
         return failed
 
     # -- plumbing ----------------------------------------------------------
@@ -512,8 +521,10 @@ class Transport:
                 self.node_id, RPC_CPU_SECONDS * n_transfers, tag="rpc-cpu"
             )
 
-    def _handle_failure(self, exc, server_index, matrix_id, attempt):
-        """Recover from one failed attempt; charges the retry penalty.
+    def _handle_failure(self, exc, attempt, server_index=None, matrix_id=None):
+        """Recover from failed attempt number *attempt*; charges the retry
+        penalty, or raises :class:`~repro.common.errors.PSError` once the
+        budget is spent (*server_index* ``None``: the routing RPC).
 
         The failure-detection timeout and the exponential backoff are
         charged to the client's *virtual* clock (a retried message takes
@@ -524,6 +535,12 @@ class Transport:
         re-resolves through the master.
         """
         metrics = self.cluster.metrics
+        if attempt > self.retry_policy.max_retries:
+            metrics.increment("op-retries-exhausted")
+            peer = (DRIVER if server_index is None
+                    else self.master.server(server_index).node_id)
+            raise PSError("%s kept failing after %d attempts: %r"
+                          % (peer, attempt, exc)) from exc
         metrics.increment("op-retries")
         penalty_start = self.cluster.clock.now(self.node_id)
         self.cluster.charge_seconds(
@@ -550,20 +567,20 @@ class Transport:
             self.invalidate(matrix_id)
 
     def _transmit(self, message, error=None):
-        """One message on the wire, retried as a whole until served.
+        """One wire message: its first attempt, or its retries.
 
-        Each attempt re-resolves the serving server through the master (a
-        recovery replaces the object — a retry must never talk to the
-        pre-failure process), transfers ``message.wire_bytes()``, queues on
-        the server CPU (``server.begin(arrival)``) and runs
-        ``server.dispatch(message)``.  A failure anywhere in that chain —
-        including halfway through a batch — retries the *entire message*
-        under the policy, re-sending its bytes through the network model.
+        An attempt re-resolves routing and the serving server through the
+        master (a recovery replaces the object — a retry must never talk
+        to the pre-failure process), transfers ``message.wire_bytes()``,
+        queues on the server CPU (``server.begin(arrival)``), runs
+        ``server.dispatch(message)`` and books the response.  A failure
+        anywhere in that chain — halfway through a batch, or on the
+        response after the server applied it — fails the *entire message*.
 
-        *error* is the retryable failure a bulk attempt of this message
-        already met (:meth:`_transmit_bulk` recorded its shard heat and
-        spent its first attempt): the loop then starts at that failure's
-        repair instead of at a first send.
+        With *error* ``None`` this is the first attempt: it records the
+        message's shard heat and raises a retryable failure to the caller.
+        Given the *error* a first attempt met (on either schedule), the
+        loop starts at that failure's repair and re-sends under the policy.
 
         Returns ``(value, response_arrival, completion)``: the arrival is
         ``None`` for fire-and-forget messages; the completion is when the
@@ -577,40 +594,37 @@ class Transport:
         if error is None:
             self.cluster.metrics.record_shard_access_many(shard_entries)
         tracer = self.cluster.tracer
-        trace_parent = None
-        if tracer.enabled:
-            span = tracer.current(self.node_id)
-            if span is not None:
-                span.args["fanout"] = span.args.get("fanout", 0) + 1
-                span.args["bytes"] = (
-                    span.args.get("bytes", 0) + request_bytes
-                    + (response_bytes or 0)
+        span = tracer.current(self.node_id) if tracer.enabled else None
+        trace_parent = None if span is None else span.span_id
+        if span is not None and error is None:
+            span.args["fanout"] = span.args.get("fanout", 0) + 1
+            span.args["bytes"] = (
+                span.args.get("bytes", 0) + request_bytes
+                + (response_bytes or 0)
+            )
+            if message.message_count() > 1:
+                span.args["coalesced"] = (
+                    span.args.get("coalesced", 0) + message.message_count()
                 )
-                if message.message_count() > 1:
-                    span.args["coalesced"] = (
-                        span.args.get("coalesced", 0)
-                        + message.message_count()
-                    )
-                # Stamp the causal context on the message (and on an
-                # envelope's sub-requests, whose replica copies carry it
-                # on): the server's CPU slot, both NIC bookings and any
-                # forwarded copy will parent to the client op that caused
-                # them.  wire_bytes() above was computed before the stamp
-                # and never reads it — tracing is byte-free.
-                trace_parent = span.span_id
-                message.trace_ctx = (span.trace_id, span.span_id)
-                if type(message) is messages.BatchRequest:
-                    for sub in message.requests:
-                        sub.trace_ctx = message.trace_ctx
+            # Stamp the causal context on the message (and on an envelope's
+            # sub-requests, whose replica copies carry it on): the server's
+            # CPU slot, both NIC bookings and any forwarded copy will parent
+            # to the client op that caused them.  wire_bytes() above was
+            # computed before the stamp and never reads it — tracing is
+            # byte-free.
+            message.trace_ctx = (span.trace_id, span.span_id)
+            if type(message) is messages.BatchRequest:
+                for sub in message.requests:
+                    sub.trace_ctx = message.trace_ctx
         attempt = 0
         while True:
             if error is None:
-                if message.matrix_id is not None:
-                    # Re-resolve routing (pays the routing RPC again after
-                    # an invalidation) before the attempt touches the wire.
-                    self.layout(message.matrix_id)
-                server = self.master.server(message.server_index)
                 try:
+                    if message.matrix_id is not None:
+                        # Re-resolve routing (pays the routing RPC again
+                        # after an invalidation) before touching the wire.
+                        self.layout(message.matrix_id)
+                    server = self.master.server(message.server_index)
                     arrival = network.transfer(
                         self.node_id, server.node_id, request_bytes,
                         tag=message.tag + ":req", deliver=False,
@@ -619,29 +633,22 @@ class Transport:
                     )
                     server.begin(arrival)
                     value = server.dispatch(message)
-                    break
+                    completion = server.last_completion
+                    if response_bytes is None:
+                        return value, None, completion
+                    response_arrival = network.transfer(
+                        server.node_id, self.node_id, response_bytes,
+                        tag=message.tag + ":resp", deliver=False,
+                        depart_at=completion,
+                        messages=message.message_count(),
+                        trace_parent=trace_parent,
+                    )
+                    return value, response_arrival, completion
                 except RETRYABLE_ERRORS as exc:
+                    if not attempt:
+                        raise  # a first attempt: the caller retries later
                     error = exc
             attempt += 1
-            if attempt > self.retry_policy.max_retries:
-                self.cluster.metrics.increment("op-retries-exhausted")
-                raise PSError(
-                    "server %s kept failing after %d attempts: %r"
-                    % (self.master.server(message.server_index).node_id,
-                       attempt, error)
-                ) from error
-            self._handle_failure(
-                error, message.server_index, message.matrix_id, attempt
-            )
+            self._handle_failure(error, attempt, message.server_index,
+                                 message.matrix_id)
             error = None
-        completion = server.last_completion
-        if response_bytes is None:
-            return value, None, completion
-        response_arrival = network.transfer(
-            server.node_id, self.node_id, response_bytes,
-            tag=message.tag + ":resp", deliver=False,
-            depart_at=completion,
-            messages=message.message_count(),
-            trace_parent=trace_parent,
-        )
-        return value, response_arrival, completion

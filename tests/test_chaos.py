@@ -147,13 +147,21 @@ def test_coalesced_batch_retry_reresolves_and_resends_envelope(cluster):
     assert metrics.counters["coalesced-requests"] == 12
 
 
+def _clocks_and_nics(cluster):
+    """Every node's virtual clock and NIC busy totals: what a traced and
+    an untraced run of one script must agree on."""
+    nodes = cluster.clock.nodes()
+    return ({node: cluster.clock.now(node) for node in nodes},
+            {node: cluster.network.nic_utilization(node) for node in nodes})
+
+
 def _drifted_shard_run(op, traced):
     """A live server whose shard set drifted, hit by one client op.
 
     Untraced, the op's fan-out takes the bulk schedule (routing is warm,
-    every server alive — ``_bulk_ok`` checks liveness, not shard
-    presence); traced, the per-message one.  Returns what the caller saw,
-    the final state and the cluster's counters.
+    and ``_bulk_ok`` never asks about shards or liveness); traced, the
+    per-message one.  Returns what the caller saw, the final state, the
+    cluster's counters and its clocks and NIC totals.
     """
     cluster = Cluster(ClusterConfig(n_executors=4, n_servers=3, seed=42))
     if traced:
@@ -175,7 +183,7 @@ def _drifted_shard_run(op, traced):
         else:
             got = client.pull_block(m, [0, 1])
     final = client.pull_block(m, [0, 1])
-    return got, final, cluster.metrics.counters
+    return got, final, cluster.metrics.counters, _clocks_and_nics(cluster)
 
 
 @pytest.mark.parametrize("op", ["pull_row", "pull_block", "push_block_add"])
@@ -185,16 +193,19 @@ def test_drifted_shard_in_a_bulk_fanout_reaches_the_retry_policy(op):
     no retry loop — while the traced, per-message run of the same script
     repaired and returned.  Turning tracing on must not change the
     outcome: the failed wire message (a whole envelope) goes to the retry
-    policy, the rest of the fan-out completes normally."""
-    got, final, counters = _drifted_shard_run(op, traced=False)
-    traced_got, traced_final, traced_counters = _drifted_shard_run(
-        op, traced=True
-    )
+    policy after the rest of the fan-out went out, on both schedules, so
+    the two runs also end on identical clocks and NIC totals (the
+    per-message schedule used to retry inline, before the next server's
+    request left)."""
+    got, final, counters, wire = _drifted_shard_run(op, traced=False)
+    traced_got, traced_final, traced_counters, traced_wire = \
+        _drifted_shard_run(op, traced=True)
     if got is None:
         assert traced_got is None
     else:
         assert np.array_equal(got, traced_got)
     assert np.array_equal(final, traced_final)
+    assert wire == traced_wire
     for name in ("op-retries", "routing-invalidations", "server-repairs",
                  "coalesced-batches", "coalesced-requests"):
         assert counters[name] == traced_counters[name], name
@@ -270,6 +281,77 @@ def test_permanent_partition_exhausts_retries():
     with pytest.raises(PSError):
         client.pull_row(m, 0)
     assert cluster.metrics.counters["op-retries-exhausted"] == 1
+
+
+def test_partition_on_the_routing_rpc_is_retried():
+    """Regression: the routing RPC of a client's first touch sat outside
+    every retry loop, so a window over the client's node raised
+    ``NetworkPartitionedError`` (not a ``PSError``) out of the op, and
+    ``client-dropped-ops`` never counted it.  The fetch is now retried
+    under the client's policy: the op returns once the window passed."""
+    cluster = _chaos_cluster(partition_windows=(("executor-0", 0.0, 4e-3),))
+    master = PSMaster(cluster)
+    client = PSClient(cluster, master, cluster.executors[0])
+    m = master.create_matrix(30)
+    got = client.pull_row(m, 0)
+    assert np.array_equal(got, np.zeros(30))
+    counters = cluster.metrics.counters
+    assert counters["partition-drops"] >= 1
+    assert counters["op-retries"] >= 1
+    assert counters.get("client-dropped-ops", 0) == 0
+    # The penalties were charged to the client's clock, past the window.
+    assert cluster.clock.now(client.node_id) >= 4e-3
+
+
+def test_partition_on_the_routing_rpc_exhausts_into_a_dropped_op():
+    from repro.common.errors import PSError
+
+    cluster = _chaos_cluster(partition_windows=(("executor-0", 0.0, 1e6),))
+    master = PSMaster(cluster)
+    client = PSClient(cluster, master, cluster.executors[0])
+    m = master.create_matrix(30)
+    with pytest.raises(PSError):
+        client.pull_row(m, 0)
+    counters = cluster.metrics.counters
+    assert counters["op-retries-exhausted"] == 1
+    assert counters["client-dropped-ops"] == 1
+
+
+def _dropped_response_run(traced):
+    """A warm client whose node is partitioned from 0.1 ms to 5 ms from
+    now: its pull's requests leave before the window, the responses depart
+    inside it.  Returns the pulled row, the counters, clocks and NICs."""
+    cluster = _chaos_cluster()
+    if traced:
+        cluster.tracer.enable()
+    master = PSMaster(cluster)
+    client = PSClient(cluster, master, cluster.executors[0])
+    m = master.create_matrix(30)
+    client.push_assign(m, 0, np.arange(30.0))  # warms routing
+    now = cluster.clock.now(client.node_id)
+    cluster.failures.schedule_partition(client.node_id, now + 1e-4, now + 5e-3)
+    got = client.pull_row(m, 0)
+    return got, cluster.metrics.counters, _clocks_and_nics(cluster)
+
+
+def test_partition_on_a_response_is_retried_on_both_schedules():
+    """Regression: a window that swallowed an RPC *response* escaped the
+    op as ``NetworkPartitionedError`` on both schedules.  A lost response
+    now fails its attempt like a lost request, and the message is re-sent
+    whole (at-least-once delivery: the server served it twice).  The
+    untraced run takes the bulk schedule, the traced one the per-message
+    one; they end on identical clocks and NIC totals."""
+    got, counters, wire = _dropped_response_run(traced=False)
+    traced_got, traced_counters, traced_wire = _dropped_response_run(
+        traced=True)
+    assert np.array_equal(got, np.arange(30.0))
+    assert np.array_equal(traced_got, got)
+    assert counters["op-retries"] >= 1
+    assert counters["partition-drops"] >= 1
+    assert counters.get("client-dropped-ops", 0) == 0
+    for name in ("op-retries", "partition-drops", "routing-invalidations"):
+        assert counters.get(name, 0) == traced_counters.get(name, 0), name
+    assert wire == traced_wire
 
 
 # -- scheduled crashes -------------------------------------------------------

@@ -1,18 +1,20 @@
 """The two transmit schedules are one system: bulk == per-message, bit for bit.
 
-``Transport.send_all`` ships a fan-out either message by message
+``Transport.send_all`` tries a fan-out's wire messages either one by one
 (``_transmit``: request, service, response, next message) or in three
 phases (``_transmit_bulk``: every request, every service through
-``serve_fast_fanout``, every response).  Which one runs is decided by
-``_bulk_ok`` from what the cluster has switched on, never by the caller —
-so the two must be indistinguishable from outside.
+``serve_fast_fanout``, every response), then retries the failed ones in
+wire order on both.  Which schedule runs is decided by ``_bulk_ok`` from
+what the cluster has switched on, never by the caller — so the two must
+be indistinguishable from outside.
 
-Two rigs are built from one seed, identical except that one carries an
-armed, never-fired server crash (``server_failure_times=((0, 1e9),)``,
-the same lever the perf ledger's ``storm-allon`` uses): a pending crash
-trips ``_bulk_ok`` and forces the per-message schedule.  The same stream
-of client ops must then leave the same returned values, metrics, clocks,
-server CPU timelines, version vectors and NIC busy totals on both.
+Two rigs are built from one seed, identical except that every transport
+of one has ``_bulk_ok`` pinned to ``False`` on the instance (a test-only
+lever, not a knob), which forces the per-message schedule.  The same
+stream of client ops must then leave the same returned values, metrics,
+clocks, server CPU timelines, version vectors and NIC busy totals on
+both — also when a server crash and a partition window, scheduled after
+set-up, fire mid-stream: then the raised error types must match too.
 
 The client's fan-out plan pool is held to the same standard: it reuses
 request objects (and what the transport derived from them) across ops and
@@ -27,7 +29,8 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from repro.cluster.cluster import Cluster
-from repro.config import ClusterConfig, FailureConfig
+from repro.common.errors import ReproError
+from repro.config import ClusterConfig
 from repro.ps import messages, transport
 from repro.ps.client import PSClient
 from repro.ps.master import PSMaster
@@ -41,12 +44,9 @@ N_CLIENTS = 3
 class _Rig:
     """One small cluster with a column-layout and a row-layout matrix."""
 
-    def __init__(self, armed=False, pooled=True, consistency="bsp"):
-        failures = FailureConfig(
-            server_failure_times=((0, 1e9),) if armed else ()
-        )
+    def __init__(self, per_message=False, pooled=True, consistency="bsp"):
         self.cluster = Cluster(ClusterConfig(
-            n_executors=N_CLIENTS, n_servers=3, seed=11, failures=failures,
+            n_executors=N_CLIENTS, n_servers=3, seed=11,
             consistency=consistency, staleness=1,
         ))
         self.master = PSMaster(self.cluster)
@@ -54,8 +54,10 @@ class _Rig:
             PSClient(self.cluster, self.master, node_id)
             for node_id in self.cluster.executors
         ]
-        if not pooled:
-            for client in self.clients:
+        for client in self.clients:
+            if per_message:
+                client.transport._bulk_ok = lambda outgoing: False
+            if not pooled:
                 client._plan_pool = lambda layout: None
         self.matrices = (
             self.master.create_matrix(DIM, n_rows=N_ROWS),
@@ -81,6 +83,23 @@ class _Rig:
     def pooled_plans(self):
         return sum(len(self.master.layout(matrix).op_plans)
                    for matrix in self.matrices)
+
+    def arm(self, crash, window):
+        """Schedule a server crash and a partition window *after* set-up.
+
+        ``crash`` is ``(server slot, delay)``, ``window`` is ``(node slot,
+        delay, length)``; delays count from the latest clock, so both
+        land inside the stream that follows rather than before it.
+        """
+        cluster = self.cluster
+        now = max(cluster.clock.now(node) for node in cluster.clock.nodes())
+        slot, delay = crash
+        cluster.failures.schedule_server_failure(cluster.servers[slot],
+                                                 now + delay)
+        slot, delay, length = window
+        nodes = cluster.executors + cluster.servers
+        cluster.failures.schedule_partition(nodes[slot], now + delay,
+                                            now + delay + length)
 
     def state(self):
         cluster = self.cluster
@@ -194,12 +213,21 @@ def _same(left, right):
     return left == right
 
 
-def _run_same(stream, reference, *others):
+def _outcome(rig, op):
+    """What the caller saw: the op's value, or the type of what it raised
+    (a spent retry budget, or a failure escaping a recovery)."""
+    try:
+        return _apply(rig, op)
+    except ReproError as error:
+        return type(error)
+
+
+def _run_same(stream, reference, *others, run=_apply):
     """Run *stream* on every rig; all must end up where *reference* does."""
     for op in stream:
-        expected = _apply(reference, op)
+        expected = run(reference, op)
         for rig in others:
-            assert _same(expected, _apply(rig, op)), op
+            assert _same(expected, run(rig, op)), op
     left = reference.state()
     for rig in others:
         right = rig.state()
@@ -210,9 +238,19 @@ def _run_same(stream, reference, *others):
 def _run_both(stream):
     """Bulk schedule == per-message schedule == bulk without a plan pool."""
     bulk, per_message, unpooled = \
-        _Rig(), _Rig(armed=True), _Rig(pooled=False)
+        _Rig(), _Rig(per_message=True), _Rig(pooled=False)
     _run_same(stream, bulk, per_message, unpooled)
     return bulk, per_message, unpooled
+
+
+def _run_failing(stream, crash, window):
+    """Both schedules, with a crash and a partition window armed after
+    set-up: failures fire mid-stream and must not tell them apart."""
+    bulk, per_message = _Rig(), _Rig(per_message=True)
+    for rig in (bulk, per_message):
+        rig.arm(crash, window)
+    _run_same(stream, bulk, per_message, run=_outcome)
+    return bulk, per_message
 
 
 def _run_ssp(stream):
@@ -307,7 +345,7 @@ def test_a_fixed_stream_of_every_op_kind_matches_and_takes_both_schedules(
     monkeypatch.setattr(transport, "serve_fast_fanout", counting)
     bulk, per_message, unpooled = _run_both(_FIXED_STREAM)
     # The comparison is only worth something if the rigs really differ in
-    # schedule: the bare one goes through the lane, the armed one never.
+    # schedule: the bare one goes through the lane, the pinned one never.
     assert sum(cluster is bulk.cluster for cluster in served) \
         >= len(_FIXED_STREAM) // 2
     assert not any(cluster is per_message.cluster for cluster in served)
@@ -350,3 +388,50 @@ def test_any_op_stream_is_bit_identical_on_both_schedules(stream):
 def test_any_op_stream_is_bit_identical_with_and_without_the_pool_under_ssp(
         stream):
     _run_ssp(stream)
+
+
+# -- fired failures: one retry order on both schedules ------------------------
+
+#: ``(server slot, delay)`` and ``(node slot, delay, length)`` for
+#: :meth:`_Rig.arm`; node slots cover every executor and server.
+_crashes = st.tuples(st.integers(0, 2), st.floats(0.0, 2e-3))
+_windows = st.tuples(st.integers(0, N_CLIENTS + 2), st.floats(0.0, 2e-3),
+                     st.floats(1e-5, 3e-3))
+
+
+def test_the_fixed_stream_with_fired_failures_matches_and_takes_the_lane(
+        monkeypatch):
+    served = []
+    lane = transport.serve_fast_fanout
+
+    def counting(cluster, fan_servers, fan_messages, fan_arrivals):
+        served.append(cluster)
+        return lane(cluster, fan_servers, fan_messages, fan_arrivals)
+
+    monkeypatch.setattr(transport, "serve_fast_fanout", counting)
+    # server-1 dies 1 ms in; executor-0 is cut off from 0.5 to 1.5 ms.
+    bulk, per_message = _run_failing(_FIXED_STREAM, (1, 1e-3),
+                                     (0, 5e-4, 1e-3))
+    for rig in (bulk, per_message):
+        counters = rig.cluster.metrics.counters
+        assert counters["server-crashes"] > 0
+        assert counters["partition-drops"] > 0
+        assert counters["server-recoveries"] > 0
+        assert counters["op-retries"] > 0
+    # Armed and firing failures no longer keep the bare rig off the lane.
+    assert sum(cluster is bulk.cluster for cluster in served) \
+        >= len(_FIXED_STREAM) // 2
+    assert not any(cluster is per_message.cluster for cluster in served)
+
+
+@given(stream=st.lists(_ops, min_size=1, max_size=24), crash=_crashes,
+       window=_windows)
+# One block pull where server-1's envelope fails in service (phase 2) and
+# server-0's response is lost (phase 3): the retries still go in wire
+# order, server-0 first, as the per-message schedule queues them.
+@example(stream=[("pull_block", 0, 0, [0, 1, 2, 3], None)], crash=(1, 0.0),
+         window=(N_CLIENTS, 1.5e-4, 1e-3))
+@settings(max_examples=40, deadline=None)
+def test_any_op_stream_with_fired_failures_is_bit_identical_on_both_schedules(
+        stream, crash, window):
+    _run_failing(stream, crash, window)

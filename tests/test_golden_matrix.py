@@ -1,20 +1,25 @@
-"""Golden determinism matrix: consistency × coalescing × replication.
+"""Golden determinism matrix: consistency × transmit schedule × replication.
 
-Every cell of {bsp, ssp(1), asp} × {coalesce on, off} × {replication off,
-topk} must be a deterministic function of the seed: two identical runs
-produce bit-identical loss histories, final weights and virtual makespans.
-On top of per-cell determinism, two cross-cutting invariants:
+Every cell of {bsp, ssp(1), asp} × {phased, per-message schedule} ×
+{replication off, topk} must be a deterministic function of the seed: two
+identical runs produce bit-identical loss histories, final weights and
+virtual makespans.  The per-message cells pin ``Transport._bulk_ok`` to
+``False`` for the run (a test-only lever); under replication both
+schedules are the per-message one anyway.  On top of per-cell
+determinism, two cross-cutting invariants:
 
-- replication never changes the math — within any (consistency, coalesce)
-  pair the off and topk runs have identical loss histories (replication
-  moves bytes, not floats);
-- the canonical BSP / coalesce-on / replication-off cell matches a
-  checked-in golden hash, so *any* change to the numerical behaviour of
+- replication never changes the math — within any (consistency,
+  schedule) pair the off and topk runs have identical loss histories
+  (replication moves bytes, not floats);
+- the canonical BSP / replication-off cell matches a checked-in golden
+  hash on either schedule, so *any* change to the numerical behaviour of
   the default pipeline — however indirect — trips a review gate instead
   of sliding in silently.
 """
 
+import contextlib
 import hashlib
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -22,23 +27,23 @@ import pytest
 from repro.data import sparse_classification
 from repro.experiments.runner import make_context
 from repro.ml import train_logistic_regression
+from repro.ps.transport import Transport
 
 MODELS = [("bsp", 0), ("ssp", 1), ("asp", 0)]
 
 #: sha256 over the float64 loss history of the canonical cell
-#: (bsp, coalesce on, replication off).  Regenerate deliberately with
+#: (bsp, replication off).  Regenerate deliberately with
 #: ``_loss_hash(_run("bsp", 0, True, "off")[0])`` if the numerical
 #: behaviour of the default pipeline is *intentionally* changed.
 GOLDEN_BSP_HASH = \
     "433406334a7eb8f7b7e15868cb34e219bf7f5bb2498596e8931ef3e3df419684"
 
 
-def _run(consistency, staleness, coalesce, replication,
+def _run(consistency, staleness, bulk, replication,
          timeseries_window=0.0, trace=False, wire_codec="off",
          chain_replicas=0):
     ctx = make_context(
         n_executors=2, n_servers=3, seed=11,
-        coalesce_requests=coalesce,
         consistency=consistency, staleness=staleness,
         replication=replication, hot_key_fraction=0.34,
         replication_factor=2,
@@ -49,12 +54,15 @@ def _run(consistency, staleness, coalesce, replication,
     if trace:
         ctx.cluster.tracer.enable()
     rows, _ = sparse_classification(80, 96, 8, seed=11)
-    result = train_logistic_regression(
-        ctx, rows, 96, optimizer="sgd", n_iterations=3,
-        batch_fraction=0.5, seed=11,
-    )
+    pin = contextlib.nullcontext() if bulk else mock.patch.object(
+        Transport, "_bulk_ok", lambda self, outgoing: False)
+    with pin:
+        result = train_logistic_regression(
+            ctx, rows, 96, optimizer="sgd", n_iterations=3,
+            batch_fraction=0.5, seed=11,
+        )
+        weights = result.extras["weight"].pull()
     losses = [loss for _t, loss in result.history]
-    weights = result.extras["weight"].pull()
     return losses, weights, ctx
 
 
@@ -65,13 +73,13 @@ def _loss_hash(losses):
 
 
 @pytest.mark.parametrize("consistency,staleness", MODELS)
-@pytest.mark.parametrize("coalesce", [True, False])
+@pytest.mark.parametrize("bulk", [True, False])
 @pytest.mark.parametrize("replication", ["off", "topk"])
-def test_cell_is_bit_identical_across_runs(consistency, staleness, coalesce,
+def test_cell_is_bit_identical_across_runs(consistency, staleness, bulk,
                                            replication):
-    losses_a, weights_a, ctx_a = _run(consistency, staleness, coalesce,
+    losses_a, weights_a, ctx_a = _run(consistency, staleness, bulk,
                                       replication)
-    losses_b, weights_b, ctx_b = _run(consistency, staleness, coalesce,
+    losses_b, weights_b, ctx_b = _run(consistency, staleness, bulk,
                                       replication)
     assert losses_a == losses_b
     assert np.array_equal(weights_a, weights_b)
@@ -81,6 +89,9 @@ def test_cell_is_bit_identical_across_runs(consistency, staleness, coalesce,
     promotions = ctx_a.metrics.counters.get("replica-promotions", 0)
     if replication == "off":
         assert fanouts == 0 and promotions == 0
+        if consistency == "bsp":
+            # Either schedule lands on the checked-in golden.
+            assert _loss_hash(losses_a) == GOLDEN_BSP_HASH
     else:
         assert promotions > 0
         assert (ctx_a.metrics.counters["rebalance-sweeps"]
@@ -88,11 +99,10 @@ def test_cell_is_bit_identical_across_runs(consistency, staleness, coalesce,
 
 
 @pytest.mark.parametrize("consistency,staleness", MODELS)
-@pytest.mark.parametrize("coalesce", [True, False])
-def test_replication_never_changes_the_losses(consistency, staleness,
-                                              coalesce):
-    losses_off, _w_off, _ctx = _run(consistency, staleness, coalesce, "off")
-    losses_on, _w_on, _ctx = _run(consistency, staleness, coalesce, "topk")
+@pytest.mark.parametrize("bulk", [True, False])
+def test_replication_never_changes_the_losses(consistency, staleness, bulk):
+    losses_off, _w_off, _ctx = _run(consistency, staleness, bulk, "off")
+    losses_on, _w_on, _ctx = _run(consistency, staleness, bulk, "topk")
     assert losses_on == losses_off
 
 

@@ -4,12 +4,11 @@ Two kinds of guarantees:
 
 1. Every client op transfers exactly the bytes its message objects predict
    (message ``wire_bytes()``/``response_bytes()`` plus the per-transfer NIC
-   envelope), for every op type and both coalescing modes.
-2. The refactor is behavior-preserving where it claims to be: a traced LR
-   epoch is byte- and makespan-identical to the pre-refactor closure-based
-   path (golden numbers captured before the transport landed), regardless
-   of the ``coalesce_requests`` knob — row ops issue one message per server
-   either way.
+   envelope), for every op type, batch envelopes included.
+2. The refactor is behavior-preserving where it claims to be: an LR epoch
+   is byte- and makespan-identical to the pre-refactor closure-based path
+   (golden numbers captured before the transport landed), on both transmit
+   schedules — row ops issue one message per server either way.
 """
 
 import numpy as np
@@ -25,11 +24,11 @@ from repro.ml import train_logistic_regression
 from repro.ps import messages
 from repro.ps.client import PSClient
 from repro.ps.master import PSMaster
+from repro.ps.transport import Transport
 
 
-def _rig(coalesce=True, n_servers=3):
-    config = ClusterConfig(n_executors=2, n_servers=n_servers, seed=3,
-                           coalesce_requests=coalesce)
+def _rig(n_servers=3):
+    config = ClusterConfig(n_executors=2, n_servers=n_servers, seed=3)
     cluster = Cluster(config)
     master = PSMaster(cluster)
     client = PSClient(cluster, master, cluster.executors[0])
@@ -51,8 +50,8 @@ def _on_wire(payloads):
 # -- per-op wire accounting ---------------------------------------------------
 
 
-def test_dense_pull_row_bytes_match_messages(coalesce=True):
-    cluster, master, client = _rig(coalesce)
+def test_dense_pull_row_bytes_match_messages():
+    cluster, master, client = _rig()
     m = master.create_matrix(30)
     client.pull_row(m, 0)
     shards = master.layout(m).shards_for_row(0)
@@ -167,7 +166,7 @@ def test_routing_bytes_use_central_formula():
 
 
 def test_pull_block_coalesced_issues_one_message_per_server():
-    cluster, master, client = _rig(coalesce=True)
+    cluster, master, client = _rig()
     m = master.create_matrix(30, n_rows=4)
     client.pull_block(m, [0, 1, 2, 3])
     shards = master.layout(m).shards_for_row(0)
@@ -192,37 +191,40 @@ def test_pull_block_coalesced_issues_one_message_per_server():
 
 
 def test_uncoalesced_block_pays_per_request_headers():
-    coalesced, master_a, client_a = _rig(coalesce=True)
-    plain, master_b, client_b = _rig(coalesce=False)
-    for master, client in ((master_a, client_a), (master_b, client_b)):
-        m = master.create_matrix(30, n_rows=4)
-        client.pull_block(m, [0, 1, 2, 3])
-        client.push_block_add(m, [0, 1, 2, 3], np.ones((4, 30)))
-    n_servers = 3
-    for tag in ("pull-block:req", "push-block:req"):
-        bytes_on, wire_on, logical_on = _tag(coalesced, tag)
-        bytes_off, wire_off, logical_off = _tag(plain, tag)
-        assert wire_on == n_servers
-        assert wire_off == n_servers * 4
-        assert logical_on == logical_off == n_servers * 4
-        # Coalescing strictly reduces header + envelope bytes.
-        assert bytes_on < bytes_off
-        # Each coalesced-away request saves a full header + NIC envelope;
-        # every sub-request (including the batch's first) pays its 16-byte
-        # descriptor instead.
-        saved = (logical_on - wire_on) * (
-            messages.REQUEST_HEADER_BYTES + MESSAGE_OVERHEAD_BYTES
-        ) - logical_on * messages.SUBREQUEST_HEADER_BYTES
-        assert bytes_off - bytes_on == saved
-    # Payload-identical: responses carry the same values either way.
-    assert _tag(coalesced, "pull-block:resp")[0] < \
-        _tag(plain, "pull-block:resp")[0]
-    # And the coalesced run finishes no later.
-    assert coalesced.elapsed() <= plain.elapsed()
+    """A k-request envelope saves exactly k - 1 request headers and NIC
+    envelopes over k stand-alone messages, and pays one 16-byte
+    sub-request descriptor per request instead; a block op's wire bytes
+    are exactly the stand-alone total minus that saving, per server."""
+    cluster, master, client = _rig()
+    m = master.create_matrix(30, n_rows=4)
+    rows = [0, 1, 2, 3]
+    client.pull_block(m, rows)
+    client.push_block_add(m, rows, np.ones((4, 30)))
+    k = len(rows)
+    saved = (k - 1) * (messages.REQUEST_HEADER_BYTES
+                       + MESSAGE_OVERHEAD_BYTES) \
+        - k * messages.SUBREQUEST_HEADER_BYTES
+    assert saved > 0
+    shards = master.layout(m).shards_for_row(0)
+    for tag, build in (
+        ("pull-block:req",
+         lambda s, row, width: messages.PullRowRequest(s, m, row, width)),
+        ("push-block:req",
+         lambda s, row, width: messages.PushRequest(s, m, row,
+                                                    np.ones(width))),
+    ):
+        expected = 0.0
+        for server, start, stop in shards:
+            alone = [build(server, row, stop - start) for row in rows]
+            standalone = _on_wire([r.wire_bytes() for r in alone])
+            envelope = _on_wire([messages.BatchRequest(alone).wire_bytes()])
+            assert standalone - envelope == saved
+            expected += envelope
+        assert _tag(cluster, tag) == (expected, len(shards), k * len(shards))
 
 
 def test_sparse_block_ships_shared_index_list_once():
-    cluster, master, client = _rig(coalesce=True)
+    cluster, master, client = _rig()
     m = master.create_matrix(30, n_rows=3)
     idx = np.array([0, 7, 13, 22, 29])
     client.pull_block(m, [0, 1, 2], indices=idx)
@@ -239,24 +241,18 @@ def test_sparse_block_ships_shared_index_list_once():
     assert req_bytes == expected
 
 
-def test_singleton_groups_ignore_the_knob():
-    """Row ops issue one message per server; batching never engages, so
-    the knob cannot perturb their wire traffic or timing."""
-    runs = {}
-    for coalesce in (True, False):
-        cluster, master, client = _rig(coalesce)
-        m = master.create_matrix(30)
-        client.push_assign(m, 0, np.arange(30.0))
-        client.pull_row(m, 0, indices=[1, 7, 29])
-        client.aggregate_row(m, 0, "sumsq")
-        # Nothing was ever batched, even with the knob on.
-        assert cluster.metrics.counters.get("coalesced-batches", 0) == 0
-        runs[coalesce] = (
-            dict(cluster.metrics.bytes_by_tag),
-            dict(cluster.metrics.messages_by_tag),
-            cluster.elapsed(),
-        )
-    assert runs[True] == runs[False]
+def test_singleton_groups_never_batch():
+    """Row ops issue one message per server, so no envelope is ever
+    formed: each goes stand-alone, one wire message per logical one."""
+    cluster, master, client = _rig()
+    m = master.create_matrix(30)
+    client.push_assign(m, 0, np.arange(30.0))
+    client.pull_row(m, 0, indices=[1, 7, 29])
+    client.aggregate_row(m, 0, "sumsq")
+    assert cluster.metrics.counters.get("coalesced-batches", 0) == 0
+    for tag in ("push:req", "pull:req", "rowagg:req"):
+        _bytes, wire, logical = _tag(cluster, tag)
+        assert wire == logical > 0
 
 
 def test_batch_request_envelope_math():
@@ -532,13 +528,16 @@ GOLDEN_LR_MESSAGES_BY_TAG = {
 }
 
 
-@pytest.mark.parametrize("coalesce", [True, False])
-def test_lr_epoch_is_identical_to_prerefactor_path(coalesce):
+@pytest.mark.parametrize("bulk", [True, False])
+def test_lr_epoch_is_identical_to_prerefactor_path(bulk, monkeypatch):
     """The LR epoch's row ops are singleton-per-server, so the refactored
     transport must reproduce the pre-refactor wire traffic and makespan
-    exactly — with coalescing on AND off."""
-    ctx = make_context(n_executors=4, n_servers=3, seed=7,
-                       coalesce_requests=coalesce)
+    exactly — on the phased schedule AND with every fan-out pinned to the
+    per-message one."""
+    if not bulk:
+        monkeypatch.setattr(Transport, "_bulk_ok",
+                            lambda self, outgoing: False)
+    ctx = make_context(n_executors=4, n_servers=3, seed=7)
     rows, _ = sparse_classification(80, 400, 8, seed=7)
     result = train_logistic_regression(ctx, rows, 400, optimizer="sgd",
                                        n_iterations=2, batch_fraction=0.5,
