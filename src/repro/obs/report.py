@@ -280,14 +280,14 @@ def chain_table(cluster):
     metrics = cluster.metrics
     lines = ["successors per primary: %d (ring order over live servers)"
              % chain.m]
-    keys = sorted(chain.links)
+    keys = sorted(chain.holders)
     if keys:
         lines.append(_format_rows(
             ["matrix", "primary", "successors", "lag"],
             [
                 (matrix_id, primary_index,
                  ",".join(str(s) for s in
-                          sorted(chain.links[(matrix_id, primary_index)])),
+                          sorted(chain.holders[(matrix_id, primary_index)])),
                  chain.key_lag(matrix_id, primary_index))
                 for matrix_id, primary_index in keys
             ],

@@ -175,25 +175,17 @@ class PSClient:
         the shared layout, across clients), so it is only safe when no one
         mutates requests between sends.  Pushes swap same-length value
         views into pooled requests, which keeps every memoized wire-size
-        formula input unchanged.  The replication routers retarget reads
-        in place, but :func:`repro.ps.replication.route` undoes any leftover
-        retarget before re-offering a request, so pooling stays on under
-        replication — the pool is merely *invalidated* (cleared) whenever
-        the topology or the replica set changes, keyed on
-        ``(topology_epoch, plan_epoch)``.  A cost model attaches per-send
-        codec state to pushes (encoded payloads, re-priced sizes), which
-        pooled reuse would corrupt, so codecs disable the pool.
+        formula input unchanged.  Nothing else assigns to them: the
+        replication routers send a rerouted read as a retargeted *copy*
+        (:func:`repro.ps.replication.route`), so a pooled plan stays
+        addressed to the primaries and pooling needs no replica-set stamp.
+        A cost model attaches per-send codec state to pushes (encoded
+        payloads, re-priced sizes), which pooled reuse would corrupt, so
+        codecs disable the pool.
         """
         if self.cluster.costmodel is not None:
             return None
-        plans = layout.op_plans
-        manager = self.cluster.replication
-        if manager is not None:
-            epoch = (self.master.topology_epoch, manager.plan_epoch)
-            if plans.get("_epoch") != epoch:
-                plans.clear()
-                plans["_epoch"] = epoch
-        return plans
+        return layout.op_plans
 
     def _plan(self, layout, key, build, indices=None):
         """The :class:`FanoutPlan` for one op; returns ``(plan, pooled)``.
@@ -230,11 +222,7 @@ class PSClient:
             plan.snapshot = indices.copy()
             entry = plan
         if len(plans) >= _PLAN_POOL_CAP:
-            # Start over — and re-stamp: an unstamped pool under
-            # replication reads as stale, so the next op would clear it
-            # again and drop the entry stored below.
             plans.clear()
-            self._plan_pool(layout)
         plans[key] = entry
         return plan, False
 
@@ -477,8 +465,7 @@ class PSClient:
 
                 self.cluster.network.transfer(
                     self.node_id, DRIVER,
-                    messages.REQUEST_HEADER_BYTES
-                    + len(created) * messages.INDEX_BYTES,
+                    messages.lazy_register_bytes(len(created)),
                     tag="lazy-register",
                 )
                 self.master.register_lazy_rows(matrix_id, created)

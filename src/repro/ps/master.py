@@ -27,8 +27,7 @@ import numpy as np
 from repro.cluster.cluster import DRIVER
 from repro.common.errors import MatrixNotFoundError, PSError
 from repro.common.rng import generator
-from repro.common.sizeof import FLOAT_BYTES, INDEX_BYTES
-from repro.ps import replication
+from repro.ps import messages, replication
 from repro.ps.checkpoint import CheckpointManager
 from repro.ps.costmodel import CostModel
 from repro.ps.messages import REQUEST_HEADER_BYTES
@@ -574,10 +573,8 @@ class PSMaster:
                         if old_server != new_server:
                             pair = (source.node_id,
                                     self.servers[new_server].node_id)
-                            transfers[pair] = (
-                                transfers.get(pair, 0)
-                                + (hi - lo) * FLOAT_BYTES + 2 * INDEX_BYTES
-                            )
+                            slices, n_values = transfers.get(pair, (0, 0))
+                            transfers[pair] = (slices + 1, n_values + hi - lo)
                             moved_slices += 1
                     new_store.setdefault(new_server, {})[row] = RowShard(
                         nstart, nstop, values
@@ -595,9 +592,10 @@ class PSMaster:
                     if counter > target.versions.get(key, 0):
                         target.versions[key] = counter
             info.layout = new_layout
-        for (src, dst), nbytes in sorted(transfers.items()):
+        for (src, dst), (slices, n_values) in sorted(transfers.items()):
             self.cluster.network.transfer(
-                src, dst, REQUEST_HEADER_BYTES + nbytes, tag="shard-migrate"
+                src, dst, messages.shard_migrate_bytes(slices, n_values),
+                tag="shard-migrate",
             )
         retired = sorted(old_keys - new_keys)
         if retired:

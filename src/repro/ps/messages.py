@@ -68,10 +68,11 @@ pull reply ``codec.encoded_bytes(n)`` instead of ``n·vb``.)
 State streams
 -------------
 
-Three bulk shard-state transfers are priced here too; they never pass
-through a server's dispatch, so they are functions, not message kinds.
-``rows``/``versions`` count the row descriptors and mutation counters
-carried, ``values`` is the value payload in bytes.
+Four bulk shard-state transfers and one control report are priced here
+too; they never pass through a server's dispatch, so they are
+functions, not message kinds.  ``rows``/``versions`` count the row
+descriptors and mutation counters carried, ``values`` is the value
+payload in bytes.
 
 ==================  ====================================================
 stream (tag)        bytes
@@ -80,6 +81,8 @@ stream (tag)        bytes
 ``chain-sync``      request header + 2I + rows·3I + values + versions·I
 ``chain-promote``   request header + 2I out; response header + rows·3I
                     + values + versions·I back
+``shard-migrate``   request header + values + slices·2I
+``lazy-register``   request header + rows·I
 ==================  ====================================================
 
 The first and second still price the same state differently (row
@@ -88,6 +91,8 @@ moves virtual numbers and is left to a design-change PR.
 """
 
 from __future__ import annotations
+
+import copy
 
 import numpy as np
 
@@ -170,6 +175,21 @@ def chain_promote_bytes(n_rows, n_values, n_versions, value_bytes=None):
             + _chain_state_bytes(n_rows, n_values, n_versions, value_bytes))
 
 
+def shard_migrate_bytes(n_slices, n_values):
+    """One live-resize stream (tag ``shard-migrate``) from one source
+    server to one target: the slice values plus a ``[start, stop)``
+    descriptor per moved slice."""
+    return (REQUEST_HEADER_BYTES + int(n_values) * FLOAT_BYTES
+            + int(n_slices) * 2 * INDEX_BYTES)
+
+
+def lazy_register_bytes(n_rows):
+    """A client's report of the lazy rows its get-or-create round
+    materialized (tag ``lazy-register``), to the coordinator: one key per
+    fresh id."""
+    return REQUEST_HEADER_BYTES + int(n_rows) * INDEX_BYTES
+
+
 # -- typed requests -----------------------------------------------------------
 
 
@@ -192,12 +212,13 @@ class Request:
     (hot-shard telemetry; also the length of the value payload a pull
     brings back).
 
-    ``replica_of`` is ``None`` for a normal request; the replication
-    manager sets it to the *primary* server index when it reroutes a read
-    to a replica — the serving server uses it to look up its replica copy,
-    and the hot-shard telemetry keeps attributing the access to the
-    logical (primary) shard key so routing cannot drain the very heat
-    signal that created the replica.
+    ``replica_of`` is ``None`` for a normal request; a read the
+    replication routers reroute to a copy is sent as a
+    :meth:`retargeted` copy whose ``replica_of`` is the *primary* server
+    index — the serving server uses it to look up its replica copy, and
+    the hot-shard telemetry keeps attributing the access to the logical
+    (primary) shard key so routing cannot drain the very heat signal that
+    created the replica.
 
     ``trace_ctx`` is the causal-tracing context ``(trace_id,
     parent_span_id)`` the transport stamps on outgoing messages when
@@ -323,6 +344,16 @@ class Request:
     def message_count(self):
         """Logical sub-messages carried (1; batches report their size)."""
         return 1
+
+    def retargeted(self, server_index):
+        """A copy of this primary-addressed read, sent to the copy of its
+        shard that *server_index* holds.  The original is left as it was,
+        so a pooled request routes afresh on every send; sizes are
+        unchanged, so the copy keeps the size memos."""
+        clone = copy.copy(self)
+        clone.server_index = int(server_index)
+        clone.replica_of = self.server_index
+        return clone
 
     def __repr__(self):
         return "%s(server=%d, matrix=%r, tag=%r)" % (

@@ -12,7 +12,8 @@ fencing token).  The mechanism owns
   copy that predates a recovery (the primary may have rolled back) is
   fenced out of routing and fan-out until it is re-installed;
 - the install/refresh stream onto a holder, which forgets the link when
-  either end turns out to be down;
+  either end turns out to be down and, like every stream a primary
+  sends, retries a partition and past the budget abandons the holder;
 - the holder drop — a header-sized control message, with the physical
   ``replica_store`` entry evicted only when no policy still wants it;
 - the write forward: after the transport served a mutation on its
@@ -28,6 +29,10 @@ fencing token).  The mechanism owns
   be delivered never charges a client: a down holder is recovered (its
   re-install carries the write), a partitioned one is retried with the
   penalty delaying the departure and, past the retry budget, forgotten.
+  The same forward carries the upkeep of the lazy rows a send created
+  (each recorded by the server that created it): the chain streams the
+  row from the primary at the creating message's completion, hot-key
+  demotes the key — nothing is booked from inside a server's dispatch.
 
 **The policies** decide only what differs:
 
@@ -108,10 +113,8 @@ class Replicator:
 
     def _valid_targets(self, key, primary):
         """Sorted holders whose link is at the primary's current epoch."""
-        targets = self.holders.get(key)
-        if not targets:
-            return []
-        return sorted(holder_index for holder_index, epoch in targets.items()
+        return sorted(holder_index for holder_index, epoch
+                      in self.holders.get(key, {}).items()
                       if epoch == primary.epoch)
 
     def _live_copies(self, key, epoch):
@@ -143,10 +146,13 @@ class Replicator:
         """Wire bytes of one full-key state stream (policy pricing)."""
         raise NotImplementedError
 
-    def _install(self, key, holder_index):
+    def _install(self, key, holder_index, depart_at=None):
         """Stream a full copy of *key* onto one holder (install or
-        refresh), charging the policy's stream bytes; forgets the link
-        and returns ``False`` when either end is down."""
+        refresh), charging the policy's stream bytes and departing at
+        *depart_at* (default: the primary's clock).  Returns ``False``
+        after forgetting the link when either end is down, or abandoning
+        the holder (:func:`_abandon`) when no retry got past a
+        partition."""
         matrix_id, primary_index = key
         primary = self.master.server(primary_index)
         target = self.master.server(holder_index)
@@ -157,10 +163,11 @@ class Replicator:
                 for row_key, counter in primary.versions.items()
                 if row_key[0] == matrix_id
             }
-            self.cluster.network.transfer(
-                primary.node_id, target.node_id,
-                self._stream_bytes(rows, versions), tag=self.stream_tag,
-            )
+            if _ship(self.cluster, primary.node_id, target.node_id,
+                     self._stream_bytes(rows, versions), depart_at,
+                     tag=self.stream_tag) is None:
+                _abandon(self.cluster, target, [key])
+                return False
             target.install_replica(
                 matrix_id, primary_index, rows, versions, primary.epoch
             )
@@ -194,10 +201,8 @@ class Replicator:
         if not any(policy.claims(*key, holder_index)
                    for policy in policies(self.cluster)):
             holder.drop_replica(*key)
-        self.cluster.network.transfer(
-            DRIVER, holder.node_id, messages.REQUEST_HEADER_BYTES,
-            tag=self.control_tag,
-        )
+        _ship(self.cluster, DRIVER, holder.node_id,
+              messages.REQUEST_HEADER_BYTES, None, tag=self.control_tag)
 
     def on_matrix_freed(self, matrix_id):
         """Forget the links of a freed matrix (the servers already purged
@@ -300,8 +305,6 @@ class HotKeyManager(Replicator):
       checkpoint sweep: at every stage end when ``rebalance_interval``
       is 0, else whenever the interval has elapsed (also polled after
       every client PS op, so pure-PS workloads sweep too).
-
-    ``replicas`` is the mechanism's holder map under its public name.
     """
 
     stream_tag = "replica-migrate"
@@ -315,17 +318,10 @@ class HotKeyManager(Replicator):
         self.replication_factor = int(config.replication_factor)
         self.rebalance_interval = float(config.rebalance_interval)
         self._next_sweep = self.rebalance_interval
-        self.replicas = self.holders
         #: Heat totals as of the last sweep; sweeps classify on the delta.
         self._last_heat = {}
         #: Virtual times at which rebalance sweeps ran (telemetry).
         self.rebalance_sweep_times = []
-        #: Bumped whenever the replica topology may have changed (rebalance
-        #: sweeps, recovery re-installs).  The client plan pool keys its
-        #: pooled fan-out plans on ``(topology_epoch, plan_epoch)`` so
-        #: pooling stays enabled under replication and is invalidated
-        #: exactly when routing inputs change.
-        self.plan_epoch = 0
 
     # -- introspection ------------------------------------------------------
 
@@ -372,17 +368,19 @@ class HotKeyManager(Replicator):
         return max(send_horizon, recv_horizon)
 
     def route_read(self, request):
-        """Reroute one read to the nearest-by-queue holder, in place.
+        """The read as sent to its nearest-by-queue holder.
 
         Candidates are the primary plus every valid replica; "nearest" is
         the earliest NIC queue drain (:meth:`_queue_load`; ties break
-        toward the lower server index, primary first).  A rerouted
-        request gets ``replica_of`` set to the primary index: the serving
-        server uses it to address its replica store, and the shard
-        telemetry keeps charging the access to the primary key.
-        Mutations and control-plane messages pass through untouched.
+        toward the lower server index, primary first).  A replica wins
+        with a :meth:`~repro.ps.messages.Request.retargeted` copy, whose
+        ``replica_of`` names the primary: the serving server uses it to
+        address its replica store, and the shard telemetry keeps charging
+        the access to the primary key.  Otherwise — the primary wins, or
+        the request is a mutation or control-plane message — *request*
+        itself comes back; it is never assigned to.
         """
-        if request.role != messages.READ or request.replica_of is not None:
+        if request.role != messages.READ:
             return request
         primary_index = request.server_index
         key = (request.matrix_id, primary_index)
@@ -394,11 +392,10 @@ class HotKeyManager(Replicator):
             candidate = (self._queue_load(holder), holder.server_index)
             if candidate < best:
                 best = candidate
-        if best[1] != primary_index:
-            request.server_index = best[1]
-            request.replica_of = primary_index
-            self.cluster.metrics.increment("replica-reads")
-        return request
+        if best[1] == primary_index:
+            return request
+        self.cluster.metrics.increment("replica-reads")
+        return request.retargeted(best[1])
 
     # -- write fan-out ------------------------------------------------------
 
@@ -468,7 +465,6 @@ class HotKeyManager(Replicator):
                 self._demote(key)
             for key in sorted(hot):
                 self._promote(key)
-        self.plan_epoch += 1
         metrics.increment("rebalance-sweeps")
         self.rebalance_sweep_times.append(self.cluster.clock.global_time())
 
@@ -492,9 +488,7 @@ class HotKeyManager(Replicator):
 
     def _target_count(self):
         limit = self.master.n_servers - 1
-        if self.replication_factor > 0:
-            return min(self.replication_factor, limit)
-        return limit
+        return min(self.replication_factor or limit, limit)
 
     def _promote(self, key):
         """Ensure *key* has its full valid replica set, installing on the
@@ -561,7 +555,6 @@ class HotKeyManager(Replicator):
         reinstalled += self._reinstall_hosted(server_index)
         if reinstalled:
             self.cluster.metrics.increment("replica-reinstalls", reinstalled)
-        self.plan_epoch += 1
 
     def on_topology_resized(self):
         """Reset replication state after an elastic resize.
@@ -577,7 +570,6 @@ class HotKeyManager(Replicator):
         for key in sorted(self.holders):
             self._demote(key)
         self._last_heat = {}
-        self.plan_epoch += 1
 
     def on_direct_write(self, matrix_id, server_index):
         """Demote a key mutated outside the dispatch/fan-out path.
@@ -590,7 +582,6 @@ class HotKeyManager(Replicator):
         key = (matrix_id, int(server_index))
         if key in self.holders:
             self._demote(key)
-            self.plan_epoch += 1
             self.cluster.metrics.increment("replica-direct-write-demotions")
 
 
@@ -609,18 +600,9 @@ def chain_successors(primary_index, ring_size, m, alive):
     survivors relative to each other.
     """
     alive = set(alive)
-    out = []
-    if int(m) <= 0:
-        return out
-    for step in range(1, int(ring_size)):
-        candidate = (int(primary_index) + step) % int(ring_size)
-        if candidate == primary_index:
-            continue
-        if candidate in alive:
-            out.append(candidate)
-            if len(out) >= int(m):
-                break
-    return out
+    walk = ((int(primary_index) + step) % int(ring_size)
+            for step in range(1, int(ring_size)))
+    return [index for index in walk if index in alive][:max(0, int(m))]
 
 
 def merge_chain_copies(copies):
@@ -662,8 +644,6 @@ class ChainReplicator(Replicator):
     surviving valid holders), so recovery never pauses for a checkpoint
     restore unless every holder died.  Chain copies are never demoted:
     where the hot-key policy drops a diverging key, this one re-streams.
-
-    ``links`` is the mechanism's holder map under its public name.
     """
 
     stream_tag = "chain-sync"
@@ -672,7 +652,6 @@ class ChainReplicator(Replicator):
     def __init__(self, cluster, master):
         super().__init__(cluster, master)
         self.m = int(cluster.config.chain_replicas)
-        self.links = self.holders
         #: Primaries the read router found dead and stood in for: their
         #: recovery is deferred to the next mutation that hits them.
         self.deferred = set()
@@ -718,12 +697,13 @@ class ChainReplicator(Replicator):
             len(rows), n_values, len(versions),
             self._priced_value_bytes(n_values))
 
-    def sync_key(self, matrix_id, primary_index):
+    def sync_key(self, matrix_id, primary_index, depart_at=None):
         """(Re)stream one (matrix, primary) key along its current chain.
 
         Drops links to servers that are no longer ring successors,
-        installs or refreshes a full copy on each current successor, and
-        returns the number of copies installed.
+        installs or refreshes a full copy on each current successor (the
+        streams departing at *depart_at*, default the primary's clock),
+        and returns the number of copies installed.
         """
         key = (matrix_id, int(primary_index))
         primary = self.master.server(primary_index)
@@ -733,7 +713,8 @@ class ChainReplicator(Replicator):
         for holder_index in sorted(
                 s for s in self.holders.get(key, {}) if s not in successors):
             self._drop(key, holder_index)
-        installed = sum(self._install(key, succ) for succ in successors)
+        installed = sum(self._install(key, succ, depart_at)
+                        for succ in successors)
         if installed:
             self.cluster.metrics.increment("chain-syncs", installed)
         return installed
@@ -783,9 +764,11 @@ class ChainReplicator(Replicator):
         row the copy lacks (and any ``pull_or_create`` of an unseen id)
         still goes to the primary and triggers its recovery: only a
         primary may create rows.  Healthy primaries are never bypassed,
-        so steady-state routing is untouched.
+        so steady-state routing is untouched.  A stand-in is a
+        :meth:`~repro.ps.messages.Request.retargeted` copy; *request*
+        itself is returned, unassigned, whenever the primary serves it.
         """
-        if not self.holders or request.replica_of is not None \
+        if not self.holders \
                 or request.role not in (messages.READ, messages.STANDIN_READ):
             return request
         primary_index = request.server_index
@@ -802,11 +785,9 @@ class ChainReplicator(Replicator):
         )
         for holder, entry in copies:
             if request.row in entry.rows:
-                request.server_index = holder.server_index
-                request.replica_of = primary_index
                 self.deferred.add(primary_index)
                 self.cluster.metrics.increment("chain-reads")
-                break
+                return request.retargeted(holder.server_index)
         return request
 
     # -- promotion ----------------------------------------------------------
@@ -888,41 +869,45 @@ class ChainReplicator(Replicator):
             if self.master.server(server_index)._store.get(matrix_id):
                 self.sync_key(matrix_id, server_index)
 
-    def on_row_created(self, matrix_id, row, server_index):
-        """Stream one freshly created lazy row to the chain successors.
+    def on_row_created(self, matrix_id, row, server_index, depart_at):
+        """Stream one freshly created lazy row to the chain successors,
+        departing from the primary at *depart_at* (:func:`forward` passes
+        the creating message's completion).
 
         Chains grow with the table: the first created row of a (matrix,
         primary) key forms its chain entry, later rows ride as one-row
         incremental syncs into the existing copies; a stale or
-        mismatched chain falls back to a full key re-stream.
+        mismatched chain falls back to a full key re-stream.  Returns
+        whether it re-streamed the key — every row the primary holds now
+        is then on the successors.
         """
         key = (matrix_id, int(server_index))
         primary = self.master.server(server_index)
         successors = self.successors(server_index)
         if not successors:
-            return
+            return False
         copies = list(self._live_copies(key, primary.epoch))
         if [holder.server_index for holder, _entry in copies] != successors \
                 or len(copies) != len(self.holders[key]):
-            self.sync_key(matrix_id, server_index)
-            return
-        row = int(row)
+            self.sync_key(matrix_id, server_index, depart_at)
+            return True
         try:
             shard = primary.matrix_rows(matrix_id)[row]
-        except (MatrixNotFoundError, KeyError):
-            return
+        except (MatrixNotFoundError, ServerDownError, KeyError):
+            return False
         row_key = (matrix_id, row)
         counter = primary.versions.get(row_key, 0)
         nbytes = messages.chain_sync_bytes(
             1, len(shard), 1, self._priced_value_bytes(len(shard)))
         for holder, entry in copies:
-            self.cluster.network.transfer(
-                primary.node_id, holder.node_id, nbytes, tag="chain-sync",
-            )
+            if _ship(self.cluster, primary.node_id, holder.node_id, nbytes,
+                     depart_at, tag=self.stream_tag) is None:
+                _abandon(self.cluster, holder, [key])
+                continue
             entry.rows[row] = shard.copy()
             if counter:
                 entry.versions[row_key] = counter
-        self.cluster.metrics.increment("chain-row-syncs", len(copies))
+            self.cluster.metrics.increment("chain-row-syncs")
 
     def on_direct_write(self, matrix_id, server_index):
         """Re-stream a key mutated outside the dispatch/fan-out path.
@@ -988,62 +973,68 @@ def policies(cluster):
             if policy is not None]
 
 
-def replicated(cluster):
-    """Whether any replication policy is live (fast paths that assume a
-    request is served exactly where it was addressed must stand down)."""
-    return cluster.replication is not None or cluster.chain is not None
-
-
 def route(cluster, requests):
-    """Offer every read in *requests* to the routers, in place.
+    """The request list to send in place of *requests*.
 
-    A request retargeted by an earlier send (pooled request lists are
-    reused) is first restored to its primary, so it routes exactly like
-    a freshly built one.  The hot-key router goes first; the chain only
-    sees a read still on its primary — a request already rerouted to a
-    live hot replica needs no stand-in.
+    Each read is offered to the live policies' routers, hot-key first;
+    the chain only sees a read the hot-key router left on its primary — a
+    read already going to a live hot replica needs no stand-in.  A
+    rerouted read is a retargeted copy, so the result is a derived list;
+    when nothing was rerouted (or no policy is live) it is *requests*
+    itself.  No request in *requests* is ever assigned to, so a pooled
+    plan stays addressed to its primaries.
     """
-    manager = cluster.replication
-    chain = cluster.chain
-    for request in requests:
-        if request.replica_of is not None:
-            request.server_index = request.replica_of
-            request.replica_of = None
-        if manager is not None:
-            manager.route_read(request)
-        if chain is not None and request.replica_of is None:
-            chain.route_read(request)
+    routers = [policy.route_read for policy in policies(cluster)]
+    if not routers:
+        return requests
+    routed = requests
+    for position, request in enumerate(requests):
+        for route_read in routers:
+            target = route_read(request)
+            if target is not request:
+                if routed is requests:
+                    routed = list(requests)
+                routed[position] = target
+                break
+    return routed
 
 
 def forward(cluster, requests, completions):
-    """Ship the copies of the mutations in *requests* from their primaries.
+    """Ship the replica upkeep of *requests* from their primaries.
 
     Called by the transport once every original was served;
     ``completions[i]`` is when the wire message carrying ``requests[i]``
-    completed on its primary.  Hot-key copies are built first; the chain
-    then skips the ``(holder, original)`` pairs already covered, so a
-    server holding a key both as hot replica and chain successor gets
-    exactly one copy (and the apply is idempotent regardless).
+    completed on its primary.  First the lazy rows the send created
+    (:func:`_settle_creations`), then the copies of its mutations —
+    so a push to a row created in the same send finds the row on the
+    holders.  Hot-key copies are built first; the chain then skips the
+    ``(holder, original)`` pairs already covered, so a server holding a
+    key both as hot replica and chain successor gets exactly one copy
+    (and the apply is idempotent regardless).
 
     The copies for one (primary, holder) pair travel as one envelope (a
     lone copy stand-alone) that leaves the *primary's* node when its last
     original completed there — when that message's response departs — and
     is priced like a response: the two NIC bookings only, no send CPU,
-    nothing on the writer.  Each envelope
-    is then served on its holder.  A delivery that cannot happen never
-    reaches a client clock:
+    nothing on the writer.  Each envelope is then served on its holder.
+    A delivery that cannot happen never reaches a client clock:
 
     - a **down holder** is recovered through the master, which re-streams
       its copies from the live primaries (already carrying this
       mutation), so the envelope is not re-sent;
     - a **partition** on either end at departure retries under the
       cluster's :class:`~repro.ps.retry.RetryPolicy`, each penalty
-      delaying the departure; once the budget is spent the holder's links
-      for the envelope's keys are forgotten by every policy and its stale
-      entries evicted, so nothing routes to or promotes from them.
+      delaying the departure (:func:`_ship`); once the budget is spent
+      the holder's links for the envelope's keys are forgotten by every
+      policy and its stale entries evicted, so nothing routes to or
+      promotes from them.
     """
     manager = cluster.replication
     chain = cluster.chain
+    if manager is None and chain is None:
+        return
+    master = (manager or chain).master
+    _settle_creations(master, manager, chain, requests, completions)
     copies = [] if manager is None else manager.fan_out_messages(requests)
     if chain is not None:
         covered = {(copy.server_index, id(copy.inner)) for copy in copies}
@@ -1056,55 +1047,99 @@ def forward(cluster, requests, completions):
     for copy in copies:
         pairs.setdefault((copy.primary_index, copy.server_index),
                          []).append(copy)
-    master = (manager or chain).master
     for group in pairs.values():
         envelope = group[0] if len(group) == 1 \
             else messages.BatchRequest(group)
         _deliver(cluster, master, envelope, group, departs)
 
 
-def _deliver(cluster, master, envelope, copies, departs):
-    """One forward *envelope* (carrying *copies*) from its primary's node
-    to its holder, departing when the last original it copies completed
-    (``departs`` maps ``id(original)`` to that completion)."""
-    metrics = cluster.metrics
-    holder = master.server(envelope.server_index)
-    source = master.server(copies[0].primary_index).node_id
-    depart = max(departs[id(copy.inner)] for copy in copies)
-    ctx = copies[0].trace_ctx
+def _settle_creations(master, manager, chain, requests, completions):
+    """The upkeep of the lazy rows *requests* created.
+
+    A creation is read off the set its primary recorded it in
+    (``PSServer.created``), never off the reply: a response lost after
+    the create is retried and then reports ``created=False``.  A hot
+    replica of the key, installed before the row existed, would miss it,
+    so hot-key demotes the key; the chain grows with the table and
+    streams the new row from the primary at the creating message's
+    completion (:meth:`ChainReplicator.on_row_created`), so a crash right
+    after the send still promotes a bit-identical vector.  A key the
+    chain re-streams whole already carries every row the send created,
+    so its later creations ship nothing more.
+    """
+    restreamed = set()
+    for request, completion in zip(requests, completions):
+        if type(request) is not messages.PullOrCreateRequest:
+            continue
+        matrix_id, row, index = \
+            request.matrix_id, request.row, request.server_index
+        created = master.server(index).created
+        if (matrix_id, row) not in created:
+            continue
+        created.remove((matrix_id, row))
+        if manager is not None:
+            manager.on_direct_write(matrix_id, index)
+        key = (matrix_id, index)
+        if chain is not None and key not in restreamed \
+                and chain.on_row_created(matrix_id, row, index, completion):
+            restreamed.add(key)
+
+
+def _ship(cluster, source, target, nbytes, depart, **transfer):
+    """Book one transfer replication sends on its own (a forward, a state
+    stream, a drop), departing no earlier than *depart* (``None``: the
+    source's clock) — no client waits on it.  A partition on either end
+    retries under the cluster's :class:`~repro.ps.retry.RetryPolicy`,
+    each penalty delaying the departure (``replica-fanout-retries``).
+    Returns the arrival, or ``None`` once the budget is spent."""
+    if depart is None:
+        depart = cluster.clock.now(source)
     attempt = 0
     while True:
         try:
-            arrival = cluster.network.transfer(
-                source, holder.node_id, envelope.wire_bytes(),
-                tag=envelope.tag + ":req", deliver=False, depart_at=depart,
-                messages=envelope.message_count(),
-                trace_parent=None if ctx is None else ctx[1],
-            )
-            break
+            return cluster.network.transfer(source, target, nbytes,
+                                            depart_at=depart, **transfer)
         except NetworkPartitionedError:
             attempt += 1
             policy = RetryPolicy.from_config(cluster.config.failures)
             if attempt > policy.max_retries:
-                _abandon(cluster, holder, copies)
-                return
-            metrics.increment("replica-fanout-retries")
+                return None
+            cluster.metrics.increment("replica-fanout-retries")
             depart += policy.penalty_for(attempt)
+
+
+def _deliver(cluster, master, envelope, copies, departs):
+    """One forward *envelope* (carrying *copies*) from its primary's node
+    to its holder, departing when the last original it copies completed
+    (``departs`` maps ``id(original)`` to that completion)."""
+    holder = master.server(envelope.server_index)
+    ctx = copies[0].trace_ctx
+    arrival = _ship(
+        cluster, master.server(copies[0].primary_index).node_id,
+        holder.node_id, envelope.wire_bytes(),
+        max(departs[id(copy.inner)] for copy in copies),
+        tag=envelope.tag + ":req", deliver=False,
+        messages=envelope.message_count(),
+        trace_parent=None if ctx is None else ctx[1],
+    )
+    if arrival is None:
+        _abandon(cluster, holder, sorted({
+            (matrix_id, copy.primary_index)
+            for copy in copies for matrix_id, _row in copy.versions}))
+        return
     holder.begin(arrival)
     try:
         holder.dispatch(envelope)
     except ServerDownError:
-        metrics.increment("replica-fanout-recoveries")
+        cluster.metrics.increment("replica-fanout-recoveries")
         master.recover(holder.server_index)
 
 
-def _abandon(cluster, holder, copies):
-    """A holder no forward could reach: its copies of the keys *copies*
-    touch are now stale, so every policy forgets the link and the entry
-    goes too (no message can reach the holder to drop it; nothing may
-    serve it or promote from it meanwhile)."""
-    keys = sorted({(matrix_id, copy.primary_index)
-                   for copy in copies for matrix_id, _row in copy.versions})
+def _abandon(cluster, holder, keys):
+    """A holder no primary could reach: its copies of *keys* are now
+    stale, so every policy forgets the link and the entry goes too (no
+    message can reach the holder to drop it; nothing may serve it or
+    promote from it meanwhile)."""
     for key in keys:
         for policy in policies(cluster):
             policy._forget(key, holder.server_index)
@@ -1117,18 +1152,6 @@ def on_direct_write(cluster, matrix_id, server_index):
     demotes the key, the chain re-streams it."""
     for policy in policies(cluster):
         policy.on_direct_write(matrix_id, server_index)
-
-
-def on_row_created(cluster, matrix_id, row, server_index):
-    """A lazy row materialized server-side.  A hot replica of the key
-    (installed before the row existed) would silently miss it, so the key
-    is demoted like any direct write; the chain grows with the table and
-    streams the new row, so a crash right after creation still promotes
-    a bit-identical vector."""
-    if cluster.replication is not None:
-        cluster.replication.on_direct_write(matrix_id, server_index)
-    if cluster.chain is not None:
-        cluster.chain.on_row_created(matrix_id, row, server_index)
 
 
 def on_matrix_freed(cluster, matrix_id):

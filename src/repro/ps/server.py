@@ -168,6 +168,10 @@ class PSServer:
         #: own shard of every row, so replica shards (the primary's column
         #: range) can never share the primary store's keying.
         self.replica_store = {}
+        #: ``(matrix_id, row)`` of the lazy rows this process created and
+        #: the replication forward has not settled yet (filled only while
+        #: a replication policy is live).
+        self.created = set()
         #: Nesting depth of :meth:`dispatch`.  Mutations that run at depth
         #: zero were invoked *directly* (realignment, recovery tooling) and
         #: bypass the replica forward, so they must demote any
@@ -352,8 +356,10 @@ class PSServer:
         a re-creation on a different server after a shard migration all
         draw bit-identical values.  Returns ``(values, created)`` — the
         created flag is the marker word the response size always carries.
+        Under a replication policy the creation is also recorded in
+        :attr:`created` for :func:`~repro.ps.replication.forward`, which
+        ships its upkeep once the send completed; nothing is booked here.
         """
-        self._check_alive()
         matrix_id = request.matrix_id
         row = request.row
         if request.replica_of not in (None, self.server_index):
@@ -371,8 +377,9 @@ class PSServer:
                 ELEMENTWISE_FLOPS * max(1, request.n_values), "ps-create"
             )
             self.cluster.metrics.increment("lazy-creates")
-            replication.on_row_created(self.cluster, matrix_id, row,
-                                       self.server_index)
+            if self.cluster.replication is not None \
+                    or self.cluster.chain is not None:
+                self.created.add((matrix_id, row))
         values = self.read(matrix_id, row)
         return values, created
 
@@ -383,25 +390,18 @@ class PSServer:
     # with no version bump (the copy carries the primary's counters).
 
     def _serve_push(self, request, entries=None):
-        if entries is not None:
-            self._replica_write(request, request.indices, entries)
-        elif request.mode == "add":
-            self.add(request.matrix_id, request.row, request.values,
-                     request.indices)
-        else:
-            self.assign(request.matrix_id, request.row, request.values,
-                        request.indices)
+        self._write(request, request.indices, entries)
 
     def _serve_push_range(self, request, entries=None):
-        span = request.span()
-        if entries is not None:
-            self._replica_write(request, span, entries)
-        elif request.mode == "add":
-            self.add(request.matrix_id, request.row, request.values, span)
-        else:
-            self.assign(request.matrix_id, request.row, request.values, span)
+        self._write(request, request.span(), entries)
 
-    def _replica_write(self, request, columns, entries):
+    def _write(self, request, columns, entries):
+        """A push's *columns*, into the primary shard or (given *entries*)
+        into this server's copy of it."""
+        if entries is None:
+            write = self.add if request.mode == "add" else self.assign
+            write(request.matrix_id, request.row, request.values, columns)
+            return
         shard = entries[request.matrix_id].rows[request.row]
         n = shard.write(request.values, columns, request.mode)
         self._service(WRITE_FLOPS[request.mode] * max(1, n), "ps-replica")
@@ -791,7 +791,10 @@ def serve_fast_fanout(cluster, fan_servers, fan_messages, fan_arrivals):
     dispatch in place, with the pending metric run flushed first so every
     per-key accumulation — float compute totals, histogram sums — happens
     in exactly the per-message order.  The transport's bulk gates hold
-    throughout: tracing off, no replication policy, no cost model.
+    throughout — tracing off, no cost model — while a replication policy
+    may be live: its rerouted reads take the dispatch arm, and it books
+    nothing from inside a dispatch (copies and lazy-row syncs leave in
+    :func:`~repro.ps.replication.forward`, after the whole fan-out).
 
     Returns ``(values, completions)`` aligned with the inputs; results
     and all virtual times are bit-identical to the per-message schedule.

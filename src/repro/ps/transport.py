@@ -184,24 +184,6 @@ class Transport:
         values, arrivals = self.send_all((request,))
         return values[0], arrivals[0]
 
-    def _prepare(self, requests):
-        """Codec selection, then replica routing, for one send.
-
-        Codec selection runs first so decisions key on the primary
-        ``server_index`` and the sender's NIC backlog.  Each read is then
-        offered to the replication routers, which may retarget it in
-        place at a replica (responses stay positional, so callers are
-        oblivious).  Returns whether any replication policy is live.
-        """
-        cluster = self.cluster
-        if cluster.costmodel is not None:
-            for request in requests:
-                cluster.costmodel.prepare(request, self.node_id)
-        if not replication.replicated(cluster):
-            return False
-        replication.route(cluster, requests)
-        return True
-
     def _coalesce(self, requests):
         """Group *requests* by destination server into wire messages.
 
@@ -226,42 +208,49 @@ class Transport:
     def send_all(self, requests, plan=None):
         """Ship a message list; returns ``(values, arrivals)`` aligned.
 
-        After :meth:`_prepare`, messages are grouped per destination
-        server (:meth:`_coalesce`).  Client-side RPC CPU is charged once
-        per outgoing transfer, before anything touches the wire.  The
-        first attempts then run on one of two schedules — phased
+        A cost model first attaches its codecs (decisions key on the
+        primary ``server_index`` and the sender's NIC backlog); under a
+        replication policy :func:`~repro.ps.replication.route` then
+        offers every read to the routers, which may send a retargeted
+        copy in its place (responses stay positional, so callers are
+        oblivious).  Messages are grouped per destination server
+        (:meth:`_coalesce`), and client-side RPC CPU is charged once per
+        outgoing transfer, before anything touches the wire.  The first
+        attempts run on one of two schedules — phased
         (:meth:`_transmit_bulk`) when :meth:`_bulk_ok` allows, message by
         message (:meth:`_transmit`) otherwise — and either way every wire
         message is tried once before the ones that failed are retried, in
         wire order, through :meth:`_transmit`'s loop.  One retry order
         makes the schedules' results identical, failures included.
-        Under replication (always the per-message schedule) each
-        original's completion on its primary is then handed to
-        :func:`~repro.ps.replication.forward`, which ships the replica
-        copies from the primaries' nodes — the writer pays for its
-        originals only.
+        Under replication each original's completion on its primary is
+        then handed to :func:`~repro.ps.replication.forward`, which ships
+        the replica upkeep from the primaries' nodes — the writer pays
+        for its originals only.
 
         *plan* is the :class:`FanoutPlan` whose ``requests`` these are:
         the grouping (and any batch envelopes) is kept on it, so a plan
         that is sent again skips the group/coalesce rebuild, and the bulk
-        schedule keeps its phase-1 product there too.  Under replication
-        the plan is ignored — routing may retarget ``server_index`` in
-        place, invalidating any kept grouping — but the requests
-        themselves may still come from the client's plan pool.
+        schedule keeps its phase-1 product there too.  Routing never
+        assigns to a request, so the plan is used as is unless a read
+        was actually rerouted — the derived list is then grouped afresh.
         """
-        replicated = self._prepare(requests)
-        if replicated:
+        cluster = self.cluster
+        if cluster.costmodel is not None:
+            for request in requests:
+                cluster.costmodel.prepare(request, self.node_id)
+        sent = replication.route(cluster, requests)
+        if sent is not requests:
             plan = None
         outgoing = None if plan is None else plan.outgoing
         if outgoing is None:
-            outgoing = self._coalesce(requests)
+            outgoing = self._coalesce(sent)
             if plan is not None:
                 plan.outgoing = outgoing
         self._charge_rpc(len(outgoing))
         batches = [positions for message, positions in outgoing
                    if type(message) is messages.BatchRequest]
         if batches:
-            metrics = self.cluster.metrics
+            metrics = cluster.metrics
             metrics.increment("coalesced-batches", len(batches))
             metrics.increment("coalesced-requests", sum(map(len, batches)))
         values = [None] * len(requests)
@@ -271,7 +260,8 @@ class Transport:
         # the retryable error its first attempt met (``None``: not
         # attempted yet).
         if outgoing and self._bulk_ok(outgoing):
-            work = self._transmit_bulk(outgoing, values, arrivals, plan)
+            work = self._transmit_bulk(outgoing, values, arrivals,
+                                       completions, plan)
         else:
             work = list(zip(outgoing, repeat(None)))
         for (message, positions), error in work:
@@ -288,8 +278,7 @@ class Transport:
                 values[p] = sub_value
                 arrivals[p] = arrival
                 completions[p] = completion
-        if replicated:
-            replication.forward(self.cluster, requests, completions)
+        replication.forward(cluster, requests, completions)
         return values, arrivals
 
     # -- the two schedules ---------------------------------------------------
@@ -299,19 +288,19 @@ class Transport:
 
         The bulk schedule is bit-identical to per-message :meth:`_transmit`
         only when nothing can interleave with the phase-reordered bookings:
-        no span tracing (spans must nest per message), no replication
-        policy (replica reads and dead-primary stand-ins need per-message
-        dispatch, and forwarding needs each original's completion), no
-        cost model (the bulk schedule prices a message once per cached
-        plan, codecs re-price it per send), and no cold routing entry (a
-        mid-loop routing RPC books the client NIC between message sends).
+        no span tracing (spans must nest per message), no cost model (the
+        bulk schedule prices a message once per cached plan, codecs
+        re-price it per send), and no cold routing entry (a mid-loop
+        routing RPC books the client NIC between message sends).
         Failures are not a condition: a dead server, a due crash or a
         partition drop fails its wire message on either schedule, and both
-        retry it after the whole fan-out.
+        retry it after the whole fan-out.  Nor is replication: a rerouted
+        read is served by the lane's dispatch arm, and everything a policy
+        books on a server's behalf — copies, lazy-row syncs — leaves in
+        :func:`~repro.ps.replication.forward`, after either schedule.
         """
         cluster = self.cluster
-        if cluster.tracer.enabled or cluster.costmodel is not None \
-                or replication.replicated(cluster):
+        if cluster.tracer.enabled or cluster.costmodel is not None:
             return False
         routing = self._routing
         for message, _positions in outgoing:
@@ -424,7 +413,8 @@ class Transport:
         return (epoch, fan_items, shard_entries, responses, lasts,
                 unit_positions, unit_servers, unit_msgs)
 
-    def _transmit_bulk(self, outgoing, values, arrivals, plan=None):
+    def _transmit_bulk(self, outgoing, values, arrivals, completions,
+                       plan=None):
         """Transmit a whole fan-out in three phases instead of N round trips.
 
         Phase 1 books every request transfer through one
@@ -451,10 +441,12 @@ class Transport:
         :attr:`~repro.ps.master.PSMaster.topology_epoch` (a failover swaps
         server objects and must force a rebuild).
 
-        Returns the wire messages that failed — ``((message, positions),
-        error)`` per message, in wire order — for the caller to re-send
-        under the retry policy; the rest of the fan-out has completed
-        normally.
+        Fills *values*, *arrivals* and *completions* (each wire message's
+        last-unit completion, for :func:`~repro.ps.replication.forward`)
+        at the positions of the wire messages that went through, and
+        returns those that failed — ``((message, positions), error)`` per
+        message, in wire order — for the caller to re-send under the
+        retry policy.
         """
         cluster = self.cluster
         network = cluster.network
@@ -482,7 +474,7 @@ class Transport:
                 head = last + 1
             unit_arrivals = chained
 
-        unit_values, completions = serve_fast_fanout(
+        unit_values, unit_completions = serve_fast_fanout(
             cluster, unit_servers, unit_msgs, unit_arrivals
         )
         for position, value in zip(unit_positions, unit_values):
@@ -492,10 +484,13 @@ class Transport:
         response_items = []
         response_entries = []
         for entry, last, response in zip(outgoing, lasts, responses):
-            completion = completions[last]
+            completion = unit_completions[last]
             if completion is None:
                 failed.append((entry, unit_values[last]))
-            elif response is not None:
+                continue
+            for p in entry[1]:
+                completions[p] = completion
+            if response is not None:
                 response_items.append(response + (completion,))
                 response_entries.append(entry)
         if response_items:

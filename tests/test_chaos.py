@@ -842,7 +842,7 @@ def test_chain_crash_during_resize_reforms():
     m = ctx.master.create_matrix(30)
     client.push_assign(m, 0, np.arange(30.0))
     ctx.master.checkpoint_all()
-    assert ctx.cluster.chain.links
+    assert ctx.cluster.chain.holders
     ctx.master.servers[1].crash()  # dead when the migration reads it
     ctx.master.resize_servers(4)
     assert ctx.metrics.counters["server-recoveries"] == 1
@@ -851,8 +851,8 @@ def test_chain_crash_during_resize_reforms():
     assert ctx.metrics.counters["chain-reforms"] == 1
     # The chain map re-formed against the post-resize ring.
     chain = ctx.cluster.chain
-    assert chain.links
-    for (_matrix_id, primary), holders in chain.links.items():
+    assert chain.holders
+    for (_matrix_id, primary), holders in chain.holders.items():
         assert sorted(holders) == chain.successors(primary)
         assert chain.key_lag(_matrix_id, primary) == 0
     assert np.allclose(client.pull_row(m, 0), np.arange(30.0))

@@ -22,6 +22,13 @@ clients, so a rig whose ``PSClient._plan_pool`` returns ``None`` — every
 op builds its messages from scratch — must be indistinguishable from the
 pooled one, under BSP and under SSP (where the worker caches' miss path
 pulls through the pool too).
+
+Replication is not a schedule condition either: with chain replication
+(M=1) and hot-key replication (``topk``, sweeps only where the stream
+asks) on, reads are rerouted, copies and lazy-row syncs are forwarded
+from the primaries, and the bulk schedule, the per-message one and the
+unpooled rig must still agree on all of the above plus every replica
+copy and holder map — across rebalance sweeps, and with failures fired.
 """
 
 import numpy as np
@@ -30,24 +37,41 @@ from hypothesis import strategies as st
 
 from repro.cluster.cluster import Cluster
 from repro.common.errors import ReproError
-from repro.config import ClusterConfig
+from repro.config import ClusterConfig, NetworkSpec, NodeSpec
 from repro.ps import messages, transport
 from repro.ps.client import PSClient
 from repro.ps.master import PSMaster
 from repro.ps.partitioner import RowLayout
+from tests.test_replication import \
+    _assert_copies_match_primaries as _copies_match_primaries
 
 DIM = 30
 N_ROWS = 4
 N_CLIENTS = 3
+TABLE_DIM = 8
+N_IDS = 12
+
+#: Chain M=1 plus hot-key replication whose sweeps run only where the
+#: stream asks (``rebalance_interval`` 0 sweeps at stage ends, and these
+#: streams have none), on the byte-dominated hardware of the serving
+#: benchmarks: slow NICs make a primary's syncs and copies overlap the
+#: fan-out's own requests and responses, so booking order shows.
+REPLICATED = dict(chain_replicas=1, replication="topk",
+                  hot_key_fraction=0.34, rebalance_interval=0.0,
+                  node=NodeSpec(flops=2e11, nic_bandwidth=4e6),
+                  network=NetworkSpec(latency=1e-5, bandwidth=4e6))
 
 
 class _Rig:
-    """One small cluster with a column-layout and a row-layout matrix."""
+    """One small cluster with a column-layout and a row-layout matrix,
+    plus a lazy table."""
 
-    def __init__(self, per_message=False, pooled=True, consistency="bsp"):
+    def __init__(self, per_message=False, pooled=True, consistency="bsp",
+                 replicated=False):
         self.cluster = Cluster(ClusterConfig(
             n_executors=N_CLIENTS, n_servers=3, seed=11,
             consistency=consistency, staleness=1,
+            **(REPLICATED if replicated else {}),
         ))
         self.master = PSMaster(self.cluster)
         self.clients = [
@@ -64,6 +88,7 @@ class _Rig:
             self.master.create_matrix(DIM, n_rows=N_ROWS,
                                       layout=RowLayout(DIM, 3)),
         )
+        self.table = self.master.create_table(TABLE_DIM)
         #: Index arrays reused *by identity* across ops: the client's
         #: pooled sparse plans (and the transport's cached groupings)
         #: key on the array object.
@@ -83,6 +108,13 @@ class _Rig:
     def pooled_plans(self):
         return sum(len(self.master.layout(matrix).op_plans)
                    for matrix in self.matrices)
+
+    def cut(self, slot, delay, length):
+        """A partition window on client *slot*'s node, from *delay* past
+        its own clock."""
+        node = self.clients[slot].node_id
+        start = self.cluster.clock.now(node) + delay
+        self.cluster.failures.schedule_partition(node, start, start + length)
 
     def arm(self, crash, window):
         """Schedule a server crash and a partition window *after* set-up.
@@ -114,6 +146,15 @@ class _Rig:
             "versions": [dict(server.versions) for server in servers],
             "nic": {node_id: network.nic_utilization(node_id)
                     for node_id in cluster.clock.nodes()},
+            "copies": [sorted(
+                (key, entry.install_epoch, sorted(entry.versions.items()),
+                 sorted((row, shard.values.tolist())
+                        for row, shard in entry.rows.items()))
+                for key, entry in server.replica_store.items())
+                for server in servers],
+            "holders": [policy.holders for policy in
+                        (cluster.replication, cluster.chain)
+                        if policy is not None],
         }
 
 
@@ -167,6 +208,13 @@ def _apply(rig, op):
         if mutate:
             return client.execute(_halve, operands, wait_response=False)
         return client.execute(_sum, operands)
+    if kind == "create":
+        return client.pull_or_create(rig.table, args[0])
+    if kind == "rebalance":
+        manager = rig.master.replication
+        return None if manager is None else manager.rebalance()
+    if kind == "cut":
+        return rig.cut(client_slot, *args)
     if kind == "tick":
         # A logical-clock tick: a no-op under BSP; under SSP it renews the
         # worker's cache and, one tick later, ages its rows out — so the
@@ -243,14 +291,26 @@ def _run_both(stream):
     return bulk, per_message, unpooled
 
 
-def _run_failing(stream, crash, window):
+def _run_failing(stream, crash, window, replicated=False):
     """Both schedules, with a crash and a partition window armed after
     set-up: failures fire mid-stream and must not tell them apart."""
-    bulk, per_message = _Rig(), _Rig(per_message=True)
+    bulk = _Rig(replicated=replicated)
+    per_message = _Rig(per_message=True, replicated=replicated)
     for rig in (bulk, per_message):
         rig.arm(crash, window)
     _run_same(stream, bulk, per_message, run=_outcome)
     return bulk, per_message
+
+
+def _run_replicated(stream):
+    """Both schedules and the unpooled rig, both policies on; afterwards
+    every valid copy equals its primary."""
+    rigs = (_Rig(replicated=True), _Rig(replicated=True, per_message=True),
+            _Rig(replicated=True, pooled=False))
+    _run_same(stream, *rigs)
+    for rig in rigs:
+        _copies_match_primaries(rig.master)
+    return rigs
 
 
 def _run_ssp(stream):
@@ -287,6 +347,9 @@ _ops = st.one_of(
               st.sampled_from(["sum", "nnz", "max"])),
     st.tuples(st.just("execute"), _clients, _rows, st.booleans()),
     st.tuples(st.just("mixed"), _clients, _rows, _seeds),
+    st.tuples(st.just("create"), _clients,
+              st.lists(st.integers(0, N_IDS - 1), min_size=1, max_size=8)),
+    st.tuples(st.just("rebalance"), _clients),
     st.tuples(st.just("tick"), _clients),
     st.tuples(st.just("mutate"), _clients, st.integers(0, 1),
               st.integers(1, DIM - 1)),
@@ -333,8 +396,27 @@ _FIXED_STREAM = [
 ] * 2
 
 
-def test_a_fixed_stream_of_every_op_kind_matches_and_takes_both_schedules(
-        monkeypatch):
+#: A send creating rows on every server, after one that warmed the
+#: table's routing (a cold entry keeps a send off the bulk schedule).
+#: While lazy-create upkeep was booked from inside dispatch, its chain
+#: syncs interleaved with the fan-out's own bookings in a different
+#: order on each schedule, and the replicated rigs' NICs told them apart.
+_CREATE_STREAM = [("create", 0, [0, 1, 2]),
+                  ("create", 0, [3, 4, 5, 6, 7, 8])]
+
+#: The fixed stream under replication: lazy rows created on every server,
+#: sweeps that promote (so reads reroute) and demote, and creations of
+#: seen and unseen ids after them.
+_REPLICATED_STREAM = (
+    _CREATE_STREAM + [("create", 1, [0, 3])] * 8 + _FIXED_STREAM[:23]
+    + [("rebalance", 0)] + _FIXED_STREAM
+    + [("create", 1, [3, 8, 9, 0, 11]), ("rebalance", 0),
+       ("create", 2, [10, 4, 1])] + _FIXED_STREAM[:23]
+)
+
+
+def _lane_users(monkeypatch):
+    """The clusters of every fan-out served through the lane."""
     served = []
     lane = transport.serve_fast_fanout
 
@@ -343,14 +425,40 @@ def test_a_fixed_stream_of_every_op_kind_matches_and_takes_both_schedules(
         return lane(cluster, fan_servers, fan_messages, fan_arrivals)
 
     monkeypatch.setattr(transport, "serve_fast_fanout", counting)
-    bulk, per_message, unpooled = _run_both(_FIXED_STREAM)
+    return served
+
+
+def _assert_only_bulk_took_the_lane(served, bulk, per_message, stream):
     # The comparison is only worth something if the rigs really differ in
-    # schedule: the bare one goes through the lane, the pinned one never.
+    # schedule: the bulk one goes through the lane, the pinned one never.
     assert sum(cluster is bulk.cluster for cluster in served) \
-        >= len(_FIXED_STREAM) // 2
+        >= len(stream) // 2
     assert not any(cluster is per_message.cluster for cluster in served)
+
+
+def test_a_fixed_stream_of_every_op_kind_matches_and_takes_both_schedules(
+        monkeypatch):
+    served = _lane_users(monkeypatch)
+    bulk, per_message, unpooled = _run_both(_FIXED_STREAM)
+    _assert_only_bulk_took_the_lane(served, bulk, per_message, _FIXED_STREAM)
     # ... and in pooling: one rig reuses plans, the other holds none.
     assert bulk.pooled_plans() and not unpooled.pooled_plans()
+
+
+def test_the_replicated_fixed_stream_matches_and_takes_the_lane(monkeypatch):
+    served = _lane_users(monkeypatch)
+    bulk, per_message, unpooled = _run_replicated(_REPLICATED_STREAM)
+    # Replication does not keep the bulk rig off the lane.
+    _assert_only_bulk_took_the_lane(served, bulk, per_message,
+                                    _REPLICATED_STREAM)
+    assert bulk.pooled_plans() and not unpooled.pooled_plans()
+    # ... and it was at work: sweeps promoted, reads went to replicas,
+    # copies and lazy-row syncs were forwarded, a creation demoted.
+    counters = bulk.cluster.metrics.counters
+    for name in ("replica-promotions", "replica-reads", "replica-fanouts",
+                 "chain-fanouts", "chain-row-syncs", "lazy-creates",
+                 "replica-direct-write-demotions"):
+        assert counters.get(name, 0) > 0, name
 
 
 def test_the_fixed_stream_matches_with_and_without_the_pool_under_ssp():
@@ -399,29 +507,32 @@ _windows = st.tuples(st.integers(0, N_CLIENTS + 2), st.floats(0.0, 2e-3),
                      st.floats(1e-5, 3e-3))
 
 
-def test_the_fixed_stream_with_fired_failures_matches_and_takes_the_lane(
-        monkeypatch):
-    served = []
-    lane = transport.serve_fast_fanout
-
-    def counting(cluster, fan_servers, fan_messages, fan_arrivals):
-        served.append(cluster)
-        return lane(cluster, fan_servers, fan_messages, fan_arrivals)
-
-    monkeypatch.setattr(transport, "serve_fast_fanout", counting)
+def _assert_failures_fired_and_only_bulk_took_the_lane(
+        monkeypatch, stream, replicated):
+    served = _lane_users(monkeypatch)
     # server-1 dies 1 ms in; executor-0 is cut off from 0.5 to 1.5 ms.
-    bulk, per_message = _run_failing(_FIXED_STREAM, (1, 1e-3),
-                                     (0, 5e-4, 1e-3))
+    bulk, per_message = _run_failing(stream, (1, 1e-3), (0, 5e-4, 1e-3),
+                                     replicated)
     for rig in (bulk, per_message):
         counters = rig.cluster.metrics.counters
         assert counters["server-crashes"] > 0
         assert counters["partition-drops"] > 0
         assert counters["server-recoveries"] > 0
         assert counters["op-retries"] > 0
-    # Armed and firing failures no longer keep the bare rig off the lane.
-    assert sum(cluster is bulk.cluster for cluster in served) \
-        >= len(_FIXED_STREAM) // 2
-    assert not any(cluster is per_message.cluster for cluster in served)
+    # Armed and firing failures no longer keep the bulk rig off the lane.
+    _assert_only_bulk_took_the_lane(served, bulk, per_message, stream)
+
+
+def test_the_fixed_stream_with_fired_failures_matches_and_takes_the_lane(
+        monkeypatch):
+    _assert_failures_fired_and_only_bulk_took_the_lane(
+        monkeypatch, _FIXED_STREAM, replicated=False)
+
+
+def test_the_replicated_fixed_stream_with_fired_failures_matches(
+        monkeypatch):
+    _assert_failures_fired_and_only_bulk_took_the_lane(
+        monkeypatch, _REPLICATED_STREAM, replicated=True)
 
 
 @given(stream=st.lists(_ops, min_size=1, max_size=24), crash=_crashes,
@@ -435,3 +546,48 @@ def test_the_fixed_stream_with_fired_failures_matches_and_takes_the_lane(
 def test_any_op_stream_with_fired_failures_is_bit_identical_on_both_schedules(
         stream, crash, window):
     _run_failing(stream, crash, window)
+
+
+# -- replication: one schedule condition fewer -------------------------------
+
+
+@given(stream=st.lists(_ops, min_size=1, max_size=16))
+@example(stream=_CREATE_STREAM)
+@settings(max_examples=30, deadline=None)
+def test_any_op_stream_is_bit_identical_on_both_schedules_under_replication(
+        stream):
+    _run_replicated(stream)
+
+
+@given(stream=st.lists(_ops, min_size=1, max_size=16), crash=_crashes,
+       window=_windows)
+@settings(max_examples=25, deadline=None)
+def test_any_op_stream_with_fired_failures_matches_under_replication(
+        stream, crash, window):
+    _run_failing(stream, crash, window, replicated=True)
+
+
+#: Rows created, then their responses lost to a partition on the reader:
+#: the retry finds the rows and reports ``created=False``.
+_LOST_CREATE_STREAM = [("create", 0, [0]), ("cut", 0, 2e-5, 2e-3),
+                       ("create", 0, [1, 2, 3, 4, 5, 6])]
+
+
+def test_a_creation_whose_response_is_lost_still_reaches_the_chain():
+    bulk, per_message = \
+        _Rig(replicated=True), _Rig(replicated=True, per_message=True)
+    _run_same(_LOST_CREATE_STREAM, bulk, per_message, run=_outcome)
+    for rig in (bulk, per_message):
+        counters = rig.cluster.metrics.counters
+        assert counters["partition-drops"] > 0 and counters["op-retries"] > 0
+        assert counters["lazy-creates"] == 7
+        # The primaries recorded the creations, so the forward synced
+        # every row to its successor anyway.
+        chain = rig.cluster.chain
+        for row in range(7):
+            owner = row % 3
+            (successor,) = chain.successors(owner)
+            entry = rig.master.server(successor).replica_store[
+                (rig.table, owner)]
+            assert row in entry.rows
+        assert _copies_match_primaries(rig.master)

@@ -152,15 +152,15 @@ def test_codec_off_cell_still_matches_golden():
 
 
 def test_pooled_fanout_bit_identical_under_replication(monkeypatch):
-    """Pooled fan-out plans are re-enabled under replication (PR 8): a
-    replicated run with the plan pool active must be bit-identical to the
-    same run with pooling disabled — the transport undoes stale replica
-    retargets and the pool is invalidated on every topology/plan epoch
-    bump, so reuse can never change routing outcomes."""
+    """Pooled fan-out plans stay on under replication: a replicated run
+    with the plan pool active must be bit-identical to the same run with
+    pooling disabled — routing sends a rerouted read as a retargeted copy
+    and never assigns to a pooled request, so reuse can never change
+    routing outcomes, across every rebalance sweep."""
     losses_p, weights_p, ctx_p = _run("bsp", 0, True, "topk")
-    # Pooling genuinely engaged: layouts carry epoch-stamped plan pools,
-    # and replication was live (promotions happened mid-run).
-    assert any("_epoch" in info.layout.op_plans
+    # Pooling genuinely engaged, and replication was live (promotions
+    # happened mid-run).
+    assert any(info.layout.op_plans
                for info in ctx_p.master._matrices.values())
     assert ctx_p.metrics.counters.get("replica-promotions", 0) > 0
 
@@ -168,7 +168,7 @@ def test_pooled_fanout_bit_identical_under_replication(monkeypatch):
 
     monkeypatch.setattr(PSClient, "_plan_pool", lambda self, layout: None)
     losses_u, weights_u, ctx_u = _run("bsp", 0, True, "topk")
-    assert not any("_epoch" in info.layout.op_plans
+    assert not any(info.layout.op_plans
                    for info in ctx_u.master._matrices.values())
     assert losses_p == losses_u
     assert np.array_equal(weights_p, weights_u)
@@ -229,7 +229,7 @@ def test_chain_cell_is_bit_identical_across_runs(consistency, staleness,
         assert ctx_a.metrics.bytes_for_tag("chain-sync") > 0
         assert (ctx_a.metrics.counters["chain-fanouts"]
                 == ctx_b.metrics.counters["chain-fanouts"])
-        for key, holders in ctx_a.cluster.chain.links.items():
+        for key, holders in ctx_a.cluster.chain.holders.items():
             assert len(holders) == min(chain, ctx_a.master.n_servers - 1)
             assert ctx_a.cluster.chain.key_lag(*key) == 0
 

@@ -211,7 +211,7 @@ def test_rebalance_history_preserves_coverage(n_servers, replication_factor,
     # Primary ownership never moved...
     assert master.layout(m).same_layout(layout)
     # ...every surviving replica entry is a valid, installed copy...
-    for (matrix_id, primary_index), targets in manager.replicas.items():
+    for (matrix_id, primary_index), targets in manager.holders.items():
         epoch = master.server(primary_index).epoch
         for replica_index in manager.replica_set(matrix_id, primary_index):
             assert replica_index != primary_index

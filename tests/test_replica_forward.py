@@ -22,6 +22,7 @@ original cost the primary.
 import numpy as np
 
 from repro.cluster.cluster import Cluster
+from repro.cluster.resource import TimelineResource
 from repro.config import ClusterConfig, FailureConfig
 from repro.ps.client import PSClient
 from repro.ps.master import PSMaster
@@ -189,22 +190,32 @@ def test_a_holder_partitioned_past_the_retry_budget_is_forgotten():
 # -- a copy costs its holder what the original cost the primary --------------
 
 
-def test_a_replica_apply_is_charged_the_primarys_price_in_both_modes():
+def test_a_replica_apply_is_charged_the_primarys_price_in_both_modes(
+        monkeypatch):
+    """Observed where the server lane's inline arm and a dispatch both
+    book: the server CPU timelines (each service slot, in booking order)
+    and the per-(server, tag) request counts."""
     cluster, master, writer, m = _rig(chain_replicas=1)
     primary, holder = master.server(0).node_id, master.server(1).node_id
-    charges = []
-    record = cluster.metrics.record_compute
+    cpus = {id(server.cpu): server.node_id for server in master.servers}
+    slots = []
+    reserve = TimelineResource.reserve
 
-    def logging(node_id, seconds, tag="compute"):
-        charges.append((node_id, tag, seconds))
-        return record(node_id, seconds, tag=tag)
+    def logging(resource, earliest, seconds):
+        if id(resource) in cpus:
+            slots.append((cpus[id(resource)], seconds))
+        return reserve(resource, earliest, seconds)
 
-    cluster.metrics.record_compute = logging
+    monkeypatch.setattr(TimelineResource, "reserve", logging)
+    requests = cluster.metrics.requests_by_server_tag
     for push, tag in ((writer.push_assign, "ps-assign"),
                       (writer.push_add, "ps-add")):
-        del charges[:]
+        del slots[:]
+        before = dict(requests)
         push(m, 0, np.full(len(ON_SERVER_0), 2.0), indices=ON_SERVER_0)
-        served = [charge for charge in charges if charge[1] != "rpc-cpu"]
+        tags = {node: served for (node, served), count in requests.items()
+                if count > before.get((node, served), 0)}
+        served = [(node, tags[node], seconds) for node, seconds in slots]
         assert [charge[:2] for charge in served] == \
             [(primary, tag), (holder, "ps-replica")]
         assert served[0][2] == served[1][2] > 0

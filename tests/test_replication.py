@@ -131,7 +131,7 @@ def test_rebalance_demotes_cooled_keys_on_the_delta_window():
         client.pull_range(m, 0, 10, 20)
     manager.rebalance()
     assert manager.replica_set(m, 0) == []
-    assert (m, 0) not in manager.replicas
+    assert (m, 0) not in manager.holders
     assert manager.replica_set(m, 1) == [0, 2]
     assert cluster.metrics.counters["replica-demotions"] >= 1
     # The demoted holders actually dropped their copies.
@@ -258,7 +258,7 @@ def test_kernel_fan_out_is_all_or_nothing():
     assert manager.fan_out_messages([kernel]) == []
     assert cluster.metrics.counters["replica-kernel-demotions"] \
         == demotions_before + 1
-    assert (a, 0) not in manager.replicas
+    assert (a, 0) not in manager.holders
 
 
 def test_direct_write_outside_dispatch_demotes_replicas():
@@ -270,7 +270,7 @@ def test_direct_write_outside_dispatch_demotes_replicas():
     # 0): no fan-out ran, so the replicas would diverge -> demote.
     master.server(0).add(m, 0, np.ones(10))
     assert cluster.metrics.counters["replica-direct-write-demotions"] == 1
-    assert (m, 0) not in manager.replicas
+    assert (m, 0) not in manager.holders
     assert not master.server(1).has_replica(m, 0)
 
 
@@ -321,9 +321,9 @@ def test_chain_free_matrix_retires_links():
     cluster, master, client = _chain_rig()
     m = master.create_matrix(30)
     client.push_assign(m, 0, np.arange(30.0))
-    assert any(key[0] == m for key in cluster.chain.links)
+    assert any(key[0] == m for key in cluster.chain.holders)
     master.free_matrix(m)
-    assert not any(key[0] == m for key in cluster.chain.links)
+    assert not any(key[0] == m for key in cluster.chain.holders)
 
 
 def test_chain_direct_write_resyncs_successors():
@@ -366,7 +366,7 @@ def test_chain_install_drops_link_when_holder_crashes():
     cluster.chain.sync_key(m, 0)
     assert not master.server(1).alive
     assert not cluster.chain.claims(m, 0, 1)
-    assert (m, 0) not in cluster.chain.links
+    assert (m, 0) not in cluster.chain.holders
 
 
 def test_chain_row_create_falls_back_when_holder_dead():
@@ -382,7 +382,7 @@ def test_chain_row_create_falls_back_when_holder_dead():
     fresh = next(row for row in range(6, 24)
                  if layout.shards_for_row(row)[0][0] == owner)
     client.pull_or_create(table, [fresh])
-    holders = cluster.chain.links.get((table, owner), {})
+    holders = cluster.chain.holders.get((table, owner), {})
     assert holders and succ not in holders
     assert all(master.servers[h].alive for h in holders)
 
@@ -433,7 +433,7 @@ def _both_rig():
     cluster, master, client = _rig(chain_replicas=1)
     m = _heat_and_promote(master, client)
     assert master.replication.replica_set(m, 0) == [1, 2]
-    assert sorted(cluster.chain.links[(m, 0)]) == [1]
+    assert sorted(cluster.chain.holders[(m, 0)]) == [1]
     return cluster, master, client, m
 
 
@@ -492,11 +492,18 @@ def test_single_message_send_routes_and_fans_out_like_send_all():
     assert counters["replica-fanouts"] == hot_before + 2
     assert counters["chain-fanouts"] == chain_before
     assert _assert_copies_match_primaries(master) == 4
-    # A read of the dead primary is retargeted by the same routing call.
+    # A read of the dead primary is rerouted by the same routing call —
+    # as a retargeted copy: the caller's request stays on the primary.
     master.servers[0].crash()
     read = messages.PullRangeRequest(0, m, 0, 0, 10)
+    def rerouted():
+        return counters.get("replica-reads", 0) \
+            + counters.get("chain-reads", 0)
+
+    before = rerouted()
     values, _arrival = client.transport.send(read)
-    assert read.replica_of == 0 and read.server_index in (1, 2)
+    assert read.replica_of is None and read.server_index == 0
+    assert rerouted() == before + 1
     assert np.array_equal(values, np.arange(10.0) + 1.0)
 
 
@@ -506,7 +513,7 @@ def test_hot_demotion_keeps_the_chain_copy_on_a_shared_holder():
     for _ in range(8):
         client.pull_range(m, 0, 10, 20)
     master.replication.rebalance()
-    assert (m, 0) not in master.replication.replicas
+    assert (m, 0) not in master.replication.holders
     epoch = master.server(0).epoch
     # Holder 2 was hot-only and dropped its copy; holder 1 is still the
     # chain successor, so the shared entry stays installed and current.
@@ -522,7 +529,7 @@ def test_hot_demotion_keeps_the_chain_copy_on_a_shared_holder():
 def test_chain_teardown_keeps_the_hot_replica_on_a_shared_holder():
     cluster, master, client, m = _both_rig()
     cluster.chain.on_topology_resized()
-    assert not cluster.chain.links
+    assert not cluster.chain.holders
     # The hot-key manager still claims the shared entry on server 1.
     assert master.replication.replica_set(m, 0) == [1, 2]
     assert np.array_equal(master.server(1).replica_read(m, 0, 0),
@@ -549,7 +556,7 @@ def test_copies_track_primaries_through_a_mixed_mutation_stream():
     client.execute(_scale_kernel, [(m, 0), (other, 0)],
                    wait_response=False)
     assert cluster.metrics.counters["replica-kernel-demotions"] == 1
-    assert (m, 0) not in master.replication.replicas
+    assert (m, 0) not in master.replication.holders
     created = client.pull_or_create(table, [0, 1, 2, 3])
     client.push_block_add(table, [0, 3], np.ones((2, 6)))
     assert _assert_copies_match_primaries(master) >= 6

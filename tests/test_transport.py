@@ -449,6 +449,10 @@ def test_the_three_state_streams_keep_their_prices():
     # Chain promote: the ask, then the same state stream as the reply.
     assert messages.chain_promote_bytes(2, 20, 2) == (
         48 + 16, 32 + 48 + 160 + 16)
+    # Shard migrate: header + values + a [start, stop) pair per slice.
+    assert messages.shard_migrate_bytes(3, 20) == 48 + 160 + 48
+    # Lazy register: header + one key per fresh id.
+    assert messages.lazy_register_bytes(5) == 48 + 40
 
 
 def test_ops_flow_through_typed_messages(monkeypatch):

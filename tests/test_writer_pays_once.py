@@ -17,6 +17,13 @@ so what the op leaves behind is the op's own cost.  After every op:
   original of that op, never the writer's, and departed no earlier than
   that original completed there — so no copy applies early;
 - every valid copy equals its primary.
+
+The same law holds for the *reader* of a lazy table: a ``pull_or_create``
+whose rows the primaries create (or already hold) leaves the reader's
+clock, its reply arrivals and the primaries' send-NIC response bookings
+bit-equal to the unreplicated read's — the chain syncs of the new rows
+leave the primary after the creating message completed, behind its
+response, never in front of it — and every copy equals its primary.
 """
 
 import numpy as np
@@ -33,6 +40,8 @@ from tests.test_replication import \
 
 DIM = 30
 N_ROWS = 4
+TABLE_DIM = 8
+N_IDS = 12
 
 #: CPU tags of the originals a write op applies on its primaries.
 ORIGINAL_TAGS = ("ps-add", "ps-assign", "ps-kernel")
@@ -54,6 +63,7 @@ class _Rig:
         )
         self.matrices = tuple(self.master.create_matrix(DIM, n_rows=N_ROWS)
                               for _ in range(2))
+        self.table = self.master.create_table(TABLE_DIM)
         for matrix in self.matrices:
             for row in range(N_ROWS):
                 self.other.push_assign(matrix, row,
@@ -69,6 +79,7 @@ class _Rig:
         # on the coordinator's NIC, which replication traffic also uses.
         for matrix in self.matrices:
             self.writer.pull_row(matrix, 0)
+        self.writer.pull_or_create(self.table, [0])
         self.cluster.tracer.enable()
 
     def writer_state(self):
@@ -167,3 +178,62 @@ def test_a_replicated_write_costs_the_writer_what_a_bare_one_does(
         _copies_match_primaries(replicated.master)
     # Every op writes row data that some holder copies.
     assert forwarded >= len(stream)
+
+
+# -- the reader of a lazy table pays once too ---------------------------------
+
+
+def _reader_state(rig, spans):
+    """The reader's clock, its reply arrivals and the primaries' response
+    bookings (send NIC), for one op's *spans*."""
+    node = rig.writer.node_id
+    replies = [span for span in spans if span.op == "net:pull-create:resp"]
+    return (rig.cluster.clock.now(node),
+            sorted((span.start, span.end) for span in replies
+                   if span.cat == "nic-recv" and span.node == node),
+            sorted((span.node, span.start, span.end) for span in replies
+                   if span.cat == "nic-send"))
+
+
+def _check_syncs(spans):
+    """Every chain sync of this op left a primary after the op's message
+    there completed."""
+    done = {}
+    for span in spans:
+        if span.cat == "cpu" and span.op in ("ps-create", "ps-read"):
+            done[span.node] = max(done.get(span.node, span.end), span.end)
+    syncs = [span for span in spans if span.cat == "nic-send"
+             and span.op == "net:chain-sync"]
+    for span in syncs:
+        assert span.start >= done[span.node], span
+    return len(syncs)
+
+
+@pytest.mark.parametrize("replication", ["off", "topk"])
+@pytest.mark.parametrize("chain_replicas", [1, 2])
+@given(stream=st.lists(
+    st.lists(st.integers(0, N_IDS - 1), min_size=1, max_size=6),
+    min_size=1, max_size=6))
+@settings(max_examples=20, deadline=None)
+def test_a_replicated_lazy_read_costs_the_reader_what_a_bare_one_does(
+        chain_replicas, replication, stream):
+    replicated = _Rig(chain_replicas, replication)
+    bare = _Rig()
+    synced = 0
+    for rows in stream:
+        start = max(replicated.cluster.clock.global_time(),
+                    bare.cluster.clock.global_time()) + 1.0
+        values, spans = [], []
+        for rig in (replicated, bare):
+            first_span = len(rig.cluster.tracer.spans)
+            rig.cluster.clock.set_at_least(rig.writer.node_id, start)
+            values.append(rig.writer.pull_or_create(rig.table, rows))
+            spans.append(rig.cluster.tracer.spans[first_span:])
+        assert np.array_equal(values[0], values[1])
+        assert _reader_state(replicated, spans[0]) == \
+            _reader_state(bare, spans[1]), rows
+        synced += _check_syncs(spans[0])
+        _copies_match_primaries(replicated.master)
+    # Unseen ids were created, and their chains were fed.
+    if set().union(*stream) - {0}:
+        assert synced > 0
