@@ -139,37 +139,36 @@ class NetworkModel:
         self.metrics.record_transfer(src, dst, total, tag=tag,
                                      messages=messages)
         if self.tracer is not None and self.tracer.enabled:
-            self.tracer.record(src, "net:" + tag, depart, send_done,
-                               cat="nic-send", parent_id=trace_parent,
-                               dst=dst, nbytes=total)
-            self.tracer.record(dst, "net:" + tag, recv_start, recv_done,
-                               cat="nic-recv", parent_id=trace_parent,
-                               src=src, nbytes=total)
+            self._spans(src, dst, tag, total, depart, send_done, recv_start,
+                        recv_done, trace_parent)
         if deliver:
             self.clock.set_at_least(dst, recv_done)
         return recv_done
 
-    def transfer_many(self, src, items, depart_at=None):
+    def transfer_many(self, src, items, trace_parent=None):
         """Book a fan-out — many transfers leaving *src* — in one call.
 
         *items* is a sequence of ``(dst, nbytes, tag, messages)``; every
-        transfer departs no earlier than ``depart_at`` (default: the
-        sender's clock) and is booked ``deliver=False`` (fan-out callers
-        wait on the returned times themselves).  Returns the list of
-        ``recv_done`` times, aligned with *items*.
+        transfer departs no earlier than the sender's clock and is booked
+        ``deliver=False`` (fan-out callers wait on the returned times
+        themselves).  Returns the list of ``recv_done`` times, aligned
+        with *items*.
 
-        Bit-identical to calling :meth:`transfer` once per item in order —
-        the sender's NIC bookings go through one :meth:`TimelineResource
-        .reserve_many` round instead of N reserve calls, receiver NICs are
-        distinct timelines anyway, and the metrics land through one bulk
-        record.  While partition windows are scheduled it *is* one
-        :meth:`transfer` per item (:meth:`_each`): a dropped item books
-        nothing and reports its error in place of its time.
+        Bit-identical to calling :meth:`transfer` once per item in order,
+        spans included (every one parents to the fan-out's one
+        *trace_parent*) — the sender's NIC bookings go through one
+        :meth:`TimelineResource.reserve_many` round instead of N reserve
+        calls, receiver NICs are distinct timelines anyway, and the
+        metrics land through one bulk record.  While partition windows are
+        scheduled it *is* one :meth:`transfer` per item (:meth:`_each`): a
+        dropped item books nothing and reports its error in place of its
+        time.
         """
         if self.failures is not None and self.failures.partitions:
-            return self._each([(src, dst, nbytes, tag, messages, depart_at)
-                               for dst, nbytes, tag, messages in items])
-        earliest = self.clock.now(src) if depart_at is None else depart_at
+            return self._each([(src, dst, nbytes, tag, messages, None)
+                               for dst, nbytes, tag, messages in items],
+                              trace_parent)
+        earliest = self.clock.now(src)
         send_bw = self.bandwidth_of(src)
         totals = [float(nbytes) + MESSAGE_OVERHEAD_BYTES
                   for _, nbytes, _, _ in items]
@@ -181,8 +180,7 @@ class NetworkModel:
         latency = self.latency
         nic_recv = self._nic_recv
         bandwidth = self._bandwidth
-        tracer = self.tracer
-        traced = tracer is not None and tracer.enabled
+        traced = self.tracer is not None and self.tracer.enabled
         recv_times = []
         metric_items = []
         for pos, (dst, _, tag, messages) in enumerate(items):
@@ -197,14 +195,12 @@ class NetworkModel:
             recv_times.append(recv_done)
             metric_items.append((dst, total, tag, messages))
             if traced:
-                tracer.record(src, "net:" + tag, depart, send_done,
-                              cat="nic-send", dst=dst, nbytes=total)
-                tracer.record(dst, "net:" + tag, recv_start, recv_done,
-                              cat="nic-recv", src=src, nbytes=total)
+                self._spans(src, dst, tag, total, depart, send_done,
+                            recv_start, recv_done, trace_parent)
         self.metrics.record_transfer_fanout(src, metric_items)
         return recv_times
 
-    def transfer_gather(self, dst, items):
+    def transfer_gather(self, dst, items, trace_parent=None):
         """Book a fan-in — many transfers converging on *dst* — in one call.
 
         *items* is a sequence of ``(src, nbytes, tag, messages,
@@ -219,13 +215,12 @@ class NetworkModel:
         if self.failures is not None and self.failures.partitions:
             return self._each([(src, dst, nbytes, tag, messages, depart_at)
                                for src, nbytes, tag, messages, depart_at
-                               in items])
+                               in items], trace_parent)
         latency = self.latency
         nic_send = self._nic_send
         bandwidth = self._bandwidth
         recv_bw = bandwidth[dst]
-        tracer = self.tracer
-        traced = tracer is not None and tracer.enabled
+        traced = self.tracer is not None and self.tracer.enabled
 
         totals = []
         recv_jobs = []
@@ -248,16 +243,22 @@ class NetworkModel:
             recv_times.append(recv_done)
             metric_items.append((src, total, tag, messages))
             if traced:
-                depart, send_done = sends[pos]
-                tracer.record(src, "net:" + tag, depart, send_done,
-                              cat="nic-send", dst=dst, nbytes=total)
-                tracer.record(dst, "net:" + tag, recv_starts[pos],
-                              recv_done, cat="nic-recv", src=src,
-                              nbytes=total)
+                self._spans(src, dst, tag, total, *sends[pos],
+                            recv_starts[pos], recv_done, trace_parent)
         self.metrics.record_transfer_gather(dst, metric_items)
         return recv_times
 
-    def _each(self, items):
+    def _spans(self, src, dst, tag, total, depart, send_done, recv_start,
+               recv_done, trace_parent):
+        """Record one booked transfer's two NIC spans, parented to
+        *trace_parent* (``None``: to whatever is open on each endpoint)."""
+        op = "net:" + tag
+        self.tracer.record(src, op, depart, send_done, cat="nic-send",
+                           parent_id=trace_parent, dst=dst, nbytes=total)
+        self.tracer.record(dst, op, recv_start, recv_done, cat="nic-recv",
+                           parent_id=trace_parent, src=src, nbytes=total)
+
+    def _each(self, items, trace_parent):
         """Book ``(src, dst, nbytes, tag, messages, depart_at)`` items one
         :meth:`transfer` each; a dropped item's ``NetworkPartitionedError``
         stands in for its ``recv_done`` time."""
@@ -266,7 +267,8 @@ class NetworkModel:
             try:
                 recv_times.append(self.transfer(
                     src, dst, nbytes, tag=tag, deliver=False,
-                    depart_at=depart_at, messages=messages))
+                    depart_at=depart_at, messages=messages,
+                    trace_parent=trace_parent))
             except NetworkPartitionedError as error:
                 recv_times.append(error)
         return recv_times

@@ -6,7 +6,8 @@ The subsystem has these layers:
   recorded by instrumentation in the PS client/server, the network model
   and the sparklite scheduler, connected across nodes by the transport's
   ``trace_ctx`` threading.  Disabled by default; enabling it never changes
-  simulation results (spans only *read* clocks).
+  simulation results or the code path that produces them (spans only
+  *read* clocks).
 - :mod:`repro.obs.histogram` — streaming log-bucketed latency histograms,
   always on inside :class:`~repro.cluster.metrics.MetricsRegistry`.
 - :mod:`repro.obs.timeseries` — a passive virtual-time-windowed sampler

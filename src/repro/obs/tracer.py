@@ -17,8 +17,11 @@ logical operation shares one id regardless of which nodes served it.
 Timestamps come from the :class:`~repro.cluster.simclock.SimClock` (or are
 passed explicitly by instrumentation that already knows its reserved
 interval, e.g. a NIC booking).  The tracer only ever *reads* clocks — it
-never advances them — so enabling tracing cannot perturb the cost model:
-a traced run and an untraced run of the same workload are byte-identical.
+never advances them — and never selects a code path: the PS transport's
+phased schedule and the server fast lane record the same spans the
+per-message path does.  So enabling tracing cannot perturb the cost model
+or the host-side path: a traced run is the untraced run plus span records,
+byte-identical in every result.
 
 When disabled (the default), every entry point returns immediately: no
 span objects are allocated and ``span()`` hands back a shared no-op

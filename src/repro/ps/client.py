@@ -428,10 +428,12 @@ class PSClient:
         by the transport.  A server that does not hold a row yet
         initializes it from the table's deterministic, layout-independent
         RNG stream before serving — ElasticDL-style ``get_or_create``, so
-        the table grows unbounded during online learning.  Ids this round
-        materialized are then registered with the master (one control
+        the table grows unbounded during online learning.  Requested ids
+        the master's registry lacks are then registered (one control
         message: header plus one key per fresh id), which is what lets
-        recovery and live shard migration re-materialize the table.
+        recovery and live shard migration re-materialize the table.  The
+        registry, not the reply's ``created`` marker, decides: a response
+        lost after the create is retried, and the retry finds the row.
 
         Always server-authoritative: the worker cache is bypassed — a
         cache miss cannot distinguish "stale" from "never created", and
@@ -454,11 +456,10 @@ class PSClient:
             ]
             values, arrivals = self.transport.send_all(requests)
             result = np.empty((len(rows), layout.dim))
-            created = []
-            for pos, (block, was_created) in enumerate(values):
+            for pos, (block, _created) in enumerate(values):
                 result[pos, :] = block
-                if was_created:
-                    created.append(rows[pos])
+            created = [row for row in dict.fromkeys(rows)
+                       if row not in info.created_rows]
             self._await(arrivals)
             if created:
                 from repro.cluster.cluster import DRIVER

@@ -282,13 +282,7 @@ class PSServer:
                 % (self.node_id, type(request).__name__)
             ) from None
         prior_ctx = self._trace_ctx
-        ctx = request.trace_ctx
-        if ctx is None and self._dispatch_depth > 0:
-            # Batch sub-requests carry no context of their own: they
-            # inherit the envelope's, so their CPU spans still parent to
-            # the client op that sent the batch.
-            ctx = prior_ctx
-        self._trace_ctx = ctx
+        self._trace_ctx = request.trace_ctx
         if request.codec is not None:
             # Decode-before-apply: an encoded push replaces its payload
             # with the decoded values here, so every storage primitive
@@ -432,19 +426,6 @@ class PSServer:
 
     def _serve_batch(self, request):
         return [self.dispatch(sub) for sub in request.requests]
-
-    def dispatch_sub(self, request):
-        """Serve one sub-request of an envelope the transport flattened.
-
-        One dispatch level down — where :meth:`_serve_batch` serves it on
-        the per-message schedule — so a request without a trace context
-        of its own inherits the enclosing one instead of dropping it.
-        """
-        self._dispatch_depth += 1
-        try:
-            return self.dispatch(request)
-        finally:
-            self._dispatch_depth -= 1
 
     def _serve_replicated_push(self, request):
         """Apply a fanned-out mutation to this server's replica copies.
@@ -785,15 +766,16 @@ def serve_fast_fanout(cluster, fan_servers, fan_messages, fan_arrivals):
     Every unit is served by one rule.  A pull-row / push whose shard is
     present and that is not a replica read is served inline — the same
     due-crash check, numpy access, version bump, single CPU reservation,
-    metric updates and clock advance as ``begin()`` + ``dispatch()``,
+    metric updates, CPU span (parented through the unit's ``trace_ctx``,
+    while tracing is on) and clock advance as ``begin()`` + ``dispatch()``,
     minus ~10 Python frames.  Anything else (other message types, replica
     reads, missing shards, a crashed server) goes through the full
     dispatch in place, with the pending metric run flushed first so every
     per-key accumulation — float compute totals, histogram sums — happens
-    in exactly the per-message order.  The transport's bulk gates hold
-    throughout — tracing off, no cost model — while a replication policy
-    may be live: its rerouted reads take the dispatch arm, and it books
-    nothing from inside a dispatch (copies and lazy-row syncs leave in
+    in exactly the per-message order.  The one bulk gate — no cost model —
+    holds throughout, while a replication policy may be live: its
+    rerouted reads take the dispatch arm, and it books nothing from
+    inside a dispatch (copies and lazy-row syncs leave in
     :func:`~repro.ps.replication.forward`, after the whole fan-out).
 
     Returns ``(values, completions)`` aligned with the inputs; results
@@ -813,6 +795,8 @@ def serve_fast_fanout(cluster, fan_servers, fan_messages, fan_arrivals):
     # Only a pending crash makes the lane ask each server whether it is due
     # (a crashed server's empty store already sends its units to dispatch).
     crashes = cluster.failures.server_failures
+    tracer = cluster.tracer
+    traced = tracer.enabled
     values_out = []
     completions = []
     run_tag = None
@@ -846,15 +830,9 @@ def serve_fast_fanout(cluster, fan_servers, fan_messages, fan_arrivals):
                 record_bulk(run_tag, run_nodes, run_secs)
                 run_nodes = []
                 run_secs = []
-            # A unit that is chained, or that the next unit chains to, is
-            # an envelope's sub-request.
-            position = len(values_out)
-            serve = (server.dispatch_sub
-                     if None in fan_arrivals[position:position + 2]
-                     else server.dispatch)
             server.begin(arrival)
             try:
-                values_out.append(serve(message))
+                values_out.append(server.dispatch(message))
                 completions.append(server.last_completion)
             except (ServerDownError, MatrixNotFoundError) as error:
                 failed = error
@@ -904,6 +882,11 @@ def serve_fast_fanout(cluster, fan_servers, fan_messages, fan_arrivals):
         server.last_completion = completion
         server._arrival = completion
         node_id = server.node_id
+        if traced:
+            ctx = message.trace_ctx
+            tracer.record(node_id, tag, start, completion, cat="cpu",
+                          parent_id=None if ctx is None else ctx[1],
+                          queue_wait=start - arrival)
         if completion > clock_times[node_id]:
             clock_times[node_id] = completion
         if tag is run_tag:

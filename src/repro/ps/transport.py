@@ -214,8 +214,10 @@ class Transport:
         offers every read to the routers, which may send a retargeted
         copy in its place (responses stay positional, so callers are
         oblivious).  Messages are grouped per destination server
-        (:meth:`_coalesce`), and client-side RPC CPU is charged once per
-        outgoing transfer, before anything touches the wire.  The first
+        (:meth:`_coalesce`), the fan-out is traced (:meth:`_trace`, while
+        tracing is on), client-side RPC CPU is charged once per outgoing
+        transfer, and the routing RPC of every cold matrix is paid, in
+        wire order, before anything else touches the wire.  The first
         attempts run on one of two schedules — phased
         (:meth:`_transmit_bulk`) when :meth:`_bulk_ok` allows, message by
         message (:meth:`_transmit`) otherwise — and either way every wire
@@ -246,7 +248,14 @@ class Transport:
             outgoing = self._coalesce(sent)
             if plan is not None:
                 plan.outgoing = outgoing
+        trace_parent = self._trace(outgoing) if cluster.tracer.enabled \
+            else None
         self._charge_rpc(len(outgoing))
+        routing = self._routing
+        for message, _positions in outgoing:
+            if message.matrix_id is not None \
+                    and message.matrix_id not in routing:
+                self.layout(message.matrix_id)
         batches = [positions for message, positions in outgoing
                    if type(message) is messages.BatchRequest]
         if batches:
@@ -261,7 +270,7 @@ class Transport:
         # attempted yet).
         if outgoing and self._bulk_ok(outgoing):
             work = self._transmit_bulk(outgoing, values, arrivals,
-                                       completions, plan)
+                                       completions, plan, trace_parent)
         else:
             work = list(zip(outgoing, repeat(None)))
         for (message, positions), error in work:
@@ -281,33 +290,54 @@ class Transport:
         replication.forward(cluster, requests, completions)
         return values, arrivals
 
+    def _trace(self, outgoing):
+        """Stamp a fan-out's causal context and enrich its op span.
+
+        Called once per fan-out while tracing is on, before either
+        schedule runs: every wire message and every envelope sub-request
+        gets ``trace_ctx = (trace_id, op span id)`` (``None`` outside an
+        op span), the parent of the server CPU slots, both NIC bookings
+        and any forwarded copy; the op span adds the fan-out's wire
+        messages, bytes and coalesced requests to its args.  Sizes come
+        from the memoized wire formulas, which never read the stamp.
+        Returns the op span's id, the fan-out's one ``trace_parent``.
+        """
+        span = self.cluster.tracer.current(self.node_id)
+        if span is None:
+            ctx, args = None, {}  # nothing to parent to or enrich
+        else:
+            ctx, args = (span.trace_id, span.span_id), span.args
+        for message, _positions in outgoing:
+            message.trace_ctx = ctx
+            if type(message) is messages.BatchRequest:
+                for sub in message.requests:
+                    sub.trace_ctx = ctx
+            args["fanout"] = args.get("fanout", 0) + 1
+            args["bytes"] = (args.get("bytes", 0) + message.wire_bytes()
+                             + (message.response_bytes() or 0))
+            if message.message_count() > 1:
+                args["coalesced"] = (args.get("coalesced", 0)
+                                     + message.message_count())
+        return None if ctx is None else ctx[1]
+
     # -- the two schedules ---------------------------------------------------
 
     def _bulk_ok(self, outgoing):
         """Whether this fan-out may take the phased (bulk) schedule.
 
         The bulk schedule is bit-identical to per-message :meth:`_transmit`
-        only when nothing can interleave with the phase-reordered bookings:
-        no span tracing (spans must nest per message), no cost model (the
-        bulk schedule prices a message once per cached plan, codecs
-        re-price it per send), and no cold routing entry (a mid-loop
-        routing RPC books the client NIC between message sends).
-        Failures are not a condition: a dead server, a due crash or a
-        partition drop fails its wire message on either schedule, and both
-        retry it after the whole fan-out.  Nor is replication: a rerouted
-        read is served by the lane's dispatch arm, and everything a policy
-        books on a server's behalf — copies, lazy-row syncs — leaves in
-        :func:`~repro.ps.replication.forward`, after either schedule.
+        only when nothing can interleave with the phase-reordered bookings,
+        and one thing still can: a cost model (the bulk schedule prices a
+        message once per cached plan, codecs re-price it per send).
+        Nothing else is a condition.  Tracing only reads clocks: both
+        schedules stamp and record the same spans (:meth:`_trace`).  Cold
+        routing is paid in :meth:`send_all` before either schedule starts.
+        Failures fail their wire message on either schedule, and both
+        retry it after the whole fan-out.  Replication books everything on
+        a server's behalf in :func:`~repro.ps.replication.forward`, after
+        either schedule.
         """
-        cluster = self.cluster
-        if cluster.tracer.enabled or cluster.costmodel is not None:
-            return False
-        routing = self._routing
-        for message, _positions in outgoing:
-            if message.matrix_id is not None \
-                    and message.matrix_id not in routing:
-                return False
-        return True
+        return self.cluster.costmodel is None
 
     def _price(self, wire_messages):
         """Wire sizes and shard-heat entries for a run of wire messages —
@@ -414,7 +444,7 @@ class Transport:
                 unit_positions, unit_servers, unit_msgs)
 
     def _transmit_bulk(self, outgoing, values, arrivals, completions,
-                       plan=None):
+                       plan=None, trace_parent=None):
         """Transmit a whole fan-out in three phases instead of N round trips.
 
         Phase 1 books every request transfer through one
@@ -427,11 +457,12 @@ class Transport:
         per-direction NIC timelines are disjoint across phases and
         order-insensitive within them, so virtual times, bytes and counters
         are bit-identical to the interleaved per-message schedule — only
-        the Python call count drops.  Callers must have checked
-        :meth:`_bulk_ok`.  A wire message fails in the phase that meets
-        its failure: a dropped request is never served, a down server or
-        missing shard stops its envelope, a dropped response comes after
-        service.
+        the Python call count drops.  Spans are too: every booking parents
+        to *trace_parent*, the fan-out's op span.  Callers must have
+        checked :meth:`_bulk_ok`.  A wire message fails in the phase that
+        meets its failure: a dropped request is never served, a down
+        server or missing shard stops its envelope, a dropped response
+        comes after service.
 
         *plan*, when given, is the :class:`FanoutPlan` *outgoing* belongs
         to (see :meth:`send_all`): the entire phase-1 product
@@ -463,7 +494,8 @@ class Transport:
          unit_servers, unit_msgs) = bulk
         if shard_entries:
             metrics.record_shard_access_many(shard_entries)
-        unit_arrivals = network.transfer_many(node_id, fan_items)
+        unit_arrivals = network.transfer_many(node_id, fan_items,
+                                              trace_parent)
         if len(unit_msgs) > len(fan_items):
             # Only an envelope's first unit arrives off the NIC; the rest
             # chain on their predecessor's completion.
@@ -494,7 +526,8 @@ class Transport:
                 response_items.append(response + (completion,))
                 response_entries.append(entry)
         if response_items:
-            recv_times = network.transfer_gather(node_id, response_items)
+            recv_times = network.transfer_gather(node_id, response_items,
+                                                 trace_parent)
             for entry, response_arrival in zip(response_entries, recv_times):
                 if response_arrival.__class__ is NetworkPartitionedError:
                     failed.append((entry, response_arrival))
@@ -588,29 +621,8 @@ class Transport:
         )
         if error is None:
             self.cluster.metrics.record_shard_access_many(shard_entries)
-        tracer = self.cluster.tracer
-        span = tracer.current(self.node_id) if tracer.enabled else None
-        trace_parent = None if span is None else span.span_id
-        if span is not None and error is None:
-            span.args["fanout"] = span.args.get("fanout", 0) + 1
-            span.args["bytes"] = (
-                span.args.get("bytes", 0) + request_bytes
-                + (response_bytes or 0)
-            )
-            if message.message_count() > 1:
-                span.args["coalesced"] = (
-                    span.args.get("coalesced", 0) + message.message_count()
-                )
-            # Stamp the causal context on the message (and on an envelope's
-            # sub-requests, whose replica copies carry it on): the server's
-            # CPU slot, both NIC bookings and any forwarded copy will parent
-            # to the client op that caused them.  wire_bytes() above was
-            # computed before the stamp and never reads it — tracing is
-            # byte-free.
-            message.trace_ctx = (span.trace_id, span.span_id)
-            if type(message) is messages.BatchRequest:
-                for sub in message.requests:
-                    sub.trace_ctx = message.trace_ctx
+        ctx = message.trace_ctx  # stamped by :meth:`_trace`
+        trace_parent = None if ctx is None else ctx[1]
         attempt = 0
         while True:
             if error is None:

@@ -158,16 +158,17 @@ def _clocks_and_nics(cluster):
 def _drifted_shard_run(op, traced):
     """A live server whose shard set drifted, hit by one client op.
 
-    Untraced, the op's fan-out takes the bulk schedule (routing is warm,
-    and ``_bulk_ok`` never asks about shards or liveness); traced, the
-    per-message one.  Returns what the caller saw, the final state, the
-    cluster's counters and its clocks and NIC totals.
+    Untraced, the op's fan-out takes the bulk schedule (``_bulk_ok``
+    never asks about shards or liveness); traced, the per-message one,
+    pinned on the client's transport.  Returns what the caller saw, the
+    final state, the cluster's counters and its clocks and NIC totals.
     """
     cluster = Cluster(ClusterConfig(n_executors=4, n_servers=3, seed=42))
-    if traced:
-        cluster.tracer.enable()
     master = PSMaster(cluster)
     client = PSClient(cluster, master, cluster.executors[0])
+    if traced:
+        cluster.tracer.enable()
+        client.transport._bulk_ok = lambda outgoing: False
     m = master.create_matrix(30, n_rows=2)
     for row in range(2):
         client.push_add(m, row, np.arange(30.0) + row)
@@ -191,8 +192,8 @@ def test_drifted_shard_in_a_bulk_fanout_reaches_the_retry_policy(op):
     """Regression: a retryable error met while serving a bulk fan-out used
     to escape the client (``MatrixNotFoundError``) — the bulk schedule had
     no retry loop — while the traced, per-message run of the same script
-    repaired and returned.  Turning tracing on must not change the
-    outcome: the failed wire message (a whole envelope) goes to the retry
+    repaired and returned.  Neither tracing nor the schedule may change
+    the outcome: the failed wire message (a whole envelope) goes to the retry
     policy after the rest of the fan-out went out, on both schedules, so
     the two runs also end on identical clocks and NIC totals (the
     per-message schedule used to retry inline, before the next server's
@@ -322,10 +323,11 @@ def _dropped_response_run(traced):
     now: its pull's requests leave before the window, the responses depart
     inside it.  Returns the pulled row, the counters, clocks and NICs."""
     cluster = _chaos_cluster()
-    if traced:
-        cluster.tracer.enable()
     master = PSMaster(cluster)
     client = PSClient(cluster, master, cluster.executors[0])
+    if traced:  # ... and on the per-message schedule
+        cluster.tracer.enable()
+        client.transport._bulk_ok = lambda outgoing: False
     m = master.create_matrix(30)
     client.push_assign(m, 0, np.arange(30.0))  # warms routing
     now = cluster.clock.now(client.node_id)
@@ -334,13 +336,39 @@ def _dropped_response_run(traced):
     return got, cluster.metrics.counters, _clocks_and_nics(cluster)
 
 
+def test_a_lost_create_response_still_registers_the_row():
+    """Regression: a lazy row was registered with the master only when its
+    reply said ``created``.  A window that swallows the create's response
+    makes the retry find the row and answer ``False``, so the row never
+    entered the registry, and a resize — which migrates the registry's
+    rows only — dropped it with every update it had taken."""
+    ctx = make_context(n_executors=2, n_servers=3, seed=23)
+    cluster = ctx.cluster
+    client = ctx.client_for(cluster.executors[0])
+    table = ctx.master.create_table(8)
+    client.pull_or_create(table, [0])  # warms routing
+    now = cluster.clock.now(client.node_id)
+    # The request leaves before the window opens, the response inside it.
+    cluster.failures.schedule_partition(client.node_id, now + 2e-5,
+                                        now + 2e-3)
+    (initial,) = client.pull_or_create(table, [4])
+    counters = cluster.metrics.counters
+    assert counters["partition-drops"] == 1 and counters["op-retries"] == 1
+    assert counters["lazy-creates"] == 2  # the retry created nothing
+    assert sorted(ctx.master.info(table).created_rows) == [0, 4]
+    client.push_add(table, 4, np.arange(8.0))
+    ctx.master.resize_servers(4)
+    (migrated,) = client.pull_or_create(table, [4])
+    assert np.array_equal(migrated, initial + np.arange(8.0))
+
+
 def test_partition_on_a_response_is_retried_on_both_schedules():
     """Regression: a window that swallowed an RPC *response* escaped the
     op as ``NetworkPartitionedError`` on both schedules.  A lost response
     now fails its attempt like a lost request, and the message is re-sent
     whole (at-least-once delivery: the server served it twice).  The
-    untraced run takes the bulk schedule, the traced one the per-message
-    one; they end on identical clocks and NIC totals."""
+    untraced run takes the bulk schedule, the traced one is pinned to the
+    per-message one; they end on identical clocks and NIC totals."""
     got, counters, wire = _dropped_response_run(traced=False)
     traced_got, traced_counters, traced_wire = _dropped_response_run(
         traced=True)

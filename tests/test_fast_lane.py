@@ -29,7 +29,16 @@ asks) on, reads are rerouted, copies and lazy-row syncs are forwarded
 from the primaries, and the bulk schedule, the per-message one and the
 unpooled rig must still agree on all of the above plus every replica
 copy and holder map — across rebalance sweeps, and with failures fired.
+
+Nor are tracing and cold routing: a traced rig serves every unit on the
+lane, a send whose matrix no routing entry covers yet pays the routing
+RPC before either schedule starts, and the traced bulk rig, the traced
+per-message rig and an untraced one agree on all of the above — the two
+traced ones also on every span (node, op, category, interval, args and
+the parent's identity) and on the critical-path breakdown.
 """
+
+from collections import Counter
 
 import numpy as np
 from hypothesis import example, given, settings
@@ -38,6 +47,7 @@ from hypothesis import strategies as st
 from repro.cluster.cluster import Cluster
 from repro.common.errors import ReproError
 from repro.config import ClusterConfig, NetworkSpec, NodeSpec
+from repro.obs import critical_path
 from repro.ps import messages, transport
 from repro.ps.client import PSClient
 from repro.ps.master import PSMaster
@@ -67,12 +77,14 @@ class _Rig:
     plus a lazy table."""
 
     def __init__(self, per_message=False, pooled=True, consistency="bsp",
-                 replicated=False):
+                 replicated=False, traced=False):
         self.cluster = Cluster(ClusterConfig(
             n_executors=N_CLIENTS, n_servers=3, seed=11,
             consistency=consistency, staleness=1,
             **(REPLICATED if replicated else {}),
         ))
+        if traced:
+            self.cluster.tracer.enable()
         self.master = PSMaster(self.cluster)
         self.clients = [
             PSClient(self.cluster, self.master, node_id)
@@ -397,10 +409,10 @@ _FIXED_STREAM = [
 
 
 #: A send creating rows on every server, after one that warmed the
-#: table's routing (a cold entry keeps a send off the bulk schedule).
-#: While lazy-create upkeep was booked from inside dispatch, its chain
-#: syncs interleaved with the fan-out's own bookings in a different
-#: order on each schedule, and the replicated rigs' NICs told them apart.
+#: table's routing.  While lazy-create upkeep was booked from inside
+#: dispatch, its chain syncs interleaved with the fan-out's own bookings
+#: in a different order on each schedule, and the replicated rigs' NICs
+#: told them apart.
 _CREATE_STREAM = [("create", 0, [0, 1, 2]),
                   ("create", 0, [3, 4, 5, 6, 7, 8])]
 
@@ -416,24 +428,41 @@ _REPLICATED_STREAM = (
 
 
 def _lane_users(monkeypatch):
-    """The clusters of every fan-out served through the lane."""
+    """``(cluster, units)`` of every fan-out served through the lane."""
     served = []
     lane = transport.serve_fast_fanout
 
     def counting(cluster, fan_servers, fan_messages, fan_arrivals):
-        served.append(cluster)
+        served.append((cluster, len(fan_messages)))
         return lane(cluster, fan_servers, fan_messages, fan_arrivals)
 
     monkeypatch.setattr(transport, "serve_fast_fanout", counting)
     return served
 
 
+def _senders(monkeypatch):
+    """``(cluster, units)`` of every ``Transport.send_all`` call."""
+    sent = []
+    send_all = transport.Transport.send_all
+
+    def counting(self, requests, plan=None):
+        sent.append((self.cluster, len(requests)))
+        return send_all(self, requests, plan)
+
+    monkeypatch.setattr(transport.Transport, "send_all", counting)
+    return sent
+
+
+def _units(calls, rig):
+    return sum(units for cluster, units in calls if cluster is rig.cluster)
+
+
 def _assert_only_bulk_took_the_lane(served, bulk, per_message, stream):
     # The comparison is only worth something if the rigs really differ in
     # schedule: the bulk one goes through the lane, the pinned one never.
-    assert sum(cluster is bulk.cluster for cluster in served) \
+    assert sum(cluster is bulk.cluster for cluster, _n in served) \
         >= len(stream) // 2
-    assert not any(cluster is per_message.cluster for cluster in served)
+    assert not any(cluster is per_message.cluster for cluster, _n in served)
 
 
 def test_a_fixed_stream_of_every_op_kind_matches_and_takes_both_schedules(
@@ -591,3 +620,82 @@ def test_a_creation_whose_response_is_lost_still_reaches_the_chain():
                 (rig.table, owner)]
             assert row in entry.rows
         assert _copies_match_primaries(rig.master)
+
+
+# -- tracing and cold routing: no schedule conditions ------------------------
+
+
+def _canonical_spans(rig):
+    """Every span as (node, op, cat, start, end, args, parent's (node, op,
+    cat)): what must not depend on the schedule.  Span ids follow
+    recording order, which does, so parents are named by identity."""
+    spans = rig.cluster.tracer.spans
+    by_id = {span.span_id: span for span in spans}
+
+    def kind(span):
+        return None if span is None else (span.node, span.op, span.cat)
+
+    return Counter(
+        (span.node, span.op, span.cat, span.start, span.end,
+         tuple(sorted(span.args.items())), kind(by_id.get(span.parent_id)))
+        for span in spans)
+
+
+def _run_traced(stream, failures=None):
+    """Traced on the lane == traced per-message == untraced; the traced
+    two also record the same spans and the same critical path.
+    *failures*, if given, is :meth:`_Rig.arm`'s ``(crash, window)``."""
+    rigs = (_Rig(traced=True), _Rig(traced=True, per_message=True), _Rig())
+    if failures is not None:
+        for rig in rigs:
+            rig.arm(*failures)
+    _run_same(stream, *rigs, run=_apply if failures is None else _outcome)
+    lane, per_message, untraced = rigs
+    assert lane.cluster.tracer.spans and not untraced.cluster.tracer.spans
+    assert _canonical_spans(lane) == _canonical_spans(per_message)
+    assert critical_path.analyze(lane.cluster.tracer).categories \
+        == critical_path.analyze(per_message.cluster.tracer).categories
+    return rigs
+
+
+#: The fixed stream behind a hand-built send from a client whose routing
+#: for the matrix is cold.
+_COLD_FIXED_STREAM = [("mixed", 1, 1, 9)] + _FIXED_STREAM
+
+
+def test_a_traced_fixed_stream_and_a_cold_send_serve_every_unit_on_the_lane(
+        monkeypatch):
+    served = _lane_users(monkeypatch)
+    sent = _senders(monkeypatch)
+    lane, per_message, untraced = _run_traced(_COLD_FIXED_STREAM)
+    for rig in (lane, untraced):
+        assert _units(served, rig) == _units(sent, rig) > 0
+    assert _units(served, per_message) == 0
+    # The cold send paid its routing RPC, on every rig alike.
+    routing = lane.cluster.metrics.messages_by_tag["routing:req"]
+    assert routing == untraced.cluster.metrics.messages_by_tag["routing:req"]
+    assert routing >= 2
+
+
+def test_the_traced_fixed_stream_with_fired_failures_matches():
+    lane, _per_message, _untraced = _run_traced(
+        _COLD_FIXED_STREAM, ((1, 1e-3), (0, 5e-4, 1e-3)))
+    counters = lane.cluster.metrics.counters
+    for name in ("server-crashes", "partition-drops", "op-retries"):
+        assert counters[name] > 0, name
+    assert lane.cluster.tracer.spans_for(op="retry-backoff")
+
+
+@given(stream=st.lists(_ops, min_size=1, max_size=20))
+@example(stream=[("mixed", 2, 0, 1), ("pull_block", 2, 0, [0, 1, 3], None)])
+@settings(max_examples=30, deadline=None)
+def test_any_traced_op_stream_is_bit_identical_on_both_schedules(stream):
+    _run_traced(stream)
+
+
+@given(stream=st.lists(_ops, min_size=1, max_size=16), crash=_crashes,
+       window=_windows)
+@settings(max_examples=20, deadline=None)
+def test_any_traced_op_stream_with_fired_failures_matches(
+        stream, crash, window):
+    _run_traced(stream, (crash, window))

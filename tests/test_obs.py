@@ -10,6 +10,7 @@ import json
 import numpy as np
 import pytest
 
+from repro.cluster.cluster import Cluster
 from repro.config import ClusterConfig
 from repro.core.context import PS2Context
 from repro.cluster.metrics import MetricsRegistry
@@ -163,26 +164,56 @@ def test_children_of_returns_recording_order_across_nodes(cluster):
 # -- cross-node trace context -------------------------------------------------
 
 
-def test_trace_ctx_links_server_work_to_client_op(cluster):
-    """Server CPU slots and NIC bookings share the client op's trace id."""
+def _traced_pull(case):
+    """One traced pull on a warm client; returns the cluster and the op.
+
+    ``case`` is ``"pull_row"``, ``"pull_block"`` (one envelope of two
+    sub-requests per server) or ``"partitioned"`` (a pull_row while a
+    window on server-1 makes the fan-out book transfer by transfer; its
+    first request there is dropped and re-sent)."""
+    cluster = Cluster(ClusterConfig(n_executors=4, n_servers=3, seed=42))
     cluster.tracer.enable()
     master = PSMaster(cluster)
     client = PSClient(cluster, master, cluster.executors[0])
     m = master.create_matrix(20, n_rows=2)
     client.push_assign(m, 0, np.arange(20.0))
     cluster.tracer.clear()
-    client.pull_row(m, 0)
-    pull = cluster.tracer.spans_for(cat="op", op="pull")[0]
-    assert pull.trace_id == pull.span_id
-    related = cluster.tracer.spans_for(trace_id=pull.trace_id)
-    assert {s.cat for s in related} >= {"op", "cpu", "nic-send", "nic-recv"}
-    cpu = [s for s in related if s.cat == "cpu"]
-    assert cpu and all(s.parent_id == pull.span_id for s in cpu)
-    assert all(s.node.startswith("server-") for s in cpu)
-    # no span outside this pull claims its trace
-    others = [s for s in cluster.tracer.spans
-              if s.trace_id != pull.trace_id]
-    assert all(s.cat not in ("cpu",) for s in others)
+    if case == "partitioned":
+        now = cluster.clock.now(client.node_id)
+        cluster.failures.schedule_partition("server-1", now, now + 1e-3)
+    if case == "pull_block":
+        client.pull_block(m, [0, 1])
+        assert cluster.metrics.counters["coalesced-batches"] > 0
+    else:
+        client.pull_row(m, 0)
+    if case == "partitioned":
+        assert cluster.metrics.counters["partition-drops"] == 1
+    (pull,) = cluster.tracer.spans_for(
+        cat="op", op="pull-block" if case == "pull_block" else "pull")
+    return cluster, pull
+
+
+def test_trace_ctx_links_server_work_to_client_op():
+    """Server CPU slots and NIC bookings share the client op's trace id —
+    on the bulk schedule, for an envelope's sub-requests too, and while a
+    partition window books the fan-out transfer by transfer."""
+    for case in ("pull_row", "pull_block", "partitioned"):
+        cluster, pull = _traced_pull(case)
+        assert pull.trace_id == pull.span_id
+        related = cluster.tracer.spans_for(trace_id=pull.trace_id)
+        assert {s.cat for s in related} \
+            >= {"op", "cpu", "nic-send", "nic-recv"}
+        cpu = [s for s in related if s.cat == "cpu"]
+        assert len(cpu) >= cluster.config.n_servers
+        assert all(s.node.startswith("server-") for s in cpu)
+        # Every CPU slot and every booking of the pull's own messages is
+        # the pull's child (a retry's routing RPC is transport traffic).
+        booked = [s for s in cluster.tracer.spans
+                  if s.cat in ("cpu", "nic-send", "nic-recv")
+                  and not s.op.startswith("net:routing:")]
+        assert len(booked) >= len(cpu) + 4 * cluster.config.n_servers
+        assert all(s.parent_id == pull.span_id
+                   and s.trace_id == pull.trace_id for s in booked), case
 
 
 def test_trace_ctx_never_costs_wire_bytes():
@@ -305,7 +336,10 @@ def _exercise(ctx):
     return pulled, dot, ctx.elapsed()
 
 
-def test_traced_run_is_byte_identical_to_untraced():
+def test_traced_run_is_byte_identical_to_untraced(monkeypatch):
+    from tests.test_fast_lane import _lane_users, _units
+
+    served = _lane_users(monkeypatch)
     plain = PS2Context(config=ClusterConfig(n_executors=4, n_servers=3,
                                             seed=11))
     traced = PS2Context(config=ClusterConfig(n_executors=4, n_servers=3,
@@ -320,6 +354,8 @@ def test_traced_run_is_byte_identical_to_untraced():
             == traced.cluster.metrics.snapshot())
     assert len(plain.cluster.tracer) == 0
     assert len(traced.cluster.tracer) > 0
+    # ... and the same code path: tracing never selects the schedule.
+    assert _units(served, traced) == _units(served, plain) > 0
 
 
 # -- routing invalidation on server recovery ---------------------------------
