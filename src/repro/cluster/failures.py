@@ -30,8 +30,9 @@ class FailureInjector:
         self.task_failure_prob = float(task_failure_prob)
         self.max_task_retries = int(max_task_retries)
         #: Pending server crashes and partition windows: a component that
-        #: checks them per item (the fan-out serve lane, the network model)
-        #: first hoists one truthiness test, free when nothing is scheduled.
+        #: checks them per item first hoists what it needs once — the
+        #: fan-out serve lane the crashing nodes (:meth:`crashing_nodes`),
+        #: the network model one truthiness test of ``partitions``.
         self.server_failures = []
         self._executor_failures = []
         self.partitions = []
@@ -54,6 +55,10 @@ class FailureInjector:
     def schedule_server_failure(self, server_id, at_time):
         """Arrange for *server_id* to crash once its clock passes *at_time*."""
         self.server_failures.append({"server": server_id, "time": float(at_time)})
+
+    def crashing_nodes(self):
+        """The node ids a server crash is still scheduled for."""
+        return {event["server"] for event in self.server_failures}
 
     def due_server_failures(self, server_id, now):
         """Pop and return the failures scheduled for *server_id* up to *now*."""

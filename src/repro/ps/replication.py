@@ -999,35 +999,40 @@ def route(cluster, requests):
     return routed
 
 
-def forward(cluster, requests, completions):
+def forward(cluster, requests, completions, serve):
     """Ship the replica upkeep of *requests* from their primaries.
 
     Called by the transport once every original was served;
     ``completions[i]`` is when the wire message carrying ``requests[i]``
-    completed on its primary.  First the lazy rows the send created
-    (:func:`_settle_creations`), then the copies of its mutations —
-    so a push to a row created in the same send finds the row on the
-    holders.  Hot-key copies are built first; the chain then skips the
-    ``(holder, original)`` pairs already covered, so a server holding a
-    key both as hot replica and chain successor gets exactly one copy
-    (and the apply is idempotent regardless).
+    completed on its primary, and *serve* is the transport's fan-out
+    lane (:func:`~repro.ps.server.serve_fast_fanout`).  First the lazy
+    rows the send created (:func:`_settle_creations`), then the copies of
+    its mutations — so a push to a row created in the same send finds
+    the row on the holders.  Hot-key copies are built first; the chain
+    then skips the ``(holder, original)`` pairs already covered, so a
+    server holding a key both as hot replica and chain successor gets
+    exactly one copy (and the apply is idempotent regardless).
 
     The copies for one (primary, holder) pair travel as one envelope (a
     lone copy stand-alone) that leaves the *primary's* node when its last
     original completed there — when that message's response departs — and
     is priced like a response: the two NIC bookings only, no send CPU,
-    nothing on the writer.  Each envelope is then served on its holder.
-    A delivery that cannot happen never reaches a client clock:
+    nothing on the writer.  Every envelope is shipped first, in
+    first-appearance order of its pair; then all copies are served in
+    one pass of *serve*, an envelope's first copy at its arrival and the
+    rest chained behind it.  A delivery that cannot happen never reaches
+    a client clock:
 
-    - a **down holder** is recovered through the master, which re-streams
-      its copies from the live primaries (already carrying this
-      mutation), so the envelope is not re-sent;
     - a **partition** on either end at departure retries under the
       cluster's :class:`~repro.ps.retry.RetryPolicy`, each penalty
       delaying the departure (:func:`_ship`); once the budget is spent
       the holder's links for the envelope's keys are forgotten by every
       policy and its stale entries evicted, so nothing routes to or
-      promotes from them.
+      promotes from them, and the envelope is not served;
+    - a **down holder** fails its copies; after the whole forward each
+      such holder is recovered through the master, once and in wire
+      order, which re-streams its copies from the live primaries
+      (already carrying this mutation), so nothing is re-sent.
     """
     manager = cluster.replication
     chain = cluster.chain
@@ -1047,10 +1052,37 @@ def forward(cluster, requests, completions):
     for copy in copies:
         pairs.setdefault((copy.primary_index, copy.server_index),
                          []).append(copy)
+    holders = []
+    units = []
+    arrivals = []
     for group in pairs.values():
         envelope = group[0] if len(group) == 1 \
             else messages.BatchRequest(group)
-        _deliver(cluster, master, envelope, group, departs)
+        holder = master.server(envelope.server_index)
+        ctx = group[0].trace_ctx
+        arrival = _ship(
+            cluster, master.server(group[0].primary_index).node_id,
+            holder.node_id, envelope.wire_bytes(),
+            max(departs[id(copy.inner)] for copy in group),
+            tag=envelope.tag + ":req", deliver=False,
+            messages=envelope.message_count(),
+            trace_parent=None if ctx is None else ctx[1],
+        )
+        if arrival is None:
+            _abandon(cluster, holder, sorted({
+                (matrix_id, copy.primary_index)
+                for copy in group for matrix_id, _row in copy.versions}))
+            continue
+        holders += [holder] * len(group)
+        units += group
+        arrivals += [arrival] + [None] * (len(group) - 1)
+    _values, done = serve(cluster, holders, units, arrivals)
+    # Fencing never raises, so a copy only fails on a down holder.
+    for server_index in dict.fromkeys(
+            holder.server_index
+            for holder, completion in zip(holders, done) if completion is None):
+        cluster.metrics.increment("replica-fanout-recoveries")
+        master.recover(server_index)
 
 
 def _settle_creations(master, manager, chain, requests, completions):
@@ -1106,33 +1138,6 @@ def _ship(cluster, source, target, nbytes, depart, **transfer):
                 return None
             cluster.metrics.increment("replica-fanout-retries")
             depart += policy.penalty_for(attempt)
-
-
-def _deliver(cluster, master, envelope, copies, departs):
-    """One forward *envelope* (carrying *copies*) from its primary's node
-    to its holder, departing when the last original it copies completed
-    (``departs`` maps ``id(original)`` to that completion)."""
-    holder = master.server(envelope.server_index)
-    ctx = copies[0].trace_ctx
-    arrival = _ship(
-        cluster, master.server(copies[0].primary_index).node_id,
-        holder.node_id, envelope.wire_bytes(),
-        max(departs[id(copy.inner)] for copy in copies),
-        tag=envelope.tag + ":req", deliver=False,
-        messages=envelope.message_count(),
-        trace_parent=None if ctx is None else ctx[1],
-    )
-    if arrival is None:
-        _abandon(cluster, holder, sorted({
-            (matrix_id, copy.primary_index)
-            for copy in copies for matrix_id, _row in copy.versions}))
-        return
-    holder.begin(arrival)
-    try:
-        holder.dispatch(envelope)
-    except ServerDownError:
-        cluster.metrics.increment("replica-fanout-recoveries")
-        master.recover(holder.server_index)
 
 
 def _abandon(cluster, holder, keys):

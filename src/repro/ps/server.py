@@ -763,20 +763,31 @@ def serve_fast_fanout(cluster, fan_servers, fan_messages, fan_arrivals):
     instead of at a NIC arrival, the booking ``_serve_batch`` gets from
     :meth:`PSServer._service` anchoring on ``_arrival``.
 
-    Every unit is served by one rule.  A pull-row / push whose shard is
-    present and that is not a replica read is served inline — the same
-    due-crash check, numpy access, version bump, single CPU reservation,
-    metric updates, CPU span (parented through the unit's ``trace_ctx``,
-    while tracing is on) and clock advance as ``begin()`` + ``dispatch()``,
-    minus ~10 Python frames.  Anything else (other message types, replica
-    reads, missing shards, a crashed server) goes through the full
-    dispatch in place, with the pending metric run flushed first so every
-    per-key accumulation — float compute totals, histogram sums — happens
-    in exactly the per-message order.  The one bulk gate — no cost model —
-    holds throughout, while a replication policy may be live: its
-    rerouted reads take the dispatch arm, and it books nothing from
-    inside a dispatch (copies and lazy-row syncs leave in
-    :func:`~repro.ps.replication.forward`, after the whole fan-out).
+    Every unit is served by one rule.  Two kinds are served inline — the
+    same due-crash check, numpy access, single CPU reservation, metric
+    updates, CPU span (parented through the unit's ``trace_ctx``, while
+    tracing is on) and clock advance as ``begin()`` + ``dispatch()``,
+    minus ~10 Python frames:
+
+    - a pull-row / push with no codec and no ``replica_of`` whose shard
+      is present (a push also bumps the row's version);
+    - a forwarded copy of a push (:func:`~repro.ps.replication.forward`
+      serves copies through this lane too) whose entry is installed at
+      the copy's epoch and whose row is behind the copy's version: it
+      writes the replica shard, takes the copy's version and is booked
+      as ``ps-replica`` at the primary's price.
+
+    Anything else (other message types, an encoded push or a pull with a
+    response codec, replica reads, fenced or already-covered copies,
+    missing shards, a crashed server) goes through the full dispatch in
+    place, with the pending metric run flushed first so every per-key
+    accumulation — float compute totals, histogram sums — happens in
+    exactly the per-message order; fencing is ``dispatch``'s alone.  Only
+    a server with a crash scheduled is asked whether it is due (the set
+    is read once per call); a crashed server's empty stores send its
+    units to dispatch anyway.  Nothing is booked from inside a dispatch
+    on another server's behalf: copies and lazy-row syncs leave in
+    :func:`~repro.ps.replication.forward`, after the whole fan-out.
 
     Returns ``(values, completions)`` aligned with the inputs; results
     and all virtual times are bit-identical to the per-message schedule.
@@ -792,9 +803,8 @@ def serve_fast_fanout(cluster, fan_servers, fan_messages, fan_arrivals):
     node = cluster.node
     PullRow = messages.PullRowRequest
     Push = messages.PushRequest
-    # Only a pending crash makes the lane ask each server whether it is due
-    # (a crashed server's empty store already sends its units to dispatch).
-    crashes = cluster.failures.server_failures
+    Copy = messages.ReplicatedPushRequest
+    crashing = cluster.failures.crashing_nodes()
     tracer = cluster.tracer
     traced = tracer.enabled
     values_out = []
@@ -818,11 +828,22 @@ def serve_fast_fanout(cluster, fan_servers, fan_messages, fan_arrivals):
             continue
         kind = type(message)
         shard = None
-        if (kind is PullRow or kind is Push) and message.replica_of is None \
-                and (not crashes or server.is_alive()):
-            rows = server._store.get(message.matrix_id)
-            if rows is not None:
-                shard = rows.get(message.row)
+        if kind is PullRow or kind is Push:
+            if message.codec is None and message.replica_of is None and (
+                    server.node_id not in crashing or server.is_alive()):
+                rows = server._store.get(message.matrix_id)
+                if rows is not None:
+                    shard = rows.get(message.row)
+        elif kind is Copy and type(message.inner) is Push and (
+                server.node_id not in crashing or server.is_alive()):
+            push = message.inner
+            entry = server.replica_store.get(
+                (push.matrix_id, message.primary_index))
+            if entry is not None and entry.install_epoch == message.epoch:
+                version_key = (push.matrix_id, push.row)
+                counter = message.versions[version_key]
+                if entry.versions.get(version_key, 0) < counter:
+                    shard = entry.rows.get(push.row)
         if shard is None:
             # Slow lane: flush the pending metric run first so per-key
             # accumulation order matches the per-message path exactly.
@@ -839,8 +860,8 @@ def serve_fast_fanout(cluster, fan_servers, fan_messages, fan_arrivals):
                 values_out.append(error)
                 completions.append(None)
             continue
-        indices = message.indices
         if kind is PullRow:
+            indices = message.indices
             if indices is None:
                 value = shard.values.copy()
             else:
@@ -852,26 +873,34 @@ def serve_fast_fanout(cluster, fan_servers, fan_messages, fan_arrivals):
                 flops = 1.0
             tag = "ps-read"
         else:
+            if kind is Push:
+                push = message
+            indices = push.indices
+            mode = push.mode
             if indices is None:
-                if message.mode == "add":
-                    shard.values += message.values
+                if mode == "add":
+                    shard.values += push.values
                 else:
-                    shard.values[:] = message.values
+                    shard.values[:] = push.values
                 n = shard.values.size
             else:
                 local = server._local_offsets(indices, shard.start)
-                if message.mode == "add":
-                    np.add.at(shard.values, local, message.values)
+                if mode == "add":
+                    np.add.at(shard.values, local, push.values)
                 else:
-                    shard.values[local] = message.values
-                n = len(message.values)
+                    shard.values[local] = push.values
+                n = len(push.values)
             if n < 1:
                 n = 1
-            version_key = (message.matrix_id, message.row)
-            versions = server.versions
-            versions[version_key] = versions.get(version_key, 0) + 1
-            flops = WRITE_FLOPS[message.mode] * n
-            tag = "ps-add" if message.mode == "add" else "ps-assign"
+            if kind is Push:
+                version_key = (push.matrix_id, push.row)
+                versions = server.versions
+                versions[version_key] = versions.get(version_key, 0) + 1
+                tag = "ps-add" if mode == "add" else "ps-assign"
+            else:
+                entry.versions[version_key] = counter
+                tag = "ps-replica"
+            flops = WRITE_FLOPS[mode] * n
             value = None
         rate = server._node_flops
         if rate is None:

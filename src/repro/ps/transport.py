@@ -10,18 +10,19 @@ transport owns everything below that line:
   retry performs after a recovery;
 - **network transfer** — one NIC booking per outgoing message, request bytes
   charged from the message's own ``wire_bytes()``;
-- **server dispatch** — each attempt resolves the *current*
-  :class:`~repro.ps.server.PSServer` object through the master and invokes
-  ``server.dispatch(message)``; no closures over server objects exist
-  anywhere, so a retry can never replay work pinned to a pre-failure
-  process;
+- **server dispatch** — first attempts are served through
+  :func:`~repro.ps.server.serve_fast_fanout`; a retry resolves the
+  *current* :class:`~repro.ps.server.PSServer` object through the master
+  and invokes ``server.dispatch(message)``; no closures over server
+  objects exist anywhere, so a retry can never replay work pinned to a
+  pre-failure process;
 - **response accounting** — replies depart at the request's service
   completion and are priced by the message's ``response_bytes()``; under
   replication that completion is also handed to
   :func:`~repro.ps.replication.forward`, whose copies leave the primary,
   not this node;
-- **the retry loop** — one order on either schedule: every wire message of
-  a fan-out is tried once, then the failed ones (a lost response included:
+- **the retry loop** — every wire message of a fan-out is tried once,
+  then the failed ones (a lost response included:
   delivery is at-least-once) charge the :class:`~repro.ps.retry.RetryPolicy`
   penalty to the client's virtual clock, repair/recover the server through
   the master, drop the cached routing, and **re-send the same message**, in
@@ -36,8 +37,6 @@ once.
 """
 
 from __future__ import annotations
-
-from itertools import repeat
 
 from repro.cluster.cluster import DRIVER
 from repro.common.errors import MatrixNotFoundError, NetworkPartitionedError, \
@@ -217,22 +216,20 @@ class Transport:
         (:meth:`_coalesce`), the fan-out is traced (:meth:`_trace`, while
         tracing is on), client-side RPC CPU is charged once per outgoing
         transfer, and the routing RPC of every cold matrix is paid, in
-        wire order, before anything else touches the wire.  The first
-        attempts run on one of two schedules — phased
-        (:meth:`_transmit_bulk`) when :meth:`_bulk_ok` allows, message by
-        message (:meth:`_transmit`) otherwise — and either way every wire
-        message is tried once before the ones that failed are retried, in
-        wire order, through :meth:`_transmit`'s loop.  One retry order
-        makes the schedules' results identical, failures included.
-        Under replication each original's completion on its primary is
-        then handed to :func:`~repro.ps.replication.forward`, which ships
-        the replica upkeep from the primaries' nodes — the writer pays
-        for its originals only.
+        wire order, before anything else touches the wire.  Every wire
+        message's first attempt then runs on the phased schedule
+        (:meth:`_transmit_bulk`); the ones that failed are retried, in
+        wire order, through :meth:`_transmit`'s loop.  Under replication
+        each original's completion on its primary is then handed to
+        :func:`~repro.ps.replication.forward`, which ships the replica
+        upkeep from the primaries' nodes and serves the copies through
+        this module's :func:`~repro.ps.server.serve_fast_fanout` — the
+        writer pays for its originals only.
 
         *plan* is the :class:`FanoutPlan` whose ``requests`` these are:
         the grouping (and any batch envelopes) is kept on it, so a plan
-        that is sent again skips the group/coalesce rebuild, and the bulk
-        schedule keeps its phase-1 product there too.  Routing never
+        that is sent again skips the group/coalesce rebuild, and the
+        phased schedule keeps its phase-1 product there too.  Routing never
         assigns to a request, so the plan is used as is unless a read
         was actually rerouted — the derived list is then grouped afresh.
         """
@@ -266,13 +263,9 @@ class Transport:
         arrivals = values[:]
         completions = values[:]
         # What still has to go message by message, each entry paired with
-        # the retryable error its first attempt met (``None``: not
-        # attempted yet).
-        if outgoing and self._bulk_ok(outgoing):
-            work = self._transmit_bulk(outgoing, values, arrivals,
-                                       completions, plan, trace_parent)
-        else:
-            work = list(zip(outgoing, repeat(None)))
+        # the retryable error its first attempt met.
+        work = self._transmit_bulk(outgoing, values, arrivals, completions,
+                                   plan, trace_parent) if outgoing else []
         for (message, positions), error in work:
             try:
                 value, arrival, completion = self._transmit(message, error)
@@ -287,7 +280,8 @@ class Transport:
                 values[p] = sub_value
                 arrivals[p] = arrival
                 completions[p] = completion
-        replication.forward(cluster, requests, completions)
+        replication.forward(cluster, requests, completions,
+                            serve_fast_fanout)
         return values, arrivals
 
     def _trace(self, outgoing):
@@ -320,24 +314,7 @@ class Transport:
                                      + message.message_count())
         return None if ctx is None else ctx[1]
 
-    # -- the two schedules ---------------------------------------------------
-
-    def _bulk_ok(self, outgoing):
-        """Whether this fan-out may take the phased (bulk) schedule.
-
-        The bulk schedule is bit-identical to per-message :meth:`_transmit`
-        only when nothing can interleave with the phase-reordered bookings,
-        and one thing still can: a cost model (the bulk schedule prices a
-        message once per cached plan, codecs re-price it per send).
-        Nothing else is a condition.  Tracing only reads clocks: both
-        schedules stamp and record the same spans (:meth:`_trace`).  Cold
-        routing is paid in :meth:`send_all` before either schedule starts.
-        Failures fail their wire message on either schedule, and both
-        retry it after the whole fan-out.  Replication books everything on
-        a server's behalf in :func:`~repro.ps.replication.forward`, after
-        either schedule.
-        """
-        return self.cluster.costmodel is None
+    # -- the phased schedule -------------------------------------------------
 
     def _price(self, wire_messages):
         """Wire sizes and shard-heat entries for a run of wire messages —
@@ -458,8 +435,10 @@ class Transport:
         order-insensitive within them, so virtual times, bytes and counters
         are bit-identical to the interleaved per-message schedule — only
         the Python call count drops.  Spans are too: every booking parents
-        to *trace_parent*, the fan-out's op span.  Callers must have
-        checked :meth:`_bulk_ok`.  A wire message fails in the phase that
+        to *trace_parent*, the fan-out's op span.  Codecs change nothing
+        here: the cost model attached them before routing, so every size
+        is fixed before phase 1, and the lane serves an encoded unit
+        through ``dispatch``.  A wire message fails in the phase that
         meets its failure: a dropped request is never served, a down
         server or missing shard stops its envelope, a dropped response
         comes after service.
@@ -605,10 +584,12 @@ class Transport:
         anywhere in that chain — halfway through a batch, or on the
         response after the server applied it — fails the *entire message*.
 
-        With *error* ``None`` this is the first attempt: it records the
-        message's shard heat and raises a retryable failure to the caller.
-        Given the *error* a first attempt met (on either schedule), the
-        loop starts at that failure's repair and re-sends under the policy.
+        Given the *error* a first attempt met on the phased schedule, the
+        loop starts at that failure's repair and re-sends under the policy
+        — the only way :meth:`send_all` calls it.  With *error* ``None``
+        it is itself a first attempt (recording the message's shard heat
+        and raising a retryable failure to the caller): the interleaved
+        schedule the phased one is held bit-identical to.
 
         Returns ``(value, response_arrival, completion)``: the arrival is
         ``None`` for fire-and-forget messages; the completion is when the

@@ -13,7 +13,6 @@ import pytest
 
 from repro.cluster.cluster import Cluster
 from repro.config import ClusterConfig, FailureConfig
-from repro.core.context import PS2Context
 from repro.experiments import run_fault_tolerance
 from repro.experiments.runner import make_context
 from repro.ml import train_logistic_regression
@@ -22,6 +21,7 @@ from repro.ps.client import PSClient
 from repro.ps.master import PSMaster
 from repro.ps.partitioner import RowLayout
 from repro.ps.retry import RetryPolicy
+from tests.test_fast_lane import unattempted
 
 
 def _chaos_cluster(**failure_kwargs):
@@ -158,17 +158,19 @@ def _clocks_and_nics(cluster):
 def _drifted_shard_run(op, traced):
     """A live server whose shard set drifted, hit by one client op.
 
-    Untraced, the op's fan-out takes the bulk schedule (``_bulk_ok``
-    never asks about shards or liveness); traced, the per-message one,
-    pinned on the client's transport.  Returns what the caller saw, the
-    final state, the cluster's counters and its clocks and NIC totals.
+    Untraced, the op's fan-out takes the phased schedule (which never
+    asks about shards or liveness up front); traced, the per-message
+    one, pinned on the client's transport (``_transmit_bulk`` attempts
+    nothing, so every first attempt runs through ``_transmit``).  Returns
+    what the caller saw, the final state, the cluster's counters and its
+    clocks and NIC totals.
     """
     cluster = Cluster(ClusterConfig(n_executors=4, n_servers=3, seed=42))
     master = PSMaster(cluster)
     client = PSClient(cluster, master, cluster.executors[0])
     if traced:
         cluster.tracer.enable()
-        client.transport._bulk_ok = lambda outgoing: False
+        client.transport._transmit_bulk = unattempted
     m = master.create_matrix(30, n_rows=2)
     for row in range(2):
         client.push_add(m, row, np.arange(30.0) + row)
@@ -327,7 +329,7 @@ def _dropped_response_run(traced):
     client = PSClient(cluster, master, cluster.executors[0])
     if traced:  # ... and on the per-message schedule
         cluster.tracer.enable()
-        client.transport._bulk_ok = lambda outgoing: False
+        client.transport._transmit_bulk = unattempted
     m = master.create_matrix(30)
     client.push_assign(m, 0, np.arange(30.0))  # warms routing
     now = cluster.clock.now(client.node_id)

@@ -16,6 +16,7 @@ import pytest
 from repro.cluster.cluster import Cluster
 from repro.config import ClusterConfig, NetworkSpec, NodeSpec
 from repro.obs.report import transport_table
+from repro.ps import transport
 from repro.ps.client import PSClient
 from repro.ps.master import PSMaster
 
@@ -284,9 +285,19 @@ def test_rebalance_consults_the_gate():
 # -- interaction with the transport fast paths --------------------------------
 
 
-def test_costmodel_disables_bulk_and_fused_paths_but_results_match():
-    """A cost-model run takes the per-message path; with forced identity
-    tiers (fast NIC) its results still match a codec-off run exactly."""
+def test_costmodel_run_serves_on_the_lane_and_identity_tiers_match_codec_off(
+        monkeypatch):
+    """A cost-model run serves its sends on the fast lane (only the plan
+    pool is off); with forced identity tiers (fast NIC) its results still
+    match a codec-off run exactly."""
+    units = {}
+    lane = transport.serve_fast_fanout
+
+    def counting(cluster, fan_servers, fan_messages, fan_arrivals):
+        units[cluster] = units.get(cluster, 0) + len(fan_messages)
+        return lane(cluster, fan_servers, fan_messages, fan_arrivals)
+
+    monkeypatch.setattr(transport, "serve_fast_fanout", counting)
     results = {}
     for codec in ("off", "auto"):
         cluster, master, client = _rig(codec, n_servers=3, slow=False)
@@ -296,6 +307,7 @@ def test_costmodel_disables_bulk_and_fused_paths_but_results_match():
         got = client.pull_row(m, 0)
         results[codec] = (got, cluster.metrics.total_bytes(),
                           cluster.metrics.total_messages())
+        assert units.get(cluster, 0) > 0, codec
     assert np.array_equal(results["auto"][0], results["off"][0])
     assert results["auto"][1] == results["off"][1]
     assert results["auto"][2] == results["off"][2]

@@ -1,20 +1,22 @@
-"""The two transmit schedules are one system: bulk == per-message, bit for bit.
+"""The phased schedule and the lane equal the interleaved reference, bit for bit.
 
-``Transport.send_all`` tries a fan-out's wire messages either one by one
-(``_transmit``: request, service, response, next message) or in three
+``Transport.send_all`` tries every wire message of a fan-out once in three
 phases (``_transmit_bulk``: every request, every service through
 ``serve_fast_fanout``, every response), then retries the failed ones in
-wire order on both.  Which schedule runs is decided by ``_bulk_ok`` from
-what the cluster has switched on, never by the caller — so the two must
-be indistinguishable from outside.
+wire order through ``_transmit``.  Given no error, ``_transmit`` is itself
+a first attempt — request, service (``begin`` + ``dispatch``), response,
+next message: the interleaved schedule, which the phased one must be
+indistinguishable from.
 
 Two rigs are built from one seed, identical except that every transport
-of one has ``_bulk_ok`` pinned to ``False`` on the instance (a test-only
-lever, not a knob), which forces the per-message schedule.  The same
-stream of client ops must then leave the same returned values, metrics,
-clocks, server CPU timelines, version vectors and NIC busy totals on
-both — also when a server crash and a partition window, scheduled after
-set-up, fire mid-stream: then the raised error types must match too.
+of the *per-message* one has ``_transmit_bulk`` replaced on the instance
+by :func:`unattempted` (a test-only lever, not a knob), which hands every
+wire message back untried, and that the lane serving its forwarded
+replica copies is :func:`_dispatch_every_unit`.  The same stream of
+client ops must then leave the same returned values, metrics, clocks,
+server CPU timelines, version vectors and NIC busy totals on both — also
+when a server crash and a partition window, scheduled after set-up, fire
+mid-stream: then the raised error types must match too.
 
 The client's fan-out plan pool is held to the same standard: it reuses
 request objects (and what the transport derived from them) across ops and
@@ -23,35 +25,49 @@ op builds its messages from scratch — must be indistinguishable from the
 pooled one, under BSP and under SSP (where the worker caches' miss path
 pulls through the pool too).
 
-Replication is not a schedule condition either: with chain replication
-(M=1) and hot-key replication (``topk``, sweeps only where the stream
-asks) on, reads are rerouted, copies and lazy-row syncs are forwarded
-from the primaries, and the bulk schedule, the per-message one and the
-unpooled rig must still agree on all of the above plus every replica
-copy and holder map — across rebalance sweeps, and with failures fired.
+With chain replication (M=1) and hot-key replication (``topk``, sweeps
+only where the stream asks) on, reads are rerouted, copies and lazy-row
+syncs are forwarded from the primaries and the copies served on the
+lane, and the phased rig, the per-message one and the unpooled rig must
+still agree on all of the above plus every replica copy and holder map —
+across rebalance sweeps, and with failures fired.  The lane's copy arm is
+also held against :func:`_dispatch_every_unit` directly, on hand-built
+copies of every kind, fenced and already-covered ones included.
 
-Nor are tracing and cold routing: a traced rig serves every unit on the
-lane, a send whose matrix no routing entry covers yet pays the routing
-RPC before either schedule starts, and the traced bulk rig, the traced
-per-message rig and an untraced one agree on all of the above — the two
-traced ones also on every span (node, op, category, interval, args and
-the parent's identity) and on the critical-path breakdown.
+Tracing and cold routing do not change what runs: a traced rig serves
+every unit on the lane, a send whose matrix no routing entry covers yet
+pays the routing RPC before the first attempts, and the traced phased
+rig, the traced per-message rig and an untraced one agree on all of the
+above — the two traced ones also on every span (node, op, category,
+interval, args and the parent's identity) and on the critical-path
+breakdown.
+
+Nor does a cost model: with ``wire_codec`` "auto" (or a forced codec) on
+the slow NICs where codecs engage, the phased rig serves its units on
+the lane — encoded ones through ``dispatch`` — and agrees with the
+per-message rig on all of the above, codec decisions and bytes saved
+included.
 """
 
+import contextlib
 from collections import Counter
+from unittest import mock
 
 import numpy as np
+import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from repro.cluster.cluster import Cluster
-from repro.common.errors import ReproError
+from repro.common.errors import MatrixNotFoundError, NetworkPartitionedError, \
+    ReproError, ServerDownError
 from repro.config import ClusterConfig, NetworkSpec, NodeSpec
 from repro.obs import critical_path
 from repro.ps import messages, transport
 from repro.ps.client import PSClient
 from repro.ps.master import PSMaster
 from repro.ps.partitioner import RowLayout
+from repro.ps.server import PSServer
 from tests.test_replication import \
     _assert_copies_match_primaries as _copies_match_primaries
 
@@ -61,15 +77,72 @@ N_CLIENTS = 3
 TABLE_DIM = 8
 N_IDS = 12
 
+#: The byte-dominated hardware of the serving benchmarks: slow NICs make a
+#: primary's syncs and copies overlap the fan-out's own requests and
+#: responses, so booking order shows, and make the cost model compress.
+SLOW_NICS = dict(node=NodeSpec(flops=2e11, nic_bandwidth=4e6),
+                 network=NetworkSpec(latency=1e-5, bandwidth=4e6))
+
 #: Chain M=1 plus hot-key replication whose sweeps run only where the
 #: stream asks (``rebalance_interval`` 0 sweeps at stage ends, and these
-#: streams have none), on the byte-dominated hardware of the serving
-#: benchmarks: slow NICs make a primary's syncs and copies overlap the
-#: fan-out's own requests and responses, so booking order shows.
+#: streams have none), on the slow NICs.
 REPLICATED = dict(chain_replicas=1, replication="topk",
-                  hot_key_fraction=0.34, rebalance_interval=0.0,
-                  node=NodeSpec(flops=2e11, nic_bandwidth=4e6),
-                  network=NetworkSpec(latency=1e-5, bandwidth=4e6))
+                  hot_key_fraction=0.34, rebalance_interval=0.0, **SLOW_NICS)
+
+#: Every ``wire_codec`` that constructs a cost model.
+CODECS = ("auto", "fp16", "int8", "topk", "delta")
+
+
+def unattempted(outgoing, *_phased_args):
+    """A ``Transport._transmit_bulk`` stand-in (a test-only lever, not a
+    knob): it books nothing and hands every wire message back untried, so
+    ``send_all`` runs each first attempt through ``_transmit`` — the
+    interleaved schedule the phased one must equal."""
+    return [(entry, None) for entry in outgoing]
+
+
+def _dispatch_every_unit(cluster, fan_servers, fan_messages, fan_arrivals):
+    """A ``serve_fast_fanout`` stand-in with the lane's contract and no
+    inline arm: every unit through ``begin`` + ``dispatch``, a chained
+    unit at its server's ``_arrival``, a failure stopping its envelope."""
+    values, completions = [], []
+    failed = None
+    for server, message, arrival in zip(fan_servers, fan_messages,
+                                        fan_arrivals):
+        if arrival is None:
+            arrival = server._arrival
+        elif isinstance(arrival, NetworkPartitionedError):
+            failed = arrival
+        else:
+            failed = None
+        if failed is None:
+            server.begin(arrival)
+            try:
+                values.append(server.dispatch(message))
+                completions.append(server.last_completion)
+                continue
+            except (ServerDownError, MatrixNotFoundError) as error:
+                failed = error
+        values.append(failed)
+        completions.append(None)
+    return values, completions
+
+
+@contextlib.contextmanager
+def _reference_lanes(rigs):
+    """While open, the per-message rigs among *rigs* serve through
+    :func:`_dispatch_every_unit` — with every first attempt interleaved,
+    what still reaches their lane is the forwarded copies."""
+    reference = {id(rig.cluster) for rig in rigs if rig.per_message}
+    lane = transport.serve_fast_fanout
+
+    def serve(cluster, *units):
+        if id(cluster) in reference:
+            return _dispatch_every_unit(cluster, *units)
+        return lane(cluster, *units)
+
+    with mock.patch.object(transport, "serve_fast_fanout", serve):
+        yield
 
 
 class _Rig:
@@ -77,14 +150,17 @@ class _Rig:
     plus a lazy table."""
 
     def __init__(self, per_message=False, pooled=True, consistency="bsp",
-                 replicated=False, traced=False):
+                 replicated=False, traced=False, codec="off"):
+        knobs = dict(REPLICATED) if replicated else {}
+        if codec != "off":
+            knobs.update(SLOW_NICS, wire_codec=codec)
         self.cluster = Cluster(ClusterConfig(
             n_executors=N_CLIENTS, n_servers=3, seed=11,
-            consistency=consistency, staleness=1,
-            **(REPLICATED if replicated else {}),
+            consistency=consistency, staleness=1, **knobs,
         ))
         if traced:
             self.cluster.tracer.enable()
+        self.per_message = per_message
         self.master = PSMaster(self.cluster)
         self.clients = [
             PSClient(self.cluster, self.master, node_id)
@@ -92,7 +168,7 @@ class _Rig:
         ]
         for client in self.clients:
             if per_message:
-                client.transport._bulk_ok = lambda outgoing: False
+                client.transport._transmit_bulk = unattempted
             if not pooled:
                 client._plan_pool = lambda layout: None
         self.matrices = (
@@ -284,10 +360,11 @@ def _outcome(rig, op):
 
 def _run_same(stream, reference, *others, run=_apply):
     """Run *stream* on every rig; all must end up where *reference* does."""
-    for op in stream:
-        expected = run(reference, op)
-        for rig in others:
-            assert _same(expected, run(rig, op)), op
+    with _reference_lanes((reference,) + others):
+        for op in stream:
+            expected = run(reference, op)
+            for rig in others:
+                assert _same(expected, run(rig, op)), op
     left = reference.state()
     for rig in others:
         right = rig.state()
@@ -296,7 +373,8 @@ def _run_same(stream, reference, *others, run=_apply):
 
 
 def _run_both(stream):
-    """Bulk schedule == per-message schedule == bulk without a plan pool."""
+    """Phased schedule == per-message schedule == phased without a plan
+    pool."""
     bulk, per_message, unpooled = \
         _Rig(), _Rig(per_message=True), _Rig(pooled=False)
     _run_same(stream, bulk, per_message, unpooled)
@@ -331,6 +409,15 @@ def _run_ssp(stream):
         _Rig(consistency="ssp"), _Rig(consistency="ssp", pooled=False)
     _run_same(stream, pooled, unpooled)
     return pooled, unpooled
+
+
+def _run_codec(stream, codec):
+    """A cost model on slow NICs, with both replication policies on:
+    both schedules agree, codec decisions and bytes saved included."""
+    phased = _Rig(replicated=True, codec=codec)
+    per_message = _Rig(replicated=True, codec=codec, per_message=True)
+    _run_same(stream, phased, per_message)
+    return phased, per_message
 
 
 # -- the op stream ------------------------------------------------------------
@@ -459,7 +546,8 @@ def _units(calls, rig):
 
 def _assert_only_bulk_took_the_lane(served, bulk, per_message, stream):
     # The comparison is only worth something if the rigs really differ in
-    # schedule: the bulk one goes through the lane, the pinned one never.
+    # schedule: the phased one goes through the lane, the pinned one
+    # never (its copies, if any, go to the dispatch reference).
     assert sum(cluster is bulk.cluster for cluster, _n in served) \
         >= len(stream) // 2
     assert not any(cluster is per_message.cluster for cluster, _n in served)
@@ -699,3 +787,122 @@ def test_any_traced_op_stream_is_bit_identical_on_both_schedules(stream):
 def test_any_traced_op_stream_with_fired_failures_matches(
         stream, crash, window):
     _run_traced(stream, (crash, window))
+
+
+# -- a cost model: no schedule condition either ------------------------------
+
+#: The replicated stream plus dense assign pushes from every client, the
+#: only payloads ``delta`` encodes (a stream's first ships whole, the
+#: next as changed entries).
+_CODEC_STREAM = _REPLICATED_STREAM + [
+    ("push", client, 0, row, "assign", None, seed)
+    for seed in (14, 15) for client in range(N_CLIENTS) for row in (0, 3)
+]
+
+
+@pytest.mark.parametrize("codec", CODECS)
+def test_the_fixed_stream_under_a_cost_model_matches_and_takes_the_lane(
+        monkeypatch, codec):
+    served = _lane_users(monkeypatch)
+    phased, per_message = _run_codec(_CODEC_STREAM, codec)
+    _assert_only_bulk_took_the_lane(served, phased, per_message,
+                                    _CODEC_STREAM)
+    # ... and the model was at work: it compressed somewhere.
+    decisions = phased.cluster.metrics.codec_decisions
+    assert any(name != "identity" for _tag, name in decisions), decisions
+    for rig in (phased, per_message):
+        assert _copies_match_primaries(rig.master)
+
+
+@given(stream=st.lists(_ops, min_size=1, max_size=16),
+       codec=st.sampled_from(CODECS))
+@settings(max_examples=25, deadline=None)
+def test_any_op_stream_is_bit_identical_on_both_schedules_under_a_cost_model(
+        stream, codec):
+    _run_codec(stream, codec)
+
+
+# -- the lane's copy arm == dispatch -----------------------------------------
+
+
+def _hand_built_copies(rig):
+    """One envelope of copies onto each column-layout primary's chain
+    successor, every kind of copy in it: pushes the lane applies inline
+    (dense add, sparse assign, and again after dispatched ones), one the
+    holder's counters already cover, one stamped with a stale epoch, and
+    a fill, a push-range and a kernel copy.  Returns the lane's unit
+    lists."""
+    master = rig.master
+    m = rig.matrices[0]
+    arrive = max(rig.cluster.clock.now(node)
+                 for node in rig.cluster.clock.nodes())
+    servers, units, arrivals = [], [], []
+    for primary in master.servers:
+        p = primary.server_index
+        (h,) = rig.cluster.chain.successors(p)
+        entry = master.server(h).replica_store[(m, p)]
+        shard = entry.rows[0]
+        width = len(shard)
+        columns = np.arange(shard.start, shard.stop, 2, dtype=np.int64)
+
+        def copy(inner, rows, ahead, epoch=primary.epoch):
+            return messages.ReplicatedPushRequest(
+                h, inner, p, epoch,
+                {(m, row): entry.versions.get((m, row), 0) + ahead
+                 for row in rows})
+
+        envelope = [
+            copy(messages.PushRequest(p, m, 0, _values(p, width)), [0], 1),
+            copy(messages.PushRequest(p, m, 1, _values(p + 3, len(columns)),
+                                      indices=columns, mode="assign"),
+                 [1], 1),
+            copy(messages.PushRequest(p, m, 2, _values(p + 6, width)), [2], 0),
+            copy(messages.PushRequest(p, m, 3, _values(p + 9, width)), [3], 1,
+                 epoch=primary.epoch + 1),
+            copy(messages.FillRequest(p, m, 2, 0.25), [2], 1),
+            copy(messages.PushRangeRequest(p, m, 3, shard.start,
+                                           shard.start + 3, _values(p, 3),
+                                           mode="add"), [3], 1),
+            copy(messages.KernelRequest(p, _halve, [(m, 0), (m, 1)],
+                                        wait_response=False), [0, 1], 2),
+            copy(messages.PushRequest(p, m, 0, _values(p + 12, width),
+                                      mode="assign"), [0], 3),
+        ]
+        servers += [master.server(h)] * len(envelope)
+        units += envelope
+        arrivals += [arrive + 1e-4 * (p + 1)] + [None] * (len(envelope) - 1)
+    return servers, units, arrivals
+
+
+def test_the_lane_serves_copies_as_dispatch_does_fenced_and_skipped_included(
+        monkeypatch):
+    dispatched = Counter()
+    dispatch = PSServer.dispatch
+
+    def counting(server, request):
+        if type(request) is messages.ReplicatedPushRequest:
+            dispatched[id(server.cluster)] += 1
+        return dispatch(server, request)
+
+    monkeypatch.setattr(PSServer, "dispatch", counting)
+    lane, reference = _Rig(replicated=True), _Rig(replicated=True)
+    _run_same(_CREATE_STREAM + _FIXED_STREAM[:23], lane, reference)
+    counters = lane.cluster.metrics.counters
+    before = Counter(counters)
+    dispatched.clear()
+    got = transport.serve_fast_fanout(lane.cluster,
+                                      *_hand_built_copies(lane))
+    expected = _dispatch_every_unit(reference.cluster,
+                                    *_hand_built_copies(reference))
+    assert _same(got, expected)
+    assert None not in got[1]
+    left, right = lane.state(), reference.state()
+    for section in left:
+        assert left[section] == right[section], section
+    # Every arm was exercised: three of each envelope's eight copies were
+    # applied inline, the other five (fenced and covered ones included)
+    # through dispatch.
+    for name in ("replica-fanout-fenced", "replica-fanout-skipped"):
+        assert counters[name] - before[name] == 3, name
+    assert dispatched[id(lane.cluster)] == 5 * 3
+    assert dispatched[id(reference.cluster)] == 8 * 3

@@ -3,10 +3,11 @@
 Every cell of {bsp, ssp(1), asp} × {phased, per-message schedule} ×
 {replication off, topk} must be a deterministic function of the seed: two
 identical runs produce bit-identical loss histories, final weights and
-virtual makespans.  The per-message cells pin ``Transport._bulk_ok`` to
-``False`` for the run (a test-only lever); under replication both
-schedules are the per-message one anyway.  On top of per-cell
-determinism, two cross-cutting invariants:
+virtual makespans.  The per-message cells replace
+``Transport._transmit_bulk`` for the run with a stand-in that attempts
+nothing (``tests.test_fast_lane.unattempted``, a test-only lever), so
+every first attempt runs interleaved through ``_transmit``.  On top of
+per-cell determinism, two cross-cutting invariants:
 
 - replication never changes the math — within any (consistency,
   schedule) pair the off and topk runs have identical loss histories
@@ -28,6 +29,7 @@ from repro.data import sparse_classification
 from repro.experiments.runner import make_context
 from repro.ml import train_logistic_regression
 from repro.ps.transport import Transport
+from tests.test_fast_lane import unattempted
 
 MODELS = [("bsp", 0), ("ssp", 1), ("asp", 0)]
 
@@ -55,7 +57,7 @@ def _run(consistency, staleness, bulk, replication,
         ctx.cluster.tracer.enable()
     rows, _ = sparse_classification(80, 96, 8, seed=11)
     pin = contextlib.nullcontext() if bulk else mock.patch.object(
-        Transport, "_bulk_ok", lambda self, outgoing: False)
+        Transport, "_transmit_bulk", staticmethod(unattempted))
     with pin:
         result = train_logistic_regression(
             ctx, rows, 96, optimizer="sgd", n_iterations=3,

@@ -6,8 +6,9 @@ tests pin what happens when a copy cannot be delivered — the writer must
 never notice:
 
 - a **crashed holder** (a chain successor, or a hot-key replica holder)
-  is recovered through the master and re-streamed from its live
-  primaries; the copy is not re-sent;
+  is recovered through the master — once per forward, after every copy
+  was served, however many primaries sent it one — and re-streamed from
+  its live primaries; the copy is not re-sent;
 - a **partition window** on the holder delays the copy's departure
   under the cluster's retry policy until it lands after the window;
 - a partition that outlasts the retry budget makes every policy forget
@@ -30,9 +31,10 @@ from repro.ps.transport import RPC_CPU_SECONDS
 from tests.test_replication import \
     _assert_copies_match_primaries as _copies_match_primaries
 
-#: dim 30 over 3 servers: server 0 owns columns [0, 10).
+#: dim 30 over 3 servers: server 0 owns columns [0, 10), server 2 [20, 30).
 DIM = 30
 ON_SERVER_0 = list(range(10))
+ON_SERVER_2 = list(range(20, 30))
 
 
 def _rig(**overrides):
@@ -67,10 +69,10 @@ def _write_through_primary_0(cluster, writer, m):
     return (start, cluster.clock.now(writer.node_id)), counters
 
 
-def _assert_writer_paid_once(cluster, clocks, before):
-    """One request, no retry: the writer's clock moved by one RPC charge."""
+def _assert_writer_paid_once(cluster, clocks, before, requests=1):
+    """No retry: the writer's clock moved by one RPC charge per request."""
     start, end = clocks
-    assert end == start + RPC_CPU_SECONDS
+    assert end == start + RPC_CPU_SECONDS * requests
     counters = cluster.metrics.counters
     assert counters.get("op-retries", 0) == before.get("op-retries", 0)
     assert counters.get("client-dropped-ops", 0) == 0
@@ -129,6 +131,43 @@ def test_a_scheduled_holder_crash_fires_at_the_forward_not_the_writer():
     assert _delta(cluster, before, "replica-fanout-recoveries") == 1
     assert cluster.chain.key_lag(m, 0) == 0
     assert _copies_match_primaries(master) == 3
+
+
+def test_a_due_holder_two_primaries_forward_to_is_recovered_once(
+        monkeypatch):
+    """Chain M=2 over three servers: a write served by primaries 0 and 2
+    forwards an envelope from each to server 1, whose scheduled crash is
+    due.  The lane serves both envelopes in one pass, both fail, and the
+    forward recovers the holder once, after the pass."""
+    cluster, master, writer, m = _rig(
+        chain_replicas=2,
+        failures=FailureConfig(server_failure_times=((1, 1.0),)))
+    assert cluster.chain.successors(0) == [1, 2]
+    assert cluster.chain.successors(2) == [0, 1]
+    recovered = []
+    recover = PSMaster.recover
+
+    def counting(self, server_index):
+        recovered.append(server_index)
+        return recover(self, server_index)
+
+    monkeypatch.setattr(PSMaster, "recover", counting)
+    cluster.clock.set_at_least(master.server(1).node_id, 2.0)
+    before = dict(cluster.metrics.counters)
+    start = cluster.clock.now(writer.node_id)
+    columns = ON_SERVER_0 + ON_SERVER_2
+    writer.push_add(m, 0, np.ones(len(columns)), indices=columns)
+    end = cluster.clock.now(writer.node_id)
+    _assert_writer_paid_once(cluster, (start, end), before, requests=2)
+    assert _delta(cluster, before, "server-crashes") == 1
+    assert _delta(cluster, before, "replica-fanout-recoveries") == 1
+    assert recovered == [1]
+    # Neither envelope reached the replacement: the recovery came after
+    # both, and its re-streams already carry the write.
+    assert _delta(cluster, before, "replica-fanout-skipped") == 0
+    for primary in (0, 2):
+        assert cluster.chain.key_lag(m, primary) == 0
+    assert _copies_match_primaries(master) == 6
 
 
 # -- a partitioned holder delays the departure, never a client ---------------

@@ -25,6 +25,7 @@ from repro.ps import messages
 from repro.ps.client import PSClient
 from repro.ps.master import PSMaster
 from repro.ps.transport import Transport
+from tests.test_fast_lane import unattempted
 
 
 def _rig(n_servers=3):
@@ -539,8 +540,8 @@ def test_lr_epoch_is_identical_to_prerefactor_path(bulk, monkeypatch):
     exactly — on the phased schedule AND with every fan-out pinned to the
     per-message one."""
     if not bulk:
-        monkeypatch.setattr(Transport, "_bulk_ok",
-                            lambda self, outgoing: False)
+        monkeypatch.setattr(Transport, "_transmit_bulk",
+                            staticmethod(unattempted))
     ctx = make_context(n_executors=4, n_servers=3, seed=7)
     rows, _ = sparse_classification(80, 400, 8, seed=7)
     result = train_logistic_regression(ctx, rows, 400, optimizer="sgd",
