@@ -19,9 +19,9 @@ passed explicitly by instrumentation that already knows its reserved
 interval, e.g. a NIC booking).  The tracer only ever *reads* clocks — it
 never advances them — and never selects a code path: the PS transport's
 phased schedule and the server fast lane record the same spans the
-per-message path does.  So enabling tracing cannot perturb the cost model
-or the host-side path: a traced run is the untraced run plus span records,
-byte-identical in every result.
+interleaved reference does.  So enabling tracing cannot perturb the cost
+model or the host-side path: a traced run is the untraced run plus span
+records, byte-identical in every result.
 
 When disabled (the default), every entry point returns immediately: no
 span objects are allocated and ``span()`` hands back a shared no-op

@@ -687,8 +687,9 @@ class BatchRequest(Request):
     One request header and one NIC booking cover the whole batch; shared
     payload components (block-op index lists) are encoded once; each
     sub-request contributes a :data:`SUBREQUEST_HEADER_BYTES` descriptor plus
-    its private payload.  Dispatching returns the sub-results in order, and
-    the batched response pays one response header plus the concatenated
+    its private payload.  An envelope exists on the wire only: servers
+    serve its sub-requests in order, as units of the fan-out, and the
+    batched response pays one response header plus the concatenated
     per-sub value payloads (sub-responses are positional).
     """
 

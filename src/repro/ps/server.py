@@ -221,8 +221,8 @@ class PSServer:
     def begin(self, arrival):
         """Mark the arrival time of the request about to be served.
 
-        Clients call this between delivering a request and invoking the
-        operation, so service time queues on this server's CPU from the
+        Only :func:`serve_fast_fanout` calls this, before it dispatches a
+        unit, so service time queues on this server's CPU from the
         request's arrival instead of being welded to an unrelated global
         clock.
         """
@@ -268,11 +268,7 @@ class PSServer:
         The handler table below maps each :mod:`~repro.ps.messages` type to
         the storage/compute primitive that serves it — the explicit
         server-side protocol surface, replacing the closures clients used
-        to invoke directly.  A :class:`~repro.ps.messages.BatchRequest`
-        dispatches its sub-requests in order against this server's CPU,
-        each chaining on the previous one's completion (they arrived in one
-        envelope); any failure mid-batch propagates so the transport
-        retries the envelope as a whole.
+        to invoke directly.
         """
         try:
             handler = _HANDLERS[type(request)]
@@ -287,8 +283,7 @@ class PSServer:
             # Decode-before-apply: an encoded push replaces its payload
             # with the decoded values here, so every storage primitive
             # (and the replica fan-out reading ``inner.values``) sees
-            # exactly what the wire delivered.  Batch sub-requests hit
-            # this through their own dispatch round.
+            # exactly what the wire delivered.
             request.materialize()
         self._dispatch_depth += 1
         try:
@@ -423,9 +418,6 @@ class PSServer:
         ]
         self._service(max(1.0, float(len(request.keys))), "ps-clock")
         return tokens
-
-    def _serve_batch(self, request):
-        return [self.dispatch(sub) for sub in request.requests]
 
     def _serve_replicated_push(self, request):
         """Apply a fanned-out mutation to this server's replica copies.
@@ -752,7 +744,8 @@ class PSServer:
 
 
 def serve_fast_fanout(cluster, fan_servers, fan_messages, fan_arrivals):
-    """Serve a whole fan-out of requests — phase 2 of the bulk transmit.
+    """Serve a whole fan-out of requests — phase 2 of the bulk transmit,
+    for every attempt, first or retry.
 
     The three parallel sequences give the serving ``PSServer``, the
     request, and its arrival time per *unit*: a stand-alone wire message,
@@ -760,8 +753,7 @@ def serve_fast_fanout(cluster, fan_servers, fan_messages, fan_arrivals):
     not here — the transport flattens them, and a unit whose arrival is
     ``None`` *chains*: it belongs to the same envelope (hence the same
     server) as the unit before it and starts at that unit's completion
-    instead of at a NIC arrival, the booking ``_serve_batch`` gets from
-    :meth:`PSServer._service` anchoring on ``_arrival``.
+    (``server._arrival``) instead of at a NIC arrival.
 
     Every unit is served by one rule.  Two kinds are served inline — the
     same due-crash check, numpy access, single CPU reservation, metric
@@ -790,7 +782,8 @@ def serve_fast_fanout(cluster, fan_servers, fan_messages, fan_arrivals):
     :func:`~repro.ps.replication.forward`, after the whole fan-out.
 
     Returns ``(values, completions)`` aligned with the inputs; results
-    and all virtual times are bit-identical to the per-message schedule.
+    and all virtual times are bit-identical to the interleaved reference
+    in ``tests/test_fast_lane.py``.
     A unit whose arrival is a ``NetworkPartitionedError`` (its wire
     message was dropped) or whose dispatch raises a retryable error yields
     the error as its value and ``None`` as its completion, and so does
@@ -934,7 +927,9 @@ def serve_fast_fanout(cluster, fan_servers, fan_messages, fan_arrivals):
     return values_out, completions
 
 
-#: The server-side protocol: one handler per message type.
+#: The server-side protocol: one handler per message type — except the
+#: :class:`~repro.ps.messages.BatchRequest` envelope, which exists on the
+#: wire only; ``dispatch`` refuses one rather than half-apply it.
 _HANDLERS = {
     messages.PullRowRequest: PSServer._serve_pull_row,
     messages.PullOrCreateRequest: PSServer._serve_pull_or_create,
@@ -946,5 +941,4 @@ _HANDLERS = {
     messages.FillRequest: PSServer._serve_fill,
     messages.ClockAdvanceRequest: PSServer._serve_clock_advance,
     messages.ReplicatedPushRequest: PSServer._serve_replicated_push,
-    messages.BatchRequest: PSServer._serve_batch,
 }

@@ -10,12 +10,12 @@ transport owns everything below that line:
   retry performs after a recovery;
 - **network transfer** — one NIC booking per outgoing message, request bytes
   charged from the message's own ``wire_bytes()``;
-- **server dispatch** — first attempts are served through
-  :func:`~repro.ps.server.serve_fast_fanout`; a retry resolves the
-  *current* :class:`~repro.ps.server.PSServer` object through the master
-  and invokes ``server.dispatch(message)``; no closures over server
-  objects exist anywhere, so a retry can never replay work pinned to a
-  pre-failure process;
+- **server dispatch** — every attempt, first or retry, is served through
+  :func:`~repro.ps.server.serve_fast_fanout` on servers resolved through
+  the master, an envelope unit by unit; a retry resolves them afresh, so
+  it reaches the *current* :class:`~repro.ps.server.PSServer` object — no
+  closures over server objects exist anywhere, so a retry can never
+  replay work pinned to a pre-failure process;
 - **response accounting** — replies depart at the request's service
   completion and are priced by the message's ``response_bytes()``; under
   replication that completion is also handed to
@@ -26,7 +26,7 @@ transport owns everything below that line:
   delivery is at-least-once) charge the :class:`~repro.ps.retry.RetryPolicy`
   penalty to the client's virtual clock, repair/recover the server through
   the master, drop the cached routing, and **re-send the same message**, in
-  wire order.
+  wire order — each re-send a fan-out of one on the same phased schedule.
 
 Per-server request coalescing (Section 5.1's fat requests): when one client
 op produces several messages for the same server — block pulls/pushes issue
@@ -44,10 +44,6 @@ from repro.common.errors import MatrixNotFoundError, NetworkPartitionedError, \
 from repro.ps import messages, replication
 from repro.ps.retry import RetryPolicy
 from repro.ps.server import serve_fast_fanout
-
-#: Failures a message attempt can hit that are retryable under the policy.
-RETRYABLE_ERRORS = (ServerDownError, MatrixNotFoundError,
-                    NetworkPartitionedError)
 
 #: Client-side CPU cost of issuing one RPC (serialization, bookkeeping).
 RPC_CPU_SECONDS = 5e-6
@@ -216,11 +212,13 @@ class Transport:
         (:meth:`_coalesce`), the fan-out is traced (:meth:`_trace`, while
         tracing is on), client-side RPC CPU is charged once per outgoing
         transfer, and the routing RPC of every cold matrix is paid, in
-        wire order, before anything else touches the wire.  Every wire
-        message's first attempt then runs on the phased schedule
-        (:meth:`_transmit_bulk`); the ones that failed are retried, in
-        wire order, through :meth:`_transmit`'s loop.  Under replication
-        each original's completion on its primary is then handed to
+        wire order, before anything else touches the wire.  The fan-out's
+        shard heat is recorded — a first-attempt fact: retries add none —
+        and every wire message's first attempt runs on the phased
+        schedule (:meth:`_transmit_bulk`); the ones that failed are
+        retried one after another, in wire order, each as a fan-out of
+        one (:meth:`_retry`).  Under replication each original's
+        completion on its primary is then handed to
         :func:`~repro.ps.replication.forward`, which ships the replica
         upkeep from the primaries' nodes and serves the copies through
         this module's :func:`~repro.ps.server.serve_fast_fanout` — the
@@ -228,10 +226,14 @@ class Transport:
 
         *plan* is the :class:`FanoutPlan` whose ``requests`` these are:
         the grouping (and any batch envelopes) is kept on it, so a plan
-        that is sent again skips the group/coalesce rebuild, and the
-        phased schedule keeps its phase-1 product there too.  Routing never
-        assigns to a request, so the plan is used as is unless a read
-        was actually rerouted — the derived list is then grouped afresh.
+        that is sent again skips the group/coalesce rebuild.  So is the
+        phased schedule's whole phase-1 product (:meth:`_bulk_plan`): it
+        depends only on the message list and the server topology, so it
+        is computed once and replayed, guarded by
+        :attr:`~repro.ps.master.PSMaster.topology_epoch` (a failover swaps
+        server objects and must force a rebuild).  Routing never assigns
+        to a request, so the plan is used as is unless a read was
+        actually rerouted — the derived list is then grouped afresh.
         """
         cluster = self.cluster
         if cluster.costmodel is not None:
@@ -262,33 +264,58 @@ class Transport:
         values = [None] * len(requests)
         arrivals = values[:]
         completions = values[:]
-        # What still has to go message by message, each entry paired with
-        # the retryable error its first attempt met.
-        work = self._transmit_bulk(outgoing, values, arrivals, completions,
-                                   plan, trace_parent) if outgoing else []
-        for (message, positions), error in work:
-            try:
-                value, arrival, completion = self._transmit(message, error)
-            except RETRYABLE_ERRORS as exc:
-                # A failed first attempt rejoins the end of the work list,
-                # so it is retried after every first attempt went out.
-                work.append(((message, positions), exc))
-                continue
-            if type(message) is not messages.BatchRequest:
-                value = (value,)
-            for p, sub_value in zip(positions, value):
-                values[p] = sub_value
-                arrivals[p] = arrival
-                completions[p] = completion
+        if outgoing:
+            epoch = self.master.topology_epoch
+            bulk = None if plan is None else plan.bulk
+            if bulk is None or bulk[0] != epoch:
+                bulk = self._bulk_plan(outgoing, epoch)
+                if plan is not None:
+                    plan.bulk = bulk
+            if bulk[2]:
+                cluster.metrics.record_shard_access_many(bulk[2])
+            for entry, error in self._transmit_bulk(
+                    outgoing, bulk, values, arrivals, completions,
+                    trace_parent):
+                self._retry(entry, error, values, arrivals, completions,
+                            trace_parent)
         replication.forward(cluster, requests, completions,
                             serve_fast_fanout)
         return values, arrivals
 
+    def _retry(self, entry, error, values, arrivals, completions,
+               trace_parent):
+        """Re-send one failed wire message until it goes through.
+
+        A retry is a fan-out of one: each attempt charges the policy's
+        penalty and repairs (:meth:`_handle_failure`, which raises
+        :class:`~repro.common.errors.PSError` once the budget is spent),
+        re-resolves routing (paying the routing RPC again after the
+        invalidation), and runs ``(entry,)`` through
+        :meth:`_transmit_bulk` on a fresh phase-1 product — so the whole
+        message's bytes are paid again and it reaches the *current*
+        server object (a recovery replaces it).  A failure anywhere in
+        the message, halfway through an envelope or on the response after
+        the server applied it, fails the attempt whole.
+        """
+        message = entry[0]
+        retry = (entry,)
+        attempt = 0
+        while error is not None:
+            attempt += 1
+            self._handle_failure(error, attempt, message.server_index,
+                                 message.matrix_id)
+            if message.matrix_id is not None:
+                self.layout(message.matrix_id)
+            failed = self._transmit_bulk(
+                retry, self._bulk_plan(retry, self.master.topology_epoch),
+                values, arrivals, completions, trace_parent)
+            error = failed[0][1] if failed else None
+
     def _trace(self, outgoing):
         """Stamp a fan-out's causal context and enrich its op span.
 
-        Called once per fan-out while tracing is on, before either
-        schedule runs: every wire message and every envelope sub-request
+        Called once per fan-out while tracing is on, before any attempt
+        runs: every wire message and every envelope sub-request
         gets ``trace_ctx = (trace_id, op span id)`` (``None`` outside an
         op span), the parent of the server CPU slots, both NIC bookings
         and any forwarded copy; the op span adds the fan-out's wire
@@ -318,7 +345,7 @@ class Transport:
 
     def _price(self, wire_messages):
         """Wire sizes and shard-heat entries for a run of wire messages —
-        what either schedule needs to know before anything is booked.
+        what must be known before anything is booked.
 
         Returns ``(request_sizes, response_sizes, shard_entries)``, the
         sizes aligned with *wire_messages*.  A shard entry is
@@ -420,36 +447,31 @@ class Transport:
         return (epoch, fan_items, shard_entries, responses, lasts,
                 unit_positions, unit_servers, unit_msgs)
 
-    def _transmit_bulk(self, outgoing, values, arrivals, completions,
-                       plan=None, trace_parent=None):
-        """Transmit a whole fan-out in three phases instead of N round trips.
+    def _transmit_bulk(self, outgoing, bulk, values, arrivals, completions,
+                       trace_parent=None):
+        """Transmit a fan-out in three phases instead of N round trips —
+        every attempt's one schedule, a retry being a fan-out of one.
 
+        *bulk* is *outgoing*'s phase-1 product (:meth:`_bulk_plan`).
         Phase 1 books every request transfer through one
         :meth:`~repro.cluster.network.NetworkModel.transfer_many` call,
         phase 2 serves every unit through
         :func:`~repro.ps.server.serve_fast_fanout` (capturing each
-        completion immediately, as the per-message schedule would see it),
+        completion immediately, as the interleaved schedule would see it),
         and phase 3 books every response through one ``transfer_gather``,
         each envelope's departing at its *last* unit's completion.  The
         per-direction NIC timelines are disjoint across phases and
         order-insensitive within them, so virtual times, bytes and counters
-        are bit-identical to the interleaved per-message schedule — only
-        the Python call count drops.  Spans are too: every booking parents
-        to *trace_parent*, the fan-out's op span.  Codecs change nothing
-        here: the cost model attached them before routing, so every size
-        is fixed before phase 1, and the lane serves an encoded unit
-        through ``dispatch``.  A wire message fails in the phase that
-        meets its failure: a dropped request is never served, a down
-        server or missing shard stops its envelope, a dropped response
-        comes after service.
-
-        *plan*, when given, is the :class:`FanoutPlan` *outgoing* belongs
-        to (see :meth:`send_all`): the entire phase-1 product
-        (:meth:`_bulk_plan`) depends only on the message list and the
-        server topology, so it is computed once, kept on the plan and
-        replayed, guarded by
-        :attr:`~repro.ps.master.PSMaster.topology_epoch` (a failover swaps
-        server objects and must force a rebuild).
+        are bit-identical to the interleaved reference in
+        ``tests/test_fast_lane.py`` (request, service, response, next
+        message) — only the Python call count drops.  Spans are too: every
+        booking parents to *trace_parent*, the fan-out's op span.  Codecs
+        change nothing here: the cost model attached them before routing,
+        so every size is fixed before phase 1, and the lane serves an
+        encoded unit through ``dispatch``.  A wire message fails in the
+        phase that meets its failure: a dropped request is never served,
+        a down server or missing shard stops its envelope, a dropped
+        response comes after service.
 
         Fills *values*, *arrivals* and *completions* (each wire message's
         last-unit completion, for :func:`~repro.ps.replication.forward`)
@@ -460,19 +482,9 @@ class Transport:
         """
         cluster = self.cluster
         network = cluster.network
-        metrics = cluster.metrics
         node_id = self.node_id
-        epoch = self.master.topology_epoch
-
-        bulk = None if plan is None else plan.bulk
-        if bulk is None or bulk[0] != epoch:
-            bulk = self._bulk_plan(outgoing, epoch)
-            if plan is not None:
-                plan.bulk = bulk
-        (_, fan_items, shard_entries, responses, lasts, unit_positions,
-         unit_servers, unit_msgs) = bulk
-        if shard_entries:
-            metrics.record_shard_access_many(shard_entries)
+        (_, fan_items, _, responses, lasts, unit_positions, unit_servers,
+         unit_msgs) = bulk
         unit_arrivals = network.transfer_many(node_id, fan_items,
                                               trace_parent)
         if len(unit_msgs) > len(fan_items):
@@ -572,71 +584,3 @@ class Transport:
         # the client clock toward the end of the partition window.
         if matrix_id is not None:
             self.invalidate(matrix_id)
-
-    def _transmit(self, message, error=None):
-        """One wire message: its first attempt, or its retries.
-
-        An attempt re-resolves routing and the serving server through the
-        master (a recovery replaces the object — a retry must never talk
-        to the pre-failure process), transfers ``message.wire_bytes()``,
-        queues on the server CPU (``server.begin(arrival)``), runs
-        ``server.dispatch(message)`` and books the response.  A failure
-        anywhere in that chain — halfway through a batch, or on the
-        response after the server applied it — fails the *entire message*.
-
-        Given the *error* a first attempt met on the phased schedule, the
-        loop starts at that failure's repair and re-sends under the policy
-        — the only way :meth:`send_all` calls it.  With *error* ``None``
-        it is itself a first attempt (recording the message's shard heat
-        and raising a retryable failure to the caller): the interleaved
-        schedule the phased one is held bit-identical to.
-
-        Returns ``(value, response_arrival, completion)``: the arrival is
-        ``None`` for fire-and-forget messages; the completion is when the
-        serving server finished the message (where its response departs,
-        and its replica copies with it).
-        """
-        network = self.cluster.network
-        (request_bytes,), (response_bytes,), shard_entries = self._price(
-            (message,)
-        )
-        if error is None:
-            self.cluster.metrics.record_shard_access_many(shard_entries)
-        ctx = message.trace_ctx  # stamped by :meth:`_trace`
-        trace_parent = None if ctx is None else ctx[1]
-        attempt = 0
-        while True:
-            if error is None:
-                try:
-                    if message.matrix_id is not None:
-                        # Re-resolve routing (pays the routing RPC again
-                        # after an invalidation) before touching the wire.
-                        self.layout(message.matrix_id)
-                    server = self.master.server(message.server_index)
-                    arrival = network.transfer(
-                        self.node_id, server.node_id, request_bytes,
-                        tag=message.tag + ":req", deliver=False,
-                        messages=message.message_count(),
-                        trace_parent=trace_parent,
-                    )
-                    server.begin(arrival)
-                    value = server.dispatch(message)
-                    completion = server.last_completion
-                    if response_bytes is None:
-                        return value, None, completion
-                    response_arrival = network.transfer(
-                        server.node_id, self.node_id, response_bytes,
-                        tag=message.tag + ":resp", deliver=False,
-                        depart_at=completion,
-                        messages=message.message_count(),
-                        trace_parent=trace_parent,
-                    )
-                    return value, response_arrival, completion
-                except RETRYABLE_ERRORS as exc:
-                    if not attempt:
-                        raise  # a first attempt: the caller retries later
-                    error = exc
-            attempt += 1
-            self._handle_failure(error, attempt, message.server_index,
-                                 message.matrix_id)
-            error = None

@@ -8,6 +8,8 @@ periodic checkpoint sweeps, row-layout block routing, and a full chaos
 training run asserting convergence and run-to-run determinism.
 """
 
+import types
+
 import numpy as np
 import pytest
 
@@ -21,7 +23,7 @@ from repro.ps.client import PSClient
 from repro.ps.master import PSMaster
 from repro.ps.partitioner import RowLayout
 from repro.ps.retry import RetryPolicy
-from tests.test_fast_lane import unattempted
+from tests.test_fast_lane import interleaved
 
 
 def _chaos_cluster(**failure_kwargs):
@@ -99,14 +101,25 @@ def test_retry_reresolves_routing_and_resends_bytes(cluster):
     assert cluster.metrics.counters["op-retries"] == 1
 
 
-def test_coalesced_batch_retry_reresolves_and_resends_envelope(cluster):
+def test_coalesced_batch_retry_reresolves_and_resends_envelope(
+        cluster, monkeypatch):
     """A coalesced batch that hits a dead server must be retried as a
     WHOLE envelope: routing re-resolved through the master, the
     replacement server object dispatched, and the full envelope's bytes
-    paid again on the wire."""
+    paid again on the wire.  The re-send is a fan-out of one on the lane:
+    the envelope is served unit by unit, never dispatched whole."""
     from repro.common.sizeof import MESSAGE_OVERHEAD_BYTES
-    from repro.ps import messages
+    from repro.ps import messages, transport
+    from repro.ps.server import PSServer
 
+    dispatched = []
+    dispatch = PSServer.dispatch
+
+    def spy_dispatch(server, request):
+        dispatched.append(type(request))
+        return dispatch(server, request)
+
+    monkeypatch.setattr(PSServer, "dispatch", spy_dispatch)
     master = PSMaster(cluster)
     client = PSClient(cluster, master, cluster.executors[0])
     m = master.create_matrix(30, n_rows=4)
@@ -122,6 +135,14 @@ def test_coalesced_batch_retry_reresolves_and_resends_envelope(cluster):
     logical_before = metrics.logical_messages_by_tag["pull-block:req"]
     routing_before = metrics.messages_by_tag["routing:req"]
     batches_before = metrics.counters["coalesced-batches"]
+    served = []
+    lane = transport.serve_fast_fanout
+
+    def spy_lane(cluster, fan_servers, fan_messages, fan_arrivals):
+        served.append(len(fan_messages))
+        return lane(cluster, fan_servers, fan_messages, fan_arrivals)
+
+    monkeypatch.setattr(transport, "serve_fast_fanout", spy_lane)
 
     block = client.pull_block(m, [0, 1, 2, 3])
     assert np.array_equal(block, expected)  # server-1 restored and re-read
@@ -145,6 +166,42 @@ def test_coalesced_batch_retry_reresolves_and_resends_envelope(cluster):
     # (+4 above) exceeds the batch count by exactly the resend.
     assert metrics.counters["coalesced-batches"] == batches_before + 3
     assert metrics.counters["coalesced-requests"] == 12
+    # The lane served 16 units: the 12 first attempts, then the retried
+    # envelope's 4 as a fan-out of one — and no server dispatched an
+    # envelope, anywhere in the run.
+    assert served == [12, 4]
+    assert dispatched and messages.BatchRequest not in dispatched
+
+
+def _heat_after(op, crash):
+    """Every shard's requests, values and bytes after set-up and one
+    ``op``, with server-1 crashed just before it (*crash*) or not (the
+    unfailed twin)."""
+    cluster = Cluster(ClusterConfig(n_executors=4, n_servers=3, seed=42))
+    master = PSMaster(cluster)
+    client = PSClient(cluster, master, cluster.executors[0])
+    m = master.create_matrix(30, n_rows=4)
+    for row in range(4):
+        client.push_assign(m, row, np.arange(30.0) + row)
+    master.checkpoint_all()
+    if crash:
+        master.server(1).crash()
+    if op == "pull_row":
+        client.pull_row(m, 0)
+    else:
+        client.pull_block(m, [0, 1, 2, 3])
+    metrics = cluster.metrics
+    assert metrics.counters.get("op-retries", 0) == (1 if crash else 0)
+    return (dict(metrics.shard_requests), dict(metrics.shard_values),
+            dict(metrics.shard_bytes))
+
+
+@pytest.mark.parametrize("op", ["pull_row", "pull_block"])
+def test_a_retry_records_no_shard_heat(op):
+    """Shard heat is a first-attempt fact: every shard's requests, values
+    and bytes after a crash-and-retry equal the unfailed twin's — the
+    re-sent message is not counted twice."""
+    assert _heat_after(op, crash=True) == _heat_after(op, crash=False)
 
 
 def _clocks_and_nics(cluster):
@@ -160,8 +217,8 @@ def _drifted_shard_run(op, traced):
 
     Untraced, the op's fan-out takes the phased schedule (which never
     asks about shards or liveness up front); traced, the per-message
-    one, pinned on the client's transport (``_transmit_bulk`` attempts
-    nothing, so every first attempt runs through ``_transmit``).  Returns
+    one, pinned on the client's transport (``_transmit_bulk`` is the
+    interleaved reference, for first attempts and retries).  Returns
     what the caller saw, the final state, the cluster's counters and its
     clocks and NIC totals.
     """
@@ -170,7 +227,8 @@ def _drifted_shard_run(op, traced):
     client = PSClient(cluster, master, cluster.executors[0])
     if traced:
         cluster.tracer.enable()
-        client.transport._transmit_bulk = unattempted
+        client.transport._transmit_bulk = types.MethodType(
+            interleaved, client.transport)
     m = master.create_matrix(30, n_rows=2)
     for row in range(2):
         client.push_add(m, row, np.arange(30.0) + row)
@@ -329,7 +387,8 @@ def _dropped_response_run(traced):
     client = PSClient(cluster, master, cluster.executors[0])
     if traced:  # ... and on the per-message schedule
         cluster.tracer.enable()
-        client.transport._transmit_bulk = unattempted
+        client.transport._transmit_bulk = types.MethodType(
+            interleaved, client.transport)
     m = master.create_matrix(30)
     client.push_assign(m, 0, np.arange(30.0))  # warms routing
     now = cluster.clock.now(client.node_id)

@@ -3,15 +3,15 @@
 ``Transport.send_all`` tries every wire message of a fan-out once in three
 phases (``_transmit_bulk``: every request, every service through
 ``serve_fast_fanout``, every response), then retries the failed ones in
-wire order through ``_transmit``.  Given no error, ``_transmit`` is itself
-a first attempt — request, service (``begin`` + ``dispatch``), response,
-next message: the interleaved schedule, which the phased one must be
-indistinguishable from.
+wire order, each as a one-message fan-out through ``_transmit_bulk``
+again.  The reference it must be indistinguishable from lives here:
+:func:`interleaved` — request, service (every unit through ``begin`` +
+``dispatch``), response, next message.
 
 Two rigs are built from one seed, identical except that every transport
 of the *per-message* one has ``_transmit_bulk`` replaced on the instance
-by :func:`unattempted` (a test-only lever, not a knob), which hands every
-wire message back untried, and that the lane serving its forwarded
+by :func:`interleaved` (a test-only lever, not a knob) — for its first
+attempts and its retries alike — and that the lane serving its forwarded
 replica copies is :func:`_dispatch_every_unit`.  The same stream of
 client ops must then leave the same returned values, metrics, clocks,
 server CPU timelines, version vectors and NIC busy totals on both — also
@@ -50,6 +50,7 @@ included.
 """
 
 import contextlib
+import types
 from collections import Counter
 from unittest import mock
 
@@ -93,12 +94,50 @@ REPLICATED = dict(chain_replicas=1, replication="topk",
 CODECS = ("auto", "fp16", "int8", "topk", "delta")
 
 
-def unattempted(outgoing, *_phased_args):
+def interleaved(transport, outgoing, _bulk, values, arrivals, completions,
+                trace_parent=None):
     """A ``Transport._transmit_bulk`` stand-in (a test-only lever, not a
-    knob): it books nothing and hands every wire message back untried, so
-    ``send_all`` runs each first attempt through ``_transmit`` — the
-    interleaved schedule the phased one must equal."""
-    return [(entry, None) for entry in outgoing]
+    knob; bind it to the transport): the interleaved schedule the phased
+    one must equal.  Per wire message, in wire order: the request
+    transfer, every unit through :func:`_dispatch_every_unit` (an
+    envelope's subs chained behind its first), the response transfer,
+    then the next message.  Fills the same slots and returns the failed
+    messages, with their errors, in wire order."""
+    cluster = transport.cluster
+    network = cluster.network
+    failed = []
+    for entry in outgoing:
+        message, positions = entry
+        server = transport.master.server(message.server_index)
+        units = message.requests \
+            if type(message) is messages.BatchRequest else [message]
+        count = message.message_count()
+        try:
+            arrival = network.transfer(
+                transport.node_id, server.node_id, message.wire_bytes(),
+                tag=message.tag + ":req", deliver=False, messages=count,
+                trace_parent=trace_parent)
+            unit_values, unit_completions = _dispatch_every_unit(
+                cluster, [server] * len(units), units,
+                [arrival] + [None] * (len(units) - 1))
+            completion = unit_completions[-1]
+            if completion is None:
+                raise unit_values[-1]
+            for p, value in zip(positions, unit_values):
+                values[p] = value
+                completions[p] = completion
+            if message.response_bytes() is not None:
+                arrival = network.transfer(
+                    server.node_id, transport.node_id,
+                    message.response_bytes(), tag=message.tag + ":resp",
+                    deliver=False, depart_at=completion, messages=count,
+                    trace_parent=trace_parent)
+                for p in positions:
+                    arrivals[p] = arrival
+        except (ServerDownError, MatrixNotFoundError,
+                NetworkPartitionedError) as error:
+            failed.append((entry, error))
+    return failed
 
 
 def _dispatch_every_unit(cluster, fan_servers, fan_messages, fan_arrivals):
@@ -131,8 +170,8 @@ def _dispatch_every_unit(cluster, fan_servers, fan_messages, fan_arrivals):
 @contextlib.contextmanager
 def _reference_lanes(rigs):
     """While open, the per-message rigs among *rigs* serve through
-    :func:`_dispatch_every_unit` — with every first attempt interleaved,
-    what still reaches their lane is the forwarded copies."""
+    :func:`_dispatch_every_unit` — with every attempt interleaved, what
+    still reaches their lane is the forwarded copies."""
     reference = {id(rig.cluster) for rig in rigs if rig.per_message}
     lane = transport.serve_fast_fanout
 
@@ -168,7 +207,8 @@ class _Rig:
         ]
         for client in self.clients:
             if per_message:
-                client.transport._transmit_bulk = unattempted
+                client.transport._transmit_bulk = types.MethodType(
+                    interleaved, client.transport)
             if not pooled:
                 client._plan_pool = lambda layout: None
         self.matrices = (

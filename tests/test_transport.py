@@ -25,7 +25,7 @@ from repro.ps import messages
 from repro.ps.client import PSClient
 from repro.ps.master import PSMaster
 from repro.ps.transport import Transport
-from tests.test_fast_lane import unattempted
+from tests.test_fast_lane import interleaved
 
 
 def _rig(n_servers=3):
@@ -387,12 +387,24 @@ def test_every_kind_states_its_wire_facts(name):
 
 
 def test_the_table_is_total_and_roles_partition_the_kinds():
+    from repro.common.errors import PSError
     from repro.ps.server import _HANDLERS
 
     kinds = set(_all_kinds())
     # A kind added without its row here, or without a handler, fails.
     assert {type(row[0]) for row in _KINDS.values()} == kinds
-    assert set(_HANDLERS) == kinds
+    # Every kind but the envelope, which exists on the wire only: a
+    # server handed one refuses it loudly instead of half-applying it.
+    assert set(_HANDLERS) == kinds - {messages.BatchRequest}
+    _cluster, master, _client = _rig()
+    m = master.create_matrix(30)
+    envelope = messages.BatchRequest([messages.PushRequest(0, m, 0,
+                                                           np.ones(10)),
+                                      messages.PullRowRequest(0, m, 0, 10)])
+    before = master.server(0).read(m, 0)
+    with pytest.raises(PSError):
+        master.server(0).dispatch(envelope)
+    assert np.array_equal(master.server(0).read(m, 0), before)
     by_role = {}
     for kind in kinds:
         assert kind.codec_side in (None, "request", "response")
@@ -409,7 +421,6 @@ def test_the_table_is_total_and_roles_partition_the_kinds():
                            messages.BatchRequest},
     }
     # Exactly the mutations can be fanned out to a copy.
-    from repro.common.errors import PSError
     for message, role, *_sizes in _KINDS.values():
         if role == "mutation":
             messages.ReplicatedPushRequest(1, message, 0, 0, {})
@@ -540,8 +551,7 @@ def test_lr_epoch_is_identical_to_prerefactor_path(bulk, monkeypatch):
     exactly — on the phased schedule AND with every fan-out pinned to the
     per-message one."""
     if not bulk:
-        monkeypatch.setattr(Transport, "_transmit_bulk",
-                            staticmethod(unattempted))
+        monkeypatch.setattr(Transport, "_transmit_bulk", interleaved)
     ctx = make_context(n_executors=4, n_servers=3, seed=7)
     rows, _ = sparse_classification(80, 400, 8, seed=7)
     result = train_logistic_regression(ctx, rows, 400, optimizer="sgd",
