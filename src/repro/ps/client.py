@@ -630,12 +630,21 @@ class PSClient:
         Routes like :meth:`pull_block`: shard fan-out for column layouts,
         per-owning-server grouping for row layouts, one coalesced envelope
         per server with the shared index list shipped once.
+
+        Each row may appear once: a repeated row is refused before
+        anything is sent, like a malformed shape (:func:`_checked`).  The
+        replica forward stamps every copy with its primary's post-apply
+        counter, so two mutations of one row in one op would leave the
+        second copy counted as already applied.  Fold the deltas first.
         """
         with self._op("push-block", matrix_id):
             layout = self._layout(matrix_id)
             rows = list(rows)
             if not rows:
                 return
+            if len(set(rows)) != len(rows):
+                raise PSError("a block push names a row more than once: %r"
+                              % (rows,))
             key = None
             if indices is not None:
                 indices = np.asarray(indices, dtype=np.int64)

@@ -220,8 +220,9 @@ class Replicator:
         primaries' per-row counters already reflect the mutations — each
         copy snapshots those counters plus the primary's epoch as its
         idempotence/fencing token.  Assumes one client op never sends two
-        mutations for the same (matrix, row, server), which holds for
-        every client op by construction (one message per (row, shard)).
+        mutations for the same (matrix, row, server): every client op
+        builds one message per (row, shard), and a block push refuses a
+        repeated row (:meth:`~repro.ps.client.PSClient.push_block_add`).
         *covered* is a set of ``(holder_index, id(original))`` pairs
         another policy already fanned out to; *counter* is bumped by the
         number of messages built.

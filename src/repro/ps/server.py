@@ -755,14 +755,17 @@ def serve_fast_fanout(cluster, fan_servers, fan_messages, fan_arrivals):
     server) as the unit before it and starts at that unit's completion
     (``server._arrival``) instead of at a NIC arrival.
 
-    Every unit is served by one rule.  Two kinds are served inline — the
-    same due-crash check, numpy access, single CPU reservation, metric
-    updates, CPU span (parented through the unit's ``trace_ctx``, while
-    tracing is on) and clock advance as ``begin()`` + ``dispatch()``,
-    minus ~10 Python frames:
+    Every unit is served by one rule.  Three kinds are served inline —
+    the same due-crash check, numpy access, single CPU reservation,
+    metric updates, CPU span (parented through the unit's ``trace_ctx``,
+    while tracing is on) and clock advance as ``begin()`` +
+    ``dispatch()``, minus ~10 Python frames:
 
     - a pull-row / push with no codec and no ``replica_of`` whose shard
       is present (a push also bumps the row's version);
+    - a lazy-table read (pull-or-create) with no ``replica_of`` whose
+      row is already present: it is the dense pull-row arm, booked as
+      ``ps-read`` at the same price, replying ``(values, False)``;
     - a forwarded copy of a push (:func:`~repro.ps.replication.forward`
       serves copies through this lane too) whose entry is installed at
       the copy's epoch and whose row is behind the copy's version: it
@@ -770,8 +773,9 @@ def serve_fast_fanout(cluster, fan_servers, fan_messages, fan_arrivals):
       as ``ps-replica`` at the primary's price.
 
     Anything else (other message types, an encoded push or a pull with a
-    response codec, replica reads, fenced or already-covered copies,
-    missing shards, a crashed server) goes through the full dispatch in
+    response codec, a lazy read that creates its row, replica and
+    stand-in reads, fenced or already-covered copies, missing shards, a
+    crashed server) goes through the full dispatch in
     place, with the pending metric run flushed first so every per-key
     accumulation — float compute totals, histogram sums — happens in
     exactly the per-message order; fencing is ``dispatch``'s alone.  Only
@@ -795,6 +799,7 @@ def serve_fast_fanout(cluster, fan_servers, fan_messages, fan_arrivals):
     clock_times = cluster.clock._times
     node = cluster.node
     PullRow = messages.PullRowRequest
+    Lazy = messages.PullOrCreateRequest
     Push = messages.PushRequest
     Copy = messages.ReplicatedPushRequest
     crashing = cluster.failures.crashing_nodes()
@@ -821,7 +826,7 @@ def serve_fast_fanout(cluster, fan_servers, fan_messages, fan_arrivals):
             continue
         kind = type(message)
         shard = None
-        if kind is PullRow or kind is Push:
+        if kind is PullRow or kind is Push or kind is Lazy:
             if message.codec is None and message.replica_of is None and (
                     server.node_id not in crashing or server.is_alive()):
                 rows = server._store.get(message.matrix_id)
@@ -853,7 +858,7 @@ def serve_fast_fanout(cluster, fan_servers, fan_messages, fan_arrivals):
                 values_out.append(error)
                 completions.append(None)
             continue
-        if kind is PullRow:
+        if kind is PullRow or kind is Lazy:
             indices = message.indices
             if indices is None:
                 value = shard.values.copy()
@@ -865,6 +870,8 @@ def serve_fast_fanout(cluster, fan_servers, fan_messages, fan_arrivals):
             if flops < 1:
                 flops = 1.0
             tag = "ps-read"
+            if kind is Lazy:
+                value = (value, False)
         else:
             if kind is Push:
                 push = message

@@ -12,7 +12,8 @@ arrival is pinned on the virtual clock (``set_at_least`` — a worker that
 is still busy simply starts late, and the backlog shows up as latency),
 reads go through the lazy ``get_or_create`` pull path so the embedding
 table grows with the id coverage of the traffic, updates read-modify-
-write the same rows, and every completion feeds the
+write the same rows as one coalesced block write, and every completion
+feeds the
 :class:`~repro.serving.slo.SLOTracker`.  With elasticity configured
 (``ClusterConfig.elasticity.mode == "auto"``) an
 :class:`~repro.serving.autoscaler.Autoscaler` is polled between
@@ -22,6 +23,7 @@ included.
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
 
 import numpy as np
@@ -116,7 +118,13 @@ def run_serving(ctx, scenario, autoscaler=None):
     ``cluster.slo``, where the report's serving section finds it), and
     dispatches requests round-robin over the **currently active**
     executors — re-read every request, so elastic worker changes take
-    effect mid-stream.  With ``elasticity.mode == "auto"`` in the
+    effect mid-stream.  A request is two fan-outs: every request pulls
+    its ids through ``pull_or_create``; an update then adds
+    ``update_scale`` to each of those rows in one ``push_block_add``
+    (one envelope per owning server, and one forwarded envelope per
+    primary and chain holder), an id the request repeats folded into one
+    row carrying the delta times its multiplicity.  With
+    ``elasticity.mode == "auto"`` in the
     cluster config (and no explicit *autoscaler*), an autoscaler is
     constructed and polled after every completed request.
 
@@ -149,9 +157,14 @@ def run_serving(ctx, scenario, autoscaler=None):
         client.pull_or_create(table, request.ids)
         if request.kind == "update":
             # Online learning: read-modify-write on the rows just pulled
-            # (the get_or_create above guarantees they exist).
-            for row in request.ids:
-                client.push_add(table, row, update_delta)
+            # (the get_or_create above guarantees they exist), as one
+            # coalesced write.  An id the request repeats is one row
+            # carrying delta x multiplicity: a block push names each row
+            # once.
+            counts = Counter(request.ids)
+            client.push_block_add(
+                table, list(counts),
+                np.multiply.outer(list(counts.values()), update_delta))
         slo.observe(request.kind, clock.now(worker) - request.time)
         served += 1
         if autoscaler is not None:

@@ -85,6 +85,15 @@ class TrafficGenerator:
         #: skew monotonicity on this vector, free of sampling noise.
         self.probabilities = self.zipf_probabilities(self.n_items,
                                                      self.zipf_exponent)
+        if self.keys_per_request <= self.n_items and np.count_nonzero(
+                self.probabilities) < self.keys_per_request:
+            # A steep enough exponent underflows the tail to zero mass; a
+            # request could then never find enough distinct ids.
+            raise ConfigError(
+                "zipf_exponent %r leaves fewer than keys_per_request=%d "
+                "items with non-zero probability"
+                % (zipf_exponent, self.keys_per_request)
+            )
 
     @staticmethod
     def zipf_probabilities(n_items, exponent):
@@ -115,20 +124,50 @@ class TrafficGenerator:
         """Instantaneous arrival rate (requests/virtual-second) at *t*."""
         return self.base_rate * self.rate_factor(t)
 
+    def _draw_ids(self, rng, cdf):
+        """One request's ids, drawn as ``rng.choice(n_items,
+        keys_per_request, replace=keys_per_request > n_items,
+        p=probabilities)`` draws them — the same doubles consumed, the
+        same ids returned — from the pmf's normalized CDF *cdf*, computed
+        once per stream instead of re-validated and re-summed per request.
+
+        With replacement it is one inverse-CDF lookup.  Without, ids are
+        kept in first-occurrence order and a repeat goes through
+        ``choice``'s own re-draw round: draw the missing count, zero the
+        ids found so far in a copy of the pmf, renormalize, look up again.
+        """
+        k = self.keys_per_request
+        ids = cdf.searchsorted(rng.random(k), side="right").tolist()
+        if k > self.n_items:
+            return tuple(ids)
+        ids = list(dict.fromkeys(ids))
+        if len(ids) < k:
+            p = self.probabilities.copy()
+            while len(ids) < k:
+                x = rng.random(k - len(ids))
+                p[ids] = 0.0
+                cdf = np.cumsum(p)
+                cdf /= cdf[-1]
+                new = cdf.searchsorted(x, side="right").tolist()
+                ids += dict.fromkeys(new)
+        return tuple(ids)
+
     def generate(self, duration):
         """The full request stream over ``[0, duration)`` virtual seconds.
 
-        Arrivals are a piecewise nonhomogeneous Poisson process: each gap
-        is exponential at the rate in force at the previous arrival.  Ids
-        within one request are drawn without replacement (an inference
-        batch never fetches the same row twice), falling back to
-        with-replacement draws only when ``keys_per_request`` exceeds the
-        catalogue.  Returns a list of :class:`ServingRequest`, strictly
-        ordered by arrival time.
+        Arrivals follow a piecewise-constant-rate Poisson process: each
+        gap is exponential at the rate in force at the previous arrival
+        (no thinning).  Ids within one request are drawn without
+        replacement (an inference batch never fetches the same row twice),
+        falling back to with-replacement draws only when
+        ``keys_per_request`` exceeds the catalogue — bit-identical to one
+        ``Generator.choice`` per request (:meth:`_draw_ids`).  Returns a
+        list of :class:`ServingRequest`, strictly ordered by arrival time.
         """
         rng = generator(self.seed, "serving-traffic")
         duration = float(duration)
-        replace = self.keys_per_request > self.n_items
+        cdf = np.cumsum(self.probabilities)
+        cdf /= cdf[-1]
         requests = []
         t = 0.0
         while True:
@@ -137,10 +176,6 @@ class TrafficGenerator:
                 break
             user = int(rng.integers(self.n_users))
             kind = "read" if rng.random() < self.read_fraction else "update"
-            ids = rng.choice(self.n_items, size=self.keys_per_request,
-                             replace=replace, p=self.probabilities)
             requests.append(
-                ServingRequest(t, kind, user,
-                               tuple(int(i) for i in ids))
-            )
+                ServingRequest(t, kind, user, self._draw_ids(rng, cdf)))
         return requests

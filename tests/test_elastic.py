@@ -354,10 +354,14 @@ def test_server_crash_mid_migration_recovers_and_completes():
 
 def test_serving_stream_survives_crash_and_resize():
     """The full serving loop: crash a server mid-stream, autoscale-style
-    resizes on either side — the stream completes, writes are not lost,
-    and the run stays deterministic."""
+    resizes on either side — the stream completes, writes are not lost
+    (the pre-crash one, and every served row equals its lazy init plus
+    its updates: no coalesced write was dropped or doubled), and the run
+    stays deterministic."""
     from repro.experiments.runner import make_context
     from repro.serving import run_serving
+    from repro.serving.scenario import get_scenario
+    from tests.test_serving import assert_serving_matches_oracle
 
     def run():
         ctx = make_context(n_executors=2, n_servers=2, seed=9,
@@ -372,6 +376,7 @@ def test_serving_stream_survives_crash_and_resize():
         ctx.master.servers[0].crash()    # ... die ...
         ctx.master.resize_servers(2)     # ... shrink through the crash
         result = run_serving(ctx, "smoke")
+        assert_serving_matches_oracle(ctx, result, get_scenario("smoke"))
         survivor = client.pull_or_create(table, [0])
         return result, survivor, cluster.metrics.counters["server-recoveries"]
 

@@ -32,7 +32,9 @@ lane, and the phased rig, the per-message one and the unpooled rig must
 still agree on all of the above plus every replica copy and holder map —
 across rebalance sweeps, and with failures fired.  The lane's copy arm is
 also held against :func:`_dispatch_every_unit` directly, on hand-built
-copies of every kind, fenced and already-covered ones included.
+copies of every kind, fenced and already-covered ones included, and so
+is its lazy-read arm, on pull-or-create units of present rows beside
+creations, chain stand-ins and a due crash, which must still dispatch.
 
 Tracing and cold routing do not change what runs: a traced rig serves
 every unit on the lane, a send whose matrix no routing entry covers yet
@@ -946,3 +948,95 @@ def test_the_lane_serves_copies_as_dispatch_does_fenced_and_skipped_included(
         assert counters[name] - before[name] == 3, name
     assert dispatched[id(lane.cluster)] == 5 * 3
     assert dispatched[id(reference.cluster)] == 8 * 3
+
+
+# -- the lane's lazy-read arm == dispatch -------------------------------------
+
+
+def _hand_built_lazy_reads(rig):
+    """Pull-or-create units after :data:`_CREATE_STREAM` (rows 0-8 exist,
+    row ``r`` on server ``r % 3``) with server 1 crashed: an envelope on
+    server 0 and one on server 2, each mixing present rows (the inline
+    arm) with an unseen id (a creation), then two stand-alone stand-ins
+    for server 1's rows on its chain successor.  Returns the lane's unit
+    lists and the number of units that must still dispatch."""
+    master = rig.master
+    (successor,) = rig.cluster.chain.successors(1)
+    master.server(1).crash()
+    arrive = max(rig.cluster.clock.now(node)
+                 for node in rig.cluster.clock.nodes())
+
+    def lazy(row, server_index=None):
+        request = messages.PullOrCreateRequest(row % 3, rig.table, row,
+                                               TABLE_DIM)
+        if server_index is None:
+            return request
+        return request.retargeted(server_index)
+
+    servers, units, arrivals = [], [], []
+    for primary, rows in ((0, (0, 9, 3, 6)), (2, (2, 5, 11, 8))):
+        servers += [master.server(primary)] * len(rows)
+        units += [lazy(row) for row in rows]
+        arrivals += [arrive + 1e-4 * (primary + 1)] + [None] * (len(rows) - 1)
+    for row in (1, 4):
+        servers.append(master.server(successor))
+        units.append(lazy(row, successor))
+        arrivals.append(arrive + 2e-4 + 1e-5 * row)
+    return (servers, units, arrivals), 2 + 2
+
+
+def _errors_as_types(result):
+    values, completions = result
+    return ([type(value) if isinstance(value, Exception) else value
+             for value in values], completions)
+
+
+def test_the_lane_serves_present_lazy_reads_inline_as_dispatch_does(
+        monkeypatch):
+    dispatched = Counter()
+    dispatch = PSServer.dispatch
+
+    def counting(server, request):
+        dispatched[id(server.cluster)] += 1
+        return dispatch(server, request)
+
+    monkeypatch.setattr(PSServer, "dispatch", counting)
+    lane, reference = _Rig(replicated=True), _Rig(replicated=True)
+    _run_same(_CREATE_STREAM, lane, reference)
+
+    def serve_both(build):
+        dispatched.clear()
+        (units, must_dispatch), (reference_units, _n) = \
+            build(lane), build(reference)
+        got = transport.serve_fast_fanout(lane.cluster, *units)
+        expected = _dispatch_every_unit(reference.cluster, *reference_units)
+        assert _same(_errors_as_types(got), _errors_as_types(expected))
+        left, right = lane.state(), reference.state()
+        for section in left:
+            assert left[section] == right[section], section
+        assert dispatched[id(lane.cluster)] == must_dispatch
+        return got, len(units[1])
+
+    creates = lane.cluster.metrics.counters["lazy-creates"]
+    (values, completions), n_units = serve_both(_hand_built_lazy_reads)
+    # Creations and stand-ins dispatched; the other four units were read
+    # inline, replying ``created=False`` like dispatch.
+    assert n_units == 10 and None not in completions
+    assert [created for _values, created in values] == \
+        [False, True, False, False, False, False, True, False, False, False]
+    assert lane.cluster.metrics.counters["lazy-creates"] == creates + 2
+
+    def due_crash(rig):
+        # Server 2's crash is due at its own clock: a present row must
+        # take dispatch (and fail there), and so stops its envelope.
+        server = rig.master.server(2)
+        rig.cluster.failures.schedule_server_failure(
+            server.node_id, rig.cluster.clock.now(server.node_id))
+        units = [messages.PullOrCreateRequest(2, rig.table, row, TABLE_DIM)
+                 for row in (2, 5)]
+        arrive = rig.cluster.clock.now(server.node_id) + 1e-4
+        return ([server] * 2, units, [arrive, None]), 1
+
+    (values, completions), _n = serve_both(due_crash)
+    assert completions == [None, None]
+    assert all(isinstance(value, ServerDownError) for value in values)

@@ -10,6 +10,7 @@ from repro.ps.client import _PLAN_POOL_CAP, _SEEN_ONCE, PSClient
 from repro.ps.master import PSMaster
 from repro.ps.partitioner import RowLayout
 from repro.ps.transport import FanoutPlan, Transport
+from tests.test_replication import _assert_copies_match_primaries
 
 
 @pytest.fixture
@@ -286,6 +287,38 @@ def test_malformed_push_is_rejected_before_anything_is_sent(wide, case,
     assert cluster.metrics.total_messages() == sent
     assert [dict(server.versions) for server in master.servers] == versions
     assert np.array_equal(client.pull_block(m, [0, 1]), before)
+
+
+@pytest.mark.parametrize("layout", ["column", "row", "lazy"])
+@pytest.mark.parametrize("sparse", [False, True])
+def test_a_block_push_naming_a_row_twice_is_refused_before_any_write(
+        layout, sparse):
+    # Copies carry their primary's post-apply counter, so a second write
+    # of one row in one op would reach the chain copy already "covered":
+    # the copy would stay one write behind its primary.
+    cluster = Cluster(ClusterConfig(n_executors=2, n_servers=3, seed=7,
+                                    chain_replicas=1))
+    master = PSMaster(cluster)
+    client = PSClient(cluster, master, cluster.executors[0])
+    if layout == "lazy":
+        m = master.create_table(30)
+        client.pull_or_create(m, [0, 1])
+    else:
+        m = master.create_matrix(
+            30, n_rows=2,
+            layout=RowLayout(30, 3) if layout == "row" else None)
+    indices = [1, 4, 6] if sparse else None
+    width = 3 if sparse else 30
+    client.push_block_add(m, [0, 1], np.ones((2, width)), indices=indices)
+    sent = cluster.metrics.total_messages()
+    versions = [dict(server.versions) for server in master.servers]
+    with pytest.raises(PSError, match="more than once"):
+        client.push_block_add(m, [0, 0, 1], np.ones((3, width)),
+                              indices=indices)
+    assert cluster.metrics.total_messages() == sent
+    assert [dict(server.versions) for server in master.servers] == versions
+    assert _assert_copies_match_primaries(master)
+    assert "replica-fanout-skipped" not in cluster.metrics.counters
 
 
 @pytest.mark.parametrize("layout", ["column", "row"])

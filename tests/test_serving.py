@@ -1,34 +1,41 @@
 """The serving tier: traffic, SLO tracking, autoscaling, scenarios, CLI.
 
-Property tests (Hypothesis) pin the two contracts the subsystem leans on:
+Property tests (Hypothesis) pin the three contracts the subsystem leans on:
 
 1. a :class:`TrafficGenerator` stream is a pure function of its seed —
    same seed, bit-identical stream, every time;
-2. the Zipf exponent monotonically controls skew: head mass is strictly
+2. drawn from one CDF per stream, it is exactly the stream one
+   ``Generator.choice`` per request draws (kept here as the oracle);
+3. the Zipf exponent monotonically controls skew: head mass is strictly
    increasing in the exponent (checked on the analytic pmf, no sampling
    noise).
 
 The rest covers the SLO tracker's windowed/cumulative views, the
 autoscaler's signals/cooldown/bounds, scenario resolution, the open-loop
-driver (including seeded determinism of a full elastic run), the report
-section and the ``python -m repro serve`` command.
+driver (including seeded determinism of a full elastic run, and its
+coalesced writes against a value oracle), the report section and the
+``python -m repro serve`` command.
 """
+
+from collections import Counter
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from repro.cli import main
 from repro.common.errors import ConfigError
+from repro.common.rng import generator
 from repro.config import ClusterConfig, ElasticitySpec
 from repro.core.context import PS2Context
 from repro.experiments.runner import make_context
 from repro.obs.report import render_report
-from repro.serving import (Autoscaler, SCENARIOS, SLOTracker,
-                           TrafficGenerator, run_serving)
+from repro.serving import (Autoscaler, SCENARIOS, ServingScenario,
+                           SLOTracker, TrafficGenerator, run_serving)
 from repro.serving.scenario import get_scenario
-from repro.serving.traffic import MIN_RATE_FACTOR
+from repro.serving.traffic import MIN_RATE_FACTOR, ServingRequest
+from tests.test_replication import _assert_copies_match_primaries
 
 
 # -- traffic: determinism (property) ------------------------------------------
@@ -151,6 +158,59 @@ def test_keys_exceeding_catalogue_draw_with_replacement():
                            keys_per_request=5)
     stream = gen.generate(0.2)
     assert stream and all(len(r.ids) == 5 for r in stream)
+
+
+def test_an_exponent_that_underflows_the_tail_is_rejected():
+    # 2 ** -2000 is 0.0: only the head item could ever be drawn.
+    with pytest.raises(ConfigError, match="non-zero probability"):
+        TrafficGenerator(seed=0, n_items=4, base_rate=100.0,
+                         zipf_exponent=2000.0, keys_per_request=2)
+
+
+# -- traffic: one CDF per stream == one Generator.choice per request ----------
+
+
+def _choice_stream(gen, duration):
+    """The stream as one ``Generator.choice`` per request draws it — the
+    generator's original loop, kept here as the law's oracle."""
+    rng = generator(gen.seed, "serving-traffic")
+    replace = gen.keys_per_request > gen.n_items
+    requests = []
+    t = 0.0
+    while True:
+        t += rng.exponential(1.0 / gen.rate_at(t))
+        if t >= duration:
+            break
+        user = int(rng.integers(gen.n_users))
+        kind = "read" if rng.random() < gen.read_fraction else "update"
+        ids = rng.choice(gen.n_items, size=gen.keys_per_request,
+                         replace=replace, p=gen.probabilities)
+        requests.append(ServingRequest(t, kind, user,
+                                       tuple(int(i) for i in ids)))
+    return requests
+
+
+@given(
+    seed=st.integers(min_value=0, max_value=2**31 - 1),
+    n_items=st.one_of(st.integers(min_value=1, max_value=12),
+                      st.integers(min_value=13, max_value=4096)),
+    keys=st.integers(min_value=1, max_value=12),
+    exponent=st.floats(min_value=0.5, max_value=3.0,
+                       allow_nan=False, allow_infinity=False),
+    profile=st.sampled_from(["flat", "step", "diurnal"]),
+)
+@example(seed=17, n_items=4096, keys=8, exponent=1.1, profile="flat")
+@example(seed=5, n_items=8, keys=8, exponent=0.5, profile="step")  # k = n
+@example(seed=3, n_items=3, keys=5, exponent=3.0, profile="diurnal")  # k > n
+@example(seed=1, n_items=1, keys=1, exponent=1.0, profile="flat")
+@settings(max_examples=60, deadline=None)
+def test_the_stream_is_the_one_choice_per_request_draws(
+        seed, n_items, keys, exponent, profile):
+    gen = TrafficGenerator(seed=seed, n_items=n_items, base_rate=150.0,
+                           zipf_exponent=exponent, keys_per_request=keys,
+                           profile=profile, step_at=0.1, period=0.2)
+    # Times, kinds, users and ids, exactly.
+    assert gen.generate(0.25) == _choice_stream(gen, 0.25)
 
 
 # -- SLO tracker --------------------------------------------------------------
@@ -357,6 +417,48 @@ def test_run_serving_is_deterministic_under_seed():
 
     first, second = run(), run()
     assert first == second
+
+
+def assert_serving_matches_oracle(ctx, result, scenario):
+    """Every row the stream touched == its lazy-init value plus
+    ``update_scale`` times the number of update ids naming it.
+
+    The init values come from a fresh, update-free context on one server
+    (lazy init is layout-independent), with as many tables created as
+    the run's table id needs; the run's rows are read back through the
+    coordinator."""
+    seed = ctx.cluster.config.seed
+    stream = scenario.traffic(seed).generate(scenario.duration)
+    touched = sorted({row for request in stream for row in request.ids})
+    updates = Counter(row for request in stream if request.kind == "update"
+                      for row in request.ids)
+    fresh = make_context(n_executors=1, n_servers=1, seed=seed)
+    for _ in range(result["table"] + 1):
+        table = fresh.master.create_table(scenario.dim)
+    expected = (fresh.coordinator_client.pull_or_create(table, touched)
+                + scenario.update_scale
+                * np.array([updates[row] for row in touched])[:, None])
+    got = ctx.coordinator_client.pull_or_create(result["table"], touched)
+    assert np.allclose(got, expected, rtol=1e-9, atol=1e-15)
+
+
+def test_an_update_repeating_ids_writes_each_row_once_with_its_multiplicity():
+    # More keys than items: every request repeats ids, so each update
+    # folds them into one row per id carrying delta x multiplicity — a
+    # block push refuses a repeated row, whose second copy would leave
+    # the chain successor one write behind.
+    scenario = ServingScenario(name="repeats", duration=0.5, base_rate=200.0,
+                               n_items=3, dim=8, keys_per_request=5,
+                               read_fraction=0.5)
+    ctx = make_context(n_executors=2, n_servers=3, seed=4, chain_replicas=1)
+    result = run_serving(ctx, scenario)
+    stream = scenario.traffic(4).generate(scenario.duration)
+    assert any(request.kind == "update" for request in stream)
+    assert result["requests"] == len(stream)
+    assert ctx.metrics.counters["chain-fanouts"] > 0
+    assert "replica-fanout-skipped" not in ctx.metrics.counters
+    assert_serving_matches_oracle(ctx, result, scenario)
+    assert _assert_copies_match_primaries(ctx.master) == 3
 
 
 def test_run_serving_works_without_timeseries():
