@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from repro.cluster.resource import TimelineResource
 from repro.common.errors import (
     DimensionMismatchError,
     NotColocatedError,
@@ -300,6 +301,51 @@ def test_realign_copies_values_correctly(ps2):
     dst = ps2.dense(25)
     ps2.realign(src, dst)
     assert np.allclose(dst.pull(), np.arange(25.0))
+
+
+def test_realign_books_server_cpu_only_after_its_trigger_arrives(
+        ps2, monkeypatch):
+    """With the coordinator a virtual second ahead of the servers, every
+    CPU interval realign books starts no earlier than the message that
+    triggers it arrives — a read at its control message, a write at the
+    data transfer — and each transfer leaves only once its read is done."""
+    src = ps2.dense(30)
+    src.push(np.arange(30.0))
+    dst = ps2.dense(30)
+    cluster = ps2.cluster
+    cluster.clock.set_at_least(ps2.coordinator, 1.0)
+    network = cluster.network
+    transfer = network.transfer
+    arrived = {}
+    done = {}
+    booked = []
+
+    def spy_transfer(source, target, nbytes, **kwargs):
+        depart = kwargs.get("depart_at")
+        if depart is None:
+            depart = cluster.clock.now(source)
+        assert depart >= done.get(source, 0.0), kwargs.get("tag")
+        arrived[target] = transfer(source, target, nbytes, **kwargs)
+        return arrived[target]
+
+    cpus = {id(server.cpu): server.node_id for server in ps2.master.servers}
+    reserve = TimelineResource.reserve
+
+    def spy_reserve(timeline, earliest, duration):
+        start = reserve(timeline, earliest, duration)
+        node = cpus.get(id(timeline))
+        if node is not None:
+            booked.append((node, start, arrived.get(node)))
+            done[node] = start + duration
+        return start
+
+    monkeypatch.setattr(network, "transfer", spy_transfer)
+    monkeypatch.setattr(TimelineResource, "reserve", spy_reserve)
+    ps2.realign(src, dst)
+    assert len(booked) >= 2 * len(ps2.master.servers)
+    for node, start, trigger in booked:
+        assert trigger is not None and start >= trigger >= 1.0, node
+    assert np.allclose(dst.pull(), np.arange(30.0))
 
 
 # -- zip ------------------------------------------------------------------------
