@@ -113,11 +113,10 @@ class CheckpointManager:
         seconds = nbytes / self.storage_bandwidth
         now = self.cluster.clock.now(server.node_id)
         start = server.cpu.reserve(now, seconds)
-        server.last_completion = start + seconds
         self.cluster.metrics.record_compute(
             server.node_id, seconds, tag="recovery"
         )
-        self.cluster.clock.set_at_least(server.node_id, server.last_completion)
+        self.cluster.clock.set_at_least(server.node_id, start + seconds)
         if only_matrices is None:
             server.restore(state)
         else:

@@ -4,7 +4,7 @@ Every executor hosts one client (Section 5.1).  The client's job is to turn
 each PS op into typed :mod:`~repro.ps.messages` values — one per (row,
 shard) destination — hand them to its :class:`~repro.ps.transport.Transport`
 and assemble the responses.  Routing resolution, network transfer, server
-dispatch, response accounting and the retry loop all live in the transport;
+service, response accounting and the retry loop all live in the transport;
 nothing in this module constructs closures over server objects or touches a
 ``PSServer`` directly.  Sparse ("only the needed parameters") pulls and
 pushes are first-class, since the paper credits part of PS2's win over

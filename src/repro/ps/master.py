@@ -472,7 +472,7 @@ class PSMaster:
         with queued work used to stream its shards away as if the queue
         were empty — the migration departed *before* the requests it
         logically follows.  Pin each departing server's clock to its drain
-        horizon (CPU completion watermark and both NIC timeline horizons)
+        horizon (the end of its CPU timeline and both NIC timeline horizons)
         so the migration transfers it sources leave only after its backlog
         drains, and record the drained seconds.
         """
@@ -482,7 +482,7 @@ class PSMaster:
         for index in range(new_count, old_count):
             server = self.servers[index]
             send_horizon, recv_horizon = network.nic_horizon(server.node_id)
-            horizon = max(server.last_completion, send_horizon, recv_horizon)
+            horizon = max(server.cpu.horizon(), send_horizon, recv_horizon)
             now = clock.now(server.node_id)
             if horizon > now:
                 clock.set_at_least(server.node_id, horizon)

@@ -4,7 +4,7 @@ The simulator does not serialize real bytes; it charges the sizes a compact
 binary protocol (PS2 uses Netty + Protobuf) would put on the wire.  Every
 client-to-server interaction is a first-class :class:`Request` value: the
 client builds messages, the transport ships them (and re-ships them on
-retry), and the server dispatches them through its handler table.  What a
+retry), and the server lane serves them through its handler table.  What a
 message kind *is* — who may serve it, what it carries, where a codec bites
 — is declared on its class below and nowhere else; every other module
 reads these declarations.
@@ -69,7 +69,7 @@ State streams
 -------------
 
 Four bulk shard-state transfers and one control report are priced here
-too; they never pass through a server's dispatch, so they are
+too; no server handler ever serves them, so they are
 functions, not message kinds.  ``rows``/``versions`` count the row
 descriptors and mutation counters carried, ``values`` is the value
 payload in bytes.
@@ -338,7 +338,7 @@ class Request:
         Base requests carry no encoded payload (a pull's ``codec`` only
         shapes the *response* size); :class:`PushRequest` overrides this
         to replace its encoded values with the decoded array.  Idempotent,
-        so retries that re-dispatch the same message are safe.
+        so retries that re-serve the same message are safe.
         """
 
     def message_count(self):
@@ -401,7 +401,7 @@ class PullOrCreateRequest(Request):
     row id plus the init descriptor (init code + scale — the server cannot
     create without them), and the response always carries a created-marker
     word on top of the value payload.  The client prices the response
-    before dispatch and cannot know whether creation will happen, so the
+    before sending and cannot know whether creation will happen, so the
     marker is part of the fixed response layout rather than a
     data-dependent size — the create-path bytes are on the wire ledger
     either way.
@@ -453,7 +453,7 @@ class PushRequest(Request):
     ``value_bytes`` supports compressed block pushes.
 
     When the cost model attached a codec, ``encoded`` holds the encoded
-    payload between the client's send and the server's dispatch, and
+    payload between the client's send and the server's service, and
     ``_enc_nbytes`` its honest wire size.  ``_enc_nbytes`` survives
     :meth:`materialize` so post-apply pricing (replica fan-out envelopes)
     still charges the encoded size the wire actually carried.

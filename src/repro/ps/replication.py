@@ -32,7 +32,7 @@ fencing token).  The mechanism owns
   The same forward carries the upkeep of the lazy rows a send created
   (each recorded by the server that created it): the chain streams the
   row from the primary at the creating message's completion, hot-key
-  demotes the key — nothing is booked from inside a server's dispatch.
+  demotes the key — nothing is booked while a server serves.
 
 **The policies** decide only what differs:
 
@@ -573,11 +573,11 @@ class HotKeyManager(Replicator):
         self._last_heat = {}
 
     def on_direct_write(self, matrix_id, server_index):
-        """Demote a key mutated outside the dispatch/fan-out path.
+        """Demote a key mutated outside the forward.
 
-        Realignment and recovery tooling write through the server storage
-        primitives directly; replicas of the touched shard would silently
-        diverge, so the key is de-replicated (it can win replication back
+        Realignment reports each of its writes here, and :func:`forward`
+        each lazy row a send created; replicas of the touched shard would
+        silently diverge, so the key is de-replicated (it can win replication back
         at the next sweep if it stays hot).
         """
         key = (matrix_id, int(server_index))
@@ -911,12 +911,12 @@ class ChainReplicator(Replicator):
             self.cluster.metrics.increment("chain-row-syncs")
 
     def on_direct_write(self, matrix_id, server_index):
-        """Re-stream a key mutated outside the dispatch/fan-out path.
+        """Re-stream a key mutated outside the forward.
 
         Unlike hot-key replicas — an optimization that simply demotes —
         chain copies are the durability story and must *follow* direct
-        writes (realignment, recovery tooling): the key is re-streamed
-        wholesale so the successors converge on the new state.
+        writes (realignment): the key is re-streamed wholesale so the
+        successors converge on the new state.
         """
         if (matrix_id, int(server_index)) in self.holders:
             self.sync_key(matrix_id, server_index)
@@ -1154,7 +1154,7 @@ def _abandon(cluster, holder, keys):
 
 
 def on_direct_write(cluster, matrix_id, server_index):
-    """A shard was mutated outside the dispatch/forward path: hot-key
+    """A shard was mutated outside the forward (the writer says so): hot-key
     demotes the key, the chain re-streams it."""
     for policy in policies(cluster):
         policy.on_direct_write(matrix_id, server_index)

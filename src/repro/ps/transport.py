@@ -1,4 +1,4 @@
-"""The client-side RPC transport: routing, transfer, dispatch, retry.
+"""The client-side RPC transport: routing, transfer, service, retry.
 
 This module is the explicit wire between a :class:`~repro.ps.client.PSClient`
 and the servers.  The client's job ends at *building* typed
@@ -10,7 +10,7 @@ transport owns everything below that line:
   retry performs after a recovery;
 - **network transfer** — one NIC booking per outgoing message, request bytes
   charged from the message's own ``wire_bytes()``;
-- **server dispatch** — every attempt, first or retry, is served through
+- **server service** — every attempt, first or retry, is served through
   :func:`~repro.ps.server.serve_fast_fanout` on servers resolved through
   the master, an envelope unit by unit; a retry resolves them afresh, so
   it reaches the *current* :class:`~repro.ps.server.PSServer` object — no
@@ -467,8 +467,8 @@ class Transport:
         message) — only the Python call count drops.  Spans are too: every
         booking parents to *trace_parent*, the fan-out's op span.  Codecs
         change nothing here: the cost model attached them before routing,
-        so every size is fixed before phase 1, and the lane serves an
-        encoded unit through ``dispatch``.  A wire message fails in the
+        so every size is fixed before phase 1, and the lane decodes an
+        encoded unit before applying it.  A wire message fails in the
         phase that meets its failure: a dropped request is never served,
         a down server or missing shard stops its envelope, a dropped
         response comes after service.

@@ -23,6 +23,7 @@ from repro.ps.client import PSClient
 from repro.ps.master import PSMaster
 from repro.ps.partitioner import RowLayout
 from repro.ps.retry import RetryPolicy
+from repro.ps.server import serve_one
 from tests.test_fast_lane import interleaved
 
 
@@ -105,21 +106,12 @@ def test_coalesced_batch_retry_reresolves_and_resends_envelope(
         cluster, monkeypatch):
     """A coalesced batch that hits a dead server must be retried as a
     WHOLE envelope: routing re-resolved through the master, the
-    replacement server object dispatched, and the full envelope's bytes
-    paid again on the wire.  The re-send is a fan-out of one on the lane:
-    the envelope is served unit by unit, never dispatched whole."""
+    replacement server object served, and the full envelope's bytes paid
+    again on the wire.  The re-send is a fan-out of one on the lane: the
+    envelope is served unit by unit, never handed to a server whole."""
     from repro.common.sizeof import MESSAGE_OVERHEAD_BYTES
     from repro.ps import messages, transport
-    from repro.ps.server import PSServer
 
-    dispatched = []
-    dispatch = PSServer.dispatch
-
-    def spy_dispatch(server, request):
-        dispatched.append(type(request))
-        return dispatch(server, request)
-
-    monkeypatch.setattr(PSServer, "dispatch", spy_dispatch)
     master = PSMaster(cluster)
     client = PSClient(cluster, master, cluster.executors[0])
     m = master.create_matrix(30, n_rows=4)
@@ -136,10 +128,12 @@ def test_coalesced_batch_retry_reresolves_and_resends_envelope(
     routing_before = metrics.messages_by_tag["routing:req"]
     batches_before = metrics.counters["coalesced-batches"]
     served = []
+    kinds = set()
     lane = transport.serve_fast_fanout
 
     def spy_lane(cluster, fan_servers, fan_messages, fan_arrivals):
         served.append(len(fan_messages))
+        kinds.update(map(type, fan_messages))
         return lane(cluster, fan_servers, fan_messages, fan_arrivals)
 
     monkeypatch.setattr(transport, "serve_fast_fanout", spy_lane)
@@ -167,10 +161,10 @@ def test_coalesced_batch_retry_reresolves_and_resends_envelope(
     assert metrics.counters["coalesced-batches"] == batches_before + 3
     assert metrics.counters["coalesced-requests"] == 12
     # The lane served 16 units: the 12 first attempts, then the retried
-    # envelope's 4 as a fan-out of one — and no server dispatched an
-    # envelope, anywhere in the run.
+    # envelope's 4 as a fan-out of one — and no server was handed an
+    # envelope.
     assert served == [12, 4]
-    assert dispatched and messages.BatchRequest not in dispatched
+    assert kinds == {messages.PullRowRequest}
 
 
 def _heat_after(op, crash):
@@ -725,7 +719,8 @@ def test_primary_crash_epoch_bump_fences_stale_replicas():
                                  indices=list(range(10)), mode="add")
     stale = messages.ReplicatedPushRequest(1, inner, 0, old_epoch,
                                            {(m, 0): 999})
-    master.server(1).dispatch(stale)
+    holder = master.server(1)
+    serve_one(holder, stale, cluster.clock.now(holder.node_id))
     assert cluster.metrics.counters["replica-fanout-fenced"] \
         == fenced_before + 1
     assert np.allclose(client.pull_row(m, 0), np.arange(30.0))

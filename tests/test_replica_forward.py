@@ -28,6 +28,7 @@ from repro.config import ClusterConfig, FailureConfig
 from repro.ps.client import PSClient
 from repro.ps.master import PSMaster
 from repro.ps.transport import RPC_CPU_SECONDS
+from tests.test_replication import _copy
 from tests.test_replication import \
     _assert_copies_match_primaries as _copies_match_primaries
 
@@ -97,7 +98,7 @@ def test_a_crashed_chain_successor_is_recovered_by_the_forward():
     assert holder.alive
     # The recovery re-streamed (m, 0) from the primary, write included.
     expected = np.arange(10.0) + 1.0
-    assert np.array_equal(holder.replica_read(m, 0, 0), expected)
+    assert np.array_equal(_copy(holder, m, 0, 0), expected)
     assert cluster.chain.key_lag(m, 0) == 0
     assert _copies_match_primaries(master) == 3
 
@@ -112,7 +113,7 @@ def test_a_crashed_hot_replica_holder_is_recovered_by_the_forward():
     assert master.replication.replica_set(m, 0) == [1, 2]
     expected = np.arange(10.0) + 1.0
     for holder in (1, 2):
-        assert np.array_equal(master.server(holder).replica_read(m, 0, 0),
+        assert np.array_equal(_copy(master.server(holder), m, 0, 0),
                               expected)
     assert _copies_match_primaries(master) == 2
 
@@ -231,8 +232,7 @@ def test_a_holder_partitioned_past_the_retry_budget_is_forgotten():
 
 def test_a_replica_apply_is_charged_the_primarys_price_in_both_modes(
         monkeypatch):
-    """Observed where the server lane's inline arm and a dispatch both
-    book: the server CPU timelines (each service slot, in booking order)
+    """Observed where the server lane books: the server CPU timelines (each service slot, in booking order)
     and the per-(server, tag) request counts."""
     cluster, master, writer, m = _rig(chain_replicas=1)
     primary, holder = master.server(0).node_id, master.server(1).node_id

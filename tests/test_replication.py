@@ -10,9 +10,11 @@ import numpy as np
 from repro.cluster.cluster import DRIVER, Cluster
 from repro.config import ClusterConfig
 from repro.obs.report import hot_shard_table, replication_table
-from repro.ps import messages
+from repro.core.context import PS2Context
+from repro.ps import messages, replication
 from repro.ps.client import PSClient
 from repro.ps.master import PSMaster
+from repro.ps.server import serve_one
 
 
 def _rig(**overrides):
@@ -25,6 +27,11 @@ def _rig(**overrides):
     master = PSMaster(cluster)
     client = PSClient(cluster, master, cluster.executors[0])
     return cluster, master, client
+
+
+def _copy(server, matrix_id, primary_index, row):
+    """The values of *server*'s copy of one row of a primary's shard."""
+    return server.replica_store[(matrix_id, primary_index)].rows[row].values
 
 
 def _heat_and_promote(master, client, pulls=4):
@@ -102,7 +109,7 @@ def test_promotion_installs_on_all_targets_and_charges_migration():
     epoch = master.server(0).epoch
     for holder in (1, 2):
         assert master.server(holder).has_replica(m, 0, epoch)
-        assert np.allclose(master.server(holder).replica_read(m, 0, 0),
+        assert np.allclose(_copy(master.server(holder), m, 0, 0),
                            np.arange(10.0))
     assert manager.replica_bytes() >= 2 * 10 * 8
 
@@ -207,7 +214,7 @@ def test_fan_out_keeps_replicas_in_lockstep():
     assert cluster.metrics.counters["replica-fanouts"] == fanouts_before + 2
     expected = np.arange(10.0) + 1.0
     for holder in (1, 2):
-        assert np.allclose(master.server(holder).replica_read(m, 0, 0),
+        assert np.allclose(_copy(master.server(holder), m, 0, 0),
                            expected)
 
 
@@ -224,10 +231,11 @@ def test_fan_out_skips_replicas_whose_counters_caught_up():
     replay = messages.ReplicatedPushRequest(1, inner, 0, primary.epoch,
                                             {(m, 0): counter})
     skips_before = cluster.metrics.counters.get("replica-fanout-skipped", 0)
-    master.server(1).dispatch(replay)
+    holder = master.server(1)
+    serve_one(holder, replay, cluster.clock.now(holder.node_id))
     assert cluster.metrics.counters["replica-fanout-skipped"] \
         == skips_before + 1
-    assert np.allclose(master.server(1).replica_read(m, 0, 0),
+    assert np.allclose(_copy(master.server(1), m, 0, 0),
                        np.arange(10.0) + 1.0)
 
 
@@ -261,14 +269,15 @@ def test_kernel_fan_out_is_all_or_nothing():
     assert (a, 0) not in manager.holders
 
 
-def test_direct_write_outside_dispatch_demotes_replicas():
+def test_direct_write_outside_the_forward_demotes_replicas():
     cluster, master, client = _rig()
     m = _heat_and_promote(master, client)
     manager = master.replication
     assert manager.replica_set(m, 0) == [1, 2]
-    # Tooling-style write through the storage primitive (dispatch depth
-    # 0): no fan-out ran, so the replicas would diverge -> demote.
-    master.server(0).add(m, 0, np.ones(10))
+    # Tooling-style write straight into the primary's storage: no forward
+    # ran, so the replicas would diverge -> the writer reports it, demote.
+    master.server(0).shard(m, 0).values += 1.0
+    replication.on_direct_write(cluster, m, 0)
     assert cluster.metrics.counters["replica-direct-write-demotions"] == 1
     assert (m, 0) not in manager.holders
     assert not master.server(1).has_replica(m, 0)
@@ -327,17 +336,44 @@ def test_chain_free_matrix_retires_links():
 
 
 def test_chain_direct_write_resyncs_successors():
-    """A depth-0 storage write bypassed the fan-out: the whole key is
+    """A storage write that bypassed the forward: the whole key is
     re-streamed so the chain converges on the new state."""
     cluster, master, client = _chain_rig()
     m = master.create_matrix(30)
     client.push_assign(m, 0, np.arange(30.0))
-    master.server(0).add(m, 0, np.ones(10))
+    master.server(0).shard(m, 0).values += 1.0
+    replication.on_direct_write(cluster, m, 0)
     assert cluster.metrics.counters["chain-direct-write-resyncs"] == 1
     assert cluster.chain.key_lag(m, 0) == 0
     entry = master.server(1).replica_store[(m, 0)]
     assert np.array_equal(entry.rows[0].values,
                           master.server(0)._store[m][0].values)
+
+
+def test_realign_reports_its_writes_to_both_policies():
+    """Realignment writes its target outside the forward, so it reports
+    each write itself: the chain re-streams the target's keys (its copies
+    equal their primaries afterwards) and a hot replica of one is
+    demoted."""
+    ctx = PS2Context(config=ClusterConfig(
+        n_executors=2, n_servers=3, seed=42, chain_replicas=1,
+        replication="topk", hot_key_fraction=0.34))
+    src = ctx.dense(30)
+    src.push(np.arange(30.0))
+    dst = ctx.dense(30)
+    for _ in range(4):
+        dst.pull()
+    ctx.coordinator_client.pull_range(dst.matrix_id, dst.row, 0, 10)
+    ctx.master.replication.rebalance()
+    assert ctx.master.replication.replicated_keys()
+    counters = ctx.metrics.counters
+    resyncs = counters.get("chain-direct-write-resyncs", 0)
+    ctx.realign(src, dst)
+    assert np.array_equal(dst.pull(), np.arange(30.0))
+    assert counters["chain-direct-write-resyncs"] >= resyncs + 3
+    assert counters["replica-direct-write-demotions"] >= 1
+    assert not ctx.master.replication.replicated_keys()
+    assert _assert_copies_match_primaries(ctx.master) >= 3
 
 
 def test_chain_repair_resyncs_live_server():
@@ -474,7 +510,7 @@ def test_shared_holder_gets_one_copy_of_each_mutation():
         == before["replica-fanout-fenced"]
     assert counters.get("replica-fanout-skipped", 0) \
         == before["replica-fanout-skipped"]
-    assert np.array_equal(master.server(1).replica_read(m, 0, 0),
+    assert np.array_equal(_copy(master.server(1), m, 0, 0),
                           np.arange(10.0) + 1.0)
     assert _assert_copies_match_primaries(master) == 4
 
@@ -522,7 +558,7 @@ def test_hot_demotion_keeps_the_chain_copy_on_a_shared_holder():
     assert cluster.chain.key_lag(m, 0) == 0
     client.push_add(m, 0, np.ones(10), indices=list(range(10)))
     assert cluster.chain.key_lag(m, 0) == 0
-    assert np.array_equal(master.server(1).replica_read(m, 0, 0),
+    assert np.array_equal(_copy(master.server(1), m, 0, 0),
                           np.arange(10.0) + 1.0)
 
 
@@ -532,7 +568,7 @@ def test_chain_teardown_keeps_the_hot_replica_on_a_shared_holder():
     assert not cluster.chain.holders
     # The hot-key manager still claims the shared entry on server 1.
     assert master.replication.replica_set(m, 0) == [1, 2]
-    assert np.array_equal(master.server(1).replica_read(m, 0, 0),
+    assert np.array_equal(_copy(master.server(1), m, 0, 0),
                           np.arange(10.0))
     # Server 0 held only chain copies (of key (m, 2)): physically gone.
     assert not master.server(0).has_replica(m, 2)

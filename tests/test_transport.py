@@ -388,7 +388,7 @@ def test_every_kind_states_its_wire_facts(name):
 
 def test_the_table_is_total_and_roles_partition_the_kinds():
     from repro.common.errors import PSError
-    from repro.ps.server import _HANDLERS
+    from repro.ps.server import _HANDLERS, serve_one
 
     kinds = set(_all_kinds())
     # A kind added without its row here, or without a handler, fails.
@@ -401,10 +401,11 @@ def test_the_table_is_total_and_roles_partition_the_kinds():
     envelope = messages.BatchRequest([messages.PushRequest(0, m, 0,
                                                            np.ones(10)),
                                       messages.PullRowRequest(0, m, 0, 10)])
-    before = master.server(0).read(m, 0)
+    server = master.server(0)
+    before = server.shard(m, 0).values.copy()
     with pytest.raises(PSError):
-        master.server(0).dispatch(envelope)
-    assert np.array_equal(master.server(0).read(m, 0), before)
+        serve_one(server, envelope, 0.0)
+    assert np.array_equal(server.shard(m, 0).values, before)
     by_role = {}
     for kind in kinds:
         assert kind.codec_side in (None, "request", "response")

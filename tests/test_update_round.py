@@ -32,7 +32,7 @@ from repro.core.zipop import DCVZip
 from repro.data import sparse_classification
 from repro.ml.fm import train_fm
 from repro.ml.optim import make_optimizer
-from repro.ps.server import KERNEL_FLOPS_PER_ELEMENT, PSServer
+from repro.ps.server import _HANDLERS, KERNEL_FLOPS_PER_ELEMENT
 from tests.test_fast_lane import _same
 
 DIM = 30
@@ -46,13 +46,18 @@ def _observed(unfused=()):
     """Count the flops every server is charged, per context; on the
     *unfused* contexts, expand each round request into its three rounds."""
     flops = {}
-    service = PSServer._service
     map_partitions = DCVZip.map_partitions
 
-    def counting(self, amount, tag):
-        charged = flops.setdefault(id(self.cluster), {})
-        charged[self.node_id] = charged.get(self.node_id, 0.0) + amount
-        return service(self, amount, tag)
+    def counting(handler):
+        def counted(self, request, *entries):
+            value, charges = handler(self, request, *entries)
+            if not entries:  # a copy's apply is counted with the copy
+                charged = flops.setdefault(id(self.cluster), {})
+                for amount, _tag in charges:
+                    charged[self.node_id] = \
+                        charged.get(self.node_id, 0.0) + amount
+            return value, charges
+        return counted
 
     def expanding(self, fn, args=None, **kwargs):
         if fn is not kernels.update_round_kernel \
@@ -69,7 +74,8 @@ def _observed(unfused=()):
             dcvs[-1].zero()
         return result
 
-    with mock.patch.object(PSServer, "_service", counting), \
+    with mock.patch.dict(_HANDLERS, {kind: counting(handler) for kind,
+                                     handler in _HANDLERS.items()}), \
             mock.patch.object(DCVZip, "map_partitions", expanding):
         yield lambda ctx: flops.get(id(ctx.cluster), {})
 
