@@ -138,7 +138,9 @@ class Cluster:
     def _add_node(self, node_id, role):
         node = Node(node_id, role, self.config.node)
         self._nodes[node_id] = node
-        self.clock.register(node_id)
+        # A node joining mid-run starts at the global time: it cannot
+        # report completions in the past, and the clock floor never drops.
+        self.clock.register(node_id, self.clock.global_time())
         self.network.register(node_id, self.config.node.nic_bandwidth)
         return node
 
@@ -183,7 +185,6 @@ class Cluster:
         node_id = executor_id(index)
         if node_id not in self._nodes:
             self._add_node(node_id, ROLE_EXECUTOR)
-            self.clock.set_at_least(node_id, self.clock.global_time())
         self._nodes[node_id].alive = True
         self._n_executors += 1
         return node_id
@@ -211,7 +212,6 @@ class Cluster:
         node_id = server_id(index)
         if node_id not in self._nodes:
             self._add_node(node_id, ROLE_SERVER)
-            self.clock.set_at_least(node_id, self.clock.global_time())
         self._nodes[node_id].alive = True
         self._n_servers += 1
         return node_id
@@ -286,8 +286,3 @@ class Cluster:
         if node_ids is None:
             node_ids = list(self._nodes)
         return self.clock.barrier(node_ids)
-
-    def reset_time(self):
-        """Rewind every clock and NIC queue; metrics are kept."""
-        self.clock.reset()
-        self.network.reset()

@@ -50,8 +50,8 @@ class NetworkModel:
         self._bandwidth[node_id] = (
             float(bandwidth) if bandwidth is not None else self.default_bandwidth
         )
-        self._nic_send[node_id] = TimelineResource()
-        self._nic_recv[node_id] = TimelineResource()
+        self._nic_send[node_id] = TimelineResource(self.clock)
+        self._nic_recv[node_id] = TimelineResource(self.clock)
 
     def bandwidth_of(self, node_id):
         """NIC bandwidth of *node_id* in bytes/second."""
@@ -272,9 +272,3 @@ class NetworkModel:
             except NetworkPartitionedError as error:
                 recv_times.append(error)
         return recv_times
-
-    def reset(self):
-        """Clear NIC queues (used together with ``SimClock.reset``)."""
-        for node_id in self._nic_send:
-            self._nic_send[node_id].reset()
-            self._nic_recv[node_id].reset()

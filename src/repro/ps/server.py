@@ -128,7 +128,7 @@ class PSServer:
         self.server_index = int(server_index)
         self.alive = True
         self._store = {}
-        self.cpu = TimelineResource()
+        self.cpu = TimelineResource(cluster.clock)
         #: Recovery epoch: bumped whenever a replacement process takes over
         #: this server index (the master passes ``failed.epoch + 1``), so a
         #: client-cached version token can never falsely match across a

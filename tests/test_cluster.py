@@ -51,12 +51,6 @@ def test_barrier_all_nodes(cluster):
     assert cluster.clock.now(server_id(1)) == pytest.approx(2.0)
 
 
-def test_reset_time(cluster):
-    cluster.charge_seconds(DRIVER, 1.0)
-    cluster.reset_time()
-    assert cluster.elapsed() == 0.0
-
-
 # -- config validation ---------------------------------------------------------
 
 def test_config_rejects_bad_executors():

@@ -97,13 +97,6 @@ def test_per_node_bandwidth():
     assert done == pytest.approx(1000 / 1e9 + 1.0)
 
 
-def test_reset_clears_nic_queues(net):
-    net.transfer("a", "b", 10**6)
-    net.reset()
-    send_busy, recv_busy = net.nic_utilization("a")
-    assert send_busy == 0.0 and recv_busy == 0.0
-
-
 def test_utilization_tracking(net):
     net.transfer("a", "b", 10**6 - MESSAGE_OVERHEAD_BYTES)
     send_busy, _ = net.nic_utilization("a")

@@ -82,13 +82,5 @@ def test_global_time_empty():
     assert SimClock().global_time() == 0.0
 
 
-def test_reset_rewinds_everything(clock):
-    clock.advance("a", 3.0)
-    clock.advance("c", 8.0)
-    clock.reset()
-    assert clock.global_time() == 0.0
-    assert clock.now("c") == 0.0
-
-
 def test_nodes_in_registration_order(clock):
     assert clock.nodes() == ["a", "b", "c"]
