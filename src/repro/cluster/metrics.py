@@ -184,9 +184,7 @@ class MetricsRegistry:
             hist = self.latency[observe_tag] = StreamingHistogram()
         hist.record_many(seconds_list)
         if self.window_sink is not None:
-            sink_observe = self.window_sink.observe
-            for seconds in seconds_list:
-                sink_observe(observe_tag, seconds)
+            self.window_sink.observe_many(observe_tag, seconds_list)
 
     def record_shard_access_many(self, entries):
         """Bulk :meth:`record_shard_access`, one request per entry.
@@ -241,6 +239,16 @@ class MetricsRegistry:
         key = (tag, codec_name)
         self.codec_decisions[key] += 1
         self.codec_bytes_saved[key] += float(bytes_saved)
+
+    def record_identity_decisions(self, tags):
+        """Bulk :meth:`record_codec_decision` of identity decisions (no
+        bytes saved), one per entry of *tags*, in entry order."""
+        codec_decisions = self.codec_decisions
+        codec_bytes_saved = self.codec_bytes_saved
+        for tag in tags:
+            key = (tag, "identity")
+            codec_decisions[key] += 1
+            codec_bytes_saved[key] += 0.0
 
     def observe(self, tag, seconds):
         """Feed one latency/duration observation into *tag*'s histogram."""

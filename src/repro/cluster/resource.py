@@ -159,16 +159,18 @@ class TimelineResource:
             ):
                 # Extend-final / front-gap-miss: the probe would walk to
                 # the final interval's end and merge — same busy delta and
-                # end update as _insert's merge-prev branch.  This is THE
-                # hot case: fan-out bookings queue behind the same NIC's
-                # growing final interval.
+                # end update as _insert's merge-prev branch.  Fan-out
+                # bookings queueing behind the same NIC's growing final
+                # interval land here.
                 end = last_end + duration
                 self._busy += end - last_end
                 ends[-1] = end
                 return last_end
         # General path: first-fit gap walk (probe), inlined to skip a
-        # Python frame on the ~40% of bookings that land in interior gaps
-        # of heavily fragmented timelines (scattered tiny service slots).
+        # Python frame.  It serves about half of all bookings (49 % on
+        # the ledger's storm-bare, 65 % on storm-allon): arrivals landing
+        # in interior gaps of fragmented timelines (scattered tiny
+        # service slots).
         start = float(earliest)
         if start < self._retired_below:
             self._behind(start)

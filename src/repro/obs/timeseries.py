@@ -124,6 +124,16 @@ class TimeSeriesSampler:
             hist = self._open_hists[tag] = StreamingHistogram()
         hist.record(seconds)
 
+    def observe_many(self, tag, seconds_list):
+        """Bulk :meth:`observe`: one observation per entry, in entry order
+        (``StreamingHistogram.record_many`` equals a ``record`` loop)."""
+        if not seconds_list:
+            return
+        hist = self._open_hists.get(tag)
+        if hist is None:
+            hist = self._open_hists[tag] = StreamingHistogram()
+        hist.record_many(seconds_list)
+
     # -- flushing ----------------------------------------------------------
 
     def maybe_flush(self):

@@ -169,7 +169,7 @@ class PSClient:
             self.cluster.clock.set_at_least(self.node_id, max(arrivals))
 
     def _plan_pool(self, layout):
-        """The layout's pooled fan-out plans, or ``None`` when ineligible.
+        """The layout's pooled fan-out plans (the lever a test turns off).
 
         A plan reuses the *same* typed request objects across ops (and, via
         the shared layout, across clients), so it is only safe when no one
@@ -179,12 +179,11 @@ class PSClient:
         replication routers send a rerouted read as a retargeted *copy*
         (:func:`repro.ps.replication.route`), so a pooled plan stays
         addressed to the primaries and pooling needs no replica-set stamp.
-        A cost model attaches per-send codec state to pushes (encoded
-        payloads, re-priced sizes), which pooled reuse would corrupt, so
-        codecs disable the pool.
+        A cost model would attach per-send codec state (encoded payloads,
+        re-priced sizes), so under one only plans with an identity verdict
+        are pooled (:meth:`_plan`): the model never prepares their
+        requests, it records their decisions whole.
         """
-        if self.cluster.costmodel is not None:
-            return None
         return layout.op_plans
 
     def _plan(self, layout, key, build, indices=None):
@@ -200,8 +199,12 @@ class PSClient:
         and it is pooled only from the second op under its key: training
         builds a fresh index array per mini-batch, and holding a plan and
         a copy for each would fill the pool with entries nothing reuses.
-        ``pooled`` tells a write op that the plan's requests still hold an
-        earlier op's values.
+        Under a cost model a fresh build first takes the model's verdict
+        (:meth:`~repro.ps.costmodel.CostModel.identity_tags`); a plan
+        without one is returned unpooled and prepared message by message,
+        so no pooled request ever carries a codec.  ``pooled`` tells a
+        write op that the plan's requests still hold an earlier op's
+        values.
         """
         plans = None if key is None else self._plan_pool(layout)
         if plans is None:
@@ -211,6 +214,11 @@ class PSClient:
                 indices is None or np.array_equal(entry.snapshot, indices)):
             return entry, True
         plan = build()
+        costmodel = self.cluster.costmodel
+        if costmodel is not None:
+            plan.identity_tags = costmodel.identity_tags(plan.requests)
+            if plan.identity_tags is None:
+                return plan, False
         if indices is None:
             entry = plan
         elif entry is None:

@@ -98,13 +98,15 @@ class CostModel:
     def prepare(self, request, node_id):
         """Attach a codec to *request* if its regime warrants one.
 
-        Called by the transport before routing.  The message kind says
-        which side a codec bites (``codec_side``) and only float64 value
-        payloads are eligible: a request-side kind gets its values encoded
-        here (the client is the encoder), a response-side kind a codec
-        the server honors at serve time.  Kinds with no codec side
-        (control traffic, aggregates, batches — whose sub-requests were
-        prepared individually) pass through untouched.
+        Called by the transport before routing, once per message of every
+        send whose plan carries no identity verdict (:meth:`identity_tags`;
+        such a plan is recorded whole by :meth:`record_identity`).  The
+        message kind says which side a codec bites (``codec_side``) and
+        only float64 value payloads are eligible: a request-side kind gets
+        its values encoded here (the client is the encoder), a
+        response-side kind a codec the server honors at serve time.  Kinds
+        with no codec side (control traffic, aggregates, batches — whose
+        sub-requests were prepared individually) pass through untouched.
         """
         side = request.codec_side
         if side is None or request.value_bytes != FLOAT_BYTES:
@@ -116,6 +118,56 @@ class CostModel:
         elif request.codec is None:
             self._attach_pull(
                 request, self._choose_pull(node_id, request.n_values))
+
+    def identity_tags(self, requests):
+        """The verdict on a fan-out: the tags of the messages that record
+        a decision, in order, when every one of them is identity whatever
+        the regime — else ``None``.
+
+        Only ``"auto"`` mode can say so, and only for payloads under the
+        fp16 knee: :meth:`_tier` reads the sender's backlog only at tiers
+        1-2 and shard heat only matters from tier 2, so a tier-0 payload
+        decides identity on any NIC backlog and any heat.  The verdict is
+        a function of the messages' kinds and sizes alone, which a pooled
+        plan keeps between sends.  Messages :meth:`prepare` skips (no
+        ``codec_side``, or non-float64 values) record nothing here either.
+        """
+        if self.mode != "auto":
+            return None
+        tags = []
+        for request in requests:
+            side = request.codec_side
+            if side is None or request.value_bytes != FLOAT_BYTES:
+                continue
+            n_values = len(request.values) if side == "request" \
+                else request.n_values
+            if self._tier(n_values * FLOAT_BYTES, None):
+                return None
+            tags.append(request.tag)
+        return tags
+
+    def record_identity(self, tags):
+        """Record one identity decision per entry of *tags* — the verdict
+        of a plan (:meth:`identity_tags`) — in one call.
+
+        Equal to :meth:`prepare` once per message of that plan: the
+        decision count advances by ``len(tags)``, the hot-shard set is
+        refreshed if any decision index in between is a refresh point, and
+        the ``(tag, "identity")`` keys are counted in message order with
+        no bytes saved.  One refresh stands for any number: the transport
+        prepares a whole send before it records the send's shard heat
+        (``record_shard_access_many``), so heat cannot change between two
+        decisions of one send and every refresh inside it reads the same
+        set.
+        """
+        n = len(tags)
+        if not n:
+            return
+        decisions = self._decisions
+        if -decisions % HEAT_REFRESH_DECISIONS < n:
+            self._refresh_hot_shards()
+        self._decisions = decisions + n
+        self.cluster.metrics.record_identity_decisions(tags)
 
     def _choose_push(self, request, node_id):
         """The codec for one push, or ``None`` for identity."""

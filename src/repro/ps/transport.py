@@ -73,10 +73,16 @@ class FanoutPlan:
     and ``bulk`` (the :meth:`Transport._bulk_plan` phase-1 product, stamped
     with the ``topology_epoch`` it resolved server objects under).  A plan
     that is kept and sent again therefore skips both rebuilds; one that is
-    dropped takes its derived state with it.
+    dropped takes its derived state with it.  Under a cost model the
+    client stamps ``identity_tags``, the model's verdict
+    (:meth:`~repro.ps.costmodel.CostModel.identity_tags`): when set, every
+    decision the plan's messages make is identity whatever the regime, so
+    the transport records them in one call instead of preparing each
+    message, and the client may pool the plan.
     """
 
-    __slots__ = ("requests", "placements", "snapshot", "outgoing", "bulk")
+    __slots__ = ("requests", "placements", "snapshot", "outgoing", "bulk",
+                 "identity_tags")
 
     def __init__(self, requests, placements, snapshot=None):
         self.requests = requests
@@ -84,6 +90,7 @@ class FanoutPlan:
         self.snapshot = snapshot
         self.outgoing = None
         self.bulk = None
+        self.identity_tags = None
 
 
 class Transport:
@@ -204,15 +211,18 @@ class Transport:
         """Ship a message list; returns ``(values, arrivals)`` aligned.
 
         A cost model first attaches its codecs (decisions key on the
-        primary ``server_index`` and the sender's NIC backlog); under a
-        replication policy :func:`~repro.ps.replication.route` then
-        offers every read to the routers, which may send a retargeted
-        copy in its place (responses stay positional, so callers are
-        oblivious).  Messages are grouped per destination server
-        (:meth:`_coalesce`), the fan-out is traced (:meth:`_trace`, while
-        tracing is on), client-side RPC CPU is charged once per outgoing
-        transfer, and the routing RPC of every cold matrix is paid, in
-        wire order, before anything else touches the wire.  The fan-out's
+        primary ``server_index`` and the sender's NIC backlog) — or, for a
+        *plan* carrying an identity verdict, records its decisions in one
+        ``CostModel.record_identity`` call, equal to preparing each
+        message.  Under a replication policy
+        :func:`~repro.ps.replication.route` then offers every read to the
+        routers, which may send a retargeted copy in its place (responses
+        stay positional, so callers are oblivious).  Messages are grouped
+        per destination server (:meth:`_coalesce`), the fan-out is traced
+        (:meth:`_trace`, while tracing is on), client-side RPC CPU is
+        charged once per outgoing transfer, and the routing RPC of every
+        cold matrix is paid, in wire order, before anything else touches
+        the wire.  The fan-out's
         shard heat is recorded — a first-attempt fact: retries add none —
         and every wire message's first attempt runs on the phased
         schedule (:meth:`_transmit_bulk`); the ones that failed are
@@ -236,9 +246,14 @@ class Transport:
         actually rerouted — the derived list is then grouped afresh.
         """
         cluster = self.cluster
-        if cluster.costmodel is not None:
-            for request in requests:
-                cluster.costmodel.prepare(request, self.node_id)
+        costmodel = cluster.costmodel
+        if costmodel is not None:
+            tags = None if plan is None else plan.identity_tags
+            if tags is None:
+                for request in requests:
+                    costmodel.prepare(request, self.node_id)
+            else:
+                costmodel.record_identity(tags)
         sent = replication.route(cluster, requests)
         if sent is not requests:
             plan = None

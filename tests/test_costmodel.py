@@ -12,11 +12,14 @@ The acceptance contract for the self-tuning codec layer:
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.cluster.cluster import Cluster
 from repro.config import ClusterConfig, NetworkSpec, NodeSpec
 from repro.obs.report import transport_table
-from repro.ps import transport
+from repro.ps import costmodel as costmodel_module
+from repro.ps import messages, transport
 from repro.ps.client import PSClient
 from repro.ps.master import PSMaster
 
@@ -287,9 +290,9 @@ def test_rebalance_consults_the_gate():
 
 def test_costmodel_run_serves_on_the_lane_and_identity_tiers_match_codec_off(
         monkeypatch):
-    """A cost-model run serves its sends on the fast lane (only the plan
-    pool is off); with forced identity tiers (fast NIC) its results still
-    match a codec-off run exactly."""
+    """A cost-model run serves its sends on the fast lane; with identity
+    tiers everywhere (fast NIC) its results still match a codec-off run
+    exactly."""
     units = {}
     lane = transport.serve_fast_fanout
 
@@ -319,10 +322,6 @@ def test_prepare_is_idempotent_per_message():
     cluster, master, client = _rig("topk")
     m = master.create_matrix(100, n_rows=1)
     x = np.random.default_rng(7).normal(size=100)
-    request = None
-
-    from repro.ps import messages
-
     request = messages.PushRequest(0, m, 0, x.copy(), mode="add")
     costmodel = cluster.costmodel
     costmodel.prepare(request, client.node_id)
@@ -332,3 +331,113 @@ def test_prepare_is_idempotent_per_message():
     assert request.encoded is encoded
     assert request.payload_bytes() == nbytes == encoded.nbytes
     assert cluster.metrics.codec_decisions[("push", "topk")] == 1
+
+
+# -- the identity verdict and its bulk record --------------------------------
+
+
+def _knee_values(model):
+    """The largest value count under the fp16 knee, by ``_tier`` itself."""
+    n = 1
+    while model._tier((n + 1) * messages.FLOAT_BYTES, None) == 0:
+        n += 1
+    return n
+
+
+def test_identity_tags_is_the_tier_zero_verdict_in_message_order():
+    cluster, master, _client = _rig("auto", n_servers=2)
+    model = cluster.costmodel
+    m = master.create_matrix(64, n_rows=2)
+    under = _knee_values(model)  # 512-byte payloads sit above the knee
+    assert 0 < under < 64
+    requests = [
+        messages.PullRowRequest(0, m, 0, under, tag="pull-block"),
+        messages.AggregateRequest(0, m, 0, "sum", n_values=64),  # no side
+        messages.PullRowRequest(1, m, 0, under, value_bytes=4),  # not float
+        messages.PushRequest(1, m, 1, np.ones(under), tag="push"),
+    ]
+    assert model.identity_tags(requests) == ["pull-block", "push"]
+    assert model.identity_tags(requests[1:3]) == []
+    # One message at the knee makes the whole plan regime-dependent.
+    assert model.identity_tags(
+        requests + [messages.PushRequest(0, m, 0, np.ones(under + 1))]) \
+        is None
+    assert model.identity_tags(
+        [messages.PullRowRequest(0, m, 1, under + 1)]) is None
+    # Forced modes never give a verdict, even on tier-0 payloads.
+    for mode in ("fp16", "int8", "topk", "delta"):
+        model.mode = mode
+        assert model.identity_tags(requests) is None
+
+
+@given(start=st.integers(0, 3 * costmodel_module.HEAT_REFRESH_DECISIONS),
+       tags=st.lists(st.sampled_from(["pull", "push", "pull-block"]),
+                     max_size=2 * costmodel_module.HEAT_REFRESH_DECISIONS))
+@settings(max_examples=60, deadline=None)
+def test_recording_an_identity_plan_equals_preparing_each_message(start,
+                                                                  tags):
+    """The identity-record law: ``record_identity(tags)`` leaves the model
+    and the registry where ``prepare`` on each message of the plan would —
+    decision count, hot-shard set (refreshed iff a refresh point falls
+    inside the run), decisions and bytes saved, key order included."""
+    models = []
+    for _side in range(2):
+        cluster, master, client = _rig("auto", n_servers=3, slow=False)
+        m = master.create_matrix(30, n_rows=1)
+        # Heat that makes shard 0 hot, against a model still holding the
+        # empty set: a refresh shows.
+        for server, count in ((0, 9), (1, 1), (2, 1)):
+            for _ in range(count):
+                cluster.metrics.record_shard_access(m, server, 10,
+                                                    nbytes=100.0)
+        model = cluster.costmodel
+        model._decisions = start
+        refreshes = []
+        refresh = model._refresh_hot_shards
+
+        def counting(refresh=refresh, refreshes=refreshes):
+            refresh()
+            refreshes.append(1)
+
+        model._refresh_hot_shards = counting
+        models.append((cluster, model, refreshes, client, m))
+    (bulk, bulk_model, bulk_refreshes, _c, m), \
+        (loop, loop_model, loop_refreshes, client, _m) = models
+    requests = [
+        messages.PushRequest(0, m, 0, np.ones(10), tag=tag)
+        if tag == "push" else messages.PullRowRequest(0, m, 0, 10, tag=tag)
+        for tag in tags
+    ]
+    assert bulk_model.identity_tags(requests) == tags
+    bulk_model.record_identity(tags)
+    for request in requests:
+        loop_model.prepare(request, client.node_id)
+    assert bulk_model._decisions == loop_model._decisions == start + len(tags)
+    assert bool(bulk_refreshes) == bool(loop_refreshes)
+    if len(tags) <= costmodel_module.HEAT_REFRESH_DECISIONS:
+        assert len(bulk_refreshes) == len(loop_refreshes)
+    assert bulk_model._hot_shards == loop_model._hot_shards
+    for name in ("codec_decisions", "codec_bytes_saved"):
+        ours = getattr(bulk.metrics, name)
+        theirs = getattr(loop.metrics, name)
+        assert list(ours.items()) == list(theirs.items()), name
+    assert all(request.codec is None for request in requests)
+
+
+def test_auto_pools_identity_plans_and_keeps_tier_one_plans_unpooled():
+    """Fast NICs: every plan is identity, so a repeated op reuses its
+    request objects.  Slow NICs: every dense plan is tier >= 1, built
+    afresh per op and prepared message by message."""
+    for slow, pooled in ((False, True), (True, False)):
+        cluster, master, client = _rig("auto", n_servers=2, slow=slow)
+        m = master.create_matrix(64, n_rows=1)
+        plans = master.layout(m).op_plans
+        client.push_add(m, 0, np.ones(64))
+        first = [plan.requests for plan in plans.values()]
+        client.push_add(m, 0, np.ones(64))
+        second = [plan.requests for plan in plans.values()]
+        assert bool(first) is pooled
+        assert all(a is b for a, b in zip(first, second))
+        decisions = cluster.metrics.codec_decisions
+        assert sum(decisions.values()) == 4
+        assert (set(decisions) == {("push", "identity")}) is pooled

@@ -53,7 +53,14 @@ Nor does a cost model: with ``wire_codec`` "auto" (or a forced codec) on
 the slow NICs where codecs engage, the phased rig serves its units on
 the lane — encoded ones decoded there first — and agrees with the
 per-message rig on all of the above, codec decisions and bytes saved
-included.
+included.  Under "auto" the pool stays on for plans whose every
+decision is identity whatever the regime (the model records them in one
+call instead of preparing each message), and the pooled rig agrees with
+the unpooled one — which prepares every message — on fast NICs (every
+plan pooled) and on NICs whose knee splits dense shards (compressed,
+never pooled) from sparse ops (pooled): codec decisions, bytes saved and
+the hot-shard set at every refresh included, across several refresh
+points, and no pooled request ever holds a codec.
 
 Nor does retiring timeline intervals behind the clock floor: a storm of
 pushes, pulls, creations and sweeps with chain and hot-key replication
@@ -79,7 +86,7 @@ from repro.common.errors import MatrixNotFoundError, NetworkPartitionedError, \
     ReproError, ServerDownError
 from repro.config import ClusterConfig, NetworkSpec, NodeSpec
 from repro.obs import critical_path
-from repro.ps import messages, transport
+from repro.ps import costmodel, messages, transport
 from repro.ps import server as server_module
 from repro.ps.client import PSClient
 from repro.ps.master import PSMaster
@@ -107,6 +114,17 @@ REPLICATED = dict(chain_replicas=1, replication="topk",
 
 #: Every ``wire_codec`` that constructs a cost model.
 CODECS = ("auto", "fp16", "int8", "topk", "delta")
+
+#: Default-speed NICs: every payload of these rigs sits far under the cost
+#: model's fp16 knee, so ``"auto"`` decides identity on every message.
+FAST_NICS = dict(node=NodeSpec(), network=NetworkSpec())
+
+#: NICs whose fp16 knee (58 payload bytes) splits the rigs' payloads: a
+#: dense shard sits above it (10 values on the column layout: tier 1; a
+#: whole 30-value row on the row layout: tier 2), the shared sparse index
+#: sets (at most 7 values per server) below it.
+KNEE_NICS = dict(node=NodeSpec(flops=2e11, nic_bandwidth=5.8e6),
+                 network=NetworkSpec(latency=1e-5, bandwidth=5.8e6))
 
 
 def interleaved(transport, outgoing, _bulk, values, arrivals, completions,
@@ -160,10 +178,10 @@ class _Rig:
     plus a lazy table."""
 
     def __init__(self, per_message=False, pooled=True, consistency="bsp",
-                 replicated=False, traced=False, codec="off"):
+                 replicated=False, traced=False, codec="off", nics=SLOW_NICS):
         knobs = dict(REPLICATED) if replicated else {}
         if codec != "off":
-            knobs.update(SLOW_NICS, wire_codec=codec)
+            knobs.update(nics, wire_codec=codec)
         self.cluster = Cluster(ClusterConfig(
             n_executors=N_CLIENTS, n_servers=3, seed=11,
             consistency=consistency, staleness=1, **knobs,
@@ -207,6 +225,12 @@ class _Rig:
     def pooled_plans(self):
         return sum(len(self.master.layout(matrix).op_plans)
                    for matrix in self.matrices)
+
+    def pool(self):
+        """``(key, plan)`` of every plan the matrices' pools hold."""
+        return [(key, plan) for matrix in self.matrices
+                for key, plan in self.master.layout(matrix).op_plans.items()
+                if type(plan) is transport.FanoutPlan]
 
     def cut(self, slot, delay, length):
         """A partition window on client *slot*'s node, from *delay* past
@@ -863,6 +887,95 @@ def test_the_fixed_stream_under_a_cost_model_matches_and_takes_the_lane(
 def test_any_op_stream_is_bit_identical_on_both_schedules_under_a_cost_model(
         stream, codec):
     _run_codec(stream, codec)
+
+
+def _hot_sets(rig):
+    """The cost model's hot-shard set after every refresh, in order."""
+    model = rig.cluster.costmodel
+    refresh = model._refresh_hot_shards
+    seen = []
+
+    def capturing():
+        refresh()
+        seen.append(model._hot_shards)
+
+    model._refresh_hot_shards = capturing
+    return seen
+
+
+def _assert_pool_holds_no_codec(rig):
+    """Every pooled plan is all tier 0 and none of its requests carries
+    codec state."""
+    model = rig.cluster.costmodel
+    for _key, plan in rig.pool():
+        assert plan.identity_tags is not None
+        for request in plan.requests:
+            assert request.codec is None
+            assert getattr(request, "encoded", None) is None
+            if request.codec_side is not None:
+                assert model._tier(request.n_values * messages.FLOAT_BYTES,
+                                   None) == 0
+
+
+def _run_auto_pools(stream, nics):
+    """``wire_codec="auto"`` with both replication policies on: the pooled
+    rig (identity plans recorded whole) == the unpooled one (every message
+    prepared) on values, state, codec decisions and bytes saved, and the
+    hot-shard set at every refresh; no pooled request ever holds a
+    codec."""
+    pooled = _Rig(replicated=True, codec="auto", nics=nics)
+    unpooled = _Rig(replicated=True, codec="auto", nics=nics, pooled=False)
+    hot = [_hot_sets(rig) for rig in (pooled, unpooled)]
+
+    def run(rig, op):
+        outcome = _apply(rig, op)
+        _assert_pool_holds_no_codec(rig)
+        return outcome
+
+    _run_same(stream, pooled, unpooled, run=run)
+    assert hot[0] == hot[1]
+    # The stream crossed at least three refresh points after the first.
+    assert pooled.cluster.costmodel._decisions \
+        > 3 * costmodel.HEAT_REFRESH_DECISIONS
+    assert len(hot[0]) >= 4
+    assert pooled.pooled_plans() and not unpooled.pooled_plans()
+    return pooled, unpooled, hot[0]
+
+
+#: Dense add pushes at row 0 of the row-layout matrix: they heat its
+#: shard, and on the knee NICs they sit in tier 2, where a push reads the
+#: hot-shard set (top-k on a hot shard, int8 elsewhere).
+_HEAT_ROW_0 = [("push", client, 1, 0, "add", None, seed)
+               for seed in range(16) for client in range(N_CLIENTS)]
+
+#: Long enough to cross three 256-decision refresh points, with row 0's
+#: shard turning hot in between.
+_AUTO_STREAM = (_REPLICATED_STREAM + _HEAT_ROW_0 + _REPLICATED_STREAM
+                + _HEAT_ROW_0 + _FIXED_STREAM)
+
+
+def test_auto_on_fast_nics_pools_identity_plans_and_matches_unpooled():
+    pooled, _unpooled, _hot_shards = _run_auto_pools(_AUTO_STREAM, FAST_NICS)
+    decisions = pooled.cluster.metrics.codec_decisions
+    assert decisions and all(name == "identity" for _tag, name in decisions)
+    # Every dense op kind's plan engaged the pool, not only sparse ones.
+    kinds = {key[0] for key, _plan in pooled.pool()}
+    assert {"pull-dense", "push-dense", "pull-block-dense",
+            "push-block-dense"} <= kinds, kinds
+
+
+def test_auto_on_the_knee_pools_only_tier_zero_plans_and_matches_unpooled():
+    pooled, _unpooled, hot_shards = _run_auto_pools(_AUTO_STREAM, KNEE_NICS)
+    decisions = pooled.cluster.metrics.codec_decisions
+    # Dense shards compressed — top-k where the hot set said so, int8 or
+    # fp16 elsewhere — while sparse ops stayed identity.
+    names = {name for _tag, name in decisions}
+    assert {"identity", "fp16", "int8", "topk"} <= names, decisions
+    assert (pooled.matrices[1], 0) in hot_shards[-1]
+    # A plan with one tier >= 1 message is never pooled: only sparse
+    # plans (keyed on a shared index array) are.
+    kinds = {key[0] for key, _plan in pooled.pool()}
+    assert kinds and kinds <= {"pull-sparse", "push-sparse"}, kinds
 
 
 # -- the lane's service of copies and lazy reads, pinned ----------------------

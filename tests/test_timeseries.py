@@ -132,6 +132,31 @@ def test_reads_never_mutate_the_registry():
     assert cluster.metrics.snapshot() == before
 
 
+def test_bulk_service_records_equal_one_observe_per_entry():
+    """``record_service_bulk`` hands the sampler a whole run through
+    ``observe_many``: the windows equal one ``observe`` per entry."""
+    entries = [("server-0", 2e-6), ("server-0", 2e-6), ("exec-0", 7.5e-5),
+               ("server-0", 0.0), ("exec-0", 3e-4)]
+    bulk_cluster, bulk = _sampler(window=1.0)
+    loop_cluster, loop = _sampler(window=1.0)
+    for part in (entries[:2], entries[2:]):
+        bulk_cluster.metrics.record_service_bulk(
+            "push", [node for node, _s in part], [s for _n, s in part])
+        for node, seconds in part:
+            loop_cluster.metrics.record_compute(node, seconds, tag="push")
+            loop_cluster.metrics.record_request(node, tag="push")
+            loop_cluster.metrics.observe("srv:push", seconds)
+        for cluster in (bulk_cluster, loop_cluster):
+            cluster.now += 1.0
+    windows = [[w.to_dict() for w in sampler.finalize()]
+               for sampler in (bulk, loop)]
+    assert len(windows[0]) == 2 and windows[0] == windows[1]
+    assert bulk_cluster.metrics.snapshot() == loop_cluster.metrics.snapshot()
+    # An empty run opens no histogram, as an empty observe loop would not.
+    bulk.observe_many("srv:push", [])
+    assert bulk._open_hists == {}
+
+
 def test_nic_backlog_and_cache_gauges():
     cluster, sampler = _sampler(window=1.0)
     cluster.network.horizons["server-0"] = (2.5, 0.75)
