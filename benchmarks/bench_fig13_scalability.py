@@ -4,7 +4,7 @@
     (4519 s), 100w/50s (2865 s) and 100w/100s (2199 s) — both more workers
     and more servers help, with ~2.05x for doubled resources.  We sweep
     5/5 -> 10/5 -> 10/10 -> 20/20 with CPUs derated to restore the paper's
-    compute-to-overhead ratio (see make_context).
+    compute-to-overhead ratio (``repro.costs.FIG13_NODE_FLOPS``).
 
 (b) Model-size sweep, 20w/20s: MLlib's per-iteration time degrades ~168x
     over 40K -> 60M features while PS2's grows only 8.5x.
@@ -27,6 +27,7 @@ import pytest
 
 from benchmarks._common import bench_params, emit, run_once
 from repro.baselines import train_lr_mllib
+from repro.costs import FIG13_NODE_FLOPS
 from repro.data import dataset, spec, sparse_classification
 from repro.experiments import format_table, make_context
 from repro.ml import train_logistic_regression
@@ -50,7 +51,7 @@ def test_fig13a_resource_scalability(benchmark):
         for n_executors, n_servers in RESOURCE_GRID:
             result = train_logistic_regression(
                 make_context(n_executors=n_executors, n_servers=n_servers,
-                             seed=17, node_flops=2e7),
+                             seed=17, node_flops=FIG13_NODE_FLOPS),
                 rows, dim, optimizer="sgd", n_iterations=ITERATIONS,
                 batch_fraction=0.5, seed=17,
             )
@@ -93,12 +94,12 @@ def test_fig13b_model_size_scalability(benchmark):
             # work (zero + update kernels over D/S elements) is what grows
             # with model size, and must be visible next to fixed overheads.
             ps2 = train_logistic_regression(
-                make_context(seed=17, node_flops=2e7), data, dim,
+                make_context(seed=17, node_flops=FIG13_NODE_FLOPS), data, dim,
                 optimizer="sgd", n_iterations=ITERATIONS,
                 batch_fraction=0.1, seed=17,
             )
             mllib = train_lr_mllib(
-                make_context(seed=17, node_flops=2e7), data, dim,
+                make_context(seed=17, node_flops=FIG13_NODE_FLOPS), data, dim,
                 optimizer="sgd", n_iterations=ITERATIONS,
                 batch_fraction=0.1, seed=17,
             )

@@ -9,7 +9,7 @@ reduce-scatter + all-gather ring.
 
 from __future__ import annotations
 
-from repro.common.sizeof import MESSAGE_OVERHEAD_BYTES
+from repro.costs import MESSAGE_OVERHEAD_BYTES
 
 
 def ring_allreduce(cluster, executors, nbytes, tag="allreduce"):

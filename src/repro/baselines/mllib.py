@@ -19,7 +19,7 @@ import numpy as np
 
 from repro.cluster.cluster import DRIVER
 from repro.common.errors import ConfigError
-from repro.common.sizeof import FLOAT_BYTES
+from repro.costs import FLOAT_BYTES
 from repro.ml import losses
 from repro.ml.results import TrainResult
 

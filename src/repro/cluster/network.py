@@ -27,7 +27,7 @@ from __future__ import annotations
 
 from repro.cluster.resource import TimelineResource
 from repro.common.errors import NetworkPartitionedError, UnknownNodeError
-from repro.common.sizeof import MESSAGE_OVERHEAD_BYTES
+from repro.costs import MESSAGE_OVERHEAD_BYTES
 
 
 class NetworkModel:

@@ -18,12 +18,7 @@ from repro.common.errors import (
     UnknownNodeError,
 )
 from repro.common.rng import RngRegistry, generator
-from repro.common.sizeof import (
-    FLOAT_BYTES,
-    INDEX_BYTES,
-    MESSAGE_OVERHEAD_BYTES,
-    sizeof,
-)
+from repro.common.sizeof import sizeof
 
 __all__ = [
     "ClusterError",
@@ -43,8 +38,5 @@ __all__ = [
     "UnknownNodeError",
     "RngRegistry",
     "generator",
-    "FLOAT_BYTES",
-    "INDEX_BYTES",
-    "MESSAGE_OVERHEAD_BYTES",
     "sizeof",
 ]

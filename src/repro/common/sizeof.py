@@ -12,14 +12,7 @@ from __future__ import annotations
 
 import numpy as np
 
-#: Fixed per-message envelope: headers, routing metadata, protobuf framing.
-MESSAGE_OVERHEAD_BYTES = 64
-
-#: Bytes per dense float64 element.
-FLOAT_BYTES = 8
-
-#: Bytes per transmitted integer index (64-bit keys, as in production PS2).
-INDEX_BYTES = 8
+from repro.costs import FLOAT_BYTES
 
 
 def sizeof(payload):

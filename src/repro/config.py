@@ -1,19 +1,18 @@
 """Configuration objects for the simulated cluster and experiments.
 
-The defaults mirror the testbed in Section 6.1 of the paper: machines with a
-2.2 GHz 12-core CPU and 256 GB memory, connected by 10 Gbps Ethernet.  The
-simulator is laptop-scale, so dataset sizes are scaled down elsewhere, but
-machine *ratios* (compute speed vs. network bandwidth) follow the paper.
+The hardware defaults are the testbed of Section 6.1 of the paper, priced
+in :mod:`repro.costs` (:data:`~repro.costs.NODE_FLOPS`,
+:data:`~repro.costs.TEN_GBPS`, :data:`~repro.costs.LINK_LATENCY`); they are
+the only prices a run can change.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from numbers import Integral
 
 from repro.common.errors import ConfigError
-
-#: 10 Gbps Ethernet expressed in bytes/second.
-TEN_GBPS = 10e9 / 8
+from repro.costs import LINK_LATENCY, NODE_FLOPS, TEN_GBPS
 
 
 @dataclass(frozen=True)
@@ -21,18 +20,14 @@ class NodeSpec:
     """Hardware description of one simulated machine.
 
     ``flops`` is the effective double-precision throughput the cost model
-    charges against; 2.2 GHz x 12 cores x ~4 flops/cycle gives roughly 1e11,
-    derated to 2e10 for the scalar-heavy ML kernels these workloads run.
+    charges against (:data:`~repro.costs.NODE_FLOPS` says how it was
+    derated).
     """
 
-    cores: int = 12
-    flops: float = 2e10
+    flops: float = NODE_FLOPS
     nic_bandwidth: float = TEN_GBPS
-    memory_bytes: int = 256 * 1024**3
 
     def __post_init__(self):
-        if self.cores <= 0:
-            raise ConfigError("cores must be positive, got %r" % (self.cores,))
         if self.flops <= 0:
             raise ConfigError("flops must be positive, got %r" % (self.flops,))
         if self.nic_bandwidth <= 0:
@@ -49,7 +44,7 @@ class NodeSpec:
 class NetworkSpec:
     """Network fabric parameters shared by every link."""
 
-    latency: float = 1e-4
+    latency: float = LINK_LATENCY
     bandwidth: float = TEN_GBPS
 
     def __post_init__(self):
@@ -79,10 +74,11 @@ class FailureConfig:
     - ``checkpoint_interval``: virtual seconds between automatic checkpoint
       sweeps (0 disables them; ``checkpoint_all`` stays available).
     - ``max_op_retries`` / ``op_timeout`` / ``retry_backoff`` /
-      ``retry_backoff_multiplier``: the PS-client retry policy — each failed
-      attempt charges the detection timeout plus an exponentially growing
-      backoff to the client's virtual clock before re-resolving routing and
-      re-sending the request.
+      ``retry_backoff_multiplier``: the retry policy of PS clients and of
+      replication's own transfers — an op runs at most ``max_op_retries +
+      1`` times, and each failed attempt charges :meth:`penalty_for` (the
+      detection timeout plus an exponentially growing backoff) to the
+      retrier's virtual clock before re-resolving routing and re-sending.
     """
 
     task_failure_prob: float = 0.0
@@ -97,6 +93,12 @@ class FailureConfig:
     retry_backoff_multiplier: float = 2.0
 
     def __post_init__(self):
+        for name in ("max_task_retries", "max_op_retries"):
+            value = getattr(self, name)
+            if not isinstance(value, Integral):
+                raise ConfigError(
+                    "%s must be an integer, got %r" % (name, value)
+                )
         if not 0.0 <= self.task_failure_prob <= 1.0:
             raise ConfigError(
                 "task_failure_prob must be in [0, 1], got %r"
@@ -151,6 +153,19 @@ class FailureConfig:
                     "partition window must end after it starts, got %r"
                     % (window,)
                 )
+
+    def backoff_for(self, attempt):
+        """Backoff before the *attempt*-th retry (attempts count from 1)."""
+        if attempt < 1:
+            raise ConfigError(
+                "retry attempts count from 1, got %r" % (attempt,)
+            )
+        return (self.retry_backoff
+                * self.retry_backoff_multiplier ** (attempt - 1))
+
+    def penalty_for(self, attempt):
+        """Total virtual seconds charged for the *attempt*-th failure."""
+        return self.op_timeout + self.backoff_for(attempt)
 
 
 @dataclass(frozen=True)

@@ -140,12 +140,9 @@ class PS2Context:
 
     # -- convenience ------------------------------------------------------------
 
-    def parallelize(self, data, n_partitions=None, record_flops=None):
+    def parallelize(self, data, n_partitions=None):
         """Distribute *data* as an RDD (delegates to sparklite)."""
-        kwargs = {}
-        if record_flops is not None:
-            kwargs["record_flops"] = record_flops
-        return self.spark.parallelize(data, n_partitions=n_partitions, **kwargs)
+        return self.spark.parallelize(data, n_partitions=n_partitions)
 
     def checkpoint(self):
         """Checkpoint every server's model state to reliable storage."""

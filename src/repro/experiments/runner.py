@@ -30,9 +30,10 @@ def make_context(n_executors=20, n_servers=20, seed=0, task_failure_prob=0.0,
     four orders of magnitude smaller than the paper's, but per-task fixed
     overheads don't shrink with the data; experiments whose *shape* depends
     on per-worker compute being non-trivial (the Figure 13(a) scalability
-    sweep) derate the CPUs to restore the paper's compute-to-overhead
-    ratio.  Comparisons between systems are unaffected: all contenders run
-    on identical hardware either way.
+    sweep) derate the CPUs (:data:`repro.costs.FIG13_NODE_FLOPS`) to
+    restore the paper's compute-to-overhead ratio.  Comparisons between
+    systems are unaffected: all contenders run on identical hardware either
+    way.
 
     ``consistency`` / ``staleness`` select the execution model for the
     staleness-ablation experiments: ``"bsp"`` (default, the paper's

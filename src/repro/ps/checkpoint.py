@@ -9,16 +9,14 @@ sequential throughput against the server's clock.
 
 from __future__ import annotations
 
-#: Sequential throughput to/from the external store (bytes/second).
-STORAGE_BANDWIDTH = 200e6
+from repro.costs import STORAGE_BANDWIDTH
 
 
 class CheckpointManager:
     """Holds the latest durable snapshot per server."""
 
-    def __init__(self, cluster, storage_bandwidth=STORAGE_BANDWIDTH):
+    def __init__(self, cluster):
         self.cluster = cluster
-        self.storage_bandwidth = float(storage_bandwidth)
         self._snapshots = {}
         self.checkpoints_taken = 0
         self.recoveries = 0
@@ -28,7 +26,7 @@ class CheckpointManager:
         nbytes = server.stored_bytes()
         snapshot = server.snapshot()
         self.cluster.charge_seconds(
-            server.node_id, nbytes / self.storage_bandwidth, tag="checkpoint"
+            server.node_id, nbytes / STORAGE_BANDWIDTH, tag="checkpoint"
         )
         self._snapshots[server.server_index] = {
             "time": self.cluster.clock.now(server.node_id),
@@ -110,7 +108,7 @@ class CheckpointManager:
         # benchmark measures.  (Chain promotion has no equivalent charge
         # here because its state moves through NIC reservations, which
         # delay subsequent arrivals on their own.)
-        seconds = nbytes / self.storage_bandwidth
+        seconds = nbytes / STORAGE_BANDWIDTH
         now = self.cluster.clock.now(server.node_id)
         start = server.cpu.reserve(now, seconds)
         self.cluster.metrics.record_compute(

@@ -26,12 +26,12 @@ Failure model: an attempt can die because the target server is down
 (``ServerDownError``), because its shard state is stale after a recovery
 (``MatrixNotFoundError``), or because a partition window swallowed the
 transfer (``NetworkPartitionedError``).  The transport retries every failure
-under a :class:`~repro.ps.retry.RetryPolicy`: it charges the detection
-timeout plus an exponential backoff to the client's virtual clock, asks the
-master to recover/repair the server when appropriate, drops its cached
-routing, and then re-resolves the serving server **and re-sends the message
-bytes through the network model** — a retry is a full new RPC of the same
-message, not a free replay.
+under the cluster's :class:`~repro.config.FailureConfig`: it charges the
+detection timeout plus an exponential backoff to the client's virtual
+clock, asks the master to recover/repair the server when appropriate, drops
+its cached routing, and then re-resolves the serving server **and re-sends
+the message bytes through the network model** — a retry is a full new RPC
+of the same message, not a free replay.
 """
 
 from __future__ import annotations
@@ -42,6 +42,7 @@ from operator import itemgetter
 import numpy as np
 
 from repro.common.errors import PSError
+from repro.costs import FLOAT_BYTES
 from repro.ps import messages
 from repro.ps.cache import WorkerCache
 from repro.ps.partitioner import RowLayout
@@ -78,12 +79,11 @@ def _checked(values, shape):
 class PSClient:
     """A worker-side handle for pull/push and server-side execution."""
 
-    def __init__(self, cluster, master, node_id, retry_policy=None):
+    def __init__(self, cluster, master, node_id):
         self.cluster = cluster
         self.master = master
         self.node_id = node_id
-        self.transport = Transport(cluster, master, node_id,
-                                   retry_policy=retry_policy)
+        self.transport = Transport(cluster, master, node_id)
         # Under relaxed consistency every *executor* client gets a
         # staleness-bounded parameter cache (the coordinator never does:
         # driver-side reads — loss evaluation, aggregates — must see the
@@ -100,11 +100,6 @@ class PSClient:
                 cluster.clock_advance_hooks.append(
                     self.cache.on_clock_advance
                 )
-
-    @property
-    def retry_policy(self):
-        """The transport's retry policy (exposed for tests/diagnostics)."""
-        return self.transport.retry_policy
 
     # -- plumbing -----------------------------------------------------------
 
@@ -589,7 +584,7 @@ class PSClient:
     # -- block access (multi-row, shared indices) ------------------------------
 
     def pull_block(self, matrix_id, rows, indices=None,
-                   value_bytes=messages.FLOAT_BYTES):
+                   value_bytes=FLOAT_BYTES):
         """Pull the same columns of several rows in one round trip per server.
 
         Used by LDA to fetch the word-topic block for a worker's local
@@ -632,7 +627,7 @@ class PSClient:
             return self._read(layout, key, build, shape)
 
     def push_block_add(self, matrix_id, rows, block, indices=None,
-                       value_bytes=messages.FLOAT_BYTES):
+                       value_bytes=FLOAT_BYTES):
         """Accumulate a multi-row delta block (fire-and-forget, like push).
 
         Routes like :meth:`pull_block`: shard fan-out for column layouts,

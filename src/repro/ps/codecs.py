@@ -56,13 +56,7 @@ from __future__ import annotations
 import numpy as np
 
 from repro.common.errors import PSError
-from repro.common.sizeof import FLOAT_BYTES, INDEX_BYTES
-
-#: Bytes of the float16 representation of one value.
-FP16_BYTES = 2
-
-#: Bytes of the int8 representation of one value.
-INT8_BYTES = 1
+from repro.costs import FLOAT_BYTES, FP16_BYTES, INDEX_BYTES, INT8_BYTES
 
 #: Largest finite IEEE half-precision magnitude (values beyond it clip).
 FP16_MAX = 65504.0

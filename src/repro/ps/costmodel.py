@@ -36,7 +36,7 @@ from __future__ import annotations
 import numpy as np
 
 from repro.common.errors import MatrixNotFoundError
-from repro.common.sizeof import FLOAT_BYTES
+from repro.costs import FLOAT_BYTES
 from repro.ps.codecs import CODEC_NAMES, make_codec
 from repro.ps.messages import PullRowRequest
 

@@ -27,10 +27,10 @@ import numpy as np
 from repro.cluster.cluster import DRIVER
 from repro.common.errors import MatrixNotFoundError, PSError
 from repro.common.rng import generator
+from repro.costs import REQUEST_HEADER_BYTES
 from repro.ps import messages, replication
 from repro.ps.checkpoint import CheckpointManager
 from repro.ps.costmodel import CostModel
-from repro.ps.messages import REQUEST_HEADER_BYTES
 from repro.ps.partitioner import ColumnLayout, RowLayout
 from repro.ps.server import PSServer, RowShard
 

@@ -97,22 +97,8 @@ import copy
 import numpy as np
 
 from repro.common.errors import PSError
-from repro.common.sizeof import FLOAT_BYTES, INDEX_BYTES
-
-#: Matrix id + row id + op code + range descriptor.
-REQUEST_HEADER_BYTES = 48
-
-#: Status + matrix id + row id.
-RESPONSE_HEADER_BYTES = 32
-
-#: Per-sub-request descriptor inside a batch envelope: op code + row id +
-#: payload length.  Smaller than a full request header — that difference,
-#: times (k - 1), is the coalescing win.
-SUBREQUEST_HEADER_BYTES = 16
-
-#: Bytes per server entry in a routing-table response: server id + location
-#: + column range.
-ROUTING_ENTRY_BYTES = 16
+from repro.costs import FLOAT_BYTES, INDEX_BYTES, REQUEST_HEADER_BYTES, \
+    RESPONSE_HEADER_BYTES, ROUTING_ENTRY_BYTES, SUBREQUEST_HEADER_BYTES
 
 
 #: Message roles — what the replication layer may do with a kind: serve it

@@ -74,8 +74,8 @@ from __future__ import annotations
 from repro.cluster.cluster import DRIVER
 from repro.common.errors import MatrixNotFoundError, NetworkPartitionedError, \
     ServerDownError
+from repro.costs import REQUEST_HEADER_BYTES
 from repro.ps import messages
-from repro.ps.retry import RetryPolicy
 
 
 class Replicator:
@@ -202,7 +202,7 @@ class Replicator:
                    for policy in policies(self.cluster)):
             holder.drop_replica(*key)
         _ship(self.cluster, DRIVER, holder.node_id,
-              messages.REQUEST_HEADER_BYTES, None, tag=self.control_tag)
+              REQUEST_HEADER_BYTES, None, tag=self.control_tag)
 
     def on_matrix_freed(self, matrix_id):
         """Forget the links of a freed matrix (the servers already purged
@@ -1025,7 +1025,7 @@ def forward(cluster, requests, completions, serve):
     a client clock:
 
     - a **partition** on either end at departure retries under the
-      cluster's :class:`~repro.ps.retry.RetryPolicy`, each penalty
+      cluster's :class:`~repro.config.FailureConfig`, each penalty
       delaying the departure (:func:`_ship`); once the budget is spent
       the holder's links for the envelope's keys are forgotten by every
       policy and its stale entries evicted, so nothing routes to or
@@ -1122,7 +1122,7 @@ def _ship(cluster, source, target, nbytes, depart, **transfer):
     """Book one transfer replication sends on its own (a forward, a state
     stream, a drop), departing no earlier than *depart* (``None``: the
     source's clock) — no client waits on it.  A partition on either end
-    retries under the cluster's :class:`~repro.ps.retry.RetryPolicy`,
+    retries under the cluster's :class:`~repro.config.FailureConfig`,
     each penalty delaying the departure (``replica-fanout-retries``).
     Returns the arrival, or ``None`` once the budget is spent."""
     if depart is None:
@@ -1134,11 +1134,11 @@ def _ship(cluster, source, target, nbytes, depart, **transfer):
                                             depart_at=depart, **transfer)
         except NetworkPartitionedError:
             attempt += 1
-            policy = RetryPolicy.from_config(cluster.config.failures)
-            if attempt > policy.max_retries:
+            failures = cluster.config.failures
+            if attempt > failures.max_op_retries:
                 return None
             cluster.metrics.increment("replica-fanout-retries")
-            depart += policy.penalty_for(attempt)
+            depart += failures.penalty_for(attempt)
 
 
 def _abandon(cluster, holder, keys):

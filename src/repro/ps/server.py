@@ -24,18 +24,9 @@ from repro.cluster.resource import TimelineResource
 from repro.common.errors import MatrixNotFoundError, \
     NetworkPartitionedError, PSError, ServerDownError
 from repro.common.rng import generator
+from repro.costs import CLOCK_FLOPS, COPY_CHECK_FLOPS, ELEMENTWISE_FLOPS, \
+    FILL_FLOPS, KERNEL_FLOPS_PER_ELEMENT, READ_FLOPS, WRITE_FLOPS
 from repro.ps import messages
-
-#: Flops charged per element for simple elementwise mutations.
-ELEMENTWISE_FLOPS = 2.0
-
-#: Flops per element written, by push mode — one price wherever a push is
-#: applied (a primary or a replica copy): an accumulate reads and adds, an
-#: overwrite only stores.
-WRITE_FLOPS = {"add": ELEMENTWISE_FLOPS, "assign": 1.0}
-
-#: Flops charged per element per operand for zip kernels (default estimate).
-KERNEL_FLOPS_PER_ELEMENT = 3.0
 
 
 def _aggregate_values(values, kind):
@@ -220,7 +211,7 @@ class PSServer:
             values = shard.values[
                 self._local_offsets(request.indices, shard.start)]
         size = values.size
-        charges = ((size if size > 1 else 1.0, "ps-read"),)
+        charges = ((READ_FLOPS * (size if size > 1 else 1), "ps-read"),)
         codec = request.codec
         if codec is not None:
             values = codec.decode(codec.encode(values))
@@ -322,13 +313,14 @@ class PSServer:
         if entries is None:
             self._bump_version(request.matrix_id, request.row)
             tag = "ps-fill"
-        return None, ((max(1, shard.values.size), tag),)
+        return None, ((FILL_FLOPS * max(1, shard.values.size), tag),)
 
     def _serve_clock_advance(self, request):
         tokens = [
             self.version_token(matrix_id, row) for matrix_id, row in request.keys
         ]
-        return tokens, ((max(1.0, float(len(request.keys))), "ps-clock"),)
+        return tokens, ((CLOCK_FLOPS * max(1, len(request.keys)),
+                         "ps-clock"),)
 
     def _serve_replicated_push(self, request):
         """Apply a fanned-out mutation to this server's replica copies.
@@ -741,7 +733,7 @@ def _range_offsets(request, shard):
 
 
 #: What a fenced or already-covered copy costs: its check.
-_COPY_CHECK = ((1.0, "ps-replica"),)
+_COPY_CHECK = ((COPY_CHECK_FLOPS, "ps-replica"),)
 
 #: The server-side protocol: one handler per message type — except the
 #: :class:`~repro.ps.messages.BatchRequest` envelope, which exists on the

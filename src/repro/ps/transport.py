@@ -22,11 +22,12 @@ transport owns everything below that line:
   :func:`~repro.ps.replication.forward`, whose copies leave the primary,
   not this node;
 - **the retry loop** — every wire message of a fan-out is tried once,
-  then the failed ones (a lost response included:
-  delivery is at-least-once) charge the :class:`~repro.ps.retry.RetryPolicy`
-  penalty to the client's virtual clock, repair/recover the server through
-  the master, drop the cached routing, and **re-send the same message**, in
-  wire order — each re-send a fan-out of one on the same phased schedule.
+  then the failed ones (a lost response included: delivery is
+  at-least-once) charge the cluster's
+  :meth:`~repro.config.FailureConfig.penalty_for` to the client's virtual
+  clock, repair/recover the server through the master, drop the cached
+  routing, and **re-send the same message**, in wire order — each re-send
+  a fan-out of one on the same phased schedule.
 
 Per-server request coalescing (Section 5.1's fat requests): when one client
 op produces several messages for the same server — block pulls/pushes issue
@@ -41,12 +42,9 @@ from __future__ import annotations
 from repro.cluster.cluster import DRIVER
 from repro.common.errors import MatrixNotFoundError, NetworkPartitionedError, \
     PSError, ServerDownError
+from repro.costs import REQUEST_HEADER_BYTES, RPC_CPU_SECONDS
 from repro.ps import messages, replication
-from repro.ps.retry import RetryPolicy
 from repro.ps.server import serve_fast_fanout
-
-#: Client-side CPU cost of issuing one RPC (serialization, bookkeeping).
-RPC_CPU_SECONDS = 5e-6
 
 #: Memoized ``tag -> (tag + ":req", tag + ":resp")`` — tags come from a
 #: small fixed vocabulary, so the hot transmit loops never re-concatenate.
@@ -96,13 +94,10 @@ class FanoutPlan:
 class Transport:
     """One node's typed-message channel to the parameter servers."""
 
-    def __init__(self, cluster, master, node_id, retry_policy=None):
+    def __init__(self, cluster, master, node_id):
         self.cluster = cluster
         self.master = master
         self.node_id = node_id
-        self.retry_policy = retry_policy or RetryPolicy.from_config(
-            cluster.config.failures
-        )
         self._routing = {}
         # A live resize replaces every layout object wholesale; routing
         # cached before the migration would hand out stale shard ranges.
@@ -142,7 +137,7 @@ class Transport:
         network = self.cluster.network
         fetch_start = clock.now(self.node_id)
         arrival = network.transfer(
-            self.node_id, DRIVER, messages.REQUEST_HEADER_BYTES,
+            self.node_id, DRIVER, REQUEST_HEADER_BYTES,
             tag="routing:req", deliver=False,
         )
         # The master answers from its metadata cache; the response departs
@@ -301,7 +296,7 @@ class Transport:
                trace_parent):
         """Re-send one failed wire message until it goes through.
 
-        A retry is a fan-out of one: each attempt charges the policy's
+        A retry is a fan-out of one: each attempt charges the retry
         penalty and repairs (:meth:`_handle_failure`, which raises
         :class:`~repro.common.errors.PSError` once the budget is spent),
         re-resolves routing (paying the routing RPC again after the
@@ -569,7 +564,8 @@ class Transport:
         re-resolves through the master.
         """
         metrics = self.cluster.metrics
-        if attempt > self.retry_policy.max_retries:
+        failures = self.cluster.config.failures
+        if attempt > failures.max_op_retries:
             metrics.increment("op-retries-exhausted")
             peer = (DRIVER if server_index is None
                     else self.master.server(server_index).node_id)
@@ -578,7 +574,7 @@ class Transport:
         metrics.increment("op-retries")
         penalty_start = self.cluster.clock.now(self.node_id)
         self.cluster.charge_seconds(
-            self.node_id, self.retry_policy.penalty_for(attempt),
+            self.node_id, failures.penalty_for(attempt),
             tag="retry-backoff",
         )
         tracer = self.cluster.tracer

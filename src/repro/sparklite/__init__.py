@@ -7,14 +7,9 @@ from repro.sparklite.rdd import (
     MapPartitionsRDD,
     ParallelizedRDD,
     RDD,
-    RECORD_FLOPS,
     SampledRDD,
 )
-from repro.sparklite.scheduler import (
-    Scheduler,
-    TASK_DESCRIPTION_BYTES,
-    TASK_OVERHEAD_SECONDS,
-)
+from repro.sparklite.scheduler import Scheduler
 from repro.sparklite.task import TaskContext, with_context
 
 __all__ = [
@@ -24,11 +19,8 @@ __all__ = [
     "MapPartitionsRDD",
     "ParallelizedRDD",
     "RDD",
-    "RECORD_FLOPS",
     "SampledRDD",
     "Scheduler",
-    "TASK_DESCRIPTION_BYTES",
-    "TASK_OVERHEAD_SECONDS",
     "TaskContext",
     "with_context",
 ]

@@ -5,7 +5,7 @@ from __future__ import annotations
 from repro.cluster.cluster import Cluster, DRIVER
 from repro.common.errors import SparkliteError
 from repro.sparklite.broadcast import Broadcast
-from repro.sparklite.rdd import ParallelizedRDD, RECORD_FLOPS
+from repro.sparklite.rdd import ParallelizedRDD
 from repro.sparklite.scheduler import Scheduler
 
 
@@ -24,7 +24,7 @@ class SparkContext:
     def driver(self):
         return DRIVER
 
-    def parallelize(self, data, n_partitions=None, record_flops=RECORD_FLOPS):
+    def parallelize(self, data, n_partitions=None):
         """Distribute *data* across ``n_partitions`` (default: one/executor).
 
         Elements are dealt round-robin so partition sizes differ by at most
@@ -39,7 +39,7 @@ class SparkContext:
         partitions = [[] for _ in range(n_partitions)]
         for index, element in enumerate(data):
             partitions[index % n_partitions].append(element)
-        rdd = ParallelizedRDD(self, partitions, record_flops=record_flops)
+        rdd = ParallelizedRDD(self, partitions)
         self._charge_distribution(rdd)
         return rdd
 

@@ -19,10 +19,8 @@ import numpy as np
 from repro.common.errors import SparkliteError
 from repro.common.rng import RngRegistry
 from repro.common.sizeof import sizeof
+from repro.costs import RECORD_FLOPS
 from repro.sparklite.task import call_partition_function, with_context
-
-#: Default compute charge for scanning one record off a base partition.
-RECORD_FLOPS = 100.0
 
 
 class RDD:
@@ -230,15 +228,14 @@ def _copy_zero(zero_value):
 class ParallelizedRDD(RDD):
     """Base data distributed from the driver, one list per partition."""
 
-    def __init__(self, context, partitions, record_flops=RECORD_FLOPS):
+    def __init__(self, context, partitions):
         super().__init__(context, len(partitions))
         self._partitions = [list(p) for p in partitions]
-        self.record_flops = float(record_flops)
 
     def compute(self, ctx, partition_id):
         data = self._partitions[partition_id]
-        if self.record_flops and data:
-            ctx.charge_flops(self.record_flops * len(data), tag="scan")
+        if data:
+            ctx.charge_flops(RECORD_FLOPS * len(data), tag="scan")
         return iter(data)
 
     def partition_sizes(self):

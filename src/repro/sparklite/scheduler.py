@@ -13,13 +13,9 @@ from __future__ import annotations
 from repro.cluster.cluster import DRIVER
 from repro.common.errors import JobAbortedError, TaskError
 from repro.common.sizeof import sizeof
+from repro.costs import FLOAT_BYTES, TASK_DESCRIPTION_BYTES, \
+    TASK_OVERHEAD_SECONDS
 from repro.sparklite.task import TaskContext
-
-#: Control-plane message carrying a serialized task closure.
-TASK_DESCRIPTION_BYTES = 512
-
-#: Fixed per-task launch overhead on the executor (deserialization, setup).
-TASK_OVERHEAD_SECONDS = 1e-3
 
 
 class Scheduler:
@@ -234,7 +230,7 @@ class Scheduler:
                 )
                 combined = comb_op(dst_val, src_val)
                 self.cluster.charge_flops(
-                    dst_exec, max(1.0, sizeof(src_val) / 8.0), tag="tree-combine"
+                    dst_exec, max(1.0, sizeof(src_val) / FLOAT_BYTES), tag="tree-combine"
                 )
                 merged.append((dst_exec, combined))
             survivors = merged

@@ -14,7 +14,10 @@ import numpy as np
 import pytest
 
 from repro.cluster.cluster import Cluster
+from repro.common.errors import ConfigError
 from repro.config import ClusterConfig, FailureConfig
+from repro.costs import MESSAGE_OVERHEAD_BYTES, REQUEST_HEADER_BYTES, \
+    SUBREQUEST_HEADER_BYTES
 from repro.experiments import run_fault_tolerance
 from repro.experiments.runner import make_context
 from repro.ml import train_logistic_regression
@@ -22,7 +25,6 @@ from repro.data import sparse_classification
 from repro.ps.client import PSClient
 from repro.ps.master import PSMaster
 from repro.ps.partitioner import RowLayout
-from repro.ps.retry import RetryPolicy
 from repro.ps.server import serve_one
 from tests.test_fast_lane import interleaved
 
@@ -109,7 +111,6 @@ def test_coalesced_batch_retry_reresolves_and_resends_envelope(
     replacement server object served, and the full envelope's bytes paid
     again on the wire.  The re-send is a fan-out of one on the lane: the
     envelope is served unit by unit, never handed to a server whole."""
-    from repro.common.sizeof import MESSAGE_OVERHEAD_BYTES
     from repro.ps import messages, transport
 
     master = PSMaster(cluster)
@@ -145,8 +146,7 @@ def test_coalesced_batch_retry_reresolves_and_resends_envelope(
     assert metrics.logical_messages_by_tag["pull-block:req"] \
         == logical_before + 16
     # The retried attempt paid the whole envelope's bytes again.
-    envelope = (messages.REQUEST_HEADER_BYTES
-                + 4 * messages.SUBREQUEST_HEADER_BYTES
+    envelope = (REQUEST_HEADER_BYTES + 4 * SUBREQUEST_HEADER_BYTES
                 + MESSAGE_OVERHEAD_BYTES)
     assert metrics.bytes_by_tag["pull-block:req"] \
         == bytes_before + 4 * envelope
@@ -291,17 +291,18 @@ def test_backoff_is_charged_to_virtual_clock(cluster):
     client.pull_row(m, 0)
     elapsed = cluster.clock.now(client.node_id) - before
     # One failed attempt: at least timeout + first backoff of virtual time.
-    assert elapsed >= client.retry_policy.penalty_for(1)
+    assert elapsed >= cluster.config.failures.penalty_for(1)
 
 
-def test_retry_policy_from_config():
+def test_failure_config_prices_retries():
     failures = FailureConfig(max_op_retries=5, op_timeout=2e-3,
                              retry_backoff=4e-3, retry_backoff_multiplier=3.0)
-    policy = RetryPolicy.from_config(failures)
-    assert policy.max_retries == 5
-    assert policy.backoff_for(1) == pytest.approx(4e-3)
-    assert policy.backoff_for(3) == pytest.approx(4e-3 * 9.0)
-    assert policy.penalty_for(2) == pytest.approx(2e-3 + 12e-3)
+    assert failures.max_op_retries == 5
+    assert failures.backoff_for(1) == pytest.approx(4e-3)
+    assert failures.backoff_for(3) == pytest.approx(4e-3 * 9.0)
+    assert failures.penalty_for(2) == pytest.approx(2e-3 + 12e-3)
+    with pytest.raises(ConfigError):
+        failures.backoff_for(0)
 
 
 # -- network partitions ------------------------------------------------------

@@ -65,8 +65,6 @@ def test_config_rejects_negative_servers():
 
 def test_nodespec_validation():
     with pytest.raises(ConfigError):
-        NodeSpec(cores=0)
-    with pytest.raises(ConfigError):
         NodeSpec(flops=-1)
     with pytest.raises(ConfigError):
         NodeSpec(nic_bandwidth=0)
@@ -84,6 +82,10 @@ def test_failureconfig_validation():
         FailureConfig(task_failure_prob=1.5)
     with pytest.raises(ConfigError):
         FailureConfig(max_task_retries=-1)
+    with pytest.raises(ConfigError):
+        FailureConfig(max_task_retries=2.5)
+    with pytest.raises(ConfigError):
+        FailureConfig(max_op_retries=2.5)
 
 
 def test_nodespec_compute_seconds():

@@ -17,7 +17,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.common.errors import PSError
-from repro.common.sizeof import FLOAT_BYTES, INDEX_BYTES
+from repro.costs import FLOAT_BYTES, INDEX_BYTES
 from repro.ps.codecs import (
     CODEC_NAMES,
     FP16_MAX,

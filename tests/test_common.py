@@ -6,7 +6,8 @@ from hypothesis import strategies as st
 
 from repro.common import errors
 from repro.common.rng import RngRegistry, generator
-from repro.common.sizeof import FLOAT_BYTES, sizeof
+from repro.common.sizeof import sizeof
+from repro.costs import FLOAT_BYTES
 
 
 # -- sizeof ---------------------------------------------------------------------

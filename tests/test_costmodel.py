@@ -17,6 +17,7 @@ from hypothesis import strategies as st
 
 from repro.cluster.cluster import Cluster
 from repro.config import ClusterConfig, NetworkSpec, NodeSpec
+from repro.costs import FLOAT_BYTES
 from repro.obs.report import transport_table
 from repro.ps import costmodel as costmodel_module
 from repro.ps import messages, transport
@@ -339,7 +340,7 @@ def test_prepare_is_idempotent_per_message():
 def _knee_values(model):
     """The largest value count under the fp16 knee, by ``_tier`` itself."""
     n = 1
-    while model._tier((n + 1) * messages.FLOAT_BYTES, None) == 0:
+    while model._tier((n + 1) * FLOAT_BYTES, None) == 0:
         n += 1
     return n
 

@@ -26,6 +26,7 @@ from repro.cluster.cluster import Cluster
 from repro.common.errors import PSError
 from repro.config import ClusterConfig
 from repro.core.context import PS2Context
+from repro.costs import FLOAT_BYTES, INDEX_BYTES, RESPONSE_HEADER_BYTES
 from repro.ps import messages
 from repro.ps.client import PSClient
 from repro.ps.master import PSMaster
@@ -144,10 +145,9 @@ def test_pull_or_create_wire_accounting():
     table = ctx.master.create_table(8)
     client = _client(ctx)
     request = messages.PullOrCreateRequest(0, table, 0, 8)
-    assert request.payload_bytes() == 2 * messages.INDEX_BYTES \
-        + messages.FLOAT_BYTES
-    assert request.response_bytes() == messages.RESPONSE_HEADER_BYTES \
-        + messages.INDEX_BYTES + 8 * messages.FLOAT_BYTES
+    assert request.payload_bytes() == 2 * INDEX_BYTES + FLOAT_BYTES
+    assert request.response_bytes() == RESPONSE_HEADER_BYTES \
+        + INDEX_BYTES + 8 * FLOAT_BYTES
 
     before = ctx.metrics.total_bytes()
     client.pull_or_create(table, [0])
@@ -418,7 +418,7 @@ def test_cache_savings_priced_through_cost_model():
     # fp16 ships 2 bytes per value instead of 8; request and response
     # headers are charged identically in both regimes, so the saving gap
     # is exactly the payload derating: 64 values x 6 bytes.
-    assert identity - fp16 == 64 * (messages.FLOAT_BYTES - 2)
+    assert identity - fp16 == 64 * (FLOAT_BYTES - 2)
 
 
 def test_priced_pull_response_matches_identity_when_codec_off():

@@ -85,6 +85,7 @@ from repro.cluster.resource import TimelineResource
 from repro.common.errors import MatrixNotFoundError, NetworkPartitionedError, \
     ReproError, ServerDownError
 from repro.config import ClusterConfig, NetworkSpec, NodeSpec
+from repro.costs import ELEMENTWISE_FLOPS, FLOAT_BYTES
 from repro.obs import critical_path
 from repro.ps import costmodel, messages, transport
 from repro.ps import server as server_module
@@ -913,7 +914,7 @@ def _assert_pool_holds_no_codec(rig):
             assert request.codec is None
             assert getattr(request, "encoded", None) is None
             if request.codec_side is not None:
-                assert model._tier(request.n_values * messages.FLOAT_BYTES,
+                assert model._tier(request.n_values * FLOAT_BYTES,
                                    None) == 0
 
 
@@ -1221,7 +1222,7 @@ def test_a_crash_due_between_a_creations_charges_takes_the_next_unit():
     _run_same(_CREATE_STREAM, rig)
     server = rig.master.server(0)
     arrive = rig.cluster.clock.now(server.node_id) + 1e-4
-    create = TABLE_DIM * server_module.ELEMENTWISE_FLOPS \
+    create = TABLE_DIM * ELEMENTWISE_FLOPS \
         / rig.cluster.node(server.node_id).spec.flops
     rig.cluster.failures.schedule_server_failure(server.node_id,
                                                  arrive + create / 2)

@@ -12,6 +12,7 @@ from repro.baselines import (
     train_lr_petuum,
     train_lr_ps_pushpull,
 )
+from repro.costs import FIG13_NODE_FLOPS
 from repro.data import sparse_classification
 from repro.experiments import make_context
 from repro.ml import train_logistic_regression
@@ -59,15 +60,15 @@ def test_figure13a_more_resources_go_faster():
     """Figure 13(a): doubling workers+servers speeds PS2 up.
 
     CPUs are derated so per-worker compute is non-trivial relative to the
-    fixed task overhead, restoring the paper's compute:overhead ratio (see
-    make_context's node_flops note).
+    fixed task overhead, restoring the paper's compute:overhead ratio
+    (:data:`repro.costs.FIG13_NODE_FLOPS`).
     """
     rows, _ = sparse_classification(4000, 40000, 25, seed=55)
 
     def run(n_executors, n_servers):
         return train_logistic_regression(
             make_context(n_executors=n_executors, n_servers=n_servers,
-                         seed=55, node_flops=2e7),
+                         seed=55, node_flops=FIG13_NODE_FLOPS),
             rows, 40000, optimizer="sgd", n_iterations=5,
             batch_fraction=0.5, seed=55,
         )

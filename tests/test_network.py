@@ -6,7 +6,7 @@ from repro.cluster.metrics import MetricsRegistry
 from repro.cluster.network import NetworkModel
 from repro.cluster.simclock import SimClock
 from repro.common.errors import UnknownNodeError
-from repro.common.sizeof import MESSAGE_OVERHEAD_BYTES
+from repro.costs import MESSAGE_OVERHEAD_BYTES
 
 
 @pytest.fixture

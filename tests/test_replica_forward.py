@@ -25,9 +25,9 @@ import numpy as np
 from repro.cluster.cluster import Cluster
 from repro.cluster.resource import TimelineResource
 from repro.config import ClusterConfig, FailureConfig
+from repro.costs import RPC_CPU_SECONDS
 from repro.ps.client import PSClient
 from repro.ps.master import PSMaster
-from repro.ps.transport import RPC_CPU_SECONDS
 from tests.test_replication import _copy
 from tests.test_replication import \
     _assert_copies_match_primaries as _copies_match_primaries
@@ -209,7 +209,7 @@ def test_a_holder_partitioned_past_the_retry_budget_is_forgotten():
     cluster, master, writer, m, window_end = _partitioned_rig(1.0)
     clocks, before = _write_through_primary_0(cluster, writer, m)
     _assert_writer_paid_once(cluster, clocks, before)
-    retries = writer.retry_policy.max_retries
+    retries = cluster.config.failures.max_op_retries
     assert _delta(cluster, before, "replica-fanout-retries") == retries
     assert _delta(cluster, before, "replica-fanout-abandoned") == 1
     assert not cluster.tracer.spans_for(op="ps-replica")

@@ -11,6 +11,7 @@ from repro.cluster.cluster import DRIVER, Cluster
 from repro.config import ClusterConfig
 from repro.obs.report import hot_shard_table, replication_table
 from repro.core.context import PS2Context
+from repro.costs import FLOAT_BYTES
 from repro.ps import messages, replication
 from repro.ps.client import PSClient
 from repro.ps.master import PSMaster
@@ -436,7 +437,7 @@ def test_chain_sync_bytes_priced_through_cost_model():
     coded_bytes = coded_cluster.metrics.bytes_for_tag("chain-sync")
     assert 0 < coded_bytes < identity_bytes
     assert coded_cluster.costmodel.priced_chain_value_bytes(64) == \
-        64 * messages.FLOAT_BYTES // 4
+        64 * FLOAT_BYTES // 4
     assert coded_cluster.costmodel.priced_chain_value_bytes(0) == 0
 
 

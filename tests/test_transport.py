@@ -15,9 +15,9 @@ import numpy as np
 import pytest
 
 from repro.cluster.cluster import Cluster
-from repro.common.sizeof import FLOAT_BYTES, INDEX_BYTES, \
-    MESSAGE_OVERHEAD_BYTES
 from repro.config import ClusterConfig
+from repro.costs import FLOAT_BYTES, INDEX_BYTES, MESSAGE_OVERHEAD_BYTES, \
+    REQUEST_HEADER_BYTES, RESPONSE_HEADER_BYTES, SUBREQUEST_HEADER_BYTES
 from repro.data import sparse_classification
 from repro.experiments.runner import make_context
 from repro.ml import train_logistic_regression
@@ -147,7 +147,7 @@ def test_aggregate_kernel_fill_bytes_match_messages():
 
     client.fill_row(m, 0, 2.5)
     assert _tag(cluster, "fill:req") == (
-        _on_wire([messages.REQUEST_HEADER_BYTES + FLOAT_BYTES] * n_shards),
+        _on_wire([REQUEST_HEADER_BYTES + FLOAT_BYTES] * n_shards),
         n_shards, n_shards)
     assert _tag(cluster, "fill:resp") == (0.0, 0, 0)
 
@@ -158,7 +158,7 @@ def test_routing_bytes_use_central_formula():
     client.pull_row(m, 0)
     n_servers = master.layout(m).n_servers
     assert _tag(cluster, "routing:req") == (
-        _on_wire([messages.REQUEST_HEADER_BYTES]), 1, 1)
+        _on_wire([REQUEST_HEADER_BYTES]), 1, 1)
     assert _tag(cluster, "routing:resp") == (
         _on_wire([messages.routing_response_bytes(n_servers)]), 1, 1)
 
@@ -176,15 +176,15 @@ def test_pull_block_coalesced_issues_one_message_per_server():
     req_bytes, wire, logical = _tag(cluster, "pull-block:req")
     assert wire == n_servers
     assert logical == n_servers * 4
-    envelope = (messages.REQUEST_HEADER_BYTES
-                + 4 * messages.SUBREQUEST_HEADER_BYTES)
+    envelope = (REQUEST_HEADER_BYTES
+                + 4 * SUBREQUEST_HEADER_BYTES)
     assert req_bytes == _on_wire([envelope] * n_servers)
     # Batched response: one header per envelope + concatenated payloads.
     resp_bytes, resp_wire, resp_logical = _tag(cluster, "pull-block:resp")
     assert resp_wire == n_servers
     assert resp_logical == n_servers * 4
     assert resp_bytes == _on_wire([
-        messages.RESPONSE_HEADER_BYTES + 4 * (stop - start) * FLOAT_BYTES
+        RESPONSE_HEADER_BYTES + 4 * (stop - start) * FLOAT_BYTES
         for _s, start, stop in shards
     ])
     assert cluster.metrics.counters["coalesced-batches"] == n_servers
@@ -202,9 +202,9 @@ def test_uncoalesced_block_pays_per_request_headers():
     client.pull_block(m, rows)
     client.push_block_add(m, rows, np.ones((4, 30)))
     k = len(rows)
-    saved = (k - 1) * (messages.REQUEST_HEADER_BYTES
+    saved = (k - 1) * (REQUEST_HEADER_BYTES
                        + MESSAGE_OVERHEAD_BYTES) \
-        - k * messages.SUBREQUEST_HEADER_BYTES
+        - k * SUBREQUEST_HEADER_BYTES
     assert saved > 0
     shards = master.layout(m).shards_for_row(0)
     for tag, build in (
@@ -231,8 +231,8 @@ def test_sparse_block_ships_shared_index_list_once():
     client.pull_block(m, [0, 1, 2], indices=idx)
     groups = master.layout(m).split_indices(np.sort(idx))
     expected = _on_wire([
-        messages.REQUEST_HEADER_BYTES
-        + 3 * messages.SUBREQUEST_HEADER_BYTES
+        REQUEST_HEADER_BYTES
+        + 3 * SUBREQUEST_HEADER_BYTES
         + g.size * INDEX_BYTES  # the shared list, encoded ONCE per server
         for g in groups.values()
     ])
@@ -263,8 +263,8 @@ def test_batch_request_envelope_math():
     batch = messages.BatchRequest(subs)
     assert batch.message_count() == 4
     assert batch.wire_bytes() == (
-        messages.REQUEST_HEADER_BYTES
-        + 4 * messages.SUBREQUEST_HEADER_BYTES
+        REQUEST_HEADER_BYTES
+        + 4 * SUBREQUEST_HEADER_BYTES
         + 3 * INDEX_BYTES  # shared list deduplicated by identity
     )
     # A distinct (equal-valued) array is a distinct payload.
@@ -272,12 +272,12 @@ def test_batch_request_envelope_math():
         subs + [messages.PullRowRequest(0, "m", 9, 3, indices=idx.copy())]
     )
     assert other.wire_bytes() == (
-        messages.REQUEST_HEADER_BYTES
-        + 5 * messages.SUBREQUEST_HEADER_BYTES
+        REQUEST_HEADER_BYTES
+        + 5 * SUBREQUEST_HEADER_BYTES
         + 2 * 3 * INDEX_BYTES
     )
     assert batch.response_bytes() == (
-        messages.RESPONSE_HEADER_BYTES + 4 * 3 * FLOAT_BYTES
+        RESPONSE_HEADER_BYTES + 4 * 3 * FLOAT_BYTES
     )
     # Mixed fire-and-forget subs contribute no response payload.
     push = messages.PushRequest(0, "m", 0, np.ones(3), indices=idx)

@@ -29,10 +29,11 @@ from repro.config import ClusterConfig
 from repro.core import kernels
 from repro.core.context import PS2Context
 from repro.core.zipop import DCVZip
+from repro.costs import KERNEL_FLOPS_PER_ELEMENT
 from repro.data import sparse_classification
 from repro.ml.fm import train_fm
 from repro.ml.optim import make_optimizer
-from repro.ps.server import _HANDLERS, KERNEL_FLOPS_PER_ELEMENT
+from repro.ps.server import _HANDLERS
 from tests.test_fast_lane import _same
 
 DIM = 30

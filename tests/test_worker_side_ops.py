@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 
 from repro.cluster.cluster import DRIVER
-from repro.common.sizeof import MESSAGE_OVERHEAD_BYTES
+from repro.costs import MESSAGE_OVERHEAD_BYTES
 
 
 def test_worker_issued_dot_charges_executor(ps2):
