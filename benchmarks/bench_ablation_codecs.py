@@ -22,11 +22,10 @@ Two workloads on byte-dominated hardware (the replication ablation's
   bit-identical to off — compression is a regime decision, not a knob.
 """
 
-import os
-
 import numpy as np
 import pytest
 
+from benchmarks._common import ITERATIONS as PASSES
 from benchmarks._common import emit, run_once
 from repro.config import ClusterConfig, NetworkSpec, NodeSpec
 from repro.core.context import PS2Context
@@ -37,8 +36,8 @@ from repro.ml.linear import train_linear_ps2
 from repro.ml.losses import sigmoid
 
 # CI's benchmark-smoke job runs the ablation at reduced scale
-# (REPRO_BENCH_ITERATIONS=4); the shape assertions hold at any scale.
-PASSES = int(os.environ.get("REPRO_BENCH_ITERATIONS", "10"))
+# (PASSES = ``_common.ITERATIONS`` = 4); the shape assertions hold at
+# any scale.
 
 #: Byte-dominated hardware (same regime as the replication ablation).
 NODE = dict(flops=2e11, nic_bandwidth=1.25e7)

@@ -13,18 +13,15 @@ than signal.  With SGD the drift stays within ``LOSS_BOUND`` of BSP at
 any iteration count the smoke job uses.
 """
 
-import os
-
 import pytest
 
-from benchmarks._common import emit, run_once
+from benchmarks._common import ITERATIONS, emit, run_once
 from repro.data.synth import sparse_classification
 from repro.experiments import format_table, make_context
 from repro.ml.linear import train_linear_ps2
 
 # CI's benchmark-smoke job runs the ablation at reduced scale
-# (REPRO_BENCH_ITERATIONS=4); the shape assertions hold at any scale.
-ITERATIONS = int(os.environ.get("REPRO_BENCH_ITERATIONS", "10"))
+# (``_common.ITERATIONS`` = 4); the shape assertions hold at any scale.
 
 # Final-loss drift tolerated vs BSP.  Measured drift with SGD on this
 # workload is <= ~0.06 for s <= 3 across 4..20 iterations; 0.15 leaves

@@ -25,10 +25,9 @@ costs outweigh per-message fixed costs — see the DESIGN.md §11 notes on
 the cost model.
 """
 
-import os
-
 import pytest
 
+from benchmarks._common import ITERATIONS as SERVE_PASSES
 from benchmarks._common import emit, run_once
 from repro.config import ClusterConfig, NetworkSpec, NodeSpec
 from repro.core.context import PS2Context
@@ -37,8 +36,8 @@ from repro.experiments import format_table
 from repro.ml.linear import serve_linear_ps2, train_linear_ps2
 
 # CI's benchmark-smoke job runs the ablation at reduced scale
-# (REPRO_BENCH_ITERATIONS=4); the shape assertions hold at any scale.
-SERVE_PASSES = int(os.environ.get("REPRO_BENCH_ITERATIONS", "10"))
+# (SERVE_PASSES = ``_common.ITERATIONS`` = 4); the shape assertions hold at
+# any scale.
 
 TRAIN_ITERATIONS = 2
 N_ROWS, DIM, NNZ = 800, 8192, 64

@@ -24,19 +24,16 @@ the post-crash tail:
 - both crash arms are bit-identical under the seed (rerun asserted).
 """
 
-import os
-
 import numpy as np
 import pytest
 
-from benchmarks._common import emit, run_once
+from benchmarks._common import ITERATIONS, emit, run_once
 from repro.config import ClusterConfig
 from repro.core.context import PS2Context
 from repro.experiments import format_table
 
 # CI's benchmark-smoke job runs the ablation at reduced scale
-# (REPRO_BENCH_ITERATIONS=4); the shape assertions hold at any scale.
-ITERATIONS = int(os.environ.get("REPRO_BENCH_ITERATIONS", "10"))
+# (``_common.ITERATIONS`` = 4); the shape assertions hold at any scale.
 
 SEED = 23
 DIM = 64

@@ -7,20 +7,17 @@ reports, to a fixed training loss, PS2 beating Spark by 15.7x (KDDB) /
 55.6x (CTR) and PS by 4.7x / 5x.
 """
 
-import os
-
 import pytest
 
-from benchmarks._common import emit, run_once
+from benchmarks._common import ITERATIONS, emit, run_once
 from repro.baselines import train_lr_mllib, train_lr_ps_pushpull
 from repro.data import dataset, spec
 from repro.experiments import format_speedup, format_table, make_context
 from repro.ml import train_logistic_regression
 
 # CI's benchmark-smoke job runs this figure at reduced scale (fewer Adam
-# iterations) so perf-path regressions fail fast; the paper-shape
-# assertions below hold at any scale >= 3.
-ITERATIONS = int(os.environ.get("REPRO_BENCH_ITERATIONS", "10"))
+# iterations, ``_common.ITERATIONS``) so perf-path regressions fail fast;
+# the paper-shape assertions below hold at any scale >= 3.
 
 
 def _compare(name, seed):

@@ -26,19 +26,16 @@ Expected shape, asserted below:
   same makespan, same scaling events at the same virtual times.
 """
 
-import os
-
 import pytest
 
-from benchmarks._common import emit, run_once
+from benchmarks._common import ITERATIONS, emit, run_once
 from repro.config import ClusterConfig, ElasticitySpec, NetworkSpec, NodeSpec
 from repro.core.context import PS2Context
 from repro.experiments import format_table
 from repro.serving import ServingScenario, run_serving
 
 # CI's benchmark-smoke job runs the ablation at reduced scale
-# (REPRO_BENCH_ITERATIONS=4); the shape assertions hold at any scale.
-ITERATIONS = int(os.environ.get("REPRO_BENCH_ITERATIONS", "10"))
+# (``_common.ITERATIONS`` = 4); the shape assertions hold at any scale.
 
 #: Byte-dominated hardware: ~30 Mbit/s NICs, 10 us latency, fast CPUs —
 #: the post-step stream saturates the NICs, not the compute.

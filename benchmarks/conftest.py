@@ -1,30 +1,25 @@
-"""Benchmark-runner capture: BENCH records + ``--obs-trace`` exports.
+"""Benchmark-runner capture: the regression gate + ``--obs-trace`` exports.
 
-Every benchmark run emits a structured ``BENCH_<name>.json`` next to its
-regular results under ``benchmarks/results/`` (and appends a one-line
-summary to ``benchmarks/results/trajectory.jsonl``): the capture fixture
-registers every simulated cluster a benchmark constructs, times the host
-wall clock around the benchmark, and serializes makespans, wire bytes,
-latency summaries, imbalance ratios and cache hit rates per context.
-``python -m repro bench-gate`` compares those records against the
-checked-in baselines in ``benchmarks/baselines/``.
+An autouse fixture records every simulated cluster a benchmark constructs
+(it wraps ``Cluster.__init__`` for the one benchmark).  After the
+benchmark, the virtual ``(makespan, wire bytes)`` of each context is
+checked against the pinned table in ``benchmarks/_common.py``
+(``_common.check_pins``; gated benchmarks at ``REPRO_BENCH_ITERATIONS=4``
+only).
 
 ``pytest benchmarks/... --obs-trace`` additionally enables span tracing
-for every simulated cluster.  After each benchmark, the traced contexts
-are exported as one merged chrome-trace JSON plus an ``*_obs.txt``
-breakdown (latency percentiles, server utilization, hot shards,
-critical-path attribution), and the BENCH record gains a per-context
-``critical_path`` section.
+for every simulated cluster as soon as it is built.  After each benchmark,
+the traced contexts are exported as one merged chrome-trace JSON plus an
+``*_obs.txt`` breakdown (latency percentiles, server utilization, hot
+shards, critical-path attribution).
 
-Neither capture perturbs the cost model (spans and records only read the
-virtual clocks), so instrumented and plain benchmark numbers are
-identical.
+Neither capture perturbs the cost model (spans only read the virtual
+clocks), so instrumented and plain benchmark numbers are identical.
 """
 
 from __future__ import annotations
 
 import re
-import time
 
 import pytest
 
@@ -46,30 +41,31 @@ def pytest_addoption(parser):
 
 
 @pytest.fixture(autouse=True)
-def _obs_capture(request):
-    """Capture every simulated cluster a benchmark builds into a BENCH
-    record (always) and chrome-trace/report exports (under --obs-trace)."""
-    from repro import obs
+def _obs_capture(request, monkeypatch):
+    """Capture every simulated cluster a benchmark builds: gate it against
+    its pins (always) and export traces/reports (under --obs-trace)."""
+    from repro.cluster.cluster import Cluster
 
     traced = request.config.getoption("--obs-trace")
-    if traced:
-        obs.set_default_tracing(True)
-        obs.drain_traced_clusters()
-    obs.set_bench_capture(True)
-    obs.drain_bench_clusters()
-    started = time.perf_counter()
-    try:
-        yield
-    finally:
-        wall_seconds = time.perf_counter() - started
-        obs.set_bench_capture(False)
-        captured = obs.drain_bench_clusters()
-        name = re.sub(r"\W+", "_", request.node.name).strip("_")
+    captured = []
+    build = Cluster.__init__
+
+    def capturing_init(cluster, *args, **kwargs):
+        build(cluster, *args, **kwargs)
         if traced:
-            obs.set_default_tracing(False)
-            obs.drain_traced_clusters()
-            _common.emit_observability(
-                name, captured,
-                trace_out=request.config.getoption("--obs-trace-out"),
-            )
-        _common.emit_bench(name, captured, wall_seconds)
+            cluster.tracer.enable()
+        captured.append(cluster)
+
+    monkeypatch.setattr(Cluster, "__init__", capturing_init)
+    yield
+    name = re.sub(r"\W+", "_", request.node.name).strip("_")
+    if traced:
+        _common.emit_observability(
+            name, captured,
+            trace_out=request.config.getoption("--obs-trace-out"),
+        )
+    _common.check_pins(
+        name,
+        [(cluster.elapsed(), cluster.metrics.total_bytes())
+         for cluster in captured],
+    )

@@ -19,8 +19,6 @@ Usage (``python -m repro <command>``):
 - ``serve <scenario>`` — replay a named online-serving scenario (Zipf
   traffic over a lazy embedding table) and print the serving report;
   ``--elastic`` turns the autoscaler on (live shard migration included);
-- ``bench-gate`` — compare ``BENCH_*.json`` benchmark records against
-  checked-in baselines and fail on makespan/byte regressions;
 - ``experiments`` — list every table/figure benchmark and how to run it.
 """
 
@@ -271,29 +269,6 @@ def _cmd_serve(args):
     return 0
 
 
-def _cmd_bench_gate(args):
-    from repro.obs import bench
-
-    tolerances = {}
-    if args.makespan_tolerance is not None:
-        tolerances["makespan_s"] = args.makespan_tolerance
-    if args.bytes_tolerance is not None:
-        tolerances["total_wire_bytes"] = args.bytes_tolerance
-    failures, notes = bench.gate(args.results, args.baselines,
-                                 tolerances or None)
-    for note in notes:
-        print("note: %s" % note)
-    if failures:
-        for failure in failures:
-            print("REGRESSION: %s" % failure)
-        print("\nbench gate FAILED (%d regression(s)).  If the drift is"
-              " intentional, regenerate the baselines under %s."
-              % (len(failures), args.baselines))
-        return 1
-    print("bench gate passed.")
-    return 0
-
-
 def _cmd_experiments(_args):
     entries = [
         ("Figure 1", "benchmarks/bench_fig01_mllib_analysis.py"),
@@ -394,19 +369,6 @@ def build_parser():
     p_serve.add_argument("--elastic", action="store_true",
                          help="enable the autoscaler (elasticity mode auto)")
 
-    p_gate = sub.add_parser(
-        "bench-gate",
-        help="compare BENCH_*.json records against checked-in baselines",
-    )
-    p_gate.add_argument("--results", default="benchmarks/results",
-                        help="directory holding the fresh BENCH_*.json")
-    p_gate.add_argument("--baselines", default="benchmarks/baselines",
-                        help="directory holding the checked-in baselines")
-    p_gate.add_argument("--makespan-tolerance", type=float, default=None,
-                        help="relative makespan tolerance (default 0.05)")
-    p_gate.add_argument("--bytes-tolerance", type=float, default=None,
-                        help="relative wire-bytes tolerance (default 0.02)")
-
     sub.add_parser("experiments", help="list the table/figure benchmarks")
     return parser
 
@@ -421,7 +383,6 @@ def main(argv=None):
         "critical-path": _cmd_critical_path,
         "profile": _cmd_profile,
         "serve": _cmd_serve,
-        "bench-gate": _cmd_bench_gate,
         "experiments": _cmd_experiments,
     }
     return handlers[args.command](args)

@@ -17,8 +17,6 @@ from repro.cluster.simclock import SimClock
 from repro.common.errors import ClusterError, UnknownNodeError
 from repro.common.rng import RngRegistry
 from repro.config import ClusterConfig
-from repro.obs import bench_capture, default_tracing, \
-    register_bench_cluster, register_traced_cluster
 from repro.obs.tracer import Tracer
 
 #: Reserved node id for the driver/coordinator.
@@ -42,11 +40,7 @@ class Cluster:
         self.config = config or ClusterConfig()
         self.clock = SimClock()
         self.metrics = MetricsRegistry()
-        self.tracer = Tracer(self.clock, enabled=default_tracing())
-        if self.tracer.enabled:
-            register_traced_cluster(self)
-        if bench_capture():
-            register_bench_cluster(self)
+        self.tracer = Tracer(self.clock)
         self.network = NetworkModel(
             self.clock,
             self.metrics,

@@ -164,8 +164,8 @@ def stage_breakdowns(tracer):
     """``[(stage span, CriticalPathResult)]`` for every closed stage span.
 
     Each result's categories sum to that stage's makespan exactly — the
-    per-stage form of the whole-run walk, used by the BENCH artifact's
-    consistency check.
+    per-stage form of the whole-run walk, used by the benchmark
+    harness's consistency check.
     """
     children = _index_children(tracer)
     out = []

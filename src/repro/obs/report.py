@@ -130,7 +130,7 @@ def transport_table(metrics):
             "coalesced %d requests into %d batch envelopes"
             % (metrics.counters.get("coalesced-requests", 0), batches)
         )
-    decisions = getattr(metrics, "codec_decisions", None)
+    decisions = metrics.codec_decisions
     if decisions:
         saved = metrics.codec_bytes_saved
         lines.append(_format_rows(

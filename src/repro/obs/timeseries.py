@@ -80,7 +80,7 @@ class Window:
         return hits / total if total else 0.0
 
     def to_dict(self):
-        """Plain-dict form (report rendering, BENCH records)."""
+        """Plain-dict form (report rendering)."""
         return {
             "start": self.start,
             "end": self.end,

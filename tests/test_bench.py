@@ -1,210 +1,58 @@
-"""BENCH records: schema, serialization, trajectory, regression gating."""
+"""The benchmark regression gate: ``benchmarks._common.check_pins``."""
 
-import json
-
-import numpy as np
 import pytest
 
-from repro.config import ClusterConfig
-from repro.core.context import PS2Context
-from repro.obs import bench
+from benchmarks._common import PINNED_ITERATIONS, PINS, check_pins
+
+NAME = "test_fig10_lr_end_to_end"
 
 
-def _exercised_context(seed=3, trace=False):
-    ctx = PS2Context(config=ClusterConfig(n_executors=2, n_servers=2,
-                                          seed=seed))
-    if trace:
-        ctx.cluster.tracer.enable()
-    w = ctx.dense(256, rows=2)
-    g = w.derive().fill(0.5)
-    w.push(np.arange(256.0))
-    w.pull()
-    w.dot(g)
-    return ctx
+def _drifted(context, makespan=1.0, wire_bytes=1.0):
+    """NAME's pins with one context's makespan / bytes scaled."""
+    runs = list(PINS[NAME])
+    pinned_makespan, pinned_bytes = runs[context]
+    runs[context] = (pinned_makespan * makespan, pinned_bytes * wire_bytes)
+    return runs
 
 
-def _record(trace=False, name="unit", wall_seconds=2.0):
-    clusters = [_exercised_context(trace=trace).cluster,
-                _exercised_context(seed=4, trace=trace).cluster]
-    return bench.bench_record(name, clusters, params={"iterations": 2},
-                              wall_seconds=wall_seconds)
+def test_run_equal_to_pins_passes():
+    for name, pins in PINS.items():
+        check_pins(name, list(pins), iterations=PINNED_ITERATIONS)
 
 
-# -- record construction -----------------------------------------------------
+def test_improvement_and_drift_within_tolerance_pass():
+    improved = [(m * 0.5, b * 0.5) for m, b in PINS[NAME]]
+    check_pins(NAME, improved, iterations=PINNED_ITERATIONS)
+    check_pins(NAME, _drifted(2, makespan=1.04, wire_bytes=1.015),
+               iterations=PINNED_ITERATIONS)
 
 
-def test_record_shape_and_validation():
-    record = bench.validate_record(_record())
-    assert record["schema"] == bench.SCHEMA
-    assert record["params"] == {"iterations": 2}
-    assert [c["label"] for c in record["contexts"]] == ["ctx0", "ctx1"]
-    for context in record["contexts"]:
-        assert context["makespan_s"] > 0
-        assert context["total_wire_bytes"] > 0
-        assert context["wire_messages"] > 0
-        assert context["logical_messages"] >= context["wire_messages"]
-        assert context["imbalance_ratio"] >= 1.0
-        assert set(context["cache"]) == {"hits", "misses", "hit_rate"}
-        assert "pull" in context["latency"]
-        assert "critical_path" not in context
-    assert record["makespan_s"] == pytest.approx(
-        sum(c["makespan_s"] for c in record["contexts"])
+@pytest.mark.parametrize("makespan, wire_bytes, metric", [
+    (1.06, 1.0, "makespan"),
+    (1.0, 1.03, "wire bytes"),
+], ids=["makespan", "wire_bytes"])
+def test_regression_beyond_tolerance_names_test_and_context(
+        makespan, wire_bytes, metric):
+    with pytest.raises(AssertionError) as failure:
+        check_pins(NAME, _drifted(2, makespan, wire_bytes),
+                   iterations=PINNED_ITERATIONS)
+    assert str(failure.value).startswith(
+        "%s ctx2: %s " % (NAME, metric)
     )
-    assert record["host"]["wall_seconds"] == 2.0
-    assert record["host"]["events_per_second"] == \
-        pytest.approx(record["events"] / 2.0)
+    assert "ctx0" not in str(failure.value)
 
 
-def test_traced_record_attaches_critical_path():
-    record = _record(trace=True)
-    for context in record["contexts"]:
-        breakdown = context["critical_path"]
-        assert breakdown["total"] == pytest.approx(context["makespan_s"])
-        assert sum(breakdown["categories"].values()) == \
-            pytest.approx(breakdown["total"], rel=1e-9)
+def test_changed_context_count_fails():
+    pins = list(PINS[NAME])
+    for runs in (pins[:-1], pins + [pins[-1]]):
+        with pytest.raises(AssertionError, match="%s: built %d simulated "
+                           "contexts, the pins list %d"
+                           % (NAME, len(runs), len(pins))):
+            check_pins(NAME, runs, iterations=PINNED_ITERATIONS)
 
 
-def test_validate_rejects_malformed_records():
-    good = _record()
-    for mutate in (
-        lambda r: r.pop("schema"),
-        lambda r: r.update(schema="repro-bench/v0"),
-        lambda r: r.update(name=""),
-        lambda r: r.update(params=[1]),
-        lambda r: r.update(makespan_s=-1.0),
-        lambda r: r.update(contexts=[]),
-        lambda r: r["contexts"][0].pop("imbalance_ratio"),
-        lambda r: r["contexts"][0].update(critical_path={"total": 1.0}),
-        lambda r: r.update(host={}),
-    ):
-        record = json.loads(json.dumps(good))
-        mutate(record)
-        with pytest.raises(ValueError):
-            bench.validate_record(record)
-
-
-# -- serialization ------------------------------------------------------------
-
-
-def test_write_load_round_trip(tmp_path):
-    record = _record()
-    path = bench.write_record(record, str(tmp_path))
-    assert path.endswith("BENCH_unit.json")
-    assert bench.load_record(path) == json.loads(json.dumps(record))
-
-
-def test_append_trajectory_accumulates_lines(tmp_path):
-    path = str(tmp_path / "trajectory.jsonl")
-    bench.append_trajectory(_record(name="a"), path)
-    bench.append_trajectory(_record(name="b", wall_seconds=None), path)
-    with open(path, encoding="utf-8") as handle:
-        lines = [json.loads(line) for line in handle]
-    assert [line["name"] for line in lines] == ["a", "b"]
-    assert "events_per_second" in lines[0]
-    assert "events_per_second" not in lines[1]
-    assert all(set(line) >= {"name", "params", "makespan_s",
-                             "total_wire_bytes", "events"}
-               for line in lines)
-
-
-# -- v1 forward compatibility (PR 8: compressed_bytes) ------------------------
-
-
-def test_new_records_carry_compressed_bytes():
-    record = _record()
-    for context in record["contexts"]:
-        assert context["compressed_bytes"] == 0.0  # no cost model ran
-
-
-def test_v1_baselines_without_compressed_bytes_still_accepted(tmp_path):
-    """Checked-in ``repro-bench/v1`` baselines predate ``compressed_bytes``;
-    validate / compare / gate must keep accepting them unchanged."""
-    current = _record(name="compat")
-    baseline = json.loads(json.dumps(current))
-    for context in baseline["contexts"]:
-        del context["compressed_bytes"]
-    # Old-shape records still validate as v1 ...
-    bench.validate_record(baseline)
-    # ... compare cleanly against new-shape records in either direction ...
-    assert bench.compare_records(current, baseline) == []
-    assert bench.compare_records(baseline, current) == []
-    # ... and pass a full gate round-trip through disk.
-    results = tmp_path / "results"
-    baselines = tmp_path / "baselines"
-    results.mkdir()
-    baselines.mkdir()
-    bench.write_record(current, str(results))
-    path = baselines / "BENCH_compat.json"
-    path.write_text(json.dumps(baseline), encoding="utf-8")
-    failures, notes = bench.gate(str(results), str(baselines))
-    assert failures == []
-    assert notes == []
-
-
-# -- comparison and gating ----------------------------------------------------
-
-
-def test_compare_identical_records_is_clean():
-    record = _record()
-    assert bench.compare_records(record, record) == []
-
-
-def test_compare_flags_regressions_beyond_tolerance():
-    current = _record()
-    baseline = json.loads(json.dumps(current))
-    baseline["makespan_s"] = current["makespan_s"] / 1.10  # +10% drift
-    regressions = bench.compare_records(current, baseline)
-    assert regressions and "makespan_s" in regressions[0]
-    # a looser explicit tolerance lets the same drift through
-    assert bench.compare_records(current, baseline,
-                                 tolerances={"makespan_s": 0.2}) == []
-    # improvements never fail the gate
-    faster = json.loads(json.dumps(current))
-    faster["makespan_s"] *= 2.0
-    faster["total_wire_bytes"] *= 2.0
-    assert bench.compare_records(current, faster) == []
-
-
-def test_compare_flags_per_context_regressions():
-    current = _record()
-    baseline = json.loads(json.dumps(current))
-    baseline["contexts"][1]["total_wire_bytes"] /= 1.5
-    regressions = bench.compare_records(current, baseline)
-    assert any("ctx1" in r and "total_wire_bytes" in r for r in regressions)
-
-
-def test_compare_skips_on_params_mismatch():
-    current = _record()
-    baseline = json.loads(json.dumps(current))
-    baseline["params"] = {"iterations": 8}
-    assert bench.compare_records(current, baseline) is None
-
-
-def test_gate_over_directories(tmp_path):
-    results = tmp_path / "results"
-    baselines = tmp_path / "baselines"
-    results.mkdir()
-    baselines.mkdir()
-
-    # no records at all: the gate fails loudly instead of passing vacuously
-    failures, _notes = bench.gate(str(results), str(baselines))
-    assert failures
-
-    record = _record(name="stable")
-    bench.write_record(record, str(results))
-    bench.write_record(record, str(baselines))
-    newcomer = _record(name="newcomer")
-    bench.write_record(newcomer, str(results))
-    failures, notes = bench.gate(str(results), str(baselines))
-    assert failures == []
-    assert any("newcomer" in note and "no checked-in baseline" in note
-               for note in notes)
-
-    # regress the checked-in baseline's byte volume: the gate trips
-    slim = json.loads(json.dumps(record))
-    slim["total_wire_bytes"] /= 1.5
-    for context in slim["contexts"]:
-        context["total_wire_bytes"] /= 1.5
-    bench.write_record(slim, str(baselines))
-    failures, _notes = bench.gate(str(results), str(baselines))
-    assert any("total_wire_bytes" in f for f in failures)
+def test_other_iteration_count_or_unpinned_name_is_skipped():
+    regressed = [(m * 2.0, b * 2.0) for m, b in PINS[NAME]]
+    check_pins(NAME, regressed, iterations=PINNED_ITERATIONS + 6)
+    check_pins(NAME, regressed[:1], iterations=PINNED_ITERATIONS - 1)
+    check_pins("test_unpinned", [(1.0, 1.0)], iterations=PINNED_ITERATIONS)

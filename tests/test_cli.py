@@ -1,6 +1,5 @@
 """CLI tests (``python -m repro ...``)."""
 
-import numpy as np
 import pytest
 
 from repro.cli import build_parser, main
@@ -86,40 +85,6 @@ def test_critical_path_ssp(capsys):
         "--consistency", "ssp", "--staleness", "1",
     ]) == 0
     assert "total attributed:" in capsys.readouterr().out
-
-
-def test_bench_gate_command(capsys, tmp_path):
-    from repro.config import ClusterConfig
-    from repro.core.context import PS2Context
-    from repro.obs import bench
-
-    ctx = PS2Context(config=ClusterConfig(n_executors=2, n_servers=2,
-                                          seed=7))
-    w = ctx.dense(128, rows=1)
-    w.push(np.arange(128.0))
-    w.pull()
-    record = bench.bench_record("cli", [ctx.cluster],
-                                params={"iterations": 1})
-    results = tmp_path / "results"
-    baselines = tmp_path / "baselines"
-    bench.write_record(record, str(results))
-    bench.write_record(record, str(baselines))
-    assert main(["bench-gate", "--results", str(results),
-                 "--baselines", str(baselines)]) == 0
-    assert "bench gate passed" in capsys.readouterr().out
-
-    # regress the baseline beyond a tightened tolerance: exit code 1
-    record["total_wire_bytes"] /= 1.5
-    record["contexts"][0]["total_wire_bytes"] /= 1.5
-    bench.write_record(record, str(baselines))
-    assert main(["bench-gate", "--results", str(results),
-                 "--baselines", str(baselines)]) == 1
-    out = capsys.readouterr().out
-    assert "REGRESSION" in out and "bench gate FAILED" in out
-    # a loose explicit tolerance waves the same drift through
-    assert main(["bench-gate", "--results", str(results),
-                 "--baselines", str(baselines),
-                 "--bytes-tolerance", "0.9"]) == 0
 
 
 def test_experiments_listing(capsys):
