@@ -50,6 +50,16 @@ PINS = {
         (1.0016476251958615, 9942000.0),
         (1.0016476251958615, 9942000.0),
     ],
+    "test_chain_recovery": [
+        (1.6865048604904382, 13995264.0),
+        (1.6865048604904382, 17285144.0),
+        (1.6865048604904382, 17285144.0),
+        (1.6820213314404382, 7438504.0),
+    ],
+    "test_replication_ablation": [
+        (0.08144176292499998, 3881728.0),
+        (0.07603247609500008, 4102344.0),
+    ],
 }
 
 #: The ``REPRO_BENCH_ITERATIONS`` the pins were recorded at; runs at any
