@@ -85,13 +85,11 @@ class Cluster:
         # so which optional machinery is live reads off one place.  A
         # ``None`` slot keeps every path bit-identical to a build without
         # that subsystem.
-        #: Hot-key replication policy (``config.replication != "off"``),
-        #: wire-codec cost model (``config.wire_codec != "off"``) and
-        #: chain replication policy (``config.chain_replicas > 0``); the
-        #: PS master installs all three.
-        self.replication = None
+        #: Replication's holder table (``config.replication != "off"`` or
+        #: ``config.chain_replicas > 0``) and the wire-codec cost model
+        #: (``config.wire_codec != "off"``); the PS master installs both.
+        self.replicas = None
         self.costmodel = None
-        self.chain = None
         #: The serving tier's SLO tracker, installed by
         #: :func:`repro.serving.scenario.run_serving`.
         self.slo = None

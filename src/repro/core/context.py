@@ -16,7 +16,6 @@ from repro.cluster.cluster import Cluster, DRIVER
 from repro.config import ClusterConfig
 from repro.core.dcv import DCV
 from repro.core.pool import DCVPool
-from repro.ps import replication
 from repro.ps.client import PSClient
 from repro.ps.master import PSMaster
 from repro.ps.messages import KernelRequest, PullRangeRequest, \
@@ -98,9 +97,9 @@ class PS2Context:
         source, queued from its control message's arrival, then a one-unit
         assign fan-out on the target, queued from the transfer's arrival
         (from the read's completion when both ends are one server).  The
-        write bypasses the replica forward, so the replication policies
-        are told about it directly: hot-key demotes the key, the chain
-        re-streams it.
+        write bypasses the replica forward, so the holder table is told
+        about it directly: hot-key demotes the key, the chain re-streams
+        it.
         """
         network = self.cluster.network
         master = self.master
@@ -134,8 +133,8 @@ class PS2Context:
                 serve_one(target, PushRangeRequest(
                     d_srv, dst.matrix_id, dst.row, lo, hi, values,
                     mode="assign"), ready)
-                replication.on_direct_write(self.cluster, dst.matrix_id,
-                                            d_srv)
+                if self.cluster.replicas is not None:
+                    self.cluster.replicas.on_direct_write(dst.matrix_id, d_srv)
         return dst
 
     # -- convenience ------------------------------------------------------------

@@ -214,8 +214,8 @@ def replication_table(cluster):
     reads rerouted to replicas, mutations fanned out, fan-outs fenced or
     skipped by the version machinery, promotions/demotions per sweep.
     """
-    manager = cluster.replication
-    if manager is None:
+    manager = cluster.replicas
+    if manager is None or manager.mode == "off":
         return "(replication off)"
     metrics = cluster.metrics
     lines = [
@@ -224,7 +224,7 @@ def replication_table(cluster):
             manager.replication_factor, _seconds(manager.rebalance_interval),
         )
     ]
-    keys = manager.replicated_keys()
+    keys = manager.keys("hot")
     if keys:
         lines.append(_format_rows(
             ["matrix", "primary", "replicas"],
@@ -274,20 +274,20 @@ def chain_table(cluster):
     promotions and checkpoint fallbacks — followed by one row per
     promotion event.
     """
-    chain = cluster.chain
-    if chain is None:
+    chain = cluster.replicas
+    if chain is None or not chain.m:
         return "(chain replication off)"
     metrics = cluster.metrics
     lines = ["successors per primary: %d (ring order over live servers)"
              % chain.m]
-    keys = sorted(chain.holders)
+    keys = chain.keys("chain")
     if keys:
         lines.append(_format_rows(
             ["matrix", "primary", "successors", "lag"],
             [
                 (matrix_id, primary_index,
                  ",".join(str(s) for s in
-                          sorted(chain.holders[(matrix_id, primary_index)])),
+                          chain.holders((matrix_id, primary_index), "chain")),
                  chain.key_lag(matrix_id, primary_index))
                 for matrix_id, primary_index in keys
             ],

@@ -4,7 +4,7 @@ from repro.ps.checkpoint import CheckpointManager
 from repro.ps.client import PSClient
 from repro.ps.master import MatrixInfo, PSMaster
 from repro.ps.partitioner import ColumnLayout, RowLayout
-from repro.ps.replication import HotKeyManager
+from repro.ps.replication import Replicas
 from repro.ps.server import PSServer, ReplicaEntry, RowShard
 
 __all__ = [
@@ -14,7 +14,7 @@ __all__ = [
     "PSMaster",
     "ColumnLayout",
     "RowLayout",
-    "HotKeyManager",
+    "Replicas",
     "PSServer",
     "ReplicaEntry",
     "RowShard",

@@ -171,8 +171,8 @@ class PSClient:
         mutates requests between sends.  Pushes swap same-length value
         views into pooled requests, which keeps every memoized wire-size
         formula input unchanged.  Nothing else assigns to them: the
-        replication routers send a rerouted read as a retargeted *copy*
-        (:func:`repro.ps.replication.route`), so a pooled plan stays
+        replication router sends a rerouted read as a retargeted *copy*
+        (:meth:`repro.ps.replication.Replicas.route`), so a pooled plan stays
         addressed to the primaries and pooling needs no replica-set stamp.
         A cost model would attach per-send codec state (encoded payloads,
         re-priced sizes), so under one only plans with an identity verdict

@@ -145,7 +145,7 @@ def test_stale_fenced_write_rejected_after_promotion():
     m = master.create_matrix(30)
     client.push_assign(m, 0, np.arange(30.0))
     stale_epoch = master.server(0).epoch
-    succ = ctx.cluster.chain.successors(0)[0]
+    succ = ctx.cluster.replicas.successors(0)[0]
 
     master.servers[0].crash()
     client.push_add(m, 0, np.ones(30))  # retry -> recover -> promotion
@@ -180,13 +180,13 @@ def test_current_epoch_fanout_still_applies_after_promotion():
     client = ctx.client_for(ctx.cluster.executors[0])
     m = master.create_matrix(30)
     client.push_assign(m, 0, np.arange(30.0))
-    succ = ctx.cluster.chain.successors(0)[0]
+    succ = ctx.cluster.replicas.successors(0)[0]
     master.servers[0].crash()
     client.push_add(m, 0, np.ones(30))
     client.push_add(m, 0, np.ones(30))  # fans out at the promoted epoch
     holder = master.server(succ)
     entry = holder.replica_store[(m, 0)]
-    assert ctx.cluster.chain.key_lag(m, 0) == 0
+    assert ctx.cluster.replicas.key_lag(m, 0) == 0
     primary = master.server(0)
     for row, shard in entry.rows.items():
         assert np.array_equal(shard.values, primary._store[m][row].values)

@@ -653,8 +653,8 @@ def _replicated_rig():
     client.push_assign(m, 0, np.arange(30.0))
     for _ in range(4):
         client.pull_range(m, 0, 0, 10)
-    master.replication.rebalance()
-    assert master.replication.replica_set(m, 0) == [1, 2]
+    master.replicas.rebalance()
+    assert master.replicas.replica_set(m, 0) == [1, 2]
     return cluster, master, client, m
 
 
@@ -663,7 +663,7 @@ def test_replica_holder_crash_recovery_restores_replica_set():
     must drop out of the valid replica set immediately (no read may route
     to it), and recovery must re-install its copy from the live primary."""
     cluster, master, client, m = _replicated_rig()
-    manager = master.replication
+    manager = master.replicas
     master.checkpoint_all()
     reinstalls_before = cluster.metrics.counters.get("replica-reinstalls", 0)
 
@@ -690,7 +690,7 @@ def test_primary_crash_epoch_bump_fences_stale_replicas():
     from repro.ps import messages
 
     cluster, master, client, m = _replicated_rig()
-    manager = master.replication
+    manager = master.replicas
     master.checkpoint_all()
     # Post-checkpoint mutation: fans out to both replicas, then is LOST
     # with the crash below (the primary rolls back to the checkpoint).
@@ -927,7 +927,7 @@ def test_chain_crash_during_resize_reforms():
     m = ctx.master.create_matrix(30)
     client.push_assign(m, 0, np.arange(30.0))
     ctx.master.checkpoint_all()
-    assert ctx.cluster.chain.holders
+    assert ctx.cluster.replicas.keys("chain")
     ctx.master.servers[1].crash()  # dead when the migration reads it
     ctx.master.resize_servers(4)
     assert ctx.metrics.counters["server-recoveries"] == 1
@@ -935,9 +935,10 @@ def test_chain_crash_during_resize_reforms():
     assert "chain-promotions" not in ctx.metrics.counters
     assert ctx.metrics.counters["chain-reforms"] == 1
     # The chain map re-formed against the post-resize ring.
-    chain = ctx.cluster.chain
-    assert chain.holders
-    for (_matrix_id, primary), holders in chain.holders.items():
-        assert sorted(holders) == chain.successors(primary)
+    chain = ctx.cluster.replicas
+    assert chain.keys("chain")
+    for _matrix_id, primary in chain.keys("chain"):
+        assert chain.holders((_matrix_id, primary), "chain") \
+            == chain.successors(primary)
         assert chain.key_lag(_matrix_id, primary) == 0
     assert np.allclose(client.pull_row(m, 0), np.arange(30.0))

@@ -279,7 +279,7 @@ def test_rebalance_consults_the_gate():
     m = master.create_matrix(16, n_rows=1)
     client.push_add(m, 0, np.ones(16))
     client.pull_row(m, 0)
-    cluster.replication.rebalance()
+    cluster.replicas.rebalance()
     counters = cluster.metrics.counters
     # Tiny heat vs full-matrix migration: every candidate is vetoed.
     assert counters["codec-replication-vetoed"] > 0

@@ -443,10 +443,10 @@ def test_resize_demotes_all_replicas_first():
         client.push_assign(m, 0, np.arange(30.0))
         for _ in range(4):
             client.pull_range(m, 0, 0, 10)
-        ctx.master.replication.rebalance()
-        assert ctx.master.replication.replicated_keys()
+        ctx.master.replicas.rebalance()
+        assert ctx.master.replicas.keys("hot")
         ctx.master.resize_servers(new_count)
-        assert ctx.master.replication.replicated_keys() == []
+        assert ctx.master.replicas.keys("hot") == []
         assert np.allclose(client.pull_row(m, 0), np.arange(30.0))
 
 
@@ -482,10 +482,10 @@ def test_lazy_create_dereplicates_via_direct_write():
     client.pull_or_create(table, [0, 1, 2])
     for _ in range(4):
         client.pull_or_create(table, [0])
-    ctx.master.replication.rebalance()
-    before = ctx.master.replication.replicated_keys()
+    ctx.master.replicas.rebalance()
+    before = ctx.master.replicas.keys("hot")
     client.pull_or_create(table, [9])  # fresh id on a replicated matrix
-    after = ctx.master.replication.replicated_keys()
+    after = ctx.master.replicas.keys("hot")
     assert [k for k in after if k[0] == table] == [] or before == after
     assert np.array_equal(
         client.pull_or_create(table, [0, 1, 2]),

@@ -275,10 +275,19 @@ class _Rig:
                         for row, shard in entry.rows.items()))
                 for key, entry in server.replica_store.items())
                 for server in servers],
-            "holders": [policy.holders for policy in
-                        (cluster.replication, cluster.chain)
-                        if policy is not None],
+            "holders": _holder_maps(cluster.replicas),
         }
+
+
+def _holder_maps(replicas):
+    """The link table as one ``{key: {holder: install_epoch}}`` map per
+    live reason, hot first (the form the pinned law digests hash)."""
+    if replicas is None:
+        return []
+    return [{key: {holder: replicas.links[key][holder][reason]
+                   for holder in replicas.holders(key, reason)}
+             for key in replicas.keys(reason)}
+            for reason in replicas.reasons]
 
 
 def _values(seed, *shape):
@@ -334,7 +343,7 @@ def _apply(rig, op):
     if kind == "create":
         return client.pull_or_create(rig.table, args[0])
     if kind == "rebalance":
-        manager = rig.master.replication
+        manager = rig.master.replicas
         return None if manager is None else manager.rebalance()
     if kind == "cut":
         return rig.cut(client_slot, *args)
@@ -768,7 +777,7 @@ def test_a_creation_whose_response_is_lost_still_reaches_the_chain():
         assert counters["lazy-creates"] == 7
         # The primaries recorded the creations, so the forward synced
         # every row to its successor anyway.
-        chain = rig.cluster.chain
+        chain = rig.cluster.replicas
         for row in range(7):
             owner = row % 3
             (successor,) = chain.successors(owner)
@@ -1000,7 +1009,7 @@ def _hand_built_copies(rig):
     servers, units, arrivals = [], [], []
     for primary in master.servers:
         p = primary.server_index
-        (h,) = rig.cluster.chain.successors(p)
+        (h,) = rig.cluster.replicas.successors(p)
         entry = master.server(h).replica_store[(m, p)]
         shard = entry.rows[0]
         width = len(shard)
@@ -1059,7 +1068,7 @@ def _hand_built_lazy_reads(rig):
     id (a creation), then two stand-alone stand-ins for server 1's rows
     on its chain successor.  Returns the lane's unit lists."""
     master = rig.master
-    (successor,) = rig.cluster.chain.successors(1)
+    (successor,) = rig.cluster.replicas.successors(1)
     master.server(1).crash()
     arrive = max(rig.cluster.clock.now(node)
                  for node in rig.cluster.clock.nodes())
@@ -1132,7 +1141,7 @@ def _one_of_every_kind(rig):
     master = rig.master
     m, table = rig.matrices[0], rig.table
     primary = master.server(0)
-    (h,) = rig.cluster.chain.successors(0)
+    (h,) = rig.cluster.replicas.successors(0)
     entry = master.server(h).replica_store[(m, 0)]
     shard = primary.shard(m, 0)
     width, lo = len(shard), shard.start
@@ -1154,7 +1163,7 @@ def _one_of_every_kind(rig):
                                wait_response=False),
     ]
     standin = messages.PullOrCreateRequest(1, table, 1, TABLE_DIM) \
-        .retargeted(rig.cluster.chain.successors(1)[0])
+        .retargeted(rig.cluster.replicas.successors(1)[0])
     return [
         (primary, messages.PullRowRequest(0, m, 0, width)),
         (primary, messages.PullRowRequest(0, m, 1, len(columns),

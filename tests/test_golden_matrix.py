@@ -217,7 +217,7 @@ def test_chain_cell_is_bit_identical_across_runs(consistency, staleness,
     assert ctx_a.elapsed() == ctx_b.elapsed()
     assert ctx_a.metrics.total_bytes() == ctx_b.metrics.total_bytes()
     if chain == 0:
-        assert ctx_a.cluster.chain is None
+        assert ctx_a.cluster.replicas is None
         assert not any("chain" in tag for tag in ctx_a.metrics.bytes_by_tag)
         assert "chain-syncs" not in ctx_a.metrics.counters
         if consistency == "bsp":
@@ -225,15 +225,17 @@ def test_chain_cell_is_bit_identical_across_runs(consistency, staleness,
     else:
         # The knob is live: every primary carries M fenced chain copies
         # and every applied write fanned out to them.
-        assert ctx_a.cluster.chain is not None
+        assert ctx_a.cluster.replicas is not None
         assert ctx_a.metrics.counters["chain-syncs"] > 0
         assert ctx_a.metrics.counters["chain-fanouts"] > 0
         assert ctx_a.metrics.bytes_for_tag("chain-sync") > 0
         assert (ctx_a.metrics.counters["chain-fanouts"]
                 == ctx_b.metrics.counters["chain-fanouts"])
-        for key, holders in ctx_a.cluster.chain.holders.items():
-            assert len(holders) == min(chain, ctx_a.master.n_servers - 1)
-            assert ctx_a.cluster.chain.key_lag(*key) == 0
+        replicas = ctx_a.cluster.replicas
+        for key in replicas.keys("chain"):
+            assert len(replicas.holders(key, "chain")) \
+                == min(chain, ctx_a.master.n_servers - 1)
+            assert ctx_a.cluster.replicas.key_lag(*key) == 0
 
 
 @pytest.mark.parametrize("consistency,staleness", [("bsp", 0), ("ssp", 1)])

@@ -143,7 +143,7 @@ def test_route_read_lands_on_primary_or_valid_replica(
         n_servers, replication_factor, hot_position):
     dim = 12 * n_servers
     cluster, master, client = _replication_rig(n_servers, replication_factor)
-    manager = master.replication
+    manager = master.replicas
     m = master.create_matrix(dim)
     client.push_assign(m, 0, np.arange(float(dim)))
     layout = master.layout(m)
@@ -162,7 +162,7 @@ def test_route_read_lands_on_primary_or_valid_replica(
     epoch = master.server(primary).epoch
     for _ in range(4):
         request = messages.PullRangeRequest(primary, m, 0, start, stop)
-        routed = manager.route_read(request)
+        (routed,) = manager.route([request])
         assert routed.server_index in [primary] + replicas
         if routed.server_index != primary:
             assert routed.replica_of == primary
@@ -185,7 +185,7 @@ def test_rebalance_history_preserves_coverage(n_servers, replication_factor,
                                               data):
     dim = 10 * n_servers
     cluster, master, client = _replication_rig(n_servers, replication_factor)
-    manager = master.replication
+    manager = master.replicas
     m = master.create_matrix(dim)
     expected = np.zeros(dim)
     client.push_assign(m, 0, expected)
@@ -211,7 +211,8 @@ def test_rebalance_history_preserves_coverage(n_servers, replication_factor,
     # Primary ownership never moved...
     assert master.layout(m).same_layout(layout)
     # ...every surviving replica entry is a valid, installed copy...
-    for (matrix_id, primary_index), targets in manager.holders.items():
+    for matrix_id, primary_index in manager.keys("hot"):
+        targets = manager.holders((matrix_id, primary_index), "hot")
         epoch = master.server(primary_index).epoch
         for replica_index in manager.replica_set(matrix_id, primary_index):
             assert replica_index != primary_index
@@ -259,7 +260,7 @@ def test_hot_key_plus_chain_interleavings_match_numpy(data):
             assert np.array_equal(client.pull_range(m, 0, start, stop),
                                   expected[start:stop])
         elif op == "rebalance":
-            master.replication.rebalance()
+            master.replicas.rebalance()
         elif op == "crash":
             # One crash at a time: the chain (M = 1) promotes losslessly.
             index = start % master.n_servers
@@ -277,3 +278,17 @@ def test_hot_key_plus_chain_interleavings_match_numpy(data):
                 assert all(np.array_equal(rows[row].values,
                                           entry.rows[row].values)
                            for row in rows)
+    # The link table and the stores agree: every entry on a live server is
+    # held for some reason, and every link at its primary's current epoch
+    # to a live holder has an entry installed at that epoch.
+    links = master.replicas.links
+    for holder in master.servers:
+        if holder.alive:
+            for key in holder.replica_store:
+                assert links.get(key, {}).get(holder.server_index)
+    for key, held in links.items():
+        epoch = master.server(key[1]).epoch
+        for holder_index, reasons in held.items():
+            holder = master.server(holder_index)
+            if holder.alive and epoch in reasons.values():
+                assert holder.replica_store[key].install_epoch == epoch

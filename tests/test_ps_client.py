@@ -438,7 +438,7 @@ def test_cap_clear_under_replication_keeps_what_it_stores():
     assert set(pool) == {key}
     assert pool[key] is _SEEN_ONCE
     # A rebalance sweep leaves the pool alone: routing derives copies.
-    master.replication.rebalance()
+    master.replicas.rebalance()
     client.pull_row(m, 0, idx)  # ... and what was just stored survives:
     plan = pool[key]            # second sight, so the plan is pooled
     assert isinstance(plan, FanoutPlan)

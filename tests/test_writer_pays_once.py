@@ -1,7 +1,7 @@
 """The writer pays once: replication costs the writer nothing.
 
 A mutation's replica copies are forwarded by its primary
-(:func:`repro.ps.replication.forward`), so a write on a replicated
+(:meth:`repro.ps.replication.Replicas.forward`), so a write on a replicated
 cluster must cost the *writer* exactly what the same write costs on an
 unreplicated one.  Two clusters are built from one seed — one with chain
 replication (``chain_replicas`` 1 or 2) and optionally hot-key
@@ -73,8 +73,8 @@ class _Rig:
         for _ in range(4):
             for matrix in self.matrices:
                 self.other.pull_range(matrix, 0, 0, 10)
-        if self.master.replication is not None:
-            self.master.replication.rebalance()
+        if self.master.replicas is not None:
+            self.master.replicas.rebalance()
         # Warm the writer's routing cache: a cold entry's routing RPC waits
         # on the coordinator's NIC, which replication traffic also uses.
         for matrix in self.matrices:
