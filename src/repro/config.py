@@ -270,11 +270,12 @@ class ClusterConfig:
     - ``"asp"``: fully asynchronous — no blocking; ``staleness`` (if > 0)
       only sizes the worker cache's reuse window.
 
-    ``replication`` selects the NuPS-style hot-key replication policy
-    (``repro.ps.replication``):
+    ``replication`` selects NuPS-style hot-key replication (links held
+    for reason ``"hot"`` in ``repro.ps.replication.Replicas``):
 
-    - ``"off"`` (default): no replication manager is constructed at all —
-      every code path is bit-identical to a pre-replication run;
+    - ``"off"`` (default): no hot copy is ever placed; with
+      ``chain_replicas`` 0 as well no replication object is constructed
+      at all — every code path is bit-identical to a pre-replication run;
     - ``"topk"``: at every rebalance sweep, the hottest
       ``hot_key_fraction`` of (matrix, server) shard keys — ranked by the
       same unified heat metric the hot-shard telemetry reports — are
@@ -303,12 +304,13 @@ class ClusterConfig:
       elsewhere — the ablation knob.
 
     ``chain_replicas`` enables ElasticDL-style chained shard replication
-    for zero-downtime recovery (``repro.ps.replication.ChainReplicator``):
-    every primary server keeps its full store mirrored on the next M live
-    servers in ring order, every applied write fans out epoch/counter-
-    fenced, and a crash promotes the most-advanced successor instead of
-    pausing for a checkpoint restore.  0 (the default) constructs no
-    chain replicator at all — every code path is bit-identical to a
+    for zero-downtime recovery (links held for reason ``"chain"`` in
+    ``repro.ps.replication.Replicas``): every primary server keeps its
+    full store mirrored on the next M live servers in ring order, every
+    applied write fans out epoch/counter-fenced, and a crash promotes the
+    most-advanced successor instead of pausing for a checkpoint restore.
+    0 (the default) forms no chain — with ``replication="off"`` as well
+    nothing is constructed and every code path is bit-identical to a
     pre-chain build; checkpoint-restore remains the only recovery path.
     """
 

@@ -16,8 +16,8 @@ the transport already maintains into one decision point:
 - **shard heat** from :meth:`Metrics.shard_heat`: persistently hot
   shards get the aggressive sparsifying codec on gradient pushes, and
   :meth:`replication_worthwhile` prices the *same* heat against
-  migration bytes for :class:`HotKeyManager`'s promote sweeps — one
-  model, both knobs.
+  migration bytes for the hot-key promote sweeps of
+  :class:`~repro.ps.replication.Replicas` — one model, both knobs.
 
 The model runs **before routing** in ``Transport.send``/``send_all`` so
 decisions key on the primary ``server_index`` and the *sender's* NIC,

@@ -35,14 +35,14 @@ assert sorted(field for fields in KNOBS.values() for field in fields) \
     == sorted(ALL_ON)
 
 #: Upper bound on each configuration's call count, as a ratio to bare:
-#: the measured ratio (CPython 3.11, bare = 418 408 calls) plus 10 %.
+#: the measured ratio (CPython 3.11, bare = 416 166 calls) plus 10 %.
 BOUNDS = {
-    "chain": 2.45,       # 2.229
+    "chain": 2.36,       # 2.149
     "codec": 1.14,       # 1.034
-    "topk": 1.34,        # 1.219
+    "topk": 1.26,        # 1.148
     "timeseries": 1.17,  # 1.062
     "failures": 1.11,    # 1.007
-    "all-on": 2.93,      # 2.667
+    "all-on": 2.85,      # 2.592
 }
 
 
