@@ -27,10 +27,9 @@ import pytest
 
 from benchmarks._common import ITERATIONS as PASSES
 from benchmarks._common import emit, run_once
-from repro.config import ClusterConfig, NetworkSpec, NodeSpec
-from repro.core.context import PS2Context
+from repro.config import NetworkSpec, NodeSpec
 from repro.data.synth import sparse_classification
-from repro.experiments import format_table
+from repro.experiments import format_table, make_context
 from repro.ml.deepwalk import build_embeddings
 from repro.ml.linear import train_linear_ps2
 from repro.ml.losses import sigmoid
@@ -52,9 +51,8 @@ LEARNING_RATE = 0.05
 def _make_context(wire_codec, slow=True):
     specs = dict(node=NodeSpec(**NODE), network=NetworkSpec(**NET)) \
         if slow else {}
-    config = ClusterConfig(n_executors=2, n_servers=2, seed=13,
-                           wire_codec=wire_codec, **specs)
-    return PS2Context(config=config)
+    return make_context(n_executors=2, n_servers=2, seed=13,
+                        wire_codec=wire_codec, **specs)
 
 
 def _codec_stats(metrics):

@@ -29,10 +29,9 @@ import pytest
 
 from benchmarks._common import ITERATIONS as SERVE_PASSES
 from benchmarks._common import emit, run_once
-from repro.config import ClusterConfig, NetworkSpec, NodeSpec
-from repro.core.context import PS2Context
+from repro.config import NetworkSpec, NodeSpec
 from repro.data.synth import sparse_classification
-from repro.experiments import format_table
+from repro.experiments import format_table, make_context
 from repro.ml.linear import serve_linear_ps2, train_linear_ps2
 
 # CI's benchmark-smoke job runs the ablation at reduced scale
@@ -49,17 +48,13 @@ NET = dict(latency=1e-5, bandwidth=1.25e7)
 
 
 def _make_context(replication):
-    config = ClusterConfig(
-        n_executors=16,
-        n_servers=8,
-        seed=7,
-        node=NodeSpec(**NODE),
-        network=NetworkSpec(**NET),
-        replication=replication,
-        hot_key_fraction=0.125,
-        replication_factor=3,
-    )
-    return PS2Context(config=config)
+    # The hot-key knobs apply only with replication on; the off baseline
+    # leaves them at their defaults.
+    knobs = {} if replication == "off" else dict(hot_key_fraction=0.125,
+                                                 replication_factor=3)
+    return make_context(n_executors=16, n_servers=8, seed=7,
+                        node=NodeSpec(**NODE), network=NetworkSpec(**NET),
+                        replication=replication, **knobs)
 
 
 def _run(replication):

@@ -28,9 +28,7 @@ import numpy as np
 import pytest
 
 from benchmarks._common import ITERATIONS, emit, run_once
-from repro.config import ClusterConfig
-from repro.core.context import PS2Context
-from repro.experiments import format_table
+from repro.experiments import format_table, make_context
 
 # CI's benchmark-smoke job runs the ablation at reduced scale
 # (``_common.ITERATIONS`` = 4); the shape assertions hold at any scale.
@@ -54,10 +52,8 @@ READ_FRACTION = 0.9
 
 
 def _run_arm(chain_replicas, crash):
-    ctx = PS2Context(config=ClusterConfig(
-        n_executors=2, n_servers=3, seed=SEED,
-        chain_replicas=chain_replicas,
-    ))
+    ctx = make_context(n_executors=2, n_servers=3, seed=SEED,
+                       chain_replicas=chain_replicas)
     cluster = ctx.cluster
     master = ctx.master
     table = master.create_table(DIM, name="serve")

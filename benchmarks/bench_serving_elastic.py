@@ -29,9 +29,8 @@ Expected shape, asserted below:
 import pytest
 
 from benchmarks._common import ITERATIONS, emit, run_once
-from repro.config import ClusterConfig, ElasticitySpec, NetworkSpec, NodeSpec
-from repro.core.context import PS2Context
-from repro.experiments import format_table
+from repro.config import ElasticitySpec, NetworkSpec, NodeSpec
+from repro.experiments import format_table, make_context
 from repro.serving import ServingScenario, run_serving
 
 # CI's benchmark-smoke job runs the ablation at reduced scale
@@ -88,16 +87,9 @@ def _scenario():
 
 
 def _make_context(spec):
-    config = ClusterConfig(
-        n_executors=2,
-        n_servers=2,
-        seed=SEED,
-        node=NodeSpec(**NODE),
-        network=NetworkSpec(**NET),
-        timeseries_window=WINDOW,
-        elasticity=spec,
-    )
-    return PS2Context(config=config)
+    return make_context(n_executors=2, n_servers=2, seed=SEED,
+                        node=NodeSpec(**NODE), network=NetworkSpec(**NET),
+                        timeseries_window=WINDOW, elasticity=spec)
 
 
 def _post_step_p99(ctx):

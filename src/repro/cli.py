@@ -247,7 +247,7 @@ def _cmd_serve(args):
     ctx = make_context(
         n_executors=args.workers, n_servers=args.servers, seed=args.seed,
         timeseries_window=args.window,
-        elasticity="auto" if args.elastic else None,
+        elasticity="auto" if args.elastic else "off",
     )
     result = run_serving(ctx, args.scenario)
     print(render_report(

@@ -52,7 +52,6 @@ class Cluster:
         self.failures = FailureInjector(
             self.rng.get("failures"),
             task_failure_prob=self.config.failures.task_failure_prob,
-            max_task_retries=self.config.failures.max_task_retries,
         )
         # The network is built before the injector (it needs only clock and
         # metrics); partitions are consulted through this back-reference.

@@ -6,8 +6,9 @@ scheduler; server and executor crashes are scheduled at explicit virtual
 times; transient network partitions cover a node for a virtual-time window.
 Server crashes trigger checkpoint recovery in the PS substrate, executor
 crashes trigger partition redistribution in the scheduler, and partitioned
-transfers are retried under the PS client's retry policy — in one retry
-order on either transmit schedule, which never asks what is scheduled.
+transfers are retried under the retry prices of :mod:`repro.costs` — in
+one retry order on either transmit schedule, which never asks what is
+scheduled.
 """
 
 from __future__ import annotations
@@ -21,14 +22,13 @@ _NO_EVENTS = []
 class FailureInjector:
     """Decides, deterministically, when simulated components fail."""
 
-    def __init__(self, rng, task_failure_prob=0.0, max_task_retries=10):
+    def __init__(self, rng, task_failure_prob=0.0):
         if not 0.0 <= task_failure_prob <= 1.0:
             raise ConfigError(
                 "task_failure_prob must be in [0, 1], got %r" % (task_failure_prob,)
             )
         self._rng = rng
         self.task_failure_prob = float(task_failure_prob)
-        self.max_task_retries = int(max_task_retries)
         #: Pending server crashes and partition windows: a component that
         #: checks them per item first hoists what it needs once — the
         #: fan-out serve lane the crashing nodes (:meth:`crashing_nodes`),

@@ -32,8 +32,8 @@ class MetricsRegistry:
         self.logical_messages_by_tag = defaultdict(int)
         self.compute_seconds = defaultdict(float)
         self.counters = defaultdict(int)
-        # Compute-op counts get their own namespace: ``record_compute`` used
-        # to write "compute:<tag>" into ``counters``, colliding with any
+        # Compute-op counts get their own namespace: written into
+        # ``counters`` as "compute:<tag>", they would collide with any
         # free-form ``increment`` name starting with that prefix.
         self.compute_counts = defaultdict(int)
         self.requests_by_server = defaultdict(int)

@@ -1,5 +1,11 @@
 """Configuration objects for the simulated cluster and experiments.
 
+This module is the one statement of the configuration schema:
+:func:`repro.experiments.make_context` forwards its fields to
+:class:`ClusterConfig` instead of restating them.  A knob is here only if
+something outside the tests sets it; fixed protocol choices, such as the
+retry policy, are prices in :mod:`repro.costs`.
+
 The hardware defaults are the testbed of Section 6.1 of the paper, priced
 in :mod:`repro.costs` (:data:`~repro.costs.NODE_FLOPS`,
 :data:`~repro.costs.TEN_GBPS`, :data:`~repro.costs.LINK_LATENCY`); they are
@@ -9,7 +15,6 @@ the only prices a run can change.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from numbers import Integral
 
 from repro.common.errors import ConfigError
 from repro.costs import LINK_LATENCY, NODE_FLOPS, TEN_GBPS
@@ -56,79 +61,40 @@ class NetworkSpec:
 
 @dataclass(frozen=True)
 class FailureConfig:
-    """Failure injection and recovery policy (all default to no failures).
+    """Failure injection and checkpointing (all default to no failures).
 
-    Injection knobs:
-
-    - ``task_failure_prob`` / ``max_task_retries``: Bernoulli task failures,
-      retried by the sparklite scheduler (Figure 13(c)).
+    - ``task_failure_prob``: Bernoulli task failures, retried by the
+      sparklite scheduler (Figure 13(c)).
     - ``server_failure_times``: ``(server_index, virtual_time)`` pairs; the
       server crashes once its clock passes that time.
     - ``executor_failure_times``: ``(executor_index, virtual_time)`` pairs;
       the executor dies and its partitions redistribute (Section 5.3).
     - ``partition_windows``: ``(node_id, start, stop)`` triples; transfers
       touching the node inside ``[start, stop)`` raise and are retried.
-
-    Recovery knobs:
-
     - ``checkpoint_interval``: virtual seconds between automatic checkpoint
       sweeps (0 disables them; ``checkpoint_all`` stays available).
-    - ``max_op_retries`` / ``op_timeout`` / ``retry_backoff`` /
-      ``retry_backoff_multiplier``: the retry policy of PS clients and of
-      replication's own transfers — an op runs at most ``max_op_retries +
-      1`` times, and each failed attempt charges :meth:`penalty_for` (the
-      detection timeout plus an exponentially growing backoff) to the
-      retrier's virtual clock before re-resolving routing and re-sending.
+
+    The retry policy is fixed, not configured: its budgets and penalties
+    are prices in :mod:`repro.costs` (:data:`~repro.costs.MAX_OP_RETRIES`,
+    :func:`~repro.costs.penalty_for`, :data:`~repro.costs.MAX_TASK_RETRIES`).
     """
 
     task_failure_prob: float = 0.0
-    max_task_retries: int = 10
     server_failure_times: tuple = ()
     executor_failure_times: tuple = ()
     partition_windows: tuple = ()
     checkpoint_interval: float = 0.0
-    max_op_retries: int = 3
-    op_timeout: float = 1e-3
-    retry_backoff: float = 1e-3
-    retry_backoff_multiplier: float = 2.0
 
     def __post_init__(self):
-        for name in ("max_task_retries", "max_op_retries"):
-            value = getattr(self, name)
-            if not isinstance(value, Integral):
-                raise ConfigError(
-                    "%s must be an integer, got %r" % (name, value)
-                )
         if not 0.0 <= self.task_failure_prob <= 1.0:
             raise ConfigError(
                 "task_failure_prob must be in [0, 1], got %r"
                 % (self.task_failure_prob,)
             )
-        if self.max_task_retries < 0:
-            raise ConfigError(
-                "max_task_retries must be >= 0, got %r" % (self.max_task_retries,)
-            )
         if self.checkpoint_interval < 0:
             raise ConfigError(
                 "checkpoint_interval must be >= 0, got %r"
                 % (self.checkpoint_interval,)
-            )
-        if self.max_op_retries < 0:
-            raise ConfigError(
-                "max_op_retries must be >= 0, got %r" % (self.max_op_retries,)
-            )
-        if self.op_timeout < 0:
-            raise ConfigError(
-                "op_timeout must be >= 0, got %r" % (self.op_timeout,)
-            )
-        if self.retry_backoff < 0:
-            raise ConfigError(
-                "retry_backoff must be >= 0, got %r" % (self.retry_backoff,)
-            )
-        if self.retry_backoff_multiplier < 1.0:
-            raise ConfigError(
-                "retry_backoff_multiplier must be >= 1, got %r"
-                % (self.retry_backoff_multiplier,)
             )
         for pair in self.server_failure_times:
             if len(pair) != 2:
@@ -153,19 +119,6 @@ class FailureConfig:
                     "partition window must end after it starts, got %r"
                     % (window,)
                 )
-
-    def backoff_for(self, attempt):
-        """Backoff before the *attempt*-th retry (attempts count from 1)."""
-        if attempt < 1:
-            raise ConfigError(
-                "retry attempts count from 1, got %r" % (attempt,)
-            )
-        return (self.retry_backoff
-                * self.retry_backoff_multiplier ** (attempt - 1))
-
-    def penalty_for(self, attempt):
-        """Total virtual seconds charged for the *attempt*-th failure."""
-        return self.op_timeout + self.backoff_for(attempt)
 
 
 @dataclass(frozen=True)
@@ -270,6 +223,9 @@ class ClusterConfig:
     - ``"asp"``: fully asynchronous — no blocking; ``staleness`` (if > 0)
       only sizes the worker cache's reuse window.
 
+    A ``staleness`` above 0 under ``"bsp"`` would do nothing, so it is
+    rejected.
+
     ``replication`` selects NuPS-style hot-key replication (links held
     for reason ``"hot"`` in ``repro.ps.replication.Replicas``):
 
@@ -283,7 +239,9 @@ class ClusterConfig:
 
     ``replication_factor`` is the number of replicas per hot key (0 means
     "all other servers"); ``rebalance_interval`` is the virtual-seconds
-    period of the rebalance sweep (0 sweeps at every stage end).
+    period of the rebalance sweep (0 sweeps at every stage end).  These
+    two and ``hot_key_fraction`` only apply under ``"topk"``: changing one
+    from its default with ``replication="off"`` is rejected.
 
     ``timeseries_window`` enables the windowed time-series sampler
     (``repro.obs.timeseries``) with windows of that many virtual seconds;
@@ -299,9 +257,9 @@ class ClusterConfig:
       size/NIC-backlog/shard-heat regime (identity on latency-dominated
       messages, fp16/int8 as the payload grows byte-dominated, top-k on
       hot dense gradient pushes);
-    - a codec name (``"fp16"``, ``"int8"``, ``"topk"``, ``"delta"``)
-      forces that codec wherever its loss class is sound and identity
-      elsewhere — the ablation knob.
+    - a codec name (``"fp16"``, ``"int8"``, ``"topk"``) forces that
+      codec wherever its loss class is sound and identity elsewhere — the
+      ablation knob.
 
     ``chain_replicas`` enables ElasticDL-style chained shard replication
     for zero-downtime recovery (links held for reason ``"chain"`` in
@@ -372,14 +330,28 @@ class ClusterConfig:
                 "timeseries_window must be >= 0, got %r"
                 % (self.timeseries_window,)
             )
-        if self.wire_codec not in ("off", "auto", "fp16", "int8", "topk",
-                                   "delta"):
+        if self.wire_codec not in ("off", "auto", "fp16", "int8", "topk"):
             raise ConfigError(
-                "wire_codec must be 'off', 'auto', 'fp16', 'int8', 'topk' "
-                "or 'delta', got %r" % (self.wire_codec,)
+                "wire_codec must be 'off', 'auto', 'fp16', 'int8' or 'topk', "
+                "got %r" % (self.wire_codec,)
             )
         if self.chain_replicas < 0:
             raise ConfigError(
                 "chain_replicas must be >= 0, got %r"
                 % (self.chain_replicas,)
             )
+        if self.consistency == "bsp" and self.staleness:
+            raise ConfigError(
+                "staleness applies under 'ssp' or 'asp', not 'bsp', got %r"
+                % (self.staleness,)
+            )
+        if self.replication == "off":
+            tuned = [name for name in ("hot_key_fraction",
+                                       "replication_factor",
+                                       "rebalance_interval")
+                     if getattr(self, name) != getattr(ClusterConfig, name)]
+            if tuned:
+                raise ConfigError(
+                    "%s set with replication='off'; the hot-key knobs "
+                    "apply only under 'topk'" % ", ".join(tuned)
+                )

@@ -9,6 +9,8 @@ They follow the testbed of Section 6.1 of the paper; the simulator is
 laptop-scale, so datasets shrink elsewhere but these machine ratios hold.
 """
 
+from repro.common.errors import ConfigError
+
 # -- wire bytes ---------------------------------------------------------------
 
 #: Per-transfer NIC envelope: framing, routing metadata, protobuf overhead.
@@ -75,6 +77,37 @@ RPC_CPU_SECONDS = 5e-6
 
 #: Per-task launch overhead on the executor (deserialization, setup).
 TASK_OVERHEAD_SECONDS = 1e-3
+
+# -- retries ------------------------------------------------------------------
+
+#: Failed attempts a PS op, or a transfer replication sends on its own,
+#: retries before giving up: it runs at most ``MAX_OP_RETRIES + 1`` times.
+MAX_OP_RETRIES = 3
+
+#: Failure-detection timeout charged to the retrier per failed attempt.
+OP_TIMEOUT_SECONDS = 1e-3
+
+#: Backoff before the first retry; each later one is
+#: ``RETRY_BACKOFF_MULTIPLIER`` times the one before.
+RETRY_BACKOFF_SECONDS = 1e-3
+RETRY_BACKOFF_MULTIPLIER = 2.0
+
+#: Failed attempts a sparklite task retries before its job aborts.
+MAX_TASK_RETRIES = 10
+
+
+def backoff_for(attempt):
+    """Backoff before the *attempt*-th retry (attempts count from 1)."""
+    if attempt < 1:
+        raise ConfigError("retry attempts count from 1, got %r" % (attempt,))
+    return RETRY_BACKOFF_SECONDS * RETRY_BACKOFF_MULTIPLIER ** (attempt - 1)
+
+
+def penalty_for(attempt):
+    """Virtual seconds charged to the retrier for the *attempt*-th failure:
+    the detection timeout plus the exponentially growing backoff."""
+    return OP_TIMEOUT_SECONDS + backoff_for(attempt)
+
 
 # -- storage ------------------------------------------------------------------
 

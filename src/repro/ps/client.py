@@ -26,7 +26,7 @@ Failure model: an attempt can die because the target server is down
 (``ServerDownError``), because its shard state is stale after a recovery
 (``MatrixNotFoundError``), or because a partition window swallowed the
 transfer (``NetworkPartitionedError``).  The transport retries every failure
-under the cluster's :class:`~repro.config.FailureConfig`: it charges the
+under the fixed retry prices of :mod:`repro.costs`: it charges the
 detection timeout plus an exponential backoff to the client's virtual
 clock, asks the master to recover/repair the server when appropriate, drops
 its cached routing, and then re-resolves the serving server **and re-sends

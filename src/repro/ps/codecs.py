@@ -16,9 +16,8 @@ Loss classes
 Every codec declares its ``loss_class``, the contract tests pin down:
 
 ``lossless``
-    ``decode(encode(x)) == x`` bit-for-bit.  :class:`IdentityCodec` (a
-    straight copy) and :class:`DeltaCodec` (changed-entries encoding
-    against per-stream state).
+    ``decode(encode(x)) == x`` bit-for-bit: :class:`IdentityCodec`, a
+    straight copy.
 
 ``quantized``
     Bounded elementwise error.  :class:`Fp16Codec` round-trips through
@@ -40,15 +39,14 @@ Every codec declares its ``loss_class``, the contract tests pin down:
 Statefulness
 ------------
 
-``topk`` (residuals) and ``delta`` (previous payload per stream) are
-*stateful*: their encodings depend on the stream ``key`` the cost model
-derives from ``(client node, matrix, row, server)``.  The decoder state
-rides on the :class:`Encoded` value (the simulator shares one codec
-instance cluster-wide), so encode/decode stay paired per stream.
-Stateful codecs never encode pull *responses* — response sizes must be a
-pure function of the request (priced before dispatch), which is exactly
-the ``fixed_rate`` contract: ``encoded_bytes(n)`` equals the actual
-encoded payload size for any length-``n`` input.
+Only ``topk`` is *stateful*: its error-feedback residuals live on the
+encoding side, keyed by the stream ``key`` the cost model derives from
+``(client node, matrix, row, server)``.  Decoding needs no state, so any
+payload decodes on its own.  Every codec is fixed-rate:
+``encoded_bytes(n)`` equals the actual encoded size of any length-``n``
+input, which is what lets a pull *response* be priced from the request
+alone.  Top-k still never encodes a response: its residuals belong to a
+client's push stream.
 """
 
 from __future__ import annotations
@@ -67,48 +65,39 @@ class Encoded:
 
     ``payload`` is codec-private; ``n_values`` is the decoded length;
     ``nbytes`` is the wire size of the encoded representation (what the
-    message formulas charge); ``key`` is the stream key the payload was
-    encoded under (``None`` for stateless codecs), so the decoder can
-    address its per-stream state without a side channel.
+    message formulas charge).
     """
 
-    __slots__ = ("payload", "n_values", "nbytes", "key")
+    __slots__ = ("payload", "n_values", "nbytes")
 
-    def __init__(self, payload, n_values, nbytes, key=None):
+    def __init__(self, payload, n_values, nbytes):
         self.payload = payload
         self.n_values = int(n_values)
         self.nbytes = int(nbytes)
-        self.key = key
 
 
 class Codec:
     """The codec interface: encode/decode over 1-D float64 payloads.
 
-    ``fixed_rate`` declares that :meth:`encoded_bytes` is a pure function
-    of the payload length equal to the actual encoded size — the property
-    that lets a pull *response* be priced from the request alone.
     ``stateful`` declares per-stream encoder state (error-feedback
-    residuals, delta bases); stateful codecs are push-only.
+    residuals); stateful codecs are push-only.
     """
 
     name = "?"
     loss_class = "?"
-    fixed_rate = False
     stateful = False
 
     def encode(self, values, key=None):
         """Encode a 1-D float64 array into an :class:`Encoded` payload."""
         raise NotImplementedError
 
-    def decode(self, encoded, key=None):
+    def decode(self, encoded):
         """Decode back to a dense float64 array of ``encoded.n_values``."""
         raise NotImplementedError
 
     def encoded_bytes(self, n_values):
-        """Encoded payload bytes for a length-``n_values`` input.
-
-        Only meaningful for ``fixed_rate`` codecs; the contract (tested)
-        is ``encode(x).nbytes == encoded_bytes(len(x))``.
+        """Encoded payload bytes for a length-``n_values`` input; the
+        contract (tested) is ``encode(x).nbytes == encoded_bytes(len(x))``.
         """
         raise NotImplementedError
 
@@ -121,14 +110,12 @@ class IdentityCodec(Codec):
 
     name = "identity"
     loss_class = "lossless"
-    fixed_rate = True
 
     def encode(self, values, key=None):
         values = np.asarray(values, dtype=float)
-        return Encoded(values.copy(), values.size,
-                       values.size * FLOAT_BYTES, key)
+        return Encoded(values.copy(), values.size, values.size * FLOAT_BYTES)
 
-    def decode(self, encoded, key=None):
+    def decode(self, encoded):
         return encoded.payload.copy()
 
     def encoded_bytes(self, n_values):
@@ -146,15 +133,14 @@ class Fp16Codec(Codec):
 
     name = "fp16"
     loss_class = "quantized"
-    fixed_rate = True
 
     def encode(self, values, key=None):
         values = np.asarray(values, dtype=float)
         clipped = np.clip(values, -FP16_MAX, FP16_MAX)
         return Encoded(clipped.astype(np.float16), values.size,
-                       values.size * FP16_BYTES, key)
+                       values.size * FP16_BYTES)
 
-    def decode(self, encoded, key=None):
+    def decode(self, encoded):
         return encoded.payload.astype(np.float64)
 
     def encoded_bytes(self, n_values):
@@ -172,7 +158,6 @@ class Int8Codec(Codec):
 
     name = "int8"
     loss_class = "quantized"
-    fixed_rate = True
 
     def encode(self, values, key=None):
         values = np.asarray(values, dtype=float)
@@ -180,9 +165,9 @@ class Int8Codec(Codec):
         scale = peak / 127.0 if peak > 0 else 1.0
         quantized = np.round(values / scale).astype(np.int8)
         return Encoded((quantized, scale), values.size,
-                       values.size * INT8_BYTES + FLOAT_BYTES, key)
+                       values.size * INT8_BYTES + FLOAT_BYTES)
 
-    def decode(self, encoded, key=None):
+    def decode(self, encoded):
         quantized, scale = encoded.payload
         return quantized.astype(np.float64) * scale
 
@@ -204,7 +189,6 @@ class TopKCodec(Codec):
 
     name = "topk"
     loss_class = "sparsified"
-    fixed_rate = True
     stateful = True
 
     def __init__(self, ratio=0.1):
@@ -238,9 +222,9 @@ class TopKCodec(Codec):
             next_residual[kept] = 0.0
             self._residuals[key] = next_residual
         return Encoded((kept.astype(np.int64), payload_values),
-                       values.size, self.encoded_bytes(values.size), key)
+                       values.size, self.encoded_bytes(values.size))
 
-    def decode(self, encoded, key=None):
+    def decode(self, encoded):
         kept, payload_values = encoded.payload
         dense = np.zeros(encoded.n_values)
         dense[kept] = payload_values
@@ -259,69 +243,6 @@ class TopKCodec(Codec):
         return "TopKCodec(ratio=%r)" % (self.ratio,)
 
 
-class DeltaCodec(Codec):
-    """Lossless changed-entries encoding against per-stream state.
-
-    The first payload of a stream ships dense; every later payload ships
-    only the entries that differ from the previous payload of the same
-    stream, as (index, value) pairs plus a count.  Exact by construction
-    — decode replays the changes onto the decoder's copy of the previous
-    state.  Meaningful for assign-mode pushes of slowly-changing state
-    (an embedding row where one update touches few coordinates); a
-    stream of dense gradients degenerates to ~dense size, which the
-    honest ``nbytes`` makes visible instead of hiding.
-    """
-
-    name = "delta"
-    loss_class = "lossless"
-    stateful = True
-
-    def __init__(self):
-        self._enc_state = {}
-        self._dec_state = {}
-
-    def encode(self, values, key=None):
-        values = np.asarray(values, dtype=float)
-        previous = self._enc_state.get(key) if key is not None else None
-        if previous is None or previous.size != values.size:
-            payload = ("full", values.copy())
-            nbytes = values.size * FLOAT_BYTES
-        else:
-            changed = np.nonzero(values != previous)[0]
-            payload = ("delta", changed, values[changed].copy())
-            nbytes = INDEX_BYTES + changed.size * (INDEX_BYTES + FLOAT_BYTES)
-        if key is not None:
-            self._enc_state[key] = values.copy()
-        return Encoded(payload, values.size, nbytes, key)
-
-    def decode(self, encoded, key=None):
-        if key is None:
-            key = encoded.key
-        kind = encoded.payload[0]
-        if kind == "full":
-            result = encoded.payload[1].copy()
-        else:
-            _kind, changed, changed_values = encoded.payload
-            base = self._dec_state.get(key)
-            if base is None or base.size != encoded.n_values:
-                raise PSError(
-                    "delta decode for stream %r has no base state" % (key,)
-                )
-            result = base.copy()
-            result[changed] = changed_values
-        if key is not None:
-            self._dec_state[key] = result.copy()
-        return result.copy()
-
-    def encoded_bytes(self, n_values):
-        raise PSError("delta is not fixed-rate: size depends on the stream")
-
-
-#: Names accepted by :func:`make_codec` (and the ``wire_codec`` config
-#: values besides ``off``/``auto``).
-CODEC_NAMES = ("identity", "fp16", "int8", "topk", "delta")
-
-
 def make_codec(name, topk_ratio=0.1):
     """Construct one codec instance by name."""
     if name == "identity":
@@ -332,6 +253,4 @@ def make_codec(name, topk_ratio=0.1):
         return Int8Codec()
     if name == "topk":
         return TopKCodec(ratio=topk_ratio)
-    if name == "delta":
-        return DeltaCodec()
     raise PSError("unknown codec %r" % (name,))

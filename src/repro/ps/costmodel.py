@@ -37,7 +37,7 @@ import numpy as np
 
 from repro.common.errors import MatrixNotFoundError
 from repro.costs import FLOAT_BYTES
-from repro.ps.codecs import CODEC_NAMES, make_codec
+from repro.ps.codecs import make_codec
 from repro.ps.messages import PullRowRequest
 
 #: Size-regime thresholds, in units of the bandwidth-delay ratio
@@ -66,14 +66,13 @@ class CostModel:
 
     One instance per cluster (constructed by :class:`PSMaster` when
     ``ClusterConfig.wire_codec != "off"``), holding one shared instance
-    of every codec so stateful streams (top-k residuals, delta bases)
-    persist across messages.
+    of every compressing codec (identity is ``None``) so stateful streams
+    (top-k residuals) persist across messages.
 
     ``mode`` is the config knob: ``"auto"`` picks a tier per message
     from the size/backlog/heat regime; a codec name forces that codec
     wherever its loss class is sound (top-k only on additive dense
-    pushes, delta only on assign-mode dense pushes, quantizers
-    anywhere) and identity elsewhere.
+    pushes, quantizers anywhere) and identity elsewhere.
     """
 
     def __init__(self, cluster):
@@ -82,7 +81,7 @@ class CostModel:
         self.mode = config.wire_codec
         self.codecs = {
             name: make_codec(name, topk_ratio=TOPK_KEPT_FRACTION)
-            for name in CODEC_NAMES
+            for name in ("fp16", "int8", "topk")
         }
         # The effective path bandwidth is the slower of the NIC and the
         # fabric; the latency floor keeps the ratio finite.
@@ -178,12 +177,6 @@ class CostModel:
             if dense and request.mode == "add":
                 return self.codecs["topk"]
             return None
-        if self.mode == "delta":
-            # Delta encodes state against the previous payload of the
-            # stream — only assign-mode streams *are* state.
-            if dense and request.mode == "assign":
-                return self.codecs["delta"]
-            return None
         if self.mode in ("fp16", "int8"):
             return self.codecs[self.mode]
         tier = self._tier(len(request.values) * FLOAT_BYTES, node_id)
@@ -199,16 +192,14 @@ class CostModel:
     def _choose_pull(self, node_id, n_values):
         """The response codec for one pull, or ``None`` for identity.
 
-        Responses must be priced from the request alone, so only
-        fixed-rate stateless quantizers are eligible — never top-k or
-        delta (their sizes depend on stream state the client doesn't
-        have at pricing time).  ``node_id=None`` asks for the regime of
+        Only the stateless quantizers are eligible — never top-k, whose
+        residuals belong to a client's push stream.  ``node_id=None`` asks for the regime of
         the payload size alone, with no sender whose backlog could
         escalate it (bulk state reads: replication and chain streams).
         """
         if self.mode in ("fp16", "int8"):
             return self.codecs[self.mode]
-        if self.mode in ("topk", "delta"):
+        if self.mode == "topk":
             return None
         tier = self._tier(n_values * FLOAT_BYTES, node_id)
         if tier >= 2:

@@ -466,10 +466,9 @@ class PSMaster:
     def _drain_departing(self, new_count, old_count):
         """Charge departing servers' in-flight drain before they hand off.
 
-        Shard-migrate bytes were always priced, but a departing server
-        with queued work used to stream its shards away as if the queue
-        were empty — the migration departed *before* the requests it
-        logically follows.  Pin each departing server's clock to its drain
+        A departing server with queued work must not stream its shards
+        away as if the queue were empty: the migration logically follows
+        those requests.  Pin each departing server's clock to its drain
         horizon (the end of its CPU timeline and both NIC timeline horizons)
         so the migration transfers it sources leave only after its backlog
         drains, and record the drained seconds.

@@ -72,7 +72,7 @@ from __future__ import annotations
 from repro.cluster.cluster import DRIVER
 from repro.common.errors import MatrixNotFoundError, NetworkPartitionedError, \
     ServerDownError
-from repro.costs import REQUEST_HEADER_BYTES
+from repro.costs import MAX_OP_RETRIES, REQUEST_HEADER_BYTES, penalty_for
 from repro.ps import messages
 
 #: The two reasons a holder keeps a copy, in routing and fan-out order.
@@ -317,9 +317,8 @@ class Replicas:
         """Book one transfer replication sends on its own (a forward, a
         state stream, a drop, a promotion), departing no earlier than
         *depart* (``None``: the source's clock) — no client waits on it.
-        A partition on either end retries under the cluster's
-        :class:`~repro.config.FailureConfig`, each penalty delaying the
-        departure (``replica-fanout-retries``).  Returns the arrival, or
+        A partition on either end retries under the retry prices of
+        :mod:`repro.costs`, each penalty delaying the departure (``replica-fanout-retries``).  Returns the arrival, or
         ``None`` once the budget is spent."""
         cluster = self.cluster
         if depart is None:
@@ -331,11 +330,10 @@ class Replicas:
                                                 depart_at=depart, **transfer)
             except NetworkPartitionedError:
                 attempt += 1
-                failures = cluster.config.failures
-                if attempt > failures.max_op_retries:
+                if attempt > MAX_OP_RETRIES:
                     return None
                 cluster.metrics.increment("replica-fanout-retries")
-                depart += failures.penalty_for(attempt)
+                depart += penalty_for(attempt)
 
     # -- read routing -------------------------------------------------------
 
@@ -452,8 +450,8 @@ class Replicas:
         that cannot happen never reaches a client clock:
 
         - a **partition** on either end at departure retries under the
-          cluster's :class:`~repro.config.FailureConfig`, each penalty
-          delaying the departure (:meth:`_ship`); once the budget is
+          retry prices of :mod:`repro.costs`, each penalty delaying the
+          departure (:meth:`_ship`); once the budget is
           spent the holder's links for the envelope's keys are forgotten
           and its stale entries evicted, so nothing routes to or promotes
           from them, and the envelope is not served;

@@ -23,9 +23,8 @@ transport owns everything below that line:
   primary, not this node;
 - **the retry loop** — every wire message of a fan-out is tried once,
   then the failed ones (a lost response included: delivery is
-  at-least-once) charge the cluster's
-  :meth:`~repro.config.FailureConfig.penalty_for` to the client's virtual
-  clock, repair/recover the server through the master, drop the cached
+  at-least-once) charge :func:`~repro.costs.penalty_for` to the
+  client's virtual clock, repair/recover the server through the master, drop the cached
   routing, and **re-send the same message**, in wire order — each re-send
   a fan-out of one on the same phased schedule.
 
@@ -42,7 +41,8 @@ from __future__ import annotations
 from repro.cluster.cluster import DRIVER
 from repro.common.errors import MatrixNotFoundError, NetworkPartitionedError, \
     PSError, ServerDownError
-from repro.costs import REQUEST_HEADER_BYTES, RPC_CPU_SECONDS
+from repro.costs import MAX_OP_RETRIES, REQUEST_HEADER_BYTES, \
+    RPC_CPU_SECONDS, penalty_for
 from repro.ps import messages
 from repro.ps.server import serve_fast_fanout
 
@@ -365,9 +365,10 @@ class Transport:
         first-appearance order, with the summed value count — matching the
         fat block request an envelope replaces.  Byte volume (request +
         response) comes from the requests' own wire formulas; an envelope
-        attributes each sub-request its *standalone-equivalent* bytes, so
-        per-shard volume stays comparable across the coalescing knob.  A
-        replica-routed read (``replica_of`` set) is charged to the
+        attributes each sub-request its *standalone-equivalent* bytes.
+        Shard heat counts accesses, not envelopes, and the hot-key
+        classifier and the cost model both read it, so it must not depend
+        on how a fan-out was packed into envelopes.  A replica-routed read (``replica_of`` set) is charged to the
         *primary* shard key: rerouting must never drain the heat signal
         that justified the replica.  Control messages (``matrix_id``
         ``None``) touch no shard.  Per-key accumulation is
@@ -565,8 +566,7 @@ class Transport:
         re-resolves through the master.
         """
         metrics = self.cluster.metrics
-        failures = self.cluster.config.failures
-        if attempt > failures.max_op_retries:
+        if attempt > MAX_OP_RETRIES:
             metrics.increment("op-retries-exhausted")
             peer = (DRIVER if server_index is None
                     else self.master.server(server_index).node_id)
@@ -575,7 +575,7 @@ class Transport:
         metrics.increment("op-retries")
         penalty_start = self.cluster.clock.now(self.node_id)
         self.cluster.charge_seconds(
-            self.node_id, failures.penalty_for(attempt),
+            self.node_id, penalty_for(attempt),
             tag="retry-backoff",
         )
         tracer = self.cluster.tracer

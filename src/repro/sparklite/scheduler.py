@@ -13,8 +13,8 @@ from __future__ import annotations
 from repro.cluster.cluster import DRIVER
 from repro.common.errors import JobAbortedError, TaskError
 from repro.common.sizeof import sizeof
-from repro.costs import FLOAT_BYTES, TASK_DESCRIPTION_BYTES, \
-    TASK_OVERHEAD_SECONDS
+from repro.costs import FLOAT_BYTES, MAX_TASK_RETRIES, \
+    TASK_DESCRIPTION_BYTES, TASK_OVERHEAD_SECONDS
 from repro.sparklite.task import TaskContext
 
 
@@ -150,11 +150,10 @@ class Scheduler:
                         self.tasks_failed += 1
                         metrics.increment("task-retries")
                         attempt += 1
-                        if attempt > failures.max_task_retries:
+                        if attempt > MAX_TASK_RETRIES:
                             raise JobAbortedError(
                                 "partition %d of stage %d exhausted %d retries"
-                                % (partition_id, stage_id,
-                                   failures.max_task_retries)
+                                % (partition_id, stage_id, MAX_TASK_RETRIES)
                             )
                         continue
                     if model.commit_at_barrier:

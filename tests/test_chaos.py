@@ -17,7 +17,7 @@ from repro.cluster.cluster import Cluster
 from repro.common.errors import ConfigError
 from repro.config import ClusterConfig, FailureConfig
 from repro.costs import MESSAGE_OVERHEAD_BYTES, REQUEST_HEADER_BYTES, \
-    SUBREQUEST_HEADER_BYTES
+    SUBREQUEST_HEADER_BYTES, backoff_for, penalty_for
 from repro.experiments import run_fault_tolerance
 from repro.experiments.runner import make_context
 from repro.ml import train_logistic_regression
@@ -291,18 +291,17 @@ def test_backoff_is_charged_to_virtual_clock(cluster):
     client.pull_row(m, 0)
     elapsed = cluster.clock.now(client.node_id) - before
     # One failed attempt: at least timeout + first backoff of virtual time.
-    assert elapsed >= cluster.config.failures.penalty_for(1)
+    assert elapsed >= penalty_for(1)
 
 
-def test_failure_config_prices_retries():
-    failures = FailureConfig(max_op_retries=5, op_timeout=2e-3,
-                             retry_backoff=4e-3, retry_backoff_multiplier=3.0)
-    assert failures.max_op_retries == 5
-    assert failures.backoff_for(1) == pytest.approx(4e-3)
-    assert failures.backoff_for(3) == pytest.approx(4e-3 * 9.0)
-    assert failures.penalty_for(2) == pytest.approx(2e-3 + 12e-3)
+def test_retry_prices():
+    """A 1 ms detection timeout, then a backoff from 1 ms doubling per
+    retry."""
+    assert backoff_for(1) == pytest.approx(1e-3)
+    assert backoff_for(3) == pytest.approx(1e-3 * 4.0)
+    assert penalty_for(2) == pytest.approx(1e-3 + 2e-3)
     with pytest.raises(ConfigError):
-        failures.backoff_for(0)
+        backoff_for(0)
 
 
 # -- network partitions ------------------------------------------------------

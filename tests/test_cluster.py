@@ -80,12 +80,36 @@ def test_networkspec_validation():
 def test_failureconfig_validation():
     with pytest.raises(ConfigError):
         FailureConfig(task_failure_prob=1.5)
+
+
+@pytest.mark.parametrize("knobs", [
+    dict(hot_key_fraction=0.125),
+    dict(replication_factor=3),
+    dict(rebalance_interval=0.01),
+    dict(hot_key_fraction=0.125, replication_factor=3),
+    dict(staleness=1),
+])
+def test_config_rejects_knobs_their_mode_ignores(knobs):
+    """Hot-key knobs with replication off, and a staleness bound under
+    BSP, would be accepted and do nothing."""
     with pytest.raises(ConfigError):
-        FailureConfig(max_task_retries=-1)
+        ClusterConfig(**knobs)
+
+
+@pytest.mark.parametrize("knobs", [
+    dict(replication="topk", hot_key_fraction=0.125, replication_factor=3,
+         rebalance_interval=0.01),
+    dict(consistency="ssp", staleness=1),
+    dict(consistency="asp", staleness=1),
+])
+def test_config_accepts_knobs_under_their_mode(knobs):
+    ClusterConfig(**knobs)
+
+
+@pytest.mark.parametrize("codec", ["delta", "gzip"])
+def test_config_rejects_unknown_wire_codec(codec):
     with pytest.raises(ConfigError):
-        FailureConfig(max_task_retries=2.5)
-    with pytest.raises(ConfigError):
-        FailureConfig(max_op_retries=2.5)
+        ClusterConfig(wire_codec=codec)
 
 
 def test_nodespec_compute_seconds():

@@ -172,21 +172,6 @@ def test_forced_topk_never_touches_assign_pushes():
     assert cluster.metrics.codec_decisions[("push", "identity")] == 1
 
 
-def test_forced_delta_is_lossless_and_shrinks_repeat_assigns():
-    cluster, master, client = _rig("delta")
-    m = master.create_matrix(256, n_rows=1)
-    state = np.linspace(0.0, 1.0, 256)
-    client.push_assign(m, 0, state)  # first payload ships dense
-    first_bytes = cluster.metrics.bytes_for_tag("push:req")
-    state = state.copy()
-    state[7] = -1.0  # one changed coordinate
-    client.push_assign(m, 0, state)
-    second_bytes = cluster.metrics.bytes_for_tag("push:req") - first_bytes
-    assert np.array_equal(client.pull_row(m, 0), state)  # lossless
-    assert second_bytes < first_bytes / 4
-    assert cluster.metrics.codec_decisions[("push", "delta")] == 2
-
-
 def test_lossy_codecs_drift_is_bounded_not_hidden():
     """fp16 end-to-end: pushed-then-pulled values stay within the codec's
     documented bound of the exact values."""
@@ -366,7 +351,7 @@ def test_identity_tags_is_the_tier_zero_verdict_in_message_order():
     assert model.identity_tags(
         [messages.PullRowRequest(0, m, 1, under + 1)]) is None
     # Forced modes never give a verdict, even on tier-0 payloads.
-    for mode in ("fp16", "int8", "topk", "delta"):
+    for mode in ("fp16", "int8", "topk"):
         model.mode = mode
         assert model.identity_tags(requests) is None
 

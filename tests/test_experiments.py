@@ -1,5 +1,11 @@
 """Tests for the experiment harness: Table 3 registry and reporting."""
 
+import dataclasses
+
+import pytest
+
+from repro.config import ClusterConfig, ElasticitySpec, FailureConfig, \
+    NetworkSpec, NodeSpec
 from repro.experiments import (
     SUPPORT_MATRIX,
     TRAINER_INDEX,
@@ -59,6 +65,52 @@ def test_make_context_shapes():
 def test_make_context_failure_prob():
     ctx = make_context(task_failure_prob=0.5)
     assert ctx.cluster.failures.task_failure_prob == 0.5
+
+
+#: A valid non-default value for every ClusterConfig field, plus the
+#: companion fields its construction rules require.
+NON_DEFAULT = {
+    "n_executors": (3, {}),
+    "n_servers": (4, {}),
+    "node": (NodeSpec(flops=1e9), {}),
+    "network": (NetworkSpec(latency=2e-4), {}),
+    "failures": (FailureConfig(checkpoint_interval=0.5), {}),
+    "consistency": ("ssp", {}),
+    "staleness": (2, {"consistency": "ssp"}),
+    "replication": ("topk", {}),
+    "hot_key_fraction": (0.25, {"replication": "topk"}),
+    "replication_factor": (2, {"replication": "topk"}),
+    "rebalance_interval": (0.01, {"replication": "topk"}),
+    "timeseries_window": (0.5, {}),
+    "wire_codec": ("int8", {}),
+    "chain_replicas": (1, {}),
+    "elasticity": (ElasticitySpec(mode="auto"), {}),
+    "seed": (7, {}),
+}
+
+
+@pytest.mark.parametrize("name", [
+    field.name for field in dataclasses.fields(ClusterConfig)])
+def test_make_context_forwards_every_cluster_field(name):
+    """``make_context`` restates no field: each one it is given lands in
+    the cluster's config."""
+    value, companions = NON_DEFAULT[name]
+    assert value != getattr(ClusterConfig(), name)
+    fields = dict(n_executors=2, n_servers=3, **companions)
+    fields[name] = value
+    ctx = make_context(**fields)
+    assert getattr(ctx.cluster.config, name) == value
+
+
+def test_make_context_shortcuts_refine_given_fields():
+    ctx = make_context(node=NodeSpec(nic_bandwidth=1e6), node_flops=1e9,
+                       failures=FailureConfig(checkpoint_interval=0.5),
+                       task_failure_prob=0.25, elasticity="auto")
+    config = ctx.cluster.config
+    assert config.node == NodeSpec(flops=1e9, nic_bandwidth=1e6)
+    assert config.failures == FailureConfig(task_failure_prob=0.25,
+                                            checkpoint_interval=0.5)
+    assert config.elasticity == ElasticitySpec(mode="auto")
 
 
 # -- report formatting -------------------------------------------------------------

@@ -114,7 +114,7 @@ REPLICATED = dict(chain_replicas=1, replication="topk",
                   hot_key_fraction=0.34, rebalance_interval=0.0, **SLOW_NICS)
 
 #: Every ``wire_codec`` that constructs a cost model.
-CODECS = ("auto", "fp16", "int8", "topk", "delta")
+CODECS = ("auto", "fp16", "int8", "topk")
 
 #: Default-speed NICs: every payload of these rigs sits far under the cost
 #: model's fp16 knee, so ``"auto"`` decides identity on every message.
@@ -185,7 +185,8 @@ class _Rig:
             knobs.update(nics, wire_codec=codec)
         self.cluster = Cluster(ClusterConfig(
             n_executors=N_CLIENTS, n_servers=3, seed=11,
-            consistency=consistency, staleness=1, **knobs,
+            consistency=consistency,
+            staleness=0 if consistency == "bsp" else 1, **knobs,
         ))
         if traced:
             self.cluster.tracer.enable()

@@ -44,11 +44,12 @@ GOLDEN_BSP_HASH = \
 def _run(consistency, staleness, bulk, replication,
          timeseries_window=0.0, trace=False, wire_codec="off",
          chain_replicas=0):
+    hot_knobs = {} if replication == "off" else dict(hot_key_fraction=0.34,
+                                                     replication_factor=2)
     ctx = make_context(
         n_executors=2, n_servers=3, seed=11,
         consistency=consistency, staleness=staleness,
-        replication=replication, hot_key_fraction=0.34,
-        replication_factor=2,
+        replication=replication, **hot_knobs,
         timeseries_window=timeseries_window,
         wire_codec=wire_codec,
         chain_replicas=chain_replicas,

@@ -27,7 +27,7 @@ import numpy as np
 from repro.cluster.cluster import Cluster
 from repro.cluster.resource import TimelineResource
 from repro.config import ClusterConfig, FailureConfig
-from repro.costs import RPC_CPU_SECONDS
+from repro.costs import MAX_OP_RETRIES, RPC_CPU_SECONDS
 from repro.ps.client import PSClient
 from repro.ps.master import PSMaster
 from tests.test_replication import _copy
@@ -211,8 +211,7 @@ def test_a_holder_partitioned_past_the_retry_budget_is_forgotten():
     cluster, master, writer, m, window_end = _partitioned_rig(1.0)
     clocks, before = _write_through_primary_0(cluster, writer, m)
     _assert_writer_paid_once(cluster, clocks, before)
-    retries = cluster.config.failures.max_op_retries
-    assert _delta(cluster, before, "replica-fanout-retries") == retries
+    assert _delta(cluster, before, "replica-fanout-retries") == MAX_OP_RETRIES
     assert _delta(cluster, before, "replica-fanout-abandoned") == 1
     assert not cluster.tracer.spans_for(op="ps-replica")
     # The stale copy is unlinked and gone: nothing can route to it or

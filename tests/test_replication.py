@@ -453,7 +453,7 @@ def test_chain_report_renders_map_and_promotions():
     assert "promotions=1" in text
     assert "sync bytes=" in text
     # Off mode renders the placeholder and nothing else.
-    off_cluster, _m, _c = _rig(replication="off")
+    off_cluster, _m, _c = _chain_rig(chain_replicas=0)
     assert "off" in chain_table(off_cluster)
 
 

@@ -5,19 +5,18 @@ import pytest
 from repro.cluster.cluster import Cluster
 from repro.common.errors import JobAbortedError, TaskError
 from repro.config import ClusterConfig, FailureConfig
+from repro.costs import MAX_TASK_RETRIES
 from repro.sparklite.broadcast import Broadcast
 from repro.sparklite.context import SparkContext
 from repro.sparklite.task import TaskContext
 
 
-def make_sc(task_failure_prob=0.0, max_retries=10, seed=0):
+def make_sc(task_failure_prob=0.0, seed=0):
     config = ClusterConfig(
         n_executors=4,
         n_servers=1,
         seed=seed,
-        failures=FailureConfig(
-            task_failure_prob=task_failure_prob, max_task_retries=max_retries
-        ),
+        failures=FailureConfig(task_failure_prob=task_failure_prob),
     )
     return SparkContext(Cluster(config))
 
@@ -39,9 +38,11 @@ def test_retries_cost_time():
 
 
 def test_retry_budget_exhaustion_aborts():
-    sc = make_sc(task_failure_prob=1.0, max_retries=2, seed=1)
+    sc = make_sc(task_failure_prob=1.0, seed=1)
     with pytest.raises(JobAbortedError):
         sc.parallelize(range(4)).count()
+    # The first partition ran once and retried MAX_TASK_RETRIES times.
+    assert sc.scheduler.tasks_failed == MAX_TASK_RETRIES + 1
 
 
 def test_deferred_effects_exactly_once():

@@ -84,7 +84,8 @@ def _observed(unfused=()):
 def _context(consistency="bsp", chain_replicas=0):
     return PS2Context(config=ClusterConfig(
         n_executors=N_CLIENTS, n_servers=N_SERVERS, seed=11,
-        consistency=consistency, staleness=1, chain_replicas=chain_replicas))
+        consistency=consistency, staleness=0 if consistency == "bsp" else 1,
+        chain_replicas=chain_replicas))
 
 
 def _stored_bits(ctx):

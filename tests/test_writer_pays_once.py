@@ -51,10 +51,12 @@ class _Rig:
     """Two same-dim matrices (co-located: one layout, one rotation)."""
 
     def __init__(self, chain_replicas=0, replication="off"):
+        hot_knobs = {} if replication == "off" else dict(
+            hot_key_fraction=0.34, replication_factor=2)
         self.cluster = Cluster(ClusterConfig(
             n_executors=2, n_servers=3, seed=7,
             chain_replicas=chain_replicas, replication=replication,
-            hot_key_fraction=0.34, replication_factor=2,
+            **hot_knobs,
         ))
         self.master = PSMaster(self.cluster)
         self.writer, self.other = (
