@@ -282,8 +282,13 @@ def _cmd_experiments(_args):
         ("Table 2", "benchmarks/bench_table2_datasets.py"),
         ("Table 3", "benchmarks/bench_table3_capabilities.py"),
         ("Table 4", "benchmarks/bench_table4_hyperparams.py"),
-        ("Ablations", "benchmarks/bench_ablation_colocation.py, "
-                      "benchmarks/bench_ablation_hist_subtraction.py"),
+        ("Codecs", "benchmarks/bench_ablation_codecs.py"),
+        ("Co-location", "benchmarks/bench_ablation_colocation.py"),
+        ("Consistency", "benchmarks/bench_ablation_consistency.py"),
+        ("Hist. subtract", "benchmarks/bench_ablation_hist_subtraction.py"),
+        ("Replication", "benchmarks/bench_ablation_replication.py"),
+        ("Chain recovery", "benchmarks/bench_chain_recovery.py"),
+        ("Elastic serve", "benchmarks/bench_serving_elastic.py"),
     ]
     print("Run any experiment with:")
     print("  pytest <file> --benchmark-only -s\n")
@@ -291,6 +296,21 @@ def _cmd_experiments(_args):
         print("  %-14s %s" % (name, target))
     print("\nAll at once: pytest benchmarks/ --benchmark-only")
     return 0
+
+
+def _workload_parser(iterations):
+    """The flags every workload verb takes, *iterations* their default.
+
+    One parser per default: argparse shares a parent's actions with every
+    child, so a ``set_defaults`` on one verb would move all of theirs.
+    """
+    parent = argparse.ArgumentParser(add_help=False)
+    parent.add_argument("workload", choices=_WORKLOADS)
+    parent.add_argument("--iterations", type=int, default=iterations)
+    parent.add_argument("--executors", type=int, default=8)
+    parent.add_argument("--servers", type=int, default=8)
+    parent.add_argument("--seed", type=int, default=0)
+    return parent
 
 
 def build_parser():
@@ -306,33 +326,21 @@ def build_parser():
     p_dataset.add_argument("name")
     p_dataset.add_argument("--seed", type=int, default=0)
 
-    p_train = sub.add_parser("train", help="train one paper workload")
-    p_train.add_argument("workload", choices=_WORKLOADS)
-    p_train.add_argument("--iterations", type=int, default=10)
-    p_train.add_argument("--executors", type=int, default=8)
-    p_train.add_argument("--servers", type=int, default=8)
-    p_train.add_argument("--seed", type=int, default=0)
+    sub.add_parser("train", parents=[_workload_parser(10)],
+                   help="train one paper workload")
 
+    workload = _workload_parser(5)
     p_trace = sub.add_parser(
-        "trace", help="train one workload with tracing; write a chrome trace"
+        "trace", parents=[workload],
+        help="train one workload with tracing; write a chrome trace",
     )
-    p_trace.add_argument("workload", choices=_WORKLOADS)
-    p_trace.add_argument("--iterations", type=int, default=5)
-    p_trace.add_argument("--executors", type=int, default=8)
-    p_trace.add_argument("--servers", type=int, default=8)
-    p_trace.add_argument("--seed", type=int, default=0)
     p_trace.add_argument("--out", default="trace.json",
                          help="chrome-trace JSON output path")
 
     p_cp = sub.add_parser(
-        "critical-path",
+        "critical-path", parents=[workload],
         help="train one workload traced; print the critical-path breakdown",
     )
-    p_cp.add_argument("workload", choices=_WORKLOADS)
-    p_cp.add_argument("--iterations", type=int, default=5)
-    p_cp.add_argument("--executors", type=int, default=8)
-    p_cp.add_argument("--servers", type=int, default=8)
-    p_cp.add_argument("--seed", type=int, default=0)
     p_cp.add_argument("--consistency", choices=("bsp", "ssp", "asp"),
                       default="bsp")
     p_cp.add_argument("--staleness", type=int, default=0)
@@ -340,14 +348,9 @@ def build_parser():
                       help="also print the per-stage breakdowns")
 
     p_profile = sub.add_parser(
-        "profile",
+        "profile", parents=[workload],
         help="train one workload under cProfile; print the hottest frames",
     )
-    p_profile.add_argument("workload", choices=_WORKLOADS)
-    p_profile.add_argument("--iterations", type=int, default=5)
-    p_profile.add_argument("--executors", type=int, default=8)
-    p_profile.add_argument("--servers", type=int, default=8)
-    p_profile.add_argument("--seed", type=int, default=0)
     p_profile.add_argument("--top", type=int, default=25,
                            help="number of frames to print (default 25)")
     p_profile.add_argument("--sort", default="tottime",

@@ -68,7 +68,7 @@ class MetricsRegistry:
         """Account one *src* -> *dst* wire message of *nbytes* under *tag*.
 
         *messages* is the number of logical requests the wire message
-        carries (> 1 for a coalesced batch envelope).
+        carries (> 1 for a coalesced group).
         """
         self.bytes_sent[src] += nbytes
         self.bytes_received[dst] += nbytes

@@ -93,8 +93,8 @@ class PS2Context:
         Every range that lives on a different server under the two layouts
         is shipped server-to-server (tag ``realign``); this is the data
         shuffling across servers that Figure 4 warns about, made explicit
-        and measurable.  Each range is a one-unit read fan-out on the
-        source, queued from its control message's arrival, then a one-unit
+        and measurable.  Each range is a one-request read fan-out on the
+        source, queued from its control message's arrival, then a one-request
         assign fan-out on the target, queued from the transfer's arrival
         (from the read's completion when both ends are one server).  The
         write bypasses the replica forward, so the holder table is told

@@ -17,8 +17,8 @@ time.  Mutation-only ops (push, axpy, fills, update kernels) are
 fire-and-forget: the client never blocks on them.
 
 Block ops and coalescing: a block pull/push decomposes into one message per
-(row, shard); the transport wraps every same-server group in a single
-:class:`~repro.ps.messages.BatchRequest` envelope — one request header and
+(row, shard); the transport ships every same-server group as one wire
+message (:func:`~repro.ps.messages.wire_bytes`) — one request header and
 one NIC booking per server, index lists shipped once — the paper's
 fat-request header amortization made explicit.
 
@@ -287,13 +287,13 @@ class PSClient:
         with ``placement = (row_pos, columns)`` into the op's 2-D block.
         Column layouts shard every row alike: :meth:`_shards` of one row,
         repeated per row under each server (the same ``group`` array object
-        for every row, so a coalesced batch encodes it once).  Under a
+        for every row, so a coalesced group encodes it once).  Under a
         :class:`RowLayout` each row lives whole on ``row % n_servers``, so
         messages are routed per row, grouped by *owning* server — never by
         ``rows[0]``'s owner — and share one private copy of *indices*:
         a message never aliases the caller's array (an in-place edit
         between ops must not reach messages or the servers' per-array
-        memos), and one object for every row keeps envelope dedup.
+        memos), and one object for every row keeps the group dedup.
         """
         if isinstance(layout, RowLayout):
             width = layout.dim
@@ -590,7 +590,7 @@ class PSClient:
         Used by LDA to fetch the word-topic block for a worker's local
         vocabulary: one message per (row, shard) is built
         (:meth:`_block_shards`), and the transport coalesces each server's
-        messages into one batch envelope whose shared column-index list is
+        messages into one wire message whose shared column-index list is
         shipped once.  ``value_bytes`` overrides the per-value wire size,
         raw float64 by default (PS2's LDA ships counts as 32-bit integers —
         the "message compression" of Section 6.3.3).
@@ -631,8 +631,8 @@ class PSClient:
         """Accumulate a multi-row delta block (fire-and-forget, like push).
 
         Routes like :meth:`pull_block`: shard fan-out for column layouts,
-        per-owning-server grouping for row layouts, one coalesced envelope
-        per server with the shared index list shipped once.
+        per-owning-server grouping for row layouts, one coalesced wire
+        message per server with the shared index list shipped once.
 
         Each row may appear once: a repeated row is refused before
         anything is sent, like a malformed shape (:func:`_checked`).  The

@@ -12,26 +12,27 @@ reads these declarations.
 Wire model
 ----------
 
-A standalone request costs::
+A wire message is a *group*: the ordered requests one send ships to one
+server (:meth:`~repro.ps.transport.Transport._coalesce`).  A group of one
+costs what its request costs alone::
 
     REQUEST_HEADER_BYTES + shared_payload + private_payload
 
-where the shared payload is a component several sibling requests can encode
-once when batched (the column-index list of a block op) and the private
-payload is per-request data (values, range descriptors).
+where the shared payload is a component several requests of one group can
+encode once (the column-index list of a block op) and the private payload
+is per-request data (values, range descriptors).  A larger group — the
+per-server coalescing lever — costs (:func:`wire_bytes`)::
 
-A :class:`BatchRequest` envelope — the per-server coalescing lever — costs::
-
-    REQUEST_HEADER_BYTES                        # one envelope header
-    + sum(unique shared payloads)               # index lists shipped once
-    + sum(SUBREQUEST_HEADER_BYTES + private)    # per-sub descriptor + data
+    REQUEST_HEADER_BYTES                        # one header
+    + sum(distinct shared payloads)             # index lists shipped once
+    + sum(SUBREQUEST_HEADER_BYTES + private)    # per-request descriptor + data
 
 so coalescing k requests to one server saves ``(k-1)`` full request headers
 plus ``(k-1)`` per-transfer envelope overheads at the NIC, and deduplicates
 shared index lists — exactly the header amortization the paper's fat-request
-design exploits.  Responses are positional (aligned with the request order
-inside the envelope), so a batched response pays one response header plus
-the concatenated value payloads.
+design exploits.  Replies are positional (aligned with the group's order),
+so a group's reply pays one response header plus the concatenated value
+payloads (:func:`response_bytes`).
 
 Message kinds
 -------------
@@ -39,8 +40,8 @@ Message kinds
 ``I`` = :data:`INDEX_BYTES`, ``F`` = :data:`FLOAT_BYTES`, ``n`` =
 ``n_values``, ``vb`` = the message's ``value_bytes`` (``F`` unless a block
 op ships narrower values), ``idx`` = ``len(indices)``.  *Role* is what the
-replication layer may do with the kind; *shared* the envelope-shareable
-payload; *reply* what rides back behind a :data:`RESPONSE_HEADER_BYTES`
+replication layer may do with the kind; *shared* the payload a group
+shares; *reply* what rides back behind a :data:`RESPONSE_HEADER_BYTES`
 header (``-`` = fire-and-forget); *codec* the side a wire codec re-prices.
 
 ==============  ============  ======  =================  =========  ========
@@ -57,7 +58,6 @@ fill            mutation      -       F                  -          -
 clock-advance   control       -       I + keys·2I        keys·F     -
 replica-push    control       -       2I + versions·I    -          -
                                       + inner's payloads
-batch           control       the envelope of the wire model above
 ==============  ============  ======  =================  =========  ========
 
 (``pull-or-create`` carries row id, init code and scale, and its reply a
@@ -235,7 +235,7 @@ class Request:
     #: encoded) or ``"response"`` (the reply is priced at the codec's rate).
     codec_side = None
 
-    #: Layout.  ``indices`` is the envelope-shareable column-index list
+    #: Layout.  ``indices`` is the column-index list a group may share
     #: (``None``: nothing to share).  Index arrays are immutable once a
     #: message holds one and are never the caller's own array: sharing is
     #: by object identity, servers memoize per array, and pooled plans
@@ -267,18 +267,6 @@ class Request:
         self._rb = 0
 
     # -- wire accounting ---------------------------------------------------
-
-    def shared_key(self):
-        """Key identifying a payload component batch siblings can share.
-
-        ``None`` means nothing is shareable.  Two requests in one batch
-        with the same key encode that component once (the fat-request index
-        list).  Keys use object identity of the underlying array: the
-        client passes the *same* index array to every row of a block op.
-        """
-        if self.indices is None:
-            return None
-        return ("idx", self.matrix_id, id(self.indices))
 
     def shared_payload_bytes(self):
         """Bytes of the shareable component (0 when there is none)."""
@@ -326,10 +314,6 @@ class Request:
         to replace its encoded values with the decoded array.  Idempotent,
         so retries that re-serve the same message are safe.
         """
-
-    def message_count(self):
-        """Logical sub-messages carried (1; batches report their size)."""
-        return 1
 
     def retargeted(self, server_index):
         """A copy of this primary-addressed read, sent to the copy of its
@@ -441,7 +425,7 @@ class PushRequest(Request):
     When the cost model attached a codec, ``encoded`` holds the encoded
     payload between the client's send and the server's service, and
     ``_enc_nbytes`` its honest wire size.  ``_enc_nbytes`` survives
-    :meth:`materialize` so post-apply pricing (replica fan-out envelopes)
+    :meth:`materialize` so post-apply pricing (replica copies)
     still charges the encoded size the wire actually carried.
     """
 
@@ -622,7 +606,7 @@ class ReplicatedPushRequest(Request):
 
     Wraps the *inner* message (any kind whose role is :data:`MUTATION`)
     that the primary applied and re-targets it at a holder.  Only the
-    primary can build it: the envelope carries the fencing token that
+    primary can build it: the copy carries the fencing token that
     merges replication with the version machinery — the primary's
     ``epoch`` plus its post-apply per-row mutation ``versions`` — and
     :meth:`repro.ps.replication.Replicas.forward` sends it from the
@@ -667,73 +651,38 @@ class ReplicatedPushRequest(Request):
                 + self.inner.payload_bytes())
 
 
-class BatchRequest(Request):
-    """Envelope coalescing several requests to one server into one RPC.
+# -- wire messages ------------------------------------------------------------
 
-    One request header and one NIC booking cover the whole batch; shared
-    payload components (block-op index lists) are encoded once; each
-    sub-request contributes a :data:`SUBREQUEST_HEADER_BYTES` descriptor plus
-    its private payload.  An envelope exists on the wire only: servers
-    serve its sub-requests in order, as units of the fan-out, and the
-    batched response pays one response header plus the concatenated
-    per-sub value payloads (sub-responses are positional).
-    """
 
-    __slots__ = ("requests",)
+def wire_bytes(group):
+    """Request bytes of one wire message, the *group* of requests one send
+    ships to one server: a lone request's own size, else one header, each
+    distinct ``(matrix_id, id(indices))`` index list once — the client
+    passes the same array to every row of a block op — and a descriptor
+    plus private payload per request."""
+    if len(group) == 1:
+        return group[0].wire_bytes()
+    total = REQUEST_HEADER_BYTES
+    seen = set()
+    for request in group:
+        total += SUBREQUEST_HEADER_BYTES + request.payload_bytes()
+        if request.indices is not None:
+            key = (request.matrix_id, id(request.indices))
+            if key not in seen:
+                seen.add(key)
+                total += request.shared_payload_bytes()
+    return total
 
-    op = "batch"
 
-    def __init__(self, requests):
-        if not requests:
-            raise PSError("a batch needs at least one request")
-        first = requests[0]
-        for request in requests:
-            if request.server_index != first.server_index:
-                raise PSError(
-                    "batch mixes servers %d and %d"
-                    % (first.server_index, request.server_index)
-                )
-            if isinstance(request, BatchRequest):
-                raise PSError("batches do not nest")
-        super().__init__(
-            first.server_index, first.matrix_id, first.tag,
-            sum(request.n_values for request in requests),
-        )
-        # Fixed at construction, like every other size input (codecs are
-        # attached to the sub-requests before the envelope is built), so
-        # both envelope sizes share the base's memo slots — the transport
-        # prices every message at least twice (shard telemetry + the
-        # transfer itself).
-        self.requests = list(requests)
-
-    def wire_bytes(self):
-        total = self._wb
-        if not total:
-            total = REQUEST_HEADER_BYTES
-            seen = set()
-            for request in self.requests:
-                total += SUBREQUEST_HEADER_BYTES + request.payload_bytes()
-                key = request.shared_key()
-                if key is not None and key not in seen:
-                    seen.add(key)
-                    total += request.shared_payload_bytes()
-            self._wb = total
-        return total
-
-    def response_bytes(self):
-        cached = self._rb
-        if cached != 0:
-            return cached
-        payload = 0
-        any_response = False
-        for request in self.requests:
-            sub = request.response_bytes()
-            if sub is not None:
-                any_response = True
-                payload += sub - RESPONSE_HEADER_BYTES
-        total = RESPONSE_HEADER_BYTES + payload if any_response else None
-        self._rb = total
-        return total
-
-    def message_count(self):
-        return len(self.requests)
+def response_bytes(group):
+    """Reply bytes of one wire message: a lone request's own reply size,
+    else one response header plus every reply's payload, positionally —
+    ``None`` when no request in *group* replies."""
+    if len(group) == 1:
+        return group[0].response_bytes()
+    replies = [request.response_bytes() for request in group]
+    replies = [reply for reply in replies if reply is not None]
+    if not replies:
+        return None
+    return RESPONSE_HEADER_BYTES + sum(
+        reply - RESPONSE_HEADER_BYTES for reply in replies)

@@ -27,7 +27,7 @@ once over the table:
   served a mutation on its primary, one
   :class:`~repro.ps.messages.ReplicatedPushRequest` per holder with a
   valid link carries the primary's epoch and post-apply row counters,
-  and the *primary's* node sends them — one envelope per (primary,
+  and the *primary's* node sends them — one wire message per (primary,
   holder) per client op, departing when the original completed, priced
   like a response — so the writer pays for its originals only.  A link
   is one (key, holder) pair, so a holder that holds a key for both
@@ -439,22 +439,22 @@ class Replicas:
         copies of its mutations (:meth:`copies`) — so a push to a row
         created in the same send finds the row on the holders.
 
-        The copies for one (primary, holder) pair travel as one envelope
-        (a lone copy stand-alone) that leaves the *primary's* node when
+        The copies for one (primary, holder) pair travel as one wire
+        message, their group, that leaves the *primary's* node when
         its last original completed there — when that message's response
         departs — and is priced like a response: the two NIC bookings
-        only, no send CPU, nothing on the writer.  Every envelope is
+        only, no send CPU, nothing on the writer.  Every group is
         shipped first, in first-appearance order of its pair; then all
-        copies are served in one pass of *serve*, an envelope's first
-        copy at its arrival and the rest chained behind it.  A delivery
+        groups are served in one pass of *serve*, each from its
+        arrival.  A delivery
         that cannot happen never reaches a client clock:
 
         - a **partition** on either end at departure retries under the
           retry prices of :mod:`repro.costs`, each penalty delaying the
           departure (:meth:`_ship`); once the budget is
-          spent the holder's links for the envelope's keys are forgotten
+          spent the holder's links for the group's keys are forgotten
           and its stale entries evicted, so nothing routes to or promotes
-          from them, and the envelope is not served;
+          from them, and the group is not served;
         - a **down holder** fails its copies; after the whole forward
           each such holder is recovered through the master, once and in
           wire order, which re-streams its copies from the live
@@ -474,19 +474,17 @@ class Replicas:
             pairs.setdefault((copy.primary_index, copy.server_index),
                              []).append(copy)
         holders = []
-        units = []
+        groups = []
         arrivals = []
         for group in pairs.values():
-            envelope = group[0] if len(group) == 1 \
-                else messages.BatchRequest(group)
-            holder = master.server(envelope.server_index)
-            ctx = group[0].trace_ctx
+            first = group[0]
+            holder = master.server(first.server_index)
+            ctx = first.trace_ctx
             arrival = self._ship(
-                master.server(group[0].primary_index).node_id,
-                holder.node_id, envelope.wire_bytes(),
+                master.server(first.primary_index).node_id,
+                holder.node_id, messages.wire_bytes(group),
                 max(departs[id(copy.inner)] for copy in group),
-                tag=envelope.tag + ":req", deliver=False,
-                messages=envelope.message_count(),
+                tag=first.tag + ":req", deliver=False, messages=len(group),
                 trace_parent=None if ctx is None else ctx[1],
             )
             if arrival is None:
@@ -494,10 +492,10 @@ class Replicas:
                     (matrix_id, copy.primary_index)
                     for copy in group for matrix_id, _row in copy.versions}))
                 continue
-            holders += [holder] * len(group)
-            units += group
-            arrivals += [arrival] + [None] * (len(group) - 1)
-        _values, done = serve(cluster, holders, units, arrivals)
+            holders.append(holder)
+            groups.append(group)
+            arrivals.append(arrival)
+        _replies, done = serve(cluster, holders, groups, arrivals)
         # Fencing never raises, so a copy only fails on a down holder.
         for server_index in dict.fromkeys(
                 holder.server_index

@@ -590,50 +590,46 @@ class PSServer:
         self.alive = True
 
 
-def serve_fast_fanout(cluster, fan_servers, fan_messages, fan_arrivals):
-    """Serve a whole fan-out of requests — the only code that books server
-    work: phase 2 of every transport attempt, first or retry, replica
-    forwards and realignment alike.
+def serve_fast_fanout(cluster, servers, groups, arrivals):
+    """Serve a whole fan-out of wire messages — the only code that books
+    server work: phase 2 of every transport attempt, first or retry,
+    replica forwards and realignment alike.
 
-    The three parallel sequences give the serving ``PSServer``, the
-    request, and its arrival time per *unit*: a stand-alone wire message,
-    or one sub-request of a batch envelope.  Envelopes exist on the wire,
-    not here — the transport flattens them, and a unit whose arrival is
-    ``None`` *chains*: it belongs to the same envelope (hence the same
-    server) as the unit before it and starts at that unit's completion
-    instead of at a NIC arrival.
+    The three parallel sequences give, per wire message, the serving
+    ``PSServer``, its *group* (the ordered requests it carries, see
+    :func:`~repro.ps.messages.wire_bytes`) and its arrival time.  Every
+    request is served by one rule:
 
-    Every unit is served by one rule:
-
-    1. liveness is decided once, at the unit's start — only a server with
-       a crash scheduled is asked whether it is due (the set is read once
-       per call), so a crash falling due *during* a unit takes effect at
-       the next one;
-    2. an encoded unit is decoded in place (decode-before-apply, so every
-       handler sees exactly what the wire delivered);
-    3. the unit's handler (``_HANDLERS``) applies it and names its
+    1. liveness is decided once, at the request's start — only a server
+       with a crash scheduled is asked whether it is due (the set is read
+       once per call), so a crash falling due *during* a request takes
+       effect at the next one;
+    2. an encoded request is decoded in place (decode-before-apply, so
+       every handler sees exactly what the wire delivered);
+    3. the request's handler (``_HANDLERS``) applies it and names its
        charges;
     4. each charge is reserved on the server's CPU, chained from the
-       previous charge's completion (the first from the unit's arrival);
-    5. each gets a CPU span (parented through the unit's ``trace_ctx``,
-       while tracing is on), advances the server's clock and joins the
-       same-tag run of ``record_service_bulk`` — runs are flushed in
-       order, so every per-key accumulation happens in booking order.
+       previous charge's completion — the group's first from its arrival,
+       so a group's requests run back to back;
+    5. each gets a CPU span (parented through the request's
+       ``trace_ctx``, while tracing is on), advances the server's clock
+       and joins the same-tag run of ``record_service_bulk`` — runs are
+       flushed in order, so every per-key accumulation happens in
+       booking order.
 
     Nothing is booked on another server's behalf: copies and lazy-row
     syncs leave in :meth:`~repro.ps.replication.Replicas.forward`, after
-    the whole fan-out.  A :class:`~repro.ps.messages.BatchRequest` unit is refused
-    with ``PSError`` rather than half-applied.
+    the whole fan-out.
 
-    Returns ``(values, completions)`` aligned with the inputs; results
-    and all virtual times are bit-identical to the interleaved reference
-    in ``tests/test_fast_lane.py``.  A unit whose arrival is a
-    ``NetworkPartitionedError`` (its wire message was dropped) or which
-    fails on a down server or a missing shard yields the error as its
-    value and ``None`` as its completion, and so does every later unit
-    chained to it (the envelope stopped there, earlier units applied
-    exactly once); the transport hands that wire message to the retry
-    policy.
+    Returns ``(replies, completions)`` aligned with *groups*: a group's
+    list of replies and its last request's completion.  A group whose
+    arrival is a ``NetworkPartitionedError`` (its wire message was
+    dropped), or which meets a down server or a missing shard, gets that
+    error instead of its replies and ``None`` as its completion; the
+    requests before the failure stay applied, once, and the transport
+    hands the wire message to the retry policy.  Results and all virtual
+    times are bit-identical to the interleaved reference in
+    ``tests/test_fast_lane.py``.
     """
     metrics = cluster.metrics
     clock_times = cluster.clock._times
@@ -642,87 +638,79 @@ def serve_fast_fanout(cluster, fan_servers, fan_messages, fan_arrivals):
     crashing = cluster.failures.crashing_nodes()
     tracer = cluster.tracer
     traced = tracer.enabled
-    values_out = []
+    replies_out = []
     completions = []
     run_tag = None
     run_nodes = []
     run_secs = []
     record_bulk = metrics.record_service_bulk
-    failed = None
-    completion = None
-    for server, message, arrival in zip(fan_servers, fan_messages,
-                                        fan_arrivals):
-        if arrival is None:
-            arrival = completion
-        elif arrival.__class__ is NetworkPartitionedError:
-            failed = arrival
-        else:
-            failed = None
-        if failed is not None:
-            values_out.append(failed)
+    for server, group, completion in zip(servers, groups, arrivals):
+        if completion.__class__ is NetworkPartitionedError:
+            replies_out.append(completion)
             completions.append(None)
             continue
         node_id = server.node_id
-        try:
-            handler = handlers[message.__class__]
-        except KeyError:
-            raise PSError("server %s has no handler for %r"
-                          % (node_id, type(message).__name__)) from None
-        if node_id in crashing:
-            server.is_alive()
-        if message.codec is not None:
-            message.materialize()
-        try:
-            if not server.alive:
-                raise ServerDownError("server %s is down" % node_id)
-            value, charges = handler(server, message)
-        except (ServerDownError, MatrixNotFoundError) as error:
-            failed = error
-            values_out.append(error)
-            completions.append(None)
-            continue
         rate = server._node_flops
         if rate is None:
             rate = server._node_flops = float(node(node_id).spec.flops)
         cpu = server.cpu
-        completion = arrival
-        for flops, tag in charges:
-            seconds = float(flops) / rate
-            start = cpu.reserve(completion, seconds)
-            end = start + seconds
-            if traced:
-                ctx = message.trace_ctx
-                tracer.record(node_id, tag, start, end, cat="cpu",
-                              parent_id=None if ctx is None else ctx[1],
-                              queue_wait=start - completion)
-            completion = end
-            if completion > clock_times[node_id]:
-                clock_times[node_id] = completion
-            if tag == run_tag:
-                run_nodes.append(node_id)
-                run_secs.append(seconds)
-            else:
-                if run_secs:
-                    record_bulk(run_tag, run_nodes, run_secs)
-                run_tag = tag
-                run_nodes = [node_id]
-                run_secs = [seconds]
-        values_out.append(value)
+        replies = []
+        for message in group:
+            try:
+                handler = handlers[message.__class__]
+            except KeyError:
+                raise PSError("server %s has no handler for %r"
+                              % (node_id, type(message).__name__)) from None
+            if node_id in crashing:
+                server.is_alive()
+            if message.codec is not None:
+                message.materialize()
+            try:
+                if not server.alive:
+                    raise ServerDownError("server %s is down" % node_id)
+                value, charges = handler(server, message)
+            except (ServerDownError, MatrixNotFoundError) as error:
+                replies = error
+                completion = None
+                break
+            for flops, tag in charges:
+                seconds = float(flops) / rate
+                start = cpu.reserve(completion, seconds)
+                end = start + seconds
+                if traced:
+                    ctx = message.trace_ctx
+                    tracer.record(node_id, tag, start, end, cat="cpu",
+                                  parent_id=None if ctx is None else ctx[1],
+                                  queue_wait=start - completion)
+                completion = end
+                if completion > clock_times[node_id]:
+                    clock_times[node_id] = completion
+                if tag == run_tag:
+                    run_nodes.append(node_id)
+                    run_secs.append(seconds)
+                else:
+                    if run_secs:
+                        record_bulk(run_tag, run_nodes, run_secs)
+                    run_tag = tag
+                    run_nodes = [node_id]
+                    run_secs = [seconds]
+            replies.append(value)
+        replies_out.append(replies)
         completions.append(completion)
     if run_secs:
         record_bulk(run_tag, run_nodes, run_secs)
-    return values_out, completions
+    return replies_out, completions
 
 
 def serve_one(server, request, arrival):
-    """Serve *request* on *server* as a one-unit fan-out arriving at
-    *arrival*; returns ``(value, completion)``, or raises the unit's
-    error."""
-    (value,), (completion,) = serve_fast_fanout(server.cluster, [server],
-                                                [request], [arrival])
+    """Serve *request* on *server* as a one-request wire message arriving
+    at *arrival*; returns ``(value, completion)``, or raises the error
+    that stopped it."""
+    (replies,), (completion,) = serve_fast_fanout(server.cluster, [server],
+                                                  [[request]], [arrival])
     if completion is None:
-        raise value
-    return value, completion
+        raise replies
+    return replies[0], completion
 
 
 def _range_offsets(request, shard):
@@ -734,10 +722,7 @@ def _range_offsets(request, shard):
 #: What a fenced or already-covered copy costs: its check.
 _COPY_CHECK = ((COPY_CHECK_FLOPS, "ps-replica"),)
 
-#: The server-side protocol: one handler per message type — except the
-#: :class:`~repro.ps.messages.BatchRequest` envelope, which exists on the
-#: wire only; :func:`serve_fast_fanout` refuses one rather than
-#: half-apply it.
+#: The server-side protocol: one handler per message type.
 _HANDLERS = {
     messages.PullRowRequest: PSServer._serve_pull,
     messages.PullOrCreateRequest: PSServer._serve_pull_or_create,

@@ -12,7 +12,7 @@ transport owns everything below that line:
   charged from the message's own ``wire_bytes()``;
 - **server service** — every attempt, first or retry, is served through
   :func:`~repro.ps.server.serve_fast_fanout` on servers resolved through
-  the master, an envelope unit by unit; a retry resolves them afresh, so
+  the master, one entry per wire message; a retry resolves them afresh, so
   it reaches the *current* :class:`~repro.ps.server.PSServer` object — no
   closures over server objects exist anywhere, so a retry can never
   replay work pinned to a pre-failure process;
@@ -30,10 +30,10 @@ transport owns everything below that line:
 
 Per-server request coalescing (Section 5.1's fat requests): when one client
 op produces several messages for the same server — block pulls/pushes issue
-one message per (row, shard) — :meth:`Transport.send_all` wraps each
-server's group in a single :class:`~repro.ps.messages.BatchRequest`
-envelope: one request header, one NIC booking, shared index lists encoded
-once.
+one message per (row, shard) — :meth:`Transport.send_all` ships each
+server's group of them as one wire message: one request header, one NIC
+booking, shared index lists encoded once
+(:func:`~repro.ps.messages.wire_bytes`).
 """
 
 from __future__ import annotations
@@ -184,23 +184,18 @@ class Transport:
     def _coalesce(self, requests):
         """Group *requests* by destination server into wire messages.
 
-        Returns one ``(message, positions)`` entry per server, servers in
-        first-appearance order (so also in order of ``positions[0]``),
-        ``positions`` indexing into *requests*.  A group of two or more
-        becomes one :class:`~repro.ps.messages.BatchRequest` envelope —
-        one header and one NIC booking per server; a singleton goes
-        stand-alone, so ops that already issue one message per server
-        never pay an envelope.
+        Returns one ``(group, positions)`` entry per server, servers in
+        first-appearance order (so also in order of ``positions[0]``):
+        ``positions`` indexes into *requests* and ``group`` lists those
+        requests in order — one wire message, priced by
+        :func:`~repro.ps.messages.wire_bytes`, so a lone request costs
+        what it costs alone.
         """
         groups = {}
         for position, request in enumerate(requests):
             groups.setdefault(request.server_index, []).append(position)
-        outgoing = []
-        for positions in groups.values():
-            message = requests[positions[0]] if len(positions) == 1 \
-                else messages.BatchRequest([requests[p] for p in positions])
-            outgoing.append((message, positions))
-        return outgoing
+        return [([requests[p] for p in positions], positions)
+                for positions in groups.values()]
 
     def send_all(self, requests, plan=None):
         """Ship a message list; returns ``(values, arrivals)`` aligned.
@@ -230,8 +225,8 @@ class Transport:
         writer pays for its originals only.
 
         *plan* is the :class:`FanoutPlan` whose ``requests`` these are:
-        the grouping (and any batch envelopes) is kept on it, so a plan
-        that is sent again skips the group/coalesce rebuild.  So is the
+        the grouping is kept on it, so a plan that is sent again skips
+        the group/coalesce rebuild.  So is the
         phased schedule's whole phase-1 product (:meth:`_bulk_plan`): it
         depends only on the message list and the server topology, so it
         is computed once and replayed, guarded by
@@ -262,12 +257,13 @@ class Transport:
             else None
         self._charge_rpc(len(outgoing))
         routing = self._routing
-        for message, _positions in outgoing:
-            if message.matrix_id is not None \
-                    and message.matrix_id not in routing:
-                self.layout(message.matrix_id)
-        batches = [positions for message, positions in outgoing
-                   if type(message) is messages.BatchRequest]
+        for group, _positions in outgoing:
+            matrix_id = group[0].matrix_id
+            if matrix_id is not None and matrix_id not in routing:
+                self.layout(matrix_id)
+        # Groups of two or more (a slice, not a ``len`` call per group).
+        batches = [positions for _group, positions in outgoing
+                   if positions[1:]]
         if batches:
             metrics = cluster.metrics
             metrics.increment("coalesced-batches", len(batches))
@@ -305,18 +301,18 @@ class Transport:
         :meth:`_transmit_bulk` on a fresh phase-1 product — so the whole
         message's bytes are paid again and it reaches the *current*
         server object (a recovery replaces it).  A failure anywhere in
-        the message, halfway through an envelope or on the response after
+        the message, halfway through its group or on the response after
         the server applied it, fails the attempt whole.
         """
-        message = entry[0]
+        first = entry[0][0]
         retry = (entry,)
         attempt = 0
         while error is not None:
             attempt += 1
-            self._handle_failure(error, attempt, message.server_index,
-                                 message.matrix_id)
-            if message.matrix_id is not None:
-                self.layout(message.matrix_id)
+            self._handle_failure(error, attempt, first.server_index,
+                                 first.matrix_id)
+            if first.matrix_id is not None:
+                self.layout(first.matrix_id)
             failed = self._transmit_bulk(
                 retry, self._bulk_plan(retry, self.master.topology_epoch),
                 values, arrivals, completions, trace_parent)
@@ -326,12 +322,12 @@ class Transport:
         """Stamp a fan-out's causal context and enrich its op span.
 
         Called once per fan-out while tracing is on, before any attempt
-        runs: every wire message and every envelope sub-request
-        gets ``trace_ctx = (trace_id, op span id)`` (``None`` outside an
-        op span), the parent of the server CPU slots, both NIC bookings
-        and any forwarded copy; the op span adds the fan-out's wire
-        messages, bytes and coalesced requests to its args.  Sizes come
-        from the memoized wire formulas, which never read the stamp.
+        runs: every request gets ``trace_ctx = (trace_id, op span id)``
+        (``None`` outside an op span), the parent of the server CPU
+        slots, both NIC bookings and any forwarded copy; the op span
+        adds the fan-out's wire messages, bytes and coalesced requests to
+        its args.  Sizes come from the wire formulas, which never read
+        the stamp.
         Returns the op span's id, the fan-out's one ``trace_parent``.
         """
         span = self.cluster.tracer.current(self.node_id)
@@ -339,36 +335,34 @@ class Transport:
             ctx, args = None, {}  # nothing to parent to or enrich
         else:
             ctx, args = (span.trace_id, span.span_id), span.args
-        for message, _positions in outgoing:
-            message.trace_ctx = ctx
-            if type(message) is messages.BatchRequest:
-                for sub in message.requests:
-                    sub.trace_ctx = ctx
+        for group, _positions in outgoing:
+            for request in group:
+                request.trace_ctx = ctx
             args["fanout"] = args.get("fanout", 0) + 1
-            args["bytes"] = (args.get("bytes", 0) + message.wire_bytes()
-                             + (message.response_bytes() or 0))
-            if message.message_count() > 1:
-                args["coalesced"] = (args.get("coalesced", 0)
-                                     + message.message_count())
+            args["bytes"] = (args.get("bytes", 0) + messages.wire_bytes(group)
+                             + (messages.response_bytes(group) or 0))
+            if len(group) > 1:
+                args["coalesced"] = args.get("coalesced", 0) + len(group)
         return None if ctx is None else ctx[1]
 
     # -- the phased schedule -------------------------------------------------
 
-    def _price(self, wire_messages):
-        """Wire sizes and shard-heat entries for a run of wire messages —
-        what must be known before anything is booked.
+    def _bulk_plan(self, outgoing, epoch):
+        """Phase 1's reusable product for one fan-out (see
+        :meth:`_transmit_bulk`): everything that depends only on the
+        message list and the server topology — ``(epoch, fan_items,
+        shard_entries, responses, servers, groups)``, one request booking,
+        response booking (``None``: no reply), serving server and group
+        per wire message.
 
-        Returns ``(request_sizes, response_sizes, shard_entries)``, the
-        sizes aligned with *wire_messages*.  A shard entry is
-        ``(matrix_id, heat_server, n_values, nbytes)``: one access per
-        wire message and distinct shard key it touches, in
-        first-appearance order, with the summed value count — matching the
-        fat block request an envelope replaces.  Byte volume (request +
-        response) comes from the requests' own wire formulas; an envelope
-        attributes each sub-request its *standalone-equivalent* bytes.
-        Shard heat counts accesses, not envelopes, and the hot-key
-        classifier and the cost model both read it, so it must not depend
-        on how a fan-out was packed into envelopes.  A replica-routed read (``replica_of`` set) is charged to the
+        A shard entry is ``(matrix_id, heat_server, n_values, nbytes)``:
+        one access per wire message and distinct shard key it touches, in
+        first-appearance order, with the summed value count — matching
+        the fat block request a group replaces — and each request's
+        *standalone-equivalent* bytes (request + response), so shard
+        heat, which the hot-key classifier and the cost model both read,
+        does not depend on how a fan-out was packed into wire messages.
+        A replica-routed read (``replica_of`` set) is charged to the
         *primary* shard key: rerouting must never drain the heat signal
         that justified the replica.  Control messages (``matrix_id``
         ``None``) touch no shard.  Per-key accumulation is
@@ -376,88 +370,51 @@ class Transport:
         a whole fan-out's entries to one ``record_shard_access_many`` is
         bit-identical to recording message by message.
         """
-        request_sizes = []
-        response_sizes = []
-        shard_entries = []
-        for message in wire_messages:
-            request_bytes = message.wire_bytes()
-            response_bytes = message.response_bytes()
-            request_sizes.append(request_bytes)
-            response_sizes.append(response_bytes)
-            if type(message) is messages.BatchRequest:
-                by_shard = {}
-                for request in message.requests:
-                    if request.matrix_id is None:
-                        continue
-                    key = (request.matrix_id,
-                           request.server_index if request.replica_of is None
-                           else request.replica_of)
-                    n_values, nbytes = by_shard.get(key, (0, 0.0))
-                    by_shard[key] = (
-                        n_values + request.n_values,
-                        nbytes + request.wire_bytes()
-                        + (request.response_bytes() or 0),
-                    )
-                for key, (n_values, nbytes) in by_shard.items():
-                    shard_entries.append((key[0], key[1], n_values, nbytes))
-            elif message.matrix_id is not None:
-                shard_entries.append((
-                    message.matrix_id,
-                    message.server_index if message.replica_of is None
-                    else message.replica_of,
-                    message.n_values, request_bytes + (response_bytes or 0),
-                ))
-        return request_sizes, response_sizes, shard_entries
-
-    def _bulk_plan(self, outgoing, epoch):
-        """Phase 1's reusable product for one fan-out (see
-        :meth:`_transmit_bulk`): everything that depends only on the
-        message list and the server topology.
-
-        Also flattens the fan-out into the *units* phase 2 serves — one
-        per stand-alone message, one per sub-request of an envelope, so
-        ``unit_positions`` (where each unit's value goes) is the wire
-        messages' position lists end to end and ``lasts[i]`` the index of
-        wire message *i*'s last unit.  Without an envelope units and
-        messages coincide and the per-message lists are aliased.
-        """
         master_servers = self.master.servers
-        msgs = [message for message, _positions in outgoing]
-        request_sizes, response_sizes, shard_entries = self._price(msgs)
-        servers = []
         fan_items = []
+        shard_entries = []
         responses = []
-        unit_positions = []
-        lasts = []
-        last = -1
-        for (message, positions), request_bytes, response_bytes \
-                in zip(outgoing, request_sizes, response_sizes):
-            server = master_servers[message.server_index]
+        servers = []
+        groups = []
+        for group, _positions in outgoing:
+            first = group[0]
+            server = master_servers[first.server_index]
             servers.append(server)
-            tag_req, tag_resp = _tag_pair(message.tag)
-            count = len(positions)
+            groups.append(group)
+            tag_req, tag_resp = _tag_pair(first.tag)
+            count = len(group)
+            request_bytes = messages.wire_bytes(group)
+            response_bytes = messages.response_bytes(group)
             fan_items.append((server.node_id, request_bytes, tag_req, count))
             responses.append(
                 None if response_bytes is None
                 else (server.node_id, response_bytes, tag_resp, count)
             )
-            unit_positions += positions
-            last += count
-            lasts.append(last)
-        if len(unit_positions) == len(msgs):
-            return (epoch, fan_items, shard_entries, responses, lasts,
-                    unit_positions, servers, msgs)
-        unit_servers = []
-        unit_msgs = []
-        for message, server in zip(msgs, servers):
-            if type(message) is messages.BatchRequest:
-                unit_msgs += message.requests
-                unit_servers += [server] * len(message.requests)
-            else:
-                unit_msgs.append(message)
-                unit_servers.append(server)
-        return (epoch, fan_items, shard_entries, responses, lasts,
-                unit_positions, unit_servers, unit_msgs)
+            if count == 1:
+                # A lone request's bytes are its group's: no per-key sums.
+                if first.matrix_id is not None:
+                    shard_entries.append((
+                        first.matrix_id,
+                        first.server_index if first.replica_of is None
+                        else first.replica_of,
+                        first.n_values, request_bytes + (response_bytes or 0),
+                    ))
+                continue
+            by_shard = {}
+            for request in group:
+                if request.matrix_id is None:
+                    continue
+                key = (request.matrix_id,
+                       request.server_index if request.replica_of is None
+                       else request.replica_of)
+                n_values, nbytes = by_shard.get(key, (0, 0))
+                by_shard[key] = (
+                    n_values + request.n_values,
+                    nbytes + request.wire_bytes()
+                    + (request.response_bytes() or 0),
+                )
+            shard_entries += [key + sums for key, sums in by_shard.items()]
+        return epoch, fan_items, shard_entries, responses, servers, groups
 
     def _transmit_bulk(self, outgoing, bulk, values, arrivals, completions,
                        trace_parent=None):
@@ -467,11 +424,11 @@ class Transport:
         *bulk* is *outgoing*'s phase-1 product (:meth:`_bulk_plan`).
         Phase 1 books every request transfer through one
         :meth:`~repro.cluster.network.NetworkModel.transfer_many` call,
-        phase 2 serves every unit through
+        phase 2 serves every wire message through
         :func:`~repro.ps.server.serve_fast_fanout` (capturing each
         completion immediately, as the interleaved schedule would see it),
         and phase 3 books every response through one ``transfer_gather``,
-        each envelope's departing at its *last* unit's completion.  The
+        each departing at its group's last completion.  The
         per-direction NIC timelines are disjoint across phases and
         order-insensitive within them, so virtual times, bytes and counters
         are bit-identical to the interleaved reference in
@@ -480,50 +437,36 @@ class Transport:
         booking parents to *trace_parent*, the fan-out's op span.  Codecs
         change nothing here: the cost model attached them before routing,
         so every size is fixed before phase 1, and the lane decodes an
-        encoded unit before applying it.  A wire message fails in the
+        encoded request before applying it.  A wire message fails in the
         phase that meets its failure: a dropped request is never served,
-        a down server or missing shard stops its envelope, a dropped
+        a down server or missing shard stops its group, a dropped
         response comes after service.
 
         Fills *values*, *arrivals* and *completions* (each wire message's
-        last-unit completion, for
-        :meth:`~repro.ps.replication.Replicas.forward`) at the positions of the wire messages that went through, and
-        returns those that failed — ``((message, positions), error)`` per
+        last completion, for
+        :meth:`~repro.ps.replication.Replicas.forward`) at the positions
+        of the wire messages that went through, and
+        returns those that failed — ``((group, positions), error)`` per
         message, in wire order — for the caller to re-send under the
         retry policy.
         """
         cluster = self.cluster
         network = cluster.network
         node_id = self.node_id
-        (_, fan_items, _, responses, lasts, unit_positions, unit_servers,
-         unit_msgs) = bulk
-        unit_arrivals = network.transfer_many(node_id, fan_items,
-                                              trace_parent)
-        if len(unit_msgs) > len(fan_items):
-            # Only an envelope's first unit arrives off the NIC; the rest
-            # chain on their predecessor's completion.
-            head = 0
-            chained = [None] * len(unit_msgs)
-            for arrival, last in zip(unit_arrivals, lasts):
-                chained[head] = arrival
-                head = last + 1
-            unit_arrivals = chained
-
-        unit_values, unit_completions = serve_fast_fanout(
-            cluster, unit_servers, unit_msgs, unit_arrivals
-        )
-        for position, value in zip(unit_positions, unit_values):
-            values[position] = value
-
+        _, fan_items, _, responses, servers, groups = bulk
+        results, done = serve_fast_fanout(
+            cluster, servers, groups,
+            network.transfer_many(node_id, fan_items, trace_parent))
         failed = []
         response_items = []
         response_entries = []
-        for entry, last, response in zip(outgoing, lasts, responses):
-            completion = unit_completions[last]
+        for entry, replies, completion, response in zip(
+                outgoing, results, done, responses):
             if completion is None:
-                failed.append((entry, unit_values[last]))
+                failed.append((entry, replies))
                 continue
-            for p in entry[1]:
+            for p, value in zip(entry[1], replies):
+                values[p] = value
                 completions[p] = completion
             if response is not None:
                 response_items.append(response + (completion,))

@@ -121,8 +121,8 @@ def run_serving(ctx, scenario, autoscaler=None):
     effect mid-stream.  A request is two fan-outs: every request pulls
     its ids through ``pull_or_create``; an update then adds
     ``update_scale`` to each of those rows in one ``push_block_add``
-    (one envelope per owning server, and one forwarded envelope per
-    primary and chain holder), an id the request repeats folded into one
+    (one wire message per owning server, and one forwarded wire message
+    per primary and chain holder), an id the request repeats folded into one
     row carrying the delta times its multiplicity.  With
     ``elasticity.mode == "auto"`` in the
     cluster config (and no explicit *autoscaler*), an autoscaler is

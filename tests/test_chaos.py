@@ -106,11 +106,11 @@ def test_retry_reresolves_routing_and_resends_bytes(cluster):
 
 def test_coalesced_batch_retry_reresolves_and_resends_envelope(
         cluster, monkeypatch):
-    """A coalesced batch that hits a dead server must be retried as a
-    WHOLE envelope: routing re-resolved through the master, the
-    replacement server object served, and the full envelope's bytes paid
-    again on the wire.  The re-send is a fan-out of one on the lane: the
-    envelope is served unit by unit, never handed to a server whole."""
+    """A coalesced group that hits a dead server must be retried as a
+    WHOLE wire message: routing re-resolved through the master, the
+    replacement server object served, and the full group's bytes paid
+    again on the wire.  The re-send is a fan-out of one on the lane: one
+    entry, the group's four requests served one after another."""
     from repro.ps import messages, transport
 
     master = PSMaster(cluster)
@@ -132,10 +132,10 @@ def test_coalesced_batch_retry_reresolves_and_resends_envelope(
     kinds = set()
     lane = transport.serve_fast_fanout
 
-    def spy_lane(cluster, fan_servers, fan_messages, fan_arrivals):
-        served.append(len(fan_messages))
-        kinds.update(map(type, fan_messages))
-        return lane(cluster, fan_servers, fan_messages, fan_arrivals)
+    def spy_lane(cluster, servers, groups, arrivals):
+        served.append([len(group) for group in groups])
+        kinds.update(type(request) for group in groups for request in group)
+        return lane(cluster, servers, groups, arrivals)
 
     monkeypatch.setattr(transport, "serve_fast_fanout", spy_lane)
 
@@ -155,15 +155,14 @@ def test_coalesced_batch_retry_reresolves_and_resends_envelope(
     # ...and the re-send reached the replacement server process.
     assert master.server(1) is not failed
     assert metrics.counters["op-retries"] == 1
-    # Three envelopes were FORMED (one per server); the retry re-sends an
-    # existing envelope rather than building a fourth, so the wire count
-    # (+4 above) exceeds the batch count by exactly the resend.
+    # Three groups were sent (one per server); the retry re-sends one of
+    # them without counting it again, so the wire count (+4 above)
+    # exceeds the batch count by exactly the resend.
     assert metrics.counters["coalesced-batches"] == batches_before + 3
     assert metrics.counters["coalesced-requests"] == 12
-    # The lane served 16 units: the 12 first attempts, then the retried
-    # envelope's 4 as a fan-out of one — and no server was handed an
-    # envelope.
-    assert served == [12, 4]
+    # The lane served 16 requests: the 12 first attempts in three groups,
+    # then the retried group's 4 as a fan-out of one.
+    assert served == [[4, 4, 4], [4]]
     assert kinds == {messages.PullRowRequest}
 
 

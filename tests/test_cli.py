@@ -1,5 +1,7 @@
 """CLI tests (``python -m repro ...``)."""
 
+from pathlib import Path
+
 import pytest
 
 from repro.cli import build_parser, main
@@ -90,8 +92,26 @@ def test_critical_path_ssp(capsys):
 def test_experiments_listing(capsys):
     assert main(["experiments"]) == 0
     out = capsys.readouterr().out
-    assert "bench_fig10_lr_end2end.py" in out
     assert "pytest benchmarks/ --benchmark-only" in out
+    root = Path(__file__).resolve().parent.parent
+    benches = sorted(root.glob("benchmarks/bench_*.py"))
+    assert benches
+    for bench in benches:
+        assert "benchmarks/" + bench.name in out, bench.name
+
+
+@pytest.mark.parametrize("verb,iterations", [
+    ("train", 10), ("trace", 5), ("critical-path", 5), ("profile", 5)])
+def test_workload_verbs_share_their_flags_and_keep_their_defaults(
+        verb, iterations):
+    args = build_parser().parse_args([verb, "lr"])
+    assert (args.workload, args.iterations, args.executors, args.servers,
+            args.seed) == ("lr", iterations, 8, 8, 0)
+    args = build_parser().parse_args([
+        verb, "fm", "--iterations", "2", "--executors", "3",
+        "--servers", "4", "--seed", "9"])
+    assert (args.workload, args.iterations, args.executors, args.servers,
+            args.seed) == ("fm", 2, 3, 4, 9)
 
 
 def test_parser_rejects_unknown_command():

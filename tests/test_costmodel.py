@@ -282,9 +282,9 @@ def test_costmodel_run_serves_on_the_lane_and_identity_tiers_match_codec_off(
     units = {}
     lane = transport.serve_fast_fanout
 
-    def counting(cluster, fan_servers, fan_messages, fan_arrivals):
-        units[cluster] = units.get(cluster, 0) + len(fan_messages)
-        return lane(cluster, fan_servers, fan_messages, fan_arrivals)
+    def counting(cluster, servers, groups, arrivals):
+        units[cluster] = units.get(cluster, 0) + sum(map(len, groups))
+        return lane(cluster, servers, groups, arrivals)
 
     monkeypatch.setattr(transport, "serve_fast_fanout", counting)
     results = {}

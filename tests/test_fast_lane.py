@@ -5,7 +5,7 @@ phases (``_transmit_bulk``: every request, every service through
 ``serve_fast_fanout``, every response), then retries the failed ones in
 wire order, each as a one-message fan-out through ``_transmit_bulk``
 again.  The reference it must be indistinguishable from lives here:
-:func:`interleaved` — request, service (the wire message's units through
+:func:`interleaved` — request, service (the wire message's group through
 the lane), response, next message.
 
 Two rigs are built from one seed, identical except that every transport
@@ -31,18 +31,24 @@ lane, and the phased rig, the per-message one and the unpooled rig must
 still agree on all of the above plus every replica copy and holder map —
 across rebalance sweeps, and with failures fired.  The lane's service of
 hand-built copies of every kind (fenced and already-covered ones
-included) and of pull-or-create units (present rows beside creations,
+included) and of pull-or-create requests (present rows beside creations,
 chain stand-ins and a due crash) is pinned by digest, taken while it was
-still held against dispatching every unit one by one.
+still held against dispatching every request one by one.
+
+A group is its requests, one after another: serving it as one lane
+entry equals serving each request as a one-request entry arriving at
+its predecessor's completion — replies, completions, CPU intervals,
+clocks and metrics — and a failure partway (a crash falling due, a
+missing shard) stops the group where it happens.
 
 Serving is defined once: every handler is a pure storage step that
 names its charges, and the lane books them.  That is a law too — no
 handler reserves CPU, records a span or moves a clock — and so is the
-liveness rule: a crash falling due between a creating unit's two charges
-takes effect at the next unit.
+liveness rule: a crash falling due between a creating request's two
+charges takes effect at the next request.
 
 Tracing and cold routing do not change what runs: a traced rig serves
-every unit on the lane, a send whose matrix no routing entry covers yet
+every request on the lane, a send whose matrix no routing entry covers yet
 pays the routing RPC before the first attempts, and the traced phased
 rig, the traced per-message rig and an untraced one agree on all of the
 above — the two traced ones also on every span (node, op, category,
@@ -50,8 +56,8 @@ interval, args and the parent's identity) and on the critical-path
 breakdown.
 
 Nor does a cost model: with ``wire_codec`` "auto" (or a forced codec) on
-the slow NICs where codecs engage, the phased rig serves its units on
-the lane — encoded ones decoded there first — and agrees with the
+the slow NICs where codecs engage, the phased rig serves its requests
+on the lane — encoded ones decoded there first — and agrees with the
 per-message rig on all of the above, codec decisions and bytes saved
 included.  Under "auto" the pool stays on for plans whose every
 decision is identity whatever the regime (the model records them in one
@@ -133,37 +139,33 @@ def interleaved(transport, outgoing, _bulk, values, arrivals, completions,
     """A ``Transport._transmit_bulk`` stand-in (a test-only lever, not a
     knob; bind it to the transport): the interleaved schedule the phased
     one must equal.  Per wire message, in wire order: the request
-    transfer, its units through the lane (an envelope's subs chained
-    behind its first), the response transfer, then the next message.
-    Fills the same slots and returns the failed messages, with their
-    errors, in wire order."""
+    transfer, its group through the lane, the response transfer, then
+    the next message.  Fills the same slots and returns the failed
+    messages, with their errors, in wire order."""
     cluster = transport.cluster
     network = cluster.network
     failed = []
     for entry in outgoing:
-        message, positions = entry
-        server = transport.master.server(message.server_index)
-        units = message.requests \
-            if type(message) is messages.BatchRequest else [message]
-        count = message.message_count()
+        group, positions = entry
+        first = group[0]
+        server = transport.master.server(first.server_index)
+        count = len(group)
         try:
             arrival = network.transfer(
-                transport.node_id, server.node_id, message.wire_bytes(),
-                tag=message.tag + ":req", deliver=False, messages=count,
+                transport.node_id, server.node_id, messages.wire_bytes(group),
+                tag=first.tag + ":req", deliver=False, messages=count,
                 trace_parent=trace_parent)
-            unit_values, unit_completions = server_module.serve_fast_fanout(
-                cluster, [server] * len(units), units,
-                [arrival] + [None] * (len(units) - 1))
-            completion = unit_completions[-1]
+            (replies,), (completion,) = server_module.serve_fast_fanout(
+                cluster, [server], [group], [arrival])
             if completion is None:
-                raise unit_values[-1]
-            for p, value in zip(positions, unit_values):
+                raise replies
+            for p, value in zip(positions, replies):
                 values[p] = value
                 completions[p] = completion
-            if message.response_bytes() is not None:
+            if messages.response_bytes(group) is not None:
                 arrival = network.transfer(
                     server.node_id, transport.node_id,
-                    message.response_bytes(), tag=message.tag + ":resp",
+                    messages.response_bytes(group), tag=first.tag + ":resp",
                     deliver=False, depart_at=completion, messages=count,
                     trace_parent=trace_parent)
                 for p in positions:
@@ -360,9 +362,9 @@ def _apply(rig, op):
         rig.shared[slot][:] = (rig.shared[slot] + shift) % DIM
         return None
     assert kind == "mixed"
-    # A hand-built heterogeneous send: every server gets one envelope of
-    # pull + push + aggregate + fill + pull, so sub-requests of four
-    # kinds chain on one CPU in both orders.
+    # A hand-built heterogeneous send: every server gets one group of
+    # pull + push + aggregate + fill + pull, so requests of four kinds
+    # run back to back on one CPU in both orders.
     row, seed = args
     matrix = rig.matrices[0]
     values = _values(seed, DIM)
@@ -588,23 +590,23 @@ _REPLICATED_STREAM = (
 
 
 def _lane_users(monkeypatch):
-    """``(cluster, units, copies only)`` of every fan-out the transport
+    """``(cluster, requests, copies only)`` of every fan-out the transport
     served through the lane — attempts and forwarded replica copies."""
     served = []
     lane = transport.serve_fast_fanout
 
-    def counting(cluster, fan_servers, fan_messages, fan_arrivals):
-        served.append((cluster, len(fan_messages), all(
-            type(unit) is messages.ReplicatedPushRequest
-            for unit in fan_messages)))
-        return lane(cluster, fan_servers, fan_messages, fan_arrivals)
+    def counting(cluster, servers, groups, arrivals):
+        served.append((cluster, sum(map(len, groups)), all(
+            type(request) is messages.ReplicatedPushRequest
+            for group in groups for request in group)))
+        return lane(cluster, servers, groups, arrivals)
 
     monkeypatch.setattr(transport, "serve_fast_fanout", counting)
     return served
 
 
 def _senders(monkeypatch):
-    """``(cluster, units)`` of every ``Transport.send_all`` call."""
+    """``(cluster, requests)`` of every ``Transport.send_all`` call."""
     sent = []
     send_all = transport.Transport.send_all
 
@@ -732,7 +734,7 @@ def test_the_replicated_fixed_stream_with_fired_failures_matches(
 
 @given(stream=st.lists(_ops, min_size=1, max_size=24), crash=_crashes,
        window=_windows)
-# One block pull where server-1's envelope fails in service (phase 2) and
+# One block pull where server-1's group fails in service (phase 2) and
 # server-0's response is lost (phase 3): the retries still go in wire
 # order, server-0 first, as the per-message schedule queues them.
 @example(stream=[("pull_block", 0, 0, [0, 1, 2, 3], None)], crash=(1, 0.0),
@@ -992,22 +994,69 @@ def test_auto_on_the_knee_pools_only_tier_zero_plans_and_matches_unpooled():
 # -- the lane's service of copies and lazy reads, pinned ----------------------
 
 
+def _one_by_one(cluster, servers, groups, arrivals):
+    """Serve every request of a fan-out as its own one-request wire
+    message, arriving at its predecessor's completion (a group's first at
+    the group's arrival); a failure leaves the rest of its group unserved.
+    Returns ``(values, completions)`` per request, a request the failure
+    left unserved carrying the error and ``None``."""
+    values, completions = [], []
+    for server, group, arrival in zip(servers, groups, arrivals):
+        for request in group:
+            if arrival is not None:
+                (replies,), (arrival,) = transport.serve_fast_fanout(
+                    cluster, [server], [[request]], [arrival])
+            values.append(replies if arrival is None else replies[0])
+            completions.append(arrival)
+    return values, completions
+
+
+def _grouped_as_one_by_one(build, stream, pinned, errors_as_types=False):
+    """Serve the fan-out *build* makes after *stream* on one rig as its
+    groups and on a twin :func:`_one_by_one`: the two leave the same
+    state, a group's replies are its requests' values (the error, for a
+    group a failure stopped) and its completion is its last request's.
+    The twin's per-request result and state hash to *pinned*.  Returns
+    the twin's result."""
+    grouped, twin = _Rig(replicated=True), _Rig(replicated=True)
+    _run_same(stream, grouped, twin)
+    fanout = build(grouped)
+    replies, completions = transport.serve_fast_fanout(grouped.cluster,
+                                                       *fanout)
+    got = _one_by_one(twin.cluster, *build(twin))
+    state = twin.state()
+    for section, value in grouped.state().items():
+        assert value == state[section], section
+    head = 0
+    for group, reply, completion in zip(fanout[1], replies, completions):
+        ours = got[0][head:head + len(group)]
+        if completion is None:
+            assert type(reply) is type(ours[-1])
+        else:
+            assert _same(reply, ours)
+        assert completion == got[1][head + len(group) - 1]
+        head += len(group)
+    shown = _errors_as_types(got) if errors_as_types else got
+    assert _digest(shown, state) == pinned
+    return got
+
+
 #: :func:`_digest` of the copy law's lane result and rig state, pinned
-#: while the lane was still checked against dispatching every unit.
+#: while the lane was still checked against dispatching every request.
 COPY_LAW_DIGEST = "59515e9a34a1e52f"
 
 
 def _hand_built_copies(rig):
-    """One envelope of copies onto each column-layout primary's chain
+    """One group of copies onto each column-layout primary's chain
     successor, every kind of copy in it: pushes (dense add, sparse
     assign, and a dense assign last), one the holder's counters already
     cover, one stamped with a stale epoch, and a fill, a push-range and a
-    kernel copy.  Returns the lane's unit lists."""
+    kernel copy.  Returns the lane's ``(servers, groups, arrivals)``."""
     master = rig.master
     m = rig.matrices[0]
     arrive = max(rig.cluster.clock.now(node)
                  for node in rig.cluster.clock.nodes())
-    servers, units, arrivals = [], [], []
+    servers, groups, arrivals = [], [], []
     for primary in master.servers:
         p = primary.server_index
         (h,) = rig.cluster.replicas.successors(p)
@@ -1022,7 +1071,8 @@ def _hand_built_copies(rig):
                 {(m, row): entry.versions.get((m, row), 0) + ahead
                  for row in rows})
 
-        envelope = [
+        servers.append(master.server(h))
+        groups.append([
             copy(messages.PushRequest(p, m, 0, _values(p, width)), [0], 1),
             copy(messages.PushRequest(p, m, 1, _values(p + 3, len(columns)),
                                       indices=columns, mode="assign"),
@@ -1038,24 +1088,26 @@ def _hand_built_copies(rig):
                                         wait_response=False), [0, 1], 2),
             copy(messages.PushRequest(p, m, 0, _values(p + 12, width),
                                       mode="assign"), [0], 3),
-        ]
-        servers += [master.server(h)] * len(envelope)
-        units += envelope
-        arrivals += [arrive + 1e-4 * (p + 1)] + [None] * (len(envelope) - 1)
-    return servers, units, arrivals
+        ])
+        arrivals.append(arrive + 1e-4 * (p + 1))
+    return servers, groups, arrivals
 
 
 def test_the_lane_serves_copies_as_pinned_fenced_and_skipped_included():
-    rig = _Rig(replicated=True)
-    _run_same(_CREATE_STREAM + _FIXED_STREAM[:23], rig)
-    counters = rig.cluster.metrics.counters
-    before = Counter(counters)
-    got = transport.serve_fast_fanout(rig.cluster, *_hand_built_copies(rig))
+    counters = []
+
+    def build(rig):
+        counters.append((rig.cluster.metrics.counters,
+                         Counter(rig.cluster.metrics.counters)))
+        return _hand_built_copies(rig)
+
+    got = _grouped_as_one_by_one(build, _CREATE_STREAM + _FIXED_STREAM[:23],
+                                 COPY_LAW_DIGEST)
     assert None not in got[1]
-    assert _digest(got, rig.state()) == COPY_LAW_DIGEST
-    # One fenced and one covered copy per envelope, the rest applied.
-    for name in ("replica-fanout-fenced", "replica-fanout-skipped"):
-        assert counters[name] - before[name] == 3, name
+    # One fenced and one covered copy per group, the rest applied.
+    for after, before in counters:
+        for name in ("replica-fanout-fenced", "replica-fanout-skipped"):
+            assert after[name] - before[name] == 3, name
 
 
 #: The same for the lazy-read law's two fan-outs.
@@ -1063,11 +1115,12 @@ LAZY_LAW_DIGESTS = ("e4375577f509eb9e", "53a4fc2a10878dc3")
 
 
 def _hand_built_lazy_reads(rig):
-    """Pull-or-create units after :data:`_CREATE_STREAM` (rows 0-8 exist,
-    row ``r`` on server ``r % 3``) with server 1 crashed: an envelope on
-    server 0 and one on server 2, each mixing present rows with an unseen
-    id (a creation), then two stand-alone stand-ins for server 1's rows
-    on its chain successor.  Returns the lane's unit lists."""
+    """Pull-or-create requests after :data:`_CREATE_STREAM` (rows 0-8
+    exist, row ``r`` on server ``r % 3``) with server 1 crashed: a group
+    on server 0 and one on server 2, each mixing present rows with an
+    unseen id (a creation), then two lone stand-ins for server 1's rows
+    on its chain successor.  Returns the lane's ``(servers, groups,
+    arrivals)``."""
     master = rig.master
     (successor,) = rig.cluster.replicas.successors(1)
     master.server(1).crash()
@@ -1081,16 +1134,16 @@ def _hand_built_lazy_reads(rig):
             return request
         return request.retargeted(server_index)
 
-    servers, units, arrivals = [], [], []
+    servers, groups, arrivals = [], [], []
     for primary, rows in ((0, (0, 9, 3, 6)), (2, (2, 5, 11, 8))):
-        servers += [master.server(primary)] * len(rows)
-        units += [lazy(row) for row in rows]
-        arrivals += [arrive + 1e-4 * (primary + 1)] + [None] * (len(rows) - 1)
+        servers.append(master.server(primary))
+        groups.append([lazy(row) for row in rows])
+        arrivals.append(arrive + 1e-4 * (primary + 1))
     for row in (1, 4):
         servers.append(master.server(successor))
-        units.append(lazy(row, successor))
+        groups.append([lazy(row, successor)])
         arrivals.append(arrive + 2e-4 + 1e-5 * row)
-    return servers, units, arrivals
+    return servers, groups, arrivals
 
 
 def _errors_as_types(result):
@@ -1100,32 +1153,36 @@ def _errors_as_types(result):
 
 
 def test_the_lane_serves_lazy_reads_as_pinned():
-    rig = _Rig(replicated=True)
-    _run_same(_CREATE_STREAM, rig)
+    creates = []
 
-    def serve(units, pinned):
-        got = transport.serve_fast_fanout(rig.cluster, *units)
-        assert _digest(_errors_as_types(got), rig.state()) == pinned
-        return got
+    def build(rig):
+        creates.append((rig, rig.cluster.metrics.counters["lazy-creates"]))
+        return _hand_built_lazy_reads(rig)
 
-    creates = rig.cluster.metrics.counters["lazy-creates"]
-    values, completions = serve(_hand_built_lazy_reads(rig),
-                                LAZY_LAW_DIGESTS[0])
+    values, completions = _grouped_as_one_by_one(
+        build, _CREATE_STREAM, LAZY_LAW_DIGESTS[0], errors_as_types=True)
     # Present rows and stand-ins reply ``created=False``.
     assert len(values) == 10 and None not in completions
     assert [created for _values, created in values] == \
         [False, True, False, False, False, False, True, False, False, False]
-    assert rig.cluster.metrics.counters["lazy-creates"] == creates + 2
-    # Server 2's crash is due at its own clock: a present row fails, and
-    # so stops its envelope.
-    server = rig.master.server(2)
-    rig.cluster.failures.schedule_server_failure(
-        server.node_id, rig.cluster.clock.now(server.node_id))
-    units = [messages.PullOrCreateRequest(2, rig.table, row, TABLE_DIM)
-             for row in (2, 5)]
-    arrive = rig.cluster.clock.now(server.node_id) + 1e-4
-    values, completions = serve(([server] * 2, units, [arrive, None]),
-                                LAZY_LAW_DIGESTS[1])
+    for rig, before in creates:
+        assert rig.cluster.metrics.counters["lazy-creates"] == before + 2
+
+    def crashing(rig):
+        # Server 2's crash is due at its own clock: a present row fails,
+        # and so stops its group.
+        transport.serve_fast_fanout(rig.cluster,
+                                    *_hand_built_lazy_reads(rig))
+        server = rig.master.server(2)
+        rig.cluster.failures.schedule_server_failure(
+            server.node_id, rig.cluster.clock.now(server.node_id))
+        group = [messages.PullOrCreateRequest(2, rig.table, row, TABLE_DIM)
+                 for row in (2, 5)]
+        return [server], [group], [rig.cluster.clock.now(server.node_id)
+                                   + 1e-4]
+
+    values, completions = _grouped_as_one_by_one(
+        crashing, _CREATE_STREAM, LAZY_LAW_DIGESTS[1], errors_as_types=True)
     assert completions == [None, None]
     assert all(isinstance(value, ServerDownError) for value in values)
 
@@ -1225,9 +1282,10 @@ def test_handlers_never_book():
 
 
 def test_a_crash_due_between_a_creations_charges_takes_the_next_unit():
-    """Liveness is decided once per unit: a crash that falls due after a
-    creating unit starts — between its ``ps-create`` and ``ps-read`` —
-    lets that unit finish and fails the next one."""
+    """Liveness is decided once per request: a crash that falls due after
+    a creating request starts — between its ``ps-create`` and ``ps-read``
+    — lets that request finish and fails the next one, which stops the
+    group."""
     rig = _Rig(replicated=True)
     _run_same(_CREATE_STREAM, rig)
     server = rig.master.server(0)
@@ -1236,15 +1294,148 @@ def test_a_crash_due_between_a_creations_charges_takes_the_next_unit():
         / rig.cluster.node(server.node_id).spec.flops
     rig.cluster.failures.schedule_server_failure(server.node_id,
                                                  arrive + create / 2)
-    units = [messages.PullOrCreateRequest(0, rig.table, row, TABLE_DIM)
+    creates = rig.cluster.metrics.counters["lazy-creates"]
+    group = [messages.PullOrCreateRequest(0, rig.table, row, TABLE_DIM)
              for row in (30, 33)]
-    values, completions = transport.serve_fast_fanout(
-        rig.cluster, [server] * 2, units, [arrive, None])
-    created_values, created = values[0]
-    assert created and created_values.shape == (TABLE_DIM,)
-    assert completions[0] > arrive + create
-    assert isinstance(values[1], ServerDownError) and completions[1] is None
+    (replies,), (completion,) = transport.serve_fast_fanout(
+        rig.cluster, [server], [group], [arrive])
+    assert isinstance(replies, ServerDownError) and completion is None
+    # The creation ran both its charges, the read past the crash's time.
+    assert rig.cluster.metrics.counters["lazy-creates"] == creates + 1
+    _starts, ends = server.cpu.intervals()
+    assert ends[-1] > arrive + create
     assert not server.alive
+
+
+# -- a group is its requests, one after another -----------------------------
+
+
+def _law_request(rig, server_index, spec):
+    """One request to *server_index* of the kind *spec* names, touching
+    the column-layout matrix's shard there, the lazy table, or — kind
+    ``missing`` — a row no server holds."""
+    kind, row, seed = spec
+    m = rig.matrices[0]
+    shards = rig.master.layout(m).shards_for_row(row)
+    lo, hi = next((start, stop) for server, start, stop in shards
+                  if server == server_index)
+    width = hi - lo
+    columns = np.arange(lo, hi, 1 + seed % 3, dtype=np.int64)
+    return {
+        "pull": lambda: messages.PullRowRequest(server_index, m, row, width),
+        "pull-sparse": lambda: messages.PullRowRequest(
+            server_index, m, row, len(columns), indices=columns),
+        "pull-range": lambda: messages.PullRangeRequest(
+            server_index, m, row, lo + seed % 3, hi),
+        "push": lambda: messages.PushRequest(
+            server_index, m, row, _values(seed, width),
+            mode="add" if seed % 2 else "assign"),
+        "push-sparse": lambda: messages.PushRequest(
+            server_index, m, row, _values(seed, len(columns)),
+            indices=columns),
+        "push-range": lambda: messages.PushRangeRequest(
+            server_index, m, row, lo, lo + 2, _values(seed, 2)),
+        "aggregate": lambda: messages.AggregateRequest(
+            server_index, m, row, "sumsq", n_values=width),
+        "kernel": lambda: messages.KernelRequest(
+            server_index, _halve if seed % 2 else _sum,
+            [(m, row), (m, (row + 1) % N_ROWS)],
+            wait_response=not seed % 2),
+        "fill": lambda: messages.FillRequest(server_index, m, row, 0.5,
+                                             n_values=width),
+        "clock": lambda: messages.ClockAdvanceRequest(
+            server_index, [(m, row)], seed),
+        "create": lambda: messages.PullOrCreateRequest(
+            server_index, rig.table, server_index + 3 * (seed % 4),
+            TABLE_DIM),
+        "missing": lambda: messages.PullRowRequest(server_index, m,
+                                                   N_ROWS + 5, width),
+    }[kind]()
+
+
+_LAW_KINDS = ("pull", "pull-sparse", "pull-range", "push", "push-sparse",
+              "push-range", "aggregate", "kernel", "fill", "clock",
+              "create", "missing")
+
+_law_groups = st.lists(
+    st.tuples(
+        st.integers(0, 2),                       # the server
+        st.integers(0, 20),                      # arrival, in 10 us steps
+        st.lists(st.tuples(st.sampled_from(_LAW_KINDS),
+                           st.integers(0, N_ROWS - 1), st.integers(0, 7)),
+                 min_size=1, max_size=6)),
+    min_size=1, max_size=4)
+
+
+def _serve_law(rig, groups, crash, one_by_one):
+    """Serve *groups* on *rig* — as one fan-out, or one request at a
+    time — with the crash *crash* names, if any, scheduled first."""
+    base = max(rig.cluster.clock.now(node)
+               for node in rig.cluster.clock.nodes())
+    servers = [rig.master.server(server) for server, _at, _specs in groups]
+    built = [[_law_request(rig, server, spec) for spec in specs]
+             for server, _at, specs in groups]
+    arrivals = [base + 1e-5 * at for _server, at, _specs in groups]
+    if crash is not None:
+        which, delay = crash
+        server = servers[which % len(servers)]
+        rig.cluster.failures.schedule_server_failure(
+            server.node_id, arrivals[which % len(servers)] + 2.5e-10 * delay)
+    serve = _one_by_one if one_by_one else transport.serve_fast_fanout
+    return serve(rig.cluster, servers, built, arrivals)
+
+
+@given(groups=_law_groups,
+       # the group whose server crashes, and when: 0.25 ns steps past its
+       # arrival, a request's service taking a few
+       crash=st.none() | st.tuples(st.integers(0, 3), st.integers(0, 40)))
+@settings(max_examples=40, deadline=None)
+@example(groups=[(0, 0, [("create", 0, 1), ("push", 1, 3), ("pull", 1, 0),
+                         ("kernel", 2, 1), ("aggregate", 2, 0)])],
+         crash=(0, 2))
+@example(groups=[(1, 0, [("push", 0, 1), ("fill", 3, 0), ("missing", 0, 0),
+                         ("pull", 3, 0)]),
+                 (2, 1, [("pull-range", 2, 4), ("clock", 0, 2)])],
+         crash=None)
+def test_a_group_serves_as_its_requests_one_after_another(groups, crash):
+    """Serving a group as one lane entry equals serving each of its
+    requests as its own one-request entry arriving at the previous one's
+    completion: same replies, same completions, same CPU intervals and
+    spans (queue waits included), clocks and service metrics.  A failure — a crash falling due partway
+    through, a missing shard — stops the group where it happens: the
+    requests before it agree, and after it the group applies and books
+    nothing."""
+    grouped, twin = _Rig(traced=True), _Rig(traced=True)
+    replies, completions = _serve_law(grouped, groups, crash, False)
+    values, ends = _serve_law(twin, groups, crash, True)
+    head = 0
+    for (_server, _at, specs), reply, completion in zip(groups, replies,
+                                                        completions):
+        ours = values[head:head + len(specs)]
+        head += len(specs)
+        assert completion == ends[head - 1]
+        if completion is None:
+            assert type(reply) is type(ours[-1])
+            assert isinstance(reply, (ServerDownError, MatrixNotFoundError))
+        else:
+            assert _same(reply, ours)
+    for left, right in zip(grouped.master.servers, twin.master.servers):
+        assert left.cpu.intervals() == right.cpu.intervals()
+        assert left.alive == right.alive
+        assert _same(
+            sorted((key, row, shard.values)
+                   for key, rows in left._store.items()
+                   for row, shard in rows.items()),
+            sorted((key, row, shard.values)
+                   for key, rows in right._store.items()
+                   for row, shard in rows.items()))
+    assert _canonical_spans(grouped) == _canonical_spans(twin)
+    left, right = grouped.state(), twin.state()
+    for section in left:
+        assert left[section] == right[section], section
+    for name in ("compute_seconds", "requests_by_server"):
+        assert getattr(grouped.cluster.metrics, name) \
+            == getattr(twin.cluster.metrics, name)
 
 
 # -- retiring timeline intervals changes nothing -------------------------------

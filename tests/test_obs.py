@@ -226,14 +226,13 @@ def test_trace_ctx_never_costs_wire_bytes():
     assert stamped.wire_bytes() == plain.wire_bytes()
     assert stamped.response_bytes() == plain.response_bytes()
 
-    inner = [messages.PullRowRequest(0, 1, row=r, n_values=8)
+    group = [messages.PullRowRequest(0, 1, row=r, n_values=8)
              for r in range(3)]
-    batch = messages.BatchRequest(list(inner))
-    before = (batch.wire_bytes(), batch.response_bytes())
-    batch.trace_ctx = (17, 23)
-    for request in inner:
+    before = (messages.wire_bytes(group), messages.response_bytes(group))
+    for request in group:
         request.trace_ctx = (17, 23)
-    assert (batch.wire_bytes(), batch.response_bytes()) == before
+    assert (messages.wire_bytes(group),
+            messages.response_bytes(group)) == before
 
 
 # -- histogram: percentiles vs numpy ----------------------------------------

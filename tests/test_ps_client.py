@@ -448,7 +448,7 @@ def test_cap_clear_under_replication_keeps_what_it_stores():
 
 def _bulk_servers(plan):
     """The server objects a plan's phase-1 product resolved."""
-    return plan.bulk[6]
+    return plan.bulk[4]
 
 
 def test_no_plan_outlives_the_servers_it_resolved(setup):

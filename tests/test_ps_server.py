@@ -1,7 +1,8 @@
 """Unit tests for the parameter-server storage and kernels.
 
-Storage ops are served the way every request is: as a one-unit
-``serve_fast_fanout`` (through :func:`~repro.ps.server.serve_one`).
+Storage ops are served the way every request is: as a one-request wire
+message on ``serve_fast_fanout`` (through
+:func:`~repro.ps.server.serve_one`).
 """
 
 import numpy as np

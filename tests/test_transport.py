@@ -4,7 +4,7 @@ Two kinds of guarantees:
 
 1. Every client op transfers exactly the bytes its message objects predict
    (message ``wire_bytes()``/``response_bytes()`` plus the per-transfer NIC
-   envelope), for every op type, batch envelopes included.
+   envelope), for every op type, coalesced groups included.
 2. The refactor is behavior-preserving where it claims to be: an LR epoch
    is byte- and makespan-identical to the pre-refactor closure-based path
    (golden numbers captured before the transport landed), on both transmit
@@ -218,7 +218,7 @@ def test_uncoalesced_block_pays_per_request_headers():
         for server, start, stop in shards:
             alone = [build(server, row, stop - start) for row in rows]
             standalone = _on_wire([r.wire_bytes() for r in alone])
-            envelope = _on_wire([messages.BatchRequest(alone).wire_bytes()])
+            envelope = _on_wire([messages.wire_bytes(alone)])
             assert standalone - envelope == saved
             expected += envelope
         assert _tag(cluster, tag) == (expected, len(shards), k * len(shards))
@@ -243,7 +243,7 @@ def test_sparse_block_ships_shared_index_list_once():
 
 
 def test_singleton_groups_never_batch():
-    """Row ops issue one message per server, so no envelope is ever
+    """Row ops issue one message per server, so no group of two is ever
     formed: each goes stand-alone, one wire message per logical one."""
     cluster, master, client = _rig()
     m = master.create_matrix(30)
@@ -256,40 +256,39 @@ def test_singleton_groups_never_batch():
         assert wire == logical > 0
 
 
-def test_batch_request_envelope_math():
+def test_a_groups_envelope_math():
     idx = np.array([1, 2, 3])
-    subs = [messages.PullRowRequest(0, "m", row, 3, indices=idx)
-            for row in range(4)]
-    batch = messages.BatchRequest(subs)
-    assert batch.message_count() == 4
-    assert batch.wire_bytes() == (
+    group = [messages.PullRowRequest(0, "m", row, 3, indices=idx)
+             for row in range(4)]
+    assert messages.wire_bytes(group) == (
         REQUEST_HEADER_BYTES
         + 4 * SUBREQUEST_HEADER_BYTES
         + 3 * INDEX_BYTES  # shared list deduplicated by identity
     )
-    # A distinct (equal-valued) array is a distinct payload.
-    other = messages.BatchRequest(
-        subs + [messages.PullRowRequest(0, "m", 9, 3, indices=idx.copy())]
-    )
-    assert other.wire_bytes() == (
+    # A distinct (equal-valued) array is a distinct payload, and so is
+    # the same array under another matrix id.
+    other = group + [messages.PullRowRequest(0, "m", 9, 3,
+                                             indices=idx.copy()),
+                     messages.PullRowRequest(0, "n", 9, 3, indices=idx)]
+    assert messages.wire_bytes(other) == (
         REQUEST_HEADER_BYTES
-        + 5 * SUBREQUEST_HEADER_BYTES
-        + 2 * 3 * INDEX_BYTES
+        + 6 * SUBREQUEST_HEADER_BYTES
+        + 3 * 3 * INDEX_BYTES
     )
-    assert batch.response_bytes() == (
+    assert messages.response_bytes(group) == (
         RESPONSE_HEADER_BYTES + 4 * 3 * FLOAT_BYTES
     )
-    # Mixed fire-and-forget subs contribute no response payload.
+    # Fire-and-forget requests contribute no response payload, and a
+    # group of them has no reply.
     push = messages.PushRequest(0, "m", 0, np.ones(3), indices=idx)
-    assert messages.BatchRequest([push]).response_bytes() is None
-    from repro.common.errors import PSError
-    with pytest.raises(PSError):
-        messages.BatchRequest([])
-    with pytest.raises(PSError):
-        messages.BatchRequest([subs[0],
-                               messages.PullRowRequest(1, "m", 0, 3)])
-    with pytest.raises(PSError):
-        messages.BatchRequest([batch])
+    assert messages.response_bytes([push, push]) is None
+    assert messages.response_bytes([push] + group) \
+        == messages.response_bytes(group)
+    # A lone request costs what it costs alone.
+    for request in (push, group[0]):
+        assert messages.wire_bytes([request]) == request.wire_bytes()
+        assert messages.response_bytes([request]) \
+            == request.response_bytes()
 
 
 # -- the one table: every kind, every fact ------------------------------------
@@ -302,7 +301,7 @@ _IDX = np.array([1, 2, 3, 4, 5])
 _PUSH = messages.PushRequest(0, "m", 0, np.ones(5), indices=_IDX)
 
 #: name -> (one message, role, codec side, its ``wire_bytes()``, its
-#: ``response_bytes()``, and the same two for an envelope of it plus one
+#: ``response_bytes()``, and the same two for a group of it plus one
 #: sibling — the same message again, so a shared index list dedups).
 _KINDS = {
     "pull-row dense": (
@@ -357,10 +356,6 @@ _KINDS = {
         messages.ReplicatedPushRequest(0, _PUSH, 1, 0, {("m", 0): 3}),
         "control", None, 48 + 16 + 8 + 40 + 40, None,
         48 + 2 * (16 + 104), None),
-    "batch": (
-        messages.BatchRequest([messages.PullRowRequest(0, "m", 0, 10),
-                               messages.PushRequest(0, "m", 0, np.ones(10))]),
-        "control", None, 48 + 16 + (16 + 80), 32 + 80, None, None),
 }
 
 
@@ -377,35 +372,22 @@ def test_every_kind_states_its_wire_facts(name):
     assert (message.role, message.codec_side) == (role, side)
     assert message.wire_bytes() == wire
     assert message.response_bytes() == response
-    if isinstance(message, messages.BatchRequest):
-        return  # batches do not nest
-    pair = messages.BatchRequest([message, message])
-    assert pair.wire_bytes() == pair_wire
-    assert pair.response_bytes() == pair_response
+    assert messages.wire_bytes([message]) == wire
+    assert messages.response_bytes([message]) == response
+    assert messages.wire_bytes([message, message]) == pair_wire
+    assert messages.response_bytes([message, message]) == pair_response
     # Asked twice, a message answers the same (the memo holds).
     assert (message.wire_bytes(), message.response_bytes()) == (wire, response)
 
 
 def test_the_table_is_total_and_roles_partition_the_kinds():
     from repro.common.errors import PSError
-    from repro.ps.server import _HANDLERS, serve_one
+    from repro.ps.server import _HANDLERS
 
     kinds = set(_all_kinds())
     # A kind added without its row here, or without a handler, fails.
     assert {type(row[0]) for row in _KINDS.values()} == kinds
-    # Every kind but the envelope, which exists on the wire only: a
-    # server handed one refuses it loudly instead of half-applying it.
-    assert set(_HANDLERS) == kinds - {messages.BatchRequest}
-    _cluster, master, _client = _rig()
-    m = master.create_matrix(30)
-    envelope = messages.BatchRequest([messages.PushRequest(0, m, 0,
-                                                           np.ones(10)),
-                                      messages.PullRowRequest(0, m, 0, 10)])
-    server = master.server(0)
-    before = server.shard(m, 0).values.copy()
-    with pytest.raises(PSError):
-        serve_one(server, envelope, 0.0)
-    assert np.array_equal(server.shard(m, 0).values, before)
+    assert set(_HANDLERS) == kinds
     by_role = {}
     for kind in kinds:
         assert kind.codec_side in (None, "request", "response")
@@ -418,8 +400,7 @@ def test_the_table_is_total_and_roles_partition_the_kinds():
         messages.MUTATION: {messages.PushRequest, messages.PushRangeRequest,
                             messages.FillRequest, messages.KernelRequest},
         messages.CONTROL: {messages.ClockAdvanceRequest,
-                           messages.ReplicatedPushRequest,
-                           messages.BatchRequest},
+                           messages.ReplicatedPushRequest},
     }
     # Exactly the mutations can be fanned out to a copy.
     for message, role, *_sizes in _KINDS.values():
