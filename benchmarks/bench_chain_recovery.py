@@ -104,7 +104,7 @@ def _run_arm(chain_replicas, crash):
         "recoveries": counters.get("server-recoveries", 0),
         "promotions": counters.get("chain-promotions", 0),
         "fallbacks": counters.get("chain-fallbacks", 0),
-        "restores": master.checkpoints.recoveries,
+        "restores": counters.get("recoveries", 0),
     }
 
 

@@ -30,7 +30,7 @@ def test_fig13c_task_failure_tolerance(benchmark):
             )
             outcomes[prob] = {
                 "result": result,
-                "retries": ctx.spark.scheduler.tasks_failed,
+                "retries": ctx.metrics.counters.get("task-retries", 0),
             }
         return outcomes
 

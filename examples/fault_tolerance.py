@@ -32,7 +32,7 @@ def main():
             "%.0f%%" % (prob * 100),
             "%.3f s" % result.elapsed,
             "%.4f" % result.final_loss,
-            ctx.spark.scheduler.tasks_failed,
+            ctx.metrics.counters.get("task-retries", 0),
         ))
     print(format_table(
         ["task failure rate", "time to finish", "final loss", "retries"],
@@ -48,7 +48,7 @@ def main():
     print("server-0 crashed (its shard of the model is lost)")
     # The next access triggers recovery from the checkpoint.
     print("sum after transparent recovery =", weight.sum())
-    print("recoveries performed:", ctx.master.checkpoints.recoveries)
+    print("recoveries performed:", ctx.metrics.counters["recoveries"])
 
 
 if __name__ == "__main__":

@@ -241,13 +241,6 @@ class Cluster:
         node.alive = False
         self.metrics.increment("executor-failures")
 
-    def restore_executor(self, node_id):
-        """Bring a (replacement) executor up under the same id."""
-        node = self.node(node_id)
-        if node.role != ROLE_EXECUTOR:
-            raise ClusterError("%r is not an executor" % (node_id,))
-        node.alive = True
-
     # -- consistency ------------------------------------------------------
 
     def notify_clock_advance(self, node_id, clock_value):

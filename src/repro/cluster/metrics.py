@@ -351,10 +351,10 @@ class MetricsRegistry:
     # -- snapshots ----------------------------------------------------------
 
     def snapshot(self):
-        """A plain-dict copy suitable for diffing before/after a phase.
+        """A plain-dict copy of every section.
 
-        Latency histograms are summarized (not raw buckets): snapshots are
-        for phase accounting, and the summaries are what reports consume.
+        Latency histograms are summarized (not raw buckets): the summaries
+        are what reports consume.
         """
         return {
             "bytes_sent": dict(self.bytes_sent),
@@ -377,62 +377,3 @@ class MetricsRegistry:
             "codec_bytes_saved": dict(self.codec_bytes_saved),
             "latency": self.latency_summary(),
         }
-
-    @staticmethod
-    def diff(before, after):
-        """Per-key ``after - before`` over two :meth:`snapshot` dicts.
-
-        Keys whose delta is zero are dropped, so the result reads as "what
-        this phase did".  Sections missing from either snapshot are treated
-        as empty.  Keys may be tuples (``requests_by_server_tag`` is keyed
-        by ``(server, tag)``).  Dict-valued entries (the per-tag latency
-        summaries) are not subtractable — percentiles don't difference — so
-        for those the delta is the *observation-count* delta per tag.
-        """
-        out = {}
-        for section in set(before) | set(after):
-            b = before.get(section, {})
-            a = after.get(section, {})
-            delta = {}
-            for key in set(b) | set(a):
-                bv = b.get(key, 0)
-                av = a.get(key, 0)
-                if isinstance(bv, dict) or isinstance(av, dict):
-                    d = ((av or {}).get("count", 0)
-                         - (bv or {}).get("count", 0))
-                else:
-                    d = av - bv
-                if d:
-                    delta[key] = d
-            if delta:
-                out[section] = delta
-        return out
-
-    def reset(self):
-        """Zero every counter; returns the pre-reset :meth:`snapshot`.
-
-        Returning the snapshot makes phase-scoped accounting one call:
-        ``phase_metrics = registry.reset()`` closes a phase and opens the
-        next.
-        """
-        snap = self.snapshot()
-        self.bytes_sent.clear()
-        self.bytes_received.clear()
-        self.bytes_by_tag.clear()
-        self.messages_by_tag.clear()
-        self.logical_messages_by_tag.clear()
-        self.compute_seconds.clear()
-        self.counters.clear()
-        self.compute_counts.clear()
-        self.requests_by_server.clear()
-        self.requests_by_server_tag.clear()
-        self.shard_requests.clear()
-        self.shard_values.clear()
-        self.shard_bytes.clear()
-        self.cache_hits.clear()
-        self.cache_misses.clear()
-        self.cache_bytes_saved.clear()
-        self.codec_decisions.clear()
-        self.codec_bytes_saved.clear()
-        self.latency = {}
-        return snap

@@ -38,10 +38,6 @@ class RngRegistry:
             self._generators[name] = np.random.default_rng(stream_seed)
         return self._generators[name]
 
-    def spawn(self, name):
-        """Return a child registry whose streams are independent of this one."""
-        return RngRegistry((self.seed * 31 + _stable_hash(name)) % (2**63))
-
 
 def generator(seed, name="default"):
     """One-shot helper: a named generator without keeping a registry around."""

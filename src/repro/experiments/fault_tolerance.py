@@ -9,8 +9,8 @@ by at most the updates applied since the last checkpoint — the model never
 falls back behind the checkpointed state — and then re-converges.
 
 Everything is seeded and driven by virtual time, so two invocations with
-the same arguments print byte-identical summaries (the determinism gate CI
-relies on).
+the same arguments print byte-identical summaries (``tests/test_chaos.py``
+runs :func:`main` twice and compares).
 
 Run:  PYTHONPATH=src python -m repro.experiments.fault_tolerance
 """

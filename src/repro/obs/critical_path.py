@@ -71,9 +71,6 @@ class CriticalPathResult:
         return (self.categories.get(category, 0.0) / self.total
                 if self.total else 0.0)
 
-    def to_dict(self):
-        return {"total": self.total, "categories": dict(self.categories)}
-
     def render(self, title="critical path"):
         lines = ["== %s ==" % title,
                  "total attributed: %.6f virtual seconds" % self.total]

@@ -146,15 +146,3 @@ class StreamingHistogram:
             "p95": self.percentile(95),
             "p99": self.percentile(99),
         }
-
-    def merge(self, other):
-        """Fold *other* (same growth/min_value) into this histogram."""
-        if (other.growth != self.growth
-                or other.min_value != self.min_value):
-            raise ValueError("cannot merge histograms with different buckets")
-        for index, n in other._buckets.items():
-            self._buckets[index] = self._buckets.get(index, 0) + n
-        self.count += other.count
-        self.total += other.total
-        self.min = min(self.min, other.min)
-        self.max = max(self.max, other.max)

@@ -79,19 +79,6 @@ class Window:
         total = hits + misses
         return hits / total if total else 0.0
 
-    def to_dict(self):
-        """Plain-dict form (report rendering)."""
-        return {
-            "start": self.start,
-            "end": self.end,
-            "bytes_sent": dict(self.bytes_sent),
-            "requests": dict(self.requests),
-            "cache_hits": dict(self.cache_hits),
-            "cache_misses": dict(self.cache_misses),
-            "latency": dict(self.latency),
-            "nic_backlog": dict(self.nic_backlog),
-        }
-
 
 class TimeSeriesSampler:
     """Folds cumulative metrics into aligned virtual-time windows."""

@@ -1,7 +1,7 @@
 """Worker-side parameter cache for relaxed-consistency execution.
 
 Under SSP/ASP every executor's PS-client owns a :class:`WorkerCache`
-holding full model rows pulled from the servers.  A ``pull``/``pull_range``
+holding full model rows pulled from the servers.  A ``pull_row``
 whose row is cached and no older than the staleness bound is served from
 the executor-local copy — **zero** network traffic (no ``transfer`` call,
 so the NIC timelines and byte counters genuinely do not move); a miss

@@ -18,8 +18,6 @@ class CheckpointManager:
     def __init__(self, cluster):
         self.cluster = cluster
         self._snapshots = {}
-        self.checkpoints_taken = 0
-        self.recoveries = 0
 
     def checkpoint_server(self, server):
         """Write *server*'s state to the store, charging the write time."""
@@ -33,7 +31,6 @@ class CheckpointManager:
             "bytes": nbytes,
             "state": snapshot,
         }
-        self.checkpoints_taken += 1
         self.cluster.metrics.increment("checkpoints")
 
     def checkpoint_all(self, servers):
@@ -120,6 +117,5 @@ class CheckpointManager:
         else:
             for matrix_id in sorted(state):
                 server.restore_matrix(matrix_id, state[matrix_id])
-        self.recoveries += 1
         self.cluster.metrics.increment("recoveries")
         return entry["time"]

@@ -8,7 +8,10 @@ service, response accounting and the retry loop all live in the transport;
 nothing in this module constructs closures over server objects or touches a
 ``PSServer`` directly.  Sparse ("only the needed parameters") pulls and
 pushes are first-class, since the paper credits part of PS2's win over
-Petuum to exactly that.
+Petuum to exactly that.  The ops are the ones the workloads call: row
+pulls and pushes, blocks, aggregates, kernels, fills and lazy
+pull-or-create.  A contiguous column range is not a client op: only
+``PS2Context.realign`` sends the range kinds, server to server.
 
 RPC timing model: a request occupies the client NIC, crosses the wire,
 queues behind earlier requests on the target server's CPU, is served, and
@@ -512,74 +515,6 @@ class PSClient:
     def push_assign(self, matrix_id, row, values, indices=None):
         """Overwrite (all or selected columns of) a model row."""
         self._push(matrix_id, row, values, indices, "assign")
-
-    # -- range access (contiguous column slices, dense-priced) -----------------
-
-    def _range_shards(self, layout, row, start, stop):
-        """Overlaps of ``[start, stop)`` with each server shard of *row*."""
-        overlaps = []
-        for server_index, s_start, s_stop in layout.shards_for_row(row):
-            lo = max(start, s_start)
-            hi = min(stop, s_stop)
-            if lo < hi:
-                overlaps.append((server_index, lo, hi))
-        return overlaps
-
-    def pull_range(self, matrix_id, row, start, stop):
-        """Pull the contiguous slice ``[start, stop)`` of a row.
-
-        Priced as a dense transfer (8 bytes/value): a range is described by
-        two integers, not per-index keys.  Used by pull/push-only baselines
-        whose workers each update a slice of the model.
-        """
-        start, stop = int(start), int(stop)
-        with self._op("pull-range", matrix_id):
-            layout = self._layout(matrix_id)
-            if self.cache is not None:
-                entry = self.cache.lookup(matrix_id, row)
-                if entry is not None:
-                    self.cluster.metrics.observe(
-                        "staleness-clocks",
-                        float(self.cache.clock() - entry.pull_clock),
-                    )
-                    self.cluster.metrics.record_cache_hit(
-                        self.node_id, self._saved_pull_bytes(stop - start))
-                    return entry.values[start:stop].copy()
-                full = self._cache_full_row(matrix_id, row, layout)
-                return full[start:stop].copy()
-
-            def build():
-                overlaps = self._range_shards(layout, row, start, stop)
-                return FanoutPlan(
-                    [messages.PullRangeRequest(server_index, matrix_id, row,
-                                               lo, hi)
-                     for server_index, lo, hi in overlaps],
-                    [slice(lo - start, hi - start)
-                     for _server, lo, hi in overlaps],
-                )
-
-            return self._read(layout, None, build, stop - start)
-
-    def push_range(self, matrix_id, row, start, stop, values, mode="assign"):
-        """Write the contiguous slice ``[start, stop)`` (dense-priced)."""
-        start, stop = int(start), int(stop)
-        with self._op("push-range", matrix_id):
-            layout = self._layout(matrix_id)
-            values = _checked(values, (stop - start,))
-            if self.cache is not None:
-                self.cache.apply_push(
-                    matrix_id, row, values,
-                    np.arange(start, stop, dtype=np.int64), mode,
-                )
-            requests = [
-                messages.PushRangeRequest(
-                    server_index, matrix_id, row, lo, hi,
-                    values[lo - start : hi - start], mode=mode,
-                )
-                for server_index, lo, hi
-                in self._range_shards(layout, row, start, stop)
-            ]
-            self.transport.send_all(requests)
 
     # -- block access (multi-row, shared indices) ------------------------------
 

@@ -263,18 +263,10 @@ class CostModel:
         return pull.response_bytes()
 
     def _refresh_hot_shards(self):
-        """Recompute the hot-shard set from the unified heat counters."""
-        heat = self.cluster.metrics.shard_heat()
-        by_matrix = {}
-        for (matrix_id, _server), value in heat.items():
-            by_matrix.setdefault(matrix_id, []).append(value)
-        hot = set()
-        for key, value in heat.items():
-            group = by_matrix[key[0]]
-            if len(group) > 1 and \
-                    value >= HOT_FACTOR * (sum(group) / len(group)):
-                hot.add(key)
-        self._hot_shards = frozenset(hot)
+        """Recompute the hot-shard set: the telemetry's own rule
+        (:meth:`~repro.cluster.metrics.MetricsRegistry.hot_shards`)."""
+        self._hot_shards = frozenset(
+            (m, s) for m, s, *_ in self.cluster.metrics.hot_shards(HOT_FACTOR))
 
     def _attach_push(self, request, codec, node_id):
         n_values = len(request.values)
@@ -329,7 +321,7 @@ class CostModel:
         try:
             info = master.info(matrix_id)
         except MatrixNotFoundError:
-            return True  # freed since its heat was recorded: nothing to price
+            return True  # no metadata for this id: nothing to price
         width = 0
         for shard_server, start, stop in info.layout.shards_for_row(0):
             if shard_server == server_index:

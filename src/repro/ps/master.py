@@ -14,10 +14,10 @@ a **new** server process under the same node and loads the latest checkpoint
 into it.  Matrices created (or grown) after that checkpoint — or matrices
 that existed before the *first* checkpoint was ever taken — are rebuilt from
 the master's metadata with the same deterministic per-shard RNG streams used
-at allocation time, and matrices freed since the snapshot are dropped.  What
-is lost, exactly as in the paper, is the *updates* applied to the failed
-server's shards since the last checkpoint; SGD-style training absorbs the
-regression, bounded by the updates-since-last-checkpoint.
+at allocation time.  What is lost, exactly as in the paper, is the
+*updates* applied to the failed server's shards since the last checkpoint;
+SGD-style training absorbs the regression, bounded by the
+updates-since-last-checkpoint.
 """
 
 from __future__ import annotations
@@ -221,14 +221,6 @@ class PSMaster:
                 fresh += 1
         return fresh
 
-    def free_matrix(self, matrix_id):
-        """Release every shard of *matrix_id* (replicas included)."""
-        self._matrices.pop(matrix_id, None)
-        for server in self.servers:
-            server.drop_matrix(matrix_id)
-        if self.replicas is not None:
-            self.replicas.on_matrix_freed(matrix_id)
-
     def info(self, matrix_id):
         try:
             return self._matrices[matrix_id]
@@ -288,8 +280,7 @@ class PSMaster:
 
         Re-allocates, freshly initialized, every shard the metadata assigns
         to this server that is missing from its store (matrices created
-        after the last checkpoint, or everything when no checkpoint exists),
-        and drops shards of matrices freed since the snapshot was taken.
+        after the last checkpoint, or everything when no checkpoint exists).
         Returns the number of shards re-initialized.
         """
         reinitialized = 0
@@ -308,9 +299,6 @@ class PSMaster:
                         rng=rng, scale=info.scale,
                     )
                     reinitialized += 1
-        for matrix_id in server.stored_matrix_ids():
-            if matrix_id not in self._matrices:
-                server.drop_matrix(matrix_id)
         if reinitialized:
             self.cluster.metrics.increment(
                 "recovery-reinit-shards", reinitialized
@@ -350,9 +338,8 @@ class PSMaster:
         checkpoint — and only matrices with no surviving valid holder
         (correlated failure of all M+1 processes) fall back to the
         checkpoint path.  That fallback rebuilds state the pre-chain way:
-        load the latest checkpoint where one exists, re-initialize shards
-        the snapshot does not cover from matrix metadata, and drop shards
-        of matrices freed since the snapshot.
+        load the latest checkpoint where one exists and re-initialize
+        shards the snapshot does not cover from matrix metadata.
         """
         failed = self.servers[server_index]
         recover_start = self.cluster.clock.now(failed.node_id)

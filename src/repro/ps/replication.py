@@ -31,14 +31,15 @@ once over the table:
   holder) per client op, departing when the original completed, priced
   like a response — so the writer pays for its originals only.  A link
   is one (key, holder) pair, so a holder that holds a key for both
-  reasons gets one copy.  Holders apply fenced and idempotently; a
-  kernel mutates all its operands at once, so it fans out
-  all-or-nothing.  A copy that cannot be delivered never charges a
+  reasons gets one copy.  Holders apply fenced, idempotently and only
+  over no gap (a holder missing an earlier update of a row repairs the
+  key instead); a kernel mutates all its operands at once, so it fans
+  out all-or-nothing.  A copy that cannot be delivered never charges a
   client: a down holder is recovered (its re-install carries the
   write), a partitioned one is retried with the penalty delaying the
   departure and, past the retry budget, forgotten;
-- the reactions to a direct write, a lazy-row creation, a recovery and
-  a freed matrix.
+- the reactions to a direct write, a lazy-row creation, a copy gap and
+  a recovery.
 
 What stays per reason:
 
@@ -74,6 +75,7 @@ from repro.common.errors import MatrixNotFoundError, NetworkPartitionedError, \
     ServerDownError
 from repro.costs import MAX_OP_RETRIES, REQUEST_HEADER_BYTES, penalty_for
 from repro.ps import messages
+from repro.ps.server import COPY_GAP
 
 #: The two reasons a holder keeps a copy, in routing and fan-out order.
 HOT = "hot"
@@ -459,7 +461,13 @@ class Replicas:
           each such holder is recovered through the master, once and in
           wire order, which re-streams its copies from the live
           primaries (already carrying this mutation), so nothing is
-          re-sent.
+          re-sent;
+        - a copy that finds its holder missing an earlier update of one
+          of its rows (a *gap*, :data:`~repro.ps.server.COPY_GAP`: the
+          primary applied a re-delivered mutation twice) applies
+          nothing; afterwards each gapped key is repaired per reason, as
+          :meth:`_kernel_targets` reacts to a mismatch: hot placement
+          demotes it, the chain re-streams it.
         """
         cluster = self.cluster
         master = self.master
@@ -495,14 +503,31 @@ class Replicas:
             holders.append(holder)
             groups.append(group)
             arrivals.append(arrival)
-        _replies, done = serve(cluster, holders, groups, arrivals)
+        replies, done = serve(cluster, holders, groups, arrivals)
         # Fencing never raises, so a copy only fails on a down holder.
-        for server_index in dict.fromkeys(
-                holder.server_index
-                for holder, completion in zip(holders, done)
-                if completion is None):
+        down = []
+        gaps = {}
+        for holder, group, values, completion in zip(holders, groups,
+                                                     replies, done):
+            if completion is None:
+                if holder.server_index not in down:
+                    down.append(holder.server_index)
+            elif COPY_GAP in values:
+                for copy, value in zip(group, values):
+                    if value is not COPY_GAP:
+                        continue
+                    for matrix_id, _row in copy.versions:
+                        key = (matrix_id, copy.primary_index)
+                        gaps.setdefault(key, set()).update(self.links.get(
+                            key, {}).get(holder.server_index, ()))
+        for server_index in down:
             cluster.metrics.increment("replica-fanout-recoveries")
             master.recover(server_index)
+        for key, reasons in gaps.items():
+            if HOT in reasons:
+                self._demote(key)
+            if CHAIN in reasons:
+                self.sync_key(*key)
 
     def copies(self, requests):
         """Copies of every mutation in *requests*, post-apply.
@@ -654,12 +679,6 @@ class Replicas:
         for server_index in range(self.master.n_servers):
             if self.master.server(server_index)._store.get(matrix_id):
                 self.sync_key(matrix_id, server_index)
-
-    def on_matrix_freed(self, matrix_id):
-        """Forget the links of a freed matrix (the servers already purged
-        their stores and replica entries in ``drop_matrix``)."""
-        for key in [k for k in self.links if k[0] == matrix_id]:
-            del self.links[key]
 
     def on_server_recovered(self, server_index):
         """Refresh the table at a replacement's fresh epoch, chain first.
@@ -882,7 +901,7 @@ class Replicas:
 
     def resync_primary(self, server_index):
         """Re-stream every matrix *server_index* holds shards of, and
-        retire chain links whose matrix is gone or empty on the primary."""
+        retire chain links whose matrix is empty on the primary."""
         if not self.m:
             return
         server_index = int(server_index)
@@ -890,9 +909,8 @@ class Replicas:
         for matrix_id in self.master.matrix_ids():
             if primary._store.get(matrix_id):
                 self.sync_key(matrix_id, server_index)
-        live = set(self.master.matrix_ids())
         for key in [k for k in self.keys(CHAIN) if k[1] == server_index]:
-            if key[0] not in live or not primary._store.get(key[0]):
+            if not primary._store.get(key[0]):
                 for holder in self.holders(key, CHAIN):
                     self._drop(key, holder, CHAIN)
 

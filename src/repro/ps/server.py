@@ -326,15 +326,29 @@ class PSServer:
 
         Fencing first (install epoch must match the primary epoch recorded
         at fan-out time), idempotence second (rows already at or past the
-        recorded primary counters were covered by a fresh re-install), and
-        only then the actual apply — which also advances the replica's row
-        counters to the recorded values so replicas stay in lockstep with
-        the primary's version vector.  A fenced or covered copy still
-        costs its check (:data:`_COPY_CHECK`).
+        recorded primary counters were covered by a fresh re-install),
+        continuity third, and only then the actual apply — which also
+        advances the replica's row counters to the recorded values so
+        replicas stay in lockstep with the primary's version vector.
+
+        Continuity: the copy applies only where, for every row it
+        carries, the holder's counter is the recorded one minus the
+        original's own bumps of that row (one for a push or fill, the
+        row's occurrences among a kernel's operands).  Anything else is a
+        *gap* — the primary applied something this copy does not carry,
+        e.g. a mutation the transport re-delivered after its response was
+        lost — and applying would leave the copy silently behind its
+        primary.  A gap applies nothing and replies :data:`COPY_GAP`; the
+        forward then repairs the key.  A fenced, covered or gapped copy
+        still costs its check (:data:`_COPY_CHECK`).
         """
         versions = request.versions
+        inner = request.inner
+        operands = inner.operands \
+            if inner.__class__ is messages.KernelRequest else None
         entries = {}
         behind = False
+        contiguous = True
         for key in versions:
             matrix_id = key[0]
             if matrix_id in entries:
@@ -346,12 +360,23 @@ class PSServer:
                     self.cluster.metrics.increment("replica-fanout-fenced")
                     return None, _COPY_CHECK
                 entries[matrix_id] = entry
-            behind = behind or entry.versions.get(key, 0) < versions[key]
+            held = entry.versions.get(key, 0)
+            recorded = versions[key]
+            behind = behind or held < recorded
+            bumps = 1
+            if operands is not None:
+                bumps = 0
+                for operand in operands:
+                    if operand[0] == matrix_id and operand[1] == key[1]:
+                        bumps += 1
+            contiguous = contiguous and held == recorded - bumps
         if not behind:
             self.cluster.metrics.increment("replica-fanout-skipped")
             return None, _COPY_CHECK
-        _value, charges = _HANDLERS[type(request.inner)](self, request.inner,
-                                                         entries)
+        if not contiguous:
+            self.cluster.metrics.increment("replica-fanout-gaps")
+            return COPY_GAP, _COPY_CHECK
+        _value, charges = _HANDLERS[inner.__class__](self, inner, entries)
         for key in versions:
             entries[key[0]].versions[key] = versions[key]
         return None, charges
@@ -414,12 +439,6 @@ class PSServer:
         rows = self._store.setdefault(matrix_id, {})
         rows[int(row)] = RowShard(start, stop, values)
 
-    def drop_matrix(self, matrix_id):
-        """Free every shard of *matrix_id*, replicas included (idempotent)."""
-        self._store.pop(matrix_id, None)
-        for key in [k for k in self.replica_store if k[0] == matrix_id]:
-            del self.replica_store[key]
-
     def shard(self, matrix_id, row):
         """The local shard of (*matrix_id*, *row*); raises if absent."""
         try:
@@ -434,10 +453,6 @@ class PSServer:
 
     def has_shard(self, matrix_id, row):
         return matrix_id in self._store and int(row) in self._store[matrix_id]
-
-    def stored_matrix_ids(self):
-        """Matrix ids with at least one local shard (for reconciliation)."""
-        return list(self._store)
 
     def stored_bytes(self):
         """Bytes of model state held (used for checkpoint cost)."""
@@ -719,8 +734,12 @@ def _range_offsets(request, shard):
                      dtype=np.int64)
 
 
-#: What a fenced or already-covered copy costs: its check.
+#: What a fenced, already-covered or gapped copy costs: its check.
 _COPY_CHECK = ((COPY_CHECK_FLOPS, "ps-replica"),)
+
+#: The reply of a copy that found its holder missing an earlier update of
+#: one of its rows (see :meth:`PSServer._serve_replicated_push`).
+COPY_GAP = "replica-gap"
 
 #: The server-side protocol: one handler per message type.
 _HANDLERS = {

@@ -63,7 +63,3 @@ class Broadcast:
                     depart_at=pipeline_start,
                 )
         self._shipped = True
-
-    def destroy(self):
-        """Release the value (subsequent ``ship`` calls re-send)."""
-        self._shipped = False

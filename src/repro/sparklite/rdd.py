@@ -1,15 +1,16 @@
 """Resilient distributed datasets, miniature edition.
 
 An RDD is a lineage of per-partition transformations over materialized base
-data.  Transformations (``map``, ``filter``, ``map_partitions``, ``sample``,
-...) are lazy; actions (``collect``, ``reduce``, ``aggregate``, ``foreach``,
-...) submit a stage to the scheduler, which runs one task per partition on
-the simulated executors and ships results back to the driver with full
-network-cost accounting.
+data.  Transformations (``map``, ``map_partitions``, ``sample``, ``cache``)
+are lazy; actions (``collect``, ``count``, ``reduce``, ``aggregate``,
+``sum``, ``max``, ``min``) submit a stage to the scheduler, which runs one
+task per partition on the simulated executors and ships results back to the
+driver with full network-cost accounting.
 
-The subset implemented is exactly what the paper's workloads exercise: data
-parallel map/aggregate pipelines with driver-side combination — there is no
-shuffle, because none of the four workloads needs one.
+The subset implemented is exactly what the paper's workloads, baselines,
+benchmarks and examples exercise: data parallel map/aggregate pipelines
+with driver-side combination — there is no shuffle, because none of the
+four workloads needs one.  ``tests/test_surface.py`` keeps it that way.
 """
 
 from __future__ import annotations
@@ -64,16 +65,6 @@ class RDD:
     def map(self, func):
         """Element-wise transformation."""
         return self.map_partitions(lambda it: (func(x) for x in it))
-
-    def flat_map(self, func):
-        """Element-wise one-to-many transformation."""
-        return self.map_partitions(
-            lambda it: (y for x in it for y in func(x))
-        )
-
-    def filter(self, predicate):
-        """Keep elements where *predicate* holds."""
-        return self.map_partitions(lambda it: (x for x in it if predicate(x)))
 
     def sample(self, fraction, seed=0):
         """Bernoulli sample of roughly *fraction* of each partition.
@@ -149,26 +140,6 @@ class RDD:
             result = comb_op(result, part)
         return result
 
-    def tree_aggregate(self, zero_value, seq_op, comb_op, depth=2):
-        """Aggregate with intermediate combining on executors.
-
-        Extension beyond the paper's MLlib profile: partial results are
-        merged pairwise among executors before the (smaller number of)
-        survivors reach the driver, reducing driver incast by ~2^depth.
-        """
-
-        def action(ctx, iterator):
-            acc = _copy_zero(zero_value)
-            for x in iterator:
-                acc = seq_op(acc, x)
-            return acc
-
-        scheduler = self.context.scheduler
-        parts = scheduler.run_stage(
-            self, action, tag="tree-aggregate", gather_results=False
-        )
-        return scheduler.tree_combine(parts, zero_value, comb_op, depth=depth)
-
     def sum(self):
         """Sum of (numeric) elements; 0.0 when empty."""
 
@@ -186,34 +157,6 @@ class RDD:
         """Smallest element."""
         return self.reduce(lambda a, b: a if a <= b else b)
 
-    def foreach(self, func=None):
-        """Run every partition for its side effects (a global barrier).
-
-        PS2 uses this exactly as the paper's Figure 3 does: after workers
-        ``add`` gradients to a DCV inside ``map_partitions``, ``foreach()``
-        forces the stage, guaranteeing all pushes have been applied.
-        """
-        rdd = self if func is None else self.map(func)
-
-        def action(ctx, iterator):
-            for _ in iterator:
-                pass
-            return None
-
-        rdd.context.scheduler.run_stage(rdd, action, tag="foreach")
-
-    def foreach_partition(self, func):
-        """Run ``func(iterator)`` on each partition for side effects."""
-
-        def action(ctx, iterator):
-            call_partition_function(func, ctx, iterator)
-            return None
-
-        self.context.scheduler.run_stage(self, action, tag="foreach")
-
-    def take(self, n):
-        """First *n* elements (computes everything; fine at this scale)."""
-        return self.collect()[:n]
 
 
 def _copy_zero(zero_value):
@@ -237,9 +180,6 @@ class ParallelizedRDD(RDD):
         if data:
             ctx.charge_flops(RECORD_FLOPS * len(data), tag="scan")
         return iter(data)
-
-    def partition_sizes(self):
-        return [len(p) for p in self._partitions]
 
     def base_partition_nbytes(self, partition_id):
         return sizeof(self._partitions[partition_id])
@@ -288,7 +228,3 @@ class CachedRDD(RDD):
                 self.parent.compute(ctx, partition_id)
             )
         return iter(self._storage[partition_id])
-
-    def unpersist(self):
-        """Drop the cached partitions; the lineage recomputes on next use."""
-        self._storage.clear()

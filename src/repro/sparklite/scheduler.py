@@ -13,8 +13,8 @@ from __future__ import annotations
 from repro.cluster.cluster import DRIVER
 from repro.common.errors import JobAbortedError, TaskError
 from repro.common.sizeof import sizeof
-from repro.costs import FLOAT_BYTES, MAX_TASK_RETRIES, \
-    TASK_DESCRIPTION_BYTES, TASK_OVERHEAD_SECONDS
+from repro.costs import MAX_TASK_RETRIES, TASK_DESCRIPTION_BYTES, \
+    TASK_OVERHEAD_SECONDS
 from repro.sparklite.task import TaskContext
 
 
@@ -24,8 +24,6 @@ class Scheduler:
     def __init__(self, cluster):
         self.cluster = cluster
         self._next_stage_id = 0
-        self.tasks_launched = 0
-        self.tasks_failed = 0
         self._placements = {}
 
     def executor_for(self, partition_id):
@@ -109,7 +107,6 @@ class Scheduler:
                 self._placements[partition_id] = executor
                 attempt = 0
                 while True:
-                    self.tasks_launched += 1
                     network.transfer(
                         DRIVER, executor, TASK_DESCRIPTION_BYTES,
                         tag="task-launch", deliver=model.barrier,
@@ -147,7 +144,6 @@ class Scheduler:
                         # charged (it really happened); its deferred pushes
                         # are dropped so a retry can never double-apply them.
                         ctx.abandon()
-                        self.tasks_failed += 1
                         metrics.increment("task-retries")
                         attempt += 1
                         if attempt > MAX_TASK_RETRIES:
@@ -202,42 +198,3 @@ class Scheduler:
         for hook in self.cluster.stage_end_hooks:
             hook()
         return results
-
-    def tree_combine(self, placed_results, zero_value, comb_op, depth=2):
-        """Pairwise executor-side combining before the driver merge.
-
-        ``placed_results`` is the ``(executor, result)`` list produced by
-        ``run_stage(..., gather_results=False)``.  Each round halves the
-        number of live partials by shipping odd-indexed partials to their
-        even-indexed neighbor, charging the transfer and a combine cost on
-        the receiving executor.
-        """
-        survivors = list(placed_results)
-        network = self.cluster.network
-        for _ in range(max(0, depth)):
-            if len(survivors) <= 1:
-                break
-            merged = []
-            for i in range(0, len(survivors), 2):
-                if i + 1 >= len(survivors):
-                    merged.append(survivors[i])
-                    continue
-                dst_exec, dst_val = survivors[i]
-                src_exec, src_val = survivors[i + 1]
-                network.transfer(
-                    src_exec, dst_exec, sizeof(src_val), tag="tree-combine"
-                )
-                combined = comb_op(dst_val, src_val)
-                self.cluster.charge_flops(
-                    dst_exec, max(1.0, sizeof(src_val) / FLOAT_BYTES), tag="tree-combine"
-                )
-                merged.append((dst_exec, combined))
-            survivors = merged
-
-        from repro.sparklite.rdd import _copy_zero
-
-        result = _copy_zero(zero_value)
-        for executor, value in survivors:
-            network.transfer(executor, DRIVER, sizeof(value), tag="tree-combine")
-            result = comb_op(result, value)
-        return result

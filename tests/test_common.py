@@ -82,14 +82,6 @@ def test_get_is_cached():
     assert reg.get("x") is reg.get("x")
 
 
-def test_spawn_is_independent():
-    parent = RngRegistry(5)
-    child = parent.spawn("c")
-    assert not np.array_equal(
-        parent.get("x").random(3), child.get("x").random(3)
-    )
-
-
 def test_generator_helper():
     assert np.array_equal(generator(3, "n").random(2),
                           generator(3, "n").random(2))

@@ -12,7 +12,7 @@ The acceptance contract for the self-tuning codec layer:
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from repro.cluster.cluster import Cluster
@@ -207,16 +207,52 @@ def test_transport_table_without_costmodel_is_unchanged():
     assert "codec" not in transport_table(cluster.metrics)
 
 
-def test_codec_counters_snapshot_and_reset():
+def test_codec_counters_reach_the_snapshot():
     cluster, master, client = _rig("int8")
     m = master.create_matrix(64, n_rows=1)
     client.push_add(m, 0, np.ones(64))
     snap = cluster.metrics.snapshot()
     assert snap["codec_decisions"][("push", "int8")] == 1
     assert snap["codec_bytes_saved"][("push", "int8")] > 0
-    cluster.metrics.reset()
-    assert not cluster.metrics.codec_decisions
-    assert not cluster.metrics.codec_bytes_saved
+
+
+# -- the hot-shard rule -------------------------------------------------------
+
+
+def _reference_hot_shards(heat, factor):
+    """The rule the cost model used to restate: heat >= factor x its
+    matrix's mean, in a matrix of more than one shard."""
+    by_matrix = {}
+    for (matrix_id, _server), value in heat.items():
+        by_matrix.setdefault(matrix_id, []).append(value)
+    return frozenset(
+        key for key, value in heat.items()
+        if len(by_matrix[key[0]]) > 1
+        and value >= factor * (sum(by_matrix[key[0]]) / len(by_matrix[key[0]])))
+
+
+#: Small whole numbers make ties at exactly twice the mean common.
+_heats = st.one_of(st.integers(1, 8).map(float),
+                   st.floats(min_value=1e-3, max_value=1e9))
+
+
+@given(st.lists(st.lists(_heats, min_size=1, max_size=5),
+                min_size=1, max_size=4))
+@example([[4.0, 1.0, 1.0, 2.0], [100.0]])  # a tie at 2 x mean 2; one shard
+@settings(max_examples=100, deadline=None)
+def test_the_cost_models_hot_shards_are_the_telemetrys(matrices):
+    """One hot-shard rule: the cost model's set is the telemetry's
+    ``hot_shards`` at its factor, and equals the restated rule on any map
+    of positive heats, one-shard matrices and exact ties included."""
+    cluster, _master, _client = _rig("auto")
+    for matrix_id, heats in enumerate(matrices):
+        for server_index, heat in enumerate(heats):
+            cluster.metrics.record_shard_access(matrix_id, server_index, 1,
+                                                nbytes=heat)
+    model = cluster.costmodel
+    model._refresh_hot_shards()
+    assert model._hot_shards == _reference_hot_shards(
+        cluster.metrics.shard_heat(), costmodel_module.HOT_FACTOR)
 
 
 # -- the replication gate -----------------------------------------------------
@@ -241,11 +277,10 @@ def test_replication_gate_admits_unknown_matrices():
         ("no-such-matrix", 0), 1.0, master)
 
 
-def test_replication_gate_hides_no_failure_but_a_freed_matrix(monkeypatch):
+def test_replication_gate_hides_no_failure_but_an_unknown_matrix(monkeypatch):
     cluster, master, _client = _rig("int8", n_servers=2)
     m = master.create_matrix(20)
-    master.free_matrix(m)
-    assert cluster.costmodel.replication_worthwhile((m, 0), 1.0, master)
+    assert cluster.costmodel.replication_worthwhile((m + 1, 0), 1.0, master)
     monkeypatch.setattr(master, "info", lambda matrix_id: 1 // 0)
     with pytest.raises(ZeroDivisionError):
         cluster.costmodel.replication_worthwhile((m, 0), 1.0, master)

@@ -151,9 +151,8 @@ def test_result_render_and_fractions():
     text = result.render(title="unit")
     assert "== unit ==" in text
     assert "network" in text and "75.0%" in text
-    d = result.to_dict()
-    assert d["total"] == pytest.approx(8.0)
-    assert set(d["categories"]) == set(cp.CATEGORIES)
+    assert result.total == pytest.approx(8.0)
+    assert set(result.categories) == set(cp.CATEGORIES)
 
 
 # -- integration: real traced training runs ----------------------------------

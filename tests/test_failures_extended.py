@@ -35,13 +35,6 @@ def test_executor_recovery_charges_input_reload(make_ps2):
     assert moved >= 16000
 
 
-def test_restore_executor(make_ps2):
-    ps2 = make_ps2(n_executors=3)
-    ps2.cluster.fail_executor("executor-0")
-    ps2.cluster.restore_executor("executor-0")
-    assert "executor-0" in ps2.cluster.alive_executors
-
-
 def test_fail_non_executor_rejected(make_ps2):
     ps2 = make_ps2()
     with pytest.raises(ClusterError):

@@ -297,6 +297,25 @@ def _values(seed, *shape):
     return np.random.default_rng(seed).normal(size=shape)
 
 
+def range_requests(layout, matrix, row, lo, hi, values=None, mode="assign"):
+    """The kinds ``PS2Context.realign`` sends for columns ``[lo, hi)`` of
+    *row*: a pull-range per shard they overlap, or a push-range of the
+    shard's part of *values* when *values* is given."""
+    requests = []
+    for server, start, stop in layout.shards_for_row(row):
+        a, b = max(lo, start), min(hi, stop)
+        if a >= b:
+            continue
+        if values is None:
+            requests.append(messages.PullRangeRequest(server, matrix, row,
+                                                      a, b))
+        else:
+            requests.append(messages.PushRangeRequest(
+                server, matrix, row, a, b, values[a - lo : b - lo],
+                mode=mode))
+    return requests
+
+
 def _halve(arrays):
     arrays[0] *= 0.5
 
@@ -329,11 +348,19 @@ def _apply(rig, op):
         return client.push_block_add(rig.matrices[which], rows,
                                      _values(seed, len(rows), n), indices)
     if kind == "range":
+        # A push-range then a pull-range of [lo, hi), each one client op.
         which, row, lo, width, seed = args
+        matrix = rig.matrices[which]
         hi = min(DIM, lo + width)
-        client.push_range(rig.matrices[which], row, lo, hi,
-                          _values(seed, hi - lo), mode="add")
-        return client.pull_range(rig.matrices[which], row, lo, hi)
+        send = client.transport.send_all
+        with client._op("push-range", matrix):
+            send(range_requests(client.transport.layout(matrix), matrix, row,
+                                lo, hi, _values(seed, hi - lo), mode="add"))
+        with client._op("pull-range", matrix):
+            values, arrivals = send(range_requests(
+                client.transport.layout(matrix), matrix, row, lo, hi))
+            client._await(arrivals)
+        return np.concatenate(values)
     if kind == "aggregate":
         which, row, agg = args
         return client.aggregate_row(rig.matrices[which], row, agg)

@@ -127,4 +127,4 @@ def test_server_failure_mid_training_recovers(medium_lr):
     weight = result_a.extras["weight"]
     pulled = weight.pull()  # transparent recovery
     assert pulled.shape == (40000,)
-    assert ctx.master.checkpoints.recoveries == 1
+    assert ctx.metrics.counters.get("recoveries", 0) == 1

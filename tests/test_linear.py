@@ -69,7 +69,7 @@ def test_lr_checkpoint_every(make_ps2, small_data):
         ctx, rows, 300, optimizer="sgd", n_iterations=6,
         batch_fraction=0.3, seed=21, checkpoint_every=2,
     )
-    assert ctx.master.checkpoints.checkpoints_taken > 0
+    assert ctx.metrics.counters.get("checkpoints", 0) > 0
 
 
 def test_unknown_loss_rejected(make_ps2, small_data):

@@ -71,38 +71,6 @@ def test_snapshot_has_new_sections():
     assert snap["shard_values"][(3, 1)] == 40.0
 
 
-def test_diff_subtracts_and_drops_zero_deltas():
-    m = MetricsRegistry()
-    m.record_transfer("a", "b", 10, tag="warmup")
-    before = m.snapshot()
-    m.record_transfer("a", "b", 30, tag="phase")
-    delta = MetricsRegistry.diff(before, m.snapshot())
-    assert delta["bytes_by_tag"] == {"phase": 30}
-    assert delta["messages_by_tag"] == {"phase": 1}
-    # The warmup tag did not change between the snapshots: not in the diff.
-    assert "warmup" not in delta.get("bytes_by_tag", {})
-
-
-def test_diff_handles_missing_sections():
-    delta = MetricsRegistry.diff({}, {"counters": {"x": 2}})
-    assert delta == {"counters": {"x": 2}}
-
-
-def test_reset_returns_pre_reset_snapshot():
-    m = MetricsRegistry()
-    m.record_transfer("a", "b", 10)
-    m.record_compute("a", 1.0)
-    m.increment("x")
-    m.observe("pull", 0.5)
-    snap = m.reset()
-    assert snap["counters"]["x"] == 1
-    assert snap["compute_seconds"]["a"] == 1.0
-    assert m.total_bytes() == 0
-    assert not m.compute_seconds
-    assert not m.counters
-    assert not m.latency
-
-
 def test_request_counts_and_load_imbalance():
     m = MetricsRegistry()
     for _ in range(9):
@@ -149,44 +117,6 @@ def test_snapshot_includes_tagged_requests_and_latency():
     assert snap["requests_by_server_tag"][("server-0", "ps-write")] == 1
     assert snap["latency"]["pull"]["count"] == 1
     assert snap["latency"]["pull"]["max"] == 0.25
-
-
-def test_snapshot_reset_round_trip():
-    # reset() must return exactly what snapshot() would have, across every
-    # section, and leave the registry structurally empty.
-    m = MetricsRegistry()
-    m.record_transfer("a", "b", 64, tag="t", messages=4)
-    m.record_compute("a", 0.5, tag="work")
-    m.increment("retries", 2)
-    m.record_request("server-0", tag="ps-read")
-    m.record_shard_access(0, 1, 10, nbytes=128.0)
-    m.record_cache_hit("exec-0", bytes_saved=32.0)
-    m.record_cache_miss("exec-0")
-    m.observe("pull", 0.125)
-    snap = m.snapshot()
-    assert m.reset() == snap
-    empty = m.snapshot()
-    assert all(not section for section in empty.values())
-    # and the diff of the round trip is "nothing happened"
-    assert MetricsRegistry.diff(empty, m.snapshot()) == {}
-
-
-def test_diff_handles_tuple_keys_and_latency_counts():
-    m = MetricsRegistry()
-    m.record_request("server-0", tag="ps-read")
-    m.observe("pull", 0.1)
-    before = m.snapshot()
-    m.record_request("server-0", tag="ps-read")
-    m.record_request("server-1", tag="ps-write")
-    m.observe("pull", 0.9)
-    m.observe("push", 0.2)
-    delta = MetricsRegistry.diff(before, m.snapshot())
-    assert delta["requests_by_server_tag"] == {
-        ("server-0", "ps-read"): 1,
-        ("server-1", "ps-write"): 1,
-    }
-    # dict-valued latency summaries diff by observation count
-    assert delta["latency"] == {"pull": 1, "push": 1}
 
 
 def test_hot_shards_query_does_not_mutate():

@@ -279,19 +279,6 @@ def test_histogram_underflow_bucket():
     assert hist.percentile(50) == 0.0
 
 
-def test_histogram_merge():
-    a, b = StreamingHistogram(), StreamingHistogram()
-    for v in (0.1, 0.2):
-        a.record(v)
-    for v in (0.3, 0.4):
-        b.record(v)
-    a.merge(b)
-    assert a.count == 4
-    assert a.max == 0.4
-    with pytest.raises(ValueError):
-        a.merge(StreamingHistogram(growth=1.5))
-
-
 def test_histogram_rejects_bad_args():
     with pytest.raises(ValueError):
         StreamingHistogram(growth=1.0)

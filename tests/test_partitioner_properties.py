@@ -149,7 +149,7 @@ def test_route_read_lands_on_primary_or_valid_replica(
     layout = master.layout(m)
     start, stop = layout.range_of_position(hot_position % n_servers)
     for _ in range(3):
-        client.pull_range(m, 0, start, stop)
+        client.pull_row(m, 0, indices=np.arange(start, stop))
     manager.rebalance()
     primary = layout.server_of(start)
     replicas = manager.replica_set(m, primary)
@@ -171,7 +171,7 @@ def test_route_read_lands_on_primary_or_valid_replica(
         else:
             assert routed.replica_of is None
     # And the data read through the client is the data written.
-    assert np.allclose(client.pull_range(m, 0, start, stop),
+    assert np.allclose(client.pull_row(m, 0, indices=np.arange(start, stop)),
                        np.arange(float(dim))[start:stop])
 
 
@@ -204,7 +204,7 @@ def test_rebalance_history_preserves_coverage(n_servers, replication_factor,
             client.push_add(m, 0, delta, indices=list(range(start, stop)))
             expected[start:stop] += delta
         elif op == "pull":
-            client.pull_range(m, 0, start, stop)
+            client.pull_row(m, 0, indices=np.arange(start, stop))
         else:
             manager.rebalance()
     manager.rebalance()
@@ -257,7 +257,7 @@ def test_hot_key_plus_chain_interleavings_match_numpy(data):
                             indices=list(range(start, stop)))
             expected[start:stop] += 2.0
         elif op == "pull":
-            assert np.array_equal(client.pull_range(m, 0, start, stop),
+            assert np.array_equal(client.pull_row(m, 0, indices=np.arange(start, stop)),
                                   expected[start:stop])
         elif op == "rebalance":
             master.replicas.rebalance()

@@ -1,4 +1,7 @@
-"""Unit tests for the PS client: pulls, pushes, blocks, ranges, recovery."""
+"""Unit tests for the PS client: pulls, pushes, blocks, ranges, recovery.
+
+The range kinds have no client op: ``PS2Context.realign`` sends them, and
+these tests send them through the client's transport."""
 
 import numpy as np
 import pytest
@@ -10,6 +13,7 @@ from repro.ps.client import _PLAN_POOL_CAP, _SEEN_ONCE, PSClient
 from repro.ps.master import PSMaster
 from repro.ps.partitioner import RowLayout
 from repro.ps.transport import FanoutPlan, Transport
+from tests.test_fast_lane import range_requests
 from tests.test_replication import _assert_copies_match_primaries
 
 
@@ -60,23 +64,27 @@ def test_dense_push_wrong_size_rejected(setup):
 
 
 def test_pull_range(setup):
-    _cluster, _master, client, m = setup
+    _cluster, master, client, m = setup
     client.push_assign(m, 0, np.arange(20.0))
-    assert np.allclose(client.pull_range(m, 0, 5, 15), np.arange(5.0, 15.0))
+    values, _arrivals = client.transport.send_all(
+        range_requests(master.layout(m), m, 0, 5, 15))
+    assert np.allclose(np.concatenate(values), np.arange(5.0, 15.0))
 
 
 def test_push_range(setup):
-    _cluster, _master, client, m = setup
-    client.push_range(m, 0, 5, 10, np.full(5, 7.0))
+    _cluster, master, client, m = setup
+    client.transport.send_all(
+        range_requests(master.layout(m), m, 0, 5, 10, np.full(5, 7.0)))
     got = client.pull_row(m, 0)
     assert np.all(got[5:10] == 7.0)
     assert got[4] == 0.0 and got[10] == 0.0
 
 
 def test_push_range_add_mode(setup):
-    _cluster, _master, client, m = setup
-    client.push_range(m, 0, 0, 20, np.ones(20), mode="add")
-    client.push_range(m, 0, 0, 20, np.ones(20), mode="add")
+    _cluster, master, client, m = setup
+    for _ in range(2):
+        client.transport.send_all(range_requests(
+            master.layout(m), m, 0, 0, 20, np.ones(20), mode="add"))
     assert np.all(client.pull_row(m, 0) == 2.0)
 
 
@@ -180,7 +188,7 @@ def test_recovery_after_server_crash(setup):
     master.server(1).crash()
     got = client.pull_row(m, 0)  # triggers transparent recovery
     assert np.allclose(got, np.arange(20.0))
-    assert master.checkpoints.recoveries == 1
+    assert master.cluster.metrics.counters.get("recoveries", 0) == 1
 
 
 def test_row_layout_routing(cluster):
@@ -266,10 +274,6 @@ _MALFORMED = {
         m, [0, 1], np.ones((1, 30))),
     "sparse block, wide": lambda c, m: c.push_block_add(
         m, [0, 1], np.ones((2, 4)), indices=[1, 2, 3]),
-    "range push, short": lambda c, m: c.push_range(
-        m, 0, 5, 10, np.ones(3)),
-    "range push, long": lambda c, m: c.push_range(
-        m, 0, 5, 10, np.ones(6), mode="add"),
 }
 
 

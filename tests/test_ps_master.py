@@ -43,14 +43,6 @@ def test_unknown_matrix(master):
         master.info(999)
 
 
-def test_free_matrix(master):
-    m = master.create_matrix(10)
-    master.free_matrix(m)
-    assert not master.server(0).has_shard(m, 0)
-    with pytest.raises(MatrixNotFoundError):
-        master.layout(m)
-
-
 def test_allocation_charges_control_messages(cluster):
     master = PSMaster(cluster)
     before = cluster.metrics.messages_by_tag.get("ps-allocate", 0)
@@ -79,7 +71,7 @@ def test_recover_without_checkpoint_reinitializes(master):
     # The un-checkpointed updates are lost; the shard is back at its
     # deterministic initial (zero) state.
     assert np.all(server.shard(m, 0).values == 0.0)
-    assert master.checkpoints.recoveries == 0
+    assert master.cluster.metrics.counters.get("recoveries", 0) == 0
 
 
 def test_recover_replaces_server_object(master):
@@ -104,24 +96,13 @@ def test_recover_rebuilds_post_checkpoint_matrix(master):
     assert server.has_shard(new, 0)  # re-initialized from metadata
 
 
-def test_recover_drops_freed_matrix(master):
-    kept = master.create_matrix(12)
-    freed = master.create_matrix(12)
-    master.checkpoint_all()
-    master.free_matrix(freed)
-    master.server(0).crash()
-    server = master.recover(0)
-    assert server.has_shard(kept, 0)
-    assert not server.has_shard(freed, 0)
-
-
 def test_repair_live_server_keeps_updates(master):
     """repair() on a live server only backfills missing shards."""
     m = master.create_matrix(12)
     server = master.server(0)
     server.shard(m, 0).values[:] = 4.0
     extra = master.create_matrix(6)
-    server.drop_matrix(extra)  # simulate a stale shard set
+    del server._store[extra]  # simulate a stale shard set
     repaired = master.repair(0)
     assert repaired is server  # no replacement process
     assert np.all(server.shard(m, 0).values == 4.0)  # live updates kept
@@ -146,7 +127,7 @@ def test_checkpoint_costs_time(cluster):
     t0 = cluster.clock.now(master.server(0).node_id)
     master.checkpoint_all()
     assert cluster.clock.now(master.server(0).node_id) > t0
-    assert master.checkpoints.checkpoints_taken == len(master.servers)
+    assert master.cluster.metrics.counters.get("checkpoints", 0) == len(master.servers)
 
 
 def test_checkpoint_manager_has_checkpoint(cluster):

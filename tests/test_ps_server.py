@@ -206,12 +206,6 @@ def test_a_missing_shard_fails_its_unit_without_booking(server):
     assert server.cpu.busy_seconds() == 0.0
 
 
-def test_drop_matrix(server):
-    server.drop_matrix("m")
-    assert not server.has_shard("m", 0)
-    server.drop_matrix("m")  # idempotent
-
-
 def test_stored_bytes(server):
     assert server.stored_bytes() == 80
     server.allocate_row("m", 1, 0, 5, init="zero")

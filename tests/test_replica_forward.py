@@ -57,7 +57,7 @@ def _hot_rig():
                                       hot_key_fraction=0.34,
                                       replication_factor=2)
     for _ in range(4):
-        writer.pull_range(m, 0, 0, 10)
+        writer.pull_row(m, 0, indices=np.arange(10))
     master.replicas.rebalance()
     assert master.replicas.replica_set(m, 0) == [1, 2]
     return cluster, master, writer, m
@@ -270,7 +270,7 @@ def test_a_promotion_skips_a_holder_partitioned_past_the_budget():
     (_time, primary, sources, _matrices) = cluster.replicas.promotions[-1]
     assert (primary, sources) == (0, [2])
     # Server 1 is still partitioned: read back server 0's columns only.
-    assert np.array_equal(writer.pull_range(m, 0, 0, 10), PROMOTED[:10])
+    assert np.array_equal(writer.pull_row(m, 0, indices=np.arange(10)), PROMOTED[:10])
 
 
 def test_a_promotion_with_no_reachable_holder_falls_back_to_the_checkpoint():
@@ -279,6 +279,50 @@ def test_a_promotion_with_no_reachable_holder_falls_back_to_the_checkpoint():
     assert _delta(cluster, before, "chain-promotions") == 0
     assert _delta(cluster, before, "chain-fallbacks") == 1
     assert cluster.metrics.counters.get("client-dropped-ops", 0) == 0
+
+
+# -- a re-delivered mutation leaves no copy behind ----------------------------
+
+
+def _add_and_sum(arrays):
+    arrays[0] += arrays[1]
+    return float(arrays[0].sum())
+
+
+def test_a_redelivered_kernel_leaves_no_copy_behind_and_promotes_intact():
+    """A partition that drops only the kernel's responses makes the
+    transport re-send it: each primary applies ``w += o`` twice, bumping
+    ``w``'s counter twice, while each copy carries one application.  The
+    copy must not apply over the gap; the chain re-streams the key, so a
+    promotion reads back what the primary held."""
+    cluster = Cluster(ClusterConfig(n_executors=2, n_servers=2, seed=1,
+                                    chain_replicas=1))
+    master = PSMaster(cluster)
+    writer = PSClient(cluster, master, cluster.executors[0])
+    m = master.create_matrix(8, n_rows=2)
+    writer.push_assign(m, 0, np.arange(8.0))
+    writer.push_assign(m, 1, np.ones(8))
+    t0 = cluster.clock.now(writer.node_id)
+    cluster.failures.schedule_partition(writer.node_id, t0 + 3e-5,
+                                        t0 + 5.3e-4)
+    before = dict(cluster.metrics.counters)
+    writer.execute(_add_and_sum, [(m, 0), (m, 1)])
+    assert _delta(cluster, before, "op-retries") == 2
+    for primary in master.servers:
+        (holder_index,) = cluster.replicas.successors(primary.server_index)
+        entry = master.server(holder_index).replica_store[
+            (m, primary.server_index)]
+        for row in (0, 1):
+            assert np.array_equal(entry.rows[row].values,
+                                  primary.shard(m, row).values)
+            assert entry.versions[(m, row)] == primary.versions[(m, row)]
+    assert _delta(cluster, before, "replica-fanout-gaps") == 2
+    held = writer.pull_row(m, 0)
+    assert np.array_equal(held, np.arange(8.0) + 2.0)
+    master.servers[0].crash()
+    master.recover(0)
+    assert _delta(cluster, before, "chain-promotions") == 1
+    assert np.array_equal(writer.pull_row(m, 0), held)
 
 
 # -- a copy costs its holder what the original cost the primary --------------

@@ -41,7 +41,7 @@ def _heat_and_promote(master, client, pulls=4):
     m = master.create_matrix(30)
     client.push_assign(m, 0, np.arange(30.0))
     for _ in range(pulls):
-        client.pull_range(m, 0, 0, 10)
+        client.pull_row(m, 0, indices=np.arange(10))
     master.replicas.rebalance()
     return m
 
@@ -121,10 +121,10 @@ def test_promotion_prefers_the_coldest_server():
     m = master.create_matrix(30)
     client.push_assign(m, 0, np.arange(30.0))
     for _ in range(4):
-        client.pull_range(m, 0, 0, 10)
+        client.pull_row(m, 0, indices=np.arange(10))
     # Server 1 is now warmer than server 2, so the single replica of the
     # hot (m, 0) shard must land on server 2.
-    client.pull_range(m, 0, 10, 20)
+    client.pull_row(m, 0, indices=np.arange(10, 20))
     master.replicas.rebalance()
     assert master.replicas.replica_set(m, 0) == [2]
 
@@ -137,7 +137,7 @@ def test_rebalance_demotes_cooled_keys_on_the_delta_window():
     # New window: shard (m, 1) dominates the DELTA even though (m, 0)
     # still leads the cumulative totals.
     for _ in range(8):
-        client.pull_range(m, 0, 10, 20)
+        client.pull_row(m, 0, indices=np.arange(10, 20))
     manager.rebalance()
     assert manager.replica_set(m, 0) == []
     assert (m, 0) not in manager.keys("hot")
@@ -164,14 +164,6 @@ def test_maybe_rebalance_stage_end_and_interval_gating():
     assert manager.rebalance_sweep_times == [cluster.clock.global_time()]
 
 
-def test_free_matrix_forgets_replica_metadata():
-    _cluster, master, client = _rig()
-    m = _heat_and_promote(master, client)
-    assert master.replicas.keys("hot") == [(m, 0)]
-    master.free_matrix(m)
-    assert master.replicas.keys("hot") == []
-
-
 # -- read routing -------------------------------------------------------------
 
 
@@ -183,7 +175,7 @@ def test_route_read_prefers_idle_replica_and_attributes_heat_to_primary():
                              tag="backlog")
     heat_before = cluster.metrics.shard_bytes[(m, 0)]
     reads_before = cluster.metrics.counters.get("replica-reads", 0)
-    got = client.pull_range(m, 0, 0, 10)
+    got = client.pull_row(m, 0, indices=np.arange(10))
     assert np.allclose(got, np.arange(10.0))
     assert cluster.metrics.counters["replica-reads"] > reads_before
     # Rerouting must keep charging the PRIMARY shard key (else serving
@@ -250,8 +242,8 @@ def test_kernel_fan_out_is_all_or_nothing():
     client.push_assign(b, 0, np.arange(30.0))
     # Heat both shard-0 keys equally: k = round(0.34 * 6) = 2 picks them.
     for _ in range(4):
-        client.pull_range(a, 0, 0, 10)
-        client.pull_range(b, 0, 0, 10)
+        client.pull_row(a, 0, indices=np.arange(10))
+        client.pull_row(b, 0, indices=np.arange(10))
     manager.rebalance()
     assert manager.replica_set(a, 0) == [1, 2]
     assert manager.replica_set(b, 0) == [1, 2]
@@ -327,15 +319,6 @@ def test_chain_links_and_lag_introspection():
     assert chain.key_lag(m, 0) == 0
 
 
-def test_chain_free_matrix_retires_links():
-    cluster, master, client = _chain_rig()
-    m = master.create_matrix(30)
-    client.push_assign(m, 0, np.arange(30.0))
-    assert any(key[0] == m for key in cluster.replicas.links)
-    master.free_matrix(m)
-    assert not any(key[0] == m for key in cluster.replicas.links)
-
-
 def test_chain_direct_write_resyncs_successors():
     """A storage write that bypassed the forward: the whole key is
     re-streamed so the chain converges on the new state."""
@@ -364,7 +347,7 @@ def test_realign_reports_its_writes_to_both_policies():
     dst = ctx.dense(30)
     for _ in range(4):
         dst.pull()
-    ctx.coordinator_client.pull_range(dst.matrix_id, dst.row, 0, 10)
+    ctx.coordinator_client.pull_row(dst.matrix_id, dst.row, indices=np.arange(10))
     ctx.master.replicas.rebalance()
     assert ctx.master.replicas.keys("hot")
     counters = ctx.metrics.counters
@@ -548,7 +531,7 @@ def test_hot_demotion_keeps_the_chain_copy_on_a_shared_holder():
     cluster, master, client, m = _both_rig()
     # Cool (m, 0) off: shard (m, 1) dominates the next delta window.
     for _ in range(8):
-        client.pull_range(m, 0, 10, 20)
+        client.pull_row(m, 0, indices=np.arange(10, 20))
     master.replicas.rebalance()
     assert (m, 0) not in master.replicas.keys("hot")
     epoch = master.server(0).epoch
@@ -586,7 +569,7 @@ def test_copies_track_primaries_through_a_mixed_mutation_stream():
     table = master.create_table(6)
     client.push_add(m, 0, np.ones(30))
     client.push_add(m, 0, np.full(4, 0.5), indices=[1, 2, 11, 25])
-    client.push_range(m, 0, 5, 15, np.arange(10.0), mode="add")
+    client.push_add(m, 0, np.arange(10.0), indices=np.arange(5, 15))
     client.fill_row(other, 0, 3.0)
     # (m, 0) is hot-replicated, (other, 0) is not: hot placement
     # demotes on the operand mismatch while the chain fans out as usual.

@@ -65,8 +65,8 @@ def test_block_ops_on_rotated_pool():
 def test_pull_range_on_rotated_pool():
     _ctx, w = rotated_dcv()
     w.push(np.arange(40.0))
-    assert np.allclose(w._client().pull_range(w.matrix_id, w.row, 10, 30),
-                       np.arange(10.0, 30.0))
+    got = w._client().pull_row(w.matrix_id, w.row, indices=np.arange(10, 30))
+    assert np.allclose(got, np.arange(10.0, 30.0))
 
 
 def test_training_independent_of_prior_pool_count():

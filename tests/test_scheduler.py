@@ -25,7 +25,7 @@ def test_tasks_retry_and_job_completes():
     sc = make_sc(task_failure_prob=0.3, seed=5)
     result = sc.parallelize(range(40)).sum()
     assert result == sum(range(40))
-    assert sc.scheduler.tasks_failed > 0
+    assert sc.cluster.metrics.counters["task-retries"] > 0
 
 
 def test_retries_cost_time():
@@ -42,7 +42,7 @@ def test_retry_budget_exhaustion_aborts():
     with pytest.raises(JobAbortedError):
         sc.parallelize(range(4)).count()
     # The first partition ran once and retried MAX_TASK_RETRIES times.
-    assert sc.scheduler.tasks_failed == MAX_TASK_RETRIES + 1
+    assert sc.cluster.metrics.counters["task-retries"] == MAX_TASK_RETRIES + 1
 
 
 def test_deferred_effects_exactly_once():
@@ -57,7 +57,7 @@ def test_deferred_effects_exactly_once():
 
     sc.parallelize(range(30)).map_partitions_with_context(fn).collect()
     assert sorted(applied) == list(range(30))
-    assert sc.scheduler.tasks_failed > 0
+    assert sc.cluster.metrics.counters["task-retries"] > 0
 
 
 def test_user_exception_becomes_task_error():
@@ -131,77 +131,11 @@ def test_broadcast_ship_is_idempotent(cluster):
     assert cluster.metrics.messages_by_tag["broadcast"] == count
 
 
-def test_broadcast_destroy_allows_reship(cluster):
-    bc = Broadcast(cluster, "x", nbytes=10)
-    bc.ship()
-    bc.destroy()
-    bc.ship()
-    assert cluster.metrics.messages_by_tag["broadcast"] == \
-        4 * len(cluster.executors)
-
-
 def test_broadcast_estimates_size(cluster):
     import numpy as np
 
     bc = Broadcast(cluster, np.zeros(100))
     assert bc.nbytes == 800
-
-
-# -- tree combine --------------------------------------------------------------
-
-def _placed(cluster, values):
-    executors = cluster.alive_executors
-    return [(executors[i % len(executors)], v) for i, v in enumerate(values)]
-
-
-def test_tree_combine_depth3_is_correct_and_fully_reduces():
-    """At depth 3 eight partials reduce 8 -> 4 -> 2 -> 1 executor-side, so
-    exactly ONE partial crosses to the driver."""
-    cluster = Cluster(ClusterConfig(n_executors=4, n_servers=1, seed=42))
-    scheduler = SparkContext(cluster).scheduler
-    values = [1, 2, 3, 4, 5, 6, 7, 8]
-    result = scheduler.tree_combine(
-        _placed(cluster, values), 0, lambda a, b: a + b, depth=3
-    )
-    assert result == sum(values)
-    # 4 + 2 + 1 executor-side merges, then one survivor ships to the driver.
-    assert cluster.metrics.messages_by_tag["tree-combine"] == 8
-    from repro.cluster.cluster import DRIVER
-
-    driver_msgs = sum(
-        1 for (node, _tag), n in cluster.metrics.requests_by_server_tag.items()
-        if node == DRIVER
-    )
-    assert driver_msgs == 0  # combining is executor work, not server work
-
-
-def test_tree_combine_deeper_ships_less_to_the_driver():
-    from repro.cluster.cluster import DRIVER
-
-    values = list(range(8))
-    received = {}
-    for depth in (2, 3):
-        cluster = Cluster(ClusterConfig(n_executors=4, n_servers=1, seed=42))
-        scheduler = SparkContext(cluster).scheduler
-        result = scheduler.tree_combine(
-            _placed(cluster, values), 0, lambda a, b: a + b, depth=depth
-        )
-        assert result == sum(values)
-        received[depth] = cluster.metrics.bytes_received[DRIVER]
-    # Depth 2 leaves two survivors for the driver merge; depth 3 leaves one.
-    assert received[3] < received[2]
-
-
-def test_tree_combine_odd_count_carries_leftover():
-    cluster = Cluster(ClusterConfig(n_executors=4, n_servers=1, seed=42))
-    scheduler = SparkContext(cluster).scheduler
-    values = [10, 20, 30, 40, 50]
-    result = scheduler.tree_combine(
-        _placed(cluster, values), 0, lambda a, b: a + b, depth=3
-    )
-    assert result == sum(values)
-    # 5 -> 3 (2 merges) -> 2 (1 merge) -> 1 (1 merge), + 1 driver ship.
-    assert cluster.metrics.messages_by_tag["tree-combine"] == 5
 
 
 # -- stage-end hooks -----------------------------------------------------------

@@ -44,21 +44,6 @@ def test_aggregate_equals_python_fold(data, n_partitions):
 
 
 @given(
-    data=st.lists(st.integers(min_value=0, max_value=50),
-                  min_size=1, max_size=40),
-    depth=st.integers(min_value=0, max_value=4),
-)
-@settings(max_examples=40, deadline=None)
-def test_tree_aggregate_equals_aggregate(data, depth):
-    sc = make_sc()
-    rdd = sc.parallelize(data, n_partitions=4)
-    plain = rdd.aggregate(0, lambda a, x: a + x, lambda a, b: a + b)
-    tree = rdd.tree_aggregate(0, lambda a, x: a + x, lambda a, b: a + b,
-                              depth=depth)
-    assert plain == tree
-
-
-@given(
     fraction=st.floats(min_value=0.0, max_value=1.0, allow_nan=False),
     seed=st.integers(min_value=0, max_value=1000),
 )

@@ -25,7 +25,7 @@ from repro.ps import messages
 from repro.ps.client import PSClient
 from repro.ps.master import PSMaster
 from repro.ps.transport import Transport
-from tests.test_fast_lane import interleaved
+from tests.test_fast_lane import interleaved, range_requests
 
 
 def _rig(n_servers=3):
@@ -105,20 +105,16 @@ def test_push_bytes_match_messages():
 def test_range_ops_bytes_match_messages():
     cluster, master, client = _rig()
     m = master.create_matrix(30)
-    client.pull_range(m, 0, 5, 25)
-    overlaps = client._range_shards(master.layout(m), 0, 5, 25)
-    req = [messages.PullRangeRequest(s, m, 0, lo, hi)
-           for s, lo, hi in overlaps]
+    req = range_requests(master.layout(m), m, 0, 5, 25)
+    client.transport.send_all(req)
     # Range ops share the pull/push wire tags (the server sees a pull).
     assert _tag(cluster, "pull:req") == (
         _on_wire([r.wire_bytes() for r in req]), len(req), len(req))
     assert _tag(cluster, "pull:resp") == (
         _on_wire([r.response_bytes() for r in req]), len(req), len(req))
 
-    client.push_range(m, 0, 5, 25, np.ones(20))
-    wreq = [messages.PushRangeRequest(s, m, 0, lo, hi,
-                                      np.ones(hi - lo))
-            for s, lo, hi in overlaps]
+    wreq = range_requests(master.layout(m), m, 0, 5, 25, np.ones(20))
+    client.transport.send_all(wreq)
     assert _tag(cluster, "push:req") == (
         _on_wire([r.wire_bytes() for r in wreq]), len(wreq), len(wreq))
     assert _tag(cluster, "push:resp") == (0.0, 0, 0)

@@ -7,7 +7,7 @@ unreplicated one.  Two clusters are built from one seed — one with chain
 replication (``chain_replicas`` 1 or 2) and optionally hot-key
 replication, one with neither — and driven through the same Hypothesis
 stream of dense and sparse ``push_add`` / ``push_assign``,
-``push_block_add``, ``push_range`` and co-located kernel ops.  Before
+``push_block_add``, push-range requests and co-located kernel ops.  Before
 each op the writer's clock is moved past every booking on both clusters,
 so what the op leaves behind is the op's own cost.  After every op:
 
@@ -35,6 +35,7 @@ from repro.cluster.cluster import Cluster
 from repro.config import ClusterConfig
 from repro.ps.client import PSClient
 from repro.ps.master import PSMaster
+from tests.test_fast_lane import range_requests
 from tests.test_replication import \
     _assert_copies_match_primaries as _copies_match_primaries
 
@@ -74,7 +75,7 @@ class _Rig:
         # the sweep replicates them onto servers 1 and 2.
         for _ in range(4):
             for matrix in self.matrices:
-                self.other.pull_range(matrix, 0, 0, 10)
+                self.other.pull_row(matrix, 0, indices=np.arange(10))
         if self.master.replicas is not None:
             self.master.replicas.rebalance()
         # Warm the writer's routing cache: a cold entry's routing RPC waits
@@ -114,7 +115,10 @@ def _apply(rig, op):
     elif kind == "range":
         row, lo, width, mode, seed = args
         hi = min(DIM, lo + width)
-        client.push_range(a, row, lo, hi, _values(seed, hi - lo), mode=mode)
+        with client._op("push-range", a):
+            client.transport.send_all(range_requests(
+                client.transport.layout(a), a, row, lo, hi,
+                _values(seed, hi - lo), mode=mode))
     else:
         row, wait = args
         client.execute(_double, [(a, row), (b, row)], wait_response=wait)
