@@ -475,18 +475,6 @@ class PSMaster:
             self.cluster.metrics.increment("elastic-drains")
             self.cluster.metrics.observe("elastic-drain", drained)
 
-    def _remapped_layout(self, layout, new_n):
-        """The same-shape layout at *new_n* servers.
-
-        Column layouts keep their rotation and block, so pool-mates (which
-        share a rotation) remain co-located after the resize; row layouts
-        stay row layouts.
-        """
-        if isinstance(layout, RowLayout):
-            return RowLayout(layout.dim, new_n)
-        return ColumnLayout(layout.dim, new_n, rotation=layout.rotation,
-                            block=layout.block)
-
     def _live_source(self, server_index):
         """The current server at *server_index*, recovered if a scheduled
         crash fired — a migration must survive mid-flight failures (the
@@ -522,7 +510,7 @@ class PSMaster:
         new_keys = set()
         for info in self._matrices.values():
             old_layout = info.layout
-            new_layout = self._remapped_layout(old_layout, new_n)
+            new_layout = old_layout.resized(new_n)
             for server_index in range(old_layout.n_servers):
                 old_keys.add((info.matrix_id, server_index))
             for server_index in range(new_n):

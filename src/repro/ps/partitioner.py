@@ -8,6 +8,13 @@ The paper contrasts two placements:
 - **Row layout** (Petuum-style): each row (one whole model vector) lives on a
   single server, so accessing one vector is a single-server operation — the
   "single-point problem" the paper attributes to row partitioning.
+
+Every decision that depends on the placement is a layout's answer, so no
+caller tests which layout it holds: :meth:`~_Layout.shards` and
+:meth:`~ColumnLayout.block_shards` place a row or block op's values on
+their servers, :meth:`~ColumnLayout.resized` gives the same placement over
+another server count (a live resize), and ``op_plans`` is the pool of
+client fan-out plans — ``None`` where nothing is pooled.
 """
 
 from __future__ import annotations
@@ -30,7 +37,36 @@ def _remember_split(cache, key, entry):
     cache[key] = entry
 
 
-class ColumnLayout:
+class _Layout:
+    """What both placements answer alike, from their own placement calls."""
+
+    def shards(self, row, indices):
+        """Where one row op's values live, per owning server in wire order.
+
+        Returns ``(placement, server_index, group, n_values)`` entries.
+        Dense (*indices* ``None``): one per shard of *row*, ``placement``
+        its column slice, ``group`` ``None``.  Sparse: ``group`` is the
+        server's share of the indices (ascending — the list that ships)
+        and ``placement`` the positions those indices hold in the caller's
+        array, so values travel sorted and land in input order.
+        """
+        if indices is None:
+            return [
+                (slice(start, stop), server_index, None, stop - start)
+                for server_index, start, stop in self.shards_for_row(row)
+            ]
+        order = np.argsort(indices, kind="stable")
+        shards = []
+        cursor = 0
+        for server_index, group in self.split_indices_for_row(
+                row, indices[order]).items():
+            span = order[cursor : cursor + group.size]
+            cursor += group.size
+            shards.append((span, server_index, group, group.size))
+        return shards
+
+
+class ColumnLayout(_Layout):
     """Contiguous range partitioning of ``[0, dim)`` over *n_servers*.
 
     The range at position *p* (near-equal sizes, differing by at most one)
@@ -143,6 +179,32 @@ class ColumnLayout:
         _remember_split(self._split_cache, key, (indices.copy(), result))
         return result
 
+    def split_indices_for_row(self, row, indices):
+        """:meth:`split_indices`: every row is sharded alike."""
+        return self.split_indices(indices)
+
+    def block_shards(self, rows, indices):
+        """Where each (row, shard) message of a block op goes, in wire order.
+
+        Returns ``(placement, server_index, row, group, n_values)`` entries
+        with ``placement = (row_pos, columns)`` into the op's 2-D block:
+        :meth:`shards` of one row, repeated per row under each server (the
+        same ``group`` array object for every row, so a coalesced group
+        encodes it once).
+        """
+        return [
+            ((row_pos, columns), server_index, row, group, n_values)
+            for columns, server_index, group, n_values
+            in self.shards(rows[0], indices)
+            for row_pos, row in enumerate(rows)
+        ]
+
+    def resized(self, n_servers):
+        """This layout over *n_servers*, rotation and block kept, so
+        pool-mates (which share a rotation) stay co-located."""
+        return ColumnLayout(self.dim, n_servers, rotation=self.rotation,
+                            block=self.block)
+
     def same_layout(self, other):
         """Whether *other* places columns identically (co-location test)."""
         return (
@@ -170,10 +232,12 @@ class ColumnLayout:
         )
 
 
-class RowLayout:
+class RowLayout(_Layout):
     """One whole row per server (Petuum-style row partitioning).
 
     Row *r* of the matrix lives, in full, on server ``r % n_servers``.
+    Its client plans are never pooled (``op_plans`` is ``None``): lazy
+    tables, the one user, see only unpooled ops.
     """
 
     kind = "row"
@@ -187,11 +251,13 @@ class RowLayout:
         self.n_servers = int(n_servers)
         # Same snapshot-verified memo as ColumnLayout._split_cache.
         self._split_cache = {}
-        # See ColumnLayout: pooled client fan-out plans.
-        self.op_plans = {}
+        self.op_plans = None
+
+    def _owner(self, row):
+        return int(row) % self.n_servers
 
     def shards_for_row(self, row):
-        return [(int(row) % self.n_servers, 0, self.dim)]
+        return [(self._owner(row), 0, self.dim)]
 
     def split_indices_for_row(self, row, indices):
         """All of *indices* map to row's single owning server.
@@ -200,7 +266,7 @@ class RowLayout:
         as read-only.
         """
         indices = np.asarray(indices, dtype=np.int64)
-        server_index = int(row) % self.n_servers
+        server_index = self._owner(row)
         if indices.size == 0:
             return {server_index: indices}
         key = (server_index, indices.size, int(indices[0]),
@@ -211,6 +277,32 @@ class RowLayout:
         result = {server_index: np.sort(indices)}
         _remember_split(self._split_cache, key, (indices.copy(), result))
         return result
+
+    def block_shards(self, rows, indices):
+        """Where each row message of a block op goes, in wire order.
+
+        Entries as :meth:`ColumnLayout.block_shards`, one per row, grouped
+        by *owning* server — never by ``rows[0]``'s owner — and sharing
+        one private copy of *indices*: a message never aliases the
+        caller's array (an in-place edit between ops must not reach
+        messages or the servers' per-array memos), and one object for
+        every row keeps the group dedup.
+        """
+        width = self.dim
+        if indices is not None:
+            indices = indices.copy()
+            width = indices.size
+        owners = sorted((self._owner(row), row_pos)
+                        for row_pos, row in enumerate(rows))
+        return [
+            ((row_pos, slice(None)), server_index, rows[row_pos],
+             indices, width)
+            for server_index, row_pos in owners
+        ]
+
+    def resized(self, n_servers):
+        """This layout over *n_servers*."""
+        return RowLayout(self.dim, n_servers)
 
     def same_layout(self, other):
         return (
