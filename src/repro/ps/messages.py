@@ -20,7 +20,7 @@ costs what its request costs alone::
 
 where the shared payload is a component several requests of one group can
 encode once (the column-index list of a block op) and the private payload
-is per-request data (values, range descriptors).  A larger group — the
+is per-request data (values, operand references).  A larger group — the
 per-server coalescing lever — costs (:func:`wire_bytes`)::
 
     REQUEST_HEADER_BYTES                        # one header
@@ -49,9 +49,7 @@ kind (``op``)   role          shared  private payload    reply      codec
 ==============  ============  ======  =================  =========  ========
 pull-row        read          idx·I   -                  n·vb       response
 pull-or-create  standin-read  -       2I + F             I + n·F    -
-pull-range      read          -       2I                 n·F        response
 push            mutation      idx·I   values·vb          -          request
-push-range      mutation      -       2I + values·F      -          -
 aggregate       read          -       I                  F          -
 kernel          mutation      -       operands·I         scalars·F  -
 fill            mutation      -       F                  -          -
@@ -93,8 +91,6 @@ moves virtual numbers and is left to a design-change PR.
 from __future__ import annotations
 
 import copy
-
-import numpy as np
 
 from repro.common.errors import PSError
 from repro.costs import FLOAT_BYTES, INDEX_BYTES, REQUEST_HEADER_BYTES, \
@@ -394,28 +390,6 @@ class PullOrCreateRequest(Request):
         self.scale = float(scale)
 
 
-class PullRangeRequest(Request):
-    """Pull the contiguous columns ``[start, stop)`` of one row.
-
-    Dense-priced: the range is described by two integers, not per-index
-    keys.
-    """
-
-    __slots__ = ("row", "start", "stop")
-
-    op = "pull-range"
-    role = READ
-    codec_side = "response"
-    fixed_payload_bytes = 2 * INDEX_BYTES  # start, stop
-    returns_values = True
-
-    def __init__(self, server_index, matrix_id, row, start, stop, tag="pull"):
-        super().__init__(server_index, matrix_id, tag, int(stop) - int(start))
-        self.row = int(row)
-        self.start = int(start)
-        self.stop = int(stop)
-
-
 class PushRequest(Request):
     """Push a dense or sparse delta into one row (fire-and-forget).
 
@@ -468,33 +442,6 @@ class PushRequest(Request):
         if encoded is not None:
             self.values = self.codec.decode(encoded)
             self.encoded = None
-
-
-class PushRangeRequest(Request):
-    """Write the contiguous columns ``[start, stop)`` of one row."""
-
-    __slots__ = ("row", "start", "stop", "values", "mode")
-
-    op = "push-range"
-    role = MUTATION
-
-    def __init__(self, server_index, matrix_id, row, start, stop, values,
-                 mode="assign", tag="push"):
-        if mode not in ("add", "assign"):
-            raise PSError("unknown push mode %r" % (mode,))
-        super().__init__(server_index, matrix_id, tag, len(values))
-        self.row = int(row)
-        self.start = int(start)
-        self.stop = int(stop)
-        self.values = values
-        self.mode = mode
-
-    def payload_bytes(self):
-        return 2 * INDEX_BYTES + len(self.values) * FLOAT_BYTES
-
-    def span(self):
-        """The global column indices this range covers."""
-        return np.arange(self.start, self.stop, dtype=np.int64)
 
 
 class AggregateRequest(Request):

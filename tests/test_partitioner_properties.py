@@ -161,7 +161,8 @@ def test_route_read_lands_on_primary_or_valid_replica(
     # marked, and every holder really has a valid copy.
     epoch = master.server(primary).epoch
     for _ in range(4):
-        request = messages.PullRangeRequest(primary, m, 0, start, stop)
+        request = messages.PullRowRequest(primary, m, 0, stop - start,
+                                          indices=np.arange(start, stop))
         (routed,) = manager.route([request])
         assert routed.server_index in [primary] + replicas
         if routed.server_index != primary:

@@ -10,7 +10,7 @@ import pytest
 
 from repro.common.errors import MatrixNotFoundError, PSError, ServerDownError
 from repro.ps.messages import AggregateRequest, FillRequest, KernelRequest, \
-    PullRangeRequest, PullRowRequest, PushRangeRequest, PushRequest
+    PullRowRequest, PushRequest
 from repro.ps.server import PSServer, serve_one
 
 
@@ -126,9 +126,12 @@ def test_assign_sparse(server):
 
 
 def test_range_reads_and_writes(server):
-    _serve(server, PushRangeRequest(0, "m", 0, 13, 16, np.arange(3.0) + 1))
-    assert np.array_equal(_serve(server, PullRangeRequest(0, "m", 0, 12, 17)),
-                          [0.0, 1.0, 2.0, 3.0, 0.0])
+    """A column range travels as its index list, as realign sends it."""
+    _serve(server, PushRequest(0, "m", 0, np.arange(3.0) + 1,
+                               indices=np.arange(13, 16), mode="assign"))
+    assert np.array_equal(
+        _serve(server, PullRowRequest(0, "m", 0, 5, indices=np.arange(12, 17))),
+        [0.0, 1.0, 2.0, 3.0, 0.0])
 
 
 def test_fill(server):

@@ -192,7 +192,7 @@ def test_route_read_leaves_mutations_and_cold_keys_alone():
     assert master.replicas.route([push])[0] is push
     assert push.server_index == 0 and push.replica_of is None
     # ...and a read of a non-replicated key passes through unchanged.
-    read = messages.PullRangeRequest(1, m, 0, 10, 20)
+    read = messages.PullRowRequest(1, m, 0, 10, indices=np.arange(10, 20))
     assert master.replicas.route([read])[0] is read
     assert read.server_index == 1 and read.replica_of is None
 
@@ -506,7 +506,7 @@ def test_single_message_send_routes_and_fans_out_like_send_all():
     chain_before = counters["chain-fanouts"]
     push = messages.PushRequest(0, m, 0, np.ones(10),
                                 indices=list(range(10)), mode="add")
-    client.transport.send(push)
+    client.transport.send_all([push])
     # Same contract as send_all: hot copies to 1 and 2, the chain's copy
     # to the shared holder 1 already covered.
     assert counters["replica-fanouts"] == hot_before + 2
@@ -515,13 +515,13 @@ def test_single_message_send_routes_and_fans_out_like_send_all():
     # A read of the dead primary is rerouted by the same routing call —
     # as a retargeted copy: the caller's request stays on the primary.
     master.servers[0].crash()
-    read = messages.PullRangeRequest(0, m, 0, 0, 10)
+    read = messages.PullRowRequest(0, m, 0, 10, indices=np.arange(10))
     def rerouted():
         return counters.get("replica-reads", 0) \
             + counters.get("chain-reads", 0)
 
     before = rerouted()
-    values, _arrival = client.transport.send(read)
+    (values,), _arrivals = client.transport.send_all([read])
     assert read.replica_of is None and read.server_index == 0
     assert rerouted() == before + 1
     assert np.array_equal(values, np.arange(10.0) + 1.0)

@@ -295,6 +295,7 @@ def test_a_groups_envelope_math():
 
 _IDX = np.array([1, 2, 3, 4, 5])
 _PUSH = messages.PushRequest(0, "m", 0, np.ones(5), indices=_IDX)
+_RANGE = np.arange(5, 25, dtype=np.int64)
 
 #: name -> (one message, role, codec side, its ``wire_bytes()``, its
 #: ``response_bytes()``, and the same two for a group of it plus one
@@ -313,10 +314,11 @@ _KINDS = {
         messages.PullOrCreateRequest(0, "m", 7, 10),
         "standin-read", None, 48 + 24, 32 + 8 + 80,
         48 + 2 * (16 + 24), 32 + 2 * (8 + 80)),
+    # A column range as realign sends it: an index list of its columns.
     "pull-range": (
-        messages.PullRangeRequest(0, "m", 0, 5, 25),
-        "read", "response", 48 + 16, 32 + 160,
-        48 + 2 * (16 + 16), 32 + 2 * 160),
+        messages.PullRowRequest(0, "m", 0, 20, indices=_RANGE),
+        "read", "response", 48 + 160, 32 + 160, 48 + 160 + 2 * 16,
+        32 + 2 * 160),
     "push dense": (
         messages.PushRequest(0, "m", 0, np.ones(10)),
         "mutation", "request", 48 + 80, None, 48 + 2 * (16 + 80), None),
@@ -327,8 +329,10 @@ _KINDS = {
         messages.PushRequest(0, "m", 0, np.ones(10), value_bytes=4),
         "mutation", "request", 48 + 40, None, 48 + 2 * (16 + 40), None),
     "push-range": (
-        messages.PushRangeRequest(0, "m", 0, 5, 25, np.ones(20)),
-        "mutation", None, 48 + 16 + 160, None, 48 + 2 * (16 + 176), None),
+        messages.PushRequest(0, "m", 0, np.ones(20), indices=_RANGE,
+                             mode="assign"),
+        "mutation", "request", 48 + 160 + 160, None,
+        48 + 160 + 2 * (16 + 160), None),
     "aggregate": (
         messages.AggregateRequest(0, "m", 0, "sum", n_values=10),
         "read", None, 48 + 8, 32 + 8, 48 + 2 * (16 + 8), 32 + 2 * 8),
@@ -389,12 +393,11 @@ def test_the_table_is_total_and_roles_partition_the_kinds():
         assert kind.codec_side in (None, "request", "response")
         by_role.setdefault(kind.role, set()).add(kind)
     assert by_role == {
-        messages.READ: {messages.PullRowRequest, messages.PullRangeRequest,
-                        messages.AggregateRequest},
+        messages.READ: {messages.PullRowRequest, messages.AggregateRequest},
         # Stand-in only: never replica-routed, and not a mutation.
         messages.STANDIN_READ: {messages.PullOrCreateRequest},
-        messages.MUTATION: {messages.PushRequest, messages.PushRangeRequest,
-                            messages.FillRequest, messages.KernelRequest},
+        messages.MUTATION: {messages.PushRequest, messages.FillRequest,
+                            messages.KernelRequest},
         messages.CONTROL: {messages.ClockAdvanceRequest,
                            messages.ReplicatedPushRequest},
     }
@@ -407,6 +410,14 @@ def test_the_table_is_total_and_roles_partition_the_kinds():
                 messages.ReplicatedPushRequest(1, message, 0, 0, {})
 
 
+def test_every_handler_serves_exactly_one_kind():
+    """No two kinds share a handler: a kind that a handler has to tell
+    apart from another carries nothing of its own."""
+    from repro.ps.server import _HANDLERS
+
+    assert len(set(_HANDLERS.values())) == len(_HANDLERS)
+
+
 def test_a_codec_reprices_exactly_its_side():
     from repro.ps.codecs import make_codec
 
@@ -415,9 +426,10 @@ def test_a_codec_reprices_exactly_its_side():
     assert (pull.wire_bytes(), pull.response_bytes()) == (48, 32 + 80)
     pull.attach_codec(fp16)
     assert (pull.wire_bytes(), pull.response_bytes()) == (48, 32 + 20)
-    ranged = messages.PullRangeRequest(0, "m", 0, 5, 25)
+    ranged = messages.PullRowRequest(0, "m", 0, 20, indices=_RANGE)
     ranged.attach_codec(fp16)
-    assert ranged.response_bytes() == 32 + 40
+    assert (ranged.wire_bytes(), ranged.response_bytes()) == (48 + 160,
+                                                              32 + 40)
     push = messages.PushRequest(0, "m", 0, np.ones(10))
     assert push.wire_bytes() == 48 + 80
     push.attach_codec(fp16, fp16.encode(push.values))

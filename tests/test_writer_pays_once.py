@@ -7,7 +7,7 @@ unreplicated one.  Two clusters are built from one seed — one with chain
 replication (``chain_replicas`` 1 or 2) and optionally hot-key
 replication, one with neither — and driven through the same Hypothesis
 stream of dense and sparse ``push_add`` / ``push_assign``,
-``push_block_add``, push-range requests and co-located kernel ops.  Before
+``push_block_add``, column-range pushes and co-located kernel ops.  Before
 each op the writer's clock is moved past every booking on both clusters,
 so what the op leaves behind is the op's own cost.  After every op:
 
