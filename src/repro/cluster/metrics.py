@@ -37,7 +37,6 @@ class MetricsRegistry:
         # free-form ``increment`` name starting with that prefix.
         self.compute_counts = defaultdict(int)
         self.requests_by_server = defaultdict(int)
-        self.requests_by_server_tag = defaultdict(int)
         self.shard_requests = defaultdict(int)
         self.shard_values = defaultdict(float)
         # Per-shard wire volume (request + response bytes attributed by the
@@ -140,10 +139,9 @@ class MetricsRegistry:
         """Bump a free-form counter (task retries, checkpoints, ...)."""
         self.counters[name] += amount
 
-    def record_request(self, node_id, tag="request"):
+    def record_request(self, node_id):
         """Count one request served by *node_id* (server load accounting)."""
         self.requests_by_server[node_id] += 1
-        self.requests_by_server_tag[(node_id, tag)] += 1
 
     def record_shard_access(self, matrix_id, server_index, n_values,
                             n_requests=1, nbytes=0.0):
@@ -172,11 +170,9 @@ class MetricsRegistry:
         """
         compute_seconds = self.compute_seconds
         requests_by_server = self.requests_by_server
-        requests_by_server_tag = self.requests_by_server_tag
         for i, node_id in enumerate(node_ids):
             compute_seconds[node_id] += seconds_list[i]
             requests_by_server[node_id] += 1
-            requests_by_server_tag[(node_id, tag)] += 1
         self.compute_counts[tag] += len(node_ids)
         observe_tag = "srv:" + tag
         hist = self.latency.get(observe_tag)
@@ -366,7 +362,6 @@ class MetricsRegistry:
             "counters": dict(self.counters),
             "compute_counts": dict(self.compute_counts),
             "requests_by_server": dict(self.requests_by_server),
-            "requests_by_server_tag": dict(self.requests_by_server_tag),
             "shard_requests": dict(self.shard_requests),
             "shard_values": dict(self.shard_values),
             "shard_bytes": dict(self.shard_bytes),

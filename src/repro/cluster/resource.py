@@ -10,7 +10,7 @@ and places each new job in the first idle gap at or after its arrival —
 so the outcome is independent of processing order while capacity is never
 double-booked.  Adjacent intervals are merged, keeping the list short.
 
-Fast path (PR 7): a fan-out books its N transfers through
+Fast path: a fan-out books its N transfers through
 :meth:`reserve_many` in one call — same gap search per job, but without N
 rounds of Python call overhead — and ``busy_seconds`` is an incrementally
 maintained total instead of an O(intervals) re-sum per query.

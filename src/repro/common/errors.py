@@ -76,11 +76,12 @@ class DCVError(ReproError):
 
 
 class NotColocatedError(DCVError):
-    """A column-access operator was applied to DCVs with different partitioners.
+    """An operator that cannot realign was given DCVs with different layouts.
 
-    Raised only in ``strict`` co-location mode; the default mode executes the
-    operation anyway and charges the cross-server realignment cost, matching
-    the "inefficient writing" example in Figure 4 of the paper.
+    Raised by ``zip`` and by an ``out=`` target that is not co-located with
+    its operands.  Other column-access operators realign the operand
+    instead and charge the cross-server traffic, the "inefficient writing"
+    example in Figure 4 of the paper.
     """
 
 

@@ -270,6 +270,9 @@ class ClusterConfig:
     0 (the default) forms no chain — with ``replication="off"`` as well
     nothing is constructed and every code path is bit-identical to a
     pre-chain build; checkpoint-restore remains the only recovery path.
+    M must be below ``n_servers`` and, under ``elasticity`` mode
+    ``"auto"``, below its ``min_servers`` — fewer servers cannot hold M
+    successors of every primary.
     """
 
     n_executors: int = 20
@@ -339,6 +342,20 @@ class ClusterConfig:
             raise ConfigError(
                 "chain_replicas must be >= 0, got %r"
                 % (self.chain_replicas,)
+            )
+        # A primary's M successors are M *other* servers: a topology that
+        # cannot hold them would leave the chain silently shorter.
+        if self.chain_replicas and self.chain_replicas >= self.n_servers:
+            raise ConfigError(
+                "chain_replicas=%d needs more than %d servers"
+                % (self.chain_replicas, self.n_servers)
+            )
+        if self.chain_replicas and self.elasticity.mode == "auto" \
+                and self.chain_replicas >= self.elasticity.min_servers:
+            raise ConfigError(
+                "chain_replicas=%d needs more than the autoscaler's "
+                "min_servers=%d" % (self.chain_replicas,
+                                    self.elasticity.min_servers)
             )
         if self.consistency == "bsp" and self.staleness:
             raise ConfigError(

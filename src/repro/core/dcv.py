@@ -17,9 +17,10 @@ creation            ``dense``, ``sparse``, ``derive`` (alias ``duplicate``)
 
 Column-access operators between DCVs that are *not* co-located are legal but
 slow: the simulator realigns one operand across servers first, charging the
-cross-server traffic — the "inefficient writing" of Figure 4.  Constructing
-the context with ``strict_colocation=True`` turns that case into
-:class:`~repro.common.errors.NotColocatedError` instead.
+cross-server traffic — the "inefficient writing" of Figure 4.  Only where no
+realignment can stand in — ``zip`` and an ``out=`` target — is a
+non-co-located DCV refused, with
+:class:`~repro.common.errors.NotColocatedError`.
 """
 
 from __future__ import annotations
@@ -113,11 +114,6 @@ class DCV:
         self._check_dim(other)
         if self.is_colocated_with(other):
             return other, False
-        if self.ps2.strict_colocation:
-            raise NotColocatedError(
-                "%r and %r are not co-located; use derive() (Figure 4)"
-                % (self.name, other.name)
-            )
         temp = self.derive(name="%s.realigned" % other.name)
         self.ps2.realign(other, temp)
         return temp, True

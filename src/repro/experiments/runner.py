@@ -9,8 +9,7 @@ from repro.config import ClusterConfig, ElasticitySpec, FailureConfig, \
 from repro.core.context import PS2Context
 
 
-def make_context(node_flops=None, task_failure_prob=None,
-                 strict_colocation=False, **fields):
+def make_context(node_flops=None, task_failure_prob=None, **fields):
     """A fresh PS2 context on a fresh simulated cluster.
 
     *fields* are :class:`repro.config.ClusterConfig` fields, forwarded as
@@ -30,9 +29,6 @@ def make_context(node_flops=None, task_failure_prob=None,
     - ``elasticity="auto"`` stands for the default-bounded
       :class:`repro.config.ElasticitySpec`.
 
-    ``strict_colocation`` is an option of the context, not the cluster
-    (:class:`repro.core.context.PS2Context`).
-
     Every system under comparison gets its own context (its own clocks and
     metrics) over identically configured hardware — the controlled-variable
     setup the paper's comparisons rely on.
@@ -45,5 +41,4 @@ def make_context(node_flops=None, task_failure_prob=None,
                                      task_failure_prob=task_failure_prob)
     if isinstance(fields.get("elasticity"), str):
         fields["elasticity"] = ElasticitySpec(mode=fields["elasticity"])
-    return PS2Context(config=ClusterConfig(**fields),
-                      strict_colocation=strict_colocation)
+    return PS2Context(config=ClusterConfig(**fields))

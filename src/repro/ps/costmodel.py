@@ -1,9 +1,8 @@
 """The unified communication cost model: compress-vs-replicate decisions.
 
-PR 5 left an open question: hot-key replication and (now) wire codecs
-both trade message count against byte volume, but each had — or would
-have had — its own hand-set knob.  This module folds the three signals
-the transport already maintains into one decision point:
+Hot-key replication and wire codecs both trade message count against
+byte volume.  Rather than a hand-set knob for each, this module folds the
+three signals the transport already maintains into one decision point:
 
 - **message size** relative to the bandwidth-delay product: a payload
   whose serialization time dwarfs the per-message latency is
@@ -19,7 +18,7 @@ the transport already maintains into one decision point:
   migration bytes for the hot-key promote sweeps of
   :class:`~repro.ps.replication.Replicas` — one model, both knobs.
 
-The model runs **before routing** in ``Transport.send``/``send_all`` so
+The model runs **before routing** in ``Transport.send_all`` so
 decisions key on the primary ``server_index`` and the *sender's* NIC,
 and every eligible message produces exactly one recorded decision
 (``Metrics.record_codec_decision``) — including "identity", which

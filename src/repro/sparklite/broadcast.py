@@ -4,9 +4,9 @@ Spark's TorrentBroadcast splits the value into chunks that executors then
 exchange peer-to-peer, so the driver seeds each chunk once and every NIC
 moves roughly one copy of the value — broadcast does NOT incast at the
 driver.  (That is why Figure 1(b)'s bottleneck is gradient *aggregation*,
-which has no torrent equivalent, not the model broadcast.)
-
-``mode="naive"`` keeps the W-copies-through-one-NIC behavior for ablations.
+which has no torrent equivalent, not the model broadcast.)  With one
+executor there is no peer to exchange with, and the driver ships the
+whole value directly.
 """
 
 from __future__ import annotations
@@ -20,13 +20,12 @@ class Broadcast:
 
     _next_id = 0
 
-    def __init__(self, cluster, value, nbytes=None, mode="torrent"):
+    def __init__(self, cluster, value, nbytes=None):
         self.broadcast_id = Broadcast._next_id
         Broadcast._next_id += 1
         self.cluster = cluster
         self._value = value
         self.nbytes = int(nbytes) if nbytes is not None else sizeof(value)
-        self.mode = mode
         self._shipped = False
 
     @property
@@ -39,9 +38,9 @@ class Broadcast:
             return
         executors = self.cluster.executors
         network = self.cluster.network
-        if self.mode == "naive" or len(executors) == 1:
-            for executor in executors:
-                network.transfer(DRIVER, executor, self.nbytes, tag="broadcast")
+        if len(executors) == 1:
+            network.transfer(DRIVER, executors[0], self.nbytes,
+                             tag="broadcast")
         else:
             # Torrent: the driver seeds one chunk per executor; executors
             # then exchange the remaining (W-1)/W peer-to-peer.  Chunked

@@ -23,14 +23,13 @@ def ps2():
 def make_ps2():
     """Factory for PS2 contexts with custom shapes."""
 
-    def factory(n_executors=4, n_servers=3, seed=42, task_failure_prob=0.0,
-                strict_colocation=False):
+    def factory(n_executors=4, n_servers=3, seed=42, task_failure_prob=0.0):
         config = ClusterConfig(
             n_executors=n_executors,
             n_servers=n_servers,
             seed=seed,
             failures=FailureConfig(task_failure_prob=task_failure_prob),
         )
-        return PS2Context(config=config, strict_colocation=strict_colocation)
+        return PS2Context(config=config)
 
     return factory

@@ -6,7 +6,8 @@ from repro.cluster.cluster import DRIVER, executor_id, server_id
 from repro.cluster.failures import FailureInjector
 from repro.common.errors import ConfigError, UnknownNodeError
 from repro.common.rng import RngRegistry
-from repro.config import ClusterConfig, FailureConfig, NetworkSpec, NodeSpec
+from repro.config import ClusterConfig, ElasticitySpec, FailureConfig, \
+    NetworkSpec, NodeSpec
 
 
 def test_default_topology(cluster):
@@ -104,6 +105,23 @@ def test_config_rejects_knobs_their_mode_ignores(knobs):
 ])
 def test_config_accepts_knobs_under_their_mode(knobs):
     ClusterConfig(**knobs)
+
+
+def test_config_rejects_a_chain_the_servers_cannot_hold():
+    """A chain of M needs M successors besides each primary."""
+    ClusterConfig(n_servers=3, chain_replicas=2)
+    with pytest.raises(ConfigError, match="more than 3 servers"):
+        ClusterConfig(n_servers=3, chain_replicas=3)
+
+
+def test_config_rejects_a_chain_the_autoscaler_may_shrink_below():
+    """Under ``elasticity="auto"`` the PS tier may shrink to
+    ``min_servers``, and the chain must still fit there."""
+    ClusterConfig(n_servers=4, chain_replicas=1,
+                  elasticity=ElasticitySpec(mode="auto", min_servers=2))
+    with pytest.raises(ConfigError, match="min_servers=2"):
+        ClusterConfig(n_servers=4, chain_replicas=2,
+                      elasticity=ElasticitySpec(mode="auto", min_servers=2))
 
 
 @pytest.mark.parametrize("codec", ["delta", "gzip"])

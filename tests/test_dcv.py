@@ -279,22 +279,6 @@ def test_cross_pool_temp_slot_is_released(ps2):
     assert a.pool.free_rows == 1
 
 
-def test_strict_mode_rejects_cross_pool(make_ps2):
-    ps2 = make_ps2(strict_colocation=True)
-    a = ps2.dense(10)
-    b = ps2.dense(10)
-    with pytest.raises(NotColocatedError):
-        a.dot(b)
-
-
-def test_strict_mode_allows_derived(make_ps2):
-    ps2 = make_ps2(strict_colocation=True)
-    a = ps2.dense(10)
-    b = a.derive().fill(1.0)
-    a.fill(1.0)
-    assert a.dot(b) == pytest.approx(10.0)
-
-
 def test_realign_copies_values_correctly(ps2):
     src = ps2.dense(25)
     src.push(np.arange(25.0))

@@ -62,7 +62,7 @@ def test_snapshot_is_detached():
 def test_snapshot_has_new_sections():
     m = MetricsRegistry()
     m.record_compute("n", 0.5, tag="work")
-    m.record_request("server-0", tag="ps-read")
+    m.record_request("server-0")
     m.record_shard_access(3, 1, 40)
     snap = m.snapshot()
     assert snap["compute_counts"]["work"] == 1
@@ -74,13 +74,12 @@ def test_snapshot_has_new_sections():
 def test_request_counts_and_load_imbalance():
     m = MetricsRegistry()
     for _ in range(9):
-        m.record_request("server-0", tag="ps-read")
-    m.record_request("server-1", tag="ps-read")
+        m.record_request("server-0")
+    m.record_request("server-1")
     peak, mean, ratio = m.load_imbalance()
     assert peak == 9
     assert mean == 5.0
     assert ratio == 1.8
-    assert m.requests_by_server_tag[("server-0", "ps-read")] == 9
 
 
 def test_load_imbalance_empty_registry():
@@ -106,15 +105,14 @@ def test_hot_shards_flags_skewed_shard():
 
 
 def test_snapshot_includes_tagged_requests_and_latency():
-    # Regression: snapshot() used to omit requests_by_server_tag and the
-    # latency summaries entirely, so phase diffs silently lost both.
+    # Regression: snapshot() used to omit the latency summaries entirely,
+    # so phase diffs silently lost them.
     m = MetricsRegistry()
-    m.record_request("server-0", tag="ps-read")
-    m.record_request("server-0", tag="ps-write")
+    m.record_request("server-0")
+    m.record_request("server-0")
     m.observe("pull", 0.25)
     snap = m.snapshot()
-    assert snap["requests_by_server_tag"][("server-0", "ps-read")] == 1
-    assert snap["requests_by_server_tag"][("server-0", "ps-write")] == 1
+    assert snap["requests_by_server"]["server-0"] == 2
     assert snap["latency"]["pull"]["count"] == 1
     assert snap["latency"]["pull"]["max"] == 0.25
 

@@ -25,7 +25,6 @@ its holder what the original cost the primary.
 import numpy as np
 
 from repro.cluster.cluster import Cluster
-from repro.cluster.resource import TimelineResource
 from repro.config import ClusterConfig, FailureConfig
 from repro.costs import MAX_OP_RETRIES, RPC_CPU_SECONDS
 from repro.ps.client import PSClient
@@ -328,31 +327,18 @@ def test_a_redelivered_kernel_leaves_no_copy_behind_and_promotes_intact():
 # -- a copy costs its holder what the original cost the primary --------------
 
 
-def test_a_replica_apply_is_charged_the_primarys_price_in_both_modes(
-        monkeypatch):
-    """Observed where the server lane books: the server CPU timelines (each service slot, in booking order)
-    and the per-(server, tag) request counts."""
+def test_a_replica_apply_is_charged_the_primarys_price_in_both_modes():
+    """Observed where the server lane books: its CPU spans (node, charge
+    tag and duration, in booking order)."""
     cluster, master, writer, m = _rig(chain_replicas=1)
+    cluster.tracer.enable()
     primary, holder = master.server(0).node_id, master.server(1).node_id
-    cpus = {id(server.cpu): server.node_id for server in master.servers}
-    slots = []
-    reserve = TimelineResource.reserve
-
-    def logging(resource, earliest, seconds):
-        if id(resource) in cpus:
-            slots.append((cpus[id(resource)], seconds))
-        return reserve(resource, earliest, seconds)
-
-    monkeypatch.setattr(TimelineResource, "reserve", logging)
-    requests = cluster.metrics.requests_by_server_tag
     for push, tag in ((writer.push_assign, "ps-assign"),
                       (writer.push_add, "ps-add")):
-        del slots[:]
-        before = dict(requests)
+        before = len(cluster.tracer.spans_for(cat="cpu"))
         push(m, 0, np.full(len(ON_SERVER_0), 2.0), indices=ON_SERVER_0)
-        tags = {node: served for (node, served), count in requests.items()
-                if count > before.get((node, served), 0)}
-        served = [(node, tags[node], seconds) for node, seconds in slots]
+        served = [(span.node, span.op, span.duration)
+                  for span in cluster.tracer.spans_for(cat="cpu")[before:]]
         assert [charge[:2] for charge in served] == \
             [(primary, tag), (holder, "ps-replica")]
         assert served[0][2] == served[1][2] > 0

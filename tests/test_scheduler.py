@@ -116,13 +116,6 @@ def test_broadcast_torrent_avoids_driver_incast(cluster):
     assert driver_sent < 1.5 * 10**6
 
 
-def test_broadcast_naive_mode_incasts(cluster):
-    bc = Broadcast(cluster, "x", nbytes=10**6, mode="naive")
-    bc.ship()
-    driver_sent = cluster.metrics.bytes_sent["driver"]
-    assert driver_sent >= len(cluster.executors) * 10**6
-
-
 def test_broadcast_ship_is_idempotent(cluster):
     bc = Broadcast(cluster, "x", nbytes=10)
     bc.ship()

@@ -73,7 +73,7 @@ def test_multiple_passed_boundaries_close_aligned_windows():
     the other passed boundaries close empty — series stay aligned."""
     cluster, sampler = _sampler(window=1.0)
     cluster.metrics.record_transfer("exec-0", "server-0", 400)
-    cluster.metrics.record_request("server-0", tag="ps-read")
+    cluster.metrics.record_request("server-0")
     cluster.metrics.observe("pull", 0.25)
     cluster.now = 3.5
     sampler.maybe_flush()
@@ -144,7 +144,7 @@ def test_bulk_service_records_equal_one_observe_per_entry():
             "push", [node for node, _s in part], [s for _n, s in part])
         for node, seconds in part:
             loop_cluster.metrics.record_compute(node, seconds, tag="push")
-            loop_cluster.metrics.record_request(node, tag="push")
+            loop_cluster.metrics.record_request(node)
             loop_cluster.metrics.observe("srv:push", seconds)
         for cluster in (bulk_cluster, loop_cluster):
             cluster.now += 1.0
