@@ -5,11 +5,7 @@ from repro.baselines.distml import train_lr_distml
 from repro.baselines.glint import train_lda_glint
 from repro.baselines.mllib import train_lda_mllib, train_lr_mllib
 from repro.baselines.petuum import train_lda_petuum, train_lr_petuum
-from repro.baselines.pspushpull import (
-    train_deepwalk_ps_pushpull,
-    train_lr_ps_pushpull,
-)
-from repro.baselines.xgboost_sim import train_gbdt_mllib, train_gbdt_xgboost
+from repro.baselines.pspushpull import train_lr_ps_pushpull
 
 __all__ = [
     "ring_allreduce",
@@ -19,8 +15,5 @@ __all__ = [
     "train_lr_mllib",
     "train_lda_petuum",
     "train_lr_petuum",
-    "train_deepwalk_ps_pushpull",
     "train_lr_ps_pushpull",
-    "train_gbdt_mllib",
-    "train_gbdt_xgboost",
 ]

@@ -16,7 +16,6 @@ import numpy as np
 from repro.common.errors import ConfigError
 from repro.linalg.sparse import batch_index_union
 from repro.ml import losses
-from repro.ml.deepwalk import train_deepwalk
 from repro.ml.results import TrainResult
 
 
@@ -133,9 +132,3 @@ def train_lr_ps_pushpull(ctx, rows, dim, optimizer="adam", learning_rate=0.618,
     result.elapsed = ctx.elapsed()
     result.extras["weight"] = weight
     return result
-
-
-def train_deepwalk_ps_pushpull(ctx, walks, n_vertices, **kwargs):
-    """PS-DeepWalk of Figure 9(c,d): pull both vectors, update, push back."""
-    kwargs.setdefault("system", "PS-DeepWalk")
-    return train_deepwalk(ctx, walks, n_vertices, server_side=False, **kwargs)

@@ -17,6 +17,10 @@ from collections import defaultdict
 
 from repro.obs.histogram import StreamingHistogram
 
+#: Shard heat >= HOT_FACTOR x its matrix's mean heat marks a shard hot:
+#: the one rule the cost model acts on and the report's table lists.
+HOT_FACTOR = 2.0
+
 
 class MetricsRegistry:
     """Counters for bytes, messages, compute, latency and shard load."""
@@ -296,7 +300,7 @@ class MetricsRegistry:
             return dict(self.shard_bytes)
         return {key: float(n) for key, n in self.shard_requests.items()}
 
-    def hot_shards(self, factor=2.0):
+    def hot_shards(self, factor=HOT_FACTOR):
         """Shards whose heat exceeds *factor* x their matrix's mean heat.
 
         Returns ``[(matrix_id, server_index, requests, values, ratio)]``

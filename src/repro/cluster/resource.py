@@ -117,10 +117,7 @@ class TimelineResource:
         - *extend-final*: the arrival falls inside the final interval
           (``earliest >= starts[-1]``), so the only gap at/after it is the
           zero-width one the fit test rejects, and the job lands exactly at
-          the final end — ``_insert``'s merge-prev branch;
-        - *front-gap-miss* (single interval): the gap before the lone
-          interval does not fit, same merge-prev outcome (unless the job
-          is behind a retirement, where the general path raises).
+          the final end — ``_insert``'s merge-prev branch.
 
         Durations at or below ``2 * _MERGE_EPS`` skip the shortcuts: the
         fit test tolerates an ``_MERGE_EPS`` shortfall, so only jobs
@@ -152,16 +149,12 @@ class TimelineResource:
                     if len(ends) >= self._retire_at:
                         self._retire()
                 return start
-            if earliest >= starts[-1] or (
-                len(ends) == 1
-                and starts[0] - earliest < duration - _MERGE_EPS
-                and earliest >= self._retired_below
-            ):
-                # Extend-final / front-gap-miss: the probe would walk to
-                # the final interval's end and merge — same busy delta and
-                # end update as _insert's merge-prev branch.  Fan-out
-                # bookings queueing behind the same NIC's growing final
-                # interval land here.
+            if earliest >= starts[-1]:
+                # Extend-final: the probe would walk to the final
+                # interval's end and merge — same busy delta and end
+                # update as _insert's merge-prev branch.  Fan-out bookings
+                # queueing behind the same NIC's growing final interval
+                # land here.
                 end = last_end + duration
                 self._busy += end - last_end
                 ends[-1] = end

@@ -5,7 +5,6 @@ from repro.common.errors import (
     ConfigError,
     DCVError,
     DimensionMismatchError,
-    InjectedTaskFailure,
     JobAbortedError,
     MatrixNotFoundError,
     NotColocatedError,
@@ -25,7 +24,6 @@ __all__ = [
     "ConfigError",
     "DCVError",
     "DimensionMismatchError",
-    "InjectedTaskFailure",
     "JobAbortedError",
     "MatrixNotFoundError",
     "NotColocatedError",

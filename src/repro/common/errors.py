@@ -51,10 +51,6 @@ class TaskError(SparkliteError):
         self.attempt = attempt
 
 
-class InjectedTaskFailure(TaskError):
-    """A failure raised on purpose by the failure injector (fault-tolerance tests)."""
-
-
 class JobAbortedError(SparkliteError):
     """A job was abandoned after a task exhausted its retry budget."""
 

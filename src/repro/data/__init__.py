@@ -10,7 +10,7 @@ from repro.data.graphs import (
 )
 from repro.data.libsvm import read_libsvm, write_libsvm
 from repro.data.synth import dense_tabular, sparse_classification
-from repro.data.text import corpus_stats, synthetic_corpus
+from repro.data.text import synthetic_corpus
 
 __all__ = [
     "CATALOG",
@@ -26,6 +26,5 @@ __all__ = [
     "write_libsvm",
     "dense_tabular",
     "sparse_classification",
-    "corpus_stats",
     "synthetic_corpus",
 ]

@@ -35,9 +35,3 @@ def synthetic_corpus(n_docs, vocab_size, n_topics=10, doc_length=50,
             )
         docs.append(words)
     return docs, topic_word
-
-
-def corpus_stats(docs, vocab_size):
-    """(n_docs, vocab_size, total_tokens) summary used by Table 2."""
-    total_tokens = int(sum(doc.size for doc in docs))
-    return len(docs), int(vocab_size), total_tokens

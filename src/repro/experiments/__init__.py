@@ -5,25 +5,18 @@ from repro.experiments.capabilities import (
     TRAINER_INDEX,
     WORKLOADS,
     support_rows,
-    supports,
 )
 from repro.experiments.fault_tolerance import run_fault_tolerance
-from repro.experiments.report import (
-    curve_summary,
-    format_seconds,
-    format_speedup,
-    format_table,
-)
+from repro.experiments.report import curve_summary, format_speedup
 from repro.experiments.runner import make_context
+from repro.obs.report import format_table
 
 __all__ = [
     "SUPPORT_MATRIX",
     "TRAINER_INDEX",
     "WORKLOADS",
     "support_rows",
-    "supports",
     "curve_summary",
-    "format_seconds",
     "format_speedup",
     "format_table",
     "make_context",

@@ -21,24 +21,19 @@ SUPPORT_MATRIX = {
 #: Which reproduced trainer backs each supported (system, workload) cell.
 TRAINER_INDEX = {
     ("Spark MLlib", "LR"): "repro.baselines.mllib.train_lr_mllib",
-    ("Spark MLlib", "GBDT"): "repro.baselines.xgboost_sim.train_gbdt_mllib",
+    ("Spark MLlib", "GBDT"): "repro.ml.gbdt.train_gbdt (method='driver')",
     ("Spark MLlib", "LDA"): "repro.baselines.mllib.train_lda_mllib",
     ("DistML", "LR"): "repro.baselines.distml.train_lr_distml",
     ("DistML", "LDA"): "repro.ml.lda.train_lda (comm='petuum')",
     ("Glint", "LDA"): "repro.baselines.glint.train_lda_glint",
     ("Petuum", "LR"): "repro.baselines.petuum.train_lr_petuum",
     ("Petuum", "LDA"): "repro.baselines.petuum.train_lda_petuum",
-    ("XGboost", "GBDT"): "repro.baselines.xgboost_sim.train_gbdt_xgboost",
+    ("XGboost", "GBDT"): "repro.ml.gbdt.train_gbdt (method='allreduce')",
     ("PS2", "LR"): "repro.ml.lr.train_logistic_regression",
     ("PS2", "DeepWalk"): "repro.ml.deepwalk.train_deepwalk",
     ("PS2", "GBDT"): "repro.ml.gbdt.train_gbdt",
     ("PS2", "LDA"): "repro.ml.lda.train_lda",
 }
-
-
-def supports(system, workload):
-    """Whether *system* implements *workload* (paper Table 3)."""
-    return SUPPORT_MATRIX[system][workload]
 
 
 def support_rows():

@@ -19,9 +19,10 @@ from __future__ import annotations
 
 from repro.config import FailureConfig
 from repro.data import sparse_classification
-from repro.experiments.report import curve_summary, format_table
+from repro.experiments.report import curve_summary
 from repro.experiments.runner import make_context
 from repro.ml import train_logistic_regression
+from repro.obs.report import format_table
 
 #: Loss-regression slack: minibatch losses are noisy, so the post-crash
 #: peak is compared against the checkpoint-time loss with this headroom.

@@ -1,25 +1,7 @@
-"""Plain-text reporting for benchmark output (tables, speedups, curves)."""
+"""Plain-text reporting for benchmark output (speedups, curves); tables
+come from :func:`repro.obs.report.format_table`."""
 
 from __future__ import annotations
-
-
-def format_table(headers, rows, title=None):
-    """Render an aligned ASCII table (every cell stringified)."""
-    rows = [[str(cell) for cell in row] for row in rows]
-    headers = [str(h) for h in headers]
-    widths = [
-        max(len(headers[i]), max((len(r[i]) for r in rows), default=0))
-        for i in range(len(headers))
-    ]
-    line = "  ".join(h.ljust(w) for h, w in zip(headers, widths))
-    rule = "-" * len(line)
-    out = []
-    if title:
-        out.extend([title, rule])
-    out.extend([line, rule])
-    for row in rows:
-        out.append("  ".join(c.ljust(w) for c, w in zip(row, widths)))
-    return "\n".join(out)
 
 
 def format_speedup(value):
@@ -27,17 +9,6 @@ def format_speedup(value):
     if value is None:
         return "n/a"
     return "%.2fx" % value
-
-
-def format_seconds(value):
-    """Virtual seconds with sensible precision ('n/a' for None)."""
-    if value is None:
-        return "n/a"
-    if value >= 100:
-        return "%.0f s" % value
-    if value >= 1:
-        return "%.2f s" % value
-    return "%.4f s" % value
 
 
 def curve_summary(result, points=4):

@@ -1,5 +1,5 @@
 """Minimal linear-algebra helpers (sparse training rows)."""
 
-from repro.linalg.sparse import SparseRow, batch_index_union, batch_nnz
+from repro.linalg.sparse import SparseRow, batch_index_union
 
-__all__ = ["SparseRow", "batch_index_union", "batch_nnz"]
+__all__ = ["SparseRow", "batch_index_union"]

@@ -50,8 +50,3 @@ def batch_index_union(rows):
     if not rows:
         return np.empty(0, dtype=np.int64)
     return np.unique(np.concatenate([row.indices for row in rows]))
-
-
-def batch_nnz(rows):
-    """Total non-zeros across *rows*."""
-    return int(sum(row.nnz for row in rows))

@@ -11,9 +11,9 @@ from repro.ml.line import train_line
 from repro.ml.gbdt import GBDTModel, train_gbdt
 from repro.ml.lda import train_lda
 from repro.ml.linear import serve_linear_ps2, train_linear_ps2
-from repro.ml.lr import accuracy, evaluate_logistic_loss, train_logistic_regression
+from repro.ml.lr import accuracy, train_logistic_regression
 from repro.ml.results import TrainResult, speedup
-from repro.ml.svm import hinge_accuracy, train_svm
+from repro.ml.svm import train_svm
 
 __all__ = [
     "FMModel",
@@ -29,10 +29,8 @@ __all__ = [
     "serve_linear_ps2",
     "train_linear_ps2",
     "accuracy",
-    "evaluate_logistic_loss",
     "train_logistic_regression",
     "TrainResult",
     "speedup",
-    "hinge_accuracy",
     "train_svm",
 ]

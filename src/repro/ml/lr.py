@@ -2,10 +2,7 @@
 
 from __future__ import annotations
 
-import numpy as np
-
 from repro.ml.linear import train_linear_ps2
-from repro.ml.losses import log1p_exp
 
 
 def train_logistic_regression(ctx, rows, dim, optimizer=None, n_iterations=20,
@@ -21,15 +18,6 @@ def train_logistic_regression(ctx, rows, dim, optimizer=None, n_iterations=20,
         target_loss=target_loss, checkpoint_every=checkpoint_every,
         system=system,
     )
-
-
-def evaluate_logistic_loss(rows, weights):
-    """Mean logistic loss of dense *weights* over *rows* (driver-side eval)."""
-    total = 0.0
-    for row in rows:
-        margin = row.dot_dense(weights)
-        total += float(log1p_exp(np.asarray(margin))) - row.label * margin
-    return total / max(1, len(rows))
 
 
 def accuracy(rows, weights):

@@ -20,11 +20,3 @@ def train_svm(ctx, rows, dim, optimizer=None, n_iterations=20,
         n_iterations=n_iterations, batch_fraction=batch_fraction, seed=seed,
         target_loss=target_loss, system=system,
     )
-
-
-def hinge_accuracy(rows, weights):
-    """Classification accuracy of dense *weights* over *rows*."""
-    correct = sum(
-        1 for row in rows if (row.dot_dense(weights) > 0) == (row.label > 0.5)
-    )
-    return correct / max(1, len(rows))

@@ -16,9 +16,15 @@ The subsystem has these layers:
 - :mod:`repro.obs.critical_path` — walks the causal span DAG backward from
   the makespan-defining span and attributes virtual time to compute /
   network / queueing / staleness-wait / retry-backoff.
-- :mod:`repro.obs.chrometrace` / :mod:`repro.obs.report` — exporters: a
-  ``chrome://tracing``-compatible JSON document (spans + time-series
-  counter tracks) and a plain-text breakdown.
+- :mod:`repro.obs.chrometrace` — exporter of a ``chrome://tracing``-
+  compatible JSON document (spans + time-series counter tracks).
+- :mod:`repro.obs.report` — the plain-text report, a renderer of
+  :meth:`~repro.cluster.metrics.MetricsRegistry.snapshot`: one keyed
+  table per tag-, counter- or node-keyed section (latency, traffic,
+  every counter, compute ops, worker cache, codec decisions), a header
+  of the run's non-default config fields, and the few views the
+  snapshot cannot hold (per-server load, hot shards, replica and chain
+  maps, SLO classes, time series, trace summary, critical path).
 
 The package keeps no module-level state: every cluster owns its tracer
 (``cluster.tracer.enable()`` turns it on), and the benchmark harness
@@ -32,8 +38,7 @@ from repro.obs.chrometrace import timeseries_counter_events, to_chrome_trace, \
 from repro.obs.critical_path import CriticalPathResult, analyze, \
     stage_breakdowns
 from repro.obs.histogram import StreamingHistogram
-from repro.obs.report import hot_shard_table, latency_table, render_report, \
-    server_table
+from repro.obs.report import hot_shard_table, render_report, server_table
 from repro.obs.timeseries import TimeSeriesSampler
 from repro.obs.tracer import Span, Tracer
 
@@ -49,7 +54,6 @@ __all__ = [
     "timeseries_counter_events",
     "to_chrome_trace",
     "write_chrome_trace",
-    "latency_table",
     "server_table",
     "hot_shard_table",
     "render_report",

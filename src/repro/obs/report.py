@@ -1,48 +1,81 @@
-"""Plain-text observability report: where did the virtual time go?
+"""Plain-text observability report: a renderer of the metrics snapshot.
 
-Renders, for one simulated cluster, the three tables the paper's analysis
-sections revolve around: per-op latency percentiles (Figure 10-style "why
-is one system slower"), per-server utilization (Figure 4's single-point
-bottleneck), and hot-shard / load-imbalance telemetry (NuPS-style skew
-detection).
+:func:`render_report` prints, for one simulated cluster, every section of
+:meth:`~repro.cluster.metrics.MetricsRegistry.snapshot` that is keyed by
+tag, counter or node — latency per op, traffic per tag (bytes, wire
+messages, logical requests), every counter, compute ops per tag, the
+per-node worker-cache counts and the codec decisions — through one
+keyed-table helper, so a counter the simulator increments reaches the
+report without the report naming it.  A header line lists the run's
+non-default :class:`~repro.config.ClusterConfig` fields.  A few views
+read what the snapshot cannot hold: the per-server load (Figure 4's
+single-point bottleneck), the hot shards with the load-imbalance footer,
+the hot replica and chain maps, the SLO classes, the time series, and for
+traced runs the span summary and the critical path.
 """
 
 from __future__ import annotations
 
+import dataclasses
 
-def _format_rows(headers, rows):
-    """A fixed-width table (no external deps, stable under tests)."""
+
+def format_table(headers, rows, title=None):
+    """Render an aligned ASCII table (every cell stringified)."""
     rows = [[str(cell) for cell in row] for row in rows]
+    headers = [str(h) for h in headers]
     widths = [
         max(len(headers[i]), max((len(r[i]) for r in rows), default=0))
         for i in range(len(headers))
     ]
-    lines = [
-        "  ".join(h.ljust(w) for h, w in zip(headers, widths)),
-        "  ".join("-" * w for w in widths),
-    ]
+    line = "  ".join(h.ljust(w) for h, w in zip(headers, widths))
+    rule = "-" * len(line)
+    out = []
+    if title:
+        out.extend([title, rule])
+    out.extend([line, rule])
     for row in rows:
-        lines.append("  ".join(c.ljust(w) for c, w in zip(row, widths)))
-    return "\n".join(lines)
+        out.append("  ".join(c.ljust(w) for c, w in zip(row, widths)))
+    return "\n".join(out)
 
 
 def _seconds(value):
     return "%.6f" % value
 
 
-def latency_table(metrics):
-    """Per-op latency percentiles observed by clients (virtual seconds)."""
-    summary = metrics.latency_summary()
-    if not summary:
-        return "(no latency observations)"
-    rows = [
-        (tag, s["count"], _seconds(s["p50"]), _seconds(s["p95"]),
-         _seconds(s["p99"]), _seconds(s["max"]))
-        for tag, s in sorted(summary.items())
-    ]
-    return _format_rows(
-        ["op", "count", "p50_s", "p95_s", "p99_s", "max_s"], rows
-    )
+def _cell(value):
+    """Integral numbers print whole (counts, bytes); other floats print
+    to the microsecond."""
+    if isinstance(value, float) and not value.is_integer():
+        return _seconds(value)
+    return "%.0f" % value if isinstance(value, float) else value
+
+
+def keyed_table(headers, *columns):
+    """One row per key of *columns* — dicts over one key space — in key
+    order.  A tuple key fills one cell per element; a key a column lacks
+    reads 0 there."""
+    keys = sorted(set().union(*columns))
+    if not keys:
+        return "(none)"
+    return format_table(headers, [
+        (*(key if isinstance(key, tuple) else (key,)),
+         *(_cell(column.get(key, 0)) for column in columns))
+        for key in keys
+    ])
+
+
+def _non_default(config, prefix=""):
+    """``name=value`` for every field of a config dataclass that differs
+    from its default, nested configs as ``outer.inner``."""
+    default = type(config)()
+    fields = []
+    for field in dataclasses.fields(config):
+        value = getattr(config, field.name)
+        if dataclasses.is_dataclass(value):
+            fields += _non_default(value, prefix + field.name + ".")
+        elif value != getattr(default, field.name):
+            fields.append("%s%s=%r" % (prefix, field.name, value))
+    return fields
 
 
 def server_table(cluster):
@@ -64,25 +97,27 @@ def server_table(cluster):
         ))
     if not rows:
         return "(no servers)"
-    return _format_rows(
+    return format_table(
         ["server", "requests", "cpu_busy_s", "cpu_util", "nic_send_s",
          "nic_recv_s"],
         rows,
     )
 
 
-def hot_shard_table(metrics, factor=1.5):
-    """Shards whose traffic exceeds *factor* x their matrix's mean.
+def hot_shard_table(metrics):
+    """The shards the cost model treats as hot
+    (:meth:`~repro.cluster.metrics.MetricsRegistry.hot_shards` at its
+    one factor), with the server load-imbalance footer.
 
     The ``bytes`` column is the shard's wire volume (request + response,
     from the message formulas) — the number that says whether a hot shard
     is worth caching, since a shard can be hot by request count while
     moving few bytes (and vice versa).
     """
-    hot = metrics.hot_shards(factor=factor)
+    hot = metrics.hot_shards()
     peak, mean, ratio = metrics.load_imbalance()
     if hot:
-        table = _format_rows(
+        table = format_table(
             ["matrix", "server", "requests", "values", "bytes", "x_mean"],
             [
                 (matrix_id, server_index, requests, "%.0f" % values,
@@ -95,289 +130,12 @@ def hot_shard_table(metrics, factor=1.5):
             ],
         )
     else:
-        table = "(no shard exceeds %.2fx its matrix mean)" % factor
+        table = "(no hot shard)"
     footer = (
         "server load imbalance: max=%d mean=%.1f max/mean=%.2f"
         % (peak, mean, ratio)
     )
     return table + "\n" + footer
-
-
-def transport_table(metrics):
-    """Wire vs. logical message counts per tag (coalescing efficiency).
-
-    A coalesced batch is one wire message carrying several logical
-    requests; tags where the two counts diverge show where the transport's
-    per-server batching saved headers and NIC bookings.
-    """
-    rows = []
-    for tag in sorted(metrics.messages_by_tag):
-        wire = metrics.messages_by_tag[tag]
-        logical = metrics.logical_messages_by_tag.get(tag, wire)
-        if logical == wire:
-            continue
-        rows.append((tag, wire, logical, "%.2f" % (logical / wire)))
-    lines = []
-    if rows:
-        lines.append(_format_rows(
-            ["tag", "wire_msgs", "logical_reqs", "reqs_per_msg"], rows
-        ))
-    else:
-        lines.append("(no coalesced traffic)")
-    batches = metrics.counters.get("coalesced-batches", 0)
-    if batches:
-        lines.append(
-            "coalesced %d requests into %d batch envelopes"
-            % (metrics.counters.get("coalesced-requests", 0), batches)
-        )
-    decisions = metrics.codec_decisions
-    if decisions:
-        saved = metrics.codec_bytes_saved
-        lines.append(_format_rows(
-            ["tag", "codec", "decisions", "bytes_saved"],
-            [
-                (tag, codec, decisions[(tag, codec)],
-                 "%.0f" % saved.get((tag, codec), 0.0))
-                for tag, codec in sorted(decisions)
-            ],
-        ))
-        total = sum(saved.values())
-        lines.append("codec wire bytes saved: %.0f" % total)
-    return "\n".join(lines)
-
-
-def consistency_table(cluster):
-    """Staleness histogram and worker-cache hit rates (SSP/ASP runs).
-
-    Under BSP both are structurally empty (no logical clocks, no cache);
-    the placeholder lines keep the report shape stable across models.
-    """
-    metrics = cluster.metrics
-    model = cluster.consistency
-    lines = ["model: %s" % model.name]
-    staleness = getattr(model, "staleness", None)
-    if staleness is not None:
-        lines[0] += " (staleness=%d)" % staleness
-
-    rows = []
-    for tag in ("staleness-wait", "staleness-clocks"):
-        hist = metrics.latency.get(tag)
-        if hist is None:
-            continue
-        s = hist.summary()
-        rows.append((
-            tag, s["count"], "%.6f" % s["p50"], "%.6f" % s["p95"],
-            "%.6f" % s["max"],
-        ))
-    if rows:
-        lines.append(_format_rows(
-            ["observation", "count", "p50", "p95", "max"], rows
-        ))
-    else:
-        lines.append("(no staleness observations)")
-    waits = metrics.counters.get("staleness-waits", 0)
-    if waits:
-        lines.append("ssp gate blocked a worker %d time(s)" % waits)
-
-    nodes = sorted(set(metrics.cache_hits) | set(metrics.cache_misses))
-    if nodes:
-        cache_rows = []
-        for node_id in nodes:
-            hits = metrics.cache_hits.get(node_id, 0)
-            misses = metrics.cache_misses.get(node_id, 0)
-            total = hits + misses
-            cache_rows.append((
-                node_id, hits, misses,
-                "%.1f%%" % (100.0 * hits / total if total else 0.0),
-                "%.0f" % metrics.cache_bytes_saved.get(node_id, 0.0),
-            ))
-        lines.append(_format_rows(
-            ["worker", "hits", "misses", "hit_rate", "bytes_saved"],
-            cache_rows,
-        ))
-    else:
-        lines.append("(worker cache inactive)")
-    fences = metrics.counters.get("cache-epoch-fences", 0)
-    if fences:
-        lines.append("recovery epoch fences dropped cached rows %d time(s)"
-                     % fences)
-    return "\n".join(lines)
-
-
-def replication_table(cluster):
-    """Hot-key replication activity: replica map, routing and fan-out.
-
-    With replication off the section is a stable one-line placeholder, so
-    the report keeps its shape across the knob.  The replica map rows list
-    the currently replicated (matrix, primary) shard keys with their valid
-    replica sets; the counters below tell how the machinery behaved —
-    reads rerouted to replicas, mutations fanned out, fan-outs fenced or
-    skipped by the version machinery, promotions/demotions per sweep.
-    """
-    manager = cluster.replicas
-    if manager is None or manager.mode == "off":
-        return "(replication off)"
-    metrics = cluster.metrics
-    lines = [
-        "mode: %s (fraction=%.2f, factor=%d, interval=%s)" % (
-            manager.mode, manager.hot_key_fraction,
-            manager.replication_factor, _seconds(manager.rebalance_interval),
-        )
-    ]
-    keys = manager.keys("hot")
-    if keys:
-        lines.append(_format_rows(
-            ["matrix", "primary", "replicas"],
-            [
-                (matrix_id, primary_index,
-                 ",".join(str(r) for r in
-                          manager.replica_set(matrix_id, primary_index))
-                 or "(stale)")
-                for matrix_id, primary_index in keys
-            ],
-        ))
-    else:
-        lines.append("(no keys currently replicated)")
-    counters = metrics.counters
-    lines.append(
-        "sweeps=%d promotions=%d demotions=%d reinstalls=%d"
-        % (counters.get("rebalance-sweeps", 0),
-           counters.get("replica-promotions", 0),
-           counters.get("replica-demotions", 0),
-           counters.get("replica-reinstalls", 0))
-    )
-    lines.append(
-        "replica reads=%d fan-outs=%d (fenced=%d skipped=%d)"
-        % (counters.get("replica-reads", 0),
-           counters.get("replica-fanouts", 0),
-           counters.get("replica-fanout-fenced", 0),
-           counters.get("replica-fanout-skipped", 0))
-    )
-    lines.append(
-        "migration bytes=%.0f replica state bytes=%.0f"
-        % (metrics.bytes_for_tag("replica-migrate"),
-           manager.replica_bytes())
-    )
-    return "\n".join(lines)
-
-
-def chain_table(cluster):
-    """Chain-replication activity: chain map, lag, promotions, fallbacks.
-
-    With the chain off the section is a stable one-line placeholder, so
-    the report keeps its shape across the knob.  The chain map rows list
-    every (matrix, primary) key with its ring successors and the worst
-    per-row counter lag of any valid copy (0 = fully caught up); the
-    counters below tell how the machinery behaved — full and incremental
-    syncs, write fan-outs (with the fence/skip splits shared with hot-key
-    replication), reads served by successors of a dead primary,
-    promotions and checkpoint fallbacks — followed by one row per
-    promotion event.
-    """
-    chain = cluster.replicas
-    if chain is None or not chain.m:
-        return "(chain replication off)"
-    metrics = cluster.metrics
-    lines = ["successors per primary: %d (ring order over live servers)"
-             % chain.m]
-    keys = chain.keys("chain")
-    if keys:
-        lines.append(_format_rows(
-            ["matrix", "primary", "successors", "lag"],
-            [
-                (matrix_id, primary_index,
-                 ",".join(str(s) for s in
-                          chain.holders((matrix_id, primary_index), "chain")),
-                 chain.key_lag(matrix_id, primary_index))
-                for matrix_id, primary_index in keys
-            ],
-        ))
-    else:
-        lines.append("(no chains formed)")
-    counters = metrics.counters
-    lines.append(
-        "syncs=%d row-syncs=%d reforms=%d direct-write-resyncs=%d"
-        % (counters.get("chain-syncs", 0),
-           counters.get("chain-row-syncs", 0),
-           counters.get("chain-reforms", 0),
-           counters.get("chain-direct-write-resyncs", 0))
-    )
-    lines.append(
-        "chain reads=%d fan-outs=%d (fenced=%d skipped=%d) "
-        "promotions=%d fallbacks=%d"
-        % (counters.get("chain-reads", 0),
-           counters.get("chain-fanouts", 0),
-           counters.get("replica-fanout-fenced", 0),
-           counters.get("replica-fanout-skipped", 0),
-           counters.get("chain-promotions", 0),
-           counters.get("chain-fallbacks", 0))
-    )
-    lines.append(
-        "sync bytes=%.0f promote bytes=%.0f"
-        % (metrics.bytes_for_tag("chain-sync"),
-           metrics.bytes_for_tag("chain-promote"))
-    )
-    if chain.promotions:
-        lines.append(_format_rows(
-            ["time_s", "primary", "sources", "matrices"],
-            [
-                (_seconds(time), primary_index,
-                 ",".join(str(s) for s in sources),
-                 ",".join(str(m) for m in matrix_ids))
-                for time, primary_index, sources, matrix_ids
-                in chain.promotions
-            ],
-        ))
-    return "\n".join(lines)
-
-
-def serving_table(cluster):
-    """Per-request-class SLO accounting plus elasticity activity.
-
-    Rendered only for runs that installed an
-    :class:`~repro.serving.slo.SLOTracker` (``cluster.slo``).  The
-    percentile columns are cumulative run-level numbers; windowed views
-    live in the time-series section.  The footer lines summarize the
-    lazy-table and elastic machinery: rows materialized by
-    ``get_or_create``, resizes performed, shard slices migrated and the
-    wire bytes the migrations cost.
-    """
-    tracker = cluster.slo
-    if tracker is None:
-        return "(serving tier inactive)"
-    metrics = cluster.metrics
-    summary = tracker.summary()
-    lines = []
-    if summary:
-        lines.append(_format_rows(
-            ["class", "requests", "violations", "miss_rate", "p50_s",
-             "p95_s", "p99_s"],
-            [
-                (request_class, s["requests"], s["violations"],
-                 "%.1f%%" % (100.0 * s["violation_rate"]),
-                 _seconds(s["p50"]), _seconds(s["p95"]), _seconds(s["p99"]))
-                for request_class, s in summary.items()
-            ],
-        ))
-    else:
-        lines.append("(no serving requests observed)")
-    if tracker.slo_target > 0:
-        lines.append("slo target: %s s" % _seconds(tracker.slo_target))
-    counters = metrics.counters
-    lines.append(
-        "lazy rows created=%d elastic resizes=%d (up=%d down=%d)"
-        % (counters.get("lazy-creates", 0),
-           counters.get("elastic-resizes", 0),
-           counters.get("autoscale-up", 0),
-           counters.get("autoscale-down", 0))
-    )
-    migrated = counters.get("migrated-shard-slices", 0)
-    if migrated:
-        lines.append(
-            "shard migration: %d slices, %.0f wire bytes"
-            % (migrated, metrics.bytes_for_tag("shard-migrate"))
-        )
-    return "\n".join(lines)
 
 
 def timeseries_table(sampler):
@@ -403,7 +161,7 @@ def timeseries_table(sampler):
             _seconds(backlog),
             _seconds(pull_p99),
         ))
-    return _format_rows(
+    return format_table(
         ["window", "bytes", "bytes_per_s", "requests", "cache_hit",
          "nic_backlog_s", "pull_p99_s"],
         rows,
@@ -430,7 +188,7 @@ def critical_path_table(tracer):
                 "%.1f%%" % (100.0 * result.fraction("queueing")),
                 top[0],
             ))
-        lines.append(_format_rows(
+        lines.append(format_table(
             ["stage", "makespan_s", "compute", "network", "queueing",
              "dominant"],
             rows,
@@ -438,63 +196,98 @@ def critical_path_table(tracer):
     return "\n".join(lines)
 
 
+def _replica_views(replicas):
+    """The hot replica map, the chain map with lag, and the chain
+    promotion events."""
+    hot = replicas.keys("hot")
+    chain = replicas.keys("chain")
+    views = [
+        ("hot replica map", keyed_table(
+            ["matrix", "primary", "replicas"],
+            {key: ",".join(map(str, replicas.replica_set(*key))) or "(stale)"
+             for key in hot},
+        ) + "\nreplica state bytes=%.0f" % replicas.replica_bytes()),
+        ("chain map", keyed_table(
+            ["matrix", "primary", "successors", "lag"],
+            {key: ",".join(map(str, replicas.holders(key, "chain")))
+             for key in chain},
+            {key: replicas.key_lag(*key) for key in chain},
+        )),
+    ]
+    if replicas.promotions:
+        views.append(("chain promotions", format_table(
+            ["time_s", "primary", "sources", "matrices"],
+            [(_seconds(time), primary_index, ",".join(map(str, sources)),
+              ",".join(map(str, matrix_ids)))
+             for time, primary_index, sources, matrix_ids
+             in replicas.promotions],
+        )))
+    return views
+
+
 def render_report(cluster, title="observability report"):
     """The full text report for one cluster."""
-    tracer = cluster.tracer
-    sections = [
-        "== %s ==" % title,
-        "virtual makespan: %s s" % _seconds(cluster.elapsed()),
-        "",
-        "-- per-op latency (client-observed, virtual seconds) --",
-        latency_table(cluster.metrics),
-        "",
-        "-- per-server load --",
-        server_table(cluster),
-        "",
-        "-- hot shards --",
-        hot_shard_table(cluster.metrics),
-        "",
-        "-- transport coalescing --",
-        transport_table(cluster.metrics),
-        "",
-        "-- consistency & worker cache --",
-        consistency_table(cluster),
-        "",
-        "-- hot-key replication --",
-        replication_table(cluster),
-        "",
-        "-- chain replication --",
-        chain_table(cluster),
+    snapshot = cluster.metrics.snapshot()
+    latency = snapshot["latency"]
+    views = [
+        ("per-op latency (virtual seconds)", keyed_table(
+            ["op", "count", "p50_s", "p95_s", "p99_s", "max_s"],
+            *({tag: s[q] for tag, s in latency.items()}
+              for q in ("count", "p50", "p95", "p99", "max")),
+        )),
+        ("traffic per tag", keyed_table(
+            ["tag", "bytes", "wire_msgs", "logical_reqs"],
+            snapshot["bytes_by_tag"], snapshot["messages_by_tag"],
+            snapshot["logical_messages_by_tag"],
+        )),
+        ("counters", keyed_table(["counter", "count"], snapshot["counters"])),
+        ("compute ops per tag", keyed_table(
+            ["tag", "ops"], snapshot["compute_counts"])),
+        ("worker cache", keyed_table(
+            ["worker", "hits", "misses", "bytes_saved"],
+            snapshot["cache_hits"], snapshot["cache_misses"],
+            snapshot["cache_bytes_saved"],
+        )),
+        ("codec decisions", keyed_table(
+            ["tag", "codec", "decisions", "bytes_saved"],
+            snapshot["codec_decisions"], snapshot["codec_bytes_saved"],
+        )),
+        ("per-server load", server_table(cluster)),
+        ("hot shards", hot_shard_table(cluster.metrics)),
     ]
-    if cluster.slo is not None:
-        sections += [
-            "",
-            "-- serving tier --",
-            serving_table(cluster),
-        ]
+    if cluster.replicas is not None:
+        views += _replica_views(cluster.replicas)
+    tracker = cluster.slo
+    if tracker is not None:
+        views.append(("slo classes", keyed_table(
+            ["class", "requests", "violations", "miss_rate"],
+            tracker.requests, tracker.violations,
+            {c: "%.1f%%" % (100.0 * tracker.violation_rate(c))
+             for c in tracker.requests},
+        ) + "\nslo target: %s s" % _seconds(tracker.slo_target)))
     sampler = cluster.timeseries
     if sampler is not None:
         sampler.finalize()
-        sections += [
-            "",
-            "-- time series (%.6f s windows) --" % sampler.window,
-            timeseries_table(sampler),
-        ]
+        views.append(("time series (%.6f s windows)" % sampler.window,
+                      timeseries_table(sampler)))
+    tracer = cluster.tracer
     if tracer.enabled:
         by_cat = {}
         for span in tracer.spans:
             by_cat[span.cat] = by_cat.get(span.cat, 0) + 1
-        sections += [
-            "",
-            "-- trace --",
-            "%d spans recorded (%s)" % (
+        views += [
+            ("trace", "%d spans recorded (%s)" % (
                 len(tracer.spans),
-                ", ".join(
-                    "%s=%d" % (cat, n) for cat, n in sorted(by_cat.items())
-                ) or "none",
-            ),
-            "",
-            "-- critical path --",
-            critical_path_table(tracer),
+                ", ".join("%s=%d" % item for item in sorted(by_cat.items()))
+                or "none",
+            )),
+            ("critical path", critical_path_table(tracer)),
         ]
-    return "\n".join(sections)
+    lines = [
+        "== %s ==" % title,
+        "virtual makespan: %s s" % _seconds(cluster.elapsed()),
+        "config: %s" % (" ".join(_non_default(cluster.config)) or "defaults"),
+    ]
+    for name, text in views:
+        lines += ["", "-- %s --" % name, text]
+    return "\n".join(lines)

@@ -56,9 +56,6 @@ BACKLOG_LATENCIES = 50.0
 #: Decisions between lazy refreshes of the hot-shard set.
 HEAT_REFRESH_DECISIONS = 256
 
-#: Shard heat >= HOT_FACTOR x the matrix mean marks a shard hot.
-HOT_FACTOR = 2.0
-
 
 class CostModel:
     """Per-message codec selection plus the replication gate.
@@ -265,7 +262,7 @@ class CostModel:
         """Recompute the hot-shard set: the telemetry's own rule
         (:meth:`~repro.cluster.metrics.MetricsRegistry.hot_shards`)."""
         self._hot_shards = frozenset(
-            (m, s) for m, s, *_ in self.cluster.metrics.hot_shards(HOT_FACTOR))
+            (m, s) for m, s, *_ in self.cluster.metrics.hot_shards())
 
     def _attach_push(self, request, codec, node_id):
         n_values = len(request.values)

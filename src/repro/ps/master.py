@@ -28,14 +28,13 @@ import numpy as np
 
 from repro.cluster.cluster import DRIVER
 from repro.common.errors import MatrixNotFoundError, PSError
-from repro.common.rng import generator
 from repro.costs import REQUEST_HEADER_BYTES
 from repro.ps import messages
 from repro.ps.checkpoint import CheckpointManager
 from repro.ps.costmodel import CostModel
 from repro.ps.partitioner import ColumnLayout, RowLayout
 from repro.ps.replication import Replicas
-from repro.ps.server import PSServer, RowShard
+from repro.ps.server import PSServer, RowShard, lazy_init_rng
 
 
 class MatrixInfo:
@@ -169,19 +168,6 @@ class PSMaster:
             self.replicas.on_matrix_created(matrix_id)
         return matrix_id
 
-    def _lazy_rng(self, matrix_id, row):
-        """The one-shot init stream for one lazy-table row.
-
-        Unlike :meth:`_init_rng` the stream carries **no server index** and
-        is constructed fresh per call: creation on whichever server the
-        current layout routes the row to, re-materialization during
-        recovery, and re-creation after a shard migration all draw
-        bit-identical values — layout-independent determinism, the
-        property the serving tier's property tests pin down.
-        """
-        return generator(self.cluster.rng.seed,
-                         "ps-lazy-init-%s-%d" % (matrix_id, int(row)))
-
     def create_table(self, dim, init="random", scale=0.01, name=None):
         """Create a lazy embedding table; returns the matrix id.
 
@@ -291,7 +277,8 @@ class PSMaster:
                         continue
                     if server.has_shard(info.matrix_id, row):
                         continue
-                    rng = (self._lazy_rng(info.matrix_id, row) if info.lazy
+                    rng = (lazy_init_rng(self.cluster.rng.seed,
+                                         info.matrix_id, row) if info.lazy
                            else self._init_rng(info.matrix_id, row,
                                                server_index))
                     server.allocate_row(

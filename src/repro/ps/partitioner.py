@@ -249,8 +249,6 @@ class RowLayout(_Layout):
             raise ConfigError("n_servers must be positive, got %r" % (n_servers,))
         self.dim = int(dim)
         self.n_servers = int(n_servers)
-        # Same snapshot-verified memo as ColumnLayout._split_cache.
-        self._split_cache = {}
         self.op_plans = None
 
     def _owner(self, row):
@@ -260,23 +258,8 @@ class RowLayout(_Layout):
         return [(self._owner(row), 0, self.dim)]
 
     def split_indices_for_row(self, row, indices):
-        """All of *indices* map to row's single owning server.
-
-        Memoized like :meth:`ColumnLayout.split_indices`; treat the result
-        as read-only.
-        """
-        indices = np.asarray(indices, dtype=np.int64)
-        server_index = self._owner(row)
-        if indices.size == 0:
-            return {server_index: indices}
-        key = (server_index, indices.size, int(indices[0]),
-               int(indices[-1]))
-        entry = self._split_cache.get(key)
-        if entry is not None and np.array_equal(entry[0], indices):
-            return entry[1]
-        result = {server_index: np.sort(indices)}
-        _remember_split(self._split_cache, key, (indices.copy(), result))
-        return result
+        """All of *indices*, sorted, map to row's single owning server."""
+        return {self._owner(row): np.sort(np.asarray(indices, dtype=np.int64))}
 
     def block_shards(self, rows, indices):
         """Where each row message of a block op goes, in wire order.

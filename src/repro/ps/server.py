@@ -73,6 +73,18 @@ def _copy_rows(rows):
     return {row: shard.copy() for row, shard in rows.items()}
 
 
+def lazy_init_rng(seed, matrix_id, row):
+    """The one-shot init stream for one lazy-table row.
+
+    The stream carries **no server index** and is constructed fresh per
+    call: creation on whichever server the current layout routes the row
+    to, re-materialization during recovery, and re-creation after a shard
+    migration all draw bit-identical values — layout-independent
+    determinism, the property the serving tier's property tests pin down.
+    """
+    return generator(seed, "ps-lazy-init-%s-%d" % (matrix_id, row))
+
+
 class RowShard:
     """The slice ``[start, stop)`` of one model row held by one server."""
 
@@ -238,8 +250,7 @@ class PSServer:
                 or (rows is not None and row in rows):
             values, charges = self._serve_pull(request)
             return (values, False), charges
-        rng = generator(self.cluster.rng.seed,
-                        "ps-lazy-init-%s-%d" % (matrix_id, row))
+        rng = lazy_init_rng(self.cluster.rng.seed, matrix_id, row)
         self.allocate_row(matrix_id, row, 0, request.n_values,
                           init=request.init, rng=rng, scale=request.scale)
         self.cluster.metrics.increment("lazy-creates")

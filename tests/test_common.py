@@ -100,7 +100,6 @@ def test_all_errors_derive_from_repro_error():
         errors.ConfigError,
         errors.UnknownNodeError,
         errors.TaskError,
-        errors.InjectedTaskFailure,
         errors.JobAbortedError,
         errors.MatrixNotFoundError,
         errors.ServerDownError,

@@ -9,7 +9,7 @@ from repro.config import ClusterConfig
 from repro.data.synth import sparse_classification
 from repro.experiments.runner import make_context
 from repro.ml.linear import train_linear_ps2
-from repro.obs.report import consistency_table, hot_shard_table, render_report
+from repro.obs.report import hot_shard_table, render_report
 from repro.ps.client import PSClient
 from repro.ps.consistency import make_consistency
 from repro.ps.master import PSMaster
@@ -223,9 +223,12 @@ def test_hot_shard_table_reports_bytes(cluster):
     client.pull_row(m, 0)
     metrics = cluster.metrics
     assert sum(metrics.shard_bytes.values()) > 0
-    table = hot_shard_table(metrics, factor=1.0)
+    metrics.record_shard_access(m, 0, n_values=0, n_requests=0,
+                                nbytes=4 * sum(metrics.shard_bytes.values()))
+    table = hot_shard_table(metrics)
     lines = table.splitlines()
     assert "bytes" in lines[0].split()
+    assert len(lines) > 3
     # Every shard row carries a positive byte volume.
     for line in lines[2:-1]:
         assert float(line.split()[4]) > 0
@@ -237,20 +240,22 @@ def test_report_has_consistency_section():
     rows, _ = sparse_classification(60, 32, 8, seed=3)
     train_linear_ps2(ctx, rows, 32, n_iterations=3, seed=1, optimizer="sgd")
     report = render_report(ctx.cluster)
-    assert "-- consistency & worker cache --" in report
-    section = consistency_table(ctx.cluster)
-    assert "model: ssp (staleness=2)" in section
-    assert "hit_rate" in section
-    assert "staleness-clocks" in section
+    assert "consistency='ssp'" in report and "staleness=2" in report
+    assert "-- worker cache --" in report
+    worker = ctx.cluster.executors[0]
+    assert [worker, str(ctx.cluster.metrics.cache_hits[worker])] == \
+        next(line.split()[:2] for line in report.splitlines()
+             if line.startswith(worker + " "))
+    assert "staleness-clocks" in report
 
 
 def test_bsp_report_consistency_section_is_placeholder(ps2):
     w = ps2.dense(12)
     w.push(np.arange(12.0))
-    section = consistency_table(ps2.cluster)
-    assert "model: bsp" in section
-    assert "(no staleness observations)" in section
-    assert "(worker cache inactive)" in section
+    report = render_report(ps2.cluster)
+    assert "consistency=" not in report
+    assert "staleness-" not in report
+    assert "-- worker cache --\n(none)\n" in report
 
 
 # -- end-to-end ---------------------------------------------------------------

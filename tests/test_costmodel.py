@@ -18,7 +18,8 @@ from hypothesis import strategies as st
 from repro.cluster.cluster import Cluster
 from repro.config import ClusterConfig, NetworkSpec, NodeSpec
 from repro.costs import FLOAT_BYTES
-from repro.obs.report import transport_table
+from repro.cluster import metrics as metrics_module
+from repro.obs.report import hot_shard_table, render_report
 from repro.ps import costmodel as costmodel_module
 from repro.ps import messages, transport
 from repro.ps.client import PSClient
@@ -189,22 +190,27 @@ def test_lossy_codecs_drift_is_bounded_not_hidden():
 
 
 def test_decisions_visible_in_transport_table():
+    """The report's codec table lists each (tag, codec) decision with the
+    wire bytes it saved."""
     cluster, master, client = _rig("auto")
     m = master.create_matrix(64, n_rows=1)
     client.push_add(m, 0, np.linspace(-1.0, 1.0, 64))
     client.pull_row(m, 0)
-    text = transport_table(cluster.metrics)
-    assert "codec" in text
-    assert "int8" in text
+    text = render_report(cluster)
+    assert "-- codec decisions --" in text
     assert "bytes_saved" in text
-    assert "codec wire bytes saved" in text
+    saved = cluster.metrics.codec_bytes_saved[("push", "int8")]
+    assert any(line.split() == ["push", "int8", "1", "%.0f" % saved]
+               for line in text.splitlines())
 
 
 def test_transport_table_without_costmodel_is_unchanged():
     cluster, master, client = _rig("off")
     m = master.create_matrix(64, n_rows=1)
     client.push_add(m, 0, np.linspace(-1.0, 1.0, 64))
-    assert "codec" not in transport_table(cluster.metrics)
+    text = render_report(cluster)
+    section = text.split("-- codec decisions --\n")[1]
+    assert section.startswith("(none)\n")
 
 
 def test_codec_counters_reach_the_snapshot():
@@ -252,7 +258,26 @@ def test_the_cost_models_hot_shards_are_the_telemetrys(matrices):
     model = cluster.costmodel
     model._refresh_hot_shards()
     assert model._hot_shards == _reference_hot_shards(
-        cluster.metrics.shard_heat(), costmodel_module.HOT_FACTOR)
+        cluster.metrics.shard_heat(), metrics_module.HOT_FACTOR)
+
+
+@given(st.lists(st.lists(_heats, min_size=1, max_size=5),
+                min_size=1, max_size=4))
+@example([[4.0, 1.0, 1.0, 2.0], [100.0]])
+@settings(max_examples=50, deadline=None)
+def test_the_reports_hot_shards_are_the_cost_models(matrices):
+    """The report's hot-shard rows are exactly the set the cost model
+    acts on: one rule, one factor."""
+    cluster, _master, _client = _rig("auto")
+    for matrix_id, heats in enumerate(matrices):
+        for server_index, heat in enumerate(heats):
+            cluster.metrics.record_shard_access(matrix_id, server_index, 1,
+                                                nbytes=heat)
+    model = cluster.costmodel
+    model._refresh_hot_shards()
+    rows = hot_shard_table(cluster.metrics).splitlines()[2:-1]
+    assert {(int(row.split()[0]), int(row.split()[1])) for row in rows} \
+        == model._hot_shards
 
 
 # -- the replication gate -----------------------------------------------------

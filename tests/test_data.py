@@ -18,7 +18,6 @@ from repro.data import (
     synthetic_corpus,
 )
 from repro.data.libsvm import dumps_row, loads_row, read_libsvm, write_libsvm
-from repro.data.text import corpus_stats
 from repro.linalg.sparse import SparseRow
 
 
@@ -145,12 +144,6 @@ def test_corpus_shapes():
     for doc in docs:
         assert doc.size == 15
         assert doc.max() < 80
-
-
-def test_corpus_stats():
-    docs, _ = synthetic_corpus(10, 50, doc_length=20, seed=1)
-    n_docs, vocab, tokens = corpus_stats(docs, 50)
-    assert (n_docs, vocab, tokens) == (10, 50, 200)
 
 
 # -- catalog ----------------------------------------------------------------------

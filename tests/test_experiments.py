@@ -11,28 +11,28 @@ from repro.experiments import (
     TRAINER_INDEX,
     WORKLOADS,
     curve_summary,
-    format_seconds,
     format_speedup,
     format_table,
     make_context,
     support_rows,
-    supports,
 )
 from repro.ml.results import TrainResult
 
 
 def test_support_matrix_matches_paper_table3():
     # Spot-check every row against the paper's check marks.
-    assert supports("PS2", "DeepWalk")
-    assert not supports("Spark MLlib", "DeepWalk")
-    assert supports("Spark MLlib", "GBDT")
-    assert not supports("Glint", "LR")
-    assert supports("Glint", "LDA")
-    assert supports("XGboost", "GBDT")
-    assert not supports("XGboost", "LDA")
-    assert not supports("Petuum", "GBDT")
-    assert supports("DistML", "LR")
-    assert all(supports("PS2", w) for w in WORKLOADS)
+    supports = {(system, workload) for system, row in SUPPORT_MATRIX.items()
+                for workload, supported in row.items() if supported}
+    assert ("PS2", "DeepWalk") in supports
+    assert ("Spark MLlib", "DeepWalk") not in supports
+    assert ("Spark MLlib", "GBDT") in supports
+    assert ("Glint", "LR") not in supports
+    assert ("Glint", "LDA") in supports
+    assert ("XGboost", "GBDT") in supports
+    assert ("XGboost", "LDA") not in supports
+    assert ("Petuum", "GBDT") not in supports
+    assert ("DistML", "LR") in supports
+    assert all(("PS2", w) in supports for w in WORKLOADS)
 
 
 def test_only_ps2_covers_everything():
@@ -130,13 +130,6 @@ def test_format_table_title():
 def test_format_speedup():
     assert format_speedup(3.456) == "3.46x"
     assert format_speedup(None) == "n/a"
-
-
-def test_format_seconds_ranges():
-    assert format_seconds(None) == "n/a"
-    assert format_seconds(250.0) == "250 s"
-    assert format_seconds(2.5) == "2.50 s"
-    assert format_seconds(0.003) == "0.0030 s"
 
 
 def test_curve_summary():

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.linalg.sparse import SparseRow, batch_index_union, batch_nnz
+from repro.linalg.sparse import SparseRow, batch_index_union
 from repro.ml import losses
 
 
@@ -100,7 +100,7 @@ def test_hinge_zero_gradient_when_margins_satisfied():
 
 def test_grad_flops_scales_with_nnz():
     rows = make_rows()
-    assert losses.grad_flops(rows) == 6.0 * batch_nnz(rows)
+    assert losses.grad_flops(rows) == 6.0 * sum(row.nnz for row in rows)
 
 
 # -- SparseRow helpers ----------------------------------------------------------

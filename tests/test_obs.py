@@ -459,6 +459,86 @@ def test_report_sections():
     assert "spans recorded" in report
 
 
+def _ssp_fence_and_gate_run():
+    """An SSP cluster whose server crash fences a cached row and whose
+    fast worker then waits at the staleness gate."""
+    cluster = Cluster(ClusterConfig(n_executors=4, n_servers=3, seed=42,
+                                    consistency="ssp", staleness=1))
+    master = PSMaster(cluster)
+    fast, slow = cluster.executors[:2]
+    client = PSClient(cluster, master, fast)
+    m = master.create_matrix(30)
+    client.push_assign(m, 0, np.arange(30.0))
+    master.checkpoint_all()
+    client.pull_row(m, 0)
+    master.server(1).crash()
+    model = cluster.consistency
+    cluster.clock.set_at_least(slow, 5.0)
+    model.advance(cluster, slow)
+    model.advance(cluster, fast)
+    model.advance(cluster, fast)
+    model.sync(cluster, fast)
+    client.pull_row(m, 0)
+    return cluster
+
+
+def _partition_run():
+    from tests.test_chaos import _chaos_cluster
+
+    cluster = _chaos_cluster(partition_windows=(("server-1", 1e-5, 4e-3),))
+    master = PSMaster(cluster)
+    client = PSClient(cluster, master, cluster.executors[0])
+    client.pull_row(master.create_matrix(30), 0)
+    return cluster
+
+
+def _replicated_codec_run():
+    from repro.config import FailureConfig
+    from repro.data import sparse_classification
+    from repro.experiments import make_context
+    from repro.ml import train_logistic_regression
+
+    rows, _ = sparse_classification(120, 48, 10, seed=7)
+    ctx = make_context(
+        n_executors=4, n_servers=3, seed=42, consistency="ssp", staleness=1,
+        replication="topk", wire_codec="auto", rebalance_interval=1e-4,
+        failures=FailureConfig(server_failure_times=((1, 1e-4),),
+                               checkpoint_interval=5e-5),
+    )
+    train_logistic_regression(ctx, rows, 48, n_iterations=6,
+                              optimizer="sgd", seed=1)
+    return ctx.cluster
+
+
+def test_the_report_renders_every_counter_tag_and_latency():
+    """The report is a renderer of the metrics snapshot: over runs that
+    crash, recover, retry, drop on a partition, checkpoint, replicate
+    (hot-key and chain), choose codecs and gate on staleness, every
+    counter (with its value), every traffic tag and every latency tag
+    appears — none is hand-picked."""
+    from tests.test_chaos import _chain_stream, _chaos_run
+
+    clusters = [
+        _chaos_run()[0].cluster, _partition_run(), _replicated_codec_run(),
+        _ssp_fence_and_gate_run(), _chain_stream(crash=True)[0].cluster,
+    ]
+    fired = set()
+    for cluster in clusters:
+        metrics = cluster.metrics
+        rows = [line.split() for line in
+                render_report(cluster).splitlines()]
+        firsts = {row[0] for row in rows if row}
+        for name, count in metrics.counters.items():
+            assert [name, str(count)] in rows
+        assert set(metrics.bytes_by_tag) <= firsts
+        assert set(metrics.latency) <= firsts
+        fired |= set(metrics.counters)
+    assert {"server-crashes", "server-recoveries", "op-retries",
+            "partition-drops", "checkpoints", "replica-promotions",
+            "chain-promotions", "codec-replication-allowed",
+            "staleness-waits", "cache-epoch-fences"} <= fired
+
+
 def test_report_without_tracing():
     ctx = PS2Context(config=ClusterConfig(n_executors=2, n_servers=2,
                                           seed=3))

@@ -10,7 +10,7 @@ import numpy as np
 
 from repro.cluster.cluster import DRIVER, Cluster
 from repro.config import ClusterConfig
-from repro.obs.report import hot_shard_table, replication_table
+from repro.obs.report import hot_shard_table, render_report
 from repro.core.context import PS2Context
 from repro.costs import FLOAT_BYTES
 from repro.ps import messages
@@ -54,7 +54,7 @@ def test_off_mode_constructs_no_manager():
     master = PSMaster(cluster)
     assert master.replicas is None
     assert cluster.replicas is None
-    assert replication_table(cluster) == "(replication off)"
+    assert "replica map" not in render_report(cluster)
 
 
 # -- classification -----------------------------------------------------------
@@ -284,11 +284,14 @@ def test_replication_table_renders_map_and_counters():
     cluster, master, client = _rig()
     m = _heat_and_promote(master, client)
     client.push_add(m, 0, np.ones(10), indices=list(range(10)))
-    text = replication_table(cluster)
-    assert "mode: topk" in text
-    assert "1,2" in text  # the replica set of (m, 0)
-    assert "promotions=2" in text
-    assert "fan-outs=2" in text
+    text = render_report(cluster)
+    assert "replication='topk'" in text
+    rows = [line.split() for line in text.splitlines()]
+    assert [str(m), "0", "1,2"] in rows  # the replica set of (m, 0)
+    assert ["replica-promotions", "2"] in rows
+    assert ["replica-fanouts", "2"] in rows
+    assert "replica state bytes=%.0f" % cluster.replicas.replica_bytes() \
+        in text
 
 
 # -- chain replication: unit coverage -----------------------------------------
@@ -424,20 +427,20 @@ def test_chain_sync_bytes_priced_through_cost_model():
 
 
 def test_chain_report_renders_map_and_promotions():
-    from repro.obs.report import chain_table
-
     cluster, master, client = _chain_rig()
     m = master.create_matrix(30)
     client.push_assign(m, 0, np.arange(30.0))
     master.servers[0].crash()
     client.push_add(m, 0, np.ones(30))  # recover via promotion
-    text = chain_table(cluster)
-    assert "successors per primary: 1" in text
-    assert "promotions=1" in text
-    assert "sync bytes=" in text
-    # Off mode renders the placeholder and nothing else.
+    text = render_report(cluster)
+    assert "chain_replicas=1" in text
+    rows = [line.split() for line in text.splitlines()]
+    assert ["chain-promotions", "1"] in rows
+    assert "chain-sync" in text
+    assert "-- chain promotions --" in text
+    # With the chain off, no replica view renders.
     off_cluster, _m, _c = _chain_rig(chain_replicas=0)
-    assert "off" in chain_table(off_cluster)
+    assert "chain map" not in render_report(off_cluster)
 
 
 # -- coexistence: hot-key replication AND the chain on one cluster -------------

@@ -1,9 +1,8 @@
 """Property tests pinning the PR 7 TimelineResource fast paths.
 
-``reserve`` grew shortcut branches (tail append/merge, extend-final,
-front-gap-miss) and ``reserve_many`` inlines the two hot ones; every
-shortcut claims to be a bit-identical specialization of the general
-probe + ``_insert`` path.  These properties hold the claim down:
+``reserve`` grew shortcut branches (tail append/merge, extend-final)
+and ``reserve_many`` inlines both; every shortcut claims to be a
+bit-identical specialization of the general probe + ``_insert`` path.  These properties hold the claim down:
 
 - ``reserve_many`` is EXACTLY sequential ``reserve`` (same starts, same
   interval list, same ``_busy`` float);
@@ -252,8 +251,8 @@ def test_booking_behind_a_retirement_raises():
     assert timeline.reserve(5.0, 0.5) == 5.0
     assert timeline.reserve(9.0, 1.0) == 9.0
     assert len(timeline) == 4
-    # One live interval left: the front-gap-miss shortcut must not book
-    # a job behind the floor either.
+    # One live interval left: a job behind the floor that misses the gap
+    # before it raises from the general gap walk.
     timeline = _retired_at(7.5)
     assert timeline.intervals() == ([6.0], [7.0])
     with pytest.raises(ClusterError):

@@ -404,9 +404,10 @@ def test_run_serving_elastic_builds_autoscaler_and_report():
     assert any(e["direction"] == "down" for e in result["events"])
     assert result["n_servers"] < 2 or result["n_workers"] < 2
     text = render_report(ctx.cluster)
-    assert "serving tier" in text
-    assert "serve:read" in text or "read" in text
-    assert "lazy rows created=%d" % result["created_rows"] in text
+    assert "-- slo classes --" in text
+    assert "serve:read" in text
+    assert ["lazy-creates", str(result["created_rows"])] in \
+        [line.split() for line in text.splitlines()]
 
 
 def test_run_serving_is_deterministic_under_seed():
@@ -479,7 +480,7 @@ def test_cli_serve_smoke(capsys):
     assert main(["serve", "smoke", "--workers", "2", "--servers", "2",
                  "--seed", "3"]) == 0
     out = capsys.readouterr().out
-    assert "serving tier" in out
+    assert "-- slo classes --" in out
     assert "requests served:" in out
     assert "embedding rows created lazily:" in out
     assert "final topology: 2 servers / 2 workers" in out
