@@ -79,6 +79,22 @@ class MetricsRegistry:
         self.messages_by_tag[tag] += 1
         self.logical_messages_by_tag[tag] += messages
 
+    def record_transfers(self, items):
+        """Bulk-record wire messages between any endpoints: *items* of
+        (src, dst, nbytes, tag, messages), each accounted as
+        :meth:`record_transfer` would, in order."""
+        bytes_sent = self.bytes_sent
+        bytes_received = self.bytes_received
+        bytes_by_tag = self.bytes_by_tag
+        messages_by_tag = self.messages_by_tag
+        logical = self.logical_messages_by_tag
+        for src, dst, nbytes, tag, messages in items:
+            bytes_sent[src] += nbytes
+            bytes_received[dst] += nbytes
+            bytes_by_tag[tag] += nbytes
+            messages_by_tag[tag] += 1
+            logical[tag] += messages
+
     def _record_transfer_star(self, spokes, hubs, hub, items):
         """Bulk-record transfers that share one endpoint: *items* of
         (spoke node, nbytes, tag, messages) all to or from *hub*.

@@ -248,6 +248,44 @@ class NetworkModel:
         self.metrics.record_transfer_gather(dst, metric_items)
         return recv_times
 
+    def transfer_batch(self, items, trace_parent=None):
+        """Book many transfers between any endpoints in one call.
+
+        *items* is a sequence of ``(src, dst, nbytes, tag, messages,
+        depart_at)`` with ``src != dst``, booked ``deliver=False``;
+        returns the ``recv_done`` times aligned with *items*.
+        Bit-identical to one
+        :meth:`transfer` per item in order, spans included (each parents
+        to *trace_parent*): each item's two NIC bookings are made in
+        item order, and the metrics land through one bulk record.  Same
+        partition handling as :meth:`transfer_many`.
+        """
+        if self.failures is not None and self.failures.partitions:
+            return self._each(items, trace_parent)
+        latency = self.latency
+        nic_send = self._nic_send
+        nic_recv = self._nic_recv
+        bandwidth = self._bandwidth
+        traced = self.tracer is not None and self.tracer.enabled
+        recv_times = []
+        metric_items = []
+        for src, dst, nbytes, tag, messages, depart_at in items:
+            total = float(nbytes) + MESSAGE_OVERHEAD_BYTES
+            send_seconds = total / bandwidth[src]
+            recv_seconds = total / bandwidth[dst]
+            depart = nic_send[src].reserve(depart_at, send_seconds)
+            send_done = depart + send_seconds
+            recv_start = nic_recv[dst].reserve(send_done + latency,
+                                               recv_seconds)
+            recv_done = recv_start + recv_seconds
+            recv_times.append(recv_done)
+            metric_items.append((src, dst, total, tag, messages))
+            if traced:
+                self._spans(src, dst, tag, total, depart, send_done,
+                            recv_start, recv_done, trace_parent)
+        self.metrics.record_transfers(metric_items)
+        return recv_times
+
     def _spans(self, src, dst, tag, total, depart, send_done, recv_start,
                recv_done, trace_parent):
         """Record one booked transfer's two NIC spans, parented to

@@ -141,6 +141,35 @@ def _valid(links, reason, epoch):
     return valid
 
 
+class CopyLayout:
+    """One send's copies and how they ship (:meth:`Replicas.copies`).
+
+    ``groups`` holds the copies, one list per (primary, holder) pair in
+    first-appearance order, and per group: ``items``, its booking
+    ``(primary node, holder node, wire bytes, tag, copies)``;
+    ``positions``, its originals' positions in the send's request list
+    (the last of their completions is its departure).  ``increments`` are the ``*-fanouts`` counts, one per
+    reason pass that met a valid link; ``rows`` is ``(row key, primary
+    index, copies)`` per copied non-kernel mutation — the counter a
+    replay refreshes.  ``stamp`` is ``(topology epoch, link-table
+    version)`` at build, ``None`` for a layout that holds a kernel's
+    copies.  A :class:`~repro.ps.transport.FanoutPlan` keeps its
+    layout on ``copy_layout``; :class:`Replicas` alone reads and writes
+    it.
+    """
+
+    __slots__ = ("stamp", "groups", "items", "positions", "increments",
+                 "rows")
+
+    def __init__(self, stamp):
+        self.stamp = stamp
+        self.groups = []
+        self.items = []
+        self.positions = []
+        self.increments = []
+        self.rows = []
+
+
 class Replicas:
     """Coordinator-resident replication over one link table.
 
@@ -173,6 +202,13 @@ class Replicas:
         self.cluster = cluster
         self.master = master
         self.links = {}
+        #: Bumped on every change to ``links``: with the topology epoch,
+        #: the stamp a plan's kept copy layout (:meth:`forward`) and the
+        #: copy-target memo (:meth:`_copy_targets`) are valid under.
+        self._links_version = 0
+        #: ``{(key, primary epoch, reason): holders | None}`` — see
+        #: :meth:`_copy_targets`; cleared with every link change.
+        self._targets = {}
         config = cluster.config
         self.mode = config.replication
         self.m = int(config.chain_replicas)
@@ -217,11 +253,18 @@ class Replicas:
                     and entry.install_epoch == epoch:
                 yield holder, entry
 
+    def _relinked(self):
+        """Note a change to the link table: every stamp and memo derived
+        from it is stale."""
+        self._links_version += 1
+        self._targets.clear()
+
     def _forget(self, key, holder_index, reason):
         """Drop one reason of a link; returns whether it was held."""
         links = self.links.get(key, {})
         if links.get(holder_index, {}).pop(reason, None) is None:
             return False
+        self._relinked()
         if not links[holder_index]:
             del links[holder_index]
             if not links:
@@ -260,6 +303,7 @@ class Replicas:
             return False
         self.links.setdefault(key, {}).setdefault(holder_index, {})[reason] = \
             primary.epoch
+        self._relinked()
         return True
 
     def _stream_bytes(self, reason, rows, versions):
@@ -362,6 +406,7 @@ class Replicas:
         """
         routed = requests
         links = self.links
+        crashing = None
         for position, request in enumerate(requests):
             role = request.role
             if role != messages.READ and role != messages.STANDIN_READ:
@@ -369,14 +414,21 @@ class Replicas:
             key = (request.matrix_id, request.server_index)
             if key not in links:
                 continue
-            target = self._route_read(request, key, links[key])
+            if crashing is None:
+                crashing = self.cluster.failures.crashing_nodes()
+            target = self._route_read(request, key, links[key], crashing)
             if target is not request:
                 if routed is requests:
                     routed = list(requests)
                 routed[position] = target
         return routed
 
-    def _route_read(self, request, key, links):
+    def _route_read(self, request, key, links, crashing):
+        """Where one read of *key* goes.  *crashing* is the set of nodes
+        a server crash is still scheduled for, read once per
+        :meth:`route` call: only a primary in it can be due, so only such
+        a primary is asked :meth:`~repro.ps.server.PSServer.is_alive` —
+        the lane's liveness rule."""
         hot = chain = False
         for reasons in links.values():
             hot = hot or HOT in reasons
@@ -394,7 +446,8 @@ class Replicas:
             if best is not None and best[1] != primary_index:
                 self.cluster.metrics.increment("replica-reads")
                 return request.retargeted(best[1])
-        if not chain or primary.is_alive():
+        if not chain or (primary.is_alive() if primary.node_id in crashing
+                         else primary.alive):
             return request
         ring = max(1, self.master.n_servers)
         copies = sorted(
@@ -429,7 +482,7 @@ class Replicas:
 
     # -- write forward ------------------------------------------------------
 
-    def forward(self, requests, completions, serve):
+    def forward(self, requests, completions, serve, plan=None):
         """Ship the replica upkeep of *requests* from their primaries.
 
         Called by the transport once every original was served;
@@ -438,22 +491,33 @@ class Replicas:
         transport's fan-out lane
         (:func:`~repro.ps.server.serve_fast_fanout`).  First the lazy
         rows the send created (:meth:`_settle_creations`), then the
-        copies of its mutations (:meth:`copies`) — so a push to a row
-        created in the same send finds the row on the holders.
+        copies of its mutations, laid out by :meth:`copies` — so a push
+        to a row created in the same send finds the row on the holders.
+
+        *plan* is the :class:`~repro.ps.transport.FanoutPlan` whose
+        ``requests`` these are, if any: the layout is kept on it
+        (``plan.copy_layout``) and the plan's next send replays it while
+        its stamp — the topology epoch and the link-table version —
+        holds, refreshing only the post-apply counters, the departures
+        and, while tracing is on, the copies' trace contexts.  What the
+        layout derived — the copy targets, the primaries' epochs, the
+        serving server objects — changes only when one of the two moves.
 
         The copies for one (primary, holder) pair travel as one wire
         message, their group, that leaves the *primary's* node when
         its last original completed there — when that message's response
         departs — and is priced like a response: the two NIC bookings
         only, no send CPU, nothing on the writer.  Every group is
-        shipped first, in first-appearance order of its pair; then all
-        groups are served in one pass of *serve*, each from its
-        arrival.  A delivery
-        that cannot happen never reaches a client clock:
+        booked first — in one
+        :meth:`~repro.cluster.network.NetworkModel.transfer_batch` call,
+        in first-appearance order of its pair; then all groups are
+        served in one pass of *serve*, each from its arrival.  A
+        delivery that cannot happen never reaches a client clock:
 
         - a **partition** on either end at departure retries under the
           retry prices of :mod:`repro.costs`, each penalty delaying the
-          departure (:meth:`_ship`); once the budget is
+          departure: while windows are scheduled each group is booked
+          on its own (:meth:`_ship`); once the budget is
           spent the holder's links for the group's keys are forgotten
           and its stale entries evicted, so nothing routes to or promotes
           from them, and the group is not served;
@@ -472,37 +536,48 @@ class Replicas:
         cluster = self.cluster
         master = self.master
         self._settle_creations(requests, completions)
-        copies = self.copies(requests)
-        if not copies:
+        if not self.links:
             return
-        departs = {id(request): completion
-                   for request, completion in zip(requests, completions)}
-        pairs = {}
-        for copy in copies:
-            pairs.setdefault((copy.primary_index, copy.server_index),
-                             []).append(copy)
-        holders = []
-        groups = []
-        arrivals = []
-        for group in pairs.values():
-            first = group[0]
-            holder = master.server(first.server_index)
-            ctx = first.trace_ctx
-            arrival = self._ship(
-                master.server(first.primary_index).node_id,
-                holder.node_id, messages.wire_bytes(group),
-                max(departs[id(copy.inner)] for copy in group),
-                tag=first.tag + ":req", deliver=False, messages=len(group),
-                trace_parent=None if ctx is None else ctx[1],
-            )
-            if arrival is None:
-                self._abandon(holder, sorted({
-                    (matrix_id, copy.primary_index)
-                    for copy in group for matrix_id, _row in copy.versions}))
-                continue
-            holders.append(holder)
-            groups.append(group)
-            arrivals.append(arrival)
+        layout = None if plan is None else plan.copy_layout
+        if layout is None or layout.stamp != (master.topology_epoch,
+                                              self._links_version):
+            layout = self.copies(requests)
+            if plan is not None:
+                plan.copy_layout = layout
+        else:
+            self._refresh(layout)
+        metrics = cluster.metrics
+        for counter, amount in layout.increments:
+            metrics.increment(counter, amount)
+        groups = layout.groups
+        if not groups:
+            return
+        servers = master.servers
+        items = [item + (max([completions[p] for p in positions]),)
+                 for item, positions in zip(layout.items, layout.positions)]
+        # Every copy of one send is caused by its one client op.
+        ctx = groups[0][0].trace_ctx
+        trace_parent = None if ctx is None else ctx[1]
+        holders = [servers[group[0].server_index] for group in groups]
+        if not cluster.failures.partitions:
+            arrivals = cluster.network.transfer_batch(items, trace_parent)
+        else:
+            shipped = []
+            arrivals = []
+            for holder, group, item in zip(holders, groups, items):
+                source, target, nbytes, tag, count, depart = item
+                arrival = self._ship(source, target, nbytes, depart, tag=tag,
+                                     deliver=False, messages=count,
+                                     trace_parent=trace_parent)
+                if arrival is None:
+                    self._abandon(holder, sorted({
+                        (matrix_id, copy.primary_index)
+                        for copy in group for matrix_id, _row in copy.versions}))
+                    continue
+                shipped.append((holder, group))
+                arrivals.append(arrival)
+            holders = [holder for holder, _group in shipped]
+            groups = [group for _holder, group in shipped]
         replies, done = serve(cluster, holders, groups, arrivals)
         # Fencing never raises, so a copy only fails on a down holder.
         down = []
@@ -521,7 +596,7 @@ class Replicas:
                         gaps.setdefault(key, set()).update(self.links.get(
                             key, {}).get(holder.server_index, ()))
         for server_index in down:
-            cluster.metrics.increment("replica-fanout-recoveries")
+            metrics.increment("replica-fanout-recoveries")
             master.recover(server_index)
         for key, reasons in gaps.items():
             if HOT in reasons:
@@ -530,65 +605,123 @@ class Replicas:
                 self.sync_key(*key)
 
     def copies(self, requests):
-        """Copies of every mutation in *requests*, post-apply.
+        """The :class:`CopyLayout` of every mutation in *requests*.
 
         Built after the originals were served, so the primaries' per-row
         counters already reflect the mutations — each copy snapshots
         those counters plus the primary's epoch as its
         idempotence/fencing token.  A holder gets one copy per mutation,
         built in the pass of the first reason its link is valid for (hot
-        copies first, then chain copies, each pass in request order).
+        copies first, then chain copies, each pass in request order;
+        :meth:`_copy_targets`), and each pass counts its copies once.
+        Copies are grouped per (primary, holder) pair in first-appearance
+        order.  A kernel's targets are decided afresh
+        (:meth:`_kernel_targets`, which may react), so a layout holding
+        one is stamped ``None`` and never replayed.
         Assumes one client op never sends two mutations for the same
         (matrix, row, server): every client op builds one message per
         (row, shard), and a block push refuses a repeated row
         (:meth:`~repro.ps.client.PSClient.push_block_add`).
         """
-        if not self.links:
-            return []
-        out = []
-        metrics = self.cluster.metrics
+        layout = CopyLayout((self.master.topology_epoch, self._links_version))
         servers = self.master.servers
         table = self.links
         first = self.reasons[0]
+        pairs = {}
         for reason in self.reasons:
-            for request in requests:
+            counted = None
+            for position, request in enumerate(requests):
                 if request.role != messages.MUTATION:
                     continue
-                primary = servers[request.server_index]
+                primary_index = request.server_index
+                primary = servers[primary_index]
                 epoch = primary.epoch
                 if request.__class__ is messages.KernelRequest:
-                    valid = self._kernel_targets(request, primary, reason)
-                    rows = request.operands
-                    key = (rows[0][0], request.server_index)
+                    layout.stamp = None
+                    targets = self._kernel_targets(request, primary, reason)
+                    if not targets:
+                        continue
+                    if reason is not first:
+                        # Holders whose link is valid for the first reason
+                        # already got their copy in its pass.
+                        links = table[(request.operands[0][0], primary_index)]
+                        targets = [holder for holder in targets
+                                   if links[holder].get(first) != epoch]
+                    versions = {
+                        (m, int(row)): primary.versions.get((m, int(row)), 0)
+                        for m, row in request.operands
+                    }
+                    row_key = None
                 else:
-                    key = (request.matrix_id, request.server_index)
+                    key = (request.matrix_id, primary_index)
                     if key not in table:
                         continue
-                    valid = _valid(table[key], reason, epoch)
-                    rows = ((request.matrix_id, request.row),)
-                if not valid:
+                    targets = self._copy_targets(key, epoch, reason)
+                    if targets is None:
+                        continue
+                    row_key = (request.matrix_id, int(request.row))
+                    versions = {row_key: primary.versions.get(row_key, 0)}
+                counted = len(targets) + (counted or 0)
+                if not targets:
                     continue
-                if reason is not first:
-                    # Holders whose link is valid for the first reason
-                    # already got their copy in its pass.
-                    links = table[key]
-                    valid = [holder for holder in valid
-                             if first not in links[holder]
-                             or links[holder][first] != epoch]
-                versions = {
-                    (m, int(row)): primary.versions.get((m, int(row)), 0)
-                    for m, row in rows
-                }
-                made = [
-                    messages.ReplicatedPushRequest(
-                        holder_index, request, request.server_index,
-                        epoch, versions,
-                    )
-                    for holder_index in valid
-                ]
-                metrics.increment(_TAGS[reason][2], len(made))
-                out.extend(made)
-        return out
+                made = []
+                for holder_index in targets:
+                    copy = messages.ReplicatedPushRequest(
+                        holder_index, request, primary_index, epoch, versions)
+                    made.append(copy)
+                    pair = (primary_index, holder_index)
+                    index = pairs.get(pair)
+                    if index is None:
+                        index = pairs[pair] = len(layout.groups)
+                        layout.groups.append([])
+                        layout.positions.append([])
+                    layout.groups[index].append(copy)
+                    layout.positions[index].append(position)
+                if row_key is not None:
+                    layout.rows.append((row_key, primary_index, made))
+            if counted is not None:
+                layout.increments.append((_TAGS[reason][2], counted))
+        layout.items = [
+            (servers[group[0].primary_index].node_id,
+             servers[group[0].server_index].node_id,
+             messages.wire_bytes(group), group[0].tag + ":req", len(group))
+            for group in layout.groups]
+        return layout
+
+    def _copy_targets(self, key, epoch, reason):
+        """The holders a write to *key* sends a copy to in *reason*'s
+        pass, with its primary at *epoch*: those linked for *reason* at
+        *epoch* (:func:`_valid`), less those the first reason's pass
+        already covered — ``None`` when no link is valid for *reason*
+        (the pass then does not count the write).  Memoized until the
+        link table next changes."""
+        memo = (key, epoch, reason)
+        try:
+            return self._targets[memo]
+        except KeyError:
+            pass
+        links = self.links[key]
+        targets = _valid(links, reason, epoch) or None
+        first = self.reasons[0]
+        if targets is not None and reason is not first:
+            targets = [holder for holder in targets
+                       if links[holder].get(first) != epoch]
+        self._targets[memo] = targets
+        return targets
+
+    def _refresh(self, layout):
+        """Bring a replayed *layout*'s copies up to this send: the
+        primaries' post-apply counters and, while tracing is on, the
+        originals' trace contexts."""
+        servers = self.master.servers
+        for row_key, primary_index, made in layout.rows:
+            counter = servers[primary_index].versions.get(row_key, 0)
+            for copy in made:
+                copy.versions[row_key] = counter
+        if self.cluster.tracer.enabled:
+            for group in layout.groups:
+                for copy in group:
+                    copy.trace_ctx = copy.inner.trace_ctx
 
     def _kernel_targets(self, request, primary, reason):
         """Kernel fan-out is all-or-nothing across the operand matrices.

@@ -76,11 +76,16 @@ class FanoutPlan:
     (:meth:`~repro.ps.costmodel.CostModel.identity_tags`): when set, every
     decision the plan's messages make is identity whatever the regime, so
     the transport records them in one call instead of preparing each
-    message, and the client may pool the plan.
+    message, and the client may pool the plan.  Under replication
+    :meth:`~repro.ps.replication.Replicas.forward` keeps the plan's
+    replica upkeep on ``copy_layout`` (a
+    :class:`~repro.ps.replication.CopyLayout`, stamped with the
+    topology epoch and the link-table version it was built under), so a
+    plan sent again replays its copies too.
     """
 
     __slots__ = ("requests", "placements", "snapshot", "outgoing", "bulk",
-                 "identity_tags")
+                 "identity_tags", "copy_layout")
 
     def __init__(self, requests, placements, snapshot=None):
         self.requests = requests
@@ -89,6 +94,7 @@ class FanoutPlan:
         self.outgoing = None
         self.bulk = None
         self.identity_tags = None
+        self.copy_layout = None
 
 
 class Transport:
@@ -245,6 +251,9 @@ class Transport:
         server objects and must force a rebuild).  Routing never assigns
         to a request, so the plan is used as is unless a read was
         actually rerouted — the derived list is then grouped afresh.
+        The forward is handed the plan either way: copies are of
+        mutations, which are never rerouted, so their layout is the
+        plan's.
         """
         cluster = self.cluster
         costmodel = cluster.costmodel
@@ -257,13 +266,12 @@ class Transport:
                 costmodel.record_identity(tags)
         replicas = cluster.replicas
         sent = requests if replicas is None else replicas.route(requests)
-        if sent is not requests:
-            plan = None
-        outgoing = None if plan is None else plan.outgoing
+        grouped = plan if sent is requests else None
+        outgoing = None if grouped is None else grouped.outgoing
         if outgoing is None:
             outgoing = self._coalesce(sent)
-            if plan is not None:
-                plan.outgoing = outgoing
+            if grouped is not None:
+                grouped.outgoing = outgoing
         trace_parent = self._trace(outgoing) if cluster.tracer.enabled \
             else None
         self._charge_rpc(len(outgoing))
@@ -284,11 +292,11 @@ class Transport:
         completions = values[:]
         if outgoing:
             epoch = self.master.topology_epoch
-            bulk = None if plan is None else plan.bulk
+            bulk = None if grouped is None else grouped.bulk
             if bulk is None or bulk[0] != epoch:
                 bulk = self._bulk_plan(outgoing, epoch)
-                if plan is not None:
-                    plan.bulk = bulk
+                if grouped is not None:
+                    grouped.bulk = bulk
             if bulk[2]:
                 cluster.metrics.record_shard_access_many(bulk[2])
             for entry, error in self._transmit_bulk(
@@ -297,7 +305,7 @@ class Transport:
                 self._retry(entry, error, values, arrivals, completions,
                             trace_parent)
         if replicas is not None:
-            replicas.forward(requests, completions, serve_fast_fanout)
+            replicas.forward(requests, completions, serve_fast_fanout, plan)
         return values, arrivals
 
     def _retry(self, entry, error, values, arrivals, completions,

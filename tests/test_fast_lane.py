@@ -29,7 +29,15 @@ only where the stream asks) on, reads are rerouted, copies and lazy-row
 syncs are forwarded from the primaries and the copies served on the
 lane, and the phased rig, the per-message one and the unpooled rig must
 still agree on all of the above plus every replica copy and holder map —
-across rebalance sweeps, and with failures fired.  The lane's service of
+across rebalance sweeps, and with failures fired.  A pooled plan keeps
+its copy layout and replays it on its next send while the topology and
+the link table stand still: a traced rig doing so must equal one that
+lays its copies out afresh on every send (the forward never handed the
+plan, a test-only lever) — replica stores and counters, CPU and NIC
+intervals, clocks, spans and the metrics snapshot — across sweeps that
+promote and demote, direct writes, crashes with recoveries, a holder
+left down and resizes; a demotion or a primary recovery between two
+sends of one pooled push lays it out afresh.  The lane's service of
 hand-built copies of every kind (fenced and already-covered ones
 included) and of pull-or-create requests (present rows beside creations,
 chain stand-ins and a due crash) is pinned by digest, taken while it was
@@ -181,7 +189,8 @@ class _Rig:
     plus a lazy table."""
 
     def __init__(self, per_message=False, pooled=True, consistency="bsp",
-                 replicated=False, traced=False, codec="off", nics=SLOW_NICS):
+                 replicated=False, traced=False, codec="off", nics=SLOW_NICS,
+                 replay_copies=True):
         knobs = dict(REPLICATED) if replicated else {}
         if codec != "off":
             knobs.update(nics, wire_codec=codec)
@@ -194,6 +203,13 @@ class _Rig:
             self.cluster.tracer.enable()
         self.per_message = per_message
         self.master = PSMaster(self.cluster)
+        if not replay_copies:
+            # The forward is never handed the plan it keeps its copy
+            # layout on, so every send lays its copies out afresh.
+            forward = self.cluster.replicas.forward
+            self.cluster.replicas.forward = \
+                lambda requests, completions, serve, plan=None: forward(
+                    requests, completions, serve)
         self.clients = [
             PSClient(self.cluster, self.master, node_id)
             for node_id in self.cluster.executors
@@ -1023,6 +1039,177 @@ def test_auto_on_the_knee_pools_only_tier_zero_plans_and_matches_unpooled():
     # plans (keyed on a shared index array) are.
     kinds = {key[0] for key, _plan in pooled.pool()}
     assert kinds and kinds <= {"pull-sparse", "push-sparse"}, kinds
+
+
+# -- the replayed copy layout == the copy layout laid out every send ---------
+
+
+def _direct_write(rig, row, slot, seed):
+    """What realignment does to one shard of the column-layout matrix's
+    *row*: an assign served on its primary outside any send, then
+    reported to the holder table."""
+    master = rig.master
+    matrix = rig.matrices[0]
+    shards = master.layout(matrix).shards_for_row(row)
+    server_index, start, stop = shards[slot % len(shards)]
+    server = master.server(server_index)
+    server_module.serve_one(server, messages.PushRequest(
+        server_index, matrix, row, _values(seed, stop - start),
+        indices=np.arange(start, stop, dtype=np.int64), mode="assign"),
+        rig.cluster.clock.now(server.node_id))
+    rig.cluster.replicas.on_direct_write(matrix, server_index)
+
+
+def _upkeep_outcome(rig, op):
+    """:func:`_outcome`, plus the table-changing ops: a direct write, a
+    crash with its recovery, a server left down, a resize."""
+    kind = op[0]
+    master = rig.master
+    try:
+        if kind == "direct":
+            return _direct_write(rig, *op[2:])
+        if kind in ("crash", "down"):
+            index = op[2] % master.n_servers
+            master.servers[index].crash()
+            if kind == "crash":
+                master.recover(index)
+            return None
+        if kind == "resize":
+            master.resize_servers(op[2])
+            return None
+    except ReproError as error:
+        return type(error)
+    return _outcome(rig, op)
+
+
+def _nic_intervals(rig):
+    network = rig.cluster.network
+    return {node: (network._nic_send[node].intervals(),
+                   network._nic_recv[node].intervals())
+            for node in rig.cluster.clock.nodes()}
+
+
+def _run_replayed(stream):
+    """A traced, replicated rig whose pooled plans replay their copy
+    layouts == the same rig laying its copies out on every send: state,
+    NIC intervals and spans.  Returns the replaying rig and how many
+    sends replayed a layout."""
+    replayed = _Rig(replicated=True, traced=True)
+    rebuilt = _Rig(replicated=True, traced=True, replay_copies=False)
+    replays = []
+    refresh = replayed.cluster.replicas._refresh
+    replayed.cluster.replicas._refresh = \
+        lambda layout: replays.append(layout) or refresh(layout)
+    _run_same(stream, replayed, rebuilt, run=_upkeep_outcome)
+    assert _nic_intervals(replayed) == _nic_intervals(rebuilt)
+    assert _canonical_spans(replayed) == _canonical_spans(rebuilt)
+    return replayed, len(replays)
+
+
+_pooled_specs = st.one_of(st.none(), st.integers(0, 1))
+_upkeep_ops = st.one_of(
+    st.tuples(st.just("push"), _clients, _matrices, _rows,
+              st.sampled_from(["add", "assign"]), _pooled_specs, _seeds),
+    st.tuples(st.just("pull"), _clients, _matrices, _rows, _pooled_specs),
+    st.tuples(st.just("push_block"), _clients, _matrices, _row_sets,
+              _pooled_specs, _seeds),
+    st.tuples(st.just("create"), _clients,
+              st.lists(st.integers(0, N_IDS - 1), min_size=1, max_size=4)),
+    st.tuples(st.just("rebalance"), _clients),
+    st.tuples(st.just("direct"), _clients, _rows, st.integers(0, 2), _seeds),
+    st.tuples(st.sampled_from(["crash", "down"]), _clients,
+              st.integers(0, 3)),
+    st.tuples(st.just("resize"), _clients, st.integers(2, 4)),
+)
+
+#: Pooled pushes replayed around a sweep that promotes, a direct write, a
+#: holder left down (server 2, row 1's chain successor on the row
+#: layout), a crash with its recovery and a resize.
+_UPKEEP_STREAM = (
+    [("pull", 0, 0, 1, None)] * 3 + [("rebalance", 0)]
+    + [("push", slot, 0, 1, "add", None, slot) for slot in range(3)]
+    + [("push", 1, 0, 2, "assign", 0, 7)] * 3
+    + [("direct", 2, 1, 0, 8), ("push", 0, 0, 1, "add", None, 9),
+       ("down", 0, 2), ("push", 1, 1, 1, "add", None, 10),
+       ("push", 1, 0, 1, "add", None, 10),
+       ("crash", 0, 1), ("push", 2, 0, 1, "add", None, 11),
+       ("resize", 0, 4), ("push", 0, 0, 1, "add", None, 12),
+       ("push", 0, 0, 1, "add", None, 13), ("create", 1, [1, 5])]
+)
+
+
+#: One pooled dense push, sent again after every op of the law's streams.
+_POOLED_PUSH = ("push", 0, 0, 1, "add", None, 1)
+
+
+def _between_pooled_pushes(stream):
+    """*stream* with :data:`_POOLED_PUSH` after every op, behind a sweep
+    that promotes its keys: one plan sent across every change the stream
+    makes to the table."""
+    out = [("pull", 0, 0, 1, None)] * 3 + [("rebalance", 0), _POOLED_PUSH]
+    for op in stream:
+        out += [op, _POOLED_PUSH]
+    return out
+
+
+@given(stream=st.lists(_upkeep_ops, min_size=1, max_size=12))
+@example(stream=_UPKEEP_STREAM)
+@settings(max_examples=30, deadline=None)
+def test_a_replayed_copy_layout_equals_one_laid_out_every_send(stream):
+    _run_replayed(_between_pooled_pushes(stream))
+
+
+def test_the_upkeep_stream_replays_copy_layouts():
+    replayed, replays = _run_replayed(_UPKEEP_STREAM)
+    assert replays >= 4
+    counters = replayed.cluster.metrics.counters
+    for name in ("replica-fanouts", "chain-fanouts", "replica-promotions",
+                 "replica-direct-write-demotions",
+                 "replica-fanout-recoveries", "server-recoveries"):
+        assert counters.get(name, 0) > 0, name
+
+
+def _push_layouts(stream, between):
+    """Send one pooled dense push three times — built, replayed, and
+    after *between* — on both rigs; returns the replaying rig's layouts
+    after each send."""
+    push = ("push", 0, 0, 1, "add", None, 1)
+    rigs = (_Rig(replicated=True, traced=True),
+            _Rig(replicated=True, traced=True, replay_copies=False))
+    _run_same(stream + [push], *rigs, run=_upkeep_outcome)
+    replayed = rigs[0]
+    key = ("push-dense", replayed.matrices[0], 1, "add")
+    layouts = [dict(replayed.pool())[key].copy_layout]
+    for ops in ([push], between + [push]):
+        _run_same(ops, *rigs, run=_upkeep_outcome)
+        layouts.append(dict(replayed.pool())[key].copy_layout)
+    for rig in rigs[1:]:
+        assert _nic_intervals(replayed) == _nic_intervals(rig)
+        assert _canonical_spans(replayed) == _canonical_spans(rig)
+    assert layouts[1] is layouts[0]
+    assert layouts[2] is not layouts[0]
+    return replayed, layouts
+
+
+def test_a_demotion_between_two_sends_of_a_pooled_push_lays_it_out_afresh():
+    heat = [("pull", 0, 0, 1, None)] * 3 + [("rebalance", 0)]
+    # Other keys turn hotter, so the next sweep demotes the push's key.
+    cool = [("pull", 0, 1, 0, None), ("pull", 0, 1, 2, None)] * 6 \
+        + [("rebalance", 0)]
+    replayed, layouts = _push_layouts(heat, cool)
+    tags = [{counter for counter, _n in layout.increments}
+            for layout in layouts]
+    assert tags[0] == {"replica-fanouts", "chain-fanouts"}
+    assert tags[2] == {"chain-fanouts"}
+    assert replayed.cluster.metrics.counters["replica-demotions"] > 0
+
+
+def test_a_primary_recovery_between_two_sends_of_a_pooled_push_lays_it_out_afresh():
+    replayed, layouts = _push_layouts([], [("crash", 0, 0)])
+    epochs = [{copy.epoch for group in layout.groups for copy in group
+               if copy.primary_index == 0} for layout in layouts]
+    assert epochs[0] == {0} and epochs[2] == {1}
+    assert layouts[2].stamp[0] > layouts[0].stamp[0]
 
 
 # -- the lane's service of copies and lazy reads, pinned ----------------------

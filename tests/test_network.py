@@ -1,12 +1,16 @@
 """Unit tests for the NIC-serialized network model."""
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from repro.cluster.failures import FailureInjector
 from repro.cluster.metrics import MetricsRegistry
 from repro.cluster.network import NetworkModel
 from repro.cluster.simclock import SimClock
-from repro.common.errors import UnknownNodeError
+from repro.common.errors import NetworkPartitionedError, UnknownNodeError
 from repro.costs import MESSAGE_OVERHEAD_BYTES
+from repro.obs.tracer import Tracer
 
 
 @pytest.fixture
@@ -103,3 +107,55 @@ def test_utilization_tracking(net):
     _, recv_busy = net.nic_utilization("b")
     assert send_busy == pytest.approx(1.0)
     assert recv_busy == pytest.approx(1.0)
+
+
+def _traced_net(partitioned):
+    clock = SimClock()
+    metrics = MetricsRegistry()
+    failures = FailureInjector(rng=None)
+    if partitioned:
+        failures.schedule_partition("c", 0.01, 0.03)
+    model = NetworkModel(clock, metrics, latency=1e-3, default_bandwidth=1e6,
+                         tracer=Tracer(clock, enabled=True), failures=failures)
+    for node, bandwidth in (("a", 1e6), ("b", 2e6), ("c", 5e5)):
+        clock.register(node)
+        model.register(node, bandwidth)
+    return model
+
+
+def _transfer_or_error(net, src, dst, nbytes, tag, count, depart):
+    try:
+        return net.transfer(src, dst, nbytes, tag=tag, deliver=False,
+                            depart_at=depart, messages=count, trace_parent=7)
+    except NetworkPartitionedError as error:
+        return error
+
+
+_batch_items = st.lists(st.tuples(
+    st.sampled_from([("a", "b"), ("a", "c"), ("b", "a"), ("b", "c"),
+                     ("c", "a"), ("c", "b")]),
+    st.integers(0, 5000), st.sampled_from(["x:req", "y:req"]),
+    st.integers(1, 4), st.floats(0.0, 0.05)), max_size=12)
+
+
+@given(items=_batch_items, partitioned=st.booleans())
+@settings(max_examples=60, deadline=None)
+def test_a_batch_books_as_one_transfer_per_item(items, partitioned):
+    items = [(src, dst, nbytes, tag, count, depart)
+             for (src, dst), nbytes, tag, count, depart in items]
+    batched, single = _traced_net(partitioned), _traced_net(partitioned)
+    arrivals = batched.transfer_batch(items, trace_parent=7)
+    expected = [_transfer_or_error(single, *item) for item in items]
+    assert [type(arrival) for arrival in arrivals] \
+        == [type(arrival) for arrival in expected]
+    assert [arrival for arrival in arrivals if type(arrival) is float] \
+        == [arrival for arrival in expected if type(arrival) is float]
+    for node in ("a", "b", "c"):
+        for nics in ("_nic_send", "_nic_recv"):
+            assert getattr(batched, nics)[node].intervals() \
+                == getattr(single, nics)[node].intervals()
+    assert batched.metrics.snapshot() == single.metrics.snapshot()
+    assert [(span.node, span.op, span.cat, span.start, span.end, span.args,
+             span.parent_id) for span in batched.tracer.spans] \
+        == [(span.node, span.op, span.cat, span.start, span.end, span.args,
+             span.parent_id) for span in single.tracer.spans]

@@ -249,7 +249,8 @@ def test_kernel_fan_out_is_all_or_nothing():
     assert manager.replica_set(b, 0) == [1, 2]
     kernel = messages.KernelRequest(0, "axpy", [(a, 0), (b, 0)])
     # Identical valid replica sets: one fan-out copy per common replica.
-    extras = manager.copies([kernel])
+    extras = [copy for group in manager.copies([kernel]).groups
+              for copy in group]
     assert [e.server_index for e in extras] == [1, 2]
     assert all(isinstance(e, messages.ReplicatedPushRequest) for e in extras)
     # Break the symmetry: only one operand still replicated -> a replica
@@ -257,7 +258,7 @@ def test_kernel_fan_out_is_all_or_nothing():
     manager._demote((b, 0))
     demotions_before = cluster.metrics.counters.get(
         "replica-kernel-demotions", 0)
-    assert manager.copies([kernel]) == []
+    assert manager.copies([kernel]).groups == []
     assert cluster.metrics.counters["replica-kernel-demotions"] \
         == demotions_before + 1
     assert (a, 0) not in manager.keys("hot")
