@@ -126,9 +126,9 @@ PINS = {
     ],
     # Fixed scale: ignores REPRO_BENCH_ITERATIONS.
     "test_ablation_colocated_vs_realigned_dot": [
-        (0.0009049336000000003, 104640.0),
-        (0.0009076336000000003, 824640.0),
-        (0.0014644352000000001, 8024640.0),
+        (0.0009049336000000003, 185600.0),
+        (0.0009345120000000002, 1625600.0),
+        (0.0021045120000000002, 16025600.0),
     ],
     # Fixed scale (4 iterations): ignores REPRO_BENCH_ITERATIONS.
     "test_ablation_sparse_pull_vs_dense_pull": [

@@ -7,6 +7,11 @@ expected shape: relaxing the model monotonically shrinks the makespan
 task timeline), while the final loss drifts away from BSP's as workers
 compute gradients on cached, stale weights.
 
+What it measures is the worker cache, not the staleness gate: on this
+workload the gate never blocks (``ssp_waits`` reads 0 for SSP(1) and
+SSP(3), and SSP(3) equals ASP, which shares its cache bound), so the
+makespan column falls with the cache hit rate.
+
 SGD is used rather than Adam: momentum-style optimizers amplify stale
 gradients into divergence, which would make the loss column noise rather
 than signal.  With SGD the drift stays within ``LOSS_BOUND`` of BSP at

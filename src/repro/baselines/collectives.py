@@ -29,15 +29,16 @@ def ring_allreduce(cluster, executors, nbytes, tag="allreduce"):
     steps = 2 * (n - 1)
     per_node_bytes = steps * (chunk + MESSAGE_OVERHEAD_BYTES)
     duration = 0.0
-    for position, node in enumerate(executors):
+    for node in executors:
         bandwidth = cluster.network.bandwidth_of(node)
         duration = max(
             duration,
             per_node_bytes / bandwidth + steps * cluster.network.latency,
         )
-        # Account traffic: each node sends `steps` chunks to its ring neighbor.
-        neighbor = executors[(position + 1) % n]
-        cluster.metrics.record_transfer(node, neighbor, per_node_bytes, tag=tag)
+    # Account traffic: each node sends `steps` chunks to its ring neighbor.
+    cluster.metrics.record_transfer_many([
+        (node, executors[(position + 1) % n], per_node_bytes, tag, 1)
+        for position, node in enumerate(executors)])
     end = start + duration
     for node in executors:
         cluster.clock.set_at_least(node, end)

@@ -67,22 +67,14 @@ class MetricsRegistry:
 
     # -- recording ---------------------------------------------------------
 
-    def record_transfer(self, src, dst, nbytes, tag="transfer", messages=1):
-        """Account one *src* -> *dst* wire message of *nbytes* under *tag*.
+    def record_transfer_many(self, items):
+        """Account wire messages: *items* of (src, dst, nbytes, tag,
+        messages), each one *src* -> *dst* message of *nbytes* under *tag*,
+        in order.
 
-        *messages* is the number of logical requests the wire message
+        *messages* is the number of logical requests a wire message
         carries (> 1 for a coalesced group).
         """
-        self.bytes_sent[src] += nbytes
-        self.bytes_received[dst] += nbytes
-        self.bytes_by_tag[tag] += nbytes
-        self.messages_by_tag[tag] += 1
-        self.logical_messages_by_tag[tag] += messages
-
-    def record_transfers(self, items):
-        """Bulk-record wire messages between any endpoints: *items* of
-        (src, dst, nbytes, tag, messages), each accounted as
-        :meth:`record_transfer` would, in order."""
         bytes_sent = self.bytes_sent
         bytes_received = self.bytes_received
         bytes_by_tag = self.bytes_by_tag
@@ -94,61 +86,6 @@ class MetricsRegistry:
             bytes_by_tag[tag] += nbytes
             messages_by_tag[tag] += 1
             logical[tag] += messages
-
-    def _record_transfer_star(self, spokes, hubs, hub, items):
-        """Bulk-record transfers that share one endpoint: *items* of
-        (spoke node, nbytes, tag, messages) all to or from *hub*.
-
-        *spokes* / *hubs* are the per-node byte ledgers of the two ends
-        (``bytes_received`` / ``bytes_sent`` for a fan-out, swapped for a
-        gather).  Wire byte counts are integer-valued floats (well below
-        2**53), so scalar accumulation followed by one ``+=`` per
-        aggregate is exact — bit-identical to per-message
-        :meth:`record_transfer` — while doing one dict update per item
-        instead of five.  Per-tag sums are flushed per run of equal tags
-        (fan-outs are usually single-tag).
-        """
-        bytes_by_tag = self.bytes_by_tag
-        messages_by_tag = self.messages_by_tag
-        logical = self.logical_messages_by_tag
-        total = 0.0
-        tag0 = None
-        tag_sum = 0.0
-        tag_msgs = 0
-        tag_logical = 0
-        for spoke, nbytes, tag, messages in items:
-            spokes[spoke] += nbytes
-            total += nbytes
-            if tag is tag0 or tag == tag0:
-                tag_sum += nbytes
-                tag_msgs += 1
-                tag_logical += messages
-            else:
-                if tag_msgs:
-                    bytes_by_tag[tag0] += tag_sum
-                    messages_by_tag[tag0] += tag_msgs
-                    logical[tag0] += tag_logical
-                tag0 = tag
-                tag_sum = nbytes
-                tag_msgs = 1
-                tag_logical = messages
-        if tag_msgs:
-            bytes_by_tag[tag0] += tag_sum
-            messages_by_tag[tag0] += tag_msgs
-            logical[tag0] += tag_logical
-        hubs[hub] += total
-
-    def record_transfer_fanout(self, src, items):
-        """Bulk-record a one-source fan-out: *items* of (dst, nbytes, tag,
-        messages), all sharing *src*."""
-        self._record_transfer_star(self.bytes_received, self.bytes_sent,
-                                   src, items)
-
-    def record_transfer_gather(self, dst, items):
-        """Bulk-record a one-sink gather: *items* of (src, nbytes, tag,
-        messages), all sharing *dst*."""
-        self._record_transfer_star(self.bytes_sent, self.bytes_received,
-                                   dst, items)
 
     def record_compute(self, node_id, seconds, tag="compute"):
         """Account *seconds* of virtual compute on *node_id*."""

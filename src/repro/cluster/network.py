@@ -99,181 +99,85 @@ class NetworkModel:
         feeds the coalescing-efficiency accounting.  ``trace_parent``
         parents the two NIC spans to the causing span (the client op or the
         stage) instead of whatever happens to be open on the endpoint
-        nodes; pure observability, never a cost input.
+        nodes; pure observability, never a cost input.  A transfer that
+        meets a partition window raises :class:`NetworkPartitionedError`.
+
+        One item of :meth:`transfer_many`, the one place a transfer is
+        booked.
         """
-        if src == dst:
-            # Local hand-off: no wire cost, still counted as a message so
-            # protocol-level accounting stays comparable across placements.
-            self.metrics.record_transfer(src, dst, 0, tag=tag,
-                                         messages=messages)
-            return self.clock.now(src)
-        total = float(nbytes) + MESSAGE_OVERHEAD_BYTES
-        send_seconds = total / self.bandwidth_of(src)
-        recv_seconds = total / self.bandwidth_of(dst)
-
-        earliest = self.clock.now(src) if depart_at is None else depart_at
-        # Probe first, commit after the partition check: the message hits
-        # the wire at the *post-NIC-queue* ``depart``, so that is when the
-        # partition windows apply — a backlog can push a transfer into (or
-        # out of) a window that was inactive (or active) at ``earliest``.
-        # A dropped attempt never consumes NIC capacity.
-        sender_nic = self._nic_send[src]
-        index, depart = sender_nic.probe(earliest, send_seconds)
-        failures = self.failures
-        if failures is not None and failures.partitions:
-            if failures.partition_active(src, depart) \
-                    or failures.partition_active(dst, depart):
-                self.metrics.increment("partition-drops")
-                raise NetworkPartitionedError(
-                    "transfer %s -> %s departing t=%.6f hit a network "
-                    "partition" % (src, dst, depart)
-                )
-        sender_nic.commit(index, depart, send_seconds)
-        send_done = depart + send_seconds
-
-        recv_start = self._nic_recv[dst].reserve(
-            send_done + self.latency, recv_seconds
-        )
-        recv_done = recv_start + recv_seconds
-
-        self.metrics.record_transfer(src, dst, total, tag=tag,
-                                     messages=messages)
-        if self.tracer is not None and self.tracer.enabled:
-            self._spans(src, dst, tag, total, depart, send_done, recv_start,
-                        recv_done, trace_parent)
+        recv_done = self.transfer_many(
+            [(src, dst, nbytes, tag, messages, depart_at)], trace_parent)[0]
+        if recv_done.__class__ is NetworkPartitionedError:
+            raise recv_done
         if deliver:
             self.clock.set_at_least(dst, recv_done)
         return recv_done
 
-    def transfer_many(self, src, items, trace_parent=None):
-        """Book a fan-out — many transfers leaving *src* — in one call.
-
-        *items* is a sequence of ``(dst, nbytes, tag, messages)``; every
-        transfer departs no earlier than the sender's clock and is booked
-        ``deliver=False`` (fan-out callers wait on the returned times
-        themselves).  Returns the list of ``recv_done`` times, aligned
-        with *items*.
-
-        Bit-identical to calling :meth:`transfer` once per item in order,
-        spans included (every one parents to the fan-out's one
-        *trace_parent*) — the sender's NIC bookings go through one
-        :meth:`TimelineResource.reserve_many` round instead of N reserve
-        calls, receiver NICs are distinct timelines anyway, and the
-        metrics land through one bulk record.  While partition windows are
-        scheduled it *is* one :meth:`transfer` per item (:meth:`_each`): a
-        dropped item books nothing and reports its error in place of its
-        time.
-        """
-        if self.failures is not None and self.failures.partitions:
-            return self._each([(src, dst, nbytes, tag, messages, None)
-                               for dst, nbytes, tag, messages in items],
-                              trace_parent)
-        earliest = self.clock.now(src)
-        send_bw = self.bandwidth_of(src)
-        totals = [float(nbytes) + MESSAGE_OVERHEAD_BYTES
-                  for _, nbytes, _, _ in items]
-        send_durations = [total / send_bw for total in totals]
-        departs = self._nic_send[src].reserve_many(
-            [(earliest, duration) for duration in send_durations]
-        )
-
-        latency = self.latency
-        nic_recv = self._nic_recv
-        bandwidth = self._bandwidth
-        traced = self.tracer is not None and self.tracer.enabled
-        recv_times = []
-        metric_items = []
-        for pos, (dst, _, tag, messages) in enumerate(items):
-            total = totals[pos]
-            depart = departs[pos]
-            send_done = depart + send_durations[pos]
-            recv_seconds = total / bandwidth[dst]
-            recv_start = nic_recv[dst].reserve(
-                send_done + latency, recv_seconds
-            )
-            recv_done = recv_start + recv_seconds
-            recv_times.append(recv_done)
-            metric_items.append((dst, total, tag, messages))
-            if traced:
-                self._spans(src, dst, tag, total, depart, send_done,
-                            recv_start, recv_done, trace_parent)
-        self.metrics.record_transfer_fanout(src, metric_items)
-        return recv_times
-
-    def transfer_gather(self, dst, items, trace_parent=None):
-        """Book a fan-in — many transfers converging on *dst* — in one call.
-
-        *items* is a sequence of ``(src, nbytes, tag, messages,
-        depart_at)`` (the RPC-response shape: each response leaves its
-        server when that request's service completes).  Booked
-        ``deliver=False``; returns the ``recv_done`` times aligned with
-        *items*.  Same equivalence and partition handling as
-        :meth:`transfer_many`, mirrored: per-item sender NICs are distinct
-        timelines, and the shared receiver NIC is booked through one
-        ``reserve_many`` round.
-        """
-        if self.failures is not None and self.failures.partitions:
-            return self._each([(src, dst, nbytes, tag, messages, depart_at)
-                               for src, nbytes, tag, messages, depart_at
-                               in items], trace_parent)
-        latency = self.latency
-        nic_send = self._nic_send
-        bandwidth = self._bandwidth
-        recv_bw = bandwidth[dst]
-        traced = self.tracer is not None and self.tracer.enabled
-
-        totals = []
-        recv_jobs = []
-        sends = []
-        for src, nbytes, tag, messages, depart_at in items:
-            total = float(nbytes) + MESSAGE_OVERHEAD_BYTES
-            send_seconds = total / bandwidth[src]
-            depart = nic_send[src].reserve(depart_at, send_seconds)
-            send_done = depart + send_seconds
-            totals.append(total)
-            sends.append((depart, send_done))
-            recv_jobs.append((send_done + latency, total / recv_bw))
-        recv_starts = self._nic_recv[dst].reserve_many(recv_jobs)
-
-        recv_times = []
-        metric_items = []
-        for pos, (src, _, tag, messages, _) in enumerate(items):
-            total = totals[pos]
-            recv_done = recv_starts[pos] + recv_jobs[pos][1]
-            recv_times.append(recv_done)
-            metric_items.append((src, total, tag, messages))
-            if traced:
-                self._spans(src, dst, tag, total, *sends[pos],
-                            recv_starts[pos], recv_done, trace_parent)
-        self.metrics.record_transfer_gather(dst, metric_items)
-        return recv_times
-
-    def transfer_batch(self, items, trace_parent=None):
-        """Book many transfers between any endpoints in one call.
+    def transfer_many(self, items, trace_parent=None):
+        """Book every transfer of *items* in order; the one booking loop.
 
         *items* is a sequence of ``(src, dst, nbytes, tag, messages,
-        depart_at)`` with ``src != dst``, booked ``deliver=False``;
-        returns the ``recv_done`` times aligned with *items*.
-        Bit-identical to one
-        :meth:`transfer` per item in order, spans included (each parents
-        to *trace_parent*): each item's two NIC bookings are made in
-        item order, and the metrics land through one bulk record.  Same
-        partition handling as :meth:`transfer_many`.
+        depart_at)`` — :meth:`transfer`'s arguments, ``depart_at=None``
+        meaning the sender's clock — booked ``deliver=False``: callers wait
+        on the returned ``recv_done`` times, aligned with *items*.  Per
+        item:
+
+        - ``src == dst`` is a local hand-off: no wire cost, still counted
+          as a message so protocol-level accounting stays comparable
+          across placements, delivered at the sender's clock;
+        - otherwise the envelope is added, the sender's NIC is booked from
+          the departure, and after ``latency`` the receiver's NIC.  While
+          partition windows are scheduled the send slot is probed first
+          and committed after the partition check: the message hits the
+          wire at the *post-NIC-queue* departure, so that is when the
+          windows apply — a backlog can push a transfer into (or out of) a
+          window that was inactive (or active) at its earliest departure.
+          A dropped item books nothing and reports its
+          :class:`NetworkPartitionedError` in place of its time;
+        - its two NIC spans are recorded, parented to *trace_parent*.
+
+        A fan-out, a gather and any batch of pairs are all lists of items:
+        timelines are order-insensitive (first-fit) and ``reserve`` equals
+        ``probe`` + ``commit``, so one list call books what one
+        :meth:`transfer` per item would, bit for bit.  The metrics land
+        through one :meth:`MetricsRegistry.record_transfer_many` call.
         """
-        if self.failures is not None and self.failures.partitions:
-            return self._each(items, trace_parent)
+        clock = self.clock
         latency = self.latency
         nic_send = self._nic_send
         nic_recv = self._nic_recv
         bandwidth = self._bandwidth
+        failures = self.failures
+        partitioned = failures is not None and failures.partitions
         traced = self.tracer is not None and self.tracer.enabled
         recv_times = []
         metric_items = []
         for src, dst, nbytes, tag, messages, depart_at in items:
+            if src == dst:
+                metric_items.append((src, dst, 0, tag, messages))
+                recv_times.append(clock.now(src))
+                continue
             total = float(nbytes) + MESSAGE_OVERHEAD_BYTES
-            send_seconds = total / bandwidth[src]
-            recv_seconds = total / bandwidth[dst]
-            depart = nic_send[src].reserve(depart_at, send_seconds)
+            try:
+                send_seconds = total / bandwidth[src]
+                recv_seconds = total / bandwidth[dst]
+            except KeyError as missing:
+                raise UnknownNodeError("node %r not on the network"
+                                       % missing.args) from None
+            earliest = clock.now(src) if depart_at is None else depart_at
+            if partitioned:
+                sender_nic = nic_send[src]
+                index, depart = sender_nic.probe(earliest, send_seconds)
+                if failures.partition_active(src, depart) \
+                        or failures.partition_active(dst, depart):
+                    self.metrics.increment("partition-drops")
+                    recv_times.append(NetworkPartitionedError(
+                        "transfer %s -> %s departing t=%.6f hit a network "
+                        "partition" % (src, dst, depart)))
+                    continue
+                sender_nic.commit(index, depart, send_seconds)
+            else:
+                depart = nic_send[src].reserve(earliest, send_seconds)
             send_done = depart + send_seconds
             recv_start = nic_recv[dst].reserve(send_done + latency,
                                                recv_seconds)
@@ -283,7 +187,7 @@ class NetworkModel:
             if traced:
                 self._spans(src, dst, tag, total, depart, send_done,
                             recv_start, recv_done, trace_parent)
-        self.metrics.record_transfers(metric_items)
+        self.metrics.record_transfer_many(metric_items)
         return recv_times
 
     def _spans(self, src, dst, tag, total, depart, send_done, recv_start,
@@ -295,18 +199,3 @@ class NetworkModel:
                            parent_id=trace_parent, dst=dst, nbytes=total)
         self.tracer.record(dst, op, recv_start, recv_done, cat="nic-recv",
                            parent_id=trace_parent, src=src, nbytes=total)
-
-    def _each(self, items, trace_parent):
-        """Book ``(src, dst, nbytes, tag, messages, depart_at)`` items one
-        :meth:`transfer` each; a dropped item's ``NetworkPartitionedError``
-        stands in for its ``recv_done`` time."""
-        recv_times = []
-        for src, dst, nbytes, tag, messages, depart_at in items:
-            try:
-                recv_times.append(self.transfer(
-                    src, dst, nbytes, tag=tag, deliver=False,
-                    depart_at=depart_at, messages=messages,
-                    trace_parent=trace_parent))
-            except NetworkPartitionedError as error:
-                recv_times.append(error)
-        return recv_times

@@ -10,9 +10,9 @@ and places each new job in the first idle gap at or after its arrival —
 so the outcome is independent of processing order while capacity is never
 double-booked.  Adjacent intervals are merged, keeping the list short.
 
-Fast path: a fan-out books its N transfers through
-:meth:`reserve_many` in one call — same gap search per job, but without N
-rounds of Python call overhead — and ``busy_seconds`` is an incrementally
+Fast path: :meth:`TimelineResource.reserve` special-cases the two
+common shapes (a tail booking, a booking behind the final interval)
+before the general gap walk, and ``busy_seconds`` is an incrementally
 maintained total instead of an O(intervals) re-sum per query.
 
 Storage: interval starts and ends live in two ``array("d")`` columns,
@@ -179,53 +179,6 @@ class TimelineResource:
             index += 1
         self._insert(index, start, start + duration)
         return start
-
-    def reserve_many(self, jobs):
-        """Book a sequence of ``(earliest, duration)`` jobs in one call.
-
-        Behaviorally identical to calling :meth:`reserve` once per job in
-        the same order (each job sees the bookings of those before it, and
-        the timeline is order-insensitive anyway — see
-        test_resource_properties.py); returns the list of booked starts.
-
-        The tail and extend-final shortcuts from :meth:`reserve` are
-        inlined in the loop (same expressions, verbatim), so the dominant
-        fan-out pattern — every transfer queueing behind the same NIC's
-        growing final interval — books N slots with zero per-job Python
-        call dispatch; anything else falls back to :meth:`reserve`.
-        """
-        starts_out = []
-        append = starts_out.append
-        reserve = self.reserve
-        ends = self._ends
-        starts = self._starts
-        for earliest, duration in jobs:
-            if duration > _EPS2 and ends:
-                last_end = ends[-1]
-                if earliest >= last_end - _MERGE_EPS:
-                    # Tail (see reserve).
-                    start = earliest if earliest > last_end else last_end
-                    end = start + duration
-                    if start - last_end <= _MERGE_EPS:
-                        self._busy += end - last_end
-                        ends[-1] = end
-                    else:
-                        self._busy += end - start
-                        starts.append(start)
-                        ends.append(end)
-                        if len(ends) >= self._retire_at:
-                            self._retire()
-                    append(start)
-                    continue
-                if earliest >= starts[-1]:
-                    # Extend-final (see reserve).
-                    end = last_end + duration
-                    self._busy += end - last_end
-                    ends[-1] = end
-                    append(last_end)
-                    continue
-            append(reserve(earliest, duration))
-        return starts_out
 
     def _insert(self, index, start, end):
         """Insert ``[start, end)`` at *index*, merging with its neighbors.

@@ -98,6 +98,8 @@ class PS2Context:
         arrival, then a sparse assign of them on the target, queued from
         the transfer's arrival (from the read's completion when both ends
         are one server); both are one-request fan-outs of the row kinds.
+        The transfer is priced as the assigning push it delivers: header,
+        index list and values.
         The write bypasses the replica forward, so the holder table is
         told about it directly: hot-key demotes the key, the chain
         re-streams it.
@@ -125,17 +127,17 @@ class PS2Context:
                     s_srv, src.matrix_id, src.row, hi - lo,
                     indices=columns), ctrl)
                 target = master.server(d_srv)
+                push = PushRequest(d_srv, dst.matrix_id, dst.row, values,
+                                   indices=columns, mode="assign")
                 if s_srv != d_srv:
                     ready = network.transfer(
                         source.node_id,
                         target.node_id,
-                        values.nbytes,
+                        push.wire_bytes(),
                         tag="realign",
                         depart_at=ready,
                     )
-                serve_one(target, PushRequest(
-                    d_srv, dst.matrix_id, dst.row, values, indices=columns,
-                    mode="assign"), ready)
+                serve_one(target, push, ready)
                 if self.cluster.replicas is not None:
                     self.cluster.replicas.on_direct_write(dst.matrix_id, d_srv)
         return dst

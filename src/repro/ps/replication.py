@@ -509,7 +509,7 @@ class Replicas:
         departs — and is priced like a response: the two NIC bookings
         only, no send CPU, nothing on the writer.  Every group is
         booked first — in one
-        :meth:`~repro.cluster.network.NetworkModel.transfer_batch` call,
+        :meth:`~repro.cluster.network.NetworkModel.transfer_many` call,
         in first-appearance order of its pair; then all groups are
         served in one pass of *serve*, each from its arrival.  A
         delivery that cannot happen never reaches a client clock:
@@ -560,7 +560,7 @@ class Replicas:
         trace_parent = None if ctx is None else ctx[1]
         holders = [servers[group[0].server_index] for group in groups]
         if not cluster.failures.partitions:
-            arrivals = cluster.network.transfer_batch(items, trace_parent)
+            arrivals = cluster.network.transfer_many(items, trace_parent)
         else:
             shipped = []
             arrivals = []

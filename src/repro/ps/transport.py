@@ -372,7 +372,9 @@ class Transport:
         message list and the server topology — ``(epoch, fan_items,
         shard_entries, responses, servers, groups)``, one request booking,
         response booking (``None``: no reply), serving server and group
-        per wire message.
+        per wire message.  A booking is ``(server node, nbytes, tag,
+        messages)``: the client's end is filled in at send time, because
+        a pooled plan is shared by every client of its layout.
 
         A shard entry is ``(matrix_id, heat_server, n_values, nbytes)``:
         one access per wire message and distinct shard key it touches, in
@@ -443,14 +445,14 @@ class Transport:
         *bulk* is *outgoing*'s phase-1 product (:meth:`_bulk_plan`).
         Phase 1 books every request transfer through one
         :meth:`~repro.cluster.network.NetworkModel.transfer_many` call,
-        phase 2 serves every wire message through
-        :func:`~repro.ps.server.serve_fast_fanout` (capturing each
-        completion immediately, as the interleaved schedule would see it),
-        and phase 3 books every response through one ``transfer_gather``,
-        each departing at its group's last completion.  The
-        per-direction NIC timelines are disjoint across phases and
-        order-insensitive within them, so virtual times, bytes and counters
-        are bit-identical to the interleaved reference in
+        each departing at the client's clock, phase 2 serves every wire
+        message through :func:`~repro.ps.server.serve_fast_fanout`
+        (capturing each completion immediately, as the interleaved
+        schedule would see it), and phase 3 books every response through
+        a second ``transfer_many``, each departing at its group's last
+        completion.  The per-direction NIC timelines are disjoint across
+        phases and order-insensitive within them, so virtual times, bytes
+        and counters are bit-identical to the interleaved reference in
         ``tests/test_fast_lane.py`` (request, service, response, next
         message) — only the Python call count drops.  Spans are too: every
         booking parents to *trace_parent*, the fan-out's op span.  Codecs
@@ -473,9 +475,11 @@ class Transport:
         network = cluster.network
         node_id = self.node_id
         _, fan_items, _, responses, servers, groups = bulk
+        depart = cluster.clock.now(node_id)
         results, done = serve_fast_fanout(
-            cluster, servers, groups,
-            network.transfer_many(node_id, fan_items, trace_parent))
+            cluster, servers, groups, network.transfer_many(
+                [(node_id, dst, nbytes, tag, count, depart)
+                 for dst, nbytes, tag, count in fan_items], trace_parent))
         failed = []
         response_items = []
         response_entries = []
@@ -488,11 +492,12 @@ class Transport:
                 values[p] = value
                 completions[p] = completion
             if response is not None:
-                response_items.append(response + (completion,))
+                src, nbytes, tag, count = response
+                response_items.append(
+                    (src, node_id, nbytes, tag, count, completion))
                 response_entries.append(entry)
         if response_items:
-            recv_times = network.transfer_gather(node_id, response_items,
-                                                 trace_parent)
+            recv_times = network.transfer_many(response_items, trace_parent)
             for entry, response_arrival in zip(response_entries, recv_times):
                 if response_arrival.__class__ is NetworkPartitionedError:
                     failed.append((entry, response_arrival))

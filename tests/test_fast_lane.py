@@ -1481,7 +1481,7 @@ def test_handlers_never_book():
     clock = rig.cluster.clock
     metrics = type(rig.cluster.metrics)
     patches = [mock.patch.object(TimelineResource, name, booking)
-               for name in ("reserve", "reserve_many", "commit")]
+               for name in ("reserve", "commit")]
     patches += [mock.patch.object(type(rig.cluster.tracer), name, booking)
                 for name in ("record", "span")]
     patches += [mock.patch.object(type(clock), name, booking)

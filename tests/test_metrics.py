@@ -5,17 +5,17 @@ from repro.cluster.metrics import MetricsRegistry
 
 def test_record_transfer_accounts_both_sides():
     m = MetricsRegistry()
-    m.record_transfer("a", "b", 100, tag="x")
+    m.record_transfer_many([("a", "b", 100, "x", 3)])
     assert m.bytes_sent["a"] == 100
     assert m.bytes_received["b"] == 100
     assert m.bytes_for_tag("x") == 100
     assert m.messages_by_tag["x"] == 1
+    assert m.logical_messages_by_tag["x"] == 3
 
 
 def test_totals():
     m = MetricsRegistry()
-    m.record_transfer("a", "b", 100, tag="x")
-    m.record_transfer("b", "a", 50, tag="y")
+    m.record_transfer_many([("a", "b", 100, "x", 1), ("b", "a", 50, "y", 1)])
     assert m.total_bytes() == 150
     assert m.total_messages() == 2
 
@@ -52,9 +52,9 @@ def test_increment():
 
 def test_snapshot_is_detached():
     m = MetricsRegistry()
-    m.record_transfer("a", "b", 10, tag="t")
+    m.record_transfer_many([("a", "b", 10, "t", 1)])
     snap = m.snapshot()
-    m.record_transfer("a", "b", 10, tag="t")
+    m.record_transfer_many([("a", "b", 10, "t", 1)])
     assert snap["bytes_by_tag"]["t"] == 10
     assert m.bytes_for_tag("t") == 20
 

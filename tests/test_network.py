@@ -1,7 +1,7 @@
 """Unit tests for the NIC-serialized network model."""
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from repro.cluster.failures import FailureInjector
@@ -73,6 +73,11 @@ def test_depart_at_overrides_sender_clock(net):
 def test_unknown_node_raises(net):
     with pytest.raises(UnknownNodeError):
         net.transfer("a", "zzz", 10)
+    # The list call names the endpoint too, on either end of any item.
+    for src, dst in (("a", "zzz"), ("zzz", "a")):
+        with pytest.raises(UnknownNodeError):
+            net.transfer_many([("a", "b", 10, "t", 1, None),
+                               (src, dst, 10, "t", 1, None)])
 
 
 def test_metrics_account_envelope(net):
@@ -117,8 +122,10 @@ def _traced_net(partitioned):
         failures.schedule_partition("c", 0.01, 0.03)
     model = NetworkModel(clock, metrics, latency=1e-3, default_bandwidth=1e6,
                          tracer=Tracer(clock, enabled=True), failures=failures)
-    for node, bandwidth in (("a", 1e6), ("b", 2e6), ("c", 5e5)):
+    for node, bandwidth, now in (("a", 1e6, 0.0), ("b", 2e6, 0.004),
+                                 ("c", 5e5, 0.02)):
         clock.register(node)
+        clock.advance(node, now)
         model.register(node, bandwidth)
     return model
 
@@ -131,31 +138,91 @@ def _transfer_or_error(net, src, dst, nbytes, tag, count, depart):
         return error
 
 
-_batch_items = st.lists(st.tuples(
-    st.sampled_from([("a", "b"), ("a", "c"), ("b", "a"), ("b", "c"),
-                     ("c", "a"), ("c", "b")]),
-    st.integers(0, 5000), st.sampled_from(["x:req", "y:req"]),
-    st.integers(1, 4), st.floats(0.0, 0.05)), max_size=12)
+_nodes = st.sampled_from(["a", "b", "c"])
+#: One item's peer and ``(nbytes, tag, messages, depart_at)``; a
+#: ``depart_at`` of ``None`` departs at the sender's clock.
+_spokes = st.tuples(_nodes, st.integers(0, 5000),
+                    st.sampled_from(["x:req", "y:req"]), st.integers(1, 4),
+                    st.one_of(st.none(), st.floats(0.0, 0.05)))
 
 
-@given(items=_batch_items, partitioned=st.booleans())
+@st.composite
+def _mixed_items(draw):
+    """Runs of a one-source fan-out, a one-sink gather and single
+    arbitrary pairs; any of them may hold a ``src == dst`` hand-off."""
+    items = []
+    for shape in draw(st.lists(st.sampled_from(["fanout", "gather", "pair"]),
+                               max_size=5)):
+        hub = draw(_nodes)
+        spokes = draw(st.lists(_spokes, min_size=1,
+                               max_size=1 if shape == "pair" else 4))
+        for peer, nbytes, tag, count, depart in spokes:
+            src, dst = (peer, hub) if shape == "gather" else (hub, peer)
+            items.append((src, dst, nbytes, tag, count, depart))
+    return items
+
+
+def _by_the_rule(net, src, dst, nbytes, tag, count, depart):
+    """One item booked as the model states it, straight on the NIC
+    timelines: probe the send slot, drop at a partition active at the
+    post-queue departure, commit, then reserve the receive slot after
+    the latency."""
+    if src == dst:
+        net.metrics.record_transfer_many([(src, dst, 0, tag, count)])
+        return net.clock.now(src)
+    total = nbytes + MESSAGE_OVERHEAD_BYTES
+    send, recv = total / net.bandwidth_of(src), total / net.bandwidth_of(dst)
+    index, start = net._nic_send[src].probe(
+        net.clock.now(src) if depart is None else depart, send)
+    if net.failures.partition_active(src, start) \
+            or net.failures.partition_active(dst, start):
+        net.metrics.increment("partition-drops")
+        return NetworkPartitionedError("dropped")
+    net._nic_send[src].commit(index, start, send)
+    recv_start = net._nic_recv[dst].reserve(start + send + net.latency, recv)
+    net.metrics.record_transfer_many([(src, dst, total, tag, count)])
+    for node, cat, begin, end, peer in (
+            (src, "nic-send", start, start + send, {"dst": dst}),
+            (dst, "nic-recv", recv_start, recv_start + recv, {"src": src})):
+        net.tracer.record(node, "net:" + tag, begin, end, cat=cat,
+                          parent_id=7, nbytes=total, **peer)
+    return recv_start + recv
+
+
+def _state(net):
+    return ([net.clock.now(node) for node in ("a", "b", "c")],
+            [getattr(net, nics)[node].intervals() for node in ("a", "b", "c")
+             for nics in ("_nic_send", "_nic_recv")],
+            net.metrics.snapshot(),
+            [(span.node, span.op, span.cat, span.start, span.end, span.args,
+              span.parent_id) for span in net.tracer.spans])
+
+
+@given(items=_mixed_items(), partitioned=st.booleans())
+# c's clock sits inside its partition window: c's item drops.
+@example(items=[("a", "b", 100, "x:req", 1, None),
+                ("c", "a", 100, "x:req", 2, None),
+                ("b", "b", 10, "y:req", 1, None),
+                ("a", "c", 4000, "x:req", 3, 0.0)], partitioned=True)
+# a's send queue pushes its third item from t=0 into c's window: the
+# windows apply at the post-queue departure.
+@example(items=[("a", "b", 5000, "x:req", 1, 0.0),
+                ("a", "b", 5000, "x:req", 1, 0.0),
+                ("a", "c", 100, "y:req", 1, 0.0)], partitioned=True)
 @settings(max_examples=60, deadline=None)
 def test_a_batch_books_as_one_transfer_per_item(items, partitioned):
-    items = [(src, dst, nbytes, tag, count, depart)
-             for (src, dst), nbytes, tag, count, depart in items]
-    batched, single = _traced_net(partitioned), _traced_net(partitioned)
-    arrivals = batched.transfer_batch(items, trace_parent=7)
-    expected = [_transfer_or_error(single, *item) for item in items]
-    assert [type(arrival) for arrival in arrivals] \
-        == [type(arrival) for arrival in expected]
-    assert [arrival for arrival in arrivals if type(arrival) is float] \
-        == [arrival for arrival in expected if type(arrival) is float]
-    for node in ("a", "b", "c"):
-        for nics in ("_nic_send", "_nic_recv"):
-            assert getattr(batched, nics)[node].intervals() \
-                == getattr(single, nics)[node].intervals()
-    assert batched.metrics.snapshot() == single.metrics.snapshot()
-    assert [(span.node, span.op, span.cat, span.start, span.end, span.args,
-             span.parent_id) for span in batched.tracer.spans] \
-        == [(span.node, span.op, span.cat, span.start, span.end, span.args,
-             span.parent_id) for span in single.tracer.spans]
+    """One list call books what one ``transfer`` per item books, and what
+    the booking rule written out item by item books: arrivals or drops,
+    clocks, NIC intervals, metrics and spans."""
+    nets = [_traced_net(partitioned) for _ in range(3)]
+    arrivals = [
+        nets[0].transfer_many(items, trace_parent=7),
+        [_transfer_or_error(nets[1], *item) for item in items],
+        [_by_the_rule(nets[2], *item) for item in items],
+    ]
+    for got in arrivals[1:]:
+        assert [type(arrival) for arrival in got] \
+            == [type(arrival) for arrival in arrivals[0]]
+        assert [arrival for arrival in got if type(arrival) is float] \
+            == [arrival for arrival in arrivals[0] if type(arrival) is float]
+    assert _state(nets[0]) == _state(nets[1]) == _state(nets[2])

@@ -1,10 +1,10 @@
 """Property tests pinning the PR 7 TimelineResource fast paths.
 
-``reserve`` grew shortcut branches (tail append/merge, extend-final)
-and ``reserve_many`` inlines both; every shortcut claims to be a
-bit-identical specialization of the general probe + ``_insert`` path.  These properties hold the claim down:
+``reserve`` grew shortcut branches (tail append/merge, extend-final);
+every shortcut claims to be a bit-identical specialization of the
+general probe + ``_insert`` path.  These properties hold the claim down:
 
-- ``reserve_many`` is EXACTLY sequential ``reserve`` (same starts, same
+- ``reserve`` is EXACTLY ``probe`` + ``commit`` (same starts, same
   interval list, same ``_busy`` float);
 - capacity consumed is permutation-invariant;
 - booked intervals never overlap and are strictly ordered;
@@ -59,40 +59,44 @@ def _snapshot(r):
     return r.intervals() + (r.busy_seconds(),)
 
 
-def _check_reserve_many_equivalence(jobs):
-    sequential = TimelineResource()
-    seq_starts = [sequential.reserve(e, d) for e, d in jobs]
-    bulk = TimelineResource()
-    bulk_starts = bulk.reserve_many(jobs)
+def _reserve_all(timeline, jobs):
+    return [timeline.reserve(e, d) for e, d in jobs]
+
+
+def _check_reserve_equals_probe_commit(jobs):
+    reserved = TimelineResource()
+    starts = _reserve_all(reserved, jobs)
+    probed = TimelineResource()
+    probed_starts = [probed.commit(*probed.probe(e, d), d) for e, d in jobs]
     # Bit-for-bit: booked starts, interval lists and the running busy
     # total — not "close", EQUAL.
-    assert bulk_starts == seq_starts
-    assert _snapshot(bulk) == _snapshot(sequential)
+    assert probed_starts == starts
+    assert _snapshot(probed) == _snapshot(reserved)
 
 
 @given(jobs_strategy)
 @settings(max_examples=200, deadline=None)
-def test_reserve_many_equals_sequential_reserve(jobs):
-    _check_reserve_many_equivalence(jobs)
+def test_reserve_equals_probe_commit(jobs):
+    _check_reserve_equals_probe_commit(jobs)
 
 
 @given(clustered_jobs_strategy)
 @settings(max_examples=200, deadline=None)
-def test_reserve_many_equals_sequential_reserve_clustered(jobs):
-    _check_reserve_many_equivalence(jobs)
+def test_reserve_equals_probe_commit_clustered(jobs):
+    _check_reserve_equals_probe_commit(jobs)
 
 
 @given(epsilon_jobs_strategy)
 @settings(max_examples=200, deadline=None)
-def test_reserve_many_equals_sequential_reserve_epsilon(jobs):
-    _check_reserve_many_equivalence(jobs)
+def test_reserve_equals_probe_commit_epsilon(jobs):
+    _check_reserve_equals_probe_commit(jobs)
 
 
 @given(jobs_strategy)
 @settings(max_examples=150, deadline=None)
 def test_intervals_never_overlap_and_stay_sorted(jobs):
     r = TimelineResource()
-    starts = r.reserve_many(jobs)
+    starts = _reserve_all(r, jobs)
     for (earliest, _d), start in zip(jobs, starts):
         assert start >= earliest - 1e-9
     intervals = list(zip(*r.intervals()))
@@ -113,37 +117,38 @@ def test_busy_seconds_is_permutation_invariant(jobs):
     totals = set()
     for order in orders:
         r = TimelineResource()
-        r.reserve_many(order)
+        _reserve_all(r, order)
         totals.add(round(r.busy_seconds(), 9))
     assert len(totals) == 1
 
 
 def test_exhaustive_permutations_match_everywhere():
     """Every permutation of a crafted job set produces the same capacity
-    total, and reserve_many matches sequential reserve on each order."""
+    total, and reserve matches probe + commit on each order."""
     jobs = [(0.0, 1.0), (0.5, 1.0), (2.5, 0.25), (0.0, 0.5)]
     totals = set()
     for perm in itertools.permutations(jobs):
-        _check_reserve_many_equivalence(list(perm))
+        _check_reserve_equals_probe_commit(list(perm))
         r = TimelineResource()
-        r.reserve_many(list(perm))
+        _reserve_all(r, perm)
         totals.add(round(r.busy_seconds(), 9))
     assert len(totals) == 1
 
 
-def test_reserve_many_interleaves_with_reserve():
-    """A bulk call after singles (and vice versa) continues the same
-    timeline state the sequential path would hold."""
-    sequential = TimelineResource()
-    bulk = TimelineResource()
+def test_probe_commit_interleaves_with_reserve():
+    """Probe + commit bookings after ``reserve`` ones (and vice versa)
+    continue the same timeline state ``reserve`` alone would hold."""
+    reserved = TimelineResource()
+    mixed = TimelineResource()
     first = [(0.0, 1.0), (0.2, 0.5)]
     second = [(0.1, 0.3), (5.0, 1.0), (1.0, 0.5)]
-    seq_starts = [sequential.reserve(e, d) for e, d in first + second]
-    bulk_starts = bulk.reserve_many(first)
-    bulk_starts += [bulk.reserve(e, d) for e, d in second[:1]]
-    bulk_starts += bulk.reserve_many(second[1:])
-    assert bulk_starts == seq_starts
-    assert _snapshot(bulk) == _snapshot(sequential)
+    starts = _reserve_all(reserved, first + second)
+    mixed_starts = [mixed.commit(*mixed.probe(e, d), d) for e, d in first]
+    mixed_starts += _reserve_all(mixed, second[:1])
+    mixed_starts += [mixed.commit(*mixed.probe(e, d), d)
+                     for e, d in second[1:]]
+    assert mixed_starts == starts
+    assert _snapshot(mixed) == _snapshot(reserved)
 
 
 # -- retirement behind the clock floor ------------------------------------------
@@ -164,7 +169,7 @@ class _Floor:
 #: an end (within ``_MERGE_EPS``), exactly on one, or well past it.
 _steps_strategy = st.lists(
     st.tuples(
-        st.sampled_from(["reserve", "probe", "many"]),
+        st.sampled_from(["reserve", "probe"]),
         st.one_of(
             st.none(),
             st.tuples(st.integers(0, 63),
@@ -180,8 +185,6 @@ def _book(timeline, how, earliest, duration):
     if how == "probe":
         index, start = timeline.probe(earliest, duration)
         return timeline.commit(index, start, duration)
-    if how == "many":
-        return timeline.reserve_many([(earliest, duration)])[0]
     return timeline.reserve(earliest, duration)
 
 
@@ -245,8 +248,6 @@ def test_booking_behind_a_retirement_raises():
         timeline.reserve(0.0, 0.5)
     with pytest.raises(ClusterError):
         timeline.probe(4.5, 0.5)
-    with pytest.raises(ClusterError):
-        timeline.reserve_many([(1.0, 0.5)])
     # At or after the floor, and tail bookings, book as before.
     assert timeline.reserve(5.0, 0.5) == 5.0
     assert timeline.reserve(9.0, 1.0) == 9.0

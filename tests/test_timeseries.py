@@ -62,7 +62,8 @@ def test_config_rejects_negative_window():
 
 def test_no_boundary_no_window():
     cluster, sampler = _sampler(window=1.0)
-    cluster.metrics.record_transfer("exec-0", "server-0", 100)
+    cluster.metrics.record_transfer_many(
+        [("exec-0", "server-0", 100, "transfer", 1)])
     cluster.now = 0.5
     sampler.maybe_flush()
     assert sampler.windows == []
@@ -72,7 +73,8 @@ def test_multiple_passed_boundaries_close_aligned_windows():
     """Everything since the last flush lands in the first closing window;
     the other passed boundaries close empty — series stay aligned."""
     cluster, sampler = _sampler(window=1.0)
-    cluster.metrics.record_transfer("exec-0", "server-0", 400)
+    cluster.metrics.record_transfer_many(
+        [("exec-0", "server-0", 400, "transfer", 1)])
     cluster.metrics.record_request("server-0")
     cluster.metrics.observe("pull", 0.25)
     cluster.now = 3.5
@@ -96,7 +98,8 @@ def test_finalize_closes_trailing_partial_window_with_full_width():
     cluster.now = 1.0
     sampler.maybe_flush()
     assert len(sampler.windows) == 1
-    cluster.metrics.record_transfer("exec-0", "server-0", 64)
+    cluster.metrics.record_transfer_many(
+        [("exec-0", "server-0", 64, "transfer", 1)])
     cluster.now = 1.25
     sampler.finalize()
     assert len(sampler.windows) == 2
@@ -110,10 +113,12 @@ def test_finalize_closes_trailing_partial_window_with_full_width():
 
 def test_deltas_are_per_window_not_cumulative():
     cluster, sampler = _sampler(window=1.0)
-    cluster.metrics.record_transfer("exec-0", "server-0", 100)
+    cluster.metrics.record_transfer_many(
+        [("exec-0", "server-0", 100, "transfer", 1)])
     cluster.now = 1.0
     sampler.maybe_flush()
-    cluster.metrics.record_transfer("exec-0", "server-0", 250)
+    cluster.metrics.record_transfer_many(
+        [("exec-0", "server-0", 250, "transfer", 1)])
     cluster.now = 2.0
     sampler.maybe_flush()
     assert [w.bytes_sent.get("exec-0", 0.0) for w in sampler.windows] == \
@@ -124,7 +129,8 @@ def test_deltas_are_per_window_not_cumulative():
 
 def test_reads_never_mutate_the_registry():
     cluster, sampler = _sampler(window=1.0)
-    cluster.metrics.record_transfer("exec-0", "server-0", 10)
+    cluster.metrics.record_transfer_many(
+        [("exec-0", "server-0", 10, "transfer", 1)])
     before = cluster.metrics.snapshot()
     cluster.now = 5.0
     sampler.maybe_flush()
@@ -176,7 +182,8 @@ def test_nic_backlog_and_cache_gauges():
 
 def test_series_are_aligned_across_metrics():
     cluster, sampler = _sampler(window=1.0)
-    cluster.metrics.record_transfer("exec-0", "server-0", 100)
+    cluster.metrics.record_transfer_many(
+        [("exec-0", "server-0", 100, "transfer", 1)])
     cluster.metrics.observe("pull", 0.5)
     cluster.now = 1.0
     sampler.maybe_flush()
