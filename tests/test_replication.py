@@ -462,15 +462,17 @@ def _both_rig():
 
 
 def _assert_copies_match_primaries(master):
-    """Every replica-store entry at its primary's epoch equals the
-    primary's rows (what the perf ledger's ``verify_copies`` checks)."""
+    """Every replica-store entry at its live primary's epoch equals the
+    primary's rows (what the perf ledger's ``verify_copies`` checks); a
+    primary that is down has no rows to compare against.  The rows are
+    read off the store, so the check applies no scheduled crash."""
     checked = 0
     for holder in master.servers:
         for (matrix_id, primary_index), entry in holder.replica_store.items():
             primary = master.server(primary_index)
-            if entry.install_epoch != primary.epoch:
+            if entry.install_epoch != primary.epoch or not primary.alive:
                 continue
-            rows = primary.matrix_rows(matrix_id)
+            rows = primary._store[matrix_id]
             assert set(rows) == set(entry.rows)
             for row, shard in rows.items():
                 assert np.array_equal(shard.values, entry.rows[row].values)
