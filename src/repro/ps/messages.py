@@ -563,7 +563,9 @@ class ReplicatedPushRequest(Request):
     crash-triggered re-install (which already copied the mutated primary
     state) is skipped instead of double-applied, and a copy raced by a
     primary recovery (whose rollback also lost the mutation) is fenced
-    instead of resurrected.
+    instead of resurrected — and then as many times as the primary
+    applied it: the counters' difference over the original's own bumps
+    of the row, two for a mutation the transport re-delivered.
 
     ``matrix_id`` is ``None``: like clock-advance renewals, a copy is
     induced (not demand) traffic — it never enters routing resolution or

@@ -31,15 +31,15 @@ once over the table:
   holder) per client op, departing when the original completed, priced
   like a response — so the writer pays for its originals only.  A link
   is one (key, holder) pair, so a holder that holds a key for both
-  reasons gets one copy.  Holders apply fenced, idempotently and only
-  over no gap (a holder missing an earlier update of a row repairs the
-  key instead); a kernel mutates all its operands at once, so it fans
-  out all-or-nothing.  A copy that cannot be delivered never charges a
-  client: a down holder is recovered (its re-install carries the
-  write), a partitioned one is retried with the penalty delaying the
-  departure and, past the retry budget, forgotten;
-- the reactions to a direct write, a lazy-row creation, a copy gap and
-  a recovery.
+  reasons gets one copy.  Holders apply fenced, idempotently and as
+  many times as the primary applied the original (a re-delivered
+  mutation twice); a kernel mutates all its operands at once, so it
+  fans out all-or-nothing.  A copy that cannot be delivered never
+  charges a client: a down holder is recovered (its re-install carries
+  the write), a partitioned one is retried with the penalty delaying
+  the departure and, past the retry budget, forgotten;
+- the reactions to a direct write, a send the retry policy gave up on,
+  a lazy-row creation and a recovery.
 
 What stays per reason:
 
@@ -75,7 +75,6 @@ from repro.common.errors import MatrixNotFoundError, NetworkPartitionedError, \
     ServerDownError
 from repro.costs import MAX_OP_RETRIES, REQUEST_HEADER_BYTES, penalty_for
 from repro.ps import messages
-from repro.ps.server import COPY_GAP
 
 #: The two reasons a holder keeps a copy, in routing and fan-out order.
 HOT = "hot"
@@ -359,27 +358,30 @@ class Replicas:
             holder.drop_replica(*key)
         self.cluster.metrics.increment("replica-fanout-abandoned")
 
-    def _ship(self, source, target, nbytes, depart, **transfer):
-        """Book one transfer replication sends on its own (a forward, a
-        state stream, a drop, a promotion), departing no earlier than
-        *depart* (``None``: the source's clock) — no client waits on it.
-        A partition on either end retries under the retry prices of
-        :mod:`repro.costs`, each penalty delaying the departure (``replica-fanout-retries``).  Returns the arrival, or
-        ``None`` once the budget is spent."""
+    def _ship(self, source, target, nbytes, depart, attempt=0, **transfer):
+        """Book one transfer replication sends on its own (a state stream,
+        a drop, a promotion, a forward's dropped group), departing no
+        earlier than *depart* (``None``: the source's clock) — no client
+        waits on it.  A partition on either end retries under the retry
+        prices of :mod:`repro.costs`, each penalty delaying the departure
+        (``replica-fanout-retries``); *attempt* counts the tries already
+        dropped (:meth:`forward` hands over a group its booking loop
+        dropped at 1).  Returns the arrival, or ``None`` once the budget
+        is spent."""
         cluster = self.cluster
         if depart is None:
             depart = cluster.clock.now(source)
-        attempt = 0
         while True:
+            if attempt:
+                if attempt > MAX_OP_RETRIES:
+                    return None
+                cluster.metrics.increment("replica-fanout-retries")
+                depart += penalty_for(attempt)
             try:
                 return cluster.network.transfer(source, target, nbytes,
                                                 depart_at=depart, **transfer)
             except NetworkPartitionedError:
                 attempt += 1
-                if attempt > MAX_OP_RETRIES:
-                    return None
-                cluster.metrics.increment("replica-fanout-retries")
-                depart += penalty_for(attempt)
 
     # -- read routing -------------------------------------------------------
 
@@ -507,31 +509,29 @@ class Replicas:
         message, their group, that leaves the *primary's* node when
         its last original completed there — when that message's response
         departs — and is priced like a response: the two NIC bookings
-        only, no send CPU, nothing on the writer.  Every group is
-        booked first — in one
-        :meth:`~repro.cluster.network.NetworkModel.transfer_many` call,
-        in first-appearance order of its pair; then all groups are
-        served in one pass of *serve*, each from its arrival.  A
-        delivery that cannot happen never reaches a client clock:
+        only, no send CPU, nothing on the writer.  Every group is booked
+        in one :meth:`~repro.cluster.network.NetworkModel.transfer_many`
+        call, in first-appearance order of its pair; then all groups are
+        served in one pass of *serve*, each from its arrival.  A delivery
+        that cannot happen never reaches a client clock:
 
-        - a **partition** on either end at departure retries under the
-          retry prices of :mod:`repro.costs`, each penalty delaying the
-          departure: while windows are scheduled each group is booked
-          on its own (:meth:`_ship`); once the budget is
-          spent the holder's links for the group's keys are forgotten
-          and its stale entries evicted, so nothing routes to or promotes
-          from them, and the group is not served;
+        - a group a **partition** dropped (on either end, at departure)
+          is then retried under the retry prices of :mod:`repro.costs`,
+          each penalty delaying the departure (:meth:`_ship`, from its
+          second attempt) — so it is booked after the groups behind it;
+          once the budget is spent the holder's links for the group's
+          keys are forgotten and its stale entries evicted, so nothing
+          routes to or promotes from them, and the group is not served;
         - a **down holder** fails its copies; after the whole forward
           each such holder is recovered through the master, once and in
           wire order, which re-streams its copies from the live
           primaries (already carrying this mutation), so nothing is
-          re-sent;
-        - a copy that finds its holder missing an earlier update of one
-          of its rows (a *gap*, :data:`~repro.ps.server.COPY_GAP`: the
-          primary applied a re-delivered mutation twice) applies
-          nothing; afterwards each gapped key is repaired per reason, as
-          :meth:`_kernel_targets` reacts to a mismatch: hot placement
-          demotes it, the chain re-streams it.
+          re-sent.
+
+        A copy applies its original as many times as the primary did
+        (:meth:`~repro.ps.server.PSServer._serve_replicated_push`): the
+        transport re-sends a wire message whose response was lost, and
+        the primary applies it again.
         """
         cluster = self.cluster
         master = self.master
@@ -559,50 +559,31 @@ class Replicas:
         ctx = groups[0][0].trace_ctx
         trace_parent = None if ctx is None else ctx[1]
         holders = [servers[group[0].server_index] for group in groups]
-        if not cluster.failures.partitions:
-            arrivals = cluster.network.transfer_many(items, trace_parent)
-        else:
-            shipped = []
-            arrivals = []
-            for holder, group, item in zip(holders, groups, items):
-                source, target, nbytes, tag, count, depart = item
-                arrival = self._ship(source, target, nbytes, depart, tag=tag,
-                                     deliver=False, messages=count,
-                                     trace_parent=trace_parent)
-                if arrival is None:
-                    self._abandon(holder, sorted({
-                        (matrix_id, copy.primary_index)
-                        for copy in group for matrix_id, _row in copy.versions}))
-                    continue
-                shipped.append((holder, group))
-                arrivals.append(arrival)
-            holders = [holder for holder, _group in shipped]
-            groups = [group for _holder, group in shipped]
-        replies, done = serve(cluster, holders, groups, arrivals)
-        # Fencing never raises, so a copy only fails on a down holder.
+        arrivals = cluster.network.transfer_many(items, trace_parent)
+        for index, arrival in enumerate(arrivals):
+            if arrival.__class__ is not NetworkPartitionedError:
+                continue
+            source, target, nbytes, tag, count, depart = items[index]
+            arrival = self._ship(source, target, nbytes, depart, attempt=1,
+                                 tag=tag, deliver=False, messages=count,
+                                 trace_parent=trace_parent)
+            if arrival is None:
+                self._abandon(holders[index], sorted({
+                    (matrix_id, copy.primary_index)
+                    for copy in groups[index]
+                    for matrix_id, _row in copy.versions}))
+            else:
+                arrivals[index] = arrival
+        replies, _done = serve(cluster, holders, groups, arrivals)
+        # Fencing never raises: a group fails on a drop or a down holder.
         down = []
-        gaps = {}
-        for holder, group, values, completion in zip(holders, groups,
-                                                     replies, done):
-            if completion is None:
-                if holder.server_index not in down:
-                    down.append(holder.server_index)
-            elif COPY_GAP in values:
-                for copy, value in zip(group, values):
-                    if value is not COPY_GAP:
-                        continue
-                    for matrix_id, _row in copy.versions:
-                        key = (matrix_id, copy.primary_index)
-                        gaps.setdefault(key, set()).update(self.links.get(
-                            key, {}).get(holder.server_index, ()))
+        for holder, values in zip(holders, replies):
+            if values.__class__ is ServerDownError \
+                    and holder.server_index not in down:
+                down.append(holder.server_index)
         for server_index in down:
             metrics.increment("replica-fanout-recoveries")
             master.recover(server_index)
-        for key, reasons in gaps.items():
-            if HOT in reasons:
-                self._demote(key)
-            if CHAIN in reasons:
-                self.sync_key(*key)
 
     def copies(self, requests):
         """The :class:`CopyLayout` of every mutation in *requests*.
@@ -799,6 +780,27 @@ class Replicas:
         if self.holders(key, CHAIN):
             self.sync_key(*key)
             self.cluster.metrics.increment("chain-direct-write-resyncs")
+
+    def on_send_abandoned(self, requests):
+        """The retry policy gave up on a send (the transport raised): its
+        primaries may have created lazy rows and applied mutations that
+        no forward will carry.  The creations are settled as the forward
+        settles them, departing at the primaries' clocks, and every key
+        a mutation targets reacts as to a direct write.  Otherwise a
+        holder would miss those rows and updates, and the next copy of a
+        row would apply its own original once for each missed update."""
+        self._settle_creations(requests, [None] * len(requests))
+        keys = set()
+        for request in requests:
+            if request.role != messages.MUTATION:
+                continue
+            operands = request.operands \
+                if request.__class__ is messages.KernelRequest \
+                else ((request.matrix_id, None),)
+            keys.update((matrix_id, request.server_index)
+                        for matrix_id, _row in operands)
+        for key in sorted(keys):
+            self.on_direct_write(*key)
 
     def _demote_written(self, key):
         if HOT in self.reasons and self.holders(key, HOT):
