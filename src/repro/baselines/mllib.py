@@ -20,6 +20,7 @@ import numpy as np
 from repro.cluster.cluster import DRIVER
 from repro.common.errors import ConfigError
 from repro.costs import FLOAT_BYTES
+from repro.linalg.sparse import sorted_unique
 from repro.ml import losses
 from repro.ml.results import TrainResult
 
@@ -166,7 +167,7 @@ def train_lda_mllib(ctx, docs, vocab_size, n_topics=20, n_iterations=10,
         rng = RngRegistry(seed).get("lda-init-%d" % task_ctx.partition_id)
         local_docs = [np.asarray(w, dtype=np.int64) for _i, w in iterator]
         vocab = (
-            np.unique(np.concatenate(local_docs))
+            sorted_unique(np.concatenate(local_docs))
             if local_docs else np.empty(0, dtype=np.int64)
         )
         word_positions = [np.searchsorted(vocab, words) for words in local_docs]

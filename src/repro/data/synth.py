@@ -13,7 +13,7 @@ import numpy as np
 
 from repro.common.errors import ConfigError
 from repro.common.rng import RngRegistry
-from repro.linalg.sparse import SparseRow
+from repro.linalg.sparse import SparseRow, sorted_unique
 
 
 def sparse_classification(n_rows, dim, nnz_per_row, seed=0, weight_sparsity=0.2,
@@ -39,7 +39,7 @@ def sparse_classification(n_rows, dim, nnz_per_row, seed=0, weight_sparsity=0.2,
     # Skewed index popularity: sample via a power transform of uniforms.
     def draw_indices():
         u = rng.random(nnz_per_row * 2)
-        idx = np.unique((dim * u**2.0).astype(np.int64).clip(0, dim - 1))
+        idx = sorted_unique((dim * u**2.0).astype(np.int64).clip(0, dim - 1))
         if idx.size > nnz_per_row:
             idx = rng.choice(idx, size=nnz_per_row, replace=False)
             idx.sort()

@@ -11,6 +11,7 @@ from __future__ import annotations
 import numpy as np
 
 from repro.common.rng import RngRegistry
+from repro.linalg.sparse import sorted_unique
 
 
 def synthetic_corpus(n_docs, vocab_size, n_topics=10, doc_length=50,
@@ -28,7 +29,7 @@ def synthetic_corpus(n_docs, vocab_size, n_topics=10, doc_length=50,
         theta = rng.dirichlet([alpha] * n_topics)
         topics = rng.choice(n_topics, size=doc_length, p=theta)
         words = np.empty(doc_length, dtype=np.int64)
-        for topic in np.unique(topics):
+        for topic in sorted_unique(topics):
             mask = topics == topic
             words[mask] = rng.choice(
                 vocab_size, size=int(mask.sum()), p=topic_word[topic]

@@ -45,8 +45,25 @@ class SparseRow:
         return "SparseRow(nnz=%d, label=%g)" % (self.nnz, self.label)
 
 
+def sorted_unique(values):
+    """The sorted distinct elements of an integer array, flattened.
+
+    Equal to ``np.unique(values)`` in values and dtype, built by sorting
+    and keeping each element that differs from the one before it.  numpy
+    2.x answers ``np.unique`` of integers through a hash table before it
+    sorts, which costs a mini-batch's key set several times the sort.
+    """
+    ordered = np.sort(values, axis=None)
+    if ordered.size < 2:
+        return ordered
+    keep = np.empty(ordered.size, dtype=bool)
+    keep[0] = True
+    np.not_equal(ordered[1:], ordered[:-1], out=keep[1:])
+    return ordered[keep]
+
+
 def batch_index_union(rows):
     """Sorted unique feature indices touched by *rows* (sparse-pull keys)."""
     if not rows:
         return np.empty(0, dtype=np.int64)
-    return np.unique(np.concatenate([row.indices for row in rows]))
+    return sorted_unique(np.concatenate([row.indices for row in rows]))

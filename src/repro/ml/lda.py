@@ -29,6 +29,7 @@ import numpy as np
 
 from repro.common.errors import ConfigError
 from repro.common.rng import RngRegistry
+from repro.linalg.sparse import sorted_unique
 from repro.ml.results import TrainResult
 
 _COMM_MODES = {
@@ -128,7 +129,7 @@ def train_lda(ctx, docs, vocab_size, n_topics=20, n_iterations=10, alpha=0.5,
         for _doc_id, words in iterator:
             local_docs.append(np.asarray(words, dtype=np.int64))
         vocab = (
-            np.unique(np.concatenate(local_docs))
+            sorted_unique(np.concatenate(local_docs))
             if local_docs else np.empty(0, dtype=np.int64)
         )
         word_positions = [np.searchsorted(vocab, words) for words in local_docs]

@@ -315,6 +315,8 @@ class PSClient:
     def _pull_row_cached(self, matrix_id, row, indices):
         """Serve a pull from the worker cache when the bound permits."""
         layout = self._layout(matrix_id)
+        if indices is not None:
+            layout.check_indices(indices)
         metrics = self.cluster.metrics
         entry = self.cache.lookup(matrix_id, row)
         if entry is not None:
@@ -330,15 +332,14 @@ class PSClient:
                     for _server, start, stop in layout.shards_for_row(row))
                 result = entry.values.copy()
             else:
-                idx = np.asarray(indices, dtype=np.int64)
-                saved = self._saved_pull_bytes(idx.size, idx)
-                result = entry.values[idx]
+                saved = self._saved_pull_bytes(indices.size, indices)
+                result = entry.values[indices]
             metrics.record_cache_hit(self.node_id, saved)
             return result
         result = self._cache_full_row(matrix_id, row, layout)
         if indices is None:
             return result
-        return result[np.asarray(indices, dtype=np.int64)]
+        return result[indices]
 
     def pull_row(self, matrix_id, row, indices=None):
         """Pull one model row (dense) or selected columns of it (sparse).
@@ -353,10 +354,10 @@ class PSClient:
         misses promote to a full-row pull that refills the cache.
         """
         with self._op("pull", matrix_id):
-            if self.cache is not None:
-                return self._pull_row_cached(matrix_id, row, indices)
             if indices is not None:
                 indices = np.asarray(indices, dtype=np.int64)
+            if self.cache is not None:
+                return self._pull_row_cached(matrix_id, row, indices)
             return self._pull(matrix_id, row, self._layout(matrix_id),
                               indices)
 
@@ -427,7 +428,10 @@ class PSClient:
                        id(indices), mode)
             if self.cache is not None:
                 # Write-through: the worker's own updates stay visible in
-                # its cached copy (read-your-writes within the bound).
+                # its cached copy (read-your-writes within the bound) —
+                # so out-of-range indices are refused before it.
+                if indices is not None:
+                    layout.check_indices(indices)
                 self.cache.apply_push(matrix_id, row, values, indices, mode)
 
             def build():

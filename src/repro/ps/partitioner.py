@@ -21,24 +21,33 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.common.errors import ConfigError
-
-#: Splits remembered per layout.  A training stage stores one split per
-#: task at its pull and asks for it again at the barrier, when the task's
-#: deferred push commits — so the memo must outlive a whole stage's pulls
-#: (20 tasks at paper-analogue scale) rather than a handful of ops.
-_SPLIT_CACHE_SIZE = 64
+from repro.common.errors import ConfigError, PSError
 
 
-def _remember_split(cache, key, entry):
-    """Store *entry*, dropping the oldest one (not all) when full."""
-    if len(cache) >= _SPLIT_CACHE_SIZE and key not in cache:
-        del cache[next(iter(cache))]
-    cache[key] = entry
+def _refuse_outside(low, high, dim):
+    """Refuse a sparse index set whose least element is *low* and whose
+    greatest is *high* unless both lie in ``[0, dim)``."""
+    if low < 0 or high >= dim:
+        raise PSError("sparse index %d lies outside [0, %d)"
+                      % (low if low < 0 else high, dim))
 
 
 class _Layout:
-    """What both placements answer alike, from their own placement calls."""
+    """What both placements answer alike, from their own placement calls.
+
+    Every sparse index set a layout places is refused, with
+    :class:`~repro.common.errors.PSError`, unless each index lies in
+    ``[0, dim)``: a split drops nothing and wraps nothing onto another
+    server, and since the client places an op before it builds a message,
+    a refused op sends no byte.
+    """
+
+    def check_indices(self, indices):
+        """Refuse *indices* (any order) unless each lies in ``[0, dim)``,
+        where no split reads their sorted ends: the worker cache's reads
+        and write-throughs, and a row layout's block ops."""
+        if indices.size:
+            _refuse_outside(indices.min(), indices.max(), self.dim)
 
     def shards(self, row, indices):
         """Where one row op's values live, per owning server in wire order.
@@ -58,7 +67,7 @@ class _Layout:
         order = np.argsort(indices, kind="stable")
         shards = []
         cursor = 0
-        for server_index, group in self.split_indices_for_row(
+        for server_index, group in self.split_sorted(
                 row, indices[order]).items():
             span = order[cursor : cursor + group.size]
             cursor += group.size
@@ -101,13 +110,6 @@ class ColumnLayout(_Layout):
         ]
         bounds = np.cumsum([0] + block_sizes) * self.block
         self.bounds = np.minimum(bounds, self.dim)
-        # Iterative workloads split the same sparse index set op after op
-        # (and, with shared routing, client after client); the grouping
-        # work depends only on the index contents, so memoize the recent
-        # results (see ``_remember_split``).  Entries hold a snapshot of the
-        # input, verified on every hit, so an in-place-mutated array can
-        # never serve stale groups.
-        self._split_cache = {}
         # Per-(op, row, indices) fan-out plans pooled by the PS client —
         # the layout is the one object every client of a matrix shares.
         self.op_plans = {}
@@ -152,36 +154,30 @@ class ColumnLayout(_Layout):
             if self.bounds[p + 1] > self.bounds[p]
         ]
 
-    def split_indices(self, indices):
-        """Group *indices* by owning server.
+    def split_sorted(self, row, ordered):
+        """Group the ascending index array *ordered* by owning server
+        (every row is sharded alike).
 
-        Returns ``{server_index: global_indices_array}`` with empty servers
-        omitted.  Input need not be sorted; output arrays are sorted, and
-        the dict's iteration order follows ascending COLUMN ranges (clients
-        rely on this: walking the groups in order re-assembles the sorted
-        index sequence, rotation or not).  The result may be memoized and
-        shared between callers — treat it (and its arrays) as read-only.
+        Returns ``{server_index: group}`` with empty servers omitted, in
+        ascending COLUMN order (clients rely on this: walking the groups
+        in order re-assembles *ordered*, rotation or not).  The groups are
+        *ordered* cut at the partition bounds — ``[cut[p], cut[p + 1])``
+        is position *p*'s group, a view — so a split costs one binary
+        search per bound, not one per index.
         """
-        indices = np.asarray(indices, dtype=np.int64)
-        if indices.size == 0:
+        if not ordered.size:
             return {}
-        key = (indices.size, int(indices[0]), int(indices[-1]))
-        entry = self._split_cache.get(key)
-        if entry is not None and np.array_equal(entry[0], indices):
-            return entry[1]
-        sorted_indices = np.sort(indices)
-        positions = np.searchsorted(self.bounds, sorted_indices,
-                                    side="right") - 1
-        result = {}
-        for position in np.unique(positions):
-            server_index = self._server_at_position(int(position))
-            result[server_index] = sorted_indices[positions == position]
-        _remember_split(self._split_cache, key, (indices.copy(), result))
-        return result
-
-    def split_indices_for_row(self, row, indices):
-        """:meth:`split_indices`: every row is sharded alike."""
-        return self.split_indices(indices)
+        _refuse_outside(ordered[0], ordered[-1], self.dim)
+        cuts = np.searchsorted(ordered, self.bounds).tolist()
+        n_servers, rotation = self.n_servers, self.rotation
+        groups = {}
+        for position in range(n_servers):
+            start, stop = cuts[position], cuts[position + 1]
+            if start < stop:
+                # _server_at_position, inlined: a call per position.
+                groups[(position + rotation) % n_servers] = \
+                    ordered[start:stop]
+        return groups
 
     def block_shards(self, rows, indices):
         """Where each (row, shard) message of a block op goes, in wire order.
@@ -257,9 +253,12 @@ class RowLayout(_Layout):
     def shards_for_row(self, row):
         return [(self._owner(row), 0, self.dim)]
 
-    def split_indices_for_row(self, row, indices):
-        """All of *indices*, sorted, map to row's single owning server."""
-        return {self._owner(row): np.sort(np.asarray(indices, dtype=np.int64))}
+    def split_sorted(self, row, ordered):
+        """All of the ascending index array *ordered* maps to *row*'s
+        single owning server."""
+        if ordered.size:
+            _refuse_outside(ordered[0], ordered[-1], self.dim)
+        return {self._owner(row): ordered}
 
     def block_shards(self, rows, indices):
         """Where each row message of a block op goes, in wire order.
@@ -273,6 +272,7 @@ class RowLayout(_Layout):
         """
         width = self.dim
         if indices is not None:
+            self.check_indices(indices)
             indices = indices.copy()
             width = indices.size
         owners = sorted((self._owner(row), row_pos)

@@ -30,6 +30,7 @@ import pstats
 import subprocess
 import sys
 
+import numpy as np
 import pytest
 
 from benchmarks.perf.workloads import ALL_ON, Storm
@@ -201,6 +202,36 @@ def test_each_layer_costs_at_most_its_bound_in_calls(calls, name):
             if layer not in LAYER_BOUNDS
             or count / bare > LAYER_BOUNDS[layer][column]}
     assert not over, "%s %s\n%s" % (name, over, _table(calls))
+
+
+def test_training_builds_its_index_sets_without_np_unique(monkeypatch,
+                                                          make_ps2):
+    """Host cost that call counts cannot see: ``np.unique`` is one call
+    from ``src/repro`` whether it sorts or (numpy 2.x, integers) hashes
+    first, at several times a sort's price.  Index sets on the training
+    path (the data generators, a mini-batch's key union, a split, a
+    worker's LDA vocabulary) are built by sorting and cutting; here one
+    LR iteration and one LDA init with ``np.unique`` refused hold them
+    to it."""
+    from repro.data import sparse_classification, synthetic_corpus
+    from repro.ml.lda import train_lda
+    from repro.ml.lr import train_logistic_regression
+    from repro.ml.optim import Adam
+
+    def refused(*args, **kwargs):
+        raise AssertionError("np.unique on the training path")
+
+    monkeypatch.setattr(np, "unique", refused)
+    rows, _truth = sparse_classification(80, 200, 10, seed=21)
+    result = train_logistic_regression(
+        make_ps2(), rows, 200, optimizer=Adam(learning_rate=0.2),
+        n_iterations=1, batch_fraction=0.5, seed=21)
+    assert result.iterations == 1
+    docs, _truth = synthetic_corpus(20, 60, n_topics=3, doc_length=15,
+                                    seed=23)
+    result = train_lda(make_ps2(), docs, 60, n_topics=3, n_iterations=1,
+                       seed=23)
+    assert result.iterations == 1
 
 
 if __name__ == "__main__":

@@ -81,7 +81,7 @@ def test_layout_inequality_cases():
 def test_split_indices_groups_by_owner():
     layout = ColumnLayout(100, 4, rotation=2)
     indices = np.array([0, 30, 60, 99, 25, 26])
-    groups = layout.split_indices(indices)
+    groups = layout.split_sorted(0, np.sort(indices))
     for server_index, group in groups.items():
         for col in group:
             assert layout.server_of(int(col)) == server_index
@@ -90,7 +90,8 @@ def test_split_indices_groups_by_owner():
 
 
 def test_split_indices_empty():
-    assert ColumnLayout(10, 2).split_indices([]) == {}
+    assert ColumnLayout(10, 2).split_sorted(
+        0, np.empty(0, dtype=np.int64)) == {}
 
 
 def test_validation_errors():
@@ -112,9 +113,10 @@ def test_row_layout_single_server_per_row():
 
 def test_row_layout_split_indices():
     layout = RowLayout(64, 3)
-    groups = layout.split_indices_for_row(2, np.array([5, 1, 60]))
-    assert list(groups) == [2]
-    assert groups[2].tolist() == [1, 5, 60]
+    ((placement, server_index, group, n_values),) = layout.shards(
+        2, np.array([5, 1, 60]))
+    assert (server_index, group.tolist(), n_values) == (2, [1, 5, 60], 3)
+    assert placement.tolist() == [1, 0, 2]
 
 
 def test_row_layout_equality():
@@ -153,49 +155,8 @@ def test_property_split_indices_is_a_partition(dim, n_servers, data):
     )
     layout = ColumnLayout(dim, n_servers, rotation=data.draw(
         st.integers(min_value=0, max_value=5)))
-    groups = layout.split_indices(np.array(indices, dtype=np.int64))
+    groups = layout.split_sorted(0, np.sort(np.array(indices, dtype=np.int64)))
     recovered = sorted(
         int(i) for group in groups.values() for i in group
     )
     assert recovered == sorted(indices)
-
-
-def test_split_memo_outlives_a_stage_of_pulls_until_the_deferred_pushes(
-        monkeypatch):
-    """One training stage at the ledger's width: 20 tasks each pull their
-    own index set, and the matching pushes commit only at the barrier —
-    after all 20 pulls.  Every push must find its pull's split still
-    memoized (a 16-entry clear-all memo served none of them)."""
-    from repro.experiments import make_context
-
-    n_workers, dim = 20, 4000
-    ctx = make_context(n_executors=n_workers, n_servers=n_workers, seed=3)
-    weight = ctx.dense(dim, rows=2, name="w")
-    gradient = weight.derive(name="g")
-    rng = np.random.default_rng(3)
-    batches = [np.sort(rng.choice(dim, size=150, replace=False))
-               for _ in range(n_workers)]
-
-    splits = []
-    split_indices = ColumnLayout.split_indices
-
-    def recording(self, indices):
-        splits.append(split_indices(self, indices))
-        return splits[-1]
-
-    monkeypatch.setattr(ColumnLayout, "split_indices", recording)
-
-    def task(task_ctx, iterator):
-        (union,) = list(iterator)
-        pulled = weight.pull(indices=union, task_ctx=task_ctx)
-        gradient.add(pulled + 1.0, indices=union, task_ctx=task_ctx)
-        return [union.size]
-
-    ctx.parallelize(batches, n_partitions=n_workers) \
-        .map_partitions_with_context(task).collect()
-
-    assert len(splits) == 2 * n_workers
-    pulls, pushes = splits[:n_workers], splits[n_workers:]
-    # A hit hands back the memoized dict itself.
-    assert all(any(push is pull for pull in pulls) for push in pushes)
-    assert gradient.sum() == 150.0 * n_workers

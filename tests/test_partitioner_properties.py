@@ -4,7 +4,7 @@ The invariants replication leans on, stated as properties:
 
 1. every column is owned by exactly ONE primary server, and every view of
    the mapping (``position_of``/``server_of``/``owned_ranges``/
-   ``shards_for_row``/``split_indices``) agrees;
+   ``shards_for_row``/``split_sorted``) agrees;
 2. ``derive()`` siblings are co-located (same pool, layout and rotation),
    so fan-out version keys and kernel operands always share shard keys;
 3. the read router only ever lands a request on the primary or a member
@@ -12,20 +12,27 @@ The invariants replication leans on, stated as properties:
 4. rebalance sweeps (promote/demote/migrate) never change primary
    ownership or lose data — coverage is preserved under any heat history;
 5. with hot-key replication AND the chain on, any interleaving of ops,
-   sweeps, crash/recover and resizes reads back a plain numpy accumulation.
+   sweeps, crash/recover and resizes reads back a plain numpy accumulation;
+6. index sets are built by sorting and cutting: ``sorted_unique`` and
+   ``batch_index_union`` equal ``np.unique``, a split equals the
+   per-index ownership rule on any input (unsorted, repeated, empty
+   ranges), and an index outside ``[0, dim)`` is refused, never placed.
 """
 
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.cluster.cluster import Cluster
+from repro.common.errors import PSError
 from repro.config import ClusterConfig
 from repro.core.context import PS2Context
+from repro.linalg.sparse import SparseRow, batch_index_union, sorted_unique
 from repro.ps import messages
 from repro.ps.client import PSClient
 from repro.ps.master import PSMaster
-from repro.ps.partitioner import ColumnLayout
+from repro.ps.partitioner import ColumnLayout, RowLayout
 
 
 layouts = st.builds(
@@ -80,7 +87,7 @@ def test_split_indices_partitions_and_preserves_order(layout, data):
         st.integers(min_value=0, max_value=layout.dim - 1),
         min_size=0, max_size=50, unique=True,
     ))
-    groups = layout.split_indices(indices)
+    groups = layout.split_sorted(0, np.sort(np.array(indices, dtype=np.int64)))
     # A partition: disjoint groups whose union is the sorted input...
     rejoined = [i for group in groups.values() for i in group]
     assert sorted(rejoined) == sorted(indices)
@@ -293,3 +300,79 @@ def test_hot_key_plus_chain_interleavings_match_numpy(data):
             holder = master.server(holder_index)
             if holder.alive and epoch in reasons.values():
                 assert holder.replica_store[key].install_epoch == epoch
+
+
+# -- 6: index sets by sorting and cutting -------------------------------------
+
+
+@given(rows=st.lists(st.lists(st.integers(min_value=-5, max_value=25),
+                              max_size=12), max_size=6))
+@settings(max_examples=100, deadline=None)
+def test_sorted_unique_and_the_batch_union_equal_np_unique(rows):
+    # A narrow value range: duplicates within and across rows are common;
+    # no rows, and rows with no indices, are drawn too.
+    arrays = [np.array(row, dtype=np.int64) for row in rows]
+    flat = np.concatenate(arrays) if arrays else np.empty(0, dtype=np.int64)
+    expected = np.unique(flat)
+    for got in (sorted_unique(flat),
+                batch_index_union([SparseRow(a, np.ones(a.size), 0.0)
+                                   for a in arrays])):
+        assert got.dtype == expected.dtype
+        assert np.array_equal(got, expected)
+
+
+cut_layouts = st.builds(
+    ColumnLayout,
+    st.integers(min_value=1, max_value=60),   # dim: often < n_servers * block
+    st.integers(min_value=1, max_value=12),   # n_servers
+    rotation=st.integers(min_value=0, max_value=11),
+    block=st.integers(min_value=1, max_value=8),
+)
+
+
+@given(layout=cut_layouts, data=st.data())
+@settings(max_examples=150, deadline=None)
+def test_a_split_equals_the_per_index_ownership_rule(layout, data):
+    # Unsorted, with repeats: ``shards`` sorts once and cuts, and each
+    # shard's placement says where its group sits in the caller's array.
+    indices = np.array(data.draw(st.lists(
+        st.integers(min_value=0, max_value=layout.dim - 1), max_size=40)),
+        dtype=np.int64)
+    shards = layout.shards(0, indices)
+    # The rule, one index at a time: the last bound at or below it names
+    # its position (empty ranges repeat a bound, so never match), the
+    # rotation names the server, and groups list ascending columns.
+    expected = {}
+    for index in sorted(indices.tolist()):
+        position = int(np.searchsorted(layout.bounds, index, "right")) - 1
+        server = (position + layout.rotation) % layout.n_servers
+        expected.setdefault(position, (server, []))[1].append(index)
+    assert [(server, group.tolist()) for _span, server, group, _n in shards] \
+        == [expected[position] for position in sorted(expected)]
+    for span, _server, group, n_values in shards:
+        assert group.dtype == np.int64 and n_values == group.size
+        assert np.array_equal(indices[span], group)
+    spans = [span for span, _server, _group, _n in shards]
+    assert sorted(np.concatenate(spans or [np.empty(0, int)]).tolist()) \
+        == list(range(indices.size))
+
+
+@given(layout=st.one_of(cut_layouts, st.builds(
+           RowLayout, st.integers(min_value=1, max_value=60),
+           st.integers(min_value=1, max_value=6))),
+       data=st.data())
+@settings(max_examples=100, deadline=None)
+def test_an_index_outside_the_dimension_is_refused_not_placed(layout, data):
+    inside = data.draw(st.lists(
+        st.integers(min_value=0, max_value=layout.dim - 1), max_size=10))
+    outside = data.draw(st.one_of(
+        st.integers(min_value=-3 * layout.dim, max_value=-1),
+        st.integers(min_value=layout.dim, max_value=4 * layout.dim)))
+    indices = np.array(data.draw(st.permutations(inside + [outside])),
+                       dtype=np.int64)
+    with pytest.raises(PSError, match="outside"):
+        layout.check_indices(indices)
+    with pytest.raises(PSError, match="outside"):
+        layout.split_sorted(0, np.sort(indices))
+    with pytest.raises(PSError, match="outside"):
+        layout.shards(0, indices)

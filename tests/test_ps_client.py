@@ -326,6 +326,56 @@ def test_a_block_push_naming_a_row_twice_is_refused_before_any_write(
     assert "replica-fanout-skipped" not in cluster.metrics.counters
 
 
+# -- sparse indices outside [0, dim) are refused before anything is sent ----
+
+
+_OUTSIDE = {
+    "pull": lambda c, m, idx: c.pull_row(m, 0, indices=idx),
+    "push add": lambda c, m, idx: c.push_add(
+        m, 0, np.ones(len(idx)), indices=idx),
+    "push assign": lambda c, m, idx: c.push_assign(
+        m, 0, np.ones(len(idx)), indices=idx),
+    "block pull": lambda c, m, idx: c.pull_block(m, [0, 1], indices=idx),
+    "block push": lambda c, m, idx: c.push_block_add(
+        m, [0, 1], np.ones((2, len(idx))), indices=idx),
+}
+
+
+@pytest.mark.parametrize("indices", [[-1], [4, 29, 30], [12, 87, 3]])
+@pytest.mark.parametrize("cached", [False, True])
+@pytest.mark.parametrize("layout", ["column", "row"])
+@pytest.mark.parametrize("op", sorted(_OUTSIDE))
+def test_sparse_indices_outside_the_row_are_refused_before_anything_is_sent(
+        op, layout, cached, indices):
+    # Unrefused, a column split sent -1 or dim to a phantom position that
+    # wrapped onto a real server, and the worker cache wrote column dim-1
+    # for -1.  The cached client holds row 0 warm, so its pulls and
+    # write-throughs take the cache path.
+    cluster = Cluster(ClusterConfig(
+        n_executors=2, n_servers=3, seed=7,
+        **({"consistency": "ssp", "staleness": 3} if cached else {})))
+    master = PSMaster(cluster)
+    client = PSClient(cluster, master, cluster.executors[0])
+    m = master.create_matrix(
+        30, n_rows=2, layout=RowLayout(30, 3) if layout == "row" else None)
+    client.push_block_add(m, [0, 1], np.arange(60.0).reshape(2, 30))
+    client.pull_row(m, 0)
+    assert (client.cache is not None) == cached
+    held = None if client.cache is None else \
+        client.cache.entries[(m, 0)].values.copy()
+    before = client.pull_block(m, [0, 1])
+    versions = [dict(server.versions) for server in master.servers]
+    sent = cluster.metrics.total_messages(), cluster.metrics.total_bytes()
+    with pytest.raises(PSError, match="outside"):
+        _OUTSIDE[op](client, m, np.array(indices, dtype=np.int64))
+    assert (cluster.metrics.total_messages(),
+            cluster.metrics.total_bytes()) == sent
+    assert [dict(server.versions) for server in master.servers] == versions
+    assert np.array_equal(client.pull_block(m, [0, 1]), before)
+    if held is not None:
+        assert np.array_equal(client.cache.entries[(m, 0)].values, held)
+
+
 def test_a_lazy_register_report_waits_out_a_partition():
     """The report of freshly created lazy rows is a coordinator RPC like
     the routing fetch, retried under the same loop: a partition that drops

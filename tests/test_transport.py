@@ -69,7 +69,7 @@ def test_sparse_pull_row_bytes_match_messages():
     m = master.create_matrix(30)
     idx = np.array([0, 7, 13, 22, 29])
     client.pull_row(m, 0, indices=idx)
-    groups = master.layout(m).split_indices(np.sort(idx))
+    groups = master.layout(m).split_sorted(0, np.sort(idx))
     req = [messages.PullRowRequest(s, m, 0, g.size, indices=g)
            for s, g in groups.items()]
     assert _tag(cluster, "pull:req") == (
@@ -93,7 +93,7 @@ def test_push_bytes_match_messages():
 
     idx = np.array([1, 8, 20])
     client.push_assign(m, 0, np.ones(3), indices=idx)
-    groups = master.layout(m).split_indices(np.sort(idx))
+    groups = master.layout(m).split_sorted(0, np.sort(idx))
     # ... and a sparse push adds an 8-byte key per entry.
     sparse = _on_wire([48 + (8 + 8) * g.size for g in groups.values()])
     n = len(shards) + len(groups)
@@ -225,7 +225,7 @@ def test_sparse_block_ships_shared_index_list_once():
     m = master.create_matrix(30, n_rows=3)
     idx = np.array([0, 7, 13, 22, 29])
     client.pull_block(m, [0, 1, 2], indices=idx)
-    groups = master.layout(m).split_indices(np.sort(idx))
+    groups = master.layout(m).split_sorted(0, np.sort(idx))
     expected = _on_wire([
         REQUEST_HEADER_BYTES
         + 3 * SUBREQUEST_HEADER_BYTES
