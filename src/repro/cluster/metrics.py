@@ -105,8 +105,8 @@ class MetricsRegistry:
         """Count an access of *n_values* parameters on one matrix shard.
 
         ``nbytes`` is the wire volume (request + response) the access cost,
-        as priced by the message formulas — 0 for callers that only track
-        counts.
+        as priced by the message formulas — the shard's heat
+        (:meth:`shard_heat`); an access recorded without it adds none.
         """
         key = (matrix_id, int(server_index))
         self.shard_requests[key] += n_requests
@@ -242,16 +242,12 @@ class MetricsRegistry:
 
         THE one counter source both the hot-shard telemetry
         (:meth:`hot_shards`, the report's table) and the replication
-        classifier consume, so policy and telemetry cannot drift: when any
-        access recorded wire bytes, heat is the shard's request+response
-        byte volume (the number that says what a shard actually *costs*);
-        otherwise — callers that only track counts, e.g. unit fixtures —
-        it falls back to raw request counts.  The rule is global per
-        registry, never mixed per key.
+        classifier consume, so policy and telemetry cannot drift: heat is
+        the shard's request+response byte volume (the number that says
+        what a shard actually *costs*), which the transport records with
+        every access.
         """
-        if self.shard_bytes:
-            return dict(self.shard_bytes)
-        return {key: float(n) for key, n in self.shard_requests.items()}
+        return dict(self.shard_bytes)
 
     def hot_shards(self, factor=HOT_FACTOR):
         """Shards whose heat exceeds *factor* x their matrix's mean heat.
@@ -260,9 +256,8 @@ class MetricsRegistry:
         sorted by descending heat ratio — the NuPS-style skew signal: under
         a uniform workload every shard of a matrix sees ~the same traffic,
         so a shard far above its matrix's mean marks hot parameters.  The
-        ranking metric is :meth:`shard_heat` — byte volume when recorded,
-        request counts otherwise — the same signal the replication
-        classifier acts on.
+        ranking metric is :meth:`shard_heat` — byte volume — the same
+        signal the replication classifier acts on.
         """
         by_matrix = defaultdict(list)
         for (matrix_id, server_index), heat in self.shard_heat().items():

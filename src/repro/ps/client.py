@@ -51,11 +51,12 @@ from repro.ps import messages
 from repro.ps.cache import WorkerCache
 from repro.ps.transport import FanoutPlan, Transport
 
-#: Entry cap for a layout's pooled fan-out plans (cleared when exceeded;
-#: id-keyed sparse plans from list inputs would otherwise accumulate).
+#: Entry cap for a layout's pooled fan-out plans (cleared when exceeded:
+#: sparse keys from a stream of distinct index sets would accumulate).
 _PLAN_POOL_CAP = 64
 
-#: Pool entry for a sparse key seen once: no plan is held for it yet.
+#: Pool entry for a sparse key seen once: no plan is held for it yet,
+#: the key (which carries the index bytes) is all that is kept.
 _SEEN_ONCE = object()
 
 #: The placement: first field of every layout ``shards`` / ``block_shards``
@@ -185,20 +186,21 @@ class PSClient:
         """
         return layout.op_plans
 
-    def _plan(self, layout, key, build, indices=None):
+    def _plan(self, layout, key, build, sparse=False):
         """The :class:`FanoutPlan` for one op; returns ``(plan, pooled)``.
 
         *build* makes the plan from scratch.  With a *key* and an eligible
         pool (:meth:`_plan_pool`) the pool is consulted first and a fresh
         build is stored, so the next op under that key reuses the request
-        objects and everything the transport derived from them.  A sparse
-        plan is keyed on ``id(indices)`` — cheap, but an id says nothing
-        about contents (arrays are mutated in place, ids are recycled) —
-        so it carries a snapshot of *indices* that every hit re-verifies,
-        and it is pooled only from the second op under its key: training
-        builds a fresh index array per mini-batch, and holding a plan and
-        a copy for each would fill the pool with entries nothing reuses.
-        Under a cost model a fresh build first takes the model's verdict
+        objects and everything the transport derived from them.  A key is
+        a value: a *sparse* op's key carries its index set's bytes, so any
+        array holding those indices hits the plan, and an array edited in
+        place brings another key — nothing about the caller's array
+        object is remembered, so nothing about it can go stale.  A sparse
+        plan is pooled only from the second op under its key: training
+        builds a fresh index set per mini-batch, and holding a plan for
+        each would fill the pool with entries nothing reuses.  Under a
+        cost model a fresh build first takes the model's verdict
         (:meth:`~repro.ps.costmodel.CostModel.identity_tags`); a plan
         without one is returned unpooled and prepared message by message,
         so no pooled request ever carries a codec.  ``pooled`` tells a
@@ -209,8 +211,7 @@ class PSClient:
         if plans is None:
             return build(), False
         entry = plans.get(key)
-        if entry is not None and entry is not _SEEN_ONCE and (
-                indices is None or np.array_equal(entry.snapshot, indices)):
+        if entry is not None and entry is not _SEEN_ONCE:
             return entry, True
         plan = build()
         costmodel = self.cluster.costmodel
@@ -218,24 +219,16 @@ class PSClient:
             plan.identity_tags = costmodel.identity_tags(plan.requests)
             if plan.identity_tags is None:
                 return plan, False
-        if indices is None:
-            entry = plan
-        elif entry is None:
-            # First sight of this array: most are a mini-batch's fresh
-            # index set and never come back, so remember only that it was
-            # here; the snapshot and the plan are kept from the second.
-            entry = _SEEN_ONCE
-        else:
-            plan.snapshot = indices.copy()
-            entry = plan
         if len(plans) >= _PLAN_POOL_CAP:
             plans.clear()
-        plans[key] = entry
+        # First sight of a sparse key: most are a mini-batch's fresh index
+        # set and never come back, so remember only that it was here.
+        plans[key] = _SEEN_ONCE if sparse and entry is None else plan
         return plan, False
 
-    def _read(self, layout, key, build, shape, indices=None):
+    def _read(self, layout, key, build, shape, sparse=False):
         """Send a read op's plan; assemble the replies into one array."""
-        plan, _pooled = self._plan(layout, key, build, indices)
+        plan, _pooled = self._plan(layout, key, build, sparse)
         values, arrivals = self.transport.send_all(plan.requests, plan=plan)
         result = np.empty(shape)
         for placement, block in zip(plan.placements, values):
@@ -243,14 +236,14 @@ class PSClient:
         self._await(arrivals)
         return result
 
-    def _write(self, layout, key, build, values, indices=None):
+    def _write(self, layout, key, build, values, sparse=False):
         """Send a (fire-and-forget) write op's plan carrying *values*.
 
         *build* constructs its requests around this call's values; a plan
         out of the pool gets them swapped in — same placements, so same
         lengths, so every memoized wire size stays valid.
         """
-        plan, pooled = self._plan(layout, key, build, indices)
+        plan, pooled = self._plan(layout, key, build, sparse)
         if pooled:
             for request, placement in zip(plan.requests, plan.placements):
                 request.values = values[placement]
@@ -278,7 +271,7 @@ class PSClient:
         if indices is None:
             key, size = ("pull-dense", matrix_id, row), layout.dim
         else:
-            key = ("pull-sparse", matrix_id, row, indices.size, id(indices))
+            key = ("pull-sparse", matrix_id, row, indices.tobytes())
             size = indices.size
 
         def build():
@@ -290,7 +283,7 @@ class PSClient:
                 list(map(_PLACEMENT, shards)),
             )
 
-        return self._read(layout, key, build, size, indices)
+        return self._read(layout, key, build, size, indices is not None)
 
     def _cache_full_row(self, matrix_id, row, layout):
         """Miss path: pull the whole row dense, cache it, return it.
@@ -424,8 +417,8 @@ class PSClient:
             else:
                 indices = np.asarray(indices, dtype=np.int64)
                 values = _checked(values, (indices.size,))
-                key = ("push-sparse", matrix_id, row, indices.size,
-                       id(indices), mode)
+                key = ("push-sparse", matrix_id, row, indices.tobytes(),
+                       mode)
             if self.cache is not None:
                 # Write-through: the worker's own updates stay visible in
                 # its cached copy (read-your-writes within the bound) —
@@ -444,7 +437,7 @@ class PSClient:
                     list(map(_PLACEMENT, shards)),
                 )
 
-            self._write(layout, key, build, values, indices)
+            self._write(layout, key, build, values, indices is not None)
 
     def push_add(self, matrix_id, row, values, indices=None):
         """Accumulate a (dense or sparse) delta into a model row."""

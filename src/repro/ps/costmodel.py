@@ -310,20 +310,21 @@ class CostModel:
         by ``factor`` for free.  The gate admits a promotion only when
         the heat observed this window, *deflated by the compression
         factor*, still exceeds the migration cost — the NuPS trade
-        priced in the codec-aware regime.  Keys already replicated are
-        not re-gated (churn is what the demote sweep is for).
+        priced in the codec-aware regime.  The migration is the values
+        the key's primary is assigned: its shard of every row the matrix
+        has (a lazy table's created rows, which a row layout places on
+        one server each), read at the width of one such shard.  Keys
+        already replicated are not re-gated (churn is what the demote
+        sweep is for).
         """
         matrix_id, server_index = key
         try:
             info = master.info(matrix_id)
         except MatrixNotFoundError:
             return True  # no metadata for this id: nothing to price
-        width = 0
-        for shard_server, start, stop in info.layout.shards_for_row(0):
-            if shard_server == server_index:
-                width = stop - start
-                break
-        migrate_bytes = info.n_rows * width * FLOAT_BYTES
+        values, width = info.layout.values_on(
+            server_index, master._assigned_rows(info))
+        migrate_bytes = values * FLOAT_BYTES
         factor = self._read_compression_factor(max(width, 1))
         worthwhile = delta_heat / factor > migrate_bytes
         self.cluster.metrics.increment(

@@ -231,11 +231,13 @@ class Request:
     #: encoded) or ``"response"`` (the reply is priced at the codec's rate).
     codec_side = None
 
-    #: Layout.  ``indices`` is the column-index list a group may share
-    #: (``None``: nothing to share).  Index arrays are immutable once a
-    #: message holds one and are never the caller's own array: sharing is
-    #: by object identity, servers memoize per array, and pooled plans
-    #: re-send their messages — the client copies before it builds.
+    #: Layout.  ``indices`` is the ``int64`` array of global columns a
+    #: group may share (``None``: nothing to share); the server offsets
+    #: it by its shard's start.  The layout builds it, never the caller's
+    #: own array, and it is immutable once a message holds it: pooled
+    #: plans send their messages again.  A block op's messages to one
+    #: server hold the same array for every row, the one identity
+    #: :func:`wire_bytes` keys on.
     indices = None
     #: Private payload bytes that do not depend on instance data.
     fixed_payload_bytes = 0
@@ -606,9 +608,9 @@ class ReplicatedPushRequest(Request):
 def wire_bytes(group):
     """Request bytes of one wire message, the *group* of requests one send
     ships to one server: a lone request's own size, else one header, each
-    distinct ``(matrix_id, id(indices))`` index list once — the client
-    passes the same array to every row of a block op — and a descriptor
-    plus private payload per request."""
+    distinct ``(matrix_id, id(indices))`` index list once — the layout
+    builds one array per server for every row of a block op, never the
+    caller's — and a descriptor plus private payload per request."""
     if len(group) == 1:
         return group[0].wire_bytes()
     total = REQUEST_HEADER_BYTES

@@ -146,6 +146,14 @@ class ColumnLayout(_Layout):
             and self.bounds[p + 1] > self.bounds[p]
         ]
 
+    def values_on(self, server_index, rows):
+        """``(values, width)``: how many values of *rows* *server_index*
+        holds, and how many of one row — its shard of every row."""
+        width = 0
+        for start, stop in self.owned_ranges(server_index):
+            width += stop - start
+        return len(rows) * width, width
+
     def shards_for_row(self, row):
         """All ``(server_index, start, stop)`` shards of any row."""
         return [
@@ -253,6 +261,13 @@ class RowLayout(_Layout):
     def shards_for_row(self, row):
         return [(self._owner(row), 0, self.dim)]
 
+    def values_on(self, server_index, rows):
+        """As :meth:`ColumnLayout.values_on`, where a server holds whole
+        rows: those of *rows* it owns."""
+        n_servers = self.n_servers
+        held = [row % n_servers for row in rows].count(server_index)
+        return held * self.dim, self.dim
+
     def split_sorted(self, row, ordered):
         """All of the ascending index array *ordered* maps to *row*'s
         single owning server."""
@@ -265,10 +280,10 @@ class RowLayout(_Layout):
 
         Entries as :meth:`ColumnLayout.block_shards`, one per row, grouped
         by *owning* server — never by ``rows[0]``'s owner — and sharing
-        one private copy of *indices*: a message never aliases the
-        caller's array (an in-place edit between ops must not reach
-        messages or the servers' per-array memos), and one object for
-        every row keeps the group dedup.
+        one private copy of *indices*: no message aliases the caller's
+        array, the rule pooled plans rest on (they send their messages
+        again, and an in-place edit between ops must not reach one), and
+        one object for every row keeps the group dedup.
         """
         width = self.dim
         if indices is not None:

@@ -150,13 +150,6 @@ class PSServer:
         #: the replication forward has not settled yet (filled only while
         #: replication is on).
         self.created = set()
-        #: ``(id(indices), shard.start) -> (indices, local_offsets)`` memo
-        #: for the pull and push handlers.  Message index arrays are
-        #: identity-stable and treated as immutable throughout
-        #: (``messages`` deduplicates shared lists by ``id`` for wire
-        #: sizing already); holding the array reference keeps the id valid
-        #: while cached.
-        self._local_cache = {}
         #: Lazily cached ``node.spec.flops`` (immutable) so the fan-out
         #: serve loop prices compute without a node lookup per request.
         self._node_flops = None
@@ -183,18 +176,6 @@ class PSServer:
     # replica shards at the primary's price, charged as ``ps-replica``,
     # with no version bump (the copy carries the primary's counters).
 
-    def _local_offsets(self, indices, start):
-        """Global -> shard-local index conversion, memoized per array."""
-        key = (id(indices), start)
-        entry = self._local_cache.get(key)
-        if entry is not None and entry[0] is indices:
-            return entry[1]
-        local = np.asarray(indices, dtype=np.int64) - start
-        if len(self._local_cache) >= 64:
-            self._local_cache.clear()
-        self._local_cache[key] = (indices, local)
-        return local
-
     def _read_shard(self, request):
         """The shard a read is served from: this server's own, or — when
         the replication routers retargeted the read here (``replica_of``
@@ -217,8 +198,7 @@ class PSServer:
         if request.indices is None:
             values = shard.values.copy()
         else:
-            values = shard.values[
-                self._local_offsets(request.indices, shard.start)]
+            values = shard.values[request.indices - shard.start]
         size = values.size
         charges = ((READ_FLOPS * (size if size > 1 else 1), "ps-read"),)
         codec = request.codec
@@ -275,16 +255,13 @@ class PSServer:
         mode = request.mode
         values = request.values
         if request.indices is None:
-            local = None
-        else:
-            local = self._local_offsets(request.indices, shard.start)
-        if local is None:
             if mode == "add":
                 shard.values += values
             else:
                 shard.values[:] = values
             n = shard.values.size
         else:
+            local = request.indices - shard.start
             if mode == "add":
                 np.add.at(shard.values, local, values)
             else:

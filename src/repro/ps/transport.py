@@ -61,11 +61,12 @@ def _tag_pair(tag):
 class FanoutPlan:
     """One client op's fan-out, as a value.
 
-    The client fills ``requests`` (one typed message per destination),
-    ``placements`` (per request, the numpy index expression — a slice, an
-    index array, or a ``(row_pos, slice | array)`` pair — locating that
-    request's values in the op's array) and, for a sparse plan,
-    ``snapshot`` (the index contents it re-verifies before reuse).  The
+    The client fills ``requests`` (one typed message per destination)
+    and ``placements`` (per request, the numpy index expression — a
+    slice, an index array, or a ``(row_pos, slice | array)`` pair —
+    locating that request's values in the op's array); both follow from
+    the op's key alone (for a sparse op, its index values), so a plan
+    pooled under that key is valid for any op that brings it.  The
     transport keeps on the same object what it derives from that exact
     request list: ``outgoing`` (the :meth:`Transport._coalesce` grouping)
     and ``bulk`` (the :meth:`Transport._bulk_plan` phase-1 product, stamped
@@ -84,13 +85,12 @@ class FanoutPlan:
     plan sent again replays its copies too.
     """
 
-    __slots__ = ("requests", "placements", "snapshot", "outgoing", "bulk",
+    __slots__ = ("requests", "placements", "outgoing", "bulk",
                  "identity_tags", "copy_layout")
 
-    def __init__(self, requests, placements, snapshot=None):
+    def __init__(self, requests, placements):
         self.requests = requests
         self.placements = placements
-        self.snapshot = snapshot
         self.outgoing = None
         self.bulk = None
         self.identity_tags = None

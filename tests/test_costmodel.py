@@ -296,6 +296,31 @@ def test_replication_gate_prices_heat_against_migration():
     assert counters["codec-replication-allowed"] == 1
 
 
+def test_replication_gate_prices_a_lazy_table_at_each_primarys_rows():
+    """Under a row layout a key's migration is the rows its primary
+    holds: a server holding one row is not free to promote, and server
+    0 is not charged the whole table."""
+    cluster, master, client = _rig("auto", n_servers=3, slow=False,
+                                   replication="topk")
+    m = master.create_table(8)
+    client.pull_or_create(m, [0, 3, 6, 1, 9])  # rows % 3: 0, 0, 0, 1, 0
+    costmodel = cluster.costmodel
+    row_bytes = 8 * FLOAT_BYTES
+    factor = costmodel._read_compression_factor(8)
+    # Server 1 holds one row; a cold key's heat does not pay for it.
+    assert not costmodel.replication_worthwhile((m, 1), 1.0, master)
+    assert costmodel.replication_worthwhile(
+        (m, 1), 1.01 * row_bytes * factor, master)
+    # Server 0 holds four of the table's ten row ids, not all ten.
+    assert not costmodel.replication_worthwhile(
+        (m, 0), 4 * row_bytes * factor, master)
+    assert costmodel.replication_worthwhile(
+        (m, 0), 1.01 * 4 * row_bytes * factor, master)
+    counters = cluster.metrics.counters
+    assert counters["codec-replication-vetoed"] == 2
+    assert counters["codec-replication-allowed"] == 2
+
+
 def test_replication_gate_admits_unknown_matrices():
     cluster, master, _client = _rig("int8", n_servers=2)
     assert cluster.costmodel.replication_worthwhile(

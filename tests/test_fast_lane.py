@@ -230,20 +230,23 @@ class _Rig:
                                       layout=RowLayout(DIM, 3)),
         )
         self.table = self.master.create_table(TABLE_DIM)
-        #: Index arrays reused *by identity* across ops: the client's
-        #: pooled sparse plans (and the transport's cached groupings)
-        #: key on the array object.
+        #: Index arrays reused across ops, as they are or as fresh
+        #: copies: the client's pooled sparse plans (and the transport's
+        #: cached groupings) key on their values, so both hit.
         self.shared = (
             np.array([1, 4, 9, 12, 17, 22, 29], dtype=np.int64),
             np.array([28, 3, 15, 0, 11], dtype=np.int64),
         )
 
     def indices(self, spec):
-        """``None`` (dense), a shared array's slot, or a private list."""
+        """``None`` (dense), a shared array's slot, ``("copy", slot)`` — a
+        fresh array equal to that shared one — or a private list."""
         if spec is None:
             return None
         if isinstance(spec, int):
             return self.shared[spec]
+        if isinstance(spec, tuple):
+            return self.shared[spec[1]].copy()
         return np.array(spec, dtype=np.int64)
 
     def _pools(self):
@@ -427,7 +430,7 @@ def _apply(rig, op):
         return rig.cluster.consistency.advance(rig.cluster, client.node_id)
     if kind == "mutate":
         # In-place edit of a shared index array: same object, same size,
-        # new contents — a pooled sparse plan keyed on it must notice.
+        # new contents — so a new key: the pool keys on index values.
         slot, shift = args
         rig.shared[slot][:] = (rig.shared[slot] + shift) % DIM
         return None
@@ -579,6 +582,7 @@ _seeds = st.integers(0, 2 ** 16)
 _indices = st.one_of(
     st.none(),
     st.integers(0, 1),
+    st.tuples(st.just("copy"), st.integers(0, 1)),
     st.lists(st.integers(0, DIM - 1), max_size=12, unique=True),
 )
 _ops = st.one_of(
@@ -629,8 +633,9 @@ _FIXED_STREAM = [
     ("mixed", 0, 1, 9),
     ("tick", 0),
 ] * 2 + [
-    # The shared arrays change under the plans keyed on them, then every
-    # sparse kind runs again (twice: a rebuild, then a hit on the rebuild).
+    # The shared arrays change under the plans built from them, then
+    # every sparse kind runs again (twice: a rebuild, then a hit on the
+    # rebuild), as do fresh copies of them, which hit those plans.
     ("mutate", 0, 0, 3),
     ("mutate", 0, 1, 7),
 ] + [
@@ -638,6 +643,8 @@ _FIXED_STREAM = [
     ("pull", 0, 0, 1, 0),
     ("pull", 0, 1, 2, 1),
     ("push", 0, 1, 2, "add", 1, 11),
+    ("pull", 1, 0, 1, ("copy", 0)),
+    ("push", 2, 1, 2, "add", ("copy", 1), 13),
     ("pull_block", 0, 0, [2, 1], 1),
     ("push_block", 0, 0, [2, 1], 1, 12),
     ("tick", 0),

@@ -88,14 +88,15 @@ def test_load_imbalance_empty_registry():
 
 def test_hot_shards_flags_skewed_shard():
     m = MetricsRegistry()
-    # Matrix 0: shard 2 sees 10x the traffic of its siblings.
+    # Matrix 0: shard 2 sees 10x the traffic of its siblings (heat is
+    # bytes: 80 per access of 10 values).
     for server in range(4):
-        m.record_shard_access(0, server, 10)
+        m.record_shard_access(0, server, 10, nbytes=80.0)
     for _ in range(39):
-        m.record_shard_access(0, 2, 10)
+        m.record_shard_access(0, 2, 10, nbytes=80.0)
     # Matrix 1 is perfectly balanced: no hot shard there.
     for server in range(4):
-        m.record_shard_access(1, server, 10)
+        m.record_shard_access(1, server, 10, nbytes=80.0)
     hot = m.hot_shards(factor=2.0)
     assert len(hot) == 1
     matrix_id, server_index, requests, values, ratio = hot[0]

@@ -291,22 +291,25 @@ def test_histogram_rejects_bad_args():
 
 def test_hot_shard_detection_on_skewed_access():
     m = MetricsRegistry()
-    # shard 0 takes 10x the traffic of the other three
-    m.record_shard_access(7, 0, n_values=1000, n_requests=100)
+    # shard 0 takes 10x the traffic of the other three: heat is bytes,
+    # 80 per request here
+    m.record_shard_access(7, 0, n_values=1000, n_requests=100, nbytes=8000.0)
     for shard in (1, 2, 3):
-        m.record_shard_access(7, shard, n_values=100, n_requests=10)
+        m.record_shard_access(7, shard, n_values=100, n_requests=10,
+                              nbytes=800.0)
     hot = m.hot_shards(factor=2.0)
     assert [(mat, shard) for mat, shard, _, _, _ in hot] == [(7, 0)]
     _mat, _shard, requests, values, ratio = hot[0]
     assert requests == 100 and values == 1000
-    # mean requests = (100 + 30) / 4 = 32.5 -> ratio ~3.08
-    assert ratio == pytest.approx(100 / 32.5)
+    # mean bytes = (8000 + 2400) / 4 = 2600 -> ratio ~3.08
+    assert ratio == pytest.approx(8000 / 2600)
 
 
 def test_hot_shards_empty_on_uniform_access():
     m = MetricsRegistry()
     for shard in range(4):
-        m.record_shard_access(1, shard, n_values=50, n_requests=5)
+        m.record_shard_access(1, shard, n_values=50, n_requests=5,
+                              nbytes=400.0)
     assert m.hot_shards(factor=1.5) == []
 
 

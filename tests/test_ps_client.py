@@ -204,8 +204,7 @@ def test_row_layout_routing(cluster):
 
 def test_row_layout_block_ops_never_alias_the_callers_index_array(cluster):
     """An in-place edit of the caller's index array between two block ops
-    must reach neither the messages nor the servers' per-array offset
-    memo: the second op lands on the *new* columns."""
+    must reach no message: the second op lands on the *new* columns."""
     master = PSMaster(cluster)
     client = PSClient(cluster, master, cluster.executors[0])
     m = master.create_matrix(16, n_rows=4, layout=RowLayout(16, 3))
@@ -430,11 +429,12 @@ def test_pool_hit_reuses_the_plan_and_what_the_transport_derived(
     idx = np.array([13, 2, 7])
     ops = {
         ("pull-dense", m, 0): lambda c, v: c.pull_row(m, 0),
-        ("pull-sparse", m, 0, 3, id(idx)): lambda c, v: c.pull_row(m, 0, idx),
+        ("pull-sparse", m, 0, idx.tobytes()):
+            lambda c, v: c.pull_row(m, 0, idx.copy()),
         ("push-dense", m, 0, "add"):
             lambda c, v: c.push_add(m, 0, np.full(20, v)),
-        ("push-sparse", m, 0, 3, id(idx), "add"):
-            lambda c, v: c.push_add(m, 0, np.full(3, v), idx),
+        ("push-sparse", m, 0, idx.tobytes(), "add"):
+            lambda c, v: c.push_add(m, 0, np.full(3, v), idx.copy()),
         ("pull-block-dense", m, (0, 2), 8):
             lambda c, v: c.pull_block(m, [0, 2]),
         ("push-block-dense", m, (0, 2), 8):
@@ -460,32 +460,111 @@ def test_pool_hit_reuses_the_plan_and_what_the_transport_derived(
     assert client.pull_row(m, 0)[13] == 4 * 1.0 + 3 * 10.0
 
 
-def test_sparse_plan_is_rebuilt_when_its_snapshot_no_longer_matches(setup):
-    _cluster, master, client, m = setup
-    client.push_assign(m, 0, np.arange(20.0))
+@pytest.fixture(params=[False, True], ids=["no-model", "identity-verdict"])
+def pooling(request):
+    """Two clients of a 20-wide matrix whose row 0 holds its column
+    numbers; with the cost model on (``wire_codec="auto"``) on the default
+    NICs, where every op here gets the model's identity verdict."""
+    cluster = Cluster(ClusterConfig(
+        n_executors=4, n_servers=3, seed=42,
+        wire_codec="auto" if request.param else "off"))
+    master = PSMaster(cluster)
+    clients = [PSClient(cluster, master, node)
+               for node in cluster.executors[:2]]
+    m = master.create_matrix(20, n_rows=3)
+    clients[0].push_assign(m, 0, np.arange(20.0))
+    return cluster, master, clients, m
+
+
+#: A sparse op on row 0 by kind: its pool key and the op itself (a push
+#: adds 1 at each index).
+_SPARSE_OPS = {
+    "pull": (lambda m, idx: ("pull-sparse", m, 0, idx.tobytes()),
+             lambda client, m, idx: client.pull_row(m, 0, idx)),
+    "push": (lambda m, idx: ("push-sparse", m, 0, idx.tobytes(), "add"),
+             lambda client, m, idx: client.push_add(
+                 m, 0, np.ones(idx.size), idx)),
+}
+
+
+def _expected_row(kind, *index_sets):
+    """Row 0 after *index_sets* went through ops of *kind*."""
+    row = np.arange(20.0)
+    if kind == "push":
+        for indices in index_sets:
+            np.add.at(row, indices, 1.0)
+    return row
+
+
+def _check_pooled(cluster, plan):
+    assert isinstance(plan, FanoutPlan)
+    # Under the model a pooled plan carries its verdict.
+    assert (plan.identity_tags is not None) == (
+        cluster.costmodel is not None)
+
+
+@pytest.mark.parametrize("kind", sorted(_SPARSE_OPS))
+def test_an_equal_index_set_in_another_array_hits_the_pooled_plan(
+        pooling, kind, monkeypatch):
+    cluster, master, (client, other), m = pooling
+    key_of, op = _SPARSE_OPS[kind]
     pool = master.layout(m).op_plans
     idx = np.array([13, 2, 7])
-    key = ("pull-sparse", m, 0, 3, id(idx))
     for _sight in range(2):
-        assert np.array_equal(client.pull_row(m, 0, idx), [13, 2, 7])
-    plan = pool[key]
-    assert np.array_equal(plan.snapshot, [13, 2, 7])
-    # Mutated in place: same object, same size, same key.
+        op(client, m, idx)
+    plan = pool[key_of(m, idx)]
+    _check_pooled(cluster, plan)
+    calls = _count_coalesce(monkeypatch)
+    twin = np.array([13, 2, 7])
+    got = op(other, m, twin)
+    assert pool[key_of(m, twin)] is plan and not calls
+    if kind == "pull":
+        assert np.array_equal(got, [13.0, 2.0, 7.0])
+    assert np.array_equal(client.pull_row(m, 0),
+                          _expected_row(kind, idx, idx, twin))
+
+
+@pytest.mark.parametrize("kind", sorted(_SPARSE_OPS))
+def test_an_index_array_edited_in_place_misses_and_lands_on_its_new_columns(
+        pooling, kind):
+    cluster, master, (client, _other), m = pooling
+    key_of, op = _SPARSE_OPS[kind]
+    pool = master.layout(m).op_plans
+    idx = np.array([13, 2, 7])
+    old_key = key_of(m, idx)
+    for _sight in range(2):
+        op(client, m, idx)
+    plan = pool[old_key]
+    _check_pooled(cluster, plan)
+    # Edited in place: the same object, the same size, a new key.
     idx[:] = [4, 19, 0]
-    assert np.array_equal(client.pull_row(m, 0, idx), [4, 19, 0])
-    assert pool[key] is not plan
-    assert np.array_equal(pool[key].snapshot, [4, 19, 0])
-    # A recycled id: another array's plan sits under this array's key.
-    twin = np.array([1, 2, 3])
-    stale = pool[key]
-    pool[("pull-sparse", m, 0, 3, id(twin))] = stale
-    assert np.array_equal(client.pull_row(m, 0, twin), [1, 2, 3])
-    assert pool[("pull-sparse", m, 0, 3, id(twin))] is not stale
+    got = op(client, m, idx)
+    assert pool[key_of(m, idx)] is _SEEN_ONCE and pool[old_key] is plan
+    if kind == "pull":
+        assert np.array_equal(got, [4.0, 19.0, 0.0])
+    # The pooled plan still ships the columns it was built for.
+    assert sorted(np.concatenate(
+        [request.indices for request in plan.requests])) == [2, 7, 13]
+    assert np.array_equal(
+        client.pull_row(m, 0),
+        _expected_row(kind, [13, 2, 7], [13, 2, 7], [4, 19, 0]))
+
+
+@pytest.mark.parametrize("kind", sorted(_SPARSE_OPS))
+def test_a_fresh_index_set_leaves_seen_once_on_first_sight(pooling, kind):
+    cluster, master, (client, _other), m = pooling
+    key_of, op = _SPARSE_OPS[kind]
+    pool = master.layout(m).op_plans
+    idx = np.array([5, 17, 11])
+    op(client, m, idx)
+    assert pool[key_of(m, idx)] is _SEEN_ONCE
+    op(client, m, idx.copy())  # second sight, from another array
+    _check_pooled(cluster, pool[key_of(m, idx)])
 
 
 def test_fresh_index_arrays_leave_no_plan_and_no_copy_behind(setup):
     """A training loop's pattern: every mini-batch brings a new index
-    array, used for one pull and one push and never again."""
+    set, used for one pull and one push and never again."""
     _cluster, master, client, m = setup
     pool = master.layout(m).op_plans
     batches = [np.array([b, 19 - b, 10]) for b in range(8)]
@@ -507,7 +586,7 @@ def test_cap_clear_under_replication_keeps_what_it_stores():
     for filler in range(_PLAN_POOL_CAP - len(pool)):
         pool[("filler", filler)] = None
     idx = np.array([13, 2, 7])
-    key = ("pull-sparse", m, 0, 3, id(idx))
+    key = ("pull-sparse", m, 0, idx.tobytes())
     client.pull_row(m, 0, idx)  # over the cap: the pool starts over
     assert set(pool) == {key}
     assert pool[key] is _SEEN_ONCE

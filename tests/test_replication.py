@@ -88,11 +88,10 @@ def test_hot_shard_table_ranks_by_the_classifier_metric():
     assert "1000" in hot_shard_table(metrics)
     # The classifier consumes the same metric, so it picks the same key.
     assert master.replicas._classify(metrics.shard_heat()) == {(7, 1)}
-    # Count-only registries (no bytes recorded) fall back to counts.
+    # Heat is bytes only: an access recorded without them adds none.
     fresh = Cluster(ClusterConfig(n_executors=2, n_servers=3, seed=1)).metrics
     fresh.record_shard_access(7, 0, n_values=5, n_requests=5)
-    fresh.record_shard_access(7, 1, n_values=1, n_requests=1)
-    assert fresh.shard_heat() == {(7, 0): 5.0, (7, 1): 1.0}
+    assert fresh.shard_heat() == {} and fresh.hot_shards() == []
 
 
 # -- promote / demote ---------------------------------------------------------
@@ -188,7 +187,7 @@ def test_route_read_leaves_mutations_and_cold_keys_alone():
     m = _heat_and_promote(master, client)
     # A mutation is never rerouted, even for a replicated key...
     push = messages.PushRequest(0, m, 0, np.ones(10),
-                                indices=list(range(10)), mode="add")
+                                indices=np.arange(10), mode="add")
     assert master.replicas.route([push])[0] is push
     assert push.server_index == 0 and push.replica_of is None
     # ...and a read of a non-replicated key passes through unchanged.
@@ -511,7 +510,7 @@ def test_single_message_send_routes_and_fans_out_like_send_all():
     hot_before = counters["replica-fanouts"]
     chain_before = counters["chain-fanouts"]
     push = messages.PushRequest(0, m, 0, np.ones(10),
-                                indices=list(range(10)), mode="add")
+                                indices=np.arange(10), mode="add")
     client.transport.send_all([push])
     # Same contract as send_all: hot copies to 1 and 2, the chain's copy
     # to the shared holder 1 already covered.

@@ -73,7 +73,6 @@ ALLOWED = {
     "repro.obs.tracer:Tracer.children_of": "read-only query",
     "repro.obs.tracer:Tracer.spans_for": "read-only query",
     "repro.ps.checkpoint:CheckpointManager.has_checkpoint": "read-only query",
-    "repro.ps.partitioner:ColumnLayout.owned_ranges": "read-only query",
     "repro.ps.partitioner:ColumnLayout.position_of": "read-only query",
     "repro.ps.partitioner:ColumnLayout.server_of": "read-only query",
     "repro.ps.server:PSServer.has_replica": "read-only query",
