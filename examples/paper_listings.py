@@ -14,7 +14,7 @@ from repro.core import kernels
 from repro.data import preferential_attachment_graph, random_walks, \
     skipgram_pairs, sparse_classification
 from repro.experiments import make_context
-from repro.linalg.sparse import batch_index_union
+from repro.linalg.sparse import SparseBatch
 from repro.ml import losses
 from repro.ml.losses import sigmoid
 
@@ -54,15 +54,15 @@ def figure3_adam_for_lr():
         gradient.zero()
 
         def map_partition(ctx_task, iterator):      # mapPartition { ... }
-            batch = list(iterator)
-            union = batch_index_union(batch)
-            local_weight = weight.pull(indices=union, task_ctx=ctx_task)
+            rows = list(iterator)
+            batch = SparseBatch(rows)
+            local_weight = weight.pull(indices=batch.union, task_ctx=ctx_task)
             local_gradient, loss = losses.logistic_grad_batch(
-                batch, union, local_weight
+                batch, local_weight
             )
-            gradient.add(local_gradient / max(1, len(batch)),
-                         indices=union, task_ctx=ctx_task)
-            return [loss / max(1, len(batch))]
+            gradient.add(local_gradient / max(1, len(rows)),
+                         indices=batch.union, task_ctx=ctx_task)
+            return [loss / max(1, len(rows))]
 
         batch_losses = data.sample(fraction, seed=i) \
             .map_partitions_with_context(map_partition).collect()  # .foreach()

@@ -22,6 +22,7 @@ still fully charged to the cost model (DistML pays dense communication).
 from __future__ import annotations
 
 from repro.common.rng import RngRegistry
+from repro.linalg.sparse import SparseBatch
 from repro.ml import losses
 from repro.ml.results import TrainResult
 
@@ -39,21 +40,21 @@ def train_lr_distml(ctx, rows, dim, learning_rate=0.618, n_iterations=20,
 
     result = TrainResult(system=system, workload="lr-sgd-distml")
     for iteration in range(n_iterations):
-        batch = data.sample(batch_fraction, seed=seed * 10000 + iteration)
+        sampled = data.sample(batch_fraction, seed=seed * 10000 + iteration)
         stale = snapshots[max(0, len(snapshots) - 1 - STALENESS)]
 
         def gradient_task(task_ctx, iterator):
-            batch_rows = list(iterator)
-            if not batch_rows:
+            batch = SparseBatch(list(iterator))
+            if not batch:
                 return (None, 0.0, 0)
             # The pull is issued (and charged) but the worker's view is the
             # stale snapshot — there is no barrier forcing freshness.
             weight.pull(task_ctx=task_ctx)
-            grad, loss_sum = losses.logistic_grad_dense(batch_rows, stale)
-            task_ctx.charge_flops(losses.grad_flops(batch_rows), tag="gradient")
-            return (grad, loss_sum, len(batch_rows))
+            grad, loss_sum = losses.logistic_grad_dense(batch, stale)
+            task_ctx.charge_flops(losses.grad_flops(batch), tag="gradient")
+            return (grad, loss_sum, len(batch))
 
-        stats = batch.map_partitions_with_context(
+        stats = sampled.map_partitions_with_context(
             lambda c, it: [gradient_task(c, it)]
         ).collect()
 

@@ -20,7 +20,7 @@ import numpy as np
 from repro.cluster.cluster import DRIVER
 from repro.common.errors import ConfigError
 from repro.costs import FLOAT_BYTES
-from repro.linalg.sparse import sorted_unique
+from repro.linalg.sparse import SparseBatch, sorted_unique
 from repro.ml import losses
 from repro.ml.results import TrainResult
 
@@ -88,17 +88,17 @@ def train_lr_mllib(ctx, rows, dim, optimizer="sgd", learning_rate=0.618,
         breakdown["broadcast"] += t1 - t0
 
         # (2) gradient calculation (results stay on the executors) ------------
-        batch = data.sample(batch_fraction, seed=seed * 10000 + iteration)
+        sampled = data.sample(batch_fraction, seed=seed * 10000 + iteration)
 
         def gradient_task(task_ctx, iterator):
-            batch_rows = list(iterator)
+            batch = SparseBatch(list(iterator))
             weights = broadcast.value
-            grad, loss_sum = losses.logistic_grad_dense(batch_rows, weights)
-            task_ctx.charge_flops(losses.grad_flops(batch_rows), tag="gradient")
-            return (grad, loss_sum, len(batch_rows))
+            grad, loss_sum = losses.logistic_grad_dense(batch, weights)
+            task_ctx.charge_flops(losses.grad_flops(batch), tag="gradient")
+            return (grad, loss_sum, len(batch))
 
         placed = spark.scheduler.run_stage(
-            batch.map_partitions_with_context(
+            sampled.map_partitions_with_context(
                 lambda c, it: [gradient_task(c, it)]
             ),
             lambda c, it: next(iter(it)),

@@ -9,6 +9,7 @@ synchronous algorithms as PS2 but pull and push **full dense vectors**.
 
 from __future__ import annotations
 
+from repro.linalg.sparse import SparseBatch
 from repro.ml import losses
 from repro.ml.lda import train_lda
 from repro.ml.results import TrainResult
@@ -30,22 +31,20 @@ def train_lr_petuum(ctx, rows, dim, learning_rate=0.618, n_iterations=20,
 
     result = TrainResult(system=system, workload="lr-sgd-petuum")
     for iteration in range(n_iterations):
-        batch = data.sample(batch_fraction, seed=seed * 10000 + iteration)
+        sampled = data.sample(batch_fraction, seed=seed * 10000 + iteration)
 
         def gradient_task(task_ctx, iterator):
-            batch_rows = list(iterator)
-            if not batch_rows:
+            batch = SparseBatch(list(iterator))
+            if not batch:
                 return (0.0, 0)
             dense_weights = weight.pull(task_ctx=task_ctx)
-            grad, loss_sum = losses.logistic_grad_dense(
-                batch_rows, dense_weights
-            )
-            task_ctx.charge_flops(losses.grad_flops(batch_rows), tag="gradient")
+            grad, loss_sum = losses.logistic_grad_dense(batch, dense_weights)
+            task_ctx.charge_flops(losses.grad_flops(batch), tag="gradient")
             update = -learning_rate / expected_batch * grad
             weight.add(update, task_ctx=task_ctx)
-            return (loss_sum, len(batch_rows))
+            return (loss_sum, len(batch))
 
-        stats = batch.map_partitions_with_context(
+        stats = sampled.map_partitions_with_context(
             lambda c, it: [gradient_task(c, it)]
         ).collect()
         total_loss = sum(s[0] for s in stats)

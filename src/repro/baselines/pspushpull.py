@@ -14,7 +14,7 @@ from __future__ import annotations
 import numpy as np
 
 from repro.common.errors import ConfigError
-from repro.linalg.sparse import batch_index_union
+from repro.linalg.sparse import SparseBatch
 from repro.ml import losses
 from repro.ml.results import TrainResult
 
@@ -50,22 +50,19 @@ def train_lr_ps_pushpull(ctx, rows, dim, optimizer="adam", learning_rate=0.618,
     result = TrainResult(system=system, workload="lr-%s-pushpull" % optimizer)
     for iteration in range(n_iterations):
         gradient.fill(0.0)
-        batch = data.sample(batch_fraction, seed=seed * 10000 + iteration)
+        sampled = data.sample(batch_fraction, seed=seed * 10000 + iteration)
 
         def gradient_task(task_ctx, iterator):
-            batch_rows = list(iterator)
-            if not batch_rows:
+            batch = SparseBatch(list(iterator))
+            if not batch:
                 return (0.0, 0)
-            union = batch_index_union(batch_rows)
-            union_weights = weight.pull(indices=union, task_ctx=task_ctx)
-            grad_values, loss_sum = losses.logistic_grad_batch(
-                batch_rows, union, union_weights
-            )
-            task_ctx.charge_flops(losses.grad_flops(batch_rows), tag="gradient")
-            gradient.add(grad_values, indices=union, task_ctx=task_ctx)
-            return (loss_sum, len(batch_rows))
+            union_weights = weight.pull(indices=batch.union, task_ctx=task_ctx)
+            grad_values, loss_sum = losses.logistic_grad_batch(batch, union_weights)
+            task_ctx.charge_flops(losses.grad_flops(batch), tag="gradient")
+            gradient.add(grad_values, indices=batch.union, task_ctx=task_ctx)
+            return (loss_sum, len(batch))
 
-        stats = batch.map_partitions_with_context(
+        stats = sampled.map_partitions_with_context(
             lambda c, it: [gradient_task(c, it)]
         ).collect()
         total_loss = sum(s[0] for s in stats)

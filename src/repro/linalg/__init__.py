@@ -1,5 +1,5 @@
 """Minimal linear-algebra helpers (sparse training rows)."""
 
-from repro.linalg.sparse import SparseRow, batch_index_union
+from repro.linalg.sparse import SparseBatch, SparseRow
 
-__all__ = ["SparseRow", "batch_index_union"]
+__all__ = ["SparseBatch", "SparseRow"]

@@ -19,7 +19,7 @@ import numpy as np
 
 from repro.common.errors import ConfigError
 from repro.core import kernels
-from repro.linalg.sparse import batch_index_union
+from repro.linalg.sparse import SparseBatch
 from repro.ml.losses import log1p_exp, sigmoid
 from repro.ml.results import TrainResult
 
@@ -70,16 +70,13 @@ class FMModel:
 
     def predict_margin(self, rows):
         """Raw margins for a list of SparseRow (driver-side evaluation)."""
-        union = batch_index_union(rows)
+        batch = SparseBatch(rows)
         client = self.ctx.coordinator_client
         block = client.pull_block(self.matrix_id, self.parameter_rows(),
-                                  indices=union)
-        margins = np.empty(len(rows))
-        for i, row in enumerate(rows):
-            positions = np.searchsorted(union, row.indices)
-            margins[i] = _sample_margin(block, positions, row.values,
-                                        self.bias)
-        return margins
+                                  indices=batch.union)
+        return np.array([_sample_margin(block, batch.positions[part],
+                                        batch.values[part], self.bias)
+                         for part in batch.slices], dtype=float)
 
     def predict_proba(self, rows):
         """P(label=1) for each instance."""
@@ -97,18 +94,20 @@ def _sample_margin(block, positions, values, bias):
     return bias + linear + interaction
 
 
-def _batch_gradients(block, rows, union, bias):
-    """Loss, bias gradient and parameter-block gradient for a minibatch."""
+def _batch_gradients(block, batch, bias):
+    """Loss, bias gradient and parameter-block gradient for a minibatch
+    (a :class:`~repro.linalg.sparse.SparseBatch`; *block* is pulled at
+    its union)."""
     grad_block = np.zeros_like(block)
     grad_bias = 0.0
     loss_sum = 0.0
-    for row in rows:
-        positions = np.searchsorted(union, row.indices)
-        values = row.values
+    for part, label in zip(batch.slices, batch.labels.tolist()):
+        positions = batch.positions[part]
+        values = batch.values[part]
         margin = _sample_margin(block, positions, values, bias)
         prob = float(sigmoid(np.asarray(margin)))
-        loss_sum += float(log1p_exp(np.asarray(margin))) - row.label * margin
-        g = prob - row.label
+        loss_sum += float(log1p_exp(np.asarray(margin))) - label * margin
+        g = prob - label
         grad_bias += g
         np.add.at(grad_block[0], positions, g * values)
         v_sub = block[1:, positions]
@@ -142,29 +141,25 @@ def train_fm(ctx, rows, dim, n_factors=8, learning_rate=0.05,
 
     result = TrainResult(system=system, workload="fm-k%d" % n_factors)
     for iteration in range(n_iterations):
-        batch = data.sample(batch_fraction, seed=seed * 10000 + iteration)
+        sampled = data.sample(batch_fraction, seed=seed * 10000 + iteration)
 
         def gradient_task(task_ctx, iterator):
-            batch_rows = list(iterator)
-            if not batch_rows:
+            batch = SparseBatch(list(iterator))
+            if not batch:
                 return (0.0, 0.0, 0)
-            union = batch_index_union(batch_rows)
             client = ctx.client_for(task_ctx.executor)
             block = client.pull_block(model.matrix_id, param_rows,
-                                      indices=union)
-            grad_block, grad_bias, loss_sum = _batch_gradients(
-                block, batch_rows, union, model.bias
-            )
-            nnz = sum(r.nnz for r in batch_rows)
-            task_ctx.charge_flops(8.0 * n_factors * nnz, tag="fm-gradient")
+                                      indices=batch.union)
+            grad_block, grad_bias, loss_sum = _batch_gradients(block, batch, model.bias)
+            task_ctx.charge_flops(8.0 * n_factors * batch.nnz, tag="fm-gradient")
             task_ctx.defer(
                 lambda: client.push_block_add(
-                    model.matrix_id, grad_rows, grad_block, indices=union
+                    model.matrix_id, grad_rows, grad_block, indices=batch.union
                 )
             )
-            return (loss_sum, grad_bias, len(batch_rows))
+            return (loss_sum, grad_bias, len(batch))
 
-        stats = batch.map_partitions_with_context(
+        stats = sampled.map_partitions_with_context(
             lambda c, it: [gradient_task(c, it)]
         ).collect()
         total_loss = sum(s[0] for s in stats)

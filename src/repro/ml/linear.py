@@ -19,7 +19,7 @@ One iteration:
 from __future__ import annotations
 
 from repro.common.errors import ConfigError
-from repro.linalg.sparse import batch_index_union
+from repro.linalg.sparse import SparseBatch
 from repro.ml import losses
 from repro.ml.optim import Adam, make_optimizer
 from repro.ml.results import TrainResult
@@ -62,26 +62,25 @@ def train_linear_ps2(ctx, rows, dim, loss="logistic", optimizer=None,
 
     result = TrainResult(system=system, workload="%s-%s" % (loss, optimizer.name))
     for iteration in range(n_iterations):
-        batch = data.sample(batch_fraction, seed=seed * 10000 + iteration)
+        sampled = data.sample(batch_fraction, seed=seed * 10000 + iteration)
 
         def gradient_task(task_ctx, iterator):
             # Consistency gate / logical-clock tick: exact no-ops under BSP
             # (the stage barrier already synchronizes), the SSP wait and the
             # worker-cache renewal point under relaxed consistency.
             task_ctx.sync_clock()
-            batch_rows = list(iterator)
-            if not batch_rows:
+            batch = SparseBatch(list(iterator))
+            if not batch:
                 task_ctx.advance_clock()
                 return (0.0, 0)
-            union = batch_index_union(batch_rows)
-            union_weights = weight.pull(indices=union, task_ctx=task_ctx)
-            grad_values, loss_sum = grad_fn(batch_rows, union, union_weights)
-            task_ctx.charge_flops(losses.grad_flops(batch_rows), tag="gradient")
-            gradient.add(grad_values, indices=union, task_ctx=task_ctx)
+            union_weights = weight.pull(indices=batch.union, task_ctx=task_ctx)
+            grad_values, loss_sum = grad_fn(batch, union_weights)
+            task_ctx.charge_flops(losses.grad_flops(batch), tag="gradient")
+            gradient.add(grad_values, indices=batch.union, task_ctx=task_ctx)
             task_ctx.advance_clock()
-            return (loss_sum, len(batch_rows))
+            return (loss_sum, len(batch))
 
-        stats = batch.map_partitions_with_context(
+        stats = sampled.map_partitions_with_context(
             lambda task_ctx, it: [gradient_task(task_ctx, it)]
         ).collect()
 
@@ -108,9 +107,7 @@ def train_linear_ps2(ctx, rows, dim, loss="logistic", optimizer=None,
 
 _LOSS_ONLY = {
     "logistic": losses.logistic_loss_batch,
-    "hinge": lambda rows, union, weights: losses.hinge_grad_batch(
-        rows, union, weights
-    )[1],
+    "hinge": lambda batch, weights: losses.hinge_grad_batch(batch, weights)[1],
 }
 
 
@@ -137,16 +134,15 @@ def serve_linear_ps2(ctx, rows, weight, loss="logistic", n_passes=1,
 
     def score_task(task_ctx, iterator):
         task_ctx.sync_clock()
-        part_rows = list(iterator)
-        if not part_rows:
+        batch = SparseBatch(list(iterator))
+        if not batch:
             task_ctx.advance_clock()
             return (0.0, 0)
-        union = batch_index_union(part_rows)
-        union_weights = weight.pull(indices=union, task_ctx=task_ctx)
-        loss_sum = loss_fn(part_rows, union, union_weights)
-        task_ctx.charge_flops(losses.grad_flops(part_rows) // 2, tag="serve")
+        union_weights = weight.pull(indices=batch.union, task_ctx=task_ctx)
+        loss_sum = loss_fn(batch, union_weights)
+        task_ctx.charge_flops(losses.grad_flops(batch) // 2, tag="serve")
         task_ctx.advance_clock()
-        return (loss_sum, len(part_rows))
+        return (loss_sum, len(batch))
 
     for _ in range(n_passes):
         stats = data.map_partitions_with_context(

@@ -1,9 +1,10 @@
 """Loss/gradient computations on sparse minibatches.
 
-All functions operate on compact representations: a batch's rows plus the
-weight values for the union of their feature indices, as pulled sparsely
-from the parameter servers.  Dense variants (full weight vector) back the
-MLlib-style baselines.
+All functions operate on compact representations: a
+:class:`~repro.linalg.sparse.SparseBatch` plus the weight values for the
+union of its feature indices, as pulled sparsely from the parameter
+servers.  Dense variants (full weight vector) back the MLlib-style
+baselines.
 """
 
 from __future__ import annotations
@@ -32,62 +33,70 @@ def log1p_exp(x):
     return out
 
 
-def logistic_grad_batch(rows, union_indices, union_weights):
+def logistic_grad_batch(batch, union_weights):
     """Gradient + loss of logistic loss over a sparse minibatch.
 
-    ``union_indices`` must be the sorted union of the rows' indices (as from
-    :func:`repro.linalg.sparse.batch_index_union`) and ``union_weights`` the
-    matching weight values.  Returns ``(grad_values, loss_sum)`` where
-    ``grad_values`` aligns with ``union_indices`` and is **unnormalized**
-    (sum over rows); labels are 0/1.
+    *batch* is a :class:`~repro.linalg.sparse.SparseBatch` and
+    ``union_weights`` the weight values at ``batch.union``.  Returns
+    ``(grad_values, loss_sum)`` where ``grad_values`` aligns with
+    ``batch.union`` and is **unnormalized** (sum over rows); labels are 0/1.
     """
-    grad = np.zeros(union_indices.size)
-    loss_sum = 0.0
-    for row in rows:
-        positions = np.searchsorted(union_indices, row.indices)
-        margin = float(np.dot(union_weights[positions], row.values))
-        prob = float(sigmoid(margin))
-        loss_sum += float(log1p_exp(margin)) - row.label * margin
-        np.add.at(grad, positions, (prob - row.label) * row.values)
-    return grad, loss_sum
+    return _logistic(batch, batch.positions, union_weights)
 
 
-def logistic_grad_dense(rows, weights):
-    """Dense-gradient variant (full weight vector), for MLlib-style runs."""
-    grad = np.zeros(weights.size)
-    loss_sum = 0.0
-    for row in rows:
-        margin = row.dot_dense(weights)
-        prob = float(sigmoid(margin))
-        loss_sum += float(log1p_exp(margin)) - row.label * margin
-        np.add.at(grad, row.indices, (prob - row.label) * row.values)
-    return grad, loss_sum
+def logistic_grad_dense(batch, weights):
+    """Dense-gradient variant (full weight vector), for MLlib-style runs:
+    the same kernel, each entry's position its own index."""
+    return _logistic(batch, batch.indices, weights)
 
 
-def logistic_loss_batch(rows, union_indices, union_weights):
+def _logistic(batch, positions, weights):
+    """One array pass: margins, loss and the gradient scattered onto
+    *weights*' slots.
+
+    Every value equals a per-row loop's bit for bit (see :func:`_scatter`
+    and :func:`_row_order_sum`).
+    """
+    margins = batch.row_dots(weights[positions])
+    labels = batch.labels
+    grad = _scatter(batch, sigmoid(margins) - labels, positions, weights.size)
+    return grad, _row_order_sum(log1p_exp(margins) - labels * margins)
+
+
+def logistic_loss_batch(batch, union_weights):
     """Loss only (no gradient) over a sparse batch."""
-    loss_sum = 0.0
-    for row in rows:
-        positions = np.searchsorted(union_indices, row.indices)
-        margin = float(np.dot(union_weights[positions], row.values))
-        loss_sum += float(log1p_exp(margin)) - row.label * margin
-    return loss_sum
+    margins = batch.row_dots(union_weights[batch.positions])
+    return _row_order_sum(log1p_exp(margins) - batch.labels * margins)
 
 
-def hinge_grad_batch(rows, union_indices, union_weights):
+def hinge_grad_batch(batch, union_weights):
     """Subgradient + loss of the hinge loss (labels 0/1 mapped to ±1)."""
-    grad = np.zeros(union_indices.size)
-    loss_sum = 0.0
-    for row in rows:
-        positions = np.searchsorted(union_indices, row.indices)
-        margin = float(np.dot(union_weights[positions], row.values))
-        y = 2.0 * row.label - 1.0
-        loss_sum += max(0.0, 1.0 - y * margin)
-        if y * margin < 1.0:
-            np.add.at(grad, positions, -y * row.values)
-    return grad, loss_sum
+    margins = batch.row_dots(union_weights[batch.positions])
+    y = 2.0 * batch.labels - 1.0
+    hinge = 1.0 - y * margins
+    # A row outside the margin adds zeros, which move no slot: a sum
+    # that starts at 0.0 is never -0.0.
+    coefficients = np.where(y * margins < 1.0, -y, 0.0)
+    grad = _scatter(batch, coefficients, batch.positions, union_weights.size)
+    return grad, _row_order_sum(np.where(hinge > 0.0, hinge, 0.0))
 
 
-def grad_flops(rows):
+def _scatter(batch, coefficients, positions, size):
+    """Each row's coefficient times its values, added onto *size* zeros
+    at *positions*: ``np.bincount`` adds the entries one by one in row
+    order onto 0.0, as ``np.add.at`` on zeros does."""
+    return np.bincount(positions,
+                       weights=np.repeat(coefficients, batch.lengths)
+                       * batch.values, minlength=size)
+
+
+def _row_order_sum(terms):
+    """``sum`` of *terms* added one after another, as a Python ``+=``
+    loop from 0.0 does: ``np.sum`` adds pairwise and can differ in the
+    last bit."""
+    return float(np.cumsum(terms)[-1]) if terms.size else 0.0
+
+
+def grad_flops(batch):
     """Compute-cost estimate of a batch gradient (charged to executors)."""
-    return 6.0 * sum(row.nnz for row in rows)
+    return 6.0 * batch.nnz

@@ -15,6 +15,8 @@ four workloads needs one.  ``tests/test_surface.py`` keeps it that way.
 
 from __future__ import annotations
 
+import itertools
+
 import numpy as np
 
 from repro.common.errors import SparkliteError
@@ -208,10 +210,12 @@ class SampledRDD(RDD):
         self.seed = int(seed)
 
     def compute(self, ctx, partition_id):
+        # One draw per partition: PCG64 fills an array with the values n
+        # scalar draws would return, so the sample is the per-element one.
         rng = RngRegistry(self.seed).get("sample-%d" % partition_id)
-        fraction = self.fraction
-        upstream = self.parent.compute(ctx, partition_id)
-        return (x for x in upstream if rng.random() < fraction)
+        upstream = list(self.parent.compute(ctx, partition_id))
+        kept = rng.random(len(upstream)) < self.fraction
+        return itertools.compress(upstream, kept.tolist())
 
 
 class CachedRDD(RDD):

@@ -5,7 +5,7 @@ import pytest
 
 from repro.common.errors import ConfigError
 from repro.common.rng import RngRegistry
-from repro.linalg.sparse import SparseRow, batch_index_union
+from repro.linalg.sparse import SparseBatch, SparseRow
 from repro.ml.fm import FMModel, _batch_gradients, _sample_margin, train_fm
 
 
@@ -53,20 +53,20 @@ def test_batch_gradients_match_finite_differences():
     rng = np.random.default_rng(4)
     dim, k = 25, 3
     rows = make_interaction_data(n_rows=5, dim=dim, nnz=4, seed=4)
-    union = batch_index_union(rows)
-    block = rng.standard_normal((k + 1, union.size)) * 0.1
+    batch = SparseBatch(rows)
+    block = rng.standard_normal((k + 1, batch.union.size)) * 0.1
     bias = 0.1
 
-    grad_block, grad_bias, loss = _batch_gradients(block, rows, union, bias)
+    grad_block, grad_bias, loss = _batch_gradients(block, batch, bias)
     eps = 1e-6
     # bias gradient
-    _g, _b, loss_up = _batch_gradients(block, rows, union, bias + eps)
+    _g, _b, loss_up = _batch_gradients(block, batch, bias + eps)
     assert (loss_up - loss) / eps == pytest.approx(grad_bias, abs=1e-3)
     # a few block coordinates
-    for r, c in [(0, 0), (1, 2), (k, union.size - 1)]:
+    for r, c in [(0, 0), (1, 2), (k, batch.union.size - 1)]:
         bumped = block.copy()
         bumped[r, c] += eps
-        _g, _b, loss_up = _batch_gradients(bumped, rows, union, bias)
+        _g, _b, loss_up = _batch_gradients(bumped, batch, bias)
         numeric = (loss_up - loss) / eps
         assert numeric == pytest.approx(grad_block[r, c], abs=1e-3)
 

@@ -11,6 +11,11 @@ under its own bound — as a whole (:data:`BOUNDS`) and per layer
 its ``src/repro`` module, each builtin call to its caller's module, and
 everything else (numpy, the workload driver) to ``other``.
 
+Training has its own gate (:data:`TRAIN_BOUNDS`): a short fixed LR
+stream's calls in the layers between the sample and the push, held
+under absolute bounds, so per-row Python on that path fails here and
+not only in a noisy host-time ledger.
+
 The counts are taken in a fresh child interpreter with
 ``PYTHONHASHSEED=0``, so no earlier test's warm caches and no hash seed
 can move them; when the bounds were set, the child read the same counts
@@ -33,7 +38,7 @@ import sys
 import numpy as np
 import pytest
 
-from benchmarks.perf.workloads import ALL_ON, Storm
+from benchmarks.perf.workloads import ALL_ON, WORKLOADS, Storm
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 SEED = 17
@@ -88,6 +93,19 @@ LAYER_BOUNDS = {
     "core.context":      (.0003, .0003, .0003, .0003, .0003, .0003, .0003),
     "ps.consistency":    (.0001, .0001, .0001, .0001, .0001, .0001, .0001),
 }
+
+
+#: Upper bound on each training-path layer's calls over three iterations
+#: of the perf ledger's ``train-lr-adam`` stream (the CTR analogue, 20
+#: executors, 20 servers, seed 17), about 10 % over the CPython 3.11
+#: measurement.  A task turns its rows into one ``SparseBatch`` and each
+#: loss kernel is one array pass, so these grow with tasks, not rows.
+TRAIN_BOUNDS = {
+    "ml.losses": 660,      # 600 (7 524 with a per-row loop)
+    "linalg.sparse": 990,  # 900 (1 272)
+    "sparklite.rdd": 633,  # 575 (1 547 with a draw per row)
+}
+TRAIN_ITERATIONS = 3
 
 
 def _module(filename):
@@ -159,6 +177,20 @@ def _measure():
     return {name: _layers(_profile(name)) for name in CONFIGS}
 
 
+def _measure_training():
+    """``{layer: calls}`` of :data:`TRAIN_ITERATIONS` iterations of the
+    ledger's LR training stream (set-up excluded)."""
+    workload = WORKLOADS["train-lr-adam"]
+    inputs = dict(workload.generate(SEED), iterations=TRAIN_ITERATIONS)
+    state = workload.build(inputs)
+    profile = cProfile.Profile()
+    profile.enable()
+    done = workload.run(state, inputs)
+    profile.disable()
+    assert done == TRAIN_ITERATIONS
+    return _layers(pstats.Stats(profile))
+
+
 def _table(calls):
     """The layer table a failure prints: calls per layer and
     configuration, and each as a ratio to bare's total."""
@@ -177,13 +209,18 @@ def _table(calls):
 
 
 @pytest.fixture(scope="module")
-def calls():
+def measured():
     env = dict(os.environ, PYTHONHASHSEED="0", PYTHONPATH=os.pathsep.join(
         [os.path.join(ROOT, "src"), ROOT]))
     child = subprocess.run([sys.executable, os.path.abspath(__file__)],
                            cwd=ROOT, env=env, capture_output=True, text=True,
                            check=True)
     return json.loads(child.stdout)
+
+
+@pytest.fixture(scope="module")
+def calls(measured):
+    return measured["storm"]
 
 
 @pytest.mark.parametrize("name", [*KNOBS, "all-on"])
@@ -204,16 +241,25 @@ def test_each_layer_costs_at_most_its_bound_in_calls(calls, name):
     assert not over, "%s %s\n%s" % (name, over, _table(calls))
 
 
+@pytest.mark.parametrize("layer", sorted(TRAIN_BOUNDS))
+def test_training_layer_costs_at_most_its_bound_in_calls(measured, layer):
+    training = measured["training"]
+    assert training.get(layer, 0) <= TRAIN_BOUNDS[layer], "%s %d\n%s" % (
+        layer, training.get(layer, 0), json.dumps(training, indent=1,
+                                                   sort_keys=True))
+
+
 def test_training_builds_its_index_sets_without_np_unique(monkeypatch,
                                                           make_ps2):
     """Host cost that call counts cannot see: ``np.unique`` is one call
     from ``src/repro`` whether it sorts or (numpy 2.x, integers) hashes
     first, at several times a sort's price.  Index sets on the training
-    path (the data generators, a mini-batch's key union, a split, a
-    worker's LDA vocabulary) are built by sorting and cutting; here one
-    LR iteration and one LDA init with ``np.unique`` refused hold them
-    to it."""
+    path (the data generators, a ``SparseBatch``'s union and positions,
+    a split, a worker's LDA vocabulary) are built by sorting and
+    cutting; here a batch, one LR iteration and one LDA init with
+    ``np.unique`` refused hold them to it."""
     from repro.data import sparse_classification, synthetic_corpus
+    from repro.linalg.sparse import SparseBatch
     from repro.ml.lda import train_lda
     from repro.ml.lr import train_logistic_regression
     from repro.ml.optim import Adam
@@ -223,6 +269,8 @@ def test_training_builds_its_index_sets_without_np_unique(monkeypatch,
 
     monkeypatch.setattr(np, "unique", refused)
     rows, _truth = sparse_classification(80, 200, 10, seed=21)
+    batch = SparseBatch(rows)
+    assert np.array_equal(batch.union[batch.positions], batch.indices)
     result = train_logistic_regression(
         make_ps2(), rows, 200, optimizer=Adam(learning_rate=0.2),
         n_iterations=1, batch_fraction=0.5, seed=21)
@@ -235,4 +283,4 @@ def test_training_builds_its_index_sets_without_np_unique(monkeypatch,
 
 
 if __name__ == "__main__":
-    print(json.dumps(_measure()))
+    print(json.dumps({"storm": _measure(), "training": _measure_training()}))

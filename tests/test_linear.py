@@ -5,6 +5,7 @@ import pytest
 
 from repro.common.errors import ConfigError
 from repro.data import sparse_classification
+from repro.linalg.sparse import SparseBatch
 from repro.ml.linear import train_linear_ps2
 from repro.ml import losses
 from repro.ml.lr import accuracy, train_logistic_regression
@@ -36,7 +37,7 @@ def test_lr_learns_signal(make_ps2, small_data):
     )
     weights = result.extras["weight"].materialize()
     assert accuracy(rows, weights) > 0.75
-    _grad, loss_sum = losses.logistic_grad_dense(rows, weights)
+    _grad, loss_sum = losses.logistic_grad_dense(SparseBatch(rows), weights)
     assert loss_sum / len(rows) < 0.55
 
 

@@ -13,8 +13,9 @@ The invariants replication leans on, stated as properties:
    ownership or lose data — coverage is preserved under any heat history;
 5. with hot-key replication AND the chain on, any interleaving of ops,
    sweeps, crash/recover and resizes reads back a plain numpy accumulation;
-6. index sets are built by sorting and cutting: ``sorted_unique`` and
-   ``batch_index_union`` equal ``np.unique``, a split equals the
+6. index sets are built by sorting and cutting: ``sorted_unique`` and a
+   ``SparseBatch``'s union equal ``np.unique``, its positions equal a
+   ``searchsorted`` of each index into the union, a split equals the
    per-index ownership rule on any input (unsorted, repeated, empty
    ranges), and an index outside ``[0, dim)`` is refused, never placed.
 """
@@ -28,7 +29,7 @@ from repro.cluster.cluster import Cluster
 from repro.common.errors import PSError
 from repro.config import ClusterConfig
 from repro.core.context import PS2Context
-from repro.linalg.sparse import SparseRow, batch_index_union, sorted_unique
+from repro.linalg.sparse import SparseBatch, SparseRow, sorted_unique
 from repro.ps import messages
 from repro.ps.client import PSClient
 from repro.ps.master import PSMaster
@@ -314,11 +315,14 @@ def test_sorted_unique_and_the_batch_union_equal_np_unique(rows):
     arrays = [np.array(row, dtype=np.int64) for row in rows]
     flat = np.concatenate(arrays) if arrays else np.empty(0, dtype=np.int64)
     expected = np.unique(flat)
-    for got in (sorted_unique(flat),
-                batch_index_union([SparseRow(a, np.ones(a.size), 0.0)
-                                   for a in arrays])):
+    batch = SparseBatch([SparseRow(a, np.ones(a.size), 0.0) for a in arrays])
+    for got in (sorted_unique(flat), batch.union):
         assert got.dtype == expected.dtype
         assert np.array_equal(got, expected)
+    # One sort gives every entry's place in the union, too.
+    assert np.array_equal(batch.indices, flat)
+    assert np.array_equal(batch.positions, np.searchsorted(expected, flat))
+    assert batch.lengths.tolist() == [a.size for a in arrays]
 
 
 cut_layouts = st.builds(

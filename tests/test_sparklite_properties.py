@@ -4,6 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.cluster.cluster import Cluster
+from repro.common.rng import RngRegistry
 from repro.config import ClusterConfig, FailureConfig
 from repro.sparklite.context import SparkContext
 
@@ -54,6 +55,28 @@ def test_sample_is_subset(fraction, seed):
     sampled = sc.parallelize(data).sample(fraction, seed=seed).collect()
     assert set(sampled) <= set(data)
     assert len(sampled) == len(set(sampled))
+
+
+@given(
+    size=st.integers(min_value=0, max_value=120),
+    n_partitions=st.integers(min_value=1, max_value=6),
+    fraction=st.floats(min_value=0.0, max_value=1.0, allow_nan=False),
+    seed=st.integers(min_value=0, max_value=2**31),
+)
+@settings(max_examples=60, deadline=None)
+def test_sample_equals_the_per_element_rule(size, n_partitions, fraction,
+                                            seed):
+    # The rule the one-draw-per-partition sample must reproduce: each
+    # partition's stream drawn once per element, in order.
+    sc = make_sc()
+    rdd = sc.parallelize(list(range(size)), n_partitions=n_partitions)
+    partitions = rdd.map_partitions_with_context(
+        lambda _ctx, it: [list(it)]).collect()
+    expected = []
+    for partition_id, partition in enumerate(partitions):
+        rng = RngRegistry(seed).get("sample-%d" % partition_id)
+        expected.extend(x for x in partition if rng.random() < fraction)
+    assert rdd.sample(fraction, seed=seed).collect() == expected
 
 
 @given(
